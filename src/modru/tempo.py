@@ -18,7 +18,13 @@ acceleration magnitude bound, the total-time budget sum(h) <= T_f, and
 optionally an input magnitude bound in full-model mode.  The solver is
 a first-order augmented-Lagrangian method: speed caps are handled by
 projection, the remaining inequalities by multiplier terms; gradients
-are central finite differences of the merit function.
+are central finite differences of the merit function.  Moving h_i
+changes only the terms of segments i-1 and i and of the last segment
+(the final acceleration repeats the previous one), so the differences
+recompute just those elements and patch them into copies of the
+unperturbed row.  Every row is still reduced in full, so the gradient
+equals, bit for bit, the one from evaluating the whole merit on all 2N
+perturbed rows.
 """
 
 from __future__ import annotations
@@ -189,19 +195,25 @@ def build_problem(path_length: float, n_segments: int, T_f: float,
                      model=model, eff=eff, gamma=gamma, mode=mode, u_lim=u_lim)
 
 
+def _input(p: TOProblem, v, vdot, alpha):
+    """Model input (full mode) or acceleration (pseudo mode) at (v, vdot, alpha)."""
+    return feedforward(v, vdot, alpha, p.model) if p.mode == "full" else vdot
+
+
+def _weight(p: TOProblem, u):
+    """Smooth efficiency weight eta(u) between regeneration and generation."""
+    mid = 0.5 * (p.eff.gen_factor + p.eff.regen_factor)
+    half = 0.5 * (p.eff.gen_factor - p.eff.regen_factor)
+    return mid + half * np.tanh(p.gamma * u)
+
+
 def _kinematics(p: TOProblem, H: np.ndarray):
     """Velocities, accelerations, inputs, eta for duration rows H (..., N)."""
     v = p.dx / H
     vdot_ind = (v[..., 1:] - v[..., :-1]) / H[..., :-1]
     vdot = np.concatenate([vdot_ind, vdot_ind[..., -1:]], axis=-1)
-    if p.mode == "full":
-        u = feedforward(v, vdot, p.alpha, p.model)
-    else:
-        u = vdot
-    mid = 0.5 * (p.eff.gen_factor + p.eff.regen_factor)
-    half = 0.5 * (p.eff.gen_factor - p.eff.regen_factor)
-    eta = mid + half * np.tanh(p.gamma * u)
-    return v, vdot, vdot_ind, u, eta
+    u = _input(p, v, vdot, p.alpha)
+    return v, vdot, vdot_ind, u, _weight(p, u)
 
 
 def energy_terms(eta: np.ndarray, u: np.ndarray, v: np.ndarray,
@@ -221,11 +233,17 @@ def evaluate_objective(p: TOProblem, h: np.ndarray) -> tuple[float, dict]:
                                 "terms": terms}
 
 
-def _constraints(p: TOProblem, H: np.ndarray) -> np.ndarray:
-    """Normalized inequality residuals g(H) <= 0 for rows H (..., N)."""
-    _, vdot, vdot_ind, u, _ = _kinematics(p, H)
+def _constraints(p: TOProblem, total: np.ndarray, vdot_ind: np.ndarray,
+                 u: np.ndarray) -> np.ndarray:
+    """Normalized inequality residuals g <= 0 of rows (..., N).
+
+    ``total`` is the rows' duration sum with a kept last axis; ``vdot_ind``
+    and ``u`` come from :func:`_kinematics`.  Columns: time budget, upper
+    and lower acceleration bounds, then upper and lower input bounds when
+    an input bound applies.
+    """
     parts = [
-        (H.sum(axis=-1, keepdims=True) - p.T_f) / p.T_f,
+        (total - p.T_f) / p.T_f,
         (vdot_ind - p.vdot_lim) / p.vdot_lim,
         (-vdot_ind - p.vdot_lim) / p.vdot_lim,
     ]
@@ -233,6 +251,70 @@ def _constraints(p: TOProblem, H: np.ndarray) -> np.ndarray:
         parts.append((u - p.u_lim) / p.u_lim)
         parts.append((-u - p.u_lim) / p.u_lim)
     return np.concatenate(parts, axis=-1)
+
+
+def _residuals(p: TOProblem, H: np.ndarray) -> np.ndarray:
+    """Constraint residuals of duration rows H (..., N)."""
+    _, _, vdot_ind, u, _ = _kinematics(p, H)
+    return _constraints(p, H.sum(axis=-1, keepdims=True), vdot_ind, u)
+
+
+def _merit_parts(p: TOProblem, H: np.ndarray, lam: np.ndarray, rho: float):
+    """Energy terms and squared penalties max(0, lam + rho g)^2 of rows H."""
+    v, _, vdot_ind, u, eta = _kinematics(p, H)
+    g = _constraints(p, H.sum(axis=-1, keepdims=True), vdot_ind, u)
+    t = np.maximum(0.0, lam + rho * g)
+    return energy_terms(eta, u, v, H), t * t
+
+
+def _merit(terms: np.ndarray, pen: np.ndarray, lam: np.ndarray, rho: float,
+           e_scale: float) -> np.ndarray:
+    """Augmented-Lagrangian merit of each row from its terms and penalties."""
+    return (terms.sum(axis=-1) / e_scale
+            + (pen.sum(axis=-1) - (lam * lam).sum()) / (2.0 * rho))
+
+
+def _merit_grad(p: TOProblem, H: np.ndarray, lam: np.ndarray, rho: float,
+                e_scale: float) -> np.ndarray:
+    """Central-difference gradient of the merit at durations ``H``.
+
+    Row r < N of the 2N perturbed rows moves h_r up by d_r, row N + r
+    moves it down (clamped at 1e-12).  Only the elements that read the
+    moved duration are recomputed, with the elementwise operations of
+    the batched merit, and patched into tiled copies of the base row's
+    energy terms and squared penalties; each full row is then reduced as
+    the batched merit reduces it.  The result equals the batched central
+    difference bit for bit as long as every duration is at least 1e-12.
+    """
+    n = H.size
+    d = 1e-6 * np.maximum(H, 1e-6)
+    h_minus = np.maximum(H - d, 1e-12)
+    moved = np.tile(np.arange(n), 2)
+    rows = np.arange(2 * n)[:, None]
+    Hrows = np.tile(H, (2 * n, 1))
+    Hrows[rows[:, 0], moved] = np.concatenate([H + d, h_minus])
+    # Elements reading the moved duration h_i: segments i-1 and i, and the
+    # last segment, whose acceleration is the one of segment N-2.
+    J = np.stack([np.maximum(moved - 1, 0), moved, np.full(2 * n, n - 1)], axis=1)
+    K = np.minimum(J, n - 2)
+    dx = p.dx
+    hJ, hK = Hrows[rows, J], Hrows[rows, K]
+    vJ = dx[J] / hJ
+    vdot = (dx[K + 1] / Hrows[rows, K + 1] - dx[K] / hK) / hK
+    u = _input(p, vJ, vdot, p.alpha[J])
+    g = _constraints(p, Hrows.sum(axis=-1, keepdims=True), vdot, u)
+    # Residual columns of g in the layout of _constraints; the input-bound
+    # blocks drop out with the bound.
+    cols = np.concatenate([np.zeros((2 * n, 1), dtype=np.intp), 1 + K, n + K,
+                           2 * n - 1 + J, 3 * n - 1 + J], axis=1)[:, :g.shape[1]]
+    t = np.maximum(0.0, lam[cols] + rho * g)
+    base_terms, base_pen = _merit_parts(p, H, lam, rho)
+    terms = np.tile(base_terms, (2 * n, 1))
+    terms[rows, J] = energy_terms(_weight(p, u), u, vJ, hJ)
+    pen = np.tile(base_pen, (2 * n, 1))
+    pen[rows, cols] = t * t
+    m = _merit(terms, pen, lam, rho, e_scale)
+    return (m[:n] - m[n:]) / (d + (H - h_minus))
 
 
 def default_h_init(p: TOProblem) -> np.ndarray:
@@ -253,16 +335,22 @@ def solve(p: TOProblem, h_init: np.ndarray | None = None, outer_max: int = 80,
     Augmented-Lagrangian outer loop with multiplier updates on the
     time/acceleration/input inequalities; projected spectral-gradient
     inner minimization with the speed caps as bound constraints.  The
-    merit gradient uses batched central finite differences.  Returns the
-    best iterate flagged ``feasible=False`` if the violation target is
-    not met within the iteration budget.
+    merit gradient is a central finite difference evaluated band-locally
+    (:func:`_merit_grad`); it equals the batched difference over all 2N
+    perturbed rows bit for bit.  Returns the best iterate flagged
+    ``feasible=False`` if the violation target is not met within the
+    iteration budget.  Raises ``ValueError`` if ``h_init`` does not hold
+    one finite duration per segment.
     """
     n = p.n_segments
     h_min = p.h_min
-    H = default_h_init(p) if h_init is None else np.maximum(
-        np.asarray(h_init, dtype=float).copy(), h_min)
-    if H.shape != (n,):
-        raise ValueError("h_init length mismatch")
+    if h_init is None:
+        H = default_h_init(p)
+    else:
+        H = np.asarray(h_init, dtype=float)
+        if H.shape != (n,) or not np.all(np.isfinite(H)):
+            raise ValueError("h_init must hold one finite duration per segment")
+        H = np.maximum(H, h_min)
 
     # Objective scale.  Tracks the current iterate so the constraint
     # penalties keep leverage, with a probe-derived floor because the
@@ -275,27 +363,12 @@ def solve(p: TOProblem, h_init: np.ndarray | None = None, outer_max: int = 80,
     for probe in (H, h_min, h_alt):
         _, parts_probe = evaluate_objective(p, np.maximum(probe, 1e-9))
         probe_scale = max(probe_scale, float(np.abs(parts_probe["terms"]).sum()))
-    scale = {"e": max(1e-3 * probe_scale, 1e-9)}
-    n_con = _constraints(p, H).shape[-1]
-    lam = np.zeros(n_con)
+    lam = np.zeros(_residuals(p, H).shape[-1])
     rho = 10.0
 
-    def merit(Hrows: np.ndarray) -> np.ndarray:
-        v, vdot, _, u, eta = _kinematics(p, Hrows)
-        E = energy_terms(eta, u, v, Hrows).sum(axis=-1) / scale["e"]
-        g = _constraints(p, Hrows)
-        t = np.maximum(0.0, lam + rho * g)
-        return E + ((t * t).sum(axis=-1) - (lam * lam).sum()) / (2.0 * rho)
-
-    def grad(Hv: np.ndarray) -> np.ndarray:
-        d = 1e-6 * np.maximum(Hv, 1e-6)
-        Hp = np.tile(Hv, (n, 1))
-        Hm = Hp.copy()
-        idx = np.arange(n)
-        Hp[idx, idx] += d
-        Hm[idx, idx] -= d
-        Hm = np.maximum(Hm, 1e-12)
-        return (merit(Hp) - merit(Hm)) / (d + (Hv - Hm[idx, idx]))
+    def merit(Hv: np.ndarray) -> float:
+        return float(_merit(*_merit_parts(p, Hv[None, :], lam, rho), lam, rho,
+                            e_scale)[0])
 
     # Lexicographic iterate ranking: feasibility first, then objective
     # among feasible iterates (violation magnitude among infeasible ones).
@@ -303,12 +376,12 @@ def solve(p: TOProblem, h_init: np.ndarray | None = None, outer_max: int = 80,
     best_h = H.copy()
     e_hist: list[float] = []
     viol_prev = math.inf
+    _, parts_now = evaluate_objective(p, H)
     for _ in range(outer_max):
-        _, parts_now = evaluate_objective(p, H)
-        scale["e"] = max(float(np.abs(parts_now["terms"]).sum()),
-                         1e-3 * probe_scale, 1e-9)
-        m0 = float(merit(H[None, :])[0])
-        g = grad(H)
+        e_scale = max(float(np.abs(parts_now["terms"]).sum()),
+                      1e-3 * probe_scale, 1e-9)
+        m0 = merit(H)
+        g = _merit_grad(p, H, lam, rho, e_scale)
         step = 0.1 * max(H.max(), 1e-6) / max(float(np.abs(g).max()), 1e-12)
         H_prev = None
         g_prev = None
@@ -328,7 +401,7 @@ def solve(p: TOProblem, h_init: np.ndarray | None = None, outer_max: int = 80,
                 d = H_try - H
                 if np.abs(d).max() < 1e-14 * max(1.0, float(H.max())):
                     break
-                m_try = float(merit(H_try[None, :])[0])
+                m_try = merit(H_try)
                 if m_try <= m0 + 1e-4 * float(g @ d):
                     accepted = True
                     break
@@ -342,14 +415,15 @@ def solve(p: TOProblem, h_init: np.ndarray | None = None, outer_max: int = 80,
             stalled = 0
             H_prev, g_prev = H.copy(), g
             H, m0 = H_try, m_try
-            g = grad(H)
+            g = _merit_grad(p, H, lam, rho, e_scale)
             if np.abs(H - H_prev).max() < 1e-12 * max(1.0, float(H.max())):
                 break
 
-        g_con = _constraints(p, H[None, :])[0]
+        g_con = _residuals(p, H[None, :])[0]
         viol = float(np.maximum(g_con, 0.0).max())
         lam = np.maximum(0.0, lam + rho * g_con)
-        E_now, _ = evaluate_objective(p, H)
+        # parts_now also sets the next iteration's objective scale.
+        E_now, parts_now = evaluate_objective(p, H)
         e_hist.append(E_now)
         key = (0, E_now) if viol <= viol_target else (1, viol)
         if key < best_key:
@@ -371,7 +445,7 @@ def solve(p: TOProblem, h_init: np.ndarray | None = None, outer_max: int = 80,
         total = float(slack.sum())
         if total >= excess > 0.0 and excess <= 1e-4 * p.T_f:
             H = H - slack * (excess / total)
-    g_con = _constraints(p, H[None, :])[0]
+    g_con = _residuals(p, H[None, :])[0]
     feasible = bool(np.maximum(g_con, 0.0).max() <= VIOL_TOL)
 
     E, parts = evaluate_objective(p, H)
@@ -414,7 +488,4 @@ def reference_energy(ref: ReferenceTrajectory, p: TOProblem) -> float:
         u = feedforward(ref.v_r, ref.a_r, slope_at, p.model)
     else:
         u = ref.a_r
-    mid = 0.5 * (p.eff.gen_factor + p.eff.regen_factor)
-    half = 0.5 * (p.eff.gen_factor - p.eff.regen_factor)
-    eta = mid + half * np.tanh(p.gamma * u)
-    return float(np.sum(energy_terms(eta, u, ref.v_r, ref.h)[:-1]))
+    return float(np.sum(energy_terms(_weight(p, u), u, ref.v_r, ref.h)[:-1]))

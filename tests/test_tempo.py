@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modru import tempo
 from modru.errors import InfeasibleError
@@ -214,6 +216,16 @@ class TestSolve:
         assert s2.feasible
         assert s2.E <= 1000.0 * s1.E + 1e-4 * abs(1000.0 * s1.E)
 
+    def test_rejects_malformed_h_init(self):
+        p = tempo.build_problem(600.0, 6, 60.0, FLAT, flat_limit(15.0), None,
+                                mode="pseudo", vdot_lim=1.0)
+        with pytest.raises(ValueError):
+            tempo.solve(p, h_init=np.array([5.0]))
+        with pytest.raises(ValueError):
+            tempo.solve(p, h_init=np.full(6, np.nan))
+        with pytest.raises(ValueError):
+            tempo.solve(p, h_init=np.array([10.0, 10.0, np.inf, 10.0, 10.0, 10.0]))
+
     def test_objective_scale_constant_does_not_move_the_plan(self):
         # eff.scale is a reporting constant; it must leave the plan alone
         m1 = truck_like_model()
@@ -224,6 +236,61 @@ class TestSolve:
         s1 = tempo.solve(p1)
         s2 = tempo.solve(p2)
         assert np.array_equal(s1.h, s2.h)
+
+
+def batched_merit_grad(p, H, lam, rho, e_scale):
+    """Reference: central differences of the merit over 2N full perturbed rows."""
+    n = H.size
+    d = 1e-6 * np.maximum(H, 1e-6)
+    idx = np.arange(n)
+    Hp = np.tile(H, (n, 1))
+    Hm = Hp.copy()
+    Hp[idx, idx] += d
+    Hm[idx, idx] -= d
+    Hm = np.maximum(Hm, 1e-12)
+
+    def merit(Hrows):
+        v, _, vdot_ind, u, eta = tempo._kinematics(p, Hrows)
+        E = tempo.energy_terms(eta, u, v, Hrows).sum(axis=-1) / e_scale
+        g = tempo._constraints(p, Hrows.sum(axis=-1, keepdims=True), vdot_ind, u)
+        t = np.maximum(0.0, lam + rho * g)
+        return E + ((t * t).sum(axis=-1) - (lam * lam).sum()) / (2.0 * rho)
+
+    return (merit(Hp) - merit(Hm)) / (d + (H - Hm[idx, idx]))
+
+
+class TestMeritGradient:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 40), mode=st.sampled_from(["pseudo", "full"]),
+           input_bound=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_band_local_equals_batched(self, n, mode, input_bound, seed):
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([[0.0], np.cumsum(rng.uniform(20.0, 120.0, n))])
+        v_lim = rng.uniform(8.0, 25.0, n)
+        h_min = np.diff(x) / v_lim
+        model = None
+        if mode == "full":
+            theta = truck_like_model().theta * rng.uniform(0.5, 1.5, 6)
+            model = GrayBoxModel(theta=theta)
+        u_lim = float(rng.uniform(100.0, 800.0)) if input_bound else None
+        p = tempo.TOProblem(
+            x=x, alpha=rng.uniform(-0.03, 0.03, n), v_lim=v_lim,
+            T_f=float(h_min.sum() * rng.uniform(1.05, 2.0)),
+            vdot_lim=float(rng.uniform(0.3, 2.0)), model=model,
+            eff=EfficiencyParams(float(rng.uniform(1.0, 1.3)),
+                                 float(rng.uniform(0.6, 1.0))),
+            gamma=float(10.0 ** rng.uniform(-3.0, 1.0)), mode=mode,
+            u_lim=u_lim)
+        # Durations at the speed caps for some segments, above for others.
+        H = h_min * np.where(rng.random(n) < 0.3, 1.0,
+                             1.0 + rng.uniform(0.0, 1.5, n))
+        n_con = tempo._residuals(p, H).size
+        lam = np.where(rng.random(n_con) < 0.5, 0.0,
+                       rng.uniform(0.0, 3.0, n_con))
+        rho = float(10.0 ** rng.uniform(-1.0, 4.0))
+        e_scale = float(10.0 ** rng.uniform(-3.0, 6.0))
+        g = tempo._merit_grad(p, H, lam, rho, e_scale)
+        assert np.array_equal(g, batched_merit_grad(p, H, lam, rho, e_scale))
 
 
 @pytest.fixture(scope="module")
