@@ -394,7 +394,11 @@ def run_robustness(taus, methods=("model-based", "model-free"), seed: int = 0,
 
 
 def write_robustness_csv(path, rows: list[lqr.RobustnessRow]) -> None:
-    write_csv(path, ["tau", "method", "t_r", "M_S", "M_T", "Q_u"],
+    """Write sweep rows; ``feasible`` is 1/0 and ``n_evals`` counts the
+    bisection evaluations, so an infeasible row is not read as a design."""
+    write_csv(path, ["tau", "method", "t_r", "M_S", "M_T", "Q_u", "feasible",
+                     "n_evals"],
               [[r.tau for r in rows], [r.method for r in rows],
                [r.t_r for r in rows], [r.M_S for r in rows],
-               [r.M_T for r in rows], [r.Q_u for r in rows]])
+               [r.M_T for r in rows], [r.Q_u for r in rows],
+               [r.feasible for r in rows], [len(r.trace) for r in rows]])

@@ -87,11 +87,9 @@ class QTheta:
         if theta.size != d * (d + 1) // 2:
             raise ValueError("parameter vector length mismatch")
         S = np.zeros((d, d))
-        idx = 0
-        for i in range(d):
-            for j in range(i, d):
-                S[i, j] = S[j, i] = theta[idx]
-                idx += 1
+        I, J = np.triu_indices(d)
+        S[I, J] = theta
+        S[J, I] = theta
         return cls(S_xx=S[:n, :n], S_xu=S[:n, n:], S_uu=S[n:, n:])
 
     def matrix(self) -> np.ndarray:
@@ -143,14 +141,22 @@ def spectral_radius(A: np.ndarray) -> float:
 
 
 def dare_solve(A: np.ndarray, B: np.ndarray, Q_x: np.ndarray, Q_u,
-               tol: float = 1e-12, max_iter: int = 2_000_000,
-               P0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the discrete algebraic Riccati equation by fixed-point iteration.
+               tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the discrete algebraic Riccati equation by the doubling algorithm.
 
-    Iterates P <- Q_x + A'PA - A'PB (Q_u + B'PB)^{-1} B'PA from P0 (default
-    Q_x) until the relative change drops below ``tol``.  Returns the gain
-    K = (Q_u + B'PB)^{-1} B'PA and the fixed point P.  Raises
-    :class:`NumericalError` when the iteration diverges or the implied
+    The structure-preserving doubling algorithm (Chu, Fan & Lin, Linear
+    Algebra Appl. 396, 2005) starts from A_0 = A, G_0 = B Q_u^{-1} B',
+    H_0 = Q_x and iterates, with W = I + G H,
+
+        A <- A W^{-1} A,  G <- G + A W^{-1} G A',  H <- H + A' H W^{-1} A,
+
+    so that H_k equals the iterate P_{2^k} of the fixed point
+    P <- Q_x + A'PA - A'PB (Q_u + B'PB)^{-1} B'PA started from P_0 = 0;
+    the convergence is quadratic.  Stops when the relative change of H drops
+    below ``tol``, then refines H by one Newton (Hewer) step.  Returns the
+    gain K = (Q_u + B'PB)^{-1} B'PA and the stabilizing solution P.
+    Raises :class:`NumericalError` when the iteration diverges or does not
+    converge in 64 doublings (2^64 fixed-point steps), or when the implied
     closed loop is not asymptotically stable.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -159,24 +165,45 @@ def dare_solve(A: np.ndarray, B: np.ndarray, Q_x: np.ndarray, Q_u,
         B = B[:, None]
     Q_x = np.atleast_2d(np.asarray(Q_x, dtype=float))
     Q_u = np.atleast_2d(np.asarray(Q_u, dtype=float))
-    P = Q_x.copy() if P0 is None else np.atleast_2d(np.asarray(P0, dtype=float)).copy()
-    for _ in range(max_iter):
-        PA = P @ A
-        PB = P @ B
-        G = Q_u + B.T @ PB
-        K = np.linalg.solve(G, B.T @ PA)
-        P_next = Q_x + A.T @ PA - (A.T @ PB) @ K
-        P_next = 0.5 * (P_next + P_next.T)
-        delta = np.abs(P_next - P).max()
-        P = P_next
-        if not np.isfinite(delta) or np.abs(P).max() > 1e18:
-            raise NumericalError("Riccati iteration diverged")
-        if delta <= tol * max(1.0, np.abs(P).max()):
-            break
-    else:
-        raise NumericalError("Riccati iteration did not converge")
-    G = Q_u + B.T @ P @ B
-    K = np.linalg.solve(G, B.T @ P @ A)
+    n = A.shape[0]
+    Ak = A
+    G = B @ np.linalg.solve(Q_u, B.T)
+    G = 0.5 * (G + G.T)
+    H = Q_x.copy()
+    # A system with an uncontrollable unstable mode makes A_k and H_k grow
+    # doubly exponentially; report that as divergence, not as overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(64):
+            try:
+                WiA, WiG = np.hsplit(np.linalg.solve(np.eye(n) + G @ H,
+                                                     np.hstack([Ak, G])), 2)
+            except np.linalg.LinAlgError:
+                raise NumericalError("Riccati iteration diverged") from None
+            H_next = H + Ak.T @ H @ WiA
+            H_next = 0.5 * (H_next + H_next.T)
+            G = G + Ak @ WiG @ Ak.T
+            G = 0.5 * (G + G.T)
+            Ak = Ak @ WiA
+            delta = np.abs(H_next - H).max()
+            H = H_next
+            if not np.isfinite(delta) or np.abs(H).max() > 1e18:
+                raise NumericalError("Riccati iteration diverged")
+            if delta <= tol * max(1.0, np.abs(H).max()):
+                break
+        else:
+            raise NumericalError("Riccati iteration did not converge")
+    K = np.linalg.solve(Q_u + B.T @ H @ B, B.T @ H @ A)
+    F = A - B @ K
+    if spectral_radius(F) >= 1.0:
+        raise NumericalError("Riccati gain does not stabilize the model")
+    # With cheap control G is large and W ill-conditioned, and the doubling
+    # can lose half its digits (gains off by 1e-6 at Q_u = 1e-6).  One
+    # Newton (Hewer) step restores them: solve the Stein equation
+    # P = F'PF + Q_x + K'Q_u K of that gain in Kronecker form.
+    M = Q_x + K.T @ Q_u @ K
+    P = np.linalg.solve(np.eye(n * n) - np.kron(F.T, F.T), M.ravel()).reshape(n, n)
+    P = 0.5 * (P + P.T)
+    K = np.linalg.solve(Q_u + B.T @ P @ B, B.T @ P @ A)
     if spectral_radius(A - B @ K) >= 1.0:
         raise NumericalError("Riccati gain does not stabilize the model")
     return K, P
@@ -184,13 +211,12 @@ def dare_solve(A: np.ndarray, B: np.ndarray, Q_x: np.ndarray, Q_u,
 
 def _phi(Z: np.ndarray) -> np.ndarray:
     """Quadratic feature rows for z=[x;u]: z_i^2 and 2 z_i z_j (i<j)."""
-    N, d = Z.shape
-    cols = []
-    for i in range(d):
-        for j in range(i, d):
-            w = 1.0 if i == j else 2.0
-            cols.append(w * Z[:, i] * Z[:, j])
-    return np.stack(cols, axis=1)
+    I, J = np.triu_indices(Z.shape[1])
+    # In place, so the regression holds one fewer N x p temporary.
+    phi = Z[:, I]
+    phi *= np.where(I == J, 1.0, 2.0)
+    phi *= Z[:, J]
+    return phi
 
 
 def lqrl_policy_iteration(rollout_source, K0: np.ndarray, cost: QuadCost,
@@ -280,22 +306,30 @@ def linear_rollouts(A: np.ndarray, B: np.ndarray, n_obs: int | None = None,
         K = np.atleast_2d(np.asarray(K, dtype=float))
         amp = explore * max(1.0, float(np.abs(K).max()) * x0_scale)
         n_ep = max(1, math.ceil(n_samples / episode_len))
-        X = np.zeros((n_ep, n_full))
-        X[:, :n_obs] = rng.normal(0.0, x0_scale, size=(n_ep, n_obs))
-        xs, us, xns = [], [], []
-        for _ in range(episode_len):
-            E = rng.uniform(-amp, amp, size=(n_ep, m))
-            U = -(X[:, :n_obs] @ K.T) + E
-            Xn = X @ A.T + U @ B.T
-            if np.abs(Xn).max() > 1e6:
-                raise PolicyIterationError("rollout diverged (unstable policy)")
-            xs.append(X[:, :n_obs].copy())
-            us.append(U)
-            xns.append(Xn[:, :n_obs].copy())
-            X = Xn
-        Xc = np.concatenate(xs)[:n_samples]
-        Uc = np.concatenate(us)[:n_samples]
-        Xnc = np.concatenate(xns)[:n_samples]
+        # states[k] holds the n_ep episode states before step k.
+        states = np.zeros((episode_len + 1, n_ep, n_full))
+        states[0, :, :n_obs] = rng.normal(0.0, x0_scale, size=(n_ep, n_obs))
+        noise_state = rng.bit_generator.state
+        # One draw gives the same stream as one (n_ep, m) draw per step.
+        E = rng.uniform(-amp, amp, size=(episode_len, n_ep, m))
+        inputs = np.empty((episode_len, n_ep, m))
+        # A diverging rollout may overflow after its first step past 1e6;
+        # only that step matters, and it is found after the loop.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(episode_len):
+                X = states[k]
+                U = -(X[:, :n_obs] @ K.T) + E[k]
+                states[k + 1] = X @ A.T + U @ B.T
+                inputs[k] = U
+            diverged = np.flatnonzero(np.abs(states[1:]).max(axis=(1, 2)) > 1e6)
+        if diverged.size:
+            # Leave the generator where per-step draws would have left it.
+            rng.bit_generator.state = noise_state
+            rng.uniform(-amp, amp, size=(diverged[0] + 1, n_ep, m))
+            raise PolicyIterationError("rollout diverged (unstable policy)")
+        Xc = states[:-1, :, :n_obs].reshape(-1, n_obs)[:n_samples]
+        Uc = inputs.reshape(-1, m)[:n_samples]
+        Xnc = states[1:, :, :n_obs].reshape(-1, n_obs)[:n_samples]
         return Xc, Uc, Xnc
 
     return source
@@ -333,7 +367,12 @@ def rise_time(A: np.ndarray, B: np.ndarray, K: np.ndarray, C: np.ndarray,
     """10-90% rise time of the closed-loop unit step response.
 
     The loop is closed as u = -K x + K_r r with K_r chosen for unit DC
-    gain from r to y = C x.  Crossing times are linearly interpolated.
+    gain from r to y = C x.  The response is evaluated in vectorised
+    blocks of 1024 samples, each from the state at the block start and
+    powers of the closed-loop matrix, and crossing times of 10% and 90%
+    are linearly interpolated between samples.  Raises
+    :class:`NumericalError` when the closed loop is unstable, its DC gain
+    is (near) zero, or y stays below 90% for ``max_steps`` samples.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.asarray(B, dtype=float)
@@ -350,18 +389,42 @@ def rise_time(A: np.ndarray, B: np.ndarray, K: np.ndarray, C: np.ndarray,
         raise NumericalError("closed loop has (near) zero DC gain")
     k_r = 1.0 / g0
 
+    # Blocks of L = 1024 steps: from x at step k0,
+    # y_{k0+j} = c A_cl^j x + c sum_{i<j} A_cl^i b for j = 1..L.  The rows
+    # c A_cl^j, A_cl^L and sum_{i<L} A_cl^i b come from ten doublings.
+    b = B[:, 0] * k_r
+    rows = C[:1]
+    A_pow, b_sum = A_cl, b
+    for _ in range(10):
+        rows = np.vstack([rows, rows @ A_pow])
+        b_sum = b_sum + A_pow @ b_sum
+        A_pow = A_pow @ A_pow
+    ramp = np.cumsum(rows @ b)
+    rows = np.vstack([rows[1:], C[0] @ A_pow])
+    block = ramp.size
+
+    def crossing(y, y_prev, level, k0):
+        """Interpolated time at which y first reaches ``level``, or None."""
+        hit = np.flatnonzero(y >= level)
+        if hit.size == 0:
+            return None
+        j = int(hit[0])
+        before = y[j - 1] if j else y_prev
+        return h * (k0 + j + (level - before) / (y[j] - before))
+
     x = np.zeros(n)
     y_prev = 0.0
     t10 = None
-    for k in range(1, max_steps + 1):
-        x = A_cl @ x + B[:, 0] * k_r
-        y = float(C[0] @ x)
-        if t10 is None and y >= 0.1:
-            t10 = h * (k - 1 + (0.1 - y_prev) / (y - y_prev))
-        if y >= 0.9:
-            t90 = h * (k - 1 + (0.9 - y_prev) / (y - y_prev))
-            return t90 - t10
-        y_prev = y
+    for k0 in range(0, max_steps, block):
+        L = min(block, max_steps - k0)
+        y = rows[:L] @ x + ramp[:L]
+        if t10 is None:
+            t10 = crossing(y, y_prev, 0.1, k0)
+        t90 = crossing(y, y_prev, 0.9, k0)
+        if t90 is not None:
+            return float(t90 - t10)
+        y_prev = y[-1]
+        x = A_pow @ x + b_sum
     raise NumericalError("step response did not reach 90% (non-settling)")
 
 
@@ -437,12 +500,9 @@ def robustness_sweep(taus, methods=("model-based", "model-free"), h: float = 0.1
                 X, U, Xn = _excitation_data(sys, n_obs, n_est_samples,
                                             int(seeds[0]))
                 A2, B2 = estimate_ss(X, U, Xn)
-                warm = {"P0": None}
 
-                def make_gain(q_u, i_step, A2=A2, B2=B2, warm=warm):
-                    K, P = dare_solve(A2, B2, np.diag([1.0, 0.0]), [[q_u]],
-                                      P0=warm["P0"])
-                    warm["P0"] = P
+                def make_gain(q_u, i_step, A2=A2, B2=B2):
+                    K, _ = dare_solve(A2, B2, np.diag([1.0, 0.0]), [[q_u]])
                     return K
             elif method == "model-free":
                 def make_gain(q_u, i_step, sys=sys, seeds=seeds):

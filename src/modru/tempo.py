@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -92,14 +93,19 @@ class TOProblem:
     def n_segments(self) -> int:
         return self.x.size - 1
 
-    @property
+    @cached_property
     def dx(self) -> np.ndarray:
-        return np.diff(self.x)
+        """Segment lengths (read-only)."""
+        dx = np.diff(self.x)
+        dx.setflags(write=False)
+        return dx
 
-    @property
+    @cached_property
     def h_min(self) -> np.ndarray:
-        """Per-segment duration lower bounds implied by the speed caps."""
-        return self.dx / self.v_lim
+        """Per-segment duration lower bounds implied by the speed caps (read-only)."""
+        h_min = self.dx / self.v_lim
+        h_min.setflags(write=False)
+        return h_min
 
 
 @dataclass(frozen=True)

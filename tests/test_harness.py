@@ -197,6 +197,22 @@ class TestRobustnessCsv:
         np.testing.assert_allclose(cols["t_r"], [1.5, 2.0])
         assert list(cols["method"]) == ["model-based", "model-free"]
 
+    def test_infeasible_row_and_evaluation_count(self, tmp_path):
+        from modru.lqr import RobustnessRow
+        rows = [RobustnessRow(0.2, "model-based", 2.5, 1.7, 1.2, 0.05,
+                              trace=[(1e6, 9.0, True), (1.0, 2.5, True),
+                                     (1e-3, float("inf"), False)]),
+                RobustnessRow(0.2, "model-free", float("inf"), float("inf"),
+                              float("inf"), 1e-6, feasible=False,
+                              trace=[(1e6, float("inf"), False)])]
+        path = tmp_path / "rob.csv"
+        harness.write_robustness_csv(path, rows)
+        header, cols, _ = read_csv(path)
+        assert header[-2:] == ["feasible", "n_evals"]
+        np.testing.assert_array_equal(cols["feasible"], [1.0, 0.0])
+        np.testing.assert_array_equal(cols["n_evals"], [3.0, 1.0])
+        assert cols["t_r"][1] == float("inf")
+
 
 class TestCli:
     def test_bad_format_is_a_config_error(self, tmp_path, capsys):

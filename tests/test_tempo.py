@@ -115,6 +115,15 @@ class TestBuildProblem:
                                 mode="pseudo")
         np.testing.assert_allclose(p.h_min, 2.0)
 
+    def test_dx_and_h_min_are_computed_once_and_read_only(self):
+        p = tempo.build_problem(100.0, 4, 20.0, FLAT, flat_limit(12.5), None,
+                                mode="pseudo")
+        assert p.dx is p.dx and p.h_min is p.h_min
+        np.testing.assert_array_equal(p.dx, np.diff(p.x))
+        for arr in (p.dx, p.h_min):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
 
 class TestInit:
     def test_uniform_when_caps_are_loose(self):
