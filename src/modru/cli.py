@@ -7,12 +7,13 @@ arguments, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import harness, sysid, tempo
+from . import harness, lqr, sysid, tempo
 from .config import load_scenario
 from .errors import ConfigError, InfeasibleError, NumericalError
 from .plant import PlantState, simulate
@@ -54,20 +55,43 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _robustness_args(args) -> tuple[list[float], tuple[str, ...]]:
+    """Parsed ``--taus`` and ``--methods``; bad values are a ConfigError."""
+    taus = []
+    for item in args.taus.split(","):
+        if item.strip() == "":
+            continue
+        try:
+            tau = float(item)
+        except ValueError:
+            raise ConfigError(f"--taus: not a number: {item.strip()!r}") from None
+        if not (math.isfinite(tau) and tau >= 0.0):
+            raise ConfigError(f"--taus: need finite values >= 0, got {item.strip()!r}")
+        taus.append(tau)
+    methods = tuple(s.strip() for s in args.methods.split(",") if s.strip())
+    unknown = [m for m in methods if m not in lqr.METHODS]
+    if unknown:
+        raise ConfigError(f"--methods: unknown {', '.join(unknown)} "
+                          f"(choose from {', '.join(lqr.METHODS)})")
+    if not taus or not methods:
+        raise ConfigError("--taus and --methods need at least one value each")
+    return taus, methods
+
+
 def _run(args) -> int:
     if args.format != "csv":
         raise ConfigError(f"unsupported table format: {args.format!r}")
 
     if args.command == "robustness":
-        taus = [float(s) for s in args.taus.split(",") if s.strip() != ""]
-        methods = tuple(s.strip() for s in args.methods.split(",") if s.strip())
+        taus, methods = _robustness_args(args)
         out = _out_dir(args)
         rows = harness.run_robustness(taus, methods=methods,
                                       seed=args.seed if args.seed is not None else 0,
                                       out_csv=out / "robustness.csv")
         for r in rows:
             print(f"tau={r.tau:g} {r.method}: t_r={r.t_r:.3f} "
-                  f"M_S={r.M_S:.3f} M_T={r.M_T:.3f} Q_u={r.Q_u:.3e}")
+                  f"M_S={r.M_S:.3f} M_T={r.M_T:.3f} Q_u={r.Q_u:.3e} "
+                  f"feasible={int(r.feasible)} n_evals={len(r.trace)}")
         return 0
 
     sc = load_scenario(args.config, seed=args.seed)

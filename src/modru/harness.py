@@ -395,7 +395,8 @@ def run_robustness(taus, methods=("model-based", "model-free"), seed: int = 0,
 
 def write_robustness_csv(path, rows: list[lqr.RobustnessRow]) -> None:
     """Write sweep rows; ``feasible`` is 1/0 and ``n_evals`` counts the
-    bisection evaluations, so an infeasible row is not read as a design."""
+    designs evaluated for the row (decade walk-down and Brent boundary
+    search on Q_u), so an infeasible row is not read as a design."""
     write_csv(path, ["tau", "method", "t_r", "M_S", "M_T", "Q_u", "feasible",
                      "n_evals"],
               [[r.tau for r in rows], [r.method for r in rows],

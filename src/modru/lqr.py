@@ -23,6 +23,10 @@ from .errors import EstimationError, NumericalError, PolicyIterationError
 # Robustness constraints used by the benchmark sweep.
 MS_MAX = 1.7
 MT_MAX = 1.3
+# Tuning routes of the sweep.
+METHODS = ("model-based", "model-free")
+# Bracket width in log10 Q_u at which the sweep's boundary search stops.
+BOUNDARY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -116,7 +120,8 @@ class RobustnessRow:
     M_T: float
     Q_u: float
     feasible: bool = True
-    # (Q_u, t_r, feasible) evaluations recorded during the bisection.
+    # (Q_u, t_r, feasible) evaluations recorded during the walk-down and
+    # the boundary search, in evaluation order.
     trace: list = field(default_factory=list, repr=False)
 
 
@@ -470,18 +475,86 @@ def _excitation_data(sys: StateSpaceD, n_obs: int, n_samples: int, seed: int):
     return X[:-1, :n_obs], U[:, None], X[1:, :n_obs]
 
 
-def robustness_sweep(taus, methods=("model-based", "model-free"), h: float = 0.1,
+def _find_boundary(margin, lo: float, g_lo: float, hi: float, g_hi: float,
+                   max_evals: int) -> float:
+    """Brent's zero finder for the feasibility boundary of ``margin``.
+
+    ``margin(x)`` is <= 0 exactly where x is feasible; ``lo`` is infeasible
+    (``g_lo`` > 0, possibly +inf) and ``hi`` feasible (``g_hi`` <= 0).  A
+    step is Brent's secant or inverse quadratic interpolation step with its
+    safeguards (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4), taken only when every point it interpolates
+    has a finite margin; otherwise it is the bisection point
+    ``0.5 * (lo + hi)``.  Stops when the bracket is narrower than
+    ``BOUNDARY_TOL``, when a margin is exactly 0, or after ``max_evals``
+    evaluations, and returns the final ``hi``: the smallest feasible point
+    evaluated.
+    """
+    delta = 0.5 * BOUNDARY_TOL
+    # cur and blk are the bracket ends, cur the one with the smaller |g|;
+    # pre is the previous cur (it is blk right after the bracket moved).
+    cur, g_cur, blk, g_blk = hi, g_hi, lo, g_lo
+    if abs(g_blk) < abs(g_cur):
+        cur, g_cur, blk, g_blk = blk, g_blk, cur, g_cur
+    pre, g_pre = blk, g_blk
+    s_pre = s_cur = cur - pre
+    for _ in range(max_evals):
+        if hi - lo < BOUNDARY_TOL or g_hi == 0.0:
+            break
+        s_bis = 0.5 * (blk - cur)
+        x = 0.5 * (lo + hi)
+        s_try = 0.0
+        if (abs(s_pre) > delta and abs(g_cur) < abs(g_pre)
+                and math.isfinite(g_pre) and math.isfinite(g_blk)):
+            if pre == blk:  # secant
+                s_try = -g_cur * (cur - pre) / (g_cur - g_pre)
+            else:  # inverse quadratic interpolation
+                d_pre = (g_pre - g_cur) / (pre - cur)
+                d_blk = (g_blk - g_cur) / (blk - cur)
+                q = d_blk * d_pre * (g_blk - g_pre)
+                if q != 0.0:
+                    s_try = -g_cur * (g_blk * d_blk - g_pre * d_pre) / q
+        # Take a step toward blk that is short against the last-but-one
+        # step and three quarters of the bracket; else bisect.
+        if s_try * s_bis > 0.0 and 2.0 * abs(s_try) < min(abs(s_pre),
+                                                          3.0 * abs(s_bis) - delta):
+            s_pre, s_cur = s_cur, s_try
+            x = cur + (s_try if abs(s_try) > delta else math.copysign(delta, s_bis))
+        else:
+            s_pre = s_cur = s_bis
+        g = margin(x)
+        if g <= 0.0:
+            hi, g_hi = x, g
+        else:
+            lo = x
+        pre, g_pre, cur, g_cur = cur, g_cur, x, g
+        if (g_pre <= 0.0) != (g <= 0.0):
+            blk, g_blk = pre, g_pre
+            s_pre = s_cur = cur - pre
+        if abs(g_blk) < abs(g_cur):
+            pre, g_pre = cur, g_cur
+            cur, g_cur, blk, g_blk = blk, g_blk, cur, g_cur
+    return hi
+
+
+def robustness_sweep(taus, methods=METHODS, h: float = 0.1,
                      log_qu_range: tuple[float, float] = (-6.0, 6.0),
                      bisect_steps: int = 60, seed: int = 0,
                      n_est_samples: int = 1500, lqrl_samples: int = 9600,
                      K0=None) -> list[RobustnessRow]:
     """Tune the servo benchmark for each tau by both routes.
 
-    For every ``tau`` the control penalty Q_u is bisected on a log scale
-    from the large (robust) end downward until one of the constraints
-    M_S <= 1.7, M_T <= 1.3 activates on the true plant; the returned row
-    holds the last feasible design.  The learned/designed gain feeds back
-    only the two modeled states.
+    For every ``tau`` the control penalty Q_u is searched on a log scale
+    for the boundary where one of the constraints M_S <= 1.7, M_T <= 1.3
+    activates on the true plant.  From the large (robust) end the search
+    walks down in decades to the first feasible design, then runs Brent's
+    zero finder (:func:`_find_boundary`) on the constraint margin
+    max(M_S - 1.7, M_T - 1.3), bisecting wherever a design has no margin
+    (it failed or is unstable), until the bracket is narrower than
+    ``BOUNDARY_TOL`` decades.  ``bisect_steps`` caps the evaluations of
+    that search.  The returned row holds the feasible design with the
+    smallest Q_u.  The learned/designed gain feeds back only the two
+    modeled states.
     """
     from .sysid import estimate_ss
 
@@ -521,11 +594,15 @@ def robustness_sweep(taus, methods=("model-based", "model-free"), h: float = 0.1
                 raise ValueError(f"unknown method {method!r}")
 
             trace = []
+            designs = {}
 
-            def evaluate(log_qu, i_step):
+            def evaluate(log_qu):
+                """(margin, t_r, M_S, M_T) of the design at log10 Q_u; the
+                margin is +inf where the design failed or has no peaks."""
                 q_u = 10.0 ** log_qu
                 try:
-                    K = make_gain(q_u, i_step)
+                    # The i-th evaluation of a row draws seeds[i].
+                    K = make_gain(q_u, len(trace))
                     Kf = _pad_gain(K, n_full)
                     if spectral_radius(sys.A - sys.B @ Kf) >= 1.0:
                         raise NumericalError("unstable on true plant")
@@ -544,43 +621,37 @@ def robustness_sweep(taus, methods=("model-based", "model-free"), h: float = 0.1
                         except NumericalError:
                             pass
                 trace.append((q_u, t_r, ok))
-                return ok, t_r, m_s, m_t
+                # For finite peaks g <= 0 exactly when ok holds.
+                g = math.inf
+                if math.isfinite(m_s) and math.isfinite(m_t):
+                    g = max(m_s - MS_MAX, m_t - MT_MAX)
+                designs[log_qu] = (g, t_r, m_s, m_t)
+                return designs[log_qu]
 
             lo, hi = log_qu_range
             # The extreme detuned end can defeat the learned arm (the
             # optimal gain tends to zero, leaving the integrator mode
             # marginal), so walk down in decades to the first design
-            # that evaluates cleanly and anchor the bisection there.
-            n_eval = 0
-            ok_hi = False
+            # that evaluates cleanly and anchor the search there.
+            g_hi = math.inf
             while hi > lo + 1e-9:
-                ok_hi, t_r_hi, ms_hi, mt_hi = evaluate(hi, n_eval)
-                n_eval += 1
-                if ok_hi:
+                g_hi, t_r_hi, ms_hi, mt_hi = evaluate(hi)
+                if g_hi <= 0.0:
                     break
                 hi -= 1.0
-            if not ok_hi:
+            if g_hi > 0.0:
                 rows.append(RobustnessRow(tau, method, math.inf, ms_hi, mt_hi,
                                           10.0 ** hi, feasible=False,
                                           trace=trace))
                 continue
-            ok_lo, t_r_lo, ms_lo, mt_lo = evaluate(lo, n_eval)
-            n_eval += 1
-            if ok_lo:
+            g_lo, t_r_lo, ms_lo, mt_lo = evaluate(lo)
+            if g_lo <= 0.0:
                 rows.append(RobustnessRow(tau, method, t_r_lo, ms_lo, mt_lo,
                                           10.0 ** lo, trace=trace))
                 continue
-            best = (t_r_hi, ms_hi, mt_hi, hi)
-            for _ in range(bisect_steps):
-                mid = 0.5 * (lo + hi)
-                ok, t_r, m_s, m_t = evaluate(mid, n_eval)
-                n_eval += 1
-                if ok:
-                    hi = mid
-                    best = (t_r, m_s, m_t, mid)
-                else:
-                    lo = mid
-            t_r, m_s, m_t, log_qu = best
+            log_qu = _find_boundary(lambda x: evaluate(x)[0], lo, g_lo, hi, g_hi,
+                                    bisect_steps)
+            _, t_r, m_s, m_t = designs[log_qu]
             rows.append(RobustnessRow(tau, method, t_r, m_s, m_t,
                                       10.0 ** log_qu, trace=trace))
     return rows

@@ -3,12 +3,21 @@
 The estimation stages are the slowest parts of the suite, so datasets,
 fitted models, and gain schedules for the stock scenarios are built once
 per session and shared read-only.
+
+Property tests draw the same examples on every run (profile ``tier1``,
+derandomized), so two checkouts of the suite can be compared test by
+test.  ``--hypothesis-profile=explore`` draws fresh random examples.
 """
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from modru import config, harness
+
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("explore")
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

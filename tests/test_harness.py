@@ -245,6 +245,30 @@ class TestCli:
         assert rc == 1
         assert "infeasible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--methods", "foo"],
+                                       ["--methods", "model-based,"
+                                        "model-freee"],
+                                       ["--taus", "-0.1"], ["--taus", "abc"],
+                                       ["--taus", "0.1,nan"], ["--taus", "inf"],
+                                       ["--taus", ","]])
+    def test_bad_robustness_arguments(self, tmp_path, capsys, flags):
+        rc = cli.main(["robustness", *flags, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "robustness.csv").exists()
+
+    def test_robustness_smoke(self, tmp_path, capsys):
+        rc = cli.main(["robustness", "--taus", "0", "--methods", "model-based",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        _, cols, _ = read_csv(tmp_path / "robustness.csv")
+        assert list(cols["method"]) == ["model-based"]
+        np.testing.assert_array_equal(cols["feasible"], [1.0])
+        n_evals = int(cols["n_evals"][0])
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("tau=0 model-based:")
+        assert line.endswith(f"feasible=1 n_evals={n_evals}")
+
     def test_console_script_smoke(self, tmp_path):
         cfg = tmp_path / "run.conf"
         cfg.write_text("plant.type = car\nest.duration = 120\n")

@@ -1,6 +1,7 @@
 """LQ design and data-driven policy iteration tests."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -71,6 +72,50 @@ def stepping_rollouts(A, B, n_obs, episode_len, explore, seed):
                 np.concatenate(xns)[:n_samples])
 
     return source
+
+
+def bisection_boundary(margin, lo, g_lo, hi, g_hi, max_evals=60):
+    """Reference boundary search: the fixed-count bisection on feasibility
+    (margin <= 0), returning the last feasible midpoint, or ``hi``."""
+    for _ in range(max_evals):
+        mid = 0.5 * (lo + hi)
+        if margin(mid) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def monotone_margin(shape, root, slope, bend):
+    """Synthetic margin decreasing through 0 at ``root``: feasible above."""
+    if shape == "linear":
+        return lambda x: slope * (root - x)
+    if shape == "kinked":
+        # Two constraints; the second one activates further down.
+        inner = root - bend
+        return lambda x: max(slope * (root - x),
+                             math.exp(2.0 * (inner - x)) - 1.0)
+    if shape == "exponential":
+        return lambda x: math.expm1((1.0 + bend) * slope ** 0.25 * (root - x))
+    return lambda x: math.tanh(slope * (root - x)) + 0.01 * (root - x) ** 3
+
+
+class BracketWatch:
+    """Margin wrapper that records the evaluated points and checks that
+    each lies strictly inside the bracket the evaluations so far leave."""
+
+    def __init__(self, margin, lo, hi):
+        self.margin, self.lo, self.hi, self.points = margin, lo, hi, []
+
+    def __call__(self, x):
+        assert self.lo < x < self.hi
+        self.points.append(x)
+        g = self.margin(x)
+        if g <= 0.0:
+            self.hi = x
+        else:
+            self.lo = x
+        return g
 
 
 def scaled_matrix(rng, n, radius):
@@ -308,3 +353,72 @@ class TestServoBenchmark:
         assert 0.0 < row.t_r < math.inf
         assert 1e-6 <= row.Q_u <= 1e6
         assert len(row.trace) >= 2
+
+
+class TestBoundarySearch:
+    @settings(max_examples=400, deadline=None)
+    @given(shape=st.sampled_from(["linear", "kinked", "exponential", "smooth"]),
+           root=st.floats(-5.99, 5.99), log_slope=st.floats(-2.0, 2.0),
+           bend=st.floats(0.0, 3.0))
+    def test_converges_on_monotone_margins(self, shape, root, log_slope, bend):
+        f = monotone_margin(shape, root, 10.0 ** log_slope, bend)
+        watch = BracketWatch(f, -6.0, 6.0)
+        x = lqr._find_boundary(watch, -6.0, f(-6.0), 6.0, f(6.0), 60)
+        assert f(x) <= 0.0
+        assert x == watch.hi
+        assert abs(x - root) <= 2e-12
+        # Bisection needs 44 halvings of 12 decades to get below 1e-12.
+        assert len(watch.points) <= 44
+
+    @settings(max_examples=200, deadline=None)
+    @given(hi=st.integers(-4, 6), frac=st.floats(0.0, 1.0, exclude_max=True),
+           log_slope=st.floats(-2.0, 2.0),
+           infeasible=st.sampled_from([math.inf, math.nan]))
+    def test_bisects_where_infeasible_margins_are_missing(self, hi, frac,
+                                                          log_slope, infeasible):
+        # Failed designs carry no margin: every step must be the bisection
+        # point of the former search, bit for bit.
+        lo, hi = -6.0, float(hi)
+        root = lo + frac * (hi - lo)
+        slope = 10.0 ** log_slope
+
+        def margin(x):
+            g = slope * (root - x)
+            return g if g <= 0.0 else infeasible
+
+        watch = BracketWatch(margin, lo, hi)
+        x = lqr._find_boundary(watch, lo, math.inf, hi, margin(hi), 60)
+        oracle_points = []
+
+        def recorded(x):
+            oracle_points.append(x)
+            return margin(x)
+
+        bisection_boundary(recorded, lo, math.inf, hi, margin(hi))
+        n = len(watch.points)
+        assert watch.points == oracle_points[:n]
+        assert x == watch.hi
+        assert n <= 44
+        assert watch.hi - watch.lo < lqr.BOUNDARY_TOL or margin(x) == 0.0
+
+    def test_evaluation_cap(self):
+        def f(x):
+            return math.expm1(0.3 - x)
+
+        watch = BracketWatch(f, -6.0, 6.0)
+        lqr._find_boundary(watch, -6.0, f(-6.0), 6.0, f(6.0), 3)
+        assert len(watch.points) == 3
+
+    @settings(max_examples=8, deadline=None)
+    # servo_plant turns NaN for tau below about 1e-50, so tiny lags are
+    # left out.
+    @given(tau=st.one_of(st.just(0.0), st.floats(1e-3, 0.3)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_model_based_rows_match_bisection(self, tau, seed):
+        row, = lqr.robustness_sweep([tau], methods=("model-based",), seed=seed)
+        with mock.patch.object(lqr, "_find_boundary", bisection_boundary):
+            ref, = lqr.robustness_sweep([tau], methods=("model-based",), seed=seed)
+        assert row.feasible and ref.feasible
+        for key in ("t_r", "M_S", "M_T", "Q_u"):
+            assert getattr(row, key) == pytest.approx(getattr(ref, key), rel=1e-10)
+        assert len(row.trace) < len(ref.trace)
