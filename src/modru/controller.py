@@ -80,7 +80,6 @@ class ControllerState:
     """Per-episode feedback state (reset at episode start)."""
 
     aw_filter: float = 0.0   # anti-windup integral channel [input units]
-    prev_u_s: float = 0.0    # last saturated command [input units]
 
 
 def feedforward(v_ref, a_ref, alpha, model: GrayBoxModel):
@@ -163,4 +162,4 @@ def control_step(cs: ControllerState, v_ref: float, v: float, u_ff: float,
     u_s = min(max(u, -u_lim), u_lim)
     du = u_s - u_ff
     w_next = cs.aw_filter + (du - cs.aw_filter) / ti
-    return u, u_s, du, ControllerState(aw_filter=w_next, prev_u_s=u_s)
+    return u, u_s, du, ControllerState(aw_filter=w_next)

@@ -274,6 +274,25 @@ def _theta_errors(sc: Scenario, model: sysid.GrayBoxModel) -> np.ndarray:
     return err
 
 
+def _run_report(sc: Scenario, data: sysid.Dataset, model: sysid.GrayBoxModel,
+                eff: sysid.EfficiencyParams, sol: tempo.TOSolution, metrics: dict,
+                e_ref: float | None) -> RunReport:
+    """Report of one planned and tracked run; E_hat is E_pred / e_ref
+    (1 without a reference)."""
+    return RunReport(
+        name=sc.name, plant_type=sc.plant_type, seed=sc.seed, T_f=sc.T_f,
+        theta_hat=tuple(float(x) for x in model.theta),
+        theta_err=tuple(float(x) for x in _theta_errors(sc, model)),
+        fit_nrmse=sysid.validate(model, data),
+        eff_gen_hat=eff.gen_factor, eff_regen_hat=eff.regen_factor,
+        E_pred=sol.E, E_realized=metrics["E_realized"],
+        E_hat=sol.E / (e_ref if e_ref else sol.E),
+        t_end_planned=float(sol.t[-1]), t_terminal=metrics["t_terminal"],
+        tracking_rms=metrics["tracking_rms"], du_ratio=metrics["du_ratio"],
+        terminal_position_error=metrics["terminal_position_error"],
+        limit_overshoot=metrics["limit_overshoot"])
+
+
 def run_pipeline(sc: Scenario, out_dir=None, e_ref: float | None = None
                  ) -> tuple[RunReport, dict]:
     """Full chain: excite, estimate, design, plan, track, report.
@@ -287,18 +306,7 @@ def run_pipeline(sc: Scenario, out_dir=None, e_ref: float | None = None
     problem, sol, ref = stage_plan(sc, model, eff)
     traj, metrics = stage_track(sc, model, schedule, ref)
 
-    report = RunReport(
-        name=sc.name, plant_type=sc.plant_type, seed=sc.seed, T_f=sc.T_f,
-        theta_hat=tuple(float(x) for x in model.theta),
-        theta_err=tuple(float(x) for x in _theta_errors(sc, model)),
-        fit_nrmse=sysid.validate(model, data),
-        eff_gen_hat=eff.gen_factor, eff_regen_hat=eff.regen_factor,
-        E_pred=sol.E, E_realized=metrics["E_realized"],
-        E_hat=sol.E / (e_ref if e_ref else sol.E),
-        t_end_planned=float(sol.t[-1]), t_terminal=metrics["t_terminal"],
-        tracking_rms=metrics["tracking_rms"], du_ratio=metrics["du_ratio"],
-        terminal_position_error=metrics["terminal_position_error"],
-        limit_overshoot=metrics["limit_overshoot"])
+    report = _run_report(sc, data, model, eff, sol, metrics, e_ref)
 
     artifacts = {"data": data, "model": model, "eff": eff, "fit": fit,
                  "schedule": schedule, "problem": problem, "solution": sol,
@@ -328,7 +336,7 @@ def run_ladder(sc: Scenario, t_fs) -> list[RunReport]:
     e_ref = None
     warm = None
     for t_f in sorted(t_fs):
-        sci = replace_scenario(sc, T_f=float(t_f))
+        sci = replace(sc, T_f=float(t_f))
         # Continuation between adjacent budgets: rescale the previous
         # optimum so each solve starts near the new frontier point.
         h0 = None if warm is None else warm[0] * (float(t_f) / warm[1])
@@ -337,23 +345,8 @@ def run_ladder(sc: Scenario, t_fs) -> list[RunReport]:
         traj, metrics = stage_track(sci, model, schedule, ref)
         if e_ref is None:
             e_ref = sol.E
-        reports.append(RunReport(
-            name=sci.name, plant_type=sci.plant_type, seed=sci.seed, T_f=sci.T_f,
-            theta_hat=tuple(float(x) for x in model.theta),
-            theta_err=tuple(float(x) for x in _theta_errors(sci, model)),
-            fit_nrmse=sysid.validate(model, data),
-            eff_gen_hat=eff.gen_factor, eff_regen_hat=eff.regen_factor,
-            E_pred=sol.E, E_realized=metrics["E_realized"],
-            E_hat=sol.E / e_ref,
-            t_end_planned=float(sol.t[-1]), t_terminal=metrics["t_terminal"],
-            tracking_rms=metrics["tracking_rms"], du_ratio=metrics["du_ratio"],
-            terminal_position_error=metrics["terminal_position_error"],
-            limit_overshoot=metrics["limit_overshoot"]))
+        reports.append(_run_report(sci, data, model, eff, sol, metrics, e_ref))
     return reports
-
-
-def replace_scenario(sc: Scenario, **kw) -> Scenario:
-    return replace(sc, **kw)
 
 
 def compare_slope_knowledge(sc: Scenario, out_dir=None) -> dict:
@@ -367,7 +360,7 @@ def compare_slope_knowledge(sc: Scenario, out_dir=None) -> dict:
     mask_without = tuple(bool(b) for b in sc.est_mask[:4]) + (False, False)
     results = {}
     for tag, mask in (("slope-aware", mask_with), ("slope-blind", mask_without)):
-        sci = replace_scenario(sc, est_mask=mask, name=f"{sc.name}-{tag}")
+        sci = replace(sc, est_mask=mask, name=f"{sc.name}-{tag}")
         sub = Path(out_dir) / tag if out_dir is not None else None
         report, artifacts = run_pipeline(sci, sub)
         results[tag] = {"report": report, "artifacts": artifacts}

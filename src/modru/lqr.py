@@ -126,7 +126,11 @@ class RobustnessRow:
 
 
 def c2d_zoh(A: np.ndarray, B: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact zero-order-hold discretization via the augmented matrix exponential."""
+    """Exact zero-order-hold discretization via the augmented matrix exponential.
+
+    Raises :class:`NumericalError` when the exponential has a non-finite
+    entry, as it does for modes far faster than ``h`` (|a| h ~ 1e40).
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.asarray(B, dtype=float)
     if B.ndim == 1:
@@ -138,6 +142,9 @@ def c2d_zoh(A: np.ndarray, B: np.ndarray, h: float) -> tuple[np.ndarray, np.ndar
     M[:n, :n] = A * h
     M[:n, n:] = B * h
     E = scipy.linalg.expm(M)
+    if not np.all(np.isfinite(E)):
+        raise NumericalError(f"zero-order-hold discretization with h={h:g} is not "
+                             "finite (a mode is too fast for this sample time)")
     return E[:n, :n], E[:n, n:]
 
 

@@ -133,29 +133,30 @@ class GrayBoxModel:
 
 
 def _simulate_theta(theta, v0, u, alpha, h, v_cap=1e5):
-    t1, t2, t3, t4, t5, t6 = theta
-    n = u.size
-    out = np.empty(n)
-    v = float(v0)
-    for k in range(n):
-        out[k] = v
-        if k == n - 1:
-            break
-        uk = u[k]
-        ak = alpha[k]
+    # RK4 on Python floats: arithmetic on np.float64 scalars costs several
+    # times more per operation, and the fit runs this loop about fifty times
+    # over thousands of samples.  Python floats round as np.float64 does and
+    # the operations keep the order of the rhs, (t4 * x) * x included, so
+    # the result equals the numpy-scalar loop's bit for bit.
+    t1, t2, t3, t4, t5, t6 = (float(t) for t in theta)
+    h, v = float(h), float(v0)
+    us, alphas = u.tolist(), alpha.tolist()
+    out = [v]
+    for k in range(len(us) - 1):
+        uk, ak = us[k], alphas[k]
         c = t1 * uk + t2 + t5 * ak + t6 * ak * ak
-
-        def f(x):
-            return c + t3 * x + t4 * x * x
-
-        k1 = f(v)
-        k2 = f(v + 0.5 * h * k1)
-        k3 = f(v + 0.5 * h * k2)
-        k4 = f(v + h * k3)
+        k1 = c + t3 * v + t4 * v * v
+        x = v + 0.5 * h * k1
+        k2 = c + t3 * x + t4 * x * x
+        x = v + 0.5 * h * k2
+        k3 = c + t3 * x + t4 * x * x
+        x = v + h * k3
+        k4 = c + t3 * x + t4 * x * x
         v = v + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not math.isfinite(v) or abs(v) > v_cap:
             return None
-    return out
+        out.append(v)
+    return np.array(out[:len(us)])
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,14 @@ are central finite differences of the merit function.  Moving h_i
 changes only the terms of segments i-1 and i and of the last segment
 (the final acceleration repeats the previous one), so the differences
 recompute just those elements and patch them into copies of the
-unperturbed row.  Every row is still reduced in full, so the gradient
+unperturbed row.  Each ``solve`` call builds one merit workspace that
+holds the index maps and gathered route data of those patches and the
+buffers of the 2N perturbed rows, so a gradient allocates and indexes
+little; the unperturbed row is the accepted line-search trial, whose
+energy terms and penalties the workspace hands on instead of evaluating
+the row again.  Every row is still reduced in full, so the gradient
 equals, bit for bit, the one from evaluating the whole merit on all 2N
-perturbed rows.
+perturbed rows, and the plans are those of that batched evaluation.
 """
 
 from __future__ import annotations
@@ -239,6 +244,11 @@ def evaluate_objective(p: TOProblem, h: np.ndarray) -> tuple[float, dict]:
                                 "terms": terms}
 
 
+def _input_bounded(p: TOProblem) -> bool:
+    """Whether the input bound enters the constraints."""
+    return p.u_lim is not None and p.mode == "full"
+
+
 def _constraints(p: TOProblem, total: np.ndarray, vdot_ind: np.ndarray,
                  u: np.ndarray) -> np.ndarray:
     """Normalized inequality residuals g <= 0 of rows (..., N).
@@ -253,7 +263,7 @@ def _constraints(p: TOProblem, total: np.ndarray, vdot_ind: np.ndarray,
         (vdot_ind - p.vdot_lim) / p.vdot_lim,
         (-vdot_ind - p.vdot_lim) / p.vdot_lim,
     ]
-    if p.u_lim is not None and p.mode == "full":
+    if _input_bounded(p):
         parts.append((u - p.u_lim) / p.u_lim)
         parts.append((-u - p.u_lim) / p.u_lim)
     return np.concatenate(parts, axis=-1)
@@ -273,54 +283,93 @@ def _merit_parts(p: TOProblem, H: np.ndarray, lam: np.ndarray, rho: float):
     return energy_terms(eta, u, v, H), t * t
 
 
-def _merit(terms: np.ndarray, pen: np.ndarray, lam: np.ndarray, rho: float,
-           e_scale: float) -> np.ndarray:
-    """Augmented-Lagrangian merit of each row from its terms and penalties."""
-    return (terms.sum(axis=-1) / e_scale
-            + (pen.sum(axis=-1) - (lam * lam).sum()) / (2.0 * rho))
+class _MeritWorkspace:
+    """Augmented-Lagrangian merit and its gradient for one :func:`solve` call.
 
-
-def _merit_grad(p: TOProblem, H: np.ndarray, lam: np.ndarray, rho: float,
-                e_scale: float) -> np.ndarray:
-    """Central-difference gradient of the merit at durations ``H``.
-
-    Row r < N of the 2N perturbed rows moves h_r up by d_r, row N + r
-    moves it down (clamped at 1e-12).  Only the elements that read the
-    moved duration are recomputed, with the elementwise operations of
-    the batched merit, and patched into tiled copies of the base row's
-    energy terms and squared penalties; each full row is then reduced as
-    the batched merit reduces it.  The result equals the batched central
-    difference bit for bit as long as every duration is at least 1e-12.
+    Built once per problem: the elements each perturbed row of the
+    band-local difference recomputes, their residual columns, the
+    gathered segment lengths and slopes, and 2N x N duration and
+    energy-term buffers and a 2N x n_con penalty buffer.
     """
-    n = H.size
-    d = 1e-6 * np.maximum(H, 1e-6)
-    h_minus = np.maximum(H - d, 1e-12)
-    moved = np.tile(np.arange(n), 2)
-    rows = np.arange(2 * n)[:, None]
-    Hrows = np.tile(H, (2 * n, 1))
-    Hrows[rows[:, 0], moved] = np.concatenate([H + d, h_minus])
-    # Elements reading the moved duration h_i: segments i-1 and i, and the
-    # last segment, whose acceleration is the one of segment N-2.
-    J = np.stack([np.maximum(moved - 1, 0), moved, np.full(2 * n, n - 1)], axis=1)
-    K = np.minimum(J, n - 2)
-    dx = p.dx
-    hJ, hK = Hrows[rows, J], Hrows[rows, K]
-    vJ = dx[J] / hJ
-    vdot = (dx[K + 1] / Hrows[rows, K + 1] - dx[K] / hK) / hK
-    u = _input(p, vJ, vdot, p.alpha[J])
-    g = _constraints(p, Hrows.sum(axis=-1, keepdims=True), vdot, u)
-    # Residual columns of g in the layout of _constraints; the input-bound
-    # blocks drop out with the bound.
-    cols = np.concatenate([np.zeros((2 * n, 1), dtype=np.intp), 1 + K, n + K,
-                           2 * n - 1 + J, 3 * n - 1 + J], axis=1)[:, :g.shape[1]]
-    t = np.maximum(0.0, lam[cols] + rho * g)
-    base_terms, base_pen = _merit_parts(p, H, lam, rho)
-    terms = np.tile(base_terms, (2 * n, 1))
-    terms[rows, J] = energy_terms(_weight(p, u), u, vJ, hJ)
-    pen = np.tile(base_pen, (2 * n, 1))
-    pen[rows, cols] = t * t
-    m = _merit(terms, pen, lam, rho, e_scale)
-    return (m[:n] - m[n:]) / (d + (H - h_minus))
+
+    def __init__(self, p: TOProblem, n_con: int):
+        n = p.n_segments
+        self.p, self.n = p, n
+        # Row r < N of the 2N perturbed rows moves h_r up by d_r, row N + r
+        # moves it down (clamped at 1e-12).  Elements reading the moved duration h_i: segments
+        # i-1 and i, and the last segment, whose acceleration is the one of
+        # segment N-2.
+        moved = np.tile(np.arange(n), 2)
+        J = np.stack([np.maximum(moved - 1, 0), moved, np.full(2 * n, n - 1)], axis=1)
+        K = np.minimum(J, n - 2)
+        # Residual columns of the windows in the layout of _constraints:
+        # time budget, upper and lower acceleration bounds at K, then upper
+        # and lower input bounds at J when an input bound applies.
+        blocks = [np.zeros((2 * n, 1), dtype=np.intp), 1 + K, n + K]
+        if _input_bounded(p):
+            blocks += [2 * n - 1 + J, 3 * n - 1 + J]
+        self.cols = np.concatenate(blocks, axis=1)
+        # Flat offsets of those elements in the row-major buffers.
+        r = np.arange(2 * n)[:, None]
+        self.fJ, self.fK, self.fK1 = r * n + J, r * n + K, r * n + K + 1
+        self.fcols = r * n_con + self.cols
+        self.dxJ, self.dxK, self.dxK1 = p.dx[J], p.dx[K], p.dx[K + 1]
+        self.alphaJ = p.alpha[J]
+        self.Hrows = np.empty((2 * n, n))
+        self.terms = np.empty((2 * n, n))
+        self.pen = np.empty((2 * n, n_con))
+        flat = self.Hrows.reshape(-1)
+        self.h_up, self.h_down = flat[:n * n:n + 1], flat[n * n::n + 1]
+
+    def set_multipliers(self, lam: np.ndarray, rho: float, e_scale: float) -> None:
+        """Fix the multipliers, penalty weight and objective scale."""
+        self.lam, self.rho, self.e_scale = lam, rho, e_scale
+        self.lam_sq = (lam * lam).sum()
+        self.lam_cols = lam[self.cols]
+
+    def _combine(self, terms: np.ndarray, pen: np.ndarray):
+        """Merit of each row from its energy terms and squared penalties."""
+        return (terms.sum(axis=-1) / self.e_scale
+                + (pen.sum(axis=-1) - self.lam_sq) / (2.0 * self.rho))
+
+    def merit(self, H: np.ndarray) -> tuple[float, tuple]:
+        """Merit of the single row H, and its terms and penalties for :meth:`grad`."""
+        base = _merit_parts(self.p, H, self.lam, self.rho)
+        return float(self._combine(*base)), base
+
+    def grad(self, H: np.ndarray, base: tuple | None = None) -> np.ndarray:
+        """Central-difference gradient of the merit at durations ``H``.
+
+        ``base`` is :meth:`merit`'s second result at ``H``; without it the
+        base row is evaluated here.  Only the elements that read a moved
+        duration are recomputed, with the elementwise operations of the
+        batched merit, and patched into copies of the base row's energy
+        terms and squared penalties; each full row is then reduced as the
+        batched merit reduces it.  The result equals the batched central
+        difference bit for bit as long as every duration is at least 1e-12.
+        """
+        p, n = self.p, self.n
+        base_terms, base_pen = base if base is not None else _merit_parts(
+            p, H, self.lam, self.rho)
+        d = 1e-6 * np.maximum(H, 1e-6)
+        h_minus = np.maximum(H - d, 1e-12)
+        Hrows = self.Hrows
+        Hrows[...] = H
+        np.add(H, d, out=self.h_up)
+        self.h_down[...] = h_minus
+        hJ, hK = Hrows.take(self.fJ), Hrows.take(self.fK)
+        vJ = self.dxJ / hJ
+        vdot = (self.dxK1 / Hrows.take(self.fK1) - self.dxK / hK) / hK
+        u = _input(p, vJ, vdot, self.alphaJ)
+        g = _constraints(p, Hrows.sum(axis=-1, keepdims=True), vdot, u)
+        t = np.maximum(0.0, self.lam_cols + self.rho * g)
+        terms, pen = self.terms, self.pen
+        terms[...] = base_terms
+        np.put(terms, self.fJ, energy_terms(_weight(p, u), u, vJ, hJ))
+        pen[...] = base_pen
+        np.put(pen, self.fcols, t * t)
+        m = self._combine(terms, pen)
+        return (m[:n] - m[n:]) / (d + (H - h_minus))
 
 
 def default_h_init(p: TOProblem) -> np.ndarray:
@@ -341,12 +390,16 @@ def solve(p: TOProblem, h_init: np.ndarray | None = None, outer_max: int = 80,
     Augmented-Lagrangian outer loop with multiplier updates on the
     time/acceleration/input inequalities; projected spectral-gradient
     inner minimization with the speed caps as bound constraints.  The
-    merit gradient is a central finite difference evaluated band-locally
-    (:func:`_merit_grad`); it equals the batched difference over all 2N
-    perturbed rows bit for bit.  Returns the best iterate flagged
-    ``feasible=False`` if the violation target is not met within the
-    iteration budget.  Raises ``ValueError`` if ``h_init`` does not hold
-    one finite duration per segment.
+    merit and its gradient come from a :class:`_MeritWorkspace` built for
+    this call and dropped when it returns.  The gradient is a central
+    finite difference evaluated band-locally, and at every iterate it
+    reuses the energy terms and penalties of the merit evaluation there
+    (the accepted line-search trial, or the first point of an outer
+    iteration).  Merit and gradient equal the batched whole-row
+    evaluation bit for bit, so the returned plan does too.  Returns the
+    best iterate flagged ``feasible=False`` if the violation target is
+    not met within the iteration budget.  Raises ``ValueError`` if
+    ``h_init`` does not hold one finite duration per segment.
     """
     n = p.n_segments
     h_min = p.h_min
@@ -371,10 +424,7 @@ def solve(p: TOProblem, h_init: np.ndarray | None = None, outer_max: int = 80,
         probe_scale = max(probe_scale, float(np.abs(parts_probe["terms"]).sum()))
     lam = np.zeros(_residuals(p, H).shape[-1])
     rho = 10.0
-
-    def merit(Hv: np.ndarray) -> float:
-        return float(_merit(*_merit_parts(p, Hv[None, :], lam, rho), lam, rho,
-                            e_scale)[0])
+    ws = _MeritWorkspace(p, lam.size)
 
     # Lexicographic iterate ranking: feasibility first, then objective
     # among feasible iterates (violation magnitude among infeasible ones).
@@ -386,8 +436,9 @@ def solve(p: TOProblem, h_init: np.ndarray | None = None, outer_max: int = 80,
     for _ in range(outer_max):
         e_scale = max(float(np.abs(parts_now["terms"]).sum()),
                       1e-3 * probe_scale, 1e-9)
-        m0 = merit(H)
-        g = _merit_grad(p, H, lam, rho, e_scale)
+        ws.set_multipliers(lam, rho, e_scale)
+        m0, base = ws.merit(H)
+        g = ws.grad(H, base)
         step = 0.1 * max(H.max(), 1e-6) / max(float(np.abs(g).max()), 1e-12)
         H_prev = None
         g_prev = None
@@ -407,7 +458,7 @@ def solve(p: TOProblem, h_init: np.ndarray | None = None, outer_max: int = 80,
                 d = H_try - H
                 if np.abs(d).max() < 1e-14 * max(1.0, float(H.max())):
                     break
-                m_try = merit(H_try)
+                m_try, base = ws.merit(H_try)
                 if m_try <= m0 + 1e-4 * float(g @ d):
                     accepted = True
                     break
@@ -421,7 +472,7 @@ def solve(p: TOProblem, h_init: np.ndarray | None = None, outer_max: int = 80,
             stalled = 0
             H_prev, g_prev = H.copy(), g
             H, m0 = H_try, m_try
-            g = _merit_grad(p, H, lam, rho, e_scale)
+            g = ws.grad(H, base)
             if np.abs(H - H_prev).max() < 1e-12 * max(1.0, float(H.max())):
                 break
 

@@ -8,6 +8,7 @@ the xfail flips to an ordinary pass on its own.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,8 +106,8 @@ def test_c04_graybox_accuracy_and_lag_bias(truck_sc):
     t0 = time.monotonic()
     rel_err = {}
     for t_m in (1.0, 10.0):
-        sc = harness.replace_scenario(truck_sc, name=f"truck-lag-{t_m:g}",
-                                      plant_params=TruckParams(T_m=t_m))
+        sc = replace(truck_sc, name=f"truck-lag-{t_m:g}",
+                     plant_params=TruckParams(T_m=t_m))
         data = harness.stage_dataset(sc)
         model, _, _ = harness.stage_estimate(sc, data)
         truth = harness.true_theta(sc)

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from modru.tables import read_csv
 
 def nominal_scenario(sc):
     """Gentle haul where the plan's energy forecast should hold up."""
-    return harness.replace_scenario(
+    return replace(
         sc, name="truck-nominal", path_length=3000.0, T_f=280.0, to_n=150,
         to_u_lim=600.0,
         slope=PositionProfile(np.array([0.0, 3000.0]),
@@ -99,22 +100,21 @@ class TestStaging:
                                                   rel=1e-3)
 
     def test_dataset_is_deterministic_per_seed(self, truck_sc):
-        sc = harness.replace_scenario(truck_sc, est_duration=300.0)
+        sc = replace(truck_sc, est_duration=300.0)
         d1 = harness.stage_dataset(sc)
         d2 = harness.stage_dataset(sc)
         np.testing.assert_array_equal(d1.v, d2.v)
         np.testing.assert_array_equal(d1.u, d2.u)
-        d3 = harness.stage_dataset(harness.replace_scenario(sc, seed=999))
+        d3 = harness.stage_dataset(replace(sc, seed=999))
         assert not np.array_equal(d1.u, d3.u)
 
     def test_steep_test_route_stalls_the_run(self, truck_sc):
-        sc = harness.replace_scenario(truck_sc, est_duration=400.0,
-                                      est_slope_amp=0.3)
+        sc = replace(truck_sc, est_duration=400.0, est_slope_amp=0.3)
         with pytest.raises(EstimationError, match="stall"):
             harness.stage_dataset(sc)
 
     def test_replace_scenario_copies(self, truck_sc):
-        sc2 = harness.replace_scenario(truck_sc, T_f=123.0)
+        sc2 = replace(truck_sc, T_f=123.0)
         assert sc2.T_f == 123.0
         assert truck_sc.T_f != 123.0
 
@@ -268,6 +268,13 @@ class TestCli:
         line = capsys.readouterr().out.strip()
         assert line.startswith("tau=0 model-based:")
         assert line.endswith(f"feasible=1 n_evals={n_evals}")
+
+    def test_robustness_tiny_tau_is_a_numerical_failure(self, tmp_path, capsys):
+        rc = cli.main(["robustness", "--taus", "1e-60", "--methods", "model-based",
+                       "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "h=0.1" in err
 
     def test_console_script_smoke(self, tmp_path):
         cfg = tmp_path / "run.conf"

@@ -142,6 +142,14 @@ class TestC2d:
         with pytest.raises(ValueError):
             lqr.c2d_zoh([[0.0]], [[1.0]], 0.0)
 
+    @pytest.mark.parametrize("tau", [1e-40, 1e-60, 1e-300])
+    def test_non_finite_exponential_raises(self, tau):
+        # The actuator mode -1/tau overflows the exponential's scaling.
+        with pytest.raises(NumericalError, match=r"h=0\.1"):
+            lqr.servo_plant(tau, h=0.1)
+        sys, _ = lqr.servo_plant(1e-20, h=0.1)
+        assert np.all(np.isfinite(sys.A)) and np.all(np.isfinite(sys.B))
+
 
 class TestDare:
     def test_scalar_golden_ratio(self):

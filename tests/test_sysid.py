@@ -1,9 +1,14 @@
 """Estimation tests: ARX, state-space regression, gray box, efficiency."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modru import harness, sysid
+from modru import config, harness, sysid
 from modru.errors import EstimationError
 from modru.plant import TruckParams
 
@@ -131,6 +136,56 @@ class TestGrayBox:
         assert eff2.regen_factor == eff.regen_factor
 
 
+def numpy_scalar_simulate(theta, v0, u, alpha, h, v_cap=1e5):
+    """Reference: the RK4 loop on numpy scalars with a per-step rhs closure."""
+    t1, t2, t3, t4, t5, t6 = theta
+    n = u.size
+    out = np.empty(n)
+    v = float(v0)
+    for k in range(n):
+        out[k] = v
+        if k == n - 1:
+            break
+        uk = u[k]
+        ak = alpha[k]
+        c = t1 * uk + t2 + t5 * ak + t6 * ak * ak
+
+        def f(x):
+            return c + t3 * x + t4 * x * x
+
+        k1 = f(v)
+        k2 = f(v + 0.5 * h * k1)
+        k3 = f(v + 0.5 * h * k2)
+        k4 = f(v + h * k3)
+        v = v + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not math.isfinite(v) or abs(v) > v_cap:
+            return None
+    return out
+
+
+TRUCK_THETA = harness.true_theta(config.default_truck_scenario())
+
+
+class TestSimulateTheta:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), blow_up=st.booleans(),
+           h=st.sampled_from([0.1, 0.5, 2.0]))
+    def test_python_float_loop_equals_numpy_scalar_loop(self, seed, blow_up, h):
+        # Scaled coefficients; the x50 ones make some runs diverge.
+        rng = np.random.default_rng(seed)
+        theta = TRUCK_THETA * rng.uniform(0.5, 1.5, 6) * (50.0 if blow_up else 1.0)
+        u = rng.uniform(-3000.0, 6000.0, 300)
+        alpha = rng.uniform(-0.05, 0.05, 300)
+        v0 = rng.uniform(0.0, 30.0)
+        sim = sysid._simulate_theta(theta, v0, u, alpha, h)
+        ref = numpy_scalar_simulate(theta, v0, u, alpha, h)
+        if ref is None:
+            assert sim is None
+        else:
+            assert sim.dtype == ref.dtype and sim.shape == ref.shape
+            assert sim.tobytes() == ref.tobytes()
+
+
 class TestEfficiency:
     def test_recovers_known_factors(self, rng):
         u = rng.uniform(-500.0, 500.0, 400)
@@ -172,8 +227,7 @@ class TestEfficiency:
 class TestLagBias:
     def test_large_motor_lag_biases_the_fit(self, truck_sc):
         """A ten-fold actuator lag must show up as parameter bias."""
-        sc = harness.replace_scenario(truck_sc,
-                                      plant_params=TruckParams(T_m=10.0))
+        sc = replace(truck_sc, plant_params=TruckParams(T_m=10.0))
         data = harness.stage_dataset(sc)
         model, _, _ = harness.stage_estimate(sc, data)
         truth = harness.true_theta(sc)

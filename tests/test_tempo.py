@@ -1,6 +1,7 @@
 """Timing-optimization tests: objective algebra, solver, resampling."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -247,6 +248,23 @@ class TestSolve:
         assert np.array_equal(s1.h, s2.h)
 
 
+def batched_merit(p, Hrows, lam, rho, e_scale):
+    """Reference: the augmented-Lagrangian merit of each row of ``Hrows``,
+    with whole-row kinematics and residuals assembled by concatenation."""
+    v = p.dx / Hrows
+    vdot_ind = (v[..., 1:] - v[..., :-1]) / Hrows[..., :-1]
+    vdot = np.concatenate([vdot_ind, vdot_ind[..., -1:]], axis=-1)
+    u = tempo._input(p, v, vdot, p.alpha)
+    E = tempo.energy_terms(tempo._weight(p, u), u, v, Hrows).sum(axis=-1) / e_scale
+    parts = [(Hrows.sum(axis=-1, keepdims=True) - p.T_f) / p.T_f,
+             (vdot_ind - p.vdot_lim) / p.vdot_lim,
+             (-vdot_ind - p.vdot_lim) / p.vdot_lim]
+    if p.u_lim is not None and p.mode == "full":
+        parts += [(u - p.u_lim) / p.u_lim, (-u - p.u_lim) / p.u_lim]
+    t = np.maximum(0.0, lam + rho * np.concatenate(parts, axis=-1))
+    return E + ((t * t).sum(axis=-1) - (lam * lam).sum()) / (2.0 * rho)
+
+
 def batched_merit_grad(p, H, lam, rho, e_scale):
     """Reference: central differences of the merit over 2N full perturbed rows."""
     n = H.size
@@ -257,49 +275,105 @@ def batched_merit_grad(p, H, lam, rho, e_scale):
     Hp[idx, idx] += d
     Hm[idx, idx] -= d
     Hm = np.maximum(Hm, 1e-12)
+    return ((batched_merit(p, Hp, lam, rho, e_scale)
+             - batched_merit(p, Hm, lam, rho, e_scale))
+            / (d + (H - Hm[idx, idx])))
 
-    def merit(Hrows):
-        v, _, vdot_ind, u, eta = tempo._kinematics(p, Hrows)
-        E = tempo.energy_terms(eta, u, v, Hrows).sum(axis=-1) / e_scale
-        g = tempo._constraints(p, Hrows.sum(axis=-1, keepdims=True), vdot_ind, u)
-        t = np.maximum(0.0, lam + rho * g)
-        return E + ((t * t).sum(axis=-1) - (lam * lam).sum()) / (2.0 * rho)
 
-    return (merit(Hp) - merit(Hm)) / (d + (H - Hm[idx, idx]))
+def random_problem(rng, n, mode, input_bound):
+    """Random route with n segments, durations at and above the caps, and
+    multipliers with a mix of active and inactive penalties."""
+    x = np.concatenate([[0.0], np.cumsum(rng.uniform(20.0, 120.0, n))])
+    v_lim = rng.uniform(8.0, 25.0, n)
+    h_min = np.diff(x) / v_lim
+    model = None
+    if mode == "full":
+        theta = truck_like_model().theta * rng.uniform(0.5, 1.5, 6)
+        model = GrayBoxModel(theta=theta)
+    u_lim = float(rng.uniform(100.0, 800.0)) if input_bound else None
+    p = tempo.TOProblem(
+        x=x, alpha=rng.uniform(-0.03, 0.03, n), v_lim=v_lim,
+        T_f=float(h_min.sum() * rng.uniform(1.05, 2.0)),
+        vdot_lim=float(rng.uniform(0.3, 2.0)), model=model,
+        eff=EfficiencyParams(float(rng.uniform(1.0, 1.3)),
+                             float(rng.uniform(0.6, 1.0))),
+        gamma=float(10.0 ** rng.uniform(-3.0, 1.0)), mode=mode,
+        u_lim=u_lim)
+    # Durations at the speed caps for some segments, above for others.
+    H = h_min * np.where(rng.random(n) < 0.3, 1.0,
+                         1.0 + rng.uniform(0.0, 1.5, n))
+    n_con = tempo._residuals(p, H).size
+    lam = np.where(rng.random(n_con) < 0.5, 0.0,
+                   rng.uniform(0.0, 3.0, n_con))
+    rho = float(10.0 ** rng.uniform(-1.0, 4.0))
+    e_scale = float(10.0 ** rng.uniform(-3.0, 6.0))
+    return p, H, lam, rho, e_scale
+
+
+problems = st.builds(
+    random_problem, st.integers(0, 2**32 - 1).map(np.random.default_rng),
+    st.integers(2, 40), st.sampled_from(["pseudo", "full"]), st.booleans())
 
 
 class TestMeritGradient:
     @settings(max_examples=300, deadline=None)
-    @given(n=st.integers(2, 40), mode=st.sampled_from(["pseudo", "full"]),
-           input_bound=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_band_local_equals_batched(self, n, mode, input_bound, seed):
-        rng = np.random.default_rng(seed)
-        x = np.concatenate([[0.0], np.cumsum(rng.uniform(20.0, 120.0, n))])
-        v_lim = rng.uniform(8.0, 25.0, n)
-        h_min = np.diff(x) / v_lim
-        model = None
-        if mode == "full":
-            theta = truck_like_model().theta * rng.uniform(0.5, 1.5, 6)
-            model = GrayBoxModel(theta=theta)
-        u_lim = float(rng.uniform(100.0, 800.0)) if input_bound else None
-        p = tempo.TOProblem(
-            x=x, alpha=rng.uniform(-0.03, 0.03, n), v_lim=v_lim,
-            T_f=float(h_min.sum() * rng.uniform(1.05, 2.0)),
-            vdot_lim=float(rng.uniform(0.3, 2.0)), model=model,
-            eff=EfficiencyParams(float(rng.uniform(1.0, 1.3)),
-                                 float(rng.uniform(0.6, 1.0))),
-            gamma=float(10.0 ** rng.uniform(-3.0, 1.0)), mode=mode,
-            u_lim=u_lim)
-        # Durations at the speed caps for some segments, above for others.
-        H = h_min * np.where(rng.random(n) < 0.3, 1.0,
-                             1.0 + rng.uniform(0.0, 1.5, n))
-        n_con = tempo._residuals(p, H).size
-        lam = np.where(rng.random(n_con) < 0.5, 0.0,
-                       rng.uniform(0.0, 3.0, n_con))
-        rho = float(10.0 ** rng.uniform(-1.0, 4.0))
-        e_scale = float(10.0 ** rng.uniform(-3.0, 6.0))
-        g = tempo._merit_grad(p, H, lam, rho, e_scale)
+    @given(problem=problems, supply_base=st.booleans())
+    def test_band_local_equals_batched(self, problem, supply_base):
+        p, H, lam, rho, e_scale = problem
+        ws = tempo._MeritWorkspace(p, lam.size)
+        ws.set_multipliers(lam, rho, e_scale)
+        base = ws.merit(H)[1] if supply_base else None
+        g = ws.grad(H, base)
         assert np.array_equal(g, batched_merit_grad(p, H, lam, rho, e_scale))
+
+    def test_buffers_are_reused_across_calls(self):
+        # A second gradient at other durations and multipliers must not
+        # see anything the first one left in the buffers.
+        rng = np.random.default_rng(7)
+        p, H, lam, rho, e_scale = random_problem(rng, 12, "full", True)
+        ws = tempo._MeritWorkspace(p, lam.size)
+        ws.set_multipliers(lam, rho, e_scale)
+        ws.grad(H)
+        H2, lam2 = H * 1.1, lam[::-1].copy()
+        ws.set_multipliers(lam2, 2.0 * rho, e_scale)
+        assert np.array_equal(ws.grad(H2, ws.merit(H2)[1]),
+                              batched_merit_grad(p, H2, lam2, 2.0 * rho, e_scale))
+
+
+class TestMeritWorkspace:
+    @settings(max_examples=300, deadline=None)
+    @given(problem=problems)
+    def test_single_row_merit_equals_batched(self, problem):
+        p, H, lam, rho, e_scale = problem
+        ws = tempo._MeritWorkspace(p, lam.size)
+        ws.set_multipliers(lam, rho, e_scale)
+        m, (terms, pen) = ws.merit(H)
+        assert type(m) is float
+        assert m == batched_merit(p, H[None, :], lam, rho, e_scale)[0]
+        assert terms.shape == H.shape and pen.shape == lam.shape
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 20),
+           mode=st.sampled_from(["pseudo", "full"]), input_bound=st.booleans())
+    def test_solve_equals_solve_on_batched_merit(self, seed, n, mode, input_bound):
+        p = random_problem(np.random.default_rng(seed), n, mode, input_bound)[0]
+
+        def merit(ws, H):
+            return float(batched_merit(p, H[None, :], ws.lam, ws.rho,
+                                       ws.e_scale)[0]), None
+
+        def grad(ws, H, base=None):
+            return batched_merit_grad(p, H, ws.lam, ws.rho, ws.e_scale)
+
+        # Short iteration budgets keep the test quick; both solves still
+        # run several multiplier updates and many line searches.
+        budget = {"outer_max": 8, "inner_max": 60}
+        sol = tempo.solve(p, **budget)
+        with mock.patch.object(tempo._MeritWorkspace, "merit", merit), \
+                mock.patch.object(tempo._MeritWorkspace, "grad", grad):
+            ref = tempo.solve(p, **budget)
+        assert np.array_equal(sol.h, ref.h)
+        assert sol.E == ref.E and sol.feasible == ref.feasible
 
 
 @pytest.fixture(scope="module")
