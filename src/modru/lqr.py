@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EstimationError, NumericalError, PolicyIterationError
 
@@ -125,11 +124,76 @@ class RobustnessRow:
     trace: list = field(default_factory=list, repr=False)
 
 
+# Numerator coefficients b_0..b_13 of the [13/13] Pade approximant of exp
+# and the 1-norm up to which it is accurate to double precision unscaled.
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+# 1-norm from which ||M||_1^8 overflows; c2d_zoh fails beyond it.
+_EXPM_NORM_MAX = 2.0 ** 128
+
+
+def _exp_divided_difference(x: np.ndarray) -> np.ndarray:
+    """(e^{x[k+1]} - e^{x[k]}) / (x[k+1] - x[k]), e^{x[k]} where they are equal.
+
+    Written as e^hi expm1(lo - hi) / (lo - hi) over the pair's larger and
+    smaller entry, so it neither cancels for close entries nor overflows
+    for far ones.
+    """
+    hi = np.maximum(x[:-1], x[1:])
+    gap = np.minimum(x[:-1], x[1:]) - hi
+    step = gap < 0.0
+    ratio = np.ones_like(gap)
+    ratio[step] = np.expm1(gap[step]) / gap[step]
+    return np.exp(hi) * ratio
+
+
+def _expm(M: np.ndarray) -> np.ndarray:
+    """exp(M) by the method :func:`c2d_zoh` describes; ||M||_1 <= _EXPM_NORM_MAX."""
+    n = M.shape[0]
+    norm = float(np.abs(M).sum(axis=0).max())
+    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0.0 else 0
+    X = M * 2.0 ** -s
+    X2 = X @ X
+    X4 = X2 @ X2
+    X6 = X4 @ X2
+    b = _PADE13
+    U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2)
+             + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * np.eye(n))
+    V = (X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2)
+         + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * np.eye(n))
+    E = np.linalg.solve(V - U, V + U)
+    upper = not np.any(np.tril(M, -1))
+    for i in range(s, -1, -1):
+        if i < s:
+            E = E @ E
+        if upper:  # exact diagonal and superdiagonal of exp(2^-i M)
+            d = 2.0 ** -i * np.diag(M)
+            E[np.diag_indices(n)] = np.exp(d)
+            E[np.arange(n - 1), np.arange(1, n)] = \
+                2.0 ** -i * np.diag(M, 1) * _exp_divided_difference(d)
+    return np.triu(E) if upper else E
+
+
 def c2d_zoh(A: np.ndarray, B: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact zero-order-hold discretization via the augmented matrix exponential.
 
-    Raises :class:`NumericalError` when the exponential has a non-finite
-    entry, as it does for modes far faster than ``h`` (|a| h ~ 1e40).
+    Ad and Bd are the blocks of exp(M), M = [[A h, B h], [0, 0]].  The
+    exponential is [13/13] Pade scaling and squaring (Higham, SIAM J.
+    Matrix Anal. Appl. 26, 2005): M is scaled by 2^-s so that
+    ||2^-s M||_1 <= theta_13 = 5.37, the approximant is formed there and
+    squared s times.  For upper triangular M, as every servo plant has,
+    the diagonal and first superdiagonal are reset to their exact values
+    after each squaring (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
+    2009, Code Fragment 2.1); this keeps a mode far faster than ``h``
+    accurate however far M is scaled.  Raises :class:`NumericalError`
+    when the exponential has a non-finite entry, or when ||M||_1 exceeds
+    2^128 (~3.4e38, a mode with |a| h ~ 1e39).  From that norm on
+    ||M||_1^8 overflows; scipy's ``expm`` forms ||M^8|| to pick its
+    degree and returns non-finite matrices there, and that boundary is
+    kept.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.asarray(B, dtype=float)
@@ -141,8 +205,8 @@ def c2d_zoh(A: np.ndarray, B: np.ndarray, h: float) -> tuple[np.ndarray, np.ndar
     M = np.zeros((n + m, n + m))
     M[:n, :n] = A * h
     M[:n, n:] = B * h
-    E = scipy.linalg.expm(M)
-    if not np.all(np.isfinite(E)):
+    E = _expm(M) if np.abs(M).sum(axis=0).max() <= _EXPM_NORM_MAX else None
+    if E is None or not np.all(np.isfinite(E)):
         raise NumericalError(f"zero-order-hold discretization with h={h:g} is not "
                              "finite (a mode is too fast for this sample time)")
     return E[:n, :n], E[:n, n:]
@@ -248,7 +312,9 @@ def lqrl_policy_iteration(rollout_source, K0: np.ndarray, cost: QuadCost,
     diverge is damped by halving back toward the last workable policy
     (exact-data runs never trigger this, so the Hewer fixed point is
     unchanged).  Stops when the gain change drops below ``tol``
-    (max-abs) or after ``max_iters`` iterations.
+    (max-abs) or after ``max_iters`` iterations.  A converged gain is
+    returned without collecting data under it, so it is returned even
+    where that rollout would have diverged.
     """
     K = np.atleast_2d(np.asarray(K0, dtype=float)).copy()
     m, n = K.shape
@@ -279,6 +345,8 @@ def lqrl_policy_iteration(rollout_source, K0: np.ndarray, cost: QuadCost,
         qf = QTheta.from_parameters(theta, n, m)
         K_new = qf.gain()
         for _ in range(8):
+            if np.abs(K_new - K).max() < tol:
+                return K_new, qf
             try:
                 data = collect(K_new)
                 break
@@ -287,10 +355,7 @@ def lqrl_policy_iteration(rollout_source, K0: np.ndarray, cost: QuadCost,
         else:
             raise PolicyIterationError(
                 "improved policy diverges even after step damping")
-        step = np.abs(K_new - K).max()
         K = K_new
-        if step < tol:
-            break
     return K, qf
 
 

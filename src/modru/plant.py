@@ -129,11 +129,6 @@ class PositionProfile:
         return self.value(s)
 
 
-def profile_eval(profile: PositionProfile, s):
-    """Evaluate ``profile`` at position(s) ``s`` (endpoint values hold outside)."""
-    return profile.value(s)
-
-
 def constant_profile(value: float) -> PositionProfile:
     return PositionProfile(np.array([0.0]), np.array([float(value)]), "constant")
 
@@ -231,12 +226,6 @@ class Trajectory:
     @property
     def h(self) -> float:
         return float(self.t[1] - self.t[0]) if self.t.size > 1 else 0.0
-
-    def energy(self) -> float:
-        """Realized energy: sum of P over the sample intervals."""
-        if self.t.size < 2:
-            return 0.0
-        return float(np.sum(self.P[:-1] * np.diff(self.t)))
 
     def to_csv(self, path) -> None:
         write_csv(path, ["t", "s", "v", "u", "u_s", "du", "P"],

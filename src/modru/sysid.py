@@ -9,8 +9,8 @@ record from the measured initial velocity and the simulated velocity is
 matched to the measured one by damped Gauss-Newton steps.  A boolean
 mask freezes structurally absent terms at zero.
 
-Also provided: single/multi-output ARX least squares, a one-step
-state-space estimator, and the two-coefficient drive-efficiency fit.
+Also provided: a one-step state-space estimator and the two-coefficient
+drive-efficiency fit.
 """
 
 from __future__ import annotations
@@ -72,23 +72,6 @@ class Dataset:
         _, cols, _ = read_csv(path)
         return cls(t=cols["t"], v=cols["v"], alpha=cols["alpha"], u=cols["u"],
                    P=cols.get("P"))
-
-
-@dataclass(frozen=True)
-class ArxModel:
-    """ARX model A(q) y = B(q) u with A = 1 + a1 q^-1 + ... + an q^-n."""
-
-    a: np.ndarray
-    b: np.ndarray
-    rms_residual: float
-
-    @property
-    def order(self) -> int:
-        return self.a.size
-
-    def predict(self, y_past: np.ndarray, u_past: np.ndarray) -> float:
-        """One-step prediction from the latest ``order`` outputs/inputs (newest first)."""
-        return float(-self.a @ y_past + self.b @ u_past)
 
 
 @dataclass(frozen=True)
@@ -188,28 +171,6 @@ class GrayBoxFit:
     converged: bool
     n_iter: int
     rms: float
-
-
-def fit_arx(y: np.ndarray, u: np.ndarray, n: int) -> ArxModel:
-    """Least-squares ARX fit of order ``n`` on an input/output record."""
-    y = np.asarray(y, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    if y.size != u.size or y.size <= 2 * n:
-        raise ValueError("record too short for the requested order")
-    N = y.size
-    rows = N - n
-    phi = np.empty((rows, 2 * n))
-    for i in range(1, n + 1):
-        phi[:, i - 1] = -y[n - i:N - i]
-        phi[:, n + i - 1] = u[n - i:N - i]
-    target = y[n:]
-    theta, _, rank, _ = np.linalg.lstsq(phi, target, rcond=None)
-    if rank < 2 * n:
-        raise EstimationError("ARX regression is rank deficient (poor excitation)")
-    resid = target - phi @ theta
-    return ArxModel(a=theta[:n], b=theta[n:], rms_residual=float(np.sqrt(np.mean(resid ** 2))))
 
 
 def estimate_ss(X: np.ndarray, U: np.ndarray,

@@ -276,6 +276,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and "h=0.1" in err
 
+    def test_cli_import_loads_no_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, modru.cli, modru.harness, modru.lqr, modru.sysid; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_console_script_smoke(self, tmp_path):
         cfg = tmp_path / "run.conf"
         cfg.write_text("plant.type = car\nest.duration = 120\n")

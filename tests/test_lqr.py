@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -72,6 +73,81 @@ def stepping_rollouts(A, B, n_obs, episode_len, explore, seed):
                 np.concatenate(xns)[:n_samples])
 
     return source
+
+
+def collect_then_check_policy_iteration(rollout_source, K0, cost, n_samples=600,
+                                        max_iters=50, tol=1e-6):
+    """Reference policy iteration: each improved gain's data are collected
+    before the convergence check, so the last batch goes unused."""
+    K = np.atleast_2d(np.asarray(K0, dtype=float)).copy()
+    m, n = K.shape
+    qf = None
+    data = rollout_source(K, n_samples)
+    for _ in range(max_iters):
+        X, U, Xn = data
+        Un = -(Xn @ K.T)
+        psi = lqr._phi(np.hstack([X, U])) - lqr._phi(np.hstack([Xn, Un]))
+        theta = np.linalg.lstsq(psi, cost.stage(X, U), rcond=None)[0]
+        qf = lqr.QTheta.from_parameters(theta, n, m)
+        K_new = qf.gain()
+        for _ in range(8):
+            try:
+                data = rollout_source(K_new, n_samples)
+                break
+            except PolicyIterationError:
+                K_new = 0.5 * (K + K_new)
+        else:
+            raise PolicyIterationError("improved policy diverges even after step damping")
+        step = np.abs(K_new - K).max()
+        K = K_new
+        if step < tol:
+            break
+    return K, qf
+
+
+class CountingSource:
+    """Rollout source wrapper that counts its calls; from call ``fail_at``
+    on (1-based) it raises as a diverging rollout would."""
+
+    def __init__(self, source, fail_at=None):
+        self.source, self.fail_at, self.calls = source, fail_at, 0
+
+    def __call__(self, K, n_samples):
+        self.calls += 1
+        if self.fail_at is not None and self.calls >= self.fail_at:
+            raise PolicyIterationError("rollout diverged (unstable policy)")
+        return self.source(K, n_samples)
+
+
+def zoh_reference(A, B, h):
+    """Zero-order-hold blocks from scipy's matrix exponential."""
+    n = A.shape[0]
+    M = np.zeros((n + B.shape[1],) * 2)
+    M[:n, :n], M[:n, n:] = A * h, B * h
+    E = scipy.linalg.expm(M)
+    return E[:n, :n], E[:n, n:]
+
+
+def random_square(rng, n, kind):
+    """Random n x n matrix of the given structure with unit 1-norm."""
+    if kind == "jordan":  # upper triangular and defective
+        M = rng.normal() * np.eye(n) + np.diag(rng.normal(size=n - 1), 1)
+    else:
+        M = rng.normal(size=(n, n))
+        if kind == "upper":
+            M = np.triu(M)
+        elif kind == "lower":
+            M = np.tril(M)
+        elif kind == "diagonal":
+            M = np.diag(np.diag(M))
+        elif kind == "defective":  # one Jordan block, orthogonally rotated
+            Q, _ = np.linalg.qr(M)
+            J = rng.normal() * np.eye(n) + np.eye(n, k=1)
+            M = Q @ J @ Q.T
+    return M / max(np.abs(M).sum(axis=0).max(), 1e-300)
+
+
+MATRIX_KINDS = ("dense", "upper", "lower", "diagonal", "defective", "jordan")
 
 
 def bisection_boundary(margin, lo, g_lo, hi, g_hi, max_evals=60):
@@ -149,6 +225,56 @@ class TestC2d:
             lqr.servo_plant(tau, h=0.1)
         sys, _ = lqr.servo_plant(1e-20, h=0.1)
         assert np.all(np.isfinite(sys.A)) and np.all(np.isfinite(sys.B))
+
+    def test_failure_boundary_is_the_norm_bound(self):
+        # exp(-x) is finite, but from ||M||_1 = 2^128 on c2d_zoh refuses.
+        lqr.c2d_zoh([[-np.nextafter(2.0 ** 128, 0.0)]], [[0.0]], 1.0)
+        with pytest.raises(NumericalError, match=r"h=1\b"):
+            lqr.c2d_zoh([[-np.nextafter(2.0 ** 128, np.inf)]], [[0.0]], 1.0)
+        with pytest.raises(NumericalError):
+            lqr.c2d_zoh([[np.nan]], [[1.0]], 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tau=st.one_of(st.just(0.0), st.floats(-30.0, 1.0).map(lambda e: 10.0 ** e)))
+    @example(tau=1e-30)
+    @example(tau=1e-12)
+    @example(tau=10.0)
+    def test_servo_plant_matches_scipy(self, tau):
+        # Every servo matrix is upper triangular; the actuator mode -1/tau
+        # needs up to ~100 squarings at tau = 1e-30.
+        sys, _ = lqr.servo_plant(tau, h=0.1)
+        if tau == 0.0:
+            Ac, Bc = np.array([[0.0, 1.0], [0.0, -1.0]]), np.array([[0.0], [1.0]])
+        else:
+            Ac = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0 / tau]])
+            Bc = np.array([[0.0], [0.0], [1.0 / tau]])
+        Ad, Bd = zoh_reference(Ac, Bc, 0.1)
+        np.testing.assert_allclose(sys.A, Ad, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(sys.B, Bd, rtol=0.0, atol=1e-13)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 6), kind=st.sampled_from(MATRIX_KINDS),
+           norm=st.floats(0.0, 60.0), seed=st.integers(0, 2**32 - 1))
+    def test_expm_matches_scipy(self, n, kind, norm, seed):
+        M = random_square(np.random.default_rng(seed), n, kind) * norm
+        want = scipy.linalg.expm(M)
+        got = lqr._expm(M)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 5), m=st.integers(1, 2),
+           kind=st.sampled_from(MATRIX_KINDS), norm=st.floats(0.0, 50.0),
+           log_h=st.floats(-3.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_c2d_matches_scipy(self, n, m, kind, norm, log_h, seed):
+        rng = np.random.default_rng(seed)
+        h = 10.0 ** log_h
+        A = random_square(rng, n, kind) * (norm / h)  # ||A h||_1 = norm
+        B = rng.normal(size=(n, m))
+        Ad, Bd = lqr.c2d_zoh(A, B, h)
+        Ad_ref, Bd_ref = zoh_reference(A, B, h)
+        scale = max(np.abs(Ad_ref).max(), np.abs(Bd_ref).max())
+        assert np.abs(Ad - Ad_ref).max() <= 1e-10 * scale
+        assert np.abs(Bd - Bd_ref).max() <= 1e-10 * scale
 
 
 class TestDare:
@@ -248,6 +374,47 @@ class TestPolicyIteration:
         K, qf = lqr.lqrl_policy_iteration(source, np.zeros((1, 2)), cost)
         assert np.abs(K - K_star).max() < 1e-6
         assert np.linalg.eigvalsh(qf.S_uu).min() > 0
+
+    # At tau = 0.2 the hidden actuator state keeps the gain moving for all
+    # max_iters = 50 iterations (with two damped steps), so no rollout is
+    # saved there.
+    @pytest.mark.parametrize("tau, q_u, seed, saved", [
+        (0.0, 1.0, 3, 1), (0.0, 1e-3, 5, 1), (0.0, 100.0, 8675, 1),
+        (0.2, 100.0, 3, 0)])
+    def test_converged_gain_skips_its_rollout(self, tau, q_u, seed, saved):
+        sys, _ = lqr.servo_plant(tau)
+        cost = lqr.QuadCost(np.diag([1.0, 0.0]), [[q_u]])
+        runs = []
+        for policy_iteration in (lqr.lqrl_policy_iteration,
+                                 collect_then_check_policy_iteration):
+            source = CountingSource(lqr.linear_rollouts(
+                sys.A, sys.B, n_obs=2, episode_len=400, seed=seed))
+            K, qf = policy_iteration(source, np.array([[1.0, 1.0]]), cost,
+                                     n_samples=2400)
+            runs.append((K, qf, source.calls))
+        (K, qf, calls), (K_ref, qf_ref, calls_ref) = runs
+        assert np.array_equal(K, K_ref)
+        assert np.array_equal(qf.matrix(), qf_ref.matrix())
+        assert calls == calls_ref - saved
+
+    def test_converged_gain_is_returned_without_its_rollout(self):
+        # The rollout under the converged gain would diverge: the reference
+        # loop damps toward the previous gain eight times and raises, the
+        # shipped loop never collects it.
+        sys, _ = lqr.servo_plant(0.0)
+        cost = lqr.QuadCost(np.diag([1.0, 0.0]), [[1.0]])
+
+        def run(policy_iteration, fail_at=None):
+            source = CountingSource(lqr.linear_rollouts(
+                sys.A, sys.B, episode_len=400, seed=3), fail_at)
+            return policy_iteration(source, np.array([[1.0, 1.0]]), cost,
+                                    n_samples=2400), source.calls
+
+        (K, _), calls = run(lqr.lqrl_policy_iteration)
+        (K_failing, _), _ = run(lqr.lqrl_policy_iteration, fail_at=calls + 1)
+        assert np.array_equal(K_failing, K)
+        with pytest.raises(PolicyIterationError, match="damping"):
+            run(collect_then_check_policy_iteration, fail_at=calls + 1)
 
     def test_rollout_shapes_and_partial_observation(self):
         A = np.array([[0.9, 0.1], [0.0, 0.5]])

@@ -1,4 +1,4 @@
-"""Estimation tests: ARX, state-space regression, gray box, efficiency."""
+"""Estimation tests: state-space regression, gray box, efficiency."""
 
 import math
 from dataclasses import replace
@@ -11,36 +11,6 @@ from hypothesis import strategies as st
 from modru import config, harness, sysid
 from modru.errors import EstimationError
 from modru.plant import TruckParams
-
-
-class TestArx:
-    def test_recovers_known_coefficients(self, rng):
-        a = np.array([-1.2, 0.45])   # y+ = 1.2 y - 0.45 y_prev + ...
-        b = np.array([0.5, 0.1])
-        u = rng.standard_normal(400)
-        y = np.zeros(400)
-        for k in range(2, 400):
-            y[k] = -a[0] * y[k - 1] - a[1] * y[k - 2] \
-                + b[0] * u[k - 1] + b[1] * u[k - 2]
-        model = sysid.fit_arx(y, u, 2)
-        np.testing.assert_allclose(model.a, a, atol=1e-9)
-        np.testing.assert_allclose(model.b, b, atol=1e-9)
-        assert model.rms_residual < 1e-9
-
-    def test_predict_one_step(self):
-        model = sysid.ArxModel(a=np.array([-0.9]), b=np.array([0.2]),
-                               rms_residual=0.0)
-        # newest sample first
-        assert model.predict(np.array([2.0]), np.array([1.0])) == \
-            pytest.approx(0.9 * 2.0 + 0.2)
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            sysid.fit_arx(np.zeros(10), np.zeros(10), 0)
-        with pytest.raises(ValueError):
-            sysid.fit_arx(np.zeros(4), np.zeros(4), 2)
-        with pytest.raises(EstimationError):
-            sysid.fit_arx(np.zeros(50), np.zeros(50), 1)
 
 
 class TestStateSpace:
