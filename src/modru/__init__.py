@@ -4,7 +4,7 @@ Subpackages roughly follow the workflow order:
 
 - ``plant``: high-fidelity longitudinal vehicle simulators (data source
   and closed-loop testbed),
-- ``sysid``: gray-box and black-box identification of the reduced model,
+- ``sysid``: gray-box identification of the reduced model,
 - ``tempo``: timing optimization of the speed reference over a route,
 - ``controller``: gain-scheduled PI tracking controller with feedforward
   derived from the reduced model,

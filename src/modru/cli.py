@@ -11,20 +11,15 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import harness, lqr, sysid, tempo
-from .config import load_scenario
+from . import harness, lqr, sysid
+from .config import check_seed, load_scenario
 from .errors import ConfigError, InfeasibleError, NumericalError
-from .plant import PlantState, simulate
-from .tables import write_keyvalues
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    p.add_argument("--format", default="csv", help="table format (only csv)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,8 +50,8 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _robustness_args(args) -> tuple[list[float], tuple[str, ...]]:
-    """Parsed ``--taus`` and ``--methods``; bad values are a ConfigError."""
+def _robustness_args(args) -> tuple[list[float], tuple[str, ...], int]:
+    """Parsed ``--taus``, ``--methods`` and ``--seed``; bad values are a ConfigError."""
     taus = []
     for item in args.taus.split(","):
         if item.strip() == "":
@@ -75,19 +70,17 @@ def _robustness_args(args) -> tuple[list[float], tuple[str, ...]]:
                           f"(choose from {', '.join(lqr.METHODS)})")
     if not taus or not methods:
         raise ConfigError("--taus and --methods need at least one value each")
-    return taus, methods
+    seed = 0 if args.seed is None else args.seed
+    check_seed(seed)
+    return taus, methods, seed
 
 
 def _run(args) -> int:
-    if args.format != "csv":
-        raise ConfigError(f"unsupported table format: {args.format!r}")
-
     if args.command == "robustness":
-        taus, methods = _robustness_args(args)
+        taus, methods, seed = _robustness_args(args)
         out = _out_dir(args)
-        rows = harness.run_robustness(taus, methods=methods,
-                                      seed=args.seed if args.seed is not None else 0,
-                                      out_csv=out / "robustness.csv")
+        rows = lqr.robustness_sweep(taus, methods=methods, seed=seed)
+        harness.write_robustness_csv(out / "robustness.csv", rows)
         for r in rows:
             print(f"tau={r.tau:g} {r.method}: t_r={r.t_r:.3f} "
                   f"M_S={r.M_S:.3f} M_T={r.M_T:.3f} Q_u={r.Q_u:.3e} "

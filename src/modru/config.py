@@ -46,8 +46,8 @@ def parse_pairs(text: str, kind: str) -> PositionProfile:
 
 def _parse_mask(text: str) -> tuple[bool, ...]:
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 6 or any(p not in ("0", "1") for p in parts):
-        raise ConfigError(f"mask must be six 0/1 flags, got {text!r}")
+    if len(parts) != 6 or any(p not in ("0", "1") for p in parts) or parts[0] != "1":
+        raise ConfigError(f"mask must be six 0/1 flags with th1 active, got {text!r}")
     return tuple(p == "1" for p in parts)
 
 
@@ -257,16 +257,33 @@ def scenario_from_config(cfg: dict[str, str], environ=None) -> Scenario:
         raise ConfigError(f"to.mode must be 'full' or 'pseudo', got {sc.to_mode!r}")
     for positive in ("path_length", "T_f", "vdot_lim", "est_duration", "est_h",
                      "sim_h", "rho_I", "rho_u", "ctrl_u_lim"):
-        if getattr(sc, positive) <= 0:
+        if not getattr(sc, positive) > 0:
             raise ConfigError(f"{positive} must be positive")
     if sc.to_n < 2 or sc.grid_n < 2 or sc.sim_substeps < 1:
         raise ConfigError("to.N and ctrl.grid_n must be >= 2, sim.substeps >= 1")
+    for key, val in (("to.u_lim", sc.to_u_lim), ("to.gamma", sc.to_gamma)):
+        if val is not None and not val > 0:
+            raise ConfigError(f"{key} must be 'none' or positive, got {val:g}")
+    if not sc.eff_gen >= 1.0 >= sc.eff_regen > 0.0:
+        raise ConfigError("need eff.gen >= 1 >= eff.regen > 0")
+    if sc.resample_m < 0 or sc.resample_m == 1:
+        raise ConfigError(f"resample.M must be 0 (auto) or >= 2, got {sc.resample_m}")
+    if not sc.est_noise >= 0:
+        raise ConfigError("est.noise must be >= 0")
+    check_seed(sc.seed)
     return sc
+
+
+def check_seed(seed: int) -> None:
+    """Raise :class:`ConfigError` unless ``seed`` is a valid numpy seed."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 def load_scenario(config_path=None, environ=None, seed: int | None = None) -> Scenario:
     cfg = read_config_file(config_path) if config_path else {}
     sc = scenario_from_config(cfg, environ)
     if seed is not None:
+        check_seed(seed)
         sc.seed = seed
     return sc

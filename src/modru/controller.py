@@ -24,7 +24,7 @@ import numpy as np
 
 from .lqr import dare_solve
 from .sysid import GrayBoxModel
-from .tables import read_csv, write_csv
+from .tables import write_csv
 
 DEFAULT_RHO_I = 0.01
 DEFAULT_RHO_U = 10.0
@@ -66,13 +66,6 @@ class GainSchedule:
     def to_csv(self, path) -> None:
         write_csv(path, ["v_r", "K_P", "T_I"], [self.v_grid, self.K_P, self.T_I],
                   meta={"h": self.h, "rho_I": self.rho_I, "rho_u": self.rho_u})
-
-    @classmethod
-    def from_csv(cls, path) -> "GainSchedule":
-        _, cols, meta = read_csv(path)
-        return cls(v_grid=cols["v_r"], K_P=cols["K_P"], T_I=cols["T_I"],
-                   h=float(meta["h"]), rho_I=float(meta["rho_I"]),
-                   rho_u=float(meta["rho_u"]))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from . import lqr, sysid, tempo
 from .config import Scenario
 from .errors import EstimationError, InfeasibleError
 from .plant import PlantState, PositionProfile, simulate
-from .tables import write_csv, write_keyvalues, read_keyvalues
+from .tables import write_csv, write_keyvalues
 
 
 def true_theta(sc: Scenario) -> np.ndarray:
@@ -246,24 +246,6 @@ class RunReport:
     def write(self, path) -> None:
         write_keyvalues(path, self.to_items())
 
-    @classmethod
-    def read(cls, path) -> "RunReport":
-        kv = read_keyvalues(path)
-        def f(key):
-            return float(kv[key])
-        return cls(
-            name=kv["name"], plant_type=kv["plant_type"], seed=int(kv["seed"]),
-            T_f=f("T_f"),
-            theta_hat=tuple(f(f"theta_hat{i + 1}") for i in range(6)),
-            theta_err=tuple(f(f"theta_err{i + 1}") for i in range(6)),
-            fit_nrmse=f("fit_nrmse"), eff_gen_hat=f("eff_gen_hat"),
-            eff_regen_hat=f("eff_regen_hat"), E_pred=f("E_pred"),
-            E_realized=f("E_realized"), E_hat=f("E_hat"),
-            t_end_planned=f("t_end_planned"), t_terminal=f("t_terminal"),
-            tracking_rms=f("tracking_rms"), du_ratio=f("du_ratio"),
-            terminal_position_error=f("terminal_position_error"),
-            limit_overshoot=f("limit_overshoot"))
-
 
 def _theta_errors(sc: Scenario, model: sysid.GrayBoxModel) -> np.ndarray:
     truth = true_theta(sc)
@@ -376,14 +358,6 @@ def compare_slope_knowledge(sc: Scenario, out_dir=None) -> dict:
     if out_dir is not None:
         write_keyvalues(Path(out_dir) / "comparison.txt", summary)
     return results
-
-
-def run_robustness(taus, methods=("model-based", "model-free"), seed: int = 0,
-                   out_csv=None) -> list[lqr.RobustnessRow]:
-    rows = lqr.robustness_sweep(taus, methods=methods, seed=seed)
-    if out_csv is not None:
-        write_robustness_csv(out_csv, rows)
-    return rows
 
 
 def write_robustness_csv(path, rows: list[lqr.RobustnessRow]) -> None:

@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SimulationDivergence
-from .tables import read_csv, write_csv
+from .tables import write_csv
 
 log = logging.getLogger(__name__)
 
@@ -125,9 +125,6 @@ class PositionProfile:
         idx = np.clip(idx, 0, self.values.size - 1)
         return self.values[idx]
 
-    def __call__(self, s):
-        return self.value(s)
-
 
 def constant_profile(value: float) -> PositionProfile:
     return PositionProfile(np.array([0.0]), np.array([float(value)]), "constant")
@@ -136,12 +133,6 @@ def constant_profile(value: float) -> PositionProfile:
 def step_efficiency(u, gen: float = 1.1, regen: float = 0.9):
     """Drive efficiency factor: ``gen`` for u >= 0, ``regen`` for u < 0."""
     return np.where(np.asarray(u, dtype=float) >= 0.0, gen, regen)
-
-
-def _check_finite(*vals):
-    for x in vals:
-        if not math.isfinite(x):
-            raise ValueError("non-finite input")
 
 
 def _truck_rhs(s, v, u_m, u, alpha, p: TruckParams):
@@ -157,22 +148,8 @@ def _truck_rhs(s, v, u_m, u, alpha, p: TruckParams):
     return v_eff, dv, du_m
 
 
-def truck_derivative(state: PlantState, u: float, alpha: float, p: TruckParams):
-    """Time derivative (ds, dv, du_m) of the truck state.
-
-    ``u`` is the commanded motor torque [N m]; ``alpha`` the road slope
-    angle [rad].  Requires v >= 0 and finite inputs.
-    """
-    _check_finite(state.s, state.v, state.u_m, u, alpha)
-    if state.v < 0.0:
-        raise ValueError("truck model requires v >= 0")
-    if p.T_m == 0.0:
-        # Lag-free limit: motor torque tracks the command exactly.
-        state = replace(state, u_m=u)
-    return _truck_rhs(state.s, state.v, state.u_m, u, alpha, p)
-
-
-def _car_rhs(s, v, u_power, alpha, p: CarParams):
+def _car_rhs(s, v, u_m, u_power, alpha, p: CarParams):
+    # Same signature as _truck_rhs; the car has no motor state (u_m unused).
     v_eff = v if v > 0.0 else 0.0
     power = min(max(u_power, p.u_min), p.u_max)
     f_air = 0.5 * p.rho_a * p.c_d * p.A_f * v_eff * v_eff
@@ -180,20 +157,7 @@ def _car_rhs(s, v, u_power, alpha, p: CarParams):
     f_grade = p.m * p.g * math.sin(alpha)
     dv = (power / max(v_eff, V_EPS) - f_air - f_roll - f_grade) / p.m
     dv = min(max(dv, -p.a_lim), p.a_lim)
-    return v_eff, dv
-
-
-def car_derivative(state: PlantState, u: float, p: CarParams, alpha: float = 0.0):
-    """Time derivative (ds, dv) of the car state for power input ``u`` [W].
-
-    Power and acceleration are clamped to the plant bounds.  A standstill
-    with nonzero power demand is rejected (the power/velocity division is
-    singular); during integration the velocity floor ``V_EPS`` applies.
-    """
-    _check_finite(state.s, state.v, u, alpha)
-    if state.v <= 0.0 and u != 0.0:
-        raise ValueError("standstill singularity: v <= 0 with nonzero power")
-    return _car_rhs(state.s, state.v, u, alpha, p)
+    return v_eff, dv, 0.0
 
 
 @dataclass
@@ -223,49 +187,25 @@ class Trajectory:
             if getattr(self, name).size != n:
                 raise ValueError(f"column {name} length mismatch")
 
-    @property
-    def h(self) -> float:
-        return float(self.t[1] - self.t[0]) if self.t.size > 1 else 0.0
-
     def to_csv(self, path) -> None:
         write_csv(path, ["t", "s", "v", "u", "u_s", "du", "P"],
                   [self.t, self.s, self.v, self.u, self.u_s, self.du, self.P])
 
-    @classmethod
-    def from_csv(cls, path) -> "Trajectory":
-        _, cols, _ = read_csv(path)
-        return cls(t=cols["t"], s=cols["s"], v=cols["v"], u=cols["u"],
-                   u_s=cols["u_s"], du=cols["du"], P=cols["P"])
 
-
-def _rk4_truck(s, v, um, u, slope, p, dt, substeps):
+def _rk4(rhs, s, v, um, u, slope, p, dt, substeps):
+    """``substeps`` classical RK4 steps of ``rhs(s, v, um, u, alpha, p)``."""
     for _ in range(substeps):
-        a1 = slope.value(s)
-        k1 = _truck_rhs(s, v, um, u, a1, p)
+        k1 = rhs(s, v, um, u, slope.value(s), p)
         s2, v2, um2 = s + 0.5 * dt * k1[0], v + 0.5 * dt * k1[1], um + 0.5 * dt * k1[2]
-        k2 = _truck_rhs(s2, v2, um2, u, slope.value(s2), p)
+        k2 = rhs(s2, v2, um2, u, slope.value(s2), p)
         s3, v3, um3 = s + 0.5 * dt * k2[0], v + 0.5 * dt * k2[1], um + 0.5 * dt * k2[2]
-        k3 = _truck_rhs(s3, v3, um3, u, slope.value(s3), p)
+        k3 = rhs(s3, v3, um3, u, slope.value(s3), p)
         s4, v4, um4 = s + dt * k3[0], v + dt * k3[1], um + dt * k3[2]
-        k4 = _truck_rhs(s4, v4, um4, u, slope.value(s4), p)
+        k4 = rhs(s4, v4, um4, u, slope.value(s4), p)
         s += dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
         v += dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
         um += dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
     return s, v, um
-
-
-def _rk4_car(s, v, u_power, slope, p, dt, substeps):
-    for _ in range(substeps):
-        k1 = _car_rhs(s, v, u_power, slope.value(s), p)
-        s2, v2 = s + 0.5 * dt * k1[0], v + 0.5 * dt * k1[1]
-        k2 = _car_rhs(s2, v2, u_power, slope.value(s2), p)
-        s3, v3 = s + 0.5 * dt * k2[0], v + 0.5 * dt * k2[1]
-        k3 = _car_rhs(s3, v3, u_power, slope.value(s3), p)
-        s4, v4 = s + dt * k3[0], v + dt * k3[1]
-        k4 = _car_rhs(s4, v4, u_power, slope.value(s4), p)
-        s += dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        v += dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    return s, v
 
 
 def simulate(params: TruckParams | CarParams, inputs, slope: PositionProfile,
@@ -327,10 +267,10 @@ def simulate(params: TruckParams | CarParams, inputs, slope: PositionProfile,
         if is_truck:
             if params.T_m == 0.0:
                 umk = u_sat
-            sk, vk, umk = _rk4_truck(sk, vk, umk, u_sat, slope, params, dt, substeps)
+            sk, vk, umk = _rk4(_truck_rhs, sk, vk, umk, u_sat, slope, params, dt, substeps)
         else:
             u_power = min(max(u_sat * max(vk, V_EPS), params.u_min), params.u_max)
-            sk, vk = _rk4_car(sk, vk, u_power, slope, params, dt, substeps)
+            sk, vk, _ = _rk4(_car_rhs, sk, vk, 0.0, u_power, slope, params, dt, substeps)
         if vk < 0.0:
             vk = 0.0
             clamps += 1

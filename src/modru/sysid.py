@@ -144,23 +144,19 @@ def _simulate_theta(theta, v0, u, alpha, h, v_cap=1e5):
 
 @dataclass(frozen=True)
 class EfficiencyParams:
-    """Drive efficiency coefficients: P = scale * eta(u) * u * v.
+    """Drive efficiency coefficients: P = eta(u) * u * v.
 
     ``gen_factor`` applies while generating traction (u >= 0),
-    ``regen_factor`` while recuperating (u < 0).
+    ``regen_factor`` while recuperating (u < 0); the step weight itself is
+    :func:`modru.plant.step_efficiency`.
     """
 
     gen_factor: float = 1.1
     regen_factor: float = 0.9
-    scale: float = 1.0
 
     def __post_init__(self):
         if not (self.gen_factor >= 1.0 >= self.regen_factor > 0.0):
             raise ValueError("need gen_factor >= 1 >= regen_factor > 0")
-
-    def eta(self, u):
-        return np.where(np.asarray(u, dtype=float) >= 0.0,
-                        self.gen_factor, self.regen_factor)
 
 
 @dataclass
@@ -368,18 +364,17 @@ def save_theta(path, model: GrayBoxModel, eff: EfficiencyParams | None = None) -
     if eff is not None:
         items["theta7"] = eff.gen_factor
         items["theta8"] = eff.regen_factor
-        items["scale"] = eff.scale
     write_keyvalues(path, items)
 
 
 def load_theta(path) -> tuple[GrayBoxModel, EfficiencyParams | None]:
-    """Read parameters written by :func:`save_theta`."""
+    """Read parameters written by :func:`save_theta`; a ``scale`` key that
+    older files carry is ignored."""
     kv = read_keyvalues(path)
     theta = np.array([float(kv[f"theta{i + 1}"]) for i in range(N_THETA)])
     mask = np.array([c.strip() == "1" for c in kv["mask"].split(",")])
     eff = None
     if "theta7" in kv:
         eff = EfficiencyParams(gen_factor=float(kv["theta7"]),
-                               regen_factor=float(kv["theta8"]),
-                               scale=float(kv.get("scale", 1.0)))
+                               regen_factor=float(kv["theta8"]))
     return GrayBoxModel(theta=theta, mask=mask), eff

@@ -35,7 +35,7 @@ perturbed rows, and the plans are those of that batched evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -44,7 +44,7 @@ from .controller import feedforward, reference_accel
 from .errors import InfeasibleError
 from .plant import PositionProfile
 from .sysid import EfficiencyParams, GrayBoxModel
-from .tables import read_csv, write_csv
+from .tables import write_csv
 
 VIOL_TOL = 1e-6   # relative feasibility tolerance on the reported solution
 
@@ -135,15 +135,6 @@ class TOSolution:
                   meta={"E": self.E, "feasible": self.feasible,
                         "t_end": self.t[-1]})
 
-    @classmethod
-    def from_csv(cls, path) -> "TOSolution":
-        _, cols, meta = read_csv(path)
-        h = cols["h"]
-        t = np.append(cols["t"], float(meta["t_end"]))
-        return cls(h=h, t=t, v_r=cols["v_r"], a_r=cols["a_r"], u_r=cols["u_r"],
-                   eta=cols["eta"], E=float(meta["E"]),
-                   feasible=meta["feasible"] == "1")
-
 
 @dataclass(frozen=True)
 class ReferenceTrajectory:
@@ -162,12 +153,6 @@ class ReferenceTrajectory:
     def to_csv(self, path) -> None:
         write_csv(path, ["t", "x", "v_r", "a_r", "u_r"],
                   [self.t, self.x, self.v_r, self.a_r, self.u_r])
-
-    @classmethod
-    def from_csv(cls, path) -> "ReferenceTrajectory":
-        _, cols, _ = read_csv(path)
-        return cls(t=cols["t"], x=cols["x"], v_r=cols["v_r"], a_r=cols["a_r"],
-                   u_r=cols["u_r"])
 
 
 def default_gamma(problem_like_scale: float) -> float:

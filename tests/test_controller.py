@@ -7,6 +7,7 @@ import pytest
 
 from modru import controller as ctl
 from modru.sysid import GrayBoxModel
+from modru.tables import read_csv
 
 
 def make_schedule(kp=2.0, ti=5.0, h=0.1):
@@ -56,11 +57,13 @@ class TestGainSchedule:
                                  h=0.5, rho_I=0.01, rho_u=2e-5)
         path = tmp_path / "sched.csv"
         sched.to_csv(path)
-        back = ctl.GainSchedule.from_csv(path)
-        np.testing.assert_array_equal(sched.v_grid, back.v_grid)
-        np.testing.assert_array_equal(sched.K_P, back.K_P)
-        np.testing.assert_array_equal(sched.T_I, back.T_I)
-        assert back.h == sched.h and back.rho_u == sched.rho_u
+        header, cols, meta = read_csv(path)
+        assert header == ["v_r", "K_P", "T_I"]
+        np.testing.assert_array_equal(sched.v_grid, cols["v_r"])
+        np.testing.assert_array_equal(sched.K_P, cols["K_P"])
+        np.testing.assert_array_equal(sched.T_I, cols["T_I"])
+        assert float(meta["h"]) == sched.h and float(meta["rho_I"]) == sched.rho_I
+        assert float(meta["rho_u"]) == sched.rho_u
 
     def test_design_stabilizes_augmented_model(self):
         model = GrayBoxModel(theta=np.array([1.0, 0.0, -0.1, -0.002, 0.0, 0.0]))

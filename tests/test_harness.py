@@ -3,14 +3,15 @@
 import subprocess
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from modru import cli, config, harness
+from modru import cli, config, harness, lqr
 from modru.errors import ConfigError, EstimationError
 from modru.plant import PositionProfile
-from modru.tables import read_csv
+from modru.tables import read_csv, read_keyvalues
 
 
 def nominal_scenario(sc):
@@ -131,12 +132,14 @@ class TestReportIO:
             du_ratio=0.05, terminal_position_error=1.2, limit_overshoot=-2.0)
         path = tmp_path / "report.txt"
         rep.write(path)
-        back = harness.RunReport.read(path)
-        assert back.name == "x" and back.seed == 5
-        assert back.theta_hat == rep.theta_hat
-        assert back.E_pred == rep.E_pred and back.du_ratio == rep.du_ratio
-        assert np.isnan(back.theta_err[2])
-        assert back.theta_err[3] == 0.4
+        back = read_keyvalues(path)
+        assert list(back) == list(rep.to_items())
+        assert back["name"] == "x" and back["seed"] == "5"
+        assert tuple(float(back[f"theta_hat{i}"]) for i in range(1, 7)) == rep.theta_hat
+        assert float(back["E_pred"]) == rep.E_pred
+        assert float(back["du_ratio"]) == rep.du_ratio
+        assert np.isnan(float(back["theta_err3"]))
+        assert float(back["theta_err4"]) == 0.4
 
 
 @pytest.fixture(scope="module")
@@ -179,8 +182,8 @@ class TestRunPipeline:
             assert (tmp_path / fname).exists(), fname
         assert report.E_hat == 1.0
         assert report.plant_type == "car"
-        back = harness.RunReport.read(tmp_path / "report.txt")
-        assert back.E_pred == report.E_pred
+        back = read_keyvalues(tmp_path / "report.txt")
+        assert float(back["E_pred"]) == report.E_pred
         assert set(artifacts) >= {"data", "model", "eff", "schedule",
                                   "solution", "reference", "trajectory",
                                   "metrics"}
@@ -215,18 +218,43 @@ class TestRobustnessCsv:
 
 
 class TestCli:
-    def test_bad_format_is_a_config_error(self, tmp_path, capsys):
-        rc = cli.main(["pipeline", "--format", "json",
-                       "--out", str(tmp_path)])
-        assert rc == 2
-        assert "configuration error" in capsys.readouterr().err
-
     def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.conf"
         cfg.write_text("unknown.key = 1\n")
         rc = cli.main(["simulate", "--config", str(cfg),
                        "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("command, lines, flags", [
+        ("plan", "to.T_f = nan", []),
+        ("plan", "to.u_lim = -5", []),
+        ("plan", "to.gamma = -1", []),
+        ("plan", "est.fit_efficiency = 0\neff.gen = 0.5", []),
+        ("plan", "eff.regen = 1.2", []),
+        ("plan", "eff.regen = 0", []),
+        ("plan", "est.mask = 0,1,0,1,1,0", []),
+        ("plan", "resample.M = 1", []),
+        ("plan", "resample.M = -3", []),
+        ("simulate", "est.noise = -1", []),
+        ("simulate", "seed = -1", []),
+        ("simulate", "", ["--seed", "-1"]),
+        ("pipeline", "", ["--seed", "-1"]),
+        ("robustness", "", ["--seed", "-1", "--taus", "0"]),
+    ], ids=["T_f_nan", "u_lim", "gamma", "gen", "regen_high", "regen_zero", "mask", "M_one",
+            "M_negative", "noise", "seed_key", "seed_flag_simulate",
+            "seed_flag_pipeline", "seed_flag_robustness"])
+    def test_bad_config_values_fail_before_any_work(self, tmp_path, capsys,
+                                                    command, lines, flags):
+        cfg = tmp_path / "bad.conf"
+        cfg.write_text("plant.type = car\n" + lines + "\n")
+        out = tmp_path / "out"
+        started = AssertionError("work started")
+        with mock.patch.object(harness, "stage_dataset", side_effect=started), \
+                mock.patch.object(lqr, "robustness_sweep", side_effect=started):
+            rc = cli.main([command, "--config", str(cfg), *flags, "--out", str(out)])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_simulate_writes_dataset(self, tmp_path):
         cfg = tmp_path / "run.conf"
