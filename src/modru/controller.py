@@ -79,9 +79,9 @@ def feedforward(v_ref, a_ref, alpha, model: GrayBoxModel):
     """Invert the gray box for the input realizing (v_ref, a_ref) on slope alpha."""
     t1, t2, t3, t4, t5, t6 = model.theta
     v = np.asarray(v_ref, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
     return (np.asarray(a_ref, dtype=float) - t2 - t3 * v - t4 * v * v
-            - t5 * np.asarray(alpha, dtype=float)
-            - t6 * np.asarray(alpha, dtype=float) ** 2) / t1
+            - t5 * alpha - t6 * alpha ** 2) / t1
 
 
 def reference_accel(v_ref: np.ndarray, h: float) -> np.ndarray:

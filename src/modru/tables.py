@@ -25,17 +25,17 @@ def write_csv(path, header: list[str], columns: list, meta: dict | None = None) 
     """Write named columns to ``path``; optional metadata as '# key = value' lines."""
     if len(header) != len(columns):
         raise ValueError("header/column count mismatch")
-    n = len(columns[0]) if columns else 0
-    for c in columns:
-        if len(c) != n:
-            raise ValueError("ragged columns")
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError("ragged columns")
     lines = []
     if meta:
         for k, v in meta.items():
             lines.append(f"# {k} = {format_value(v)}")
     lines.append(",".join(header))
-    for i in range(n):
-        lines.append(",".join(format_value(c[i]) for c in columns))
+    # repr of a float column's Python floats is format_value's text, but fast.
+    cells = [map(repr, c.tolist()) if isinstance(c, np.ndarray) and c.dtype.kind == "f"
+             else map(format_value, c) for c in columns]
+    lines.extend(map(",".join, zip(*cells)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

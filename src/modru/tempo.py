@@ -18,18 +18,18 @@ acceleration magnitude bound, the total-time budget sum(h) <= T_f, and
 optionally an input magnitude bound in full-model mode.  The solver is
 a first-order augmented-Lagrangian method: speed caps are handled by
 projection, the remaining inequalities by multiplier terms; gradients
-are central finite differences of the merit function.  Moving h_i
-changes only the terms of segments i-1 and i and of the last segment
-(the final acceleration repeats the previous one), so the differences
-recompute just those elements and patch them into copies of the
-unperturbed row.  Each ``solve`` call builds one merit workspace that
-holds the index maps and gathered route data of those patches and the
-buffers of the 2N perturbed rows, so a gradient allocates and indexes
-little; the unperturbed row is the accepted line-search trial, whose
-energy terms and penalties the workspace hands on instead of evaluating
-the row again.  Every row is still reduced in full, so the gradient
-equals, bit for bit, the one from evaluating the whole merit on all 2N
-perturbed rows, and the plans are those of that batched evaluation.
+are central finite differences of the merit function.
+
+Each ``solve`` builds one merit workspace.  Its row kernel gives the
+merits of a (k, N) block of rows: a single trial, and after a rejected
+first line-search trial the next eight halvings, scanned in order with
+the one-at-a-time tests.  The gradient recomputes only the elements a
+moved h_i reaches (segments i-1, i and the last) and patches them into
+copies of the accepted trial's terms and penalties.  Bit-identity
+contract: each row goes through the whole-row merit's elementwise
+operations in the same order and is reduced in full with sum(axis=-1),
+so merits, gradients and plans equal bit for bit those of evaluating
+the whole merit one trial at a time and on all 2N perturbed rows.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ from .sysid import EfficiencyParams, GrayBoxModel
 from .tables import write_csv
 
 VIOL_TOL = 1e-6   # relative feasibility tolerance on the reported solution
+LS_BATCH = 8      # line-search trials per merit block after a rejected first trial
+HALVINGS = np.ldexp(1.0, -np.arange(40))   # exact line-search step fractions 2^-j
 
 
 @dataclass(frozen=True)
@@ -125,6 +127,11 @@ class TOSolution:
     eta: np.ndarray        # efficiency weights
     E: float
     feasible: bool = True
+    # Solver work (in memory only); exit is "stagnated" or "outer_max".
+    n_outer: int = 0
+    n_trials: int = 0
+    n_grad: int = 0
+    exit: str = ""
 
     def to_csv(self, path, problem: TOProblem | None = None) -> None:
         n = self.h.size
@@ -155,11 +162,6 @@ class ReferenceTrajectory:
                   [self.t, self.x, self.v_r, self.a_r, self.u_r])
 
 
-def default_gamma(problem_like_scale: float) -> float:
-    """Smoothing rate putting tanh well into saturation at the typical input scale."""
-    return 4.0 / max(abs(problem_like_scale), 1e-9)
-
-
 def build_problem(path_length: float, n_segments: int, T_f: float,
                   slope: PositionProfile, v_limit: PositionProfile,
                   model: GrayBoxModel | None, eff: EfficiencyParams | None = None,
@@ -170,7 +172,8 @@ def build_problem(path_length: float, n_segments: int, T_f: float,
     Slope is evaluated at segment starts.  The per-segment speed cap is
     the smaller of the limit at the two segment endpoints, so a
     piecewise-constant reference velocity below the cap respects the
-    limit over the whole segment.
+    limit over the whole segment.  The default ``gamma`` saturates tanh at
+    the typical input scale.
     """
     if path_length <= 0 or n_segments < 2:
         raise ValueError("need positive path length and at least 2 segments")
@@ -186,14 +189,9 @@ def build_problem(path_length: float, n_segments: int, T_f: float,
         else:
             v_nom = path_length / T_f
             scale = float(feedforward(v_nom, 0.0, 0.0, model))
-        gamma = default_gamma(scale)
+        gamma = 4.0 / max(abs(scale), 1e-9)
     return TOProblem(x=x, alpha=alpha, v_lim=v_lim, T_f=T_f, vdot_lim=vdot_lim,
                      model=model, eff=eff, gamma=gamma, mode=mode, u_lim=u_lim)
-
-
-def _input(p: TOProblem, v, vdot, alpha):
-    """Model input (full mode) or acceleration (pseudo mode) at (v, vdot, alpha)."""
-    return feedforward(v, vdot, alpha, p.model) if p.mode == "full" else vdot
 
 
 def _weight(p: TOProblem, u):
@@ -201,15 +199,6 @@ def _weight(p: TOProblem, u):
     mid = 0.5 * (p.eff.gen_factor + p.eff.regen_factor)
     half = 0.5 * (p.eff.gen_factor - p.eff.regen_factor)
     return mid + half * np.tanh(p.gamma * u)
-
-
-def _kinematics(p: TOProblem, H: np.ndarray):
-    """Velocities, accelerations, inputs, eta for duration rows H (..., N)."""
-    v = p.dx / H
-    vdot_ind = (v[..., 1:] - v[..., :-1]) / H[..., :-1]
-    vdot = np.concatenate([vdot_ind, vdot_ind[..., -1:]], axis=-1)
-    u = _input(p, v, vdot, p.alpha)
-    return v, vdot, vdot_ind, u, _weight(p, u)
 
 
 def energy_terms(eta: np.ndarray, u: np.ndarray, v: np.ndarray,
@@ -223,137 +212,181 @@ def evaluate_objective(p: TOProblem, h: np.ndarray) -> tuple[float, dict]:
     H = np.asarray(h, dtype=float)
     if H.shape != (p.n_segments,) or np.any(H <= 0):
         raise ValueError("h must hold one positive duration per segment")
-    v, vdot, _, u, eta = _kinematics(p, H)
+    v = p.dx / H
+    vdot_ind = (v[1:] - v[:-1]) / H[:-1]
+    vdot = np.concatenate([vdot_ind, vdot_ind[-1:]])
+    u = feedforward(v, vdot, p.alpha, p.model) if p.mode == "full" else vdot
+    eta = _weight(p, u)
     terms = energy_terms(eta, u, v, H)
     return float(terms.sum()), {"v_r": v, "a_r": vdot, "u_r": u, "eta": eta,
                                 "terms": terms}
 
 
-def _input_bounded(p: TOProblem) -> bool:
-    """Whether the input bound enters the constraints."""
-    return p.u_lim is not None and p.mode == "full"
-
-
-def _constraints(p: TOProblem, total: np.ndarray, vdot_ind: np.ndarray,
-                 u: np.ndarray) -> np.ndarray:
-    """Normalized inequality residuals g <= 0 of rows (..., N).
-
-    ``total`` is the rows' duration sum with a kept last axis; ``vdot_ind``
-    and ``u`` come from :func:`_kinematics`.  Columns: time budget, upper
-    and lower acceleration bounds, then upper and lower input bounds when
-    an input bound applies.
-    """
-    parts = [
-        (total - p.T_f) / p.T_f,
-        (vdot_ind - p.vdot_lim) / p.vdot_lim,
-        (-vdot_ind - p.vdot_lim) / p.vdot_lim,
-    ]
-    if _input_bounded(p):
-        parts.append((u - p.u_lim) / p.u_lim)
-        parts.append((-u - p.u_lim) / p.u_lim)
-    return np.concatenate(parts, axis=-1)
-
-
-def _residuals(p: TOProblem, H: np.ndarray) -> np.ndarray:
-    """Constraint residuals of duration rows H (..., N)."""
-    _, _, vdot_ind, u, _ = _kinematics(p, H)
-    return _constraints(p, H.sum(axis=-1, keepdims=True), vdot_ind, u)
-
-
-def _merit_parts(p: TOProblem, H: np.ndarray, lam: np.ndarray, rho: float):
-    """Energy terms and squared penalties max(0, lam + rho g)^2 of rows H."""
-    v, _, vdot_ind, u, eta = _kinematics(p, H)
-    g = _constraints(p, H.sum(axis=-1, keepdims=True), vdot_ind, u)
-    t = np.maximum(0.0, lam + rho * g)
-    return energy_terms(eta, u, v, H), t * t
-
-
 class _MeritWorkspace:
     """Augmented-Lagrangian merit and its gradient for one :func:`solve` call.
 
-    Built once per problem: the elements each perturbed row of the
-    band-local difference recomputes, their residual columns, the
-    gathered segment lengths and slopes, and 2N x N duration and
-    energy-term buffers and a 2N x n_con penalty buffer.
+    Built once per problem: constraint bounds, the operands of the model
+    inversion and the weight, and the gradient's window index maps and
+    2N-row buffers.  Operands are tiled or gathered to the shape of the
+    block they act on, as NumPy runs same-shape operations markedly faster
+    than ones that broadcast a scalar or a row, with equal results.
     """
 
-    def __init__(self, p: TOProblem, n_con: int):
+    def __init__(self, p: TOProblem):
         n = p.n_segments
-        self.p, self.n = p, n
+        self.p, self.n, self.full = p, n, p.mode == "full"
+        self.bounded = self.full and p.u_lim is not None
+        # Constraint columns: time budget, upper and lower acceleration, then
+        # upper and lower input if bounded; a residual is (x - lim) / lim.
+        self.lim = np.array([p.T_f] + [p.vdot_lim] * (2 * n - 2)
+                            + [p.u_lim] * (2 * n * self.bounded))
+        self.n_con = self.lim.size
         # Row r < N of the 2N perturbed rows moves h_r up by d_r, row N + r
-        # moves it down (clamped at 1e-12).  Elements reading the moved duration h_i: segments
-        # i-1 and i, and the last segment, whose acceleration is the one of
-        # segment N-2.
+        # moves it down (clamped at 1e-12).  Elements reading h_i: segments
+        # i-1 and i, and the last, whose acceleration is segment N-2's; held
+        # as (window, row) blocks, so each constraint block is contiguous.
         moved = np.tile(np.arange(n), 2)
-        J = np.stack([np.maximum(moved - 1, 0), moved, np.full(2 * n, n - 1)], axis=1)
+        J = np.stack([np.maximum(moved - 1, 0), moved, np.full(2 * n, n - 1)])
         K = np.minimum(J, n - 2)
-        # Residual columns of the windows in the layout of _constraints:
-        # time budget, upper and lower acceleration bounds at K, then upper
-        # and lower input bounds at J when an input bound applies.
-        blocks = [np.zeros((2 * n, 1), dtype=np.intp), 1 + K, n + K]
-        if _input_bounded(p):
-            blocks += [2 * n - 1 + J, 3 * n - 1 + J]
-        self.cols = np.concatenate(blocks, axis=1)
-        # Flat offsets of those elements in the row-major buffers.
-        r = np.arange(2 * n)[:, None]
-        self.fJ, self.fK, self.fK1 = r * n + J, r * n + K, r * n + K + 1
-        self.fcols = r * n_con + self.cols
-        self.dxJ, self.dxK, self.dxK1 = p.dx[J], p.dx[K], p.dx[K + 1]
-        self.alphaJ = p.alpha[J]
-        self.Hrows = np.empty((2 * n, n))
-        self.terms = np.empty((2 * n, n))
-        self.pen = np.empty((2 * n, n_con))
+        self.cols = np.concatenate([np.zeros((1, 2 * n), dtype=np.intp), 1 + K, n + K]
+                                   + [2 * n - 1 + J, 3 * n - 1 + J] * self.bounded)
+        # Flat offsets of the window elements in the row-major buffers.
+        r = np.arange(2 * n)
+        JK = np.concatenate([J, K, K + 1])
+        self.fJK, self.fJ, self.fcols = r * n + JK, r * n + J, r * self.n_con + self.cols
+        self.dxJK = p.dx[JK]
+        self.G = np.empty(self.cols.shape)
+        self.uJ = self.G[7:10] if self.bounded else np.empty((3, 2 * n))
+        # gamma, the tanh half-range and midpoint, feedforward's coefficients.
+        chain = [p.gamma, 0.5 * (p.eff.gen_factor - p.eff.regen_factor),
+                 0.5 * (p.eff.gen_factor + p.eff.regen_factor)]
+        if self.full:
+            t1, t2, t3, t4, t5, t6 = p.model.theta
+            chain += [t1, t2, t3, t4, t5 * p.alpha, t6 * p.alpha ** 2]
+        self.chain = [np.broadcast_to(c, (n,)) for c in chain]
+        self.chain_w = [c[J] for c in self.chain]
+        self.Hrows, self.terms = np.empty((2, 2 * n, n))
+        self.pen = np.empty((2 * n, self.n_con))
         flat = self.Hrows.reshape(-1)
         self.h_up, self.h_down = flat[:n * n:n + 1], flat[n * n::n + 1]
+        self.set_multipliers(np.zeros(self.n_con), 1.0, 1.0)
 
     def set_multipliers(self, lam: np.ndarray, rho: float, e_scale: float) -> None:
         """Fix the multipliers, penalty weight and objective scale."""
         self.lam, self.rho, self.e_scale = lam, rho, e_scale
-        self.lam_sq = (lam * lam).sum()
-        self.lam_cols = lam[self.cols]
+        self.lam_sq = float((lam * lam).sum())
+        shape = self.cols.shape
+        self.pen_w = self.lim[self.cols], lam[self.cols], np.full(shape, rho), np.zeros(shape)
+        self.tiles = {}
 
-    def _combine(self, terms: np.ndarray, pen: np.ndarray):
-        """Merit of each row from its energy terms and squared penalties."""
-        return (terms.sum(axis=-1) / self.e_scale
-                + (pen.sum(axis=-1) - self.lam_sq) / (2.0 * self.rho))
+    def _tiled(self, k: int):
+        """dx, the _input_terms operands and the _penalties operands tiled to k rows."""
+        if k not in self.tiles:
+            dx, lim, lam, *chain = [np.tile(a, (k, 1)) for a in
+                                    [self.p.dx, self.lim, self.lam, *self.chain]]
+            rho, zero = np.full(lim.shape, self.rho), np.zeros(lim.shape)
+            self.tiles[k] = dx, chain, (lim, lam, rho, zero)
+        return self.tiles[k]
+
+    def _input_terms(self, vdot, v, h, chain, out):
+        """feedforward's inverse at (v, vdot) into ``out`` (pseudo mode: ``vdot``)
+        and the energy terms there, weighted as by :func:`_weight`."""
+        gamma, half, mid = chain[:3]
+        u = vdot
+        if self.full:
+            t1, t2, t3, t4, slope, slope2 = chain[3:]
+            u = np.subtract(vdot, t2, out=out)
+            u -= t3 * v
+            u -= t4 * v * v
+            u -= slope
+            u -= slope2
+            u /= t1
+        eta = u * gamma
+        np.tanh(eta, out=eta)
+        eta *= half
+        eta += mid
+        return u, energy_terms(eta, u, v, h)
+
+    def _penalties(self, x, lim, lam, rho, zero):
+        """Turn constraint values x into max(0, lam + rho (x - lim) / lim)^2 in place."""
+        x -= lim
+        x /= lim
+        x *= rho
+        x += lam
+        np.maximum(x, zero, out=x)   # out= by keyword: positional is slower
+        x *= x
+
+    def _rows(self, Hs: np.ndarray):
+        """Energy terms, constraint values (in a (k, n_con) array allocated per
+        call) and penalty operands for the rows of the (k, N) block ``Hs``."""
+        n = self.n
+        dx, chain, pen_ops = self._tiled(Hs.shape[0])
+        v = dx / Hs
+        R = np.empty((Hs.shape[0], self.n_con))
+        Hs.sum(axis=-1, out=R[:, 0])
+        # The column after the upper acceleration block repeats its last
+        # value until the negation below, so R[:, 1:n + 1] is the whole row.
+        vdot_ind = R[:, 1:n]
+        np.subtract(v[:, 1:], v[:, :-1], vdot_ind)
+        np.divide(vdot_ind, Hs[:, :-1], vdot_ind)
+        R[:, n] = R[:, n - 1]
+        out = R[:, 2 * n - 1:3 * n - 1] if self.bounded else np.empty(Hs.shape)
+        u, terms = self._input_terms(R[:, 1:n + 1], v, Hs, chain, out)
+        np.negative(vdot_ind, R[:, n:2 * n - 1])
+        if self.bounded:
+            np.negative(u, R[:, 3 * n - 1:])
+        return terms, R, pen_ops
+
+    def residuals(self, H: np.ndarray) -> np.ndarray:
+        """Constraint residuals g <= 0 of the durations H, one per column."""
+        return (self._rows(H[None, :])[1][0] - self.lim) / self.lim
+
+    def merit_rows(self, Hs: np.ndarray):
+        """Merits of the rows of the (k, N) block ``Hs`` (the same bits in any
+        block), and their energy terms and squared penalties for :meth:`grad`."""
+        terms, R, pen_ops = self._rows(Hs)
+        self._penalties(R, *pen_ops)
+        e, lam_sq, rho2 = self.e_scale, self.lam_sq, 2.0 * self.rho
+        m = [t / e + (q - lam_sq) / rho2
+             for t, q in zip(terms.sum(axis=-1).tolist(), R.sum(axis=-1).tolist())]
+        return m, terms, R
 
     def merit(self, H: np.ndarray) -> tuple[float, tuple]:
         """Merit of the single row H, and its terms and penalties for :meth:`grad`."""
-        base = _merit_parts(self.p, H, self.lam, self.rho)
-        return float(self._combine(*base)), base
+        m, terms, pen = self.merit_rows(H[None, :])
+        return m[0], (terms[0], pen[0])
 
     def grad(self, H: np.ndarray, base: tuple | None = None) -> np.ndarray:
         """Central-difference gradient of the merit at durations ``H``.
 
-        ``base`` is :meth:`merit`'s second result at ``H``; without it the
-        base row is evaluated here.  Only the elements that read a moved
-        duration are recomputed, with the elementwise operations of the
-        batched merit, and patched into copies of the base row's energy
-        terms and squared penalties; each full row is then reduced as the
-        batched merit reduces it.  The result equals the batched central
-        difference bit for bit as long as every duration is at least 1e-12.
+        ``base`` is :meth:`merit`'s second result at ``H`` (evaluated here if
+        None).  The elements reading a moved duration are recomputed into
+        copies of its terms and penalties, and each full row is reduced: the
+        batched central difference bit for bit while every h >= 1e-12.
         """
-        p, n = self.p, self.n
-        base_terms, base_pen = base if base is not None else _merit_parts(
-            p, H, self.lam, self.rho)
+        n, G = self.n, self.G
+        base_terms, base_pen = base if base is not None else self.merit(H)[1]
         d = 1e-6 * np.maximum(H, 1e-6)
-        h_minus = np.maximum(H - d, 1e-12)
-        Hrows = self.Hrows
-        Hrows[...] = H
+        self.Hrows[...] = H
         np.add(H, d, out=self.h_up)
-        self.h_down[...] = h_minus
-        hJ, hK = Hrows.take(self.fJ), Hrows.take(self.fK)
-        vJ = self.dxJ / hJ
-        vdot = (self.dxK1 / Hrows.take(self.fK1) - self.dxK / hK) / hK
-        u = _input(p, vJ, vdot, self.alphaJ)
-        g = _constraints(p, Hrows.sum(axis=-1, keepdims=True), vdot, u)
-        t = np.maximum(0.0, self.lam_cols + self.rho * g)
-        terms, pen = self.terms, self.pen
-        terms[...] = base_terms
-        np.put(terms, self.fJ, energy_terms(_weight(p, u), u, vJ, hJ))
-        pen[...] = base_pen
-        np.put(pen, self.fcols, t * t)
-        m = self._combine(terms, pen)
+        h_minus = np.maximum(H - d, 1e-12, out=self.h_down)
+        self.Hrows.sum(axis=-1, out=G[0])
+        W = self.Hrows.take(self.fJK)   # durations at J, K and K + 1
+        V = self.dxJK / W
+        vdot = G[1:4]
+        np.subtract(V[6:], V[3:6], out=vdot)
+        vdot /= W[3:6]
+        u, window_terms = self._input_terms(vdot, V[:3], W[:3], self.chain_w, self.uJ)
+        np.negative(vdot, out=G[4:7])
+        if self.bounded:
+            np.negative(u, out=G[10:])
+        self._penalties(G, *self.pen_w)
+        self.terms[...] = base_terms
+        self.terms.reshape(-1)[self.fJ] = window_terms
+        self.pen[...] = base_pen
+        self.pen.reshape(-1)[self.fcols] = G
+        m = (self.terms.sum(axis=-1) / self.e_scale
+             + (self.pen.sum(axis=-1) - self.lam_sq) / (2.0 * self.rho))
         return (m[:n] - m[n:]) / (d + (H - h_minus))
 
 
@@ -367,6 +400,33 @@ def default_h_init(p: TOProblem) -> np.ndarray:
     return h_min + extra * scale
 
 
+def _line_search(ws: _MeritWorkspace, H, g, m0: float, step: float, h_min):
+    """Backtracking Armijo search along -g from H, halving the step up to 39 times.
+
+    The first trial goes alone, then ``LS_BATCH`` halvings per
+    ``merit_rows`` call, scanned in order with the one-at-a-time tests
+    (stop below rounding, accept on Armijo).  Returns (H_try, m_try, base,
+    n_trials) as the one-at-a-time search does, H_try None if it fails.
+    """
+    tiny = 1e-14 * max(1.0, float(H.max()))
+    tried = 0
+    while tried < 40:
+        k = 1 if tried == 0 else min(LS_BATCH, 40 - tried)
+        trials = np.maximum(H - (step * HALVINGS[tried:tried + k])[:, None] * g, h_min)
+        steps = trials - H
+        size = np.abs(steps).max(axis=1).tolist()
+        n_big = next((j for j in range(k) if size[j] < tiny), k)
+        if n_big:
+            m, terms, pen = ws.merit_rows(trials[:n_big])
+        for j in range(n_big):
+            tried += 1
+            if m[j] <= m0 + 1e-4 * float(g @ steps[j]):
+                return trials[j], m[j], (terms[j], pen[j]), tried
+        if n_big < k:
+            break
+    return None, None, None, tried
+
+
 def solve(p: TOProblem, h_init: np.ndarray | None = None, outer_max: int = 80,
           inner_max: int = 400, viol_target: float = 5e-7,
           stag_tol: float = 1e-8, stag_window: int = 5) -> TOSolution:
@@ -374,17 +434,11 @@ def solve(p: TOProblem, h_init: np.ndarray | None = None, outer_max: int = 80,
 
     Augmented-Lagrangian outer loop with multiplier updates on the
     time/acceleration/input inequalities; projected spectral-gradient
-    inner minimization with the speed caps as bound constraints.  The
-    merit and its gradient come from a :class:`_MeritWorkspace` built for
-    this call and dropped when it returns.  The gradient is a central
-    finite difference evaluated band-locally, and at every iterate it
-    reuses the energy terms and penalties of the merit evaluation there
-    (the accepted line-search trial, or the first point of an outer
-    iteration).  Merit and gradient equal the batched whole-row
-    evaluation bit for bit, so the returned plan does too.  Returns the
-    best iterate flagged ``feasible=False`` if the violation target is
-    not met within the iteration budget.  Raises ``ValueError`` if
-    ``h_init`` does not hold one finite duration per segment.
+    inner minimization with the speed caps as bound constraints, on the
+    merit and gradient of a :class:`_MeritWorkspace` built for this call.
+    Returns the best iterate flagged ``feasible=False`` if the violation
+    target is not met within the iteration budget.  Raises ``ValueError``
+    if ``h_init`` does not hold one finite duration per segment.
     """
     n = p.n_segments
     h_min = p.h_min
@@ -407,9 +461,9 @@ def solve(p: TOProblem, h_init: np.ndarray | None = None, outer_max: int = 80,
     for probe in (H, h_min, h_alt):
         _, parts_probe = evaluate_objective(p, np.maximum(probe, 1e-9))
         probe_scale = max(probe_scale, float(np.abs(parts_probe["terms"]).sum()))
-    lam = np.zeros(_residuals(p, H).shape[-1])
+    ws = _MeritWorkspace(p)
+    lam = np.zeros(ws.n_con)
     rho = 10.0
-    ws = _MeritWorkspace(p, lam.size)
 
     # Lexicographic iterate ranking: feasibility first, then objective
     # among feasible iterates (violation magnitude among infeasible ones).
@@ -418,15 +472,17 @@ def solve(p: TOProblem, h_init: np.ndarray | None = None, outer_max: int = 80,
     e_hist: list[float] = []
     viol_prev = math.inf
     _, parts_now = evaluate_objective(p, H)
-    for _ in range(outer_max):
+    n_outer = n_trials = n_grad = 0
+    exit_reason = "outer_max"
+    for n_outer in range(1, outer_max + 1):
         e_scale = max(float(np.abs(parts_now["terms"]).sum()),
                       1e-3 * probe_scale, 1e-9)
         ws.set_multipliers(lam, rho, e_scale)
         m0, base = ws.merit(H)
         g = ws.grad(H, base)
+        n_grad += 1
         step = 0.1 * max(H.max(), 1e-6) / max(float(np.abs(g).max()), 1e-12)
-        H_prev = None
-        g_prev = None
+        H_prev = g_prev = None
         stalled = 0
         for _ in range(inner_max):
             if H_prev is not None:
@@ -436,19 +492,9 @@ def solve(p: TOProblem, h_init: np.ndarray | None = None, outer_max: int = 80,
                 if sy > 1e-18:
                     step = float(s @ s) / sy
             step = min(max(step, 1e-12), 1e12)
-            accepted = False
-            t_ls = 1.0
-            for _ in range(40):
-                H_try = np.maximum(H - t_ls * step * g, h_min)
-                d = H_try - H
-                if np.abs(d).max() < 1e-14 * max(1.0, float(H.max())):
-                    break
-                m_try, base = ws.merit(H_try)
-                if m_try <= m0 + 1e-4 * float(g @ d):
-                    accepted = True
-                    break
-                t_ls *= 0.5
-            if not accepted:
+            H_try, m_try, base, tried = _line_search(ws, H, g, m0, step, h_min)
+            n_trials += tried
+            if H_try is None:
                 stalled += 1
                 if stalled >= 2:
                     break
@@ -458,10 +504,11 @@ def solve(p: TOProblem, h_init: np.ndarray | None = None, outer_max: int = 80,
             H_prev, g_prev = H.copy(), g
             H, m0 = H_try, m_try
             g = ws.grad(H, base)
+            n_grad += 1
             if np.abs(H - H_prev).max() < 1e-12 * max(1.0, float(H.max())):
                 break
 
-        g_con = _residuals(p, H[None, :])[0]
+        g_con = ws.residuals(H)
         viol = float(np.maximum(g_con, 0.0).max())
         lam = np.maximum(0.0, lam + rho * g_con)
         # parts_now also sets the next iteration's objective scale.
@@ -474,6 +521,7 @@ def solve(p: TOProblem, h_init: np.ndarray | None = None, outer_max: int = 80,
             if len(e_hist) > stag_window:
                 e_old = e_hist[-stag_window - 1]
                 if abs(E_now - e_old) <= stag_tol * max(abs(E_now), 1.0):
+                    exit_reason = "stagnated"
                     break
         if viol > 0.3 * viol_prev and viol > viol_target:
             rho = min(rho * 4.0, 1e10)
@@ -487,13 +535,15 @@ def solve(p: TOProblem, h_init: np.ndarray | None = None, outer_max: int = 80,
         total = float(slack.sum())
         if total >= excess > 0.0 and excess <= 1e-4 * p.T_f:
             H = H - slack * (excess / total)
-    g_con = _residuals(p, H[None, :])[0]
+    g_con = ws.residuals(H)
     feasible = bool(np.maximum(g_con, 0.0).max() <= VIOL_TOL)
 
     E, parts = evaluate_objective(p, H)
     t = np.concatenate([[0.0], np.cumsum(H)])
     return TOSolution(h=H, t=t, v_r=parts["v_r"], a_r=parts["a_r"],
-                      u_r=parts["u_r"], eta=parts["eta"], E=E, feasible=feasible)
+                      u_r=parts["u_r"], eta=parts["eta"], E=E, feasible=feasible,
+                      n_outer=n_outer, n_trials=n_trials, n_grad=n_grad,
+                      exit=exit_reason)
 
 
 def resample_equidistant(sol: TOSolution, p: TOProblem, n_samples: int

@@ -11,7 +11,7 @@ import pytest
 from modru import cli, config, harness, lqr
 from modru.errors import ConfigError, EstimationError
 from modru.plant import PositionProfile
-from modru.tables import read_csv, read_keyvalues
+from modru.tables import format_value, read_csv, read_keyvalues, write_csv
 
 
 def nominal_scenario(sc):
@@ -215,6 +215,20 @@ class TestRobustnessCsv:
         np.testing.assert_array_equal(cols["feasible"], [1.0, 0.0])
         np.testing.assert_array_equal(cols["n_evals"], [3.0, 1.0])
         assert cols["t_r"][1] == float("inf")
+
+
+class TestWriteCsv:
+    def test_columns_format_as_cells(self, tmp_path):
+        # Whole float columns and per-cell formatting give the same bytes.
+        floats = np.array([0.1, -0.0, 1e-300, np.inf, -np.inf, np.nan, 2.0 / 3.0])
+        columns = [floats, floats.astype(np.float32), np.arange(7), list("abcdefg"),
+                   [True, False, np.True_, 1, 2, 0.5, "x"]]
+        header = ["f64", "f32", "int", "str", "mixed"]
+        path = tmp_path / "t.csv"
+        write_csv(path, header, columns, meta={"E": np.float64(1.5), "ok": True})
+        rows = [",".join(format_value(c[i]) for c in columns) for i in range(7)]
+        want = ["# E = 1.5", "# ok = 1", ",".join(header)] + rows
+        assert path.read_text() == "\n".join(want) + "\n"
 
 
 class TestCli:

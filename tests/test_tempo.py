@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modru import tempo
+from modru.controller import feedforward
 from modru.errors import InfeasibleError
 from modru.plant import PositionProfile
 from modru.sysid import EfficiencyParams, GrayBoxModel
@@ -238,21 +239,45 @@ class TestSolve:
             tempo.solve(p, h_init=np.array([10.0, 10.0, np.inf, 10.0, 10.0, 10.0]))
 
 
-def batched_merit(p, Hrows, lam, rho, e_scale):
-    """Reference: the augmented-Lagrangian merit of each row of ``Hrows``,
-    with whole-row kinematics and residuals assembled by concatenation."""
+def batched_parts(p, Hrows, lam, rho):
+    """Reference: energy terms, constraint residuals and squared penalties
+    of each row of ``Hrows``, with whole-row kinematics and residuals
+    assembled by concatenation."""
     v = p.dx / Hrows
     vdot_ind = (v[..., 1:] - v[..., :-1]) / Hrows[..., :-1]
     vdot = np.concatenate([vdot_ind, vdot_ind[..., -1:]], axis=-1)
-    u = tempo._input(p, v, vdot, p.alpha)
-    E = tempo.energy_terms(tempo._weight(p, u), u, v, Hrows).sum(axis=-1) / e_scale
+    u = feedforward(v, vdot, p.alpha, p.model) if p.mode == "full" else vdot
+    terms = tempo.energy_terms(tempo._weight(p, u), u, v, Hrows)
     parts = [(Hrows.sum(axis=-1, keepdims=True) - p.T_f) / p.T_f,
              (vdot_ind - p.vdot_lim) / p.vdot_lim,
              (-vdot_ind - p.vdot_lim) / p.vdot_lim]
     if p.u_lim is not None and p.mode == "full":
         parts += [(u - p.u_lim) / p.u_lim, (-u - p.u_lim) / p.u_lim]
-    t = np.maximum(0.0, lam + rho * np.concatenate(parts, axis=-1))
-    return E + ((t * t).sum(axis=-1) - (lam * lam).sum()) / (2.0 * rho)
+    g = np.concatenate(parts, axis=-1)
+    t = np.maximum(0.0, lam + rho * g)
+    return terms, g, t * t
+
+
+def batched_merit(p, Hrows, lam, rho, e_scale):
+    """Reference: the augmented-Lagrangian merit of each row of ``Hrows``."""
+    terms, _, pen = batched_parts(p, Hrows, lam, rho)
+    return terms.sum(axis=-1) / e_scale + (pen.sum(axis=-1) - (lam * lam).sum()) / (2.0 * rho)
+
+
+def sequential_line_search(ws, H, g, m0, step, h_min):
+    """Reference: the backtracking search evaluating one trial at a time."""
+    t_ls, tried = 1.0, 0
+    for _ in range(40):
+        H_try = np.maximum(H - t_ls * step * g, h_min)
+        d = H_try - H
+        if np.abs(d).max() < 1e-14 * max(1.0, float(H.max())):
+            break
+        m_try, base = ws.merit(H_try)
+        tried += 1
+        if m_try <= m0 + 1e-4 * float(g @ d):
+            return H_try, m_try, base, tried
+        t_ls *= 0.5
+    return None, None, None, tried
 
 
 def batched_merit_grad(p, H, lam, rho, e_scale):
@@ -292,7 +317,7 @@ def random_problem(rng, n, mode, input_bound):
     # Durations at the speed caps for some segments, above for others.
     H = h_min * np.where(rng.random(n) < 0.3, 1.0,
                          1.0 + rng.uniform(0.0, 1.5, n))
-    n_con = tempo._residuals(p, H).size
+    n_con = tempo._MeritWorkspace(p).n_con
     lam = np.where(rng.random(n_con) < 0.5, 0.0,
                    rng.uniform(0.0, 3.0, n_con))
     rho = float(10.0 ** rng.uniform(-1.0, 4.0))
@@ -310,7 +335,7 @@ class TestMeritGradient:
     @given(problem=problems, supply_base=st.booleans())
     def test_band_local_equals_batched(self, problem, supply_base):
         p, H, lam, rho, e_scale = problem
-        ws = tempo._MeritWorkspace(p, lam.size)
+        ws = tempo._MeritWorkspace(p)
         ws.set_multipliers(lam, rho, e_scale)
         base = ws.merit(H)[1] if supply_base else None
         g = ws.grad(H, base)
@@ -321,7 +346,7 @@ class TestMeritGradient:
         # see anything the first one left in the buffers.
         rng = np.random.default_rng(7)
         p, H, lam, rho, e_scale = random_problem(rng, 12, "full", True)
-        ws = tempo._MeritWorkspace(p, lam.size)
+        ws = tempo._MeritWorkspace(p)
         ws.set_multipliers(lam, rho, e_scale)
         ws.grad(H)
         H2, lam2 = H * 1.1, lam[::-1].copy()
@@ -335,12 +360,62 @@ class TestMeritWorkspace:
     @given(problem=problems)
     def test_single_row_merit_equals_batched(self, problem):
         p, H, lam, rho, e_scale = problem
-        ws = tempo._MeritWorkspace(p, lam.size)
+        ws = tempo._MeritWorkspace(p)
         ws.set_multipliers(lam, rho, e_scale)
         m, (terms, pen) = ws.merit(H)
         assert type(m) is float
         assert m == batched_merit(p, H[None, :], lam, rho, e_scale)[0]
         assert terms.shape == H.shape and pen.shape == lam.shape
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=problems, k=st.integers(1, 9), spread=st.floats(0.5, 2.0))
+    def test_block_rows_equal_single_rows(self, problem, k, spread):
+        p, H, lam, rho, e_scale = problem
+        ws = tempo._MeritWorkspace(p)
+        ws.set_multipliers(lam, rho, e_scale)
+        rows = np.maximum(H * np.linspace(1.0, spread, k)[:, None], p.h_min)
+        m, terms, pen = ws.merit_rows(rows)
+        ref_terms, ref_g, ref_pen = batched_parts(p, rows, lam, rho)
+        assert np.array_equal(terms, ref_terms) and np.array_equal(pen, ref_pen)
+        assert m == batched_merit(p, rows, lam, rho, e_scale).tolist()
+        for j in range(k):
+            m_j, (terms_j, pen_j) = ws.merit(rows[j])
+            assert m_j == m[j]
+            assert np.array_equal(terms_j, terms[j]) and np.array_equal(pen_j, pen[j])
+            assert np.array_equal(ws.residuals(rows[j]), ref_g[j])
+
+    def test_batch_leaves_an_earlier_base_intact(self):
+        rng = np.random.default_rng(11)
+        p, H, lam, rho, e_scale = random_problem(rng, 15, "full", True)
+        ws = tempo._MeritWorkspace(p)
+        ws.set_multipliers(lam, rho, e_scale)
+        base = ws.merit(H)[1]
+        ws.merit_rows(np.tile(H * 1.05, (tempo.LS_BATCH, 1)))
+        ws.merit(H * 0.97)
+        assert np.array_equal(ws.grad(H, base),
+                              batched_merit_grad(p, H, lam, rho, e_scale))
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=problems, seed=st.integers(0, 2**32 - 1),
+           log_step=st.floats(-12.0, 4.0), ascent=st.booleans())
+    def test_batched_line_search_equals_sequential(self, problem, seed, log_step, ascent):
+        p, H, lam, rho, e_scale = problem
+        ws = tempo._MeritWorkspace(p)
+        ws.set_multipliers(lam, rho, e_scale)
+        m0, base = ws.merit(H)
+        g = ws.grad(H, base)
+        if ascent:
+            g = -g
+        g = g + 1e-3 * np.abs(g).max() * np.random.default_rng(seed).standard_normal(H.size)
+        step = 10.0 ** log_step * H.max() / max(np.abs(g).max(), 1e-300)
+        got = tempo._line_search(ws, H, g, m0, step, p.h_min)
+        want = sequential_line_search(ws, H, g, m0, step, p.h_min)
+        assert got[3] == want[3]
+        if want[0] is None:
+            assert got[0] is None
+        else:
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+            assert all(np.array_equal(a, b) for a, b in zip(got[2], want[2]))
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 20),
@@ -352,6 +427,10 @@ class TestMeritWorkspace:
             return float(batched_merit(p, H[None, :], ws.lam, ws.rho,
                                        ws.e_scale)[0]), None
 
+        def merit_rows(ws, Hs):
+            # The reference gradient ignores the terms and penalties.
+            return batched_merit(p, Hs, ws.lam, ws.rho, ws.e_scale), Hs, Hs
+
         def grad(ws, H, base=None):
             return batched_merit_grad(p, H, ws.lam, ws.rho, ws.e_scale)
 
@@ -360,10 +439,15 @@ class TestMeritWorkspace:
         budget = {"outer_max": 8, "inner_max": 60}
         sol = tempo.solve(p, **budget)
         with mock.patch.object(tempo._MeritWorkspace, "merit", merit), \
+                mock.patch.object(tempo._MeritWorkspace, "merit_rows", merit_rows), \
                 mock.patch.object(tempo._MeritWorkspace, "grad", grad):
             ref = tempo.solve(p, **budget)
         assert np.array_equal(sol.h, ref.h)
         assert sol.E == ref.E and sol.feasible == ref.feasible
+        counts = ("n_outer", "n_trials", "n_grad", "exit")
+        assert [getattr(sol, c) for c in counts] == [getattr(ref, c) for c in counts]
+        assert 1 <= sol.n_outer <= 8 and sol.n_grad >= sol.n_outer
+        assert sol.exit in ("stagnated", "outer_max")
 
 
 @pytest.fixture(scope="module")
