@@ -26,6 +26,8 @@ MT_MAX = 1.3
 METHODS = ("model-based", "model-free")
 # Bracket width in log10 Q_u at which the sweep's boundary search stops.
 BOUNDARY_TOL = 1e-12
+# Steps per block in the closed-loop evaluation of linear_rollouts.
+_ROLLOUT_BLOCK = 20
 
 
 @dataclass(frozen=True)
@@ -369,6 +371,17 @@ def linear_rollouts(A: np.ndarray, B: np.ndarray, n_obs: int | None = None,
     steps from random observable initial states (unobserved states start
     at zero).  Exploration noise is uniform with amplitude
     ``explore * max(1, |K|_inf * x0_scale)`` added to the policy input.
+
+    Each call draws the initial states, then all exploration noise in one
+    ``(episode_len, n_episodes, m)`` block, which is the stream of one
+    ``(n_episodes, m)`` draw per step.  The closed loop x+ = F x + B e,
+    F = A - B K (K zero on hidden states), is evaluated in blocks of
+    ``_ROLLOUT_BLOCK`` steps: all episodes advance a block in one product
+    from the block-start state, x_{k0+j+1} = F^(j+1) x_{k0}
+    + sum_{i<=j} F^(j-i) B e_{k0+i}, and the inputs are e - K x.  A
+    rollout whose state passes 1e6 raises :class:`PolicyIterationError`,
+    leaving the generator where per-step draws would have stopped: after
+    the noise of the first step past 1e6.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.asarray(B, dtype=float)
@@ -378,35 +391,59 @@ def linear_rollouts(A: np.ndarray, B: np.ndarray, n_obs: int | None = None,
     if n_obs is None:
         n_obs = n_full
     rng = np.random.default_rng(seed)
+    L = min(_ROLLOUT_BLOCK, episode_len)
+    n_blk = math.ceil(episode_len / L)
+    n_pad = n_blk * L
+    # lag[i, j] = j - i + 1 for input step i and state step j >= i, else 0.
+    lag = np.maximum(np.arange(L)[None, :] - np.arange(L)[:, None] + 1, 0)
 
     def source(K: np.ndarray, n_samples: int):
         K = np.atleast_2d(np.asarray(K, dtype=float))
         amp = explore * max(1.0, float(np.abs(K).max()) * x0_scale)
         n_ep = max(1, math.ceil(n_samples / episode_len))
-        # states[k] holds the n_ep episode states before step k.
-        states = np.zeros((episode_len + 1, n_ep, n_full))
+        # states[k] holds the n_ep episode states before step k; steps past
+        # episode_len only fill the last block, with zero noise.
+        states = np.empty((n_pad + 1, n_ep, n_full))
+        states[0] = 0.0
         states[0, :, :n_obs] = rng.normal(0.0, x0_scale, size=(n_ep, n_obs))
         noise_state = rng.bit_generator.state
+        E = np.zeros((n_pad, n_ep, m))
         # One draw gives the same stream as one (n_ep, m) draw per step.
-        E = rng.uniform(-amp, amp, size=(episode_len, n_ep, m))
-        inputs = np.empty((episode_len, n_ep, m))
-        # A diverging rollout may overflow after its first step past 1e6;
-        # only that step matters, and it is found after the loop.
+        E[:episode_len] = rng.uniform(-amp, amp, size=(episode_len, n_ep, m))
+        # Row-vector form x+ = x F' + e B'.  powers[j] stacks B'F'^(j-1)
+        # over F'^j (powers[0] is zero): to_block maps x_k0 to the F'^(j+1)
+        # part of [x_k0+1 .. x_k0+L], toeplitz maps [e_k0 .. e_k0+L-1] to
+        # the rest (lower block-triangular, block (i, j) = B'F'^(j-i)).
+        F_T = (A - B @ _pad_gain(K, n_full)).T
+        powers = np.empty((L + 1, m + n_full, n_full))
+        powers[0] = 0.0
+        powers[1, :m], powers[1, m:] = B.T, F_T
+        # A diverging rollout may overflow inside a block, but only after
+        # its first step past 1e6, and that step is found first.
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(episode_len):
-                X = states[k]
-                U = -(X[:, :n_obs] @ K.T) + E[k]
-                states[k + 1] = X @ A.T + U @ B.T
-                inputs[k] = U
-            diverged = np.flatnonzero(np.abs(states[1:]).max(axis=(1, 2)) > 1e6)
+            for j in range(2, L + 1):
+                np.matmul(powers[j - 1], F_T, out=powers[j])
+            toeplitz = powers[lag, :m].transpose(0, 2, 1, 3).reshape(L * m, L * n_full)
+            to_block = powers[1:, m:].transpose(1, 0, 2).reshape(n_full, L * n_full)
+            # ahead[b] holds each episode's states after the steps of block b.
+            ahead = E.reshape(n_blk, L, n_ep, m).transpose(0, 2, 1, 3)
+            ahead = ahead.reshape(n_blk, n_ep, L * m) @ toeplitz
+            x = states[0]
+            for b in range(n_blk):
+                ahead[b] += x @ to_block
+                x = ahead[b, :, -n_full:]
+            states[1:] = (ahead.reshape(n_blk, n_ep, L, n_full)
+                          .transpose(0, 2, 1, 3).reshape(n_pad, n_ep, n_full))
+            diverged = np.flatnonzero(
+                np.abs(states[1:episode_len + 1]).max(axis=(1, 2)) > 1e6)
         if diverged.size:
             # Leave the generator where per-step draws would have left it.
             rng.bit_generator.state = noise_state
             rng.uniform(-amp, amp, size=(diverged[0] + 1, n_ep, m))
             raise PolicyIterationError("rollout diverged (unstable policy)")
-        Xc = states[:-1, :, :n_obs].reshape(-1, n_obs)[:n_samples]
-        Uc = inputs.reshape(-1, m)[:n_samples]
-        Xnc = states[1:, :, :n_obs].reshape(-1, n_obs)[:n_samples]
+        Xc = states[:episode_len, :, :n_obs].reshape(-1, n_obs)[:n_samples]
+        Uc = E.reshape(-1, m)[:n_samples] - Xc @ K.T
+        Xnc = states[1:episode_len + 1, :, :n_obs].reshape(-1, n_obs)[:n_samples]
         return Xc, Uc, Xnc
 
     return source

@@ -75,6 +75,23 @@ def stepping_rollouts(A, B, n_obs, episode_len, explore, seed):
     return source
 
 
+def assert_rollouts_match(source, reference, calls, rel):
+    """Both sources raise on the same (K, n_samples) calls, and otherwise
+    agree within ``rel`` of the reference's largest entry (0: bit for bit)."""
+    for K, n_samples in calls:
+        try:
+            want = reference(K, n_samples)
+        except PolicyIterationError:
+            with pytest.raises(PolicyIterationError):
+                source(K, n_samples)
+            continue
+        got = source(K, n_samples)
+        scale = max(np.abs(w).max() for w in want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.abs(g - w).max() <= rel * scale
+
+
 def collect_then_check_policy_iteration(rollout_source, K0, cost, n_samples=600,
                                         max_iters=50, tol=1e-6):
     """Reference policy iteration: each improved gain's data are collected
@@ -435,7 +452,8 @@ class TestPolicyIteration:
     def test_rollouts_equal_per_step_draws(self, n_full, m, episode_len,
                                            explore, seed):
         # Gains up to 3 make some calls diverge; the call after a diverging
-        # one must still see the same random stream.
+        # one must still see the same random stream.  Block evaluation
+        # rounds differently from stepping, so values agree norm-wise.
         rng = np.random.default_rng(seed)
         n_obs = int(rng.integers(1, n_full + 1))
         A = scaled_matrix(rng, n_full, rng.uniform(0.3, 1.2))
@@ -443,19 +461,32 @@ class TestPolicyIteration:
         source = lqr.linear_rollouts(A, B, n_obs=n_obs, episode_len=episode_len,
                                      explore=explore, seed=seed)
         reference = stepping_rollouts(A, B, n_obs, episode_len, explore, seed)
-        for _ in range(4):
-            K = rng.normal(size=(m, n_obs)) * rng.uniform(0.0, 3.0)
-            n_samples = int(rng.integers(1, 300))
-            try:
-                want = reference(K, n_samples)
-            except PolicyIterationError:
-                with pytest.raises(PolicyIterationError):
-                    source(K, n_samples)
-                continue
-            got = source(K, n_samples)
-            for g, w in zip(got, want):
-                assert g.shape == w.shape
-                assert np.array_equal(g, w)
+        calls = [(rng.normal(size=(m, n_obs)) * rng.uniform(0.0, 3.0),
+                  int(rng.integers(1, 300))) for _ in range(4)]
+        assert_rollouts_match(source, reference, calls, 1e-11)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_full=st.integers(1, 3), episode_len=st.integers(1, 60),
+           explore=st.floats(0.02, 1.0), log_excess=st.floats(-4.0, 0.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rollouts_after_divergence_equal_per_step_draws(
+            self, n_full, episode_len, explore, log_excess, seed):
+        # With A = 0, K = 0 and one input every state is a single product
+        # B e, which block and per-step evaluation round alike, so values
+        # agree bit for bit.  B (up to 1e8) puts the largest |B e| at
+        # 1e6 (1 + 10^log_excess): some calls diverge and some that follow
+        # them do not, and those must see the per-step random stream.
+        rng = np.random.default_rng(seed)
+        n_obs = int(rng.integers(1, n_full + 1))
+        A = np.zeros((n_full, n_full))
+        B = rng.normal(size=(n_full, 1))
+        B *= 1e6 * (1.0 + 10.0 ** log_excess) / (explore * np.abs(B).max())
+        K = np.zeros((1, n_obs))
+        source = lqr.linear_rollouts(A, B, n_obs=n_obs, episode_len=episode_len,
+                                     explore=explore, seed=seed)
+        reference = stepping_rollouts(A, B, n_obs, episode_len, explore, seed)
+        calls = [(K, int(rng.integers(1, 300))) for _ in range(4)]
+        assert_rollouts_match(source, reference, calls, 0.0)
 
 
 class TestLoopMetrics:
@@ -528,6 +559,18 @@ class TestServoBenchmark:
         assert 0.0 < row.t_r < math.inf
         assert 1e-6 <= row.Q_u <= 1e6
         assert len(row.trace) >= 2
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_tau_zero_rows_of_both_routes_agree(self, seed):
+        # Without lag the data are exact, so both routes design the
+        # Riccati gain.  Q_u is located only to BOUNDARY_TOL (2.3e-12
+        # relative); 1e-9 leaves room for the routes' gains to differ in
+        # their last digits.
+        mb, mf = lqr.robustness_sweep((0.0,), methods=("model-based", "model-free"),
+                                      seed=seed)
+        assert mb.feasible and mf.feasible
+        for key in ("t_r", "M_S", "M_T", "Q_u"):
+            assert getattr(mf, key) == pytest.approx(getattr(mb, key), rel=1e-9)
 
 
 class TestBoundarySearch:
