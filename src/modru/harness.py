@@ -223,6 +223,9 @@ class RunReport:
     fit_nrmse: float
     eff_gen_hat: float
     eff_regen_hat: float
+    # "fitted", "default" or "clipped" (see sysid.EfficiencyParams).
+    eff_gen_status: str
+    eff_regen_status: str
     E_pred: float
     E_realized: float
     E_hat: float
@@ -267,6 +270,7 @@ def _run_report(sc: Scenario, data: sysid.Dataset, model: sysid.GrayBoxModel,
         theta_err=tuple(float(x) for x in _theta_errors(sc, model)),
         fit_nrmse=sysid.validate(model, data),
         eff_gen_hat=eff.gen_factor, eff_regen_hat=eff.regen_factor,
+        eff_gen_status=eff.gen_status, eff_regen_status=eff.regen_status,
         E_pred=sol.E, E_realized=metrics["E_realized"],
         E_hat=sol.E / (e_ref if e_ref else sol.E),
         t_end_planned=float(sol.t[-1]), t_terminal=metrics["t_terminal"],

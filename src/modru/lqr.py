@@ -72,9 +72,27 @@ class QuadCost:
             raise ValueError("Q_u must be positive definite")
 
     def stage(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Stage cost for batches of states (N,n) and inputs (N,m)."""
-        return np.einsum("ki,ij,kj->k", x, self.Q_x, x) \
-            + np.einsum("ki,ij,kj->k", u, self.Q_u, u)
+        """Stage cost for batches of states (N,n) and inputs (N,m).
+
+        Each part is summed from zeros over (i, j) in row-major order as
+        (x[:, i] Q_ij) x[:, j], and the input part is added to the state
+        part last: the sum and rounding of ``einsum("ki,ij,kj->k")`` on a
+        C-ordered batch of N >= 3 samples, bit for bit.  Every operand is
+        a column, so a feature-major (transposed) batch works on
+        contiguous rows and gives the same values.
+        """
+        return _quadratic_form(x, self.Q_x) + _quadratic_form(u, self.Q_u)
+
+
+def _quadratic_form(x: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Row-wise x_k' Q x_k, summed as :meth:`QuadCost.stage` describes."""
+    out = np.zeros(x.shape[0])
+    term = np.empty_like(out)
+    for i, j in np.ndindex(Q.shape):
+        np.multiply(x[:, i], Q[i, j], out=term)
+        term *= x[:, j]
+        out += term
+    return out
 
 
 @dataclass(frozen=True)
@@ -96,11 +114,6 @@ class QTheta:
         S[I, J] = theta
         S[J, I] = theta
         return cls(S_xx=S[:n, :n], S_xu=S[:n, n:], S_uu=S[n:, n:])
-
-    def matrix(self) -> np.ndarray:
-        top = np.hstack([self.S_xx, self.S_xu])
-        bot = np.hstack([self.S_xu.T, self.S_uu])
-        return np.vstack([top, bot])
 
     def gain(self) -> np.ndarray:
         """Greedy policy gain K = S_uu^{-1} S_xu' (u = -K x)."""
@@ -287,14 +300,59 @@ def dare_solve(A: np.ndarray, B: np.ndarray, Q_x: np.ndarray, Q_u,
     return K, P
 
 
-def _phi(Z: np.ndarray) -> np.ndarray:
-    """Quadratic feature rows for z=[x;u]: z_i^2 and 2 z_i z_j (i<j)."""
-    I, J = np.triu_indices(Z.shape[1])
-    # In place, so the regression holds one fewer N x p temporary.
-    phi = Z[:, I]
-    phi *= np.where(I == J, 1.0, 2.0)
-    phi *= Z[:, J]
-    return phi
+class _LstdWorkspace:
+    """Feature-major buffers of one :func:`lqrl_policy_iteration` call.
+
+    Z and Zn hold the samples [x; u] and [x+; -K x+] as rows (d x N,
+    d = n + m), psi the p regressor rows and row one scratch row; the
+    upper-triangle index maps and the factors (1 on the diagonal, 2 off
+    it) are fixed per call.  The buffers are reallocated only when the
+    sample count N changes.
+    """
+
+    def __init__(self, n: int, m: int):
+        self.n = n
+        self.d = n + m
+        self.I, self.J = np.triu_indices(self.d)
+        self.factor = np.where(self.I == self.J, 1.0, 2.0)
+        self.N = None
+
+    def load(self, X, U, Xn, K):
+        """Copy in one batch of transitions collected under the gain K.
+
+        Raises :class:`PolicyIterationError` when a state is not finite.
+        """
+        N, n = X.shape[0], self.n
+        if N != self.N:
+            self.N = N
+            self.Z = np.empty((self.d, N))
+            self.Zn = np.empty((self.d, N))
+            self.psi = np.empty((self.I.size, N))
+            self.row = np.empty(N)
+        Z, Zn = self.Z, self.Zn
+        Z[:n], Z[n:], Zn[:n] = X.T, U.T, Xn.T
+        if not (np.isfinite(Z[:n]).all() and np.isfinite(Zn[:n]).all()):
+            raise PolicyIterationError("rollout data diverged")
+        # The product in the feature-major layout, K Xn', may round
+        # differently, so -(Xn K') is formed sample-major and copied in.
+        Zn[n:] = -(Xn @ K.T).T
+
+    def regress(self, cost: QuadCost):
+        """``lstsq`` solution and rank of the temporal-difference system
+        of the loaded batch."""
+        Z, Zn, psi, row, n = self.Z, self.Zn, self.psi, self.row, self.n
+        # psi_k = (z_i c_k) z_j - (zn_i c_k) zn_j: quadratic features
+        # z_i^2 and 2 z_i z_j (i < j) of z = [x; u] minus those at the next
+        # state under the policy.
+        for k, (i, j, c) in enumerate(zip(self.I, self.J, self.factor)):
+            np.multiply(Z[i], c, out=psi[k])
+            psi[k] *= Z[j]
+            np.multiply(Zn[i], c, out=row)
+            row *= Zn[j]
+            psi[k] -= row
+        rho = cost.stage(Z[:n].T, Z[n:].T)
+        theta, _, rank, _ = np.linalg.lstsq(psi.T, rho, rcond=None)
+        return theta, rank
 
 
 def lqrl_policy_iteration(rollout_source, K0: np.ndarray, cost: QuadCost,
@@ -309,8 +367,14 @@ def lqrl_policy_iteration(rollout_source, K0: np.ndarray, cost: QuadCost,
 
         stage(x_k, u_k) = phi(x_k, u_k)'theta - phi(x_k+1, -K x_k+1)'theta
 
-    for the quadratic Q-function and improves K from its blocks.  An
-    improvement step whose behavior policy makes the collected rollout
+    for the quadratic Q-function and improves K from its blocks.  The
+    regression is built feature-major on a per-call workspace
+    (:class:`_LstdWorkspace`): each of the p = d(d+1)/2 regressor rows
+    (d = n + m) is formed over all N samples at once, in the same
+    elementwise operations and order as a sample-major N x p feature
+    matrix, and ``lstsq`` is handed its transpose, so theta, the gains and
+    every Q-function are bit-identical to the sample-major construction.
+    An improvement step whose behavior policy makes the collected rollout
     diverge is damped by halving back toward the last workable policy
     (exact-data runs never trigger this, so the Hewer fixed point is
     unchanged).  Stops when the gain change drops below ``tol``
@@ -322,25 +386,19 @@ def lqrl_policy_iteration(rollout_source, K0: np.ndarray, cost: QuadCost,
     m, n = K.shape
     p = (n + m) * (n + m + 1) // 2
     qf = None
+    work = _LstdWorkspace(n, m)
 
     def collect(K_try):
         X, U, Xn = rollout_source(K_try, n_samples)
-        X = np.atleast_2d(np.asarray(X, dtype=float))
         U = np.asarray(U, dtype=float)
         if U.ndim == 1:
             U = U[:, None]
-        Xn = np.atleast_2d(np.asarray(Xn, dtype=float))
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Xn))):
-            raise PolicyIterationError("rollout data diverged")
-        return X, U, Xn
+        work.load(np.atleast_2d(np.asarray(X, dtype=float)), U,
+                  np.atleast_2d(np.asarray(Xn, dtype=float)), K_try)
 
-    data = collect(K)
+    collect(K)
     for _ in range(max_iters):
-        X, U, Xn = data
-        Un = -(Xn @ K.T)
-        psi = _phi(np.hstack([X, U])) - _phi(np.hstack([Xn, Un]))
-        rho = cost.stage(X, U)
-        theta, _, rank, _ = np.linalg.lstsq(psi, rho, rcond=None)
+        theta, rank = work.regress(cost)
         if rank < p:
             raise EstimationError(
                 f"Q-function regression rank {rank} < {p}: more excitation required")
@@ -350,7 +408,7 @@ def lqrl_policy_iteration(rollout_source, K0: np.ndarray, cost: QuadCost,
             if np.abs(K_new - K).max() < tol:
                 return K_new, qf
             try:
-                data = collect(K_new)
+                collect(K_new)
                 break
             except PolicyIterationError:
                 K_new = 0.5 * (K + K_new)

@@ -148,11 +148,17 @@ class EfficiencyParams:
 
     ``gen_factor`` applies while generating traction (u >= 0),
     ``regen_factor`` while recuperating (u < 0); the step weight itself is
-    :func:`modru.plant.step_efficiency`.
+    :func:`modru.plant.step_efficiency`.  ``gen_status`` and
+    ``regen_status`` say how :func:`fit_efficiency` obtained each factor,
+    "fitted", "default" or "clipped"; factors given directly are
+    "default".  They take no part in equality and are not written to
+    ``theta.txt``.
     """
 
     gen_factor: float = 1.1
     regen_factor: float = 0.9
+    gen_status: str = field(default="default", compare=False)
+    regen_status: str = field(default="default", compare=False)
 
     def __post_init__(self):
         if not (self.gen_factor >= 1.0 >= self.regen_factor > 0.0):
@@ -312,7 +318,9 @@ def fit_efficiency(P: np.ndarray, u: np.ndarray, v: np.ndarray,
     Regresses P against u*v separately on the u >= 0 and u < 0 regimes.
     A missing or unexcited regime falls back to the corresponding default
     with a warning; estimates outside the admissible range
-    gen >= 1 >= regen > 0 are clipped to the bound.
+    gen >= 1 >= regen > 0 are clipped to the bound, except that a
+    regeneration estimate <= 0 falls back to its default.  The result
+    records per factor whether it was fitted, defaulted or clipped.
     """
     P = np.asarray(P, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -324,20 +332,21 @@ def fit_efficiency(P: np.ndarray, u: np.ndarray, v: np.ndarray,
         xx = float(x[sel] @ x[sel])
         if sel.sum() == 0 or xx < 1e-12:
             warnings.warn(f"no informative {name} samples; using default {default}")
-            out.append(default)
+            out.append((default, "default"))
         else:
-            out.append(float(x[sel] @ P[sel] / xx))
-    gen, regen = out
+            out.append((float(x[sel] @ P[sel] / xx), "fitted"))
+    (gen, gen_status), (regen, regen_status) = out
     if gen < 1.0:
         warnings.warn(f"generation factor estimate {gen:.4f} < 1; clipping")
-        gen = 1.0
+        gen, gen_status = 1.0, "clipped"
     if regen > 1.0:
         warnings.warn(f"regeneration factor estimate {regen:.4f} > 1; clipping")
-        regen = 1.0
+        regen, regen_status = 1.0, "clipped"
     if regen <= 0.0:
         warnings.warn(f"regeneration factor estimate {regen:.4f} <= 0; using default")
-        regen = defaults[1]
-    return EfficiencyParams(gen_factor=gen, regen_factor=regen)
+        regen, regen_status = defaults[1], "default"
+    return EfficiencyParams(gen_factor=gen, regen_factor=regen,
+                            gen_status=gen_status, regen_status=regen_status)
 
 
 def validate(model: GrayBoxModel, data: Dataset) -> float:

@@ -127,6 +127,7 @@ class TestReportIO:
             theta_hat=tuple(float(i) for i in range(1, 7)),
             theta_err=(0.1, 0.2, float("nan"), 0.4, 0.5, float("nan")),
             fit_nrmse=0.017, eff_gen_hat=1.1, eff_regen_hat=0.9,
+            eff_gen_status="fitted", eff_regen_status="default",
             E_pred=1.5e6, E_realized=1.6e6, E_hat=1.0,
             t_end_planned=899.4, t_terminal=899.5, tracking_rms=0.06,
             du_ratio=0.05, terminal_position_error=1.2, limit_overshoot=-2.0)
@@ -138,6 +139,7 @@ class TestReportIO:
         assert tuple(float(back[f"theta_hat{i}"]) for i in range(1, 7)) == rep.theta_hat
         assert float(back["E_pred"]) == rep.E_pred
         assert float(back["du_ratio"]) == rep.du_ratio
+        assert (back["eff_gen_status"], back["eff_regen_status"]) == ("fitted", "default")
         assert np.isnan(float(back["theta_err3"]))
         assert float(back["theta_err4"]) == 0.4
 
@@ -184,6 +186,9 @@ class TestRunPipeline:
         assert report.plant_type == "car"
         back = read_keyvalues(tmp_path / "report.txt")
         assert float(back["E_pred"]) == report.E_pred
+        eff = artifacts["eff"]
+        assert (back["eff_gen_status"], back["eff_regen_status"]) \
+            == (eff.gen_status, eff.regen_status)
         assert set(artifacts) >= {"data", "model", "eff", "schedule",
                                   "solution", "reference", "trajectory",
                                   "metrics"}

@@ -1,5 +1,6 @@
 """LQ design and data-driven policy iteration tests."""
 
+import functools
 import math
 from unittest import mock
 
@@ -10,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modru import lqr
-from modru.errors import NumericalError, PolicyIterationError
+from modru.errors import EstimationError, NumericalError, PolicyIterationError
 
 
 def fixed_point_dare_gain(A, B, Q_x, Q_u, tol=1e-12, max_iter=2_000_000):
@@ -92,22 +93,52 @@ def assert_rollouts_match(source, reference, calls, rel):
             assert np.abs(g - w).max() <= rel * scale
 
 
-def collect_then_check_policy_iteration(rollout_source, K0, cost, n_samples=600,
-                                        max_iters=50, tol=1e-6):
-    """Reference policy iteration: each improved gain's data are collected
-    before the convergence check, so the last batch goes unused."""
-    K = np.atleast_2d(np.asarray(K0, dtype=float)).copy()
+def phi(Z):
+    """Sample-major quadratic feature rows for z = [x; u]: z_i^2 and
+    2 z_i z_j (i < j), one row per sample."""
+    I, J = np.triu_indices(Z.shape[1])
+    # In place, so the regression holds one fewer N x p temporary.
+    features = Z[:, I]
+    features *= np.where(I == J, 1.0, 2.0)
+    features *= Z[:, J]
+    return features
+
+
+def einsum_stage(cost, X, U):
+    """Reference stage cost of sample-major batches (N, n) and (N, m)."""
+    return (np.einsum("ki,ij,kj->k", X, cost.Q_x, X)
+            + np.einsum("ki,ij,kj->k", U, cost.Q_u, U))
+
+
+def sample_major_q_function(data, K, cost):
+    """Reference regression of one policy-iteration step: the N x p
+    feature matrix built sample by sample, with the einsum stage cost."""
+    X, U, Xn = data
     m, n = K.shape
+    Un = -(Xn @ K.T)
+    psi = phi(np.hstack([X, U])) - phi(np.hstack([Xn, Un]))
+    theta, _, rank, _ = np.linalg.lstsq(psi, einsum_stage(cost, X, U), rcond=None)
+    if rank < psi.shape[1]:
+        raise EstimationError(f"Q-function regression rank {rank} < {psi.shape[1]}")
+    return lqr.QTheta.from_parameters(theta, n, m)
+
+
+def sample_major_policy_iteration(rollout_source, K0, cost, n_samples=600,
+                                  max_iters=50, tol=1e-6, check_first=True):
+    """Reference policy iteration on the sample-major regression.  With
+    ``check_first`` it has the shipped control flow: a converged gain is
+    returned without its rollout.  Without it each improved gain's data
+    are collected before the convergence check, so the last batch goes
+    unused."""
+    K = np.atleast_2d(np.asarray(K0, dtype=float)).copy()
     qf = None
     data = rollout_source(K, n_samples)
     for _ in range(max_iters):
-        X, U, Xn = data
-        Un = -(Xn @ K.T)
-        psi = lqr._phi(np.hstack([X, U])) - lqr._phi(np.hstack([Xn, Un]))
-        theta = np.linalg.lstsq(psi, cost.stage(X, U), rcond=None)[0]
-        qf = lqr.QTheta.from_parameters(theta, n, m)
+        qf = sample_major_q_function(data, K, cost)
         K_new = qf.gain()
         for _ in range(8):
+            if check_first and np.abs(K_new - K).max() < tol:
+                return K_new, qf
             try:
                 data = rollout_source(K_new, n_samples)
                 break
@@ -120,6 +151,22 @@ def collect_then_check_policy_iteration(rollout_source, K0, cost, n_samples=600,
         if step < tol:
             break
     return K, qf
+
+
+collect_then_check_policy_iteration = functools.partial(sample_major_policy_iteration,
+                                                        check_first=False)
+
+
+def assert_same_q_function(qf, qf_ref):
+    for block in ("S_xx", "S_xu", "S_uu"):
+        assert np.array_equal(getattr(qf, block), getattr(qf_ref, block))
+
+
+def random_cost(rng, n, m):
+    """Quadratic cost with a dense PSD Q_x of random rank and a dense PD Q_u."""
+    G = rng.normal(size=(n, int(rng.integers(1, n + 1))))
+    H = rng.normal(size=(m, m))
+    return lqr.QuadCost(G @ G.T, H @ H.T + 0.1 * np.eye(m))
 
 
 class CountingSource:
@@ -359,15 +406,37 @@ class TestCostAndQTheta:
         want = [x @ cost.Q_x @ x + u @ cost.Q_u @ u for x, u in zip(X, U)]
         np.testing.assert_allclose(cost.stage(X, U), want, rtol=1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 2), N=st.integers(1, 80),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stage_equals_einsum(self, n, m, N, seed):
+        # Bit for bit on C-ordered batches and on feature-major views, the
+        # layout policy iteration passes.  For N <= 2 samples einsum itself
+        # sums in an order that depends on the layout (an F-ordered copy of
+        # the batch can give other bits), so there the two agree to
+        # rounding; a regression needs N >= p >= 3 samples anyway.
+        rng = np.random.default_rng(seed)
+        cost = random_cost(rng, n, m)
+        X = rng.normal(size=(N, n)) * 10.0 ** rng.uniform(-4.0, 4.0, size=n)
+        U = rng.normal(size=(N, m)) * 10.0 ** rng.uniform(-4.0, 4.0, size=m)
+        Z = np.vstack([X.T, U.T])
+        want = einsum_stage(cost, X, U)
+        magnitude = (np.einsum("ki,ij,kj->k", abs(X), abs(cost.Q_x), abs(X))
+                     + np.einsum("ki,ij,kj->k", abs(U), abs(cost.Q_u), abs(U)))
+        bound = 8 * np.finfo(float).eps * magnitude
+        for got in (cost.stage(X, U), cost.stage(Z[:n].T, Z[n:].T)):
+            if N >= 3:
+                assert np.array_equal(got, want)
+            else:
+                assert np.all(np.abs(got - want) <= bound)
+
     def test_qtheta_round_trip(self):
         # n=2, m=1: upper triangle row-major [S00 S01 S02 S11 S12 S22]
         theta = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         qf = lqr.QTheta.from_parameters(theta, 2, 1)
-        S = qf.matrix()
-        np.testing.assert_allclose(S, S.T)
-        np.testing.assert_allclose(S[0], [1.0, 2.0, 3.0])
-        np.testing.assert_allclose(S[1], [2.0, 4.0, 5.0])
-        np.testing.assert_allclose(S[2], [3.0, 5.0, 6.0])
+        np.testing.assert_array_equal(qf.S_xx, [[1.0, 2.0], [2.0, 4.0]])
+        np.testing.assert_array_equal(qf.S_xu, [[3.0], [5.0]])
+        np.testing.assert_array_equal(qf.S_uu, [[6.0]])
         with pytest.raises(ValueError):
             lqr.QTheta.from_parameters(theta[:-1], 2, 1)
 
@@ -411,7 +480,7 @@ class TestPolicyIteration:
             runs.append((K, qf, source.calls))
         (K, qf, calls), (K_ref, qf_ref, calls_ref) = runs
         assert np.array_equal(K, K_ref)
-        assert np.array_equal(qf.matrix(), qf_ref.matrix())
+        assert_same_q_function(qf, qf_ref)
         assert calls == calls_ref - saved
 
     def test_converged_gain_is_returned_without_its_rollout(self):
@@ -432,6 +501,44 @@ class TestPolicyIteration:
         assert np.array_equal(K_failing, K)
         with pytest.raises(PolicyIterationError, match="damping"):
             run(collect_then_check_policy_iteration, fail_at=calls + 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 2), episode_len=st.integers(2, 60),
+           whole_episodes=st.booleans(), max_iters=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_sample_major_oracle(self, n, m, episode_len, whole_episodes,
+                                        max_iters, seed):
+        # Equal gains, Q blocks and rollout calls, or the same error, for
+        # sample counts from below the p regressors (rank failure) up, as
+        # whole episodes or with a partial last one.
+        rng = np.random.default_rng(seed)
+        A = scaled_matrix(rng, n, rng.uniform(0.3, 0.95))
+        B = rng.normal(size=(n, m))
+        cost = random_cost(rng, n, m)
+        p = (n + m) * (n + m + 1) // 2
+        n_samples = episode_len * int(rng.integers(1, 240 // episode_len + 2))
+        if not whole_episodes:
+            n_samples -= int(rng.integers(1, episode_len))
+        runs = []
+        for policy_iteration in (lqr.lqrl_policy_iteration,
+                                 sample_major_policy_iteration):
+            source = CountingSource(lqr.linear_rollouts(
+                A, B, episode_len=episode_len, seed=seed))
+            try:
+                K, qf = policy_iteration(source, np.zeros((m, n)), cost,
+                                         n_samples=n_samples, max_iters=max_iters)
+            except (EstimationError, PolicyIterationError) as exc:
+                runs.append((type(exc), None, source.calls))
+            else:
+                runs.append((K, qf, source.calls))
+        (K, qf, calls), (K_ref, qf_ref, calls_ref) = runs
+        assert calls == calls_ref
+        if qf_ref is None:
+            assert K is K_ref
+            assert n_samples >= p or K_ref is EstimationError
+            return
+        assert np.array_equal(K, K_ref)
+        assert_same_q_function(qf, qf_ref)
 
     def test_rollout_shapes_and_partial_observation(self):
         A = np.array([[0.9, 0.1], [0.0, 0.5]])

@@ -168,6 +168,7 @@ class TestEfficiency:
         eff = sysid.fit_efficiency(P, u, v)
         assert eff.gen_factor == pytest.approx(1.07, rel=1e-9)
         assert eff.regen_factor == pytest.approx(0.93, rel=1e-9)
+        assert (eff.gen_status, eff.regen_status) == ("fitted", "fitted")
 
     def test_missing_regen_regime_warns_and_defaults(self, rng):
         u = rng.uniform(10.0, 500.0, 200)
@@ -176,6 +177,9 @@ class TestEfficiency:
         with pytest.warns(UserWarning, match="regeneration"):
             eff = sysid.fit_efficiency(P, u, v, defaults=(1.1, 0.85))
         assert eff.regen_factor == 0.85
+        assert (eff.gen_status, eff.regen_status) == ("fitted", "default")
+        # The status is a record of the fit, not part of the value.
+        assert eff == sysid.EfficiencyParams(eff.gen_factor, 0.85)
 
     def test_inadmissible_estimates_clipped(self, rng):
         u = rng.uniform(10.0, 500.0, 200)
@@ -184,6 +188,18 @@ class TestEfficiency:
         with pytest.warns(UserWarning):
             eff = sysid.fit_efficiency(P, u, v)
         assert eff.gen_factor == 1.0
+        assert eff.gen_status == "clipped"
+
+    @pytest.mark.parametrize("regen, want, status", [(1.2, 1.0, "clipped"),
+                                                     (-0.5, 0.9, "default")])
+    def test_inadmissible_regen_estimates(self, rng, regen, want, status):
+        u = rng.uniform(-500.0, 500.0, 400)
+        v = rng.uniform(5.0, 20.0, 400)
+        P = np.where(u >= 0, 1.07, regen) * u * v
+        with pytest.warns(UserWarning, match="regeneration"):
+            eff = sysid.fit_efficiency(P, u, v)
+        assert eff.regen_factor == want
+        assert (eff.gen_status, eff.regen_status) == ("fitted", status)
 
     def test_inadmissible_params_rejected(self):
         with pytest.raises(ValueError):
