@@ -80,7 +80,6 @@ class Scenario:
     T_f: float = 1000.0
     to_n: int = 100
     to_mode: str = "full"
-    to_gamma: float | None = None
     vdot_lim: float = 0.7
     to_u_lim: float | None = 4000.0
     eff_gen: float = 1.1
@@ -151,7 +150,6 @@ _KEYS = {
     "to.T_f": ("T_f", float),
     "to.N": ("to_n", int),
     "to.mode": ("to_mode", str),
-    "to.gamma": ("to_gamma", _parse_optional_float),
     "to.vdot_lim": ("vdot_lim", float),
     "to.u_lim": ("to_u_lim", _parse_optional_float),
     "eff.gen": ("eff_gen", float),
@@ -261,9 +259,8 @@ def scenario_from_config(cfg: dict[str, str], environ=None) -> Scenario:
             raise ConfigError(f"{positive} must be positive")
     if sc.to_n < 2 or sc.grid_n < 2 or sc.sim_substeps < 1:
         raise ConfigError("to.N and ctrl.grid_n must be >= 2, sim.substeps >= 1")
-    for key, val in (("to.u_lim", sc.to_u_lim), ("to.gamma", sc.to_gamma)):
-        if val is not None and not val > 0:
-            raise ConfigError(f"{key} must be 'none' or positive, got {val:g}")
+    if sc.to_u_lim is not None and not sc.to_u_lim > 0:
+        raise ConfigError(f"to.u_lim must be 'none' or positive, got {sc.to_u_lim:g}")
     if not sc.eff_gen >= 1.0 >= sc.eff_regen > 0.0:
         raise ConfigError("need eff.gen >= 1 >= eff.regen > 0")
     if sc.resample_m < 0 or sc.resample_m == 1:

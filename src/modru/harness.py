@@ -116,16 +116,14 @@ def stage_schedule(sc: Scenario, model: sysid.GrayBoxModel) -> ctl.GainSchedule:
                                    rho_I=sc.rho_I, rho_u=sc.rho_u)
 
 
-def stage_plan(sc: Scenario, model: sysid.GrayBoxModel, eff: sysid.EfficiencyParams,
-               h_init=None
+def stage_plan(sc: Scenario, model: sysid.GrayBoxModel, eff: sysid.EfficiencyParams
                ) -> tuple[tempo.TOProblem, tempo.TOSolution, tempo.ReferenceTrajectory]:
     """Solve the timing problem and resample it for the tracking loop."""
     problem = tempo.build_problem(
         sc.path_length, sc.to_n, sc.T_f, sc.slope, sc.v_limit,
         model if sc.to_mode == "full" else None, eff,
-        vdot_lim=sc.vdot_lim, gamma=sc.to_gamma, mode=sc.to_mode,
-        u_lim=sc.to_u_lim)
-    sol = tempo.solve(problem, h_init=h_init)
+        vdot_lim=sc.vdot_lim, mode=sc.to_mode, u_lim=sc.to_u_lim)
+    sol = tempo.solve(problem)
     if not sol.feasible:
         raise InfeasibleError("timing optimization did not reach feasibility")
     # Default M keeps the reference sample spacing near the solution's
@@ -193,9 +191,18 @@ def stage_track(sc: Scenario, model: sysid.GrayBoxModel,
         # Energy up to the crossing: whole intervals plus the fraction.
         e_real = float(np.sum(traj.P[:k_c - 1] * h)) + float(traj.P[k_c - 1]) * frac * h \
             if k_c > 0 else 0.0
+        v_end = float(traj.v[k_c - 1] + frac * (traj.v[k_c] - traj.v[k_c - 1])) \
+            if k_c > 0 else float(traj.v[0])
     else:
         t_cross = math.inf
         e_real = float(np.sum(traj.P[:-1] * h))
+        v_end = float(traj.v[-1])
+    # The planner's boundary rule (tempo.BOUNDARY_RULE): the kinetic energy
+    # the plant starts with is charged, and the one it ends with credited,
+    # at par in model units (mass times R for the truck's torque input).
+    p = sc.plant_params
+    mass = p.m * p.R if sc.plant_type == "truck" else p.m
+    e_real += 0.5 * mass * (float(traj.v[0]) ** 2 - v_end ** 2)
 
     v_lim_at = sc.v_limit.value(traj.s[:k_end + 1])
     metrics = {
@@ -235,6 +242,12 @@ class RunReport:
     du_ratio: float
     terminal_position_error: float
     limit_overshoot: float
+    # Timing planner: relative duality gap, Newton steps, exit reason, and
+    # the boundary-speed rule that E_pred and E_realized both follow.
+    plan_gap_rel: float = math.nan
+    plan_newton_iters: int = 0
+    plan_exit: str = ""
+    plan_boundary: str = tempo.BOUNDARY_RULE
 
     def to_items(self) -> dict:
         items = {}
@@ -276,7 +289,8 @@ def _run_report(sc: Scenario, data: sysid.Dataset, model: sysid.GrayBoxModel,
         t_end_planned=float(sol.t[-1]), t_terminal=metrics["t_terminal"],
         tracking_rms=metrics["tracking_rms"], du_ratio=metrics["du_ratio"],
         terminal_position_error=metrics["terminal_position_error"],
-        limit_overshoot=metrics["limit_overshoot"])
+        limit_overshoot=metrics["limit_overshoot"], plan_gap_rel=sol.gap_rel,
+        plan_newton_iters=sol.n_newton, plan_exit=sol.exit)
 
 
 def run_pipeline(sc: Scenario, out_dir=None, e_ref: float | None = None
@@ -320,14 +334,9 @@ def run_ladder(sc: Scenario, t_fs) -> list[RunReport]:
     schedule = stage_schedule(sc, model)
     reports = []
     e_ref = None
-    warm = None
     for t_f in sorted(t_fs):
         sci = replace(sc, T_f=float(t_f))
-        # Continuation between adjacent budgets: rescale the previous
-        # optimum so each solve starts near the new frontier point.
-        h0 = None if warm is None else warm[0] * (float(t_f) / warm[1])
-        problem, sol, ref = stage_plan(sci, model, eff, h_init=h0)
-        warm = (sol.h.copy(), float(t_f))
+        problem, sol, ref = stage_plan(sci, model, eff)
         traj, metrics = stage_track(sci, model, schedule, ref)
         if e_ref is None:
             e_ref = sol.E

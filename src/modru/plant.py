@@ -131,7 +131,13 @@ def constant_profile(value: float) -> PositionProfile:
 
 
 def step_efficiency(u, gen: float = 1.1, regen: float = 0.9):
-    """Drive efficiency factor: ``gen`` for u >= 0, ``regen`` for u < 0."""
+    """Drive efficiency factor: ``gen`` for u >= 0, ``regen`` for u < 0.
+
+    The package's one efficiency weight: the plant's power and the timing
+    planner's energy both use it.  With gen >= regen the weighted input
+    step_efficiency(u) * u = max(gen u, regen u) is convex in u, which the
+    planner's epigraph rows q >= gen u, q >= regen u rely on.
+    """
     return np.where(np.asarray(u, dtype=float) >= 0.0, gen, regen)
 
 

@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from modru import cli, config, harness, lqr
+from modru import cli, config, harness, lqr, tempo
 from modru.errors import ConfigError, EstimationError
 from modru.plant import PositionProfile
 from modru.tables import format_value, read_csv, read_keyvalues, write_csv
@@ -189,6 +189,11 @@ class TestRunPipeline:
         eff = artifacts["eff"]
         assert (back["eff_gen_status"], back["eff_regen_status"]) \
             == (eff.gen_status, eff.regen_status)
+        sol = artifacts["solution"]
+        assert back["plan_exit"] == sol.exit == "gap"
+        assert float(back["plan_gap_rel"]) == sol.gap_rel <= 1e-8
+        assert int(back["plan_newton_iters"]) == sol.n_newton > 0
+        assert back["plan_boundary"] == tempo.BOUNDARY_RULE
         assert set(artifacts) >= {"data", "model", "eff", "schedule",
                                   "solution", "reference", "trajectory",
                                   "metrics"}
