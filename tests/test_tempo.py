@@ -262,7 +262,52 @@ class TestBuildProblem:
                 arr[0] = 1.0
 
 
+class TestInit:
+    def test_uniform_when_caps_are_loose(self):
+        # The barrier starts from one constant speed strictly inside every
+        # row and the budget; pseudo mode on a flat road then keeps the
+        # durations uniform, as every constant speed costs nothing.
+        p = tempo.TOProblem(x=np.linspace(0.0, 100.0, 5), alpha=np.zeros(4),
+                            v_lim=np.full(4, 100.0), T_f=8.0, vdot_lim=10.0,
+                            model=None, eff=EfficiencyParams(), mode="pseudo")
+        bar = tempo._Barrier(p, constant_speed(p, 12.5))
+        z0 = bar.start()
+        assert np.ptp(z0) == 0.0 and bar.slack(z0).min() > 0.0
+        assert bar.time(z0) < p.T_f
+        sol = tempo.solve(p)
+        np.testing.assert_allclose(sol.h, sol.h.mean(), rtol=1e-6)
+        assert sol.h.sum() <= p.T_f
+
+
 class TestSolve:
+    def test_two_segment_optimum_races_then_coasts(self):
+        # Rolling resistance only: u = (a + 1/2) / t1 with t1 = 1/2, so
+        # E = m |t2| L + sum dx (eta(u) - 1) u, and coasting (u = 0) costs
+        # nothing beyond the resistance.  The start's kinetic energy is
+        # bought at par, so the optimum starts at the cap; coasting from
+        # there misses the budget, and traction on the first segment saves
+        # more time than on the second, so it drives there, then coasts.
+        model = GrayBoxModel(theta=np.array([0.5, -0.5, 0.0, 0.0, 0.0, 0.0]))
+        p = tempo.build_problem(100.0, 2, 7.2, FLAT, flat_limit(15.0), model,
+                                vdot_lim=10.0)
+        sol = tempo.solve(p)
+        assert sol.feasible and sol.exit == "gap"
+        # z_1 closes the budget with z_0 = 15^2 and z_2 = z_1 - 50 (coasting).
+        lo, hi = 175.0, 225.0
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            late = segment_time(p, np.array([225.0, mid, mid - 50.0]))[0].sum() > p.T_f
+            lo, hi = (mid, hi) if late else (lo, mid)
+        z_star = np.array([225.0, hi, hi - 50.0])
+        h_star = segment_time(p, z_star)[0]
+        np.testing.assert_allclose(sol.h, h_star, rtol=5e-4)
+        np.testing.assert_allclose(sol.z, z_star, rtol=1e-6)
+        assert sol.u_r[0] > 0.1 and abs(sol.u_r[1]) <= 1e-6
+        E_star, _ = tempo.evaluate_objective(p, z_star)
+        assert sol.E <= E_star + 1e-6 * abs(E_star)
+        np.testing.assert_allclose(sol.t, [0.0, sol.h[0], sol.h.sum()],
+                                   rtol=1e-12)
+
     def test_two_segment_optimum_keeps_constant_speed(self):
         # Pseudo mode scores only speed changes, so every constant speed
         # within the budget is optimal and costs nothing.
