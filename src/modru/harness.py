@@ -18,8 +18,12 @@ from . import controller as ctl
 from . import lqr, sysid, tempo
 from .config import Scenario
 from .errors import EstimationError, InfeasibleError
-from .plant import PlantState, PositionProfile, simulate
+from .plant import PlantState, PositionProfile, input_mass, simulate
 from .tables import write_csv, write_keyvalues
+
+# RunReport.plan_boundary in pseudo mode: E_pred charges the boundary speeds
+# at unit mass in its own units, E_realized is not charged.
+PSEUDO_BOUNDARY = "E_pred_only"
 
 
 def true_theta(sc: Scenario) -> np.ndarray:
@@ -29,12 +33,8 @@ def true_theta(sc: Scenario) -> np.ndarray:
     velocity-linear term is structurally absent for both plants.
     """
     p = sc.plant_params
-    if sc.plant_type == "truck":
-        th1 = 1.0 / (p.m * p.R)
-    else:
-        th1 = 1.0 / p.m
     return np.array([
-        th1,
+        1.0 / input_mass(p),
         -p.g * p.c_r,
         0.0,
         -0.5 * p.rho_a * p.c_d * p.A_f / p.m,
@@ -197,12 +197,11 @@ def stage_track(sc: Scenario, model: sysid.GrayBoxModel,
         t_cross = math.inf
         e_real = float(np.sum(traj.P[:-1] * h))
         v_end = float(traj.v[-1])
-    # The planner's boundary rule (tempo.BOUNDARY_RULE): the kinetic energy
-    # the plant starts with is charged, and the one it ends with credited,
-    # at par in model units (mass times R for the truck's torque input).
-    p = sc.plant_params
-    mass = p.m * p.R if sc.plant_type == "truck" else p.m
-    e_real += 0.5 * mass * (float(traj.v[0]) ** 2 - v_end ** 2)
+    # The planner's boundary rule (tempo.BOUNDARY_RULE) where E_pred is in
+    # the same units, in full mode: the kinetic energy the plant starts with
+    # is charged, and the one it ends with credited, at par.
+    if sc.to_mode == "full":
+        e_real += 0.5 * input_mass(sc.plant_params) * (float(traj.v[0]) ** 2 - v_end ** 2)
 
     v_lim_at = sc.v_limit.value(traj.s[:k_end + 1])
     metrics = {
@@ -243,7 +242,9 @@ class RunReport:
     terminal_position_error: float
     limit_overshoot: float
     # Timing planner: relative duality gap, Newton steps, exit reason, and
-    # the boundary-speed rule that E_pred and E_realized both follow.
+    # the boundary-speed rule: tempo.BOUNDARY_RULE when E_pred and
+    # E_realized both follow it (full mode), PSEUDO_BOUNDARY when only E_pred
+    # does, at unit mass in pseudo units.
     plan_gap_rel: float = math.nan
     plan_newton_iters: int = 0
     plan_exit: str = ""
@@ -290,7 +291,8 @@ def _run_report(sc: Scenario, data: sysid.Dataset, model: sysid.GrayBoxModel,
         tracking_rms=metrics["tracking_rms"], du_ratio=metrics["du_ratio"],
         terminal_position_error=metrics["terminal_position_error"],
         limit_overshoot=metrics["limit_overshoot"], plan_gap_rel=sol.gap_rel,
-        plan_newton_iters=sol.n_newton, plan_exit=sol.exit)
+        plan_newton_iters=sol.n_newton, plan_exit=sol.exit,
+        plan_boundary=tempo.BOUNDARY_RULE if sc.to_mode == "full" else PSEUDO_BOUNDARY)
 
 
 def run_pipeline(sc: Scenario, out_dir=None, e_ref: float | None = None

@@ -141,6 +141,14 @@ def step_efficiency(u, gen: float = 1.1, regen: float = 0.9):
     return np.where(np.asarray(u, dtype=float) >= 0.0, gen, regen)
 
 
+def input_mass(params: TruckParams | CarParams) -> float:
+    """Mass in model input units, the input per unit of acceleration: m R for
+    the truck's torque, m for the car's traction force.  The timing planner's
+    boundary rule charges kinetic energy at this mass (estimated there as
+    1/t1 of the fitted model)."""
+    return params.m * params.R if isinstance(params, TruckParams) else params.m
+
+
 def _truck_rhs(s, v, u_m, u, alpha, p: TruckParams):
     # v clamped at zero for force evaluation; the simulator enforces v >= 0.
     v_eff = v if v > 0.0 else 0.0

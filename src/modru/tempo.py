@@ -18,12 +18,15 @@ With t3 = 0 the problem is convex (Verscheure et al., *IEEE TAC* 54, 2009).
 A log-barrier method (Boyd & Vandenberghe, *Convex Optimization*, ch. 11)
 minimises each epigraph q_k >= max(g u_k, r u_k) out in closed form, so the
 Newton matrix in z is tridiagonal plus the time budget's rank-1 term: an
-LDL^T sweep and a Sherman-Morrison step solve it in O(N).  Phase I minimises
-travel time until the budget holds strictly, or raises InfeasibleError once
-its gap proves it cannot; phase II stops at a duality gap m_b / t (m_b
-barrier terms) below ``gap_tol`` max(|E|, m/2 (L/T_f)^2).  With t3 unmasked,
-sequential convex steps linearise sqrt(zbar_k) at the last plan until it
-settles, or raise NumericalError; the gap is then that of the last step.
+LDL^T sweep and a Sherman-Morrison step solve it in O(N).  If no constant
+speed keeps |u_k| < u_lim, phase 0 minimises the input rows' common excess
+s (one more variable bordering that matrix) until s < 0.  Phase I then
+minimises travel time until the budget holds strictly; both raise
+InfeasibleError once their gap proves they cannot finish.  Phase II stops
+at a duality gap m_b / t (m_b barrier terms) below ``GAP_TOL`` max(|E|,
+m/2 (L/T_f)^2).  With t3 unmasked, sequential convex steps linearise
+sqrt(zbar_k) at the last plan until it settles, or raise NumericalError;
+the gap is then that of the last step.
 """
 
 from __future__ import annotations
@@ -43,6 +46,9 @@ from .tables import write_csv
 VIOL_TOL = 1e-6   # relative feasibility tolerance on the reported solution
 BOUNDARY_RULE = "charge_kinetic"   # E includes m/2 (v_0^2 - v_N^2)
 MU = 10.0         # barrier weight growth per centring
+GAP_TOL = 1e-9    # phase II's relative duality gap
+INPUT_ROW = 6     # first barrier row of the input bound, after the speed and acceleration rows
+SCP_MAX = 30      # convex solves allowed for an unmasked t3
 
 
 @dataclass(frozen=True)
@@ -211,7 +217,8 @@ def _thomas(d, e, b1, b2):
 
 class _Barrier:
     """Log barrier of one convex problem, u affine in z (t3 linearised at
-    ``z_lin``), for the energy (phase II) or the travel time (phase I)."""
+    ``z_lin``), for phase 0 (the input rows' excess), I (travel time) or II
+    (energy)."""
 
     def __init__(self, p: TOProblem, z_lin: np.ndarray):
         n, s, self.p, self.n_newton = p.n_segments, 0.5 / p.dx, p, 0
@@ -225,41 +232,49 @@ class _Barrier:
             self.ab = ((-s - 0.5 * slope) / t1, (s - 0.5 * slope) / t1, -c / t1)
         al, be, ga = self.ab
         # Rows lb - l0 z_k - l1 z_{k+1} > 0 per segment: both nodes positive
-        # and under the cap, the acceleration, then the input.
+        # and under the cap, the acceleration, then from row INPUT_ROW the
+        # input, whose rows phase 0 relaxes by its excess s.
         rows = [(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (1.0, 0.0, p.v_lim ** 2),
                 (0.0, 1.0, p.v_lim ** 2), (-s, s, p.vdot_lim), (s, -s, p.vdot_lim)]
         if p.mode == "full" and p.u_lim is not None:
             rows += [(al, be, p.u_lim - ga), (-al, -be, p.u_lim + ga)]
         self.l0, self.l1, self.lb = (np.array([np.broadcast_to(r[i], (n,)) for r in rows])
                                      for i in range(3))
+        self.s = 0.0
         # Products of the coefficients for the Hessian; phase II adds the
         # epigraph's u as one more row.
-        self.prods = [np.array([l0 * l0, l0 * l1, l1 * l1]) for l0, l1 in
-                      ((self.l0, self.l1), (np.vstack([self.l0, al]), np.vstack([self.l1, be])))]
-        self.m1 = self.lb.size              # barrier terms of phase I ...
-        self.m2 = self.m1 + 2 * n + 1       # ... and II: epigraph pairs, time budget
+        prods = [np.array([l0 * l0, l0 * l1, l1 * l1]) for l0, l1 in
+                 ((self.l0, self.l1), (np.vstack([self.l0, al]), np.vstack([self.l1, be])))]
+        self.prods = (prods[0], prods[0], prods[1])
+        m1 = self.lb.size                   # barrier terms: the rows, and in
+        self.m = (m1, m1, m1 + 2 * n + 1)   # phase II epigraph pairs and budget
 
     def slack(self, z):
-        return self.lb - self.l0 * z[:-1] - self.l1 * z[1:]
+        lin = self.lb - self.l0 * z[:-1] - self.l1 * z[1:]
+        lin[INPUT_ROW:] += self.s
+        return lin
 
     def time(self, z) -> float:
         return float((2.0 * self.p.dx / (np.sqrt(z[:-1]) + np.sqrt(z[1:]))).sum())
 
     def start(self) -> np.ndarray:
-        """Constant speed strictly inside every row, with the largest worst
-        relative slack of the caps and the time budget."""
+        """A plan strictly inside every row: of the constant speeds that keep
+        |u| < u_lim, the one with the largest worst relative slack of the caps
+        and the time budget; if none does, phase 0's plan from the constant
+        speed with the least excess."""
         p, top = self.p, self.p.v_lim.min() ** 2
         Z = top * np.linspace(0.01, 0.99, 99) ** 2
-        ok = (self.lb - (self.l0 + self.l1) * Z[:, None, None] > 0.0).all(axis=(1, 2))
-        if not ok.any():
-            raise InfeasibleError("no constant speed keeps |u| below u_lim on this route")
+        worst = (self.lb - (self.l0 + self.l1) * Z[:, None, None]).min(axis=(1, 2))
+        if worst.max() <= 0.0:
+            return self.run(np.full(p.n_segments + 1, Z[np.argmax(worst)]), 0)
         score = np.minimum(1.0 - Z / top, 1.0 - p.x[-1] / (np.sqrt(Z) * p.T_f))
-        return np.full(p.n_segments + 1, Z[ok][np.argmax(score[ok])])
+        return np.full(p.n_segments + 1, Z[worst > 0.0][np.argmax(score[worst > 0.0])])
 
-    def eval(self, z, t, energy, deriv=False):
+    def eval(self, z, t, phase, deriv=False):
         """Barrier value at weight t (inf outside the domain); with ``deriv``
         also its gradient, the Hessian's diagonal and off-diagonal, and the
-        Hessian's rank-1 part c2 w w^T as (c2, w)."""
+        border (gs, d, c) that makes the Hessian [[T, c], [c^T, d]]: phase 0's
+        excess s, or the budget's rank-1 term c2 c c^T as d = -1/c2."""
         p, dx, (al, be, ga) = self.p, self.p.dx, self.ab
         lin = self.slack(z)
         if lin.min() <= 0.0:
@@ -267,49 +282,57 @@ class _Barrier:
         a, b = np.sqrt(z[:-1]), np.sqrt(z[1:])
         S = a + b
         self.T = T = float((2.0 * dx / S).sum())   # travel time of the last z evaluated
-        if energy and T >= p.T_f:
+        if phase == 2 and T >= p.T_f:
             return math.inf
-        f, c, wg = -np.log(lin).sum(), t, 1.0 / lin
-        if energy:
+        f, wg = -np.log(lin).sum(), 1.0 / lin
+        if phase == 2:
             g, r = p.eff.gen_factor, p.eff.regen_factor
             phi, sg, sr = _epigraph(al * z[:-1] + be * z[1:] + ga, t * dx, g, r)
-            c, kappa = 1.0 / (p.T_f - T), 0.5 * p.mass
+            # Phase II curves the budget with its dual y, not the barrier's
+            # 1/s: primal-dual, as 1/s^2 stalls Newton off the centre near it.
+            c, y, kappa = 1.0 / (p.T_f - T), self.y, 0.5 * p.mass
             f += phi.sum() + math.log(c) + t * kappa * (z[0] - z[-1])
-        else:
-            f += t * T
+        else:   # c weighs the travel time and y its curvature
+            c = y = t if phase == 1 else 0.0
+            f += t * (T if phase == 1 else self.s)
         if not deriv:
             return float(f)
         g0, g1, wh = (self.l0 * wg).sum(0), (self.l1 * wg).sum(0), wg * wg
-        if energy:   # the epigraph's first and second derivatives in u
+        border = (0.0, -1.0, np.zeros_like(z))
+        if phase == 0:
+            k, wi = INPUT_ROW, wh[INPUT_ROW:]
+            border = (t - wg[k:].sum(), wi.sum(),
+                      -_nodes((self.l0[k:] * wi).sum(0), (self.l1[k:] * wi).sum(0)))
+        if phase == 2:   # the epigraph's first and second derivatives in u
             d1 = g / sg + r / sr
             g0, g1 = g0 + d1 * al, g1 + d1 * be
             wh = np.vstack([wh, (g - r) ** 2 / (sg * sg + sr * sr)])
-        q00, q01, q11 = self.prods[energy]
+        q00, q01, q11 = self.prods[phase]
         # Travel time: first and second derivatives of h_k in (z_k, z_{k+1}).
         t0, t1, S3 = -dx / (a * S * S), -dx / (b * S * S), dx / S ** 3
-        grad, diag = np.zeros_like(z), np.zeros_like(z)
-        grad[:-1] += g0 + c * t0
-        grad[1:] += g1 + c * t1
-        # Phase II curves the budget with its dual y, not the barrier's 1/s:
-        # primal-dual, as 1/s^2 stalls Newton off the centre near the bound.
-        y = self.y if energy else c
-        diag[:-1] += (q00 * wh).sum(0) + y * (S3 / (a * a) - 0.5 * t0 / (a * a))
-        diag[1:] += (q11 * wh).sum(0) + y * (S3 / (b * b) - 0.5 * t1 / (b * b))
+        grad = _nodes(g0 + c * t0, g1 + c * t1)
+        diag = _nodes((q00 * wh).sum(0) + y * (S3 / (a * a) - 0.5 * t0 / (a * a)),
+                      (q11 * wh).sum(0) + y * (S3 / (b * b) - 0.5 * t1 / (b * b)))
         off = (q01 * wh).sum(0) + y * S3 / (a * b)
-        if energy:
+        if phase == 2:
             grad[0] += t * kappa
             grad[-1] -= t * kappa
-        return f, grad, diag, off, (c * y if energy else 0.0, np.append(t0, 0.0) + np.insert(t1, 0, 0.0))
+            border = (0.0, -1.0 / (c * y), _nodes(t0, t1))
+        return f, grad, diag, off, border
 
-    def center(self, z, t, energy, max_steps=200):
+    def center(self, z, t, phase, max_steps=200):
         """Newton's method at weight t, backtracking from 0.99 of the step to
-        the nearest row; raises if it stalls off the centre."""
-        m, last = (self.m2 if energy else self.m1), math.inf
+        the nearest row; raises if it stalls off the centre.  Phase 0 stops
+        as soon as its excess s is negative."""
+        m, last = self.m[phase], math.inf
         for _ in range(max_steps):
-            f, grad, diag, off, (c2, w) = self.eval(z, t, energy, deriv=True)
-            y, x = _thomas(diag, off, -grad, w)
-            dz = y - x * (c2 * (w @ y) / (1.0 + c2 * (w @ x)))   # Sherman-Morrison
-            lam2 = -float(grad @ dz)
+            f, grad, diag, off, (gs, d, c) = self.eval(z, t, phase, deriv=True)
+            # The bordered system by its Schur complement: for the budget's
+            # rank-1 term this is the Sherman-Morrison step.
+            y, x = _thomas(diag, off, -grad, c)
+            nu = (-gs - c @ y) / (d - c @ x)
+            dz, ds = y - x * nu, (nu if phase == 0 else 0.0)
+            lam2 = -float(grad @ dz + gs * ds)
             # Centred, or near the centre where rounding stops the decrement
             # from falling any further.
             if lam2 <= 1e-6 * m or (lam2 <= 1e-3 * m and lam2 > 0.5 * last):
@@ -317,52 +340,74 @@ class _Barrier:
             last = lam2
             self.n_newton += 1
             fall = self.l0 * dz[:-1] + self.l1 * dz[1:]
+            fall[INPUT_ROW:] -= ds
             with np.errstate(over="ignore"):
                 room = self.slack(z)[fall > 0] / fall[fall > 0]
-            step = min(1.0, 0.99 * np.min(room, initial=np.inf))
-            if energy:   # the budget dual's Newton step
+            step, s = min(1.0, 0.99 * np.min(room, initial=np.inf)), self.s
+            if phase == 2:   # the budget dual's Newton step
                 slack = self.p.T_f - self.T
-                dy = (1.0 - self.y * slack + self.y * (w @ dz)) / slack
+                dy = (1.0 - self.y * slack + self.y * (c @ dz)) / slack
             while True:
-                f_try = self.eval(z + step * dz, t, energy)
+                self.s = s + step * ds
+                f_try = self.eval(z + step * dz, t, phase)
                 # In the quadratic region a full step need only stay in the
                 # domain: an Armijo test on f would trip over its rounding.
                 # The budget's slack may not fall below half the dual's
                 # estimate 1/y of its centred value, nor half its present one.
                 if ((f_try <= f - 0.01 * step * lam2 or (lam2 < 0.25 and f_try < math.inf))
-                        and (not energy or self.p.T_f - self.T >= 0.5 * min(slack, 1.0 / self.y))):
+                        and (phase < 2 or self.p.T_f - self.T >= 0.5 * min(slack, 1.0 / self.y))):
                     break
                 step *= 0.5
                 if step < 1e-14:
+                    self.s = s
                     if lam2 <= 1e-3 * m:
                         return z
                     raise NumericalError(f"barrier centring stalled at t={t:.3g}")
             z = z + step * dz
-            if energy:   # the dual's step, kept within 1e3 of the barrier's 1/s
+            if phase == 0 and self.s < 0.0:
+                return z
+            if phase == 2:   # the dual's step, kept within 1e3 of the barrier's 1/s
                 slack = self.p.T_f - self.T
                 self.y = min(max(self.y + step * dy, 1e-3 / slack), 1e3 / slack)
         raise NumericalError(f"barrier centring took over {max_steps} Newton steps")
 
-    def run(self, z, energy, gap_tol=0.0):
-        """Phase I (time) until the budget holds strictly, returning (z, pinned),
-        pinned if only the fastest plan meets it; or phase II (energy) until
-        the gap is below ``gap_tol`` of the scale, returning (z, gap)."""
-        p, m = self.p, (self.m2 if energy else self.m1)
+    def run(self, z, phase):
+        """Phase 0 until the input rows hold strictly, returning z; phase I
+        until the budget does, returning (z, pinned), pinned if only the
+        fastest plan meets it; or phase II until the gap is below ``GAP_TOL``
+        of the scale, returning (z, gap).  Phases 0 and I raise
+        InfeasibleError once their gap proves that they cannot finish."""
+        p, m = self.p, self.m[phase]
         scale = lambda z: max(abs(evaluate_objective(p, z)[0]), _kinetic(p))
-        t = m / (scale(z) if energy else p.T_f)
-        self.y = 1.0 / (p.T_f - self.time(z)) if energy else 0.0
-        while energy or self.time(z) >= p.T_f:
-            z = self.center(z, t, energy)
+        t = m / (scale(z) if phase == 2 else p.T_f if phase == 1 else p.u_lim)
+        self.y = 1.0 / (p.T_f - self.time(z)) if phase == 2 else 0.0
+        if phase == 0:   # a start inside the input rows relaxed by s
+            self.s = 0.1 * p.u_lim - self.slack(z)[INPUT_ROW:].min()
+        while phase == 2 or (self.time(z) >= p.T_f if phase == 1 else self.s >= 0.0):
+            z = self.center(z, t, phase)
             T, gap = self.time(z), m / t
-            if energy and gap <= gap_tol * scale(z):
+            if phase == 0 and self.s >= 0.0 and (self.s - gap > 0.0 or gap <= 1e-10 * p.u_lim):
+                raise InfeasibleError(
+                    f"no plan keeps |u| strictly below u_lim={p.u_lim:g}: its least "
+                    f"excess lies in [{self.s - gap:.6g}, {self.s:.6g}]")
+            if phase == 2 and gap <= GAP_TOL * scale(z):
                 return z, gap
-            if not energy and (T - gap >= p.T_f or (gap <= 1e-10 * p.T_f and T >= p.T_f)):
+            if phase == 1 and (T - gap >= p.T_f or (gap <= 1e-10 * p.T_f and T >= p.T_f)):
                 if T - gap < p.T_f and T <= p.T_f * (1.0 + VIOL_TOL):
                     return z, True
                 raise InfeasibleError(f"no plan meets T_f={p.T_f:g} s: the fastest one "
                                       f"takes at least {T - gap:.6g} s")
             t, self.y = t * MU, self.y * MU
-        return z, False
+        self.s = 0.0
+        return z if phase == 0 else (z, False)
+
+
+def _nodes(d0, d1):
+    """Node vector of per-segment terms in z_k (d0) and z_{k+1} (d1)."""
+    out = np.zeros(d0.size + 1)
+    out[:-1] = d0
+    out[1:] += d1
+    return out
 
 
 def _kinetic(p: TOProblem) -> float:
@@ -370,24 +415,24 @@ def _kinetic(p: TOProblem) -> float:
     return 0.5 * abs(p.mass) * (p.x[-1] / p.T_f) ** 2
 
 
-def solve(p: TOProblem, gap_tol: float = 1e-9, scp_max: int = 30) -> TOSolution:
+def solve(p: TOProblem) -> TOSolution:
     """Minimise the drive energy over the squared node speeds.
 
     Raises :class:`InfeasibleError` if the constraints leave no feasible
     interior, and :class:`NumericalError` if centring fails or, for an
-    unmasked t3, the convex steps do not settle within ``scp_max`` solves.
+    unmasked t3, the convex steps do not settle within ``SCP_MAX`` solves.
     """
     z_lin, n_newton = np.full(p.n_segments + 1, (p.x[-1] / p.T_f) ** 2), 0
-    for _ in range(scp_max):
+    for _ in range(SCP_MAX):
         bar = _Barrier(p, z_lin)
-        z, pinned = bar.run(bar.start(), False)
-        z, gap = (z, 0.0) if pinned else bar.run(z, True, gap_tol)
+        z, pinned = bar.run(bar.start(), 1)
+        z, gap = (z, 0.0) if pinned else bar.run(z, 2)
         n_newton += bar.n_newton
         settled, z_lin = np.abs(z - z_lin).max() <= 1e-9 * z.max(), z
         if p.mode == "pseudo" or p.model.theta[2] == 0.0 or settled:
             break
     else:
-        raise NumericalError(f"sequential convex steps did not settle in {scp_max} solves")
+        raise NumericalError(f"sequential convex steps did not settle in {SCP_MAX} solves")
     E, parts = evaluate_objective(p, z)
     h = parts["h"]
     caps = np.maximum(z[:-1], z[1:]) / p.v_lim ** 2

@@ -10,7 +10,7 @@ import pytest
 
 from modru import cli, config, harness, lqr, tempo
 from modru.errors import ConfigError, EstimationError
-from modru.plant import PositionProfile
+from modru.plant import PositionProfile, input_mass
 from modru.tables import format_value, read_csv, read_keyvalues, write_csv
 
 
@@ -197,6 +197,21 @@ class TestRunPipeline:
         assert set(artifacts) >= {"data", "model", "eff", "schedule",
                                   "solution", "reference", "trajectory",
                                   "metrics"}
+
+    def test_only_full_mode_charges_realized_energy(self, car_sc, car_fit):
+        # Only a full-mode E_pred is in the units of E_realized, so only
+        # there does E_realized take the boundary rule's kinetic energy.
+        _, model, eff, _ = car_fit
+        pseudo = replace(car_sc, to_mode="pseudo")
+        schedule = harness.stage_schedule(car_sc, model)
+        _, _, ref = harness.stage_plan(car_sc, model, eff)
+        traj, full = harness.stage_track(car_sc, model, schedule, ref)
+        _, bare = harness.stage_track(pseudo, model, schedule, ref)
+        v_end = np.interp(car_sc.path_length, traj.s, traj.v)
+        kinetic = 0.5 * input_mass(car_sc.plant_params) * (traj.v[0] ** 2 - v_end ** 2)
+        assert full["E_realized"] - bare["E_realized"] == pytest.approx(kinetic, rel=1e-9)
+        report, _ = harness.run_pipeline(pseudo)
+        assert report.plan_boundary == harness.PSEUDO_BOUNDARY
 
 
 class TestRobustnessCsv:

@@ -86,6 +86,8 @@ def lp_oracle(p, cut_tol=1e-10, max_rounds=300):
     (E_lp, z, price): E_lp bounds the optimum from below, and price is what
     the budget's multiplier charges for the last plan's time overrun, so
     the optimum lies within [E_lp, E_lp + price] up to the LP tolerances.
+    Returns None once an LP is infeasible: the cuts only relax the budget,
+    so then the problem is infeasible too.
     """
     from scipy.optimize import linprog
 
@@ -125,6 +127,8 @@ def lp_oracle(p, cut_tol=1e-10, max_rounds=300):
         res = linprog(c, A_ub=np.vstack(A), b_ub=np.concatenate(b), bounds=bounds,
                       method="highs", options={"primal_feasibility_tolerance": 1e-10,
                                                "dual_feasibility_tolerance": 1e-10})
+        if res.status == 2:
+            return None
         assert res.status == 0, res.message
         z, tau = res.x[:nz], res.x[nz + n:]
         over = float(np.maximum(segment_time(p, z)[0] - tau, 0.0).sum())
@@ -135,8 +139,10 @@ def lp_oracle(p, cut_tol=1e-10, max_rounds=300):
 
 
 def random_route(rng, n, mode, bounded):
-    """Feasible random route: n segments of random length, cap and grade,
-    with a budget that a constant speed below every cap meets strictly."""
+    """Random route: n segments of random length, cap and grade, with a
+    budget that a constant speed below every cap meets strictly.  A bounded
+    input may lie below what holding some constant speed on the steepest
+    grade takes, so the route may need a varying plan, or be infeasible."""
     x = np.concatenate([[0.0], np.cumsum(rng.uniform(20.0, 150.0, n))])
     v_lim = rng.uniform(8.0, 25.0, n)
     alpha = rng.uniform(-0.03, 0.03, n)
@@ -149,12 +155,34 @@ def random_route(rng, n, mode, bounded):
         t1, t2, _, t4, t5, t6 = model.theta
         hold = [(-t2 - t4 * v * v - t5 * alpha - t6 * alpha ** 2) / t1
                 for v in (0.0, v_lim.min())]
-        u_lim = 1.5 * float(np.abs(hold).max())
+        u_lim = float(rng.uniform(0.4, 1.5)) * float(np.abs(hold).max())
     return tempo.TOProblem(
         x=x, alpha=alpha, v_lim=v_lim, T_f=x[-1] / v_c * float(rng.uniform(1.001, 1.5)),
         vdot_lim=float(rng.uniform(0.3, 2.0)), model=model,
         eff=EfficiencyParams(float(rng.uniform(1.0, 1.3)), float(rng.uniform(0.6, 1.0))),
         mode=mode, u_lim=u_lim)
+
+
+def climb_route(u_lim, start, length):
+    """2 km at N = 40 under a 22 m/s cap, flat but for a 5% climb: holding
+    any speed on it takes u = (0.55 + 8e-5 v^2) / 2.5e-4 > 2200."""
+    slope = PositionProfile(np.array([0.0, start, start + length]),
+                            np.array([0.0, 0.05, 0.0]), "constant")
+    return tempo.build_problem(2000.0, 40, 180.0, slope, flat_limit(22.0),
+                               truck_like_model(), vdot_lim=0.7, u_lim=u_lim)
+
+
+def solve_or_confirm_infeasible(p):
+    """tempo.solve's plan, or None if it raises InfeasibleError and the LP
+    oracle agrees once the bounds are tightened by 1e-9, past its tolerances."""
+    try:
+        return tempo.solve(p)
+    except InfeasibleError:
+        # A constant speed meets every bound but the input's.
+        assert p.u_lim is not None
+        tight = dataclasses.replace(p, u_lim=p.u_lim * (1.0 - 1e-9), T_f=p.T_f * (1.0 - 1e-9))
+        assert lp_oracle(tight) is None
+        return None
 
 
 routes = st.builds(
@@ -398,7 +426,30 @@ class TestSolve:
             tol = sol.gap + price + 1e-9 * energy_scale(problem, sol.E)
             assert E_lp - tol <= sol.E <= E_lp + tol
 
-    def test_unmasked_t3_runs_sequential_convex_steps(self):
+    def test_varying_plan_meets_an_input_bound_no_constant_speed_can(self):
+        # u_lim = 2000 is below the climb's hold force at every speed, so
+        # phase 0 must find a plan that loses speed on the climb instead.
+        p = climb_route(2000.0, 1000.0, 400.0)
+        for v in np.linspace(0.5, 22.0, 44):
+            _, parts = tempo.evaluate_objective(p, constant_speed(p, v))
+            assert np.abs(parts["u_r"]).max() > p.u_lim
+        sol = tempo.solve(p)
+        assert sol.feasible and sol.exit == "gap" and sol.gap_rel <= 1e-8
+        assert violation(p, sol.z) <= 1e-9
+        assert np.all(np.diff(sol.z[22:29]) < 0.0)   # slowing on the climb
+        E_lp, _, price = lp_oracle(p)
+        tol = sol.gap + price + 1e-9 * energy_scale(p, sol.E)
+        assert E_lp - tol <= sol.E <= E_lp + tol
+
+    def test_input_bound_no_plan_can_meet_raises(self):
+        # At u_lim = 1000 a 1 km climb costs more speed than the cap holds:
+        # z falls by 2 (0.55 - 0.25) 1000 = 600 > 22^2 on it at the least.
+        p = climb_route(1000.0, 500.0, 1000.0)
+        with pytest.raises(InfeasibleError, match="below u_lim=1000"):
+            tempo.solve(p)
+        assert lp_oracle(p) is None
+
+    def test_unmasked_t3_runs_sequential_convex_steps(self, monkeypatch):
         # A linear drag term makes u concave in z; the convex steps either
         # settle on a plan that meets every exact constraint, or raise.
         theta = truck_like_model().theta.copy()
@@ -407,8 +458,10 @@ class TestSolve:
                                 np.array([0.0, 0.03, 0.0, 0.0]), "linear")
         p = tempo.build_problem(2000.0, 40, 170.0, slope, flat_limit(22.0),
                                 GrayBoxModel(theta=theta), vdot_lim=0.7, u_lim=3000.0)
-        with pytest.raises(NumericalError, match="did not settle"):
-            tempo.solve(p, scp_max=1)
+        with monkeypatch.context() as mp:
+            mp.setattr(tempo, "SCP_MAX", 1)
+            with pytest.raises(NumericalError, match="did not settle"):
+                tempo.solve(p)
         sol = tempo.solve(p)
         assert sol.feasible and violation(p, sol.z) <= 1e-9
         E, parts = tempo.evaluate_objective(p, sol.z)
@@ -433,7 +486,9 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(p=routes)
     def test_random_routes_stay_feasible_and_keep_the_gap(self, p):
-        sol = tempo.solve(p)
+        sol = solve_or_confirm_infeasible(p)
+        if sol is None:
+            return
         assert sol.feasible and sol.exit == "gap" and sol.gap_rel <= 1e-8
         assert violation(p, sol.z) <= 1e-9
         np.testing.assert_allclose(sol.h, segment_time(p, sol.z)[0], rtol=1e-12)
@@ -444,7 +499,9 @@ class TestProperties:
     @settings(max_examples=15, deadline=None)
     @given(p=routes.filter(lambda p: p.n_segments <= 15 and p.mode == "full"))
     def test_energy_agrees_with_the_cutting_plane_oracle(self, p):
-        sol = tempo.solve(p)
+        sol = solve_or_confirm_infeasible(p)
+        if sol is None:
+            return
         E_lp, _, price = lp_oracle(p)
         tol = sol.gap + price + 1e-9 * energy_scale(p, sol.E)
         assert E_lp - tol <= sol.E <= E_lp + tol
@@ -454,7 +511,9 @@ class TestProperties:
     def test_multistart_never_beats_the_optimum(self, p, seed):
         from scipy.optimize import minimize
 
-        sol = tempo.solve(p)
+        sol = solve_or_confirm_infeasible(p)
+        if sol is None:
+            return
         rng = np.random.default_rng(seed)
         al, be, ga = affine_input(p)
         s = 0.5 / p.dx
