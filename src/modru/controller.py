@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lqr import dare_solve
+from .plant import PositionProfile
 from .sysid import GrayBoxModel
 from .tables import write_csv
 
@@ -56,12 +57,13 @@ class GainSchedule:
             raise ValueError("integral times must be positive")
         if self.h <= 0:
             raise ValueError("sample time must be positive")
+        # Scalar twins of np.interp over the grid (see plant.PositionProfile).
+        object.__setattr__(self, "_kp_at", PositionProfile(v, kp).at)
+        object.__setattr__(self, "_ti_at", PositionProfile(v, ti).at)
 
     def gains(self, v_ref: float) -> tuple[float, float]:
         """Interpolated (K_P, T_I) at the reference velocity (endpoints hold)."""
-        kp = float(np.interp(v_ref, self.v_grid, self.K_P))
-        ti = float(np.interp(v_ref, self.v_grid, self.T_I))
-        return kp, ti
+        return self._kp_at(v_ref), self._ti_at(v_ref)
 
     def to_csv(self, path) -> None:
         write_csv(path, ["v_r", "K_P", "T_I"], [self.v_grid, self.K_P, self.T_I],
@@ -77,11 +79,10 @@ class ControllerState:
 
 def feedforward(v_ref, a_ref, alpha, model: GrayBoxModel):
     """Invert the gray box for the input realizing (v_ref, a_ref) on slope alpha."""
-    t1, t2, t3, t4, t5, t6 = model.theta
-    v = np.asarray(v_ref, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    return (np.asarray(a_ref, dtype=float) - t2 - t3 * v - t4 * v * v
-            - t5 * alpha - t6 * alpha ** 2) / t1
+    # Floats and arrays alike; alpha * alpha rounds as NumPy's square does.
+    t1, t2, t3, t4, t5, t6 = model.theta.tolist()
+    return (a_ref - t2 - t3 * v_ref - t4 * v_ref * v_ref
+            - t5 * alpha - t6 * (alpha * alpha)) / t1
 
 
 def reference_accel(v_ref: np.ndarray, h: float) -> np.ndarray:

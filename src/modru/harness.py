@@ -160,14 +160,14 @@ def stage_track(sc: Scenario, model: sysid.GrayBoxModel,
     a_ref = np.gradient(v_ref, h)
 
     state = [ctl.ControllerState()]
+    v_refs, a_refs, slope_at = v_ref.tolist(), a_ref.tolist(), sc.slope.at
 
     def callback(k, t, s, v):
         # Feedforward re-inverted on line: reference kinematics at the
         # current sample, grade at the measured position.
-        alpha = float(sc.slope.value(s))
-        u_ff = float(ctl.feedforward(v_ref[k], a_ref[k], alpha, model))
+        u_ff = ctl.feedforward(v_refs[k], a_refs[k], slope_at(s), model)
         u, u_s, du, state[0] = ctl.control_step(
-            state[0], v_ref[k], v, u_ff, schedule, sc.ctrl_u_lim)
+            state[0], v_refs[k], v, u_ff, schedule, sc.ctrl_u_lim)
         return u, u_s, du
 
     x0 = PlantState(s=0.0, v=float(ref.v_r[0]),

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,7 +99,8 @@ class PositionProfile:
 
     ``kind`` selects piecewise-constant (value holds from each breakpoint
     to the next) or piecewise-linear interpolation.  Outside the breakpoint
-    range the nearest endpoint value holds.
+    range the nearest endpoint value holds.  ``at`` evaluates one Python
+    float, ``float -> float``, bit for bit as ``value`` does.
     """
 
     breakpoints: np.ndarray
@@ -116,6 +118,8 @@ class PositionProfile:
             raise ValueError("breakpoints must be strictly increasing")
         if self.kind not in ("constant", "linear"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
+        object.__setattr__(self, "at", _scalar_lookup(bp.tolist(), vals.tolist(),
+                                                      self.kind))
 
     def value(self, s):
         """Evaluate the profile at position(s) ``s``."""
@@ -124,6 +128,38 @@ class PositionProfile:
         idx = np.searchsorted(self.breakpoints, s, side="right") - 1
         idx = np.clip(idx, 0, self.values.size - 1)
         return self.values[idx]
+
+
+def _scalar_lookup(xp: list, fp: list, kind: str):
+    """``PositionProfile.value`` for one float.  "linear" repeats np.interp's
+    C loop case by case (endpoint hold, NaN passed through, ``fp[j]`` on a
+    breakpoint, ``slope*(x - xp[j]) + fp[j]`` and its NaN retry); with one
+    breakpoint both kinds return ``fp[0]`` for any ``x``, as NumPy does."""
+    if len(xp) == 1:
+        f0 = fp[0]
+        return lambda x: f0
+    if kind == "constant":
+        # searchsorted(side="right") - 1, clipped at 0; NaN sorts last.
+        return lambda x: fp[max(bisect_right(xp, x) - 1, 0)]
+    last = len(xp) - 1
+    slopes = [(fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) for j in range(last)]
+
+    def at(x):
+        j = bisect_right(xp, x) - 1
+        if j < 0:
+            return fp[0]
+        if j == last:
+            return x if x != x else fp[last]
+        if xp[j] == x:
+            return fp[j]
+        y = slopes[j] * (x - xp[j]) + fp[j]
+        if y != y:
+            y = slopes[j] * (x - xp[j + 1]) + fp[j + 1]
+            if y != y and fp[j] == fp[j + 1]:
+                y = fp[j]
+        return y
+
+    return at
 
 
 def constant_profile(value: float) -> PositionProfile:
@@ -149,29 +185,41 @@ def input_mass(params: TruckParams | CarParams) -> float:
     return params.m * params.R if isinstance(params, TruckParams) else params.m
 
 
-def _truck_rhs(s, v, u_m, u, alpha, p: TruckParams):
-    # v clamped at zero for force evaluation; the simulator enforces v >= 0.
-    v_eff = v if v > 0.0 else 0.0
-    f_air = 0.5 * p.rho_a * p.c_d * p.A_f * v_eff * v_eff
-    f_grade = p.m * p.g * (math.sin(alpha) + p.c_r * math.cos(alpha))
-    dv = (u_m / p.R - f_air - f_grade) / p.m
-    if p.T_m > 0.0:
-        du_m = (u - u_m) / p.T_m
-    else:
-        du_m = 0.0
-    return v_eff, dv, du_m
+# The plant loop runs on Python floats, as sysid._simulate_theta does: each
+# np.float64 scalar operation costs several times more, and an RK4 step takes
+# four right-hand sides with a profile lookup each.  Python floats round as
+# np.float64 does, PositionProfile.at repeats np.interp, and the hoisted
+# products keep their left-to-right order, so the bits equal NumPy's.
+def _truck_rhs(p: TruckParams, alpha_at):
+    """Truck dynamics ``(s, v, u_m, u) -> (ds, dv, du_m)`` on grade ``alpha_at(s)``."""
+    c_air, mg, c_r, m, R, T_m = 0.5 * p.rho_a * p.c_d * p.A_f, p.m * p.g, p.c_r, p.m, p.R, p.T_m
+    sin, cos = math.sin, math.cos
+
+    def rhs(s, v, u_m, u):
+        # v clamped at zero for force evaluation; the simulator enforces v >= 0.
+        v_eff = v if v > 0.0 else 0.0
+        alpha = alpha_at(s)
+        dv = (u_m / R - c_air * v_eff * v_eff - mg * (sin(alpha) + c_r * cos(alpha))) / m
+        return v_eff, dv, (u - u_m) / T_m if T_m > 0.0 else 0.0
+
+    return rhs
 
 
-def _car_rhs(s, v, u_m, u_power, alpha, p: CarParams):
-    # Same signature as _truck_rhs; the car has no motor state (u_m unused).
-    v_eff = v if v > 0.0 else 0.0
-    power = min(max(u_power, p.u_min), p.u_max)
-    f_air = 0.5 * p.rho_a * p.c_d * p.A_f * v_eff * v_eff
-    f_roll = p.c_r * p.m * p.g * math.cos(alpha)
-    f_grade = p.m * p.g * math.sin(alpha)
-    dv = (power / max(v_eff, V_EPS) - f_air - f_roll - f_grade) / p.m
-    dv = min(max(dv, -p.a_lim), p.a_lim)
-    return v_eff, dv, 0.0
+def _car_rhs(p: CarParams, alpha_at):
+    """Car dynamics ``(s, v, u_m, u_power) -> (ds, dv, 0)``; u_m is unused."""
+    c_air, c_roll, mg = 0.5 * p.rho_a * p.c_d * p.A_f, p.c_r * p.m * p.g, p.m * p.g
+    m, u_min, u_max, a_lim = p.m, p.u_min, p.u_max, p.a_lim
+    sin, cos = math.sin, math.cos
+
+    def rhs(s, v, u_m, u_power):
+        v_eff = v if v > 0.0 else 0.0
+        alpha = alpha_at(s)
+        power = min(max(u_power, u_min), u_max)
+        dv = (power / max(v_eff, V_EPS) - c_air * v_eff * v_eff - c_roll * cos(alpha)
+              - mg * sin(alpha)) / m
+        return v_eff, min(max(dv, -a_lim), a_lim), 0.0
+
+    return rhs
 
 
 @dataclass
@@ -206,19 +254,17 @@ class Trajectory:
                   [self.t, self.s, self.v, self.u, self.u_s, self.du, self.P])
 
 
-def _rk4(rhs, s, v, um, u, slope, p, dt, substeps):
-    """``substeps`` classical RK4 steps of ``rhs(s, v, um, u, alpha, p)``."""
+def _rk4(rhs, s, v, um, u, dt, substeps):
+    """``substeps`` classical RK4 steps of ``rhs(s, v, um, u)``."""
+    half, sixth = 0.5 * dt, dt / 6.0
     for _ in range(substeps):
-        k1 = rhs(s, v, um, u, slope.value(s), p)
-        s2, v2, um2 = s + 0.5 * dt * k1[0], v + 0.5 * dt * k1[1], um + 0.5 * dt * k1[2]
-        k2 = rhs(s2, v2, um2, u, slope.value(s2), p)
-        s3, v3, um3 = s + 0.5 * dt * k2[0], v + 0.5 * dt * k2[1], um + 0.5 * dt * k2[2]
-        k3 = rhs(s3, v3, um3, u, slope.value(s3), p)
-        s4, v4, um4 = s + dt * k3[0], v + dt * k3[1], um + dt * k3[2]
-        k4 = rhs(s4, v4, um4, u, slope.value(s4), p)
-        s += dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        v += dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        um += dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+        ds1, dv1, du1 = rhs(s, v, um, u)
+        ds2, dv2, du2 = rhs(s + half * ds1, v + half * dv1, um + half * du1, u)
+        ds3, dv3, du3 = rhs(s + half * ds2, v + half * dv2, um + half * du2, u)
+        ds4, dv4, du4 = rhs(s + dt * ds3, v + dt * dv3, um + dt * du3, u)
+        s += sixth * (ds1 + 2.0 * ds2 + 2.0 * ds3 + ds4)
+        v += sixth * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4)
+        um += sixth * (du1 + 2.0 * du2 + 2.0 * du3 + du4)
     return s, v, um
 
 
@@ -236,7 +282,8 @@ def simulate(params: TruckParams | CarParams, inputs, slope: PositionProfile,
 
     Integration uses ``substeps`` RK4 steps per sampling interval.
     Velocity is kept non-negative by clamping (counted on the returned
-    trajectory); ``|v| > 1e3`` aborts with :class:`SimulationDivergence`.
+    trajectory); ``|v| > 1e3`` or a NaN velocity aborts with
+    :class:`SimulationDivergence`.
     """
     if h <= 0 or substeps < 1:
         raise ValueError("h must be positive, substeps >= 1")
@@ -251,28 +298,22 @@ def simulate(params: TruckParams | CarParams, inputs, slope: PositionProfile,
         raise ValueError("n is required with a controller callback")
 
     is_truck = isinstance(params, TruckParams)
+    rhs = (_truck_rhs if is_truck else _car_rhs)(params, slope.at)
     gen, regen = efficiency
     dt = h / substeps
     t = np.arange(n + 1) * h
-    s = np.empty(n + 1)
-    v = np.empty(n + 1)
-    u_arr = np.zeros(n + 1)
-    us_arr = np.zeros(n + 1)
-    du_arr = np.zeros(n + 1)
-    um_arr = np.zeros(n + 1) if is_truck else None
+    t_list = t.tolist()
+    u_in = None if controller is not None else inputs[:n].tolist()
+    s, v, u_arr, us_arr, du_arr, um_arr = (np.empty(n + 1) for _ in range(6))
     clamps = 0
 
     sk, vk, umk = float(x0.s), float(x0.v), float(x0.u_m)
-    for k in range(n + 1):
-        s[k], v[k] = sk, vk
-        if is_truck:
-            um_arr[k] = umk
-        if k == n:
-            break
+    for k in range(n):
+        s[k], v[k], um_arr[k] = sk, vk, umk
         if controller is not None:
-            u_raw, u_sat, du = controller(k, t[k], sk, vk)
+            u_raw, u_sat, du = controller(k, t_list[k], sk, vk)
         else:
-            u_raw = u_sat = float(inputs[k])
+            u_raw = u_sat = u_in[k]
             du = 0.0
         if not (math.isfinite(u_raw) and math.isfinite(u_sat)):
             raise SimulationDivergence(f"non-finite command at step {k}")
@@ -281,21 +322,22 @@ def simulate(params: TruckParams | CarParams, inputs, slope: PositionProfile,
         if is_truck:
             if params.T_m == 0.0:
                 umk = u_sat
-            sk, vk, umk = _rk4(_truck_rhs, sk, vk, umk, u_sat, slope, params, dt, substeps)
+            sk, vk, umk = _rk4(rhs, sk, vk, umk, u_sat, dt, substeps)
         else:
             u_power = min(max(u_sat * max(vk, V_EPS), params.u_min), params.u_max)
-            sk, vk, _ = _rk4(_car_rhs, sk, vk, 0.0, u_power, slope, params, dt, substeps)
+            sk, vk, _ = _rk4(rhs, sk, vk, 0.0, u_power, dt, substeps)
         if vk < 0.0:
             vk = 0.0
             clamps += 1
-        if abs(vk) > V_DIVERGED or not math.isfinite(sk):
-            raise SimulationDivergence(f"velocity diverged at t={t[k + 1]:.3f}")
-
+        # Negated <= so that a NaN velocity raises as well.
+        if not abs(vk) <= V_DIVERGED or not math.isfinite(sk):
+            raise SimulationDivergence(f"velocity diverged at t={t_list[k + 1]:.3f}")
+    s[n], v[n], um_arr[n] = sk, vk, umk
     # Hold the last command in the terminal sample so columns stay aligned.
-    if n > 0:
-        u_arr[n], us_arr[n], du_arr[n] = u_arr[n - 1], us_arr[n - 1], du_arr[n - 1]
+    for col in (u_arr, us_arr, du_arr):
+        col[n] = col[n - 1] if n > 0 else 0.0
     P = step_efficiency(us_arr, gen, regen) * us_arr * v
     if clamps:
         log.info("velocity clamped at zero %d times", clamps)
     return Trajectory(t=t, s=s, v=v, u=u_arr, u_s=us_arr, du=du_arr, P=P,
-                      u_m=um_arr, n_velocity_clamps=clamps)
+                      u_m=um_arr if is_truck else None, n_velocity_clamps=clamps)

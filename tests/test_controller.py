@@ -1,9 +1,12 @@
 """Tracking controller tests: schedule design, feedforward, anti-windup PI."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modru import controller as ctl
 from modru.sysid import GrayBoxModel
@@ -143,3 +146,52 @@ class TestControlStep:
                              sched, 100.0)
         with pytest.raises(ValueError):
             ctl.control_step(ctl.ControllerState(), 0.0, 0.0, 0.0, sched, 0.0)
+
+
+def bits(x) -> bytes:
+    return struct.pack("<d", float(x))
+
+
+def feedforward_oracle(v_ref, a_ref, alpha, model):
+    # The NumPy-array feedforward the float one replaced, verbatim.
+    t1, t2, t3, t4, t5, t6 = model.theta
+    v = np.asarray(v_ref, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    return (np.asarray(a_ref, dtype=float) - t2 - t3 * v - t4 * v * v
+            - t5 * alpha - t6 * alpha ** 2) / t1
+
+
+class TestBitEquality:
+    """The Python-float gain lookup and feedforward against NumPy, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6,
+                         unique=True).map(sorted), data=st.data())
+    def test_gains_equal_np_interp(self, grid, data):
+        n = len(grid)
+        kp = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+        ti = data.draw(st.lists(st.floats(1e-6, 1e6), min_size=n, max_size=n))
+        sched = ctl.GainSchedule(np.array(grid), np.array(kp), np.array(ti), h=0.5)
+        vs = (grid + [0.0, -0.0, math.nan, math.inf, -math.inf, grid[0] - 1.0,
+                      grid[-1] + 1.0]
+              + data.draw(st.lists(st.floats(grid[0], grid[-1]), max_size=4))
+              + data.draw(st.lists(st.floats(), max_size=4)))
+        for v in vs:
+            got = sched.gains(v)
+            want = (np.interp(v, sched.v_grid, sched.K_P),
+                    np.interp(v, sched.v_grid, sched.T_I))
+            assert [bits(g) for g in got] == [bits(w) for w in want], v
+
+    @settings(max_examples=300, deadline=None)
+    @given(theta=st.lists(st.floats(-10.0, 10.0).filter(lambda x: abs(x) > 1e-6),
+                          min_size=6, max_size=6),
+           ops=st.lists(st.tuples(st.floats(0.0, 40.0), st.floats(-3.0, 3.0),
+                                  st.floats(-0.1, 0.1)), min_size=1, max_size=8))
+    def test_feedforward_equals_numpy_formula(self, theta, ops):
+        model = GrayBoxModel(theta=np.array(theta))
+        for v, a, al in ops:
+            assert bits(ctl.feedforward(v, a, al, model)) == \
+                bits(feedforward_oracle(v, a, al, model))
+        v, a, al = (np.array(c) for c in zip(*ops))
+        np.testing.assert_array_equal(ctl.feedforward(v, a, al, model),
+                                      feedforward_oracle(v, a, al, model))

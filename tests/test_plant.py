@@ -1,16 +1,17 @@
 """Vehicle simulator tests: profiles, force balances, RK4/ZOH integration."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modru.errors import SimulationDivergence
-from modru.plant import (CarParams, PlantState, PositionProfile, TruckParams,
-                         _car_rhs, _rk4, _truck_rhs, constant_profile,
-                         simulate, step_efficiency)
+from modru.plant import (V_DIVERGED, V_EPS, CarParams, PlantState, PositionProfile,
+                         Trajectory, TruckParams, _car_rhs, _truck_rhs,
+                         constant_profile, simulate, step_efficiency)
 from modru.tables import read_csv
 
 FLAT = constant_profile(0.0)
@@ -95,23 +96,30 @@ class TestTruck:
 
     def test_gravity_decelerates_uphill(self):
         p = TruckParams()
-        _, dv_flat, _ = _truck_rhs(0.0, 15.0, 300.0, 300.0, 0.0, p)
-        _, dv_up, _ = _truck_rhs(0.0, 15.0, 300.0, 300.0, 0.02, p)
+        _, dv_flat, _ = _truck_rhs(p, lambda s: 0.0)(0.0, 15.0, 300.0, 300.0)
+        _, dv_up, _ = _truck_rhs(p, lambda s: 0.02)(0.0, 15.0, 300.0, 300.0)
         assert dv_up < dv_flat
         assert dv_flat - dv_up == pytest.approx(
             p.g * (math.sin(0.02) + p.c_r * (math.cos(0.02) - 1.0)), rel=1e-12)
+
+    def test_nan_velocity_raises(self):
+        # v clamped at zero in the force balance leaves s frozen at 0 and v
+        # NaN; the divergence guard must still see it.
+        with pytest.raises(SimulationDivergence):
+            simulate(TruckParams(), np.zeros(5), FLAT, PlantState(v=math.nan))
 
 
 class TestCar:
     def test_power_clamp(self):
         p = CarParams()
-        _, dv_capped, _ = _car_rhs(0.0, 10.0, 0.0, 1e9, 0.0, p)
-        _, dv_at_max, _ = _car_rhs(0.0, 10.0, 0.0, p.u_max, 0.0, p)
+        rhs = _car_rhs(p, FLAT.at)
+        _, dv_capped, _ = rhs(0.0, 10.0, 0.0, 1e9)
+        _, dv_at_max, _ = rhs(0.0, 10.0, 0.0, p.u_max)
         assert dv_capped == dv_at_max
 
     def test_acceleration_clamp(self):
         p = CarParams()
-        _, dv, _ = _car_rhs(0.0, 1.0, 0.0, p.u_max, 0.0, p)
+        _, dv, _ = _car_rhs(p, FLAT.at)(0.0, 1.0, 0.0, p.u_max)
         assert dv == p.a_lim
 
     def test_force_command_drives_forward(self):
@@ -121,6 +129,12 @@ class TestCar:
                         PlantState(s=0.0, v=10.0), h=0.2)
         assert traj.v[-1] > 10.0
         assert np.all(np.diff(traj.s) > 0)
+
+    def test_nan_velocity_raises(self):
+        # The velocity floor turns NaN into zero force velocity, so only the
+        # divergence guard can catch it.
+        with pytest.raises(SimulationDivergence):
+            simulate(CarParams(), np.zeros(5), FLAT, PlantState(v=math.nan))
 
 
 class TestSimulate:
@@ -184,56 +198,196 @@ class TestSimulate:
                                           err_msg=name)
 
 
-# The per-plant RK4 loops that the shared ``_rk4`` replaced, kept verbatim
-# (the car's rhs call adapted to the shared signature) as its oracles.
-def rk4_truck_oracle(s, v, um, u, slope, p, dt, substeps):
+def bits(x) -> bytes:
+    return struct.pack("<d", float(x))
+
+
+# The plant code before the Python-float loop, kept verbatim (names
+# prefixed oracle_) as the oracle of the hoisted closures, the one _rk4 and
+# PositionProfile.at.
+def oracle_truck_rhs(s, v, u_m, u, alpha, p: TruckParams):
+    # v clamped at zero for force evaluation; the simulator enforces v >= 0.
+    v_eff = v if v > 0.0 else 0.0
+    f_air = 0.5 * p.rho_a * p.c_d * p.A_f * v_eff * v_eff
+    f_grade = p.m * p.g * (math.sin(alpha) + p.c_r * math.cos(alpha))
+    dv = (u_m / p.R - f_air - f_grade) / p.m
+    if p.T_m > 0.0:
+        du_m = (u - u_m) / p.T_m
+    else:
+        du_m = 0.0
+    return v_eff, dv, du_m
+
+
+def oracle_car_rhs(s, v, u_m, u_power, alpha, p: CarParams):
+    # Same signature as _truck_rhs; the car has no motor state (u_m unused).
+    v_eff = v if v > 0.0 else 0.0
+    power = min(max(u_power, p.u_min), p.u_max)
+    f_air = 0.5 * p.rho_a * p.c_d * p.A_f * v_eff * v_eff
+    f_roll = p.c_r * p.m * p.g * math.cos(alpha)
+    f_grade = p.m * p.g * math.sin(alpha)
+    dv = (power / max(v_eff, V_EPS) - f_air - f_roll - f_grade) / p.m
+    dv = min(max(dv, -p.a_lim), p.a_lim)
+    return v_eff, dv, 0.0
+
+
+def oracle_rk4(rhs, s, v, um, u, slope, p, dt, substeps):
+    """``substeps`` classical RK4 steps of ``rhs(s, v, um, u, alpha, p)``."""
     for _ in range(substeps):
-        a1 = slope.value(s)
-        k1 = _truck_rhs(s, v, um, u, a1, p)
+        k1 = rhs(s, v, um, u, slope.value(s), p)
         s2, v2, um2 = s + 0.5 * dt * k1[0], v + 0.5 * dt * k1[1], um + 0.5 * dt * k1[2]
-        k2 = _truck_rhs(s2, v2, um2, u, slope.value(s2), p)
+        k2 = rhs(s2, v2, um2, u, slope.value(s2), p)
         s3, v3, um3 = s + 0.5 * dt * k2[0], v + 0.5 * dt * k2[1], um + 0.5 * dt * k2[2]
-        k3 = _truck_rhs(s3, v3, um3, u, slope.value(s3), p)
+        k3 = rhs(s3, v3, um3, u, slope.value(s3), p)
         s4, v4, um4 = s + dt * k3[0], v + dt * k3[1], um + dt * k3[2]
-        k4 = _truck_rhs(s4, v4, um4, u, slope.value(s4), p)
+        k4 = rhs(s4, v4, um4, u, slope.value(s4), p)
         s += dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
         v += dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
         um += dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
     return s, v, um
 
 
-def rk4_car_oracle(s, v, u_power, slope, p, dt, substeps):
-    def rhs(s, v, u_power, alpha, p):
-        return _car_rhs(s, v, 0.0, u_power, alpha, p)
+def oracle_simulate(params, inputs, slope, x0, h, n, substeps, efficiency):
+    controller = inputs if callable(inputs) else None
+    if controller is None:
+        inputs = np.asarray(inputs, dtype=float)
+    is_truck = isinstance(params, TruckParams)
+    gen, regen = efficiency
+    dt = h / substeps
+    t = np.arange(n + 1) * h
+    s = np.empty(n + 1)
+    v = np.empty(n + 1)
+    u_arr = np.zeros(n + 1)
+    us_arr = np.zeros(n + 1)
+    du_arr = np.zeros(n + 1)
+    um_arr = np.zeros(n + 1) if is_truck else None
+    clamps = 0
 
-    for _ in range(substeps):
-        k1 = rhs(s, v, u_power, slope.value(s), p)
-        s2, v2 = s + 0.5 * dt * k1[0], v + 0.5 * dt * k1[1]
-        k2 = rhs(s2, v2, u_power, slope.value(s2), p)
-        s3, v3 = s + 0.5 * dt * k2[0], v + 0.5 * dt * k2[1]
-        k3 = rhs(s3, v3, u_power, slope.value(s3), p)
-        s4, v4 = s + dt * k3[0], v + dt * k3[1]
-        k4 = rhs(s4, v4, u_power, slope.value(s4), p)
-        s += dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        v += dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    return s, v
+    sk, vk, umk = float(x0.s), float(x0.v), float(x0.u_m)
+    for k in range(n + 1):
+        s[k], v[k] = sk, vk
+        if is_truck:
+            um_arr[k] = umk
+        if k == n:
+            break
+        if controller is not None:
+            u_raw, u_sat, du = controller(k, t[k], sk, vk)
+        else:
+            u_raw = u_sat = float(inputs[k])
+            du = 0.0
+        if not (math.isfinite(u_raw) and math.isfinite(u_sat)):
+            raise SimulationDivergence(f"non-finite command at step {k}")
+        u_arr[k], us_arr[k], du_arr[k] = u_raw, u_sat, du
+
+        if is_truck:
+            if params.T_m == 0.0:
+                umk = u_sat
+            sk, vk, umk = oracle_rk4(oracle_truck_rhs, sk, vk, umk, u_sat, slope, params,
+                                     dt, substeps)
+        else:
+            u_power = min(max(u_sat * max(vk, V_EPS), params.u_min), params.u_max)
+            sk, vk, _ = oracle_rk4(oracle_car_rhs, sk, vk, 0.0, u_power, slope, params,
+                                   dt, substeps)
+        if vk < 0.0:
+            vk = 0.0
+            clamps += 1
+        if abs(vk) > V_DIVERGED or not math.isfinite(sk):
+            raise SimulationDivergence(f"velocity diverged at t={t[k + 1]:.3f}")
+
+    # Hold the last command in the terminal sample so columns stay aligned.
+    if n > 0:
+        u_arr[n], us_arr[n], du_arr[n] = u_arr[n - 1], us_arr[n - 1], du_arr[n - 1]
+    P = step_efficiency(us_arr, gen, regen) * us_arr * v
+    return Trajectory(t=t, s=s, v=v, u=u_arr, u_s=us_arr, du=du_arr, P=P,
+                      u_m=um_arr, n_velocity_clamps=clamps)
 
 
-@settings(max_examples=300, deadline=None)
-@given(truck=st.booleans(), T_m=st.sampled_from([0.0, 0.3, 1.0, 4.0]),
-       s=st.floats(0.0, 150.0), v=st.floats(-1.0, 40.0),
-       um=st.floats(-5000.0, 5000.0), u=st.floats(-1e5, 1e5),
-       grades=st.lists(st.floats(-0.08, 0.08), min_size=3, max_size=3),
-       kind=st.sampled_from(["linear", "constant"]),
-       dt=st.floats(1e-3, 1.0), substeps=st.integers(1, 4))
-def test_shared_rk4_equals_per_plant_loops(truck, T_m, s, v, um, u, grades, kind,
-                                           dt, substeps):
-    slope = PositionProfile(np.array([0.0, 60.0, 140.0]), np.array(grades), kind)
-    if truck:
-        p = TruckParams(T_m=T_m)
-        got = _rk4(_truck_rhs, s, v, um, u, slope, p, dt, substeps)
-        assert got == rk4_truck_oracle(s, v, um, u, slope, p, dt, substeps)
-    else:
-        p = CarParams()
-        got = _rk4(_car_rhs, s, v, 0.0, u, slope, p, dt, substeps)
-        assert got == rk4_car_oracle(s, v, u, slope, p, dt, substeps) + (0.0,)
+PLANTS = st.one_of(st.sampled_from([0.0, 0.3, 1.0, 4.0]).map(lambda T_m: TruckParams(T_m=T_m)),
+                   st.just(CarParams()))
+
+
+def command_scale(p) -> float:
+    """Model-unit command that accelerates the plant by about 1 m/s^2."""
+    return p.m * p.R if isinstance(p, TruckParams) else p.m
+
+
+# Non-NaN floats with the special values drawn often.
+EDGE_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf]),
+                        st.floats(allow_nan=False))
+
+
+class TestBitEquality:
+    """The Python-float loop against NumPy and the oracle, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(bp=st.lists(EDGE_FLOATS, min_size=1, max_size=6, unique=True).map(sorted),
+           kind=st.sampled_from(["linear", "constant"]), data=st.data())
+    def test_scalar_lookup_equals_value(self, bp, kind, data):
+        fp = data.draw(st.lists(EDGE_FLOATS, min_size=len(bp), max_size=len(bp)))
+        prof = PositionProfile(np.array(bp), np.array(fp), kind)
+        lo, hi = sorted(min(max(b, -1e308), 1e308) for b in (bp[0], bp[-1]))
+        xs = (bp + [0.0, -0.0, math.nan, math.inf, -math.inf, bp[0] - 1.0, bp[-1] + 1.0]
+              + [0.5 * a + 0.5 * b for a, b in zip(bp, bp[1:])]
+              + data.draw(st.lists(st.floats(lo, hi), max_size=4))
+              + data.draw(st.lists(st.floats(), max_size=4)))
+        with np.errstate(all="ignore"):
+            for x in xs:
+                assert bits(prof.at(x)) == bits(prof.value(x)), x
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=PLANTS, kind=st.sampled_from(["linear", "constant"]),
+           grades=st.lists(st.floats(-0.08, 0.08), min_size=3, max_size=3),
+           s=st.floats(-10.0, 150.0), v=st.floats(-1.0, 40.0),
+           um=st.floats(-5000.0, 5000.0), u=st.floats(-1e5, 1e5))
+    def test_rhs_equals_oracle(self, p, kind, grades, s, v, um, u):
+        slope = PositionProfile(np.array([0.0, 60.0, 140.0]), np.array(grades), kind)
+        truck = isinstance(p, TruckParams)
+        want = (oracle_truck_rhs if truck else oracle_car_rhs)(s, v, um, u,
+                                                              slope.value(s), p)
+        got = (_truck_rhs if truck else _car_rhs)(p, slope.at)(s, v, um, u)
+        assert [bits(x) for x in got] == [bits(x) for x in want]
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=PLANTS, kind=st.sampled_from(["linear", "constant"]),
+           grades=st.lists(st.floats(-0.08, 0.08), min_size=1, max_size=5),
+           v0=st.floats(0.0, 30.0), um0=st.floats(-1.0, 1.0),
+           h=st.floats(0.05, 1.0), substeps=st.integers(1, 4),
+           levels=st.lists(st.floats(-1.5, 1.5), min_size=0, max_size=40),
+           closed_loop=st.booleans())
+    # Braking from walking pace: both runs clamp v at zero.
+    @example(p=TruckParams(), kind="constant", grades=[0.0], v0=0.5, um0=0.0, h=1.0,
+             substeps=1, levels=[-1.0] * 10, closed_loop=False)
+    @example(p=CarParams(), kind="linear", grades=[0.0, 0.05], v0=0.5, um0=0.0, h=0.5,
+             substeps=3, levels=[-1.0] * 10, closed_loop=False)
+    def test_simulate_equals_oracle(self, p, kind, grades, v0, um0, h, substeps, levels,
+                                    closed_loop):
+        slope = PositionProfile(np.linspace(0.0, 200.0, len(grades)), np.array(grades),
+                                kind)
+        scale = command_scale(p)
+        x0 = PlantState(s=0.0, v=v0, u_m=um0 * scale)
+        n = len(levels)
+        if closed_loop:
+            u_lim = 1.2 * scale
+
+            def inputs(k, t, s, v):
+                # Proportional speed loop around a drifting target, saturated.
+                u = scale * (levels[k] + 0.5 * (10.0 + math.sin(0.1 * t) - v))
+                u_s = min(max(u, -u_lim), u_lim)
+                return u, u_s, u_s - scale * levels[k]
+        else:
+            inputs = scale * np.array(levels)
+        args = (p, inputs, slope, x0, h, n, substeps, (1.1, 0.9))
+        try:
+            want = oracle_simulate(*args)
+        except SimulationDivergence:
+            with pytest.raises(SimulationDivergence):
+                simulate(*args)
+            return
+        got = simulate(*args)
+        for name in ("t", "s", "v", "u", "u_s", "du", "P"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
+                                          err_msg=name)
+        if want.u_m is None:
+            assert got.u_m is None
+        else:
+            np.testing.assert_array_equal(got.u_m, want.u_m)
+        assert got.n_velocity_clamps == want.n_velocity_clamps
