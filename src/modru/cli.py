@@ -30,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, descr in [
             ("simulate", "run the open-loop excitation experiment"),
             ("estimate", "generate data and fit the reduced model"),
-            ("plan", "solve the timing problem and resample the reference"),
+            ("plan", "solve the timing problem and write the plan as the reference"),
             ("control", "full pipeline, reporting closed-loop tracking"),
             ("pipeline", "full pipeline with all artifacts written"),
             ("compare-slope", "pipeline with and without slope knowledge"),

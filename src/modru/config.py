@@ -97,7 +97,6 @@ class Scenario:
     ctrl_u_lim: float = 4000.0
     sim_h: float = 0.5
     sim_substeps: int = 2
-    resample_m: int = 0
     seed: int = 1234
 
 
@@ -167,7 +166,6 @@ _KEYS = {
     "ctrl.u_lim": ("ctrl_u_lim", float),
     "sim.h": ("sim_h", float),
     "sim.substeps": ("sim_substeps", int),
-    "resample.M": ("resample_m", int),
     "seed": ("seed", int),
 }
 
@@ -263,8 +261,6 @@ def scenario_from_config(cfg: dict[str, str], environ=None) -> Scenario:
         raise ConfigError(f"to.u_lim must be 'none' or positive, got {sc.to_u_lim:g}")
     if not sc.eff_gen >= 1.0 >= sc.eff_regen > 0.0:
         raise ConfigError("need eff.gen >= 1 >= eff.regen > 0")
-    if sc.resample_m < 0 or sc.resample_m == 1:
-        raise ConfigError(f"resample.M must be 0 (auto) or >= 2, got {sc.resample_m}")
     if not sc.est_noise >= 0:
         raise ConfigError("est.noise must be >= 0")
     check_seed(sc.seed)

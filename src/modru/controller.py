@@ -85,15 +85,6 @@ def feedforward(v_ref, a_ref, alpha, model: GrayBoxModel):
             - t5 * alpha - t6 * (alpha * alpha)) / t1
 
 
-def reference_accel(v_ref: np.ndarray, h: float) -> np.ndarray:
-    """Forward-difference reference acceleration; the final value is held."""
-    v = np.asarray(v_ref, dtype=float)
-    if v.size < 2:
-        return np.zeros_like(v)
-    a = np.diff(v) / h
-    return np.append(a, a[-1])
-
-
 def _discretize_node(a: float, b: float, h: float) -> tuple[float, float]:
     """Exact zero-order-hold discretization of dv/dt = a v + b u."""
     ah = a * h

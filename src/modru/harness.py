@@ -1,9 +1,11 @@
 """End-to-end experiment harness.
 
 Composable stages: excitation-data generation, gray-box + efficiency
-estimation, gain-schedule design, timing optimization and resampling,
-and closed-loop reference tracking on the simulated plant.  Each stage
-can run standalone (CLI subcommands) or composed (``run_pipeline``).
+estimation, gain-schedule design, timing optimization, and closed-loop
+tracking of the plan on the simulated plant.  The plan itself is the
+reference: its speed is linear in time between nodes, and the plant starts
+on it, at the plan's first speed and its feedforward input.  Each stage can
+run standalone (CLI subcommands) or composed (``run_pipeline``).
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ def stage_schedule(sc: Scenario, model: sysid.GrayBoxModel) -> ctl.GainSchedule:
 
 def stage_plan(sc: Scenario, model: sysid.GrayBoxModel, eff: sysid.EfficiencyParams
                ) -> tuple[tempo.TOProblem, tempo.TOSolution, tempo.ReferenceTrajectory]:
-    """Solve the timing problem and resample it for the tracking loop."""
+    """Solve the timing problem; its plan is the tracking reference."""
     problem = tempo.build_problem(
         sc.path_length, sc.to_n, sc.T_f, sc.slope, sc.v_limit,
         model if sc.to_mode == "full" else None, eff,
@@ -126,13 +128,7 @@ def stage_plan(sc: Scenario, model: sysid.GrayBoxModel, eff: sysid.EfficiencyPar
     sol = tempo.solve(problem)
     if not sol.feasible:
         raise InfeasibleError("timing optimization did not reach feasibility")
-    # Default M keeps the reference sample spacing near the solution's
-    # segment durations; the tracking stage interpolates linearly between
-    # samples, turning the per-segment velocity plateaus into ramps the
-    # plant can actually follow.
-    m = sc.resample_m or problem.n_segments + 1
-    ref = tempo.resample_equidistant(sol, problem, m)
-    return problem, sol, ref
+    return problem, sol, tempo.reference(sol, problem)
 
 
 def stage_track(sc: Scenario, model: sysid.GrayBoxModel,
@@ -143,21 +139,7 @@ def stage_track(sc: Scenario, model: sysid.GrayBoxModel,
     t_end = float(ref.t[-1])
     n = int(math.ceil(t_end / h)) + max(20, int(0.05 * t_end / h))
     t_grid = np.arange(n + 1) * h
-    # Each v_r sample is the mean velocity of its interval (forward
-    # difference of positions), so anchor it at the interval midpoint:
-    # linear interpolation then integrates back to the planned distance
-    # exactly instead of losing dt*(v_first - v_last)/2.  A centered
-    # boxcar over one node interval rounds off the corners without
-    # shifting the integral.
-    dt_node = float(np.diff(ref.t).mean())
-    t_mid = ref.t[:-1] + 0.5 * dt_node
-    v_ref = np.interp(t_grid, t_mid, ref.v_r[:-1])
-    w = max(1, int(round(dt_node / h)) | 1)
-    if w > 1:
-        pad = np.concatenate([np.full(w // 2, v_ref[0]), v_ref,
-                              np.full(w // 2, v_ref[-1])])
-        v_ref = np.convolve(pad, np.full(w, 1.0 / w), mode="valid")
-    a_ref = np.gradient(v_ref, h)
+    v_ref, a_ref = ref.sample(t_grid)
 
     state = [ctl.ControllerState()]
     v_refs, a_refs, slope_at = v_ref.tolist(), a_ref.tolist(), sc.slope.at
@@ -170,8 +152,11 @@ def stage_track(sc: Scenario, model: sysid.GrayBoxModel,
             state[0], v_refs[k], v, u_ff, schedule, sc.ctrl_u_lim)
         return u, u_s, du
 
-    x0 = PlantState(s=0.0, v=float(ref.v_r[0]),
-                    u_m=float(ref.u_r[0]) if sc.plant_type == "truck" else 0.0)
+    # The truck's lagged motor starts at the first feedforward input, so
+    # the plant starts on the plan.
+    u_m = ctl.feedforward(v_refs[0], a_refs[0], slope_at(0.0), model) \
+        if sc.plant_type == "truck" else 0.0
+    x0 = PlantState(s=0.0, v=v_refs[0], u_m=u_m)
     traj = simulate(sc.plant_params, callback, sc.slope, x0, h=h, n=n,
                     substeps=sc.sim_substeps,
                     efficiency=(sc.eff_gen, sc.eff_regen))

@@ -114,6 +114,8 @@ class PositionProfile:
         object.__setattr__(self, "values", vals)
         if bp.ndim != 1 or bp.size == 0 or bp.size != vals.size:
             raise ValueError("breakpoints/values must be matching 1-D arrays")
+        if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(vals))):
+            raise ValueError("breakpoints and values must be finite")
         if bp.size > 1 and not np.all(np.diff(bp) > 0):
             raise ValueError("breakpoints must be strictly increasing")
         if self.kind not in ("constant", "linear"):
@@ -153,7 +155,7 @@ def _scalar_lookup(xp: list, fp: list, kind: str):
         if xp[j] == x:
             return fp[j]
         y = slopes[j] * (x - xp[j]) + fp[j]
-        if y != y:
+        if y != y:   # also with finite data: x - xp[j] may overflow, 0 * inf is NaN
             y = slopes[j] * (x - xp[j + 1]) + fp[j + 1]
             if y != y and fp[j] == fp[j + 1]:
                 y = fp[j]

@@ -37,7 +37,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .controller import feedforward, reference_accel
 from .errors import InfeasibleError, NumericalError
 from .plant import PositionProfile, step_efficiency
 from .sysid import EfficiencyParams, GrayBoxModel
@@ -135,21 +134,23 @@ class TOSolution:
 
 @dataclass(frozen=True)
 class ReferenceTrajectory:
-    """Uniform-in-time reference for the tracking controller."""
+    """The plan as the tracking reference, one row per node: time, position,
+    speed, and the acceleration held to the next node (0 at the last).  The
+    speed is linear in time between nodes."""
 
     t: np.ndarray
     x: np.ndarray
     v_r: np.ndarray
     a_r: np.ndarray
-    u_r: np.ndarray
 
-    @property
-    def h(self) -> float:
-        return float(self.t[1] - self.t[0]) if self.t.size > 1 else 0.0
+    def sample(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Speed and acceleration at times ``t``; past the end the final
+        speed holds and the acceleration is 0."""
+        k = np.clip(np.searchsorted(self.t, t, side="right") - 1, 0, self.t.size - 1)
+        return np.interp(t, self.t, self.v_r), self.a_r[k]
 
     def to_csv(self, path) -> None:
-        write_csv(path, ["t", "x", "v_r", "a_r", "u_r"],
-                  [self.t, self.x, self.v_r, self.a_r, self.u_r])
+        write_csv(path, ["t", "x", "v_r", "a_r"], [self.t, self.x, self.v_r, self.a_r])
 
 
 def build_problem(path_length: float, n_segments: int, T_f: float,
@@ -446,24 +447,8 @@ def solve(p: TOProblem) -> TOSolution:
                       exit="time_pinned" if pinned else "gap")
 
 
-def resample_equidistant(sol: TOSolution, p: TOProblem, n_samples: int
-                         ) -> ReferenceTrajectory:
-    """Resample the solution onto a uniform time grid for the controller.
-
-    Position over time is piecewise linear between the plan's nodes; the
-    terminal position is preserved exactly.  Velocity and acceleration are
-    rebuilt by forward differences (final values held) and the feedforward
-    input is re-inverted at the resampled points.
-    """
-    if n_samples < 2:
-        raise ValueError("need at least two samples")
-    t = np.linspace(0.0, float(sol.t[-1]), n_samples)
-    x = np.interp(t, sol.t, p.x)
-    x[-1] = p.x[-1]
-    dt = t[1] - t[0]
-    v = np.diff(x) / dt
-    v = np.append(v, v[-1])
-    a = reference_accel(v, dt)
-    u = feedforward(v, a, np.interp(x, p.x[:-1], p.alpha), p.model) \
-        if p.mode == "full" else a.copy()
-    return ReferenceTrajectory(t=t, x=x, v_r=v, a_r=a, u_r=u)
+def reference(sol: TOSolution, p: TOProblem) -> ReferenceTrajectory:
+    """The plan's nodes as the tracking reference: each segment runs at
+    constant acceleration, so its speed is linear in time between nodes."""
+    return ReferenceTrajectory(t=sol.t, x=p.x, v_r=np.sqrt(sol.z),
+                               a_r=np.append(sol.a_r, 0.0))

@@ -270,8 +270,7 @@ def test_c09_planned_car_run_beats_constant_speed(car_sc, car_fit):
     t = np.linspace(0.0, car_sc.T_f, ref.t.size)
     base_ref = tempo.ReferenceTrajectory(t=t, x=v_bar * t,
                                          v_r=np.full(t.size, v_bar),
-                                         a_r=np.zeros(t.size),
-                                         u_r=np.zeros(t.size))
+                                         a_r=np.zeros(t.size))
     _, base = harness.stage_track(car_sc, model, schedule, base_ref)
 
     assert metrics["t_terminal"] <= car_sc.T_f * 1.005

@@ -99,12 +99,6 @@ class TestFeedforward:
         u = ctl.feedforward(v, np.zeros(3), np.zeros(3), model)
         np.testing.assert_allclose(u, 0.1 * v, rtol=1e-12)
 
-    def test_reference_accel(self):
-        a = ctl.reference_accel(np.array([0.0, 1.0, 3.0, 6.0]), h=0.5)
-        np.testing.assert_allclose(a, [2.0, 4.0, 6.0, 6.0])
-        np.testing.assert_allclose(ctl.reference_accel(np.array([4.0]), 0.5),
-                                   [0.0])
-
 
 class TestControlStep:
     def test_matches_direct_pi_while_unsaturated(self, rng):

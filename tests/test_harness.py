@@ -171,8 +171,26 @@ class TestNominalPipeline:
 
     def test_default_reference_density(self, nominal_run):
         nom, _, ref, _ = nominal_run
-        # resample.M = 0 picks one sample per planning segment
+        # The reference is the plan's nodes, one row each.
         assert ref.t.size == nom.to_n + 1
+
+
+class TestTrackThePlan:
+    """The plan itself is the reference, and the plant starts on it."""
+
+    def test_car_stays_under_the_speed_cap(self, car_sc, car_fit):
+        _, model, eff, _ = car_fit
+        _, _, ref = harness.stage_plan(car_sc, model, eff)
+        _, metrics = harness.stage_track(car_sc, model,
+                                         harness.stage_schedule(car_sc, model), ref)
+        assert metrics["limit_overshoot"] < 0.05
+
+    def test_pseudo_mode_truck_starts_at_its_feedforward(self, truck_sc, truck_fit):
+        _, model, eff, _ = truck_fit
+        sc = replace(truck_sc, to_mode="pseudo")
+        _, _, ref = harness.stage_plan(sc, model, eff)
+        traj, _ = harness.stage_track(sc, model, harness.stage_schedule(sc, model), ref)
+        assert np.abs(traj.du[:int(20.0 / sc.sim_h)]).max() < 1.0
 
 
 class TestRunPipeline:
@@ -272,15 +290,18 @@ class TestCli:
         ("plan", "eff.regen = 1.2", []),
         ("plan", "eff.regen = 0", []),
         ("plan", "est.mask = 0,1,0,1,1,0", []),
+        # resample.M is gone: both lines now fail as unknown keys.
         ("plan", "resample.M = 1", []),
         ("plan", "resample.M = -3", []),
+        ("plan", "slope.breakpoints = 0:0, inf:0.01", []),
+        ("plan", "vlim.breakpoints = 0:13.9, 300:nan", []),
         ("simulate", "est.noise = -1", []),
         ("simulate", "seed = -1", []),
         ("simulate", "", ["--seed", "-1"]),
         ("pipeline", "", ["--seed", "-1"]),
         ("robustness", "", ["--seed", "-1", "--taus", "0"]),
     ], ids=["T_f_nan", "u_lim", "gamma", "gen", "regen_high", "regen_zero", "mask", "M_one",
-            "M_negative", "noise", "seed_key", "seed_flag_simulate",
+            "M_negative", "slope_inf", "vlim_nan", "noise", "seed_key", "seed_flag_simulate",
             "seed_flag_pipeline", "seed_flag_robustness"])
     def test_bad_config_values_fail_before_any_work(self, tmp_path, capsys,
                                                     command, lines, flags):

@@ -54,6 +54,20 @@ class TestPositionProfile:
         with pytest.raises(ValueError):
             PositionProfile(np.array([0.0]), np.array([1.0]), "spline")
 
+    @pytest.mark.parametrize("bp, fp", [
+        ([math.nan], [0.0]), ([0.0, math.inf], [0.0, 1.0]), ([-math.inf, 0.0], [1.0, 1.0]),
+        ([0.0, 300.0], [13.9, math.nan]), ([0.0, 1.0], [math.inf, 0.01])],
+        ids=["nan_bp", "inf_bp", "neg_inf_bp", "nan_value", "inf_value"])
+    def test_rejects_non_finite_data(self, bp, fp):
+        with pytest.raises(ValueError, match="finite"):
+            PositionProfile(np.array(bp), np.array(fp), "linear")
+
+    def test_overflowing_offset_takes_the_nan_retry(self):
+        # x - xp[0] overflows to inf and slope 0 times inf is NaN; like
+        # np.interp, the lookup retries from the right end.
+        prof = PositionProfile(np.array([-1.7e308, 1.7e308]), np.array([2.0, 2.0]))
+        assert prof.at(1e308) == prof.value(1e308) == 2.0
+
 
 def test_step_efficiency_regimes():
     assert step_efficiency(5.0) == 1.1
@@ -310,9 +324,10 @@ def command_scale(p) -> float:
     return p.m * p.R if isinstance(p, TruckParams) else p.m
 
 
-# Non-NaN floats with the special values drawn often.
-EDGE_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf]),
-                        st.floats(allow_nan=False))
+# Finite floats with the special values drawn often: a profile rejects
+# non-finite breakpoints and values.
+EDGE_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1.7e308, -1.7e308]),
+                        st.floats(allow_nan=False, allow_infinity=False))
 
 
 class TestBitEquality:

@@ -1,4 +1,4 @@
-"""Timing-optimization tests: objective algebra, solver, oracle, resampling."""
+"""Timing-optimization tests: objective algebra, solver, oracle, reference."""
 
 import dataclasses
 
@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modru import config, harness, tempo
-from modru.controller import feedforward
 from modru.errors import InfeasibleError, NumericalError
-from modru.plant import PositionProfile, step_efficiency
+from modru.plant import PositionProfile
 from modru.sysid import EfficiencyParams, GrayBoxModel
 from modru.tables import read_csv
 
@@ -540,46 +539,32 @@ class TestProperties:
             if np.all(res.x > 0.0) and violation(p, res.x) <= 1e-12:
                 assert tempo.evaluate_objective(p, res.x)[0] >= floor
 
+    @settings(max_examples=30, deadline=None)
+    @given(p=routes)
+    def test_reference_runs_the_plan_through_its_nodes(self, p):
+        sol = solve_or_confirm_infeasible(p)
+        if sol is None:
+            return
+        ref = tempo.reference(sol, p)
+        v, a = ref.sample(sol.t)
+        np.testing.assert_array_equal(v, np.sqrt(sol.z))
+        np.testing.assert_array_equal(a, np.append(sol.a_r, 0.0))
+        # Speed linear in time between nodes: the trapezoid rule is exact.
+        x = np.concatenate([[0.0], np.cumsum(0.5 * (v[:-1] + v[1:]) * np.diff(ref.t))])
+        np.testing.assert_allclose(x, p.x, rtol=1e-12, atol=0.0)
 
-@pytest.fixture(scope="module")
-def taper_plan():
-    # caps step up after a short entry, then taper down well before the
-    # terminus, so the optimal plan ends in level cruise rather than a
-    # last-segment brake.
-    slope = PositionProfile(np.array([0.0, 2000.0]),
-                            np.array([0.002, 0.002]), "linear")
-    caps = PositionProfile(np.array([0.0, 200.0, 1800.0, 2000.0]),
-                           np.array([7.0, 12.5, 6.5, 6.5]), "constant")
-    p = tempo.build_problem(2000.0, 60, 218.3, slope, caps,
-                            truck_like_model(), vdot_lim=0.7, u_lim=600.0)
-    return p, tempo.solve(p)
-
-
-class TestResample:
-    def test_uniform_grid_and_terminal_position(self, taper_plan):
-        p, sol = taper_plan
-        ref = tempo.resample_equidistant(sol, p, 81)
-        assert ref.t.size == 81
-        assert ref.t[0] == 0.0 and ref.t[-1] == pytest.approx(sol.t[-1])
-        np.testing.assert_allclose(np.diff(ref.t), ref.h, rtol=1e-9)
-        assert ref.x[-1] == p.x[-1]
-        assert np.all(np.diff(ref.x) > 0)
-
-    def test_energy_survives_resampling(self, taper_plan):
-        p, sol = taper_plan
-        assert sol.feasible
-        ref = tempo.resample_equidistant(sol, p, 4 * p.n_segments)
-        # The samples' drive energy, plus m/2 (v_first^2 - v_last^2).
-        u = feedforward(ref.v_r, ref.a_r, np.interp(ref.x, p.x[:-1], p.alpha), p.model)
-        eta = step_efficiency(u, p.eff.gen_factor, p.eff.regen_factor)
-        E_ref = float(np.sum((eta * u * ref.v_r)[:-1]) * ref.h) \
-            + 0.5 * p.mass * (ref.v_r[0] ** 2 - ref.v_r[-1] ** 2)
-        assert E_ref == pytest.approx(sol.E, rel=0.02)
-
-    def test_needs_two_samples(self, taper_plan):
-        p, sol = taper_plan
-        with pytest.raises(ValueError):
-            tempo.resample_equidistant(sol, p, 1)
+    @settings(max_examples=30, deadline=None)
+    @given(p=routes)
+    def test_reference_keeps_the_caps_and_holds_past_the_end(self, p):
+        sol = solve_or_confirm_infeasible(p)
+        if sol is None:
+            return
+        ref = tempo.reference(sol, p)
+        t = np.linspace(0.0, ref.t[-1], 20 * p.n_segments + 1)
+        k = np.minimum(np.searchsorted(ref.t, t, side="right") - 1, p.n_segments - 1)
+        assert np.all(ref.sample(t)[0] <= p.v_lim[k] * (1.0 + 2e-6))
+        v, a = ref.sample(ref.t[-1] + np.array([0.0, 0.5, 1e3]))
+        assert np.all(v == ref.v_r[-1]) and np.all(a == 0.0)
 
 
 class TestSolutionIO:
@@ -597,3 +582,14 @@ class TestSolutionIO:
         assert float(meta["t_end"]) == sol.t[-1]
         assert float(meta["E"]) == sol.E and meta["feasible"] == "1"
         assert float(meta["gap_rel"]) == sol.gap_rel
+
+    def test_reference_csv_holds_the_node_rows(self, tmp_path):
+        p = tempo.build_problem(100.0, 2, 9.0, FLAT, flat_limit(15.0), None,
+                                mode="pseudo", vdot_lim=10.0)
+        ref = tempo.reference(tempo.solve(p), p)
+        path = tmp_path / "reference.csv"
+        ref.to_csv(path)
+        header, cols, _ = read_csv(path)
+        assert header == ["t", "x", "v_r", "a_r"]
+        for name in header:
+            np.testing.assert_array_equal(getattr(ref, name), cols[name], err_msg=name)
