@@ -3,10 +3,10 @@
 The feedback gains come from LQ designs on the gray-box model linearized
 at a grid of reference velocities: at each node the scalar model
 dv/dt = a(v) dv + b du (a = th3 + 2 th4 v, b = th1) is discretized
-exactly, augmented with a summed-error state, and the Riccati equation
-solved for (K_P, K_I).  The stored integral time T_I = K_P / K_I is in
-samples.  Between nodes (K_P, T_I) interpolate linearly with endpoint
-hold.
+exactly (:func:`modru.lqr.c2d_zoh`), augmented with a summed-error state,
+and the Riccati equation solved for (K_P, K_I).  The stored integral time
+T_I = K_P / K_I is in samples.  Between nodes (K_P, T_I) interpolate
+linearly with endpoint hold.
 
 The PI is realized in anti-windup form: the integral channel is a
 first-order filter F_s(q) = 1 / (1 + (q - 1) T_I) driven by the
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lqr import dare_solve
+from .lqr import c2d_zoh, dare_solve
 from .plant import PositionProfile
 from .sysid import GrayBoxModel
 from .tables import write_csv
@@ -85,17 +85,6 @@ def feedforward(v_ref, a_ref, alpha, model: GrayBoxModel):
             - t5 * alpha - t6 * (alpha * alpha)) / t1
 
 
-def _discretize_node(a: float, b: float, h: float) -> tuple[float, float]:
-    """Exact zero-order-hold discretization of dv/dt = a v + b u."""
-    ah = a * h
-    A_d = math.exp(ah)
-    if abs(ah) < 1e-12:
-        B_d = b * h
-    else:
-        B_d = b * math.expm1(ah) / a
-    return A_d, B_d
-
-
 def build_gain_schedule(model: GrayBoxModel, v_grid: np.ndarray, h: float,
                         rho_I: float = DEFAULT_RHO_I,
                         rho_u: float = DEFAULT_RHO_U) -> GainSchedule:
@@ -114,9 +103,9 @@ def build_gain_schedule(model: GrayBoxModel, v_grid: np.ndarray, h: float,
     Qu = np.array([[rho_u]])
     for i, v in enumerate(v_grid):
         a = t[2] + 2.0 * t[3] * v
-        A_d, B_d = _discretize_node(a, b, h)
-        A = np.array([[A_d, 0.0], [1.0, 1.0]])
-        B = np.array([[B_d], [0.0]])
+        A_d, B_d = c2d_zoh([[a]], [[b]], h)
+        A = np.array([[A_d[0, 0], 0.0], [1.0, 1.0]])
+        B = np.array([[B_d[0, 0]], [0.0]])
         K, _ = dare_solve(A, B, Qx, Qu)
         kp, ki = float(K[0, 0]), float(K[0, 1])
         if kp <= 0 or ki <= 0:

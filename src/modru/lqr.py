@@ -12,6 +12,7 @@ rise time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -30,6 +31,15 @@ BOUNDARY_TOL = 1e-12
 _ROLLOUT_BLOCK = 20
 
 
+def _state_input(A, B) -> tuple[np.ndarray, np.ndarray]:
+    """States (matrix or samples) as a 2-D float array, inputs with one column each."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = np.asarray(B, dtype=float)
+    if B.ndim == 1:
+        B = B[:, None]
+    return A, B
+
+
 @dataclass(frozen=True)
 class StateSpaceD:
     """Discrete-time linear system x+ = A x + B u with sample time h."""
@@ -39,10 +49,7 @@ class StateSpaceD:
     h: float
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        B = np.asarray(self.B, dtype=float)
-        if B.ndim == 1:
-            B = B[:, None]
+        A, B = _state_input(self.A, self.B)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         if A.shape[0] != A.shape[1] or B.shape[0] != A.shape[0]:
@@ -95,6 +102,10 @@ def _quadratic_form(x: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return out
 
 
+# Row-major upper-triangle maps of the Q-function parameters; built once per d, only read.
+_triu_maps = functools.cache(np.triu_indices)
+
+
 @dataclass(frozen=True)
 class QTheta:
     """Quadratic Q-function blocks: Q(x,u) = [x;u]' [[S_xx,S_xu],[S_xu',S_uu]] [x;u]."""
@@ -110,7 +121,7 @@ class QTheta:
         if theta.size != d * (d + 1) // 2:
             raise ValueError("parameter vector length mismatch")
         S = np.zeros((d, d))
-        I, J = np.triu_indices(d)
+        I, J = _triu_maps(d)
         S[I, J] = theta
         S[J, I] = theta
         return cls(S_xx=S[:n, :n], S_xu=S[:n, n:], S_uu=S[n:, n:])
@@ -139,92 +150,61 @@ class RobustnessRow:
     trace: list = field(default_factory=list, repr=False)
 
 
-# Numerator coefficients b_0..b_13 of the [13/13] Pade approximant of exp
-# and the 1-norm up to which it is accurate to double precision unscaled.
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0,
-           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-           960960.0, 16380.0, 182.0, 1.0)
-_THETA13 = 5.371920351148152
-# 1-norm from which ||M||_1^8 overflows; c2d_zoh fails beyond it.
-_EXPM_NORM_MAX = 2.0 ** 128
-
-
-def _exp_divided_difference(x: np.ndarray) -> np.ndarray:
-    """(e^{x[k+1]} - e^{x[k]}) / (x[k+1] - x[k]), e^{x[k]} where they are equal.
-
-    Written as e^hi expm1(lo - hi) / (lo - hi) over the pair's larger and
-    smaller entry, so it neither cancels for close entries nor overflows
-    for far ones.
-    """
-    hi = np.maximum(x[:-1], x[1:])
-    gap = np.minimum(x[:-1], x[1:]) - hi
-    step = gap < 0.0
-    ratio = np.ones_like(gap)
-    ratio[step] = np.expm1(gap[step]) / gap[step]
-    return np.exp(hi) * ratio
-
-
-def _expm(M: np.ndarray) -> np.ndarray:
-    """exp(M) by the method :func:`c2d_zoh` describes; ||M||_1 <= _EXPM_NORM_MAX."""
-    n = M.shape[0]
-    norm = float(np.abs(M).sum(axis=0).max())
-    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0.0 else 0
-    X = M * 2.0 ** -s
-    X2 = X @ X
-    X4 = X2 @ X2
-    X6 = X4 @ X2
-    b = _PADE13
-    U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2)
-             + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * np.eye(n))
-    V = (X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2)
-         + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * np.eye(n))
-    E = np.linalg.solve(V - U, V + U)
-    upper = not np.any(np.tril(M, -1))
-    for i in range(s, -1, -1):
-        if i < s:
-            E = E @ E
-        if upper:  # exact diagonal and superdiagonal of exp(2^-i M)
-            d = 2.0 ** -i * np.diag(M)
-            E[np.diag_indices(n)] = np.exp(d)
-            E[np.arange(n - 1), np.arange(1, n)] = \
-                2.0 ** -i * np.diag(M, 1) * _exp_divided_difference(d)
-    return np.triu(E) if upper else E
+def _exp_divided_difference(x: list[float]) -> float:
+    """exp[x_0, ..., x_k] over ascending nodes: e^x / k! for equal nodes, the
+    recurrence (exp[x_1..x_k] - exp[x_0..x_k-1]) / (x_k - x_0) for nodes
+    spanning more than 1, and else, where that recurrence would cancel,
+    the Taylor series e^c sum_j h_j(x - c) / (k + j)! about the midpoint c,
+    h_j the complete homogeneous symmetric polynomials.  Its 25 terms leave
+    a remainder below 0.5^25 / 25! ~ 2e-33 of e^c / k!."""
+    k = len(x) - 1
+    lo, hi = x[0], x[-1]
+    if lo == hi:
+        return math.exp(lo) / math.factorial(k)
+    if hi - lo > 1.0:
+        return (_exp_divided_difference(x[1:])
+                - _exp_divided_difference(x[:-1])) / (hi - lo)
+    c = 0.5 * (lo + hi)
+    # h[j] = h_j(y_0..y_i), y_i = x_i - c, as the nodes are added one by one.
+    h = [1.0] + [0.0] * 24
+    for xi in x:
+        for j in range(1, 25):
+            h[j] += (xi - c) * h[j - 1]
+    return math.exp(c) * sum(h[j] / math.factorial(k + j) for j in range(24, -1, -1))
 
 
 def c2d_zoh(A: np.ndarray, B: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact zero-order-hold discretization via the augmented matrix exponential.
+    """Exact zero-order-hold discretization of a cascade of first-order blocks.
 
-    Ad and Bd are the blocks of exp(M), M = [[A h, B h], [0, 0]].  The
-    exponential is [13/13] Pade scaling and squaring (Higham, SIAM J.
-    Matrix Anal. Appl. 26, 2005): M is scaled by 2^-s so that
-    ||2^-s M||_1 <= theta_13 = 5.37, the approximant is formed there and
-    squared s times.  For upper triangular M, as every servo plant has,
-    the diagonal and first superdiagonal are reset to their exact values
-    after each squaring (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
-    2009, Code Fragment 2.1); this keeps a mode far faster than ``h``
-    accurate however far M is scaled.  Raises :class:`NumericalError`
-    when the exponential has a non-finite entry, or when ||M||_1 exceeds
-    2^128 (~3.4e38, a mode with |a| h ~ 1e39).  From that norm on
-    ||M||_1^8 overflows; scipy's ``expm`` forms ||M^8|| to pick its
-    degree and returns non-finite matrices there, and that boundary is
-    kept.
+    Ad and Bd are the blocks of E = exp(M), M = [[A h, B h], [0, 0]].  A
+    must be upper bidiagonal and the one input must enter the last state,
+    as in every servo plant and gain-schedule node.  M is then upper
+    bidiagonal with diagonal d = (diag(A) h, 0) and superdiagonal
+    s = (diag(A, 1) h, b h), so E[i, j] = s_i ... s_j-1 exp[d_i, ..., d_j]
+    for j >= i (Opitz 1964; McCurdy, Ng & Parlett, Math. Comp. 43, 1984).
+    Raises ``ValueError`` for h <= 0 or a system outside that contract and
+    :class:`NumericalError` when E has a non-finite entry.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
+    A, B = _state_input(A, B)
     if h <= 0:
         raise ValueError("sample time must be positive")
-    n, m = A.shape[0], B.shape[1]
-    M = np.zeros((n + m, n + m))
-    M[:n, :n] = A * h
-    M[:n, n:] = B * h
-    E = _expm(M) if np.abs(M).sum(axis=0).max() <= _EXPM_NORM_MAX else None
-    if E is None or not np.all(np.isfinite(E)):
+    n = A.shape[0]
+    if (A.shape != (n, n) or B.shape != (n, 1) or np.any(np.triu(A, 2))
+            or np.any(np.tril(A, -1)) or np.any(B[:-1])):
+        raise ValueError("need an upper bidiagonal A and one input into the last state")
+    d = (np.diag(A) * h).tolist() + [0.0]
+    s = (np.diag(A, 1) * h).tolist() + [float(B[-1, 0] * h)]
+    E = np.zeros((n, n + 1))
+    try:
+        for i in range(n):
+            for j in range(i, n + 1):
+                E[i, j] = math.prod(s[i:j]) * _exp_divided_difference(sorted(d[i:j + 1]))
+    except OverflowError:
+        E[0, 0] = math.inf
+    if not np.all(np.isfinite(E)):
         raise NumericalError(f"zero-order-hold discretization with h={h:g} is not "
                              "finite (a mode is too fast for this sample time)")
-    return E[:n, :n], E[:n, n:]
+    return E[:, :n], E[:, n:]
 
 
 def spectral_radius(A: np.ndarray) -> float:
@@ -250,10 +230,7 @@ def dare_solve(A: np.ndarray, B: np.ndarray, Q_x: np.ndarray, Q_u,
     converge in 64 doublings (2^64 fixed-point steps), or when the implied
     closed loop is not asymptotically stable.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
+    A, B = _state_input(A, B)
     Q_x = np.atleast_2d(np.asarray(Q_x, dtype=float))
     Q_u = np.atleast_2d(np.asarray(Q_u, dtype=float))
     n = A.shape[0]
@@ -313,7 +290,7 @@ class _LstdWorkspace:
     def __init__(self, n: int, m: int):
         self.n = n
         self.d = n + m
-        self.I, self.J = np.triu_indices(self.d)
+        self.I, self.J = _triu_maps(self.d)
         self.factor = np.where(self.I == self.J, 1.0, 2.0)
         self.N = None
 
@@ -390,11 +367,8 @@ def lqrl_policy_iteration(rollout_source, K0: np.ndarray, cost: QuadCost,
 
     def collect(K_try):
         X, U, Xn = rollout_source(K_try, n_samples)
-        U = np.asarray(U, dtype=float)
-        if U.ndim == 1:
-            U = U[:, None]
-        work.load(np.atleast_2d(np.asarray(X, dtype=float)), U,
-                  np.atleast_2d(np.asarray(Xn, dtype=float)), K_try)
+        X, U = _state_input(X, U)
+        work.load(X, U, np.atleast_2d(np.asarray(Xn, dtype=float)), K_try)
 
     collect(K)
     for _ in range(max_iters):
@@ -441,10 +415,7 @@ def linear_rollouts(A: np.ndarray, B: np.ndarray, n_obs: int | None = None,
     leaving the generator where per-step draws would have stopped: after
     the noise of the first step past 1e6.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
+    A, B = _state_input(A, B)
     n_full, m = B.shape
     if n_obs is None:
         n_obs = n_full
@@ -515,10 +486,7 @@ def sensitivity_metrics(A: np.ndarray, B: np.ndarray, K: np.ndarray, h: float,
     (0, pi/h] on the unit circle.  Returns (M_S, M_T); infinite values
     indicate the loop passes through the critical point on the grid.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
+    A, B = _state_input(A, B)
     K = np.atleast_2d(np.asarray(K, dtype=float))
     n = A.shape[0]
     w = np.logspace(math.log10(math.pi / h) - 5.0, math.log10(math.pi / h), n_freq)
@@ -546,10 +514,7 @@ def rise_time(A: np.ndarray, B: np.ndarray, K: np.ndarray, C: np.ndarray,
     :class:`NumericalError` when the closed loop is unstable, its DC gain
     is (near) zero, or y stays below 90% for ``max_steps`` samples.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
+    A, B = _state_input(A, B)
     K = np.atleast_2d(np.asarray(K, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
     n = A.shape[0]
@@ -610,17 +575,12 @@ def servo_plant(tau: float, h: float = 0.1) -> tuple[StateSpaceD, np.ndarray]:
     if tau < 0:
         raise ValueError("tau must be non-negative")
     if tau == 0.0:
-        Ac = np.array([[0.0, 1.0], [0.0, -1.0]])
-        Bc = np.array([[0.0], [1.0]])
-        C = np.array([[1.0, 0.0]])
+        Ac, Bc, C = [[0.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]], [[1.0, 0.0]]
     else:
-        Ac = np.array([[0.0, 1.0, 0.0],
-                       [0.0, -1.0, 1.0],
-                       [0.0, 0.0, -1.0 / tau]])
-        Bc = np.array([[0.0], [0.0], [1.0 / tau]])
-        C = np.array([[1.0, 0.0, 0.0]])
+        Ac = [[0.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0 / tau]]
+        Bc, C = [[0.0], [0.0], [1.0 / tau]], [[1.0, 0.0, 0.0]]
     Ad, Bd = c2d_zoh(Ac, Bc, h)
-    return StateSpaceD(Ad, Bd, h), C
+    return StateSpaceD(Ad, Bd, h), np.array(C)
 
 
 def _pad_gain(K: np.ndarray, n_full: int) -> np.ndarray:

@@ -164,10 +164,6 @@ def _scalar_lookup(xp: list, fp: list, kind: str):
     return at
 
 
-def constant_profile(value: float) -> PositionProfile:
-    return PositionProfile(np.array([0.0]), np.array([float(value)]), "constant")
-
-
 def step_efficiency(u, gen: float = 1.1, regen: float = 0.9):
     """Drive efficiency factor: ``gen`` for u >= 0, ``regen`` for u < 0.
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EstimationError
+from .lqr import _state_input
 from .tables import read_csv, write_csv, write_keyvalues, read_keyvalues
 
 N_THETA = 6
@@ -183,10 +184,7 @@ def estimate_ss(X: np.ndarray, U: np.ndarray,
     shifted by one sample.  Raises :class:`EstimationError` on a rank
     deficient regressor (insufficient excitation).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    U = np.asarray(U, dtype=float)
-    if U.ndim == 1:
-        U = U[:, None]
+    X, U = _state_input(X, U)
     if X_next is None:
         X_next = X[1:]
         X = X[:-1]

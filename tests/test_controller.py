@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modru import controller as ctl
+from modru.lqr import c2d_zoh
 from modru.sysid import GrayBoxModel
 from modru.tables import read_csv
 
@@ -16,19 +17,6 @@ from modru.tables import read_csv
 def make_schedule(kp=2.0, ti=5.0, h=0.1):
     return ctl.GainSchedule(v_grid=np.array([0.0]), K_P=np.array([kp]),
                             T_I=np.array([ti]), h=h)
-
-
-class TestDiscretizeNode:
-    def test_exact_scalar_zoh(self):
-        a, b, h = -0.5, 2.0, 0.1
-        A_d, B_d = ctl._discretize_node(a, b, h)
-        assert A_d == pytest.approx(math.exp(a * h), rel=1e-13)
-        assert B_d == pytest.approx(b * (math.exp(a * h) - 1.0) / a, rel=1e-13)
-
-    def test_integrator_limit(self):
-        A_d, B_d = ctl._discretize_node(0.0, 2.0, 0.1)
-        assert A_d == 1.0
-        assert B_d == pytest.approx(0.2, rel=1e-13)
 
 
 class TestGainSchedule:
@@ -77,9 +65,9 @@ class TestGainSchedule:
         assert np.ptp(sched.K_P) > 0
         for v in sched.v_grid:
             a = -0.1 + 2.0 * (-0.002) * v
-            A_d, B_d = ctl._discretize_node(a, 1.0, 0.5)
-            A = np.array([[A_d, 0.0], [1.0, 1.0]])
-            B = np.array([[B_d], [0.0]])
+            A_d, B_d = c2d_zoh([[a]], [[1.0]], 0.5)
+            A = np.array([[A_d[0, 0], 0.0], [1.0, 1.0]])
+            B = np.array([[B_d[0, 0]], [0.0]])
             kp, ti = sched.gains(v)
             K = np.array([[kp, kp / ti]])
             assert np.abs(np.linalg.eigvals(A - B @ K)).max() < 1.0

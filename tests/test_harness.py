@@ -358,7 +358,7 @@ class TestCli:
         assert line.endswith(f"feasible=1 n_evals={n_evals}")
 
     def test_robustness_tiny_tau_is_a_numerical_failure(self, tmp_path, capsys):
-        rc = cli.main(["robustness", "--taus", "1e-60", "--methods", "model-based",
+        rc = cli.main(["robustness", "--taus", "5e-324", "--methods", "model-based",
                        "--out", str(tmp_path)])
         assert rc == 3
         err = capsys.readouterr().err

@@ -4,6 +4,7 @@ import functools
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -192,26 +193,29 @@ def zoh_reference(A, B, h):
     return E[:n, :n], E[:n, n:]
 
 
-def random_square(rng, n, kind):
-    """Random n x n matrix of the given structure with unit 1-norm."""
-    if kind == "jordan":  # upper triangular and defective
-        M = rng.normal() * np.eye(n) + np.diag(rng.normal(size=n - 1), 1)
-    else:
-        M = rng.normal(size=(n, n))
-        if kind == "upper":
-            M = np.triu(M)
-        elif kind == "lower":
-            M = np.tril(M)
-        elif kind == "diagonal":
-            M = np.diag(np.diag(M))
-        elif kind == "defective":  # one Jordan block, orthogonally rotated
-            Q, _ = np.linalg.qr(M)
-            J = rng.normal() * np.eye(n) + np.eye(n, k=1)
-            M = Q @ J @ Q.T
-    return M / max(np.abs(M).sum(axis=0).max(), 1e-300)
+def cascade_reference(A, B, h):
+    """Zero-order-hold blocks from a 50-digit mpmath exponential of the
+    float matrix [[A h, B h], [0, 0]]."""
+    n = A.shape[0]
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n], M[:n, n:] = A * h, B * h
+    with mpmath.workdps(50):
+        E = np.array(mpmath.expm(mpmath.matrix(M.tolist())).tolist(), dtype=float)
+    return E[:n, :n], E[:n, n:]
 
 
-MATRIX_KINDS = ("dense", "upper", "lower", "diagonal", "defective", "jordan")
+def random_cascade(rng, n, kind, near_gap):
+    """Diagonal of an n-block cascade with unit scale: distinct entries,
+    entries repeated from two values, or entries within ``near_gap`` of one."""
+    d = rng.normal(size=n)
+    if kind == "repeated":
+        d = rng.choice(d[:2], size=n)
+    elif kind == "near":
+        d = d[0] + near_gap * rng.normal(size=n)
+    return d
+
+
+CASCADE_KINDS = ("distinct", "repeated", "near")
 
 
 def bisection_boundary(margin, lo, g_lo, hi, g_hi, max_evals=60):
@@ -272,31 +276,51 @@ class TestC2d:
         np.testing.assert_allclose(Ad, [[1.0, 0.1], [0.0, 1.0]], atol=1e-14)
         np.testing.assert_allclose(Bd, [[0.005], [0.1]], atol=1e-14)
 
-    def test_scalar_exponential(self):
-        a, b, h = -2.0, 3.0, 0.5
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.one_of(st.just(0.0), st.floats(-1e-12, 1e-12), st.floats(-50.0, 50.0)),
+           b=st.floats(-10.0, 10.0), h=st.floats(1e-3, 2.0))
+    @example(a=-2.0, b=3.0, h=0.5)
+    @example(a=5e-13, b=2.0, h=0.1)
+    def test_scalar_exponential(self, a, b, h):
+        # The gain-schedule node dv/dt = a v + b u, down to the integrator.
         Ad, Bd = lqr.c2d_zoh([[a]], [[b]], h)
-        assert Ad[0, 0] == pytest.approx(math.exp(a * h), rel=1e-13)
-        assert Bd[0, 0] == pytest.approx((math.exp(a * h) - 1.0) / a * b, rel=1e-13)
+        assert Ad[0, 0] == math.exp(a * h)
+        if a == 0.0:
+            assert Bd[0, 0] == b * h
+        else:
+            with mpmath.workdps(40):
+                want = float(b * mpmath.expm1(mpmath.mpf(a) * h) / a)
+            # abs: b h may be subnormal, with fewer significant digits.
+            assert Bd[0, 0] == pytest.approx(want, rel=1e-13, abs=1e-307)
 
     def test_bad_sample_time(self):
         with pytest.raises(ValueError):
             lqr.c2d_zoh([[0.0]], [[1.0]], 0.0)
 
+    @pytest.mark.parametrize("A, B", [
+        ([[-1.0, 0.0], [1.0, -2.0]], [[0.0], [1.0]]),           # below the diagonal
+        ([[0.0, 1.0, 1.0], [0.0, -1.0, 1.0], [0.0, 0.0, -2.0]],
+         [[0.0], [0.0], [1.0]]),                                # second superdiagonal
+        ([[0.0, 1.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]),  # two inputs
+        ([[0.0, 1.0], [0.0, -1.0]], [[1.0], [1.0]]),            # input on a middle state
+    ])
+    def test_rejects_non_cascades(self, A, B):
+        with pytest.raises(ValueError, match="bidiagonal"):
+            lqr.c2d_zoh(A, B, 0.1)
+
     @pytest.mark.parametrize("tau", [1e-40, 1e-60, 1e-300])
     def test_non_finite_exponential_raises(self, tau):
-        # The actuator mode -1/tau overflows the exponential's scaling.
+        # A lag far below h gives the instantaneous-actuator limit: the
+        # modelled block is the tau = 0 plant, the actuator state is u.
+        sys, _ = lqr.servo_plant(tau, h=0.1)
+        ref, _ = lqr.servo_plant(0.0, h=0.1)
+        assert np.abs(sys.A[:2, :2] - ref.A).max() <= 1e-15
+        assert np.abs(sys.B[:2] - ref.B).max() <= 1e-15
+        assert np.abs(sys.A[:2, 2]).max() <= 1e-15
+        np.testing.assert_array_equal(np.hstack([sys.A[2], sys.B[2]]), [0.0, 0.0, 0.0, 1.0])
+        # Once 1/tau overflows the exponential is not finite.
         with pytest.raises(NumericalError, match=r"h=0\.1"):
-            lqr.servo_plant(tau, h=0.1)
-        sys, _ = lqr.servo_plant(1e-20, h=0.1)
-        assert np.all(np.isfinite(sys.A)) and np.all(np.isfinite(sys.B))
-
-    def test_failure_boundary_is_the_norm_bound(self):
-        # exp(-x) is finite, but from ||M||_1 = 2^128 on c2d_zoh refuses.
-        lqr.c2d_zoh([[-np.nextafter(2.0 ** 128, 0.0)]], [[0.0]], 1.0)
-        with pytest.raises(NumericalError, match=r"h=1\b"):
-            lqr.c2d_zoh([[-np.nextafter(2.0 ** 128, np.inf)]], [[0.0]], 1.0)
-        with pytest.raises(NumericalError):
-            lqr.c2d_zoh([[np.nan]], [[1.0]], 1.0)
+            lqr.servo_plant(5e-324, h=0.1)
 
     @settings(max_examples=300, deadline=None)
     @given(tau=st.one_of(st.just(0.0), st.floats(-30.0, 1.0).map(lambda e: 10.0 ** e)))
@@ -304,8 +328,8 @@ class TestC2d:
     @example(tau=1e-12)
     @example(tau=10.0)
     def test_servo_plant_matches_scipy(self, tau):
-        # Every servo matrix is upper triangular; the actuator mode -1/tau
-        # needs up to ~100 squarings at tau = 1e-30.
+        # Every servo plant is a cascade; the actuator mode -1/tau reaches
+        # -1e31 h at tau = 1e-30.
         sys, _ = lqr.servo_plant(tau, h=0.1)
         if tau == 0.0:
             Ac, Bc = np.array([[0.0, 1.0], [0.0, -1.0]]), np.array([[0.0], [1.0]])
@@ -316,26 +340,21 @@ class TestC2d:
         np.testing.assert_allclose(sys.A, Ad, rtol=0.0, atol=1e-13)
         np.testing.assert_allclose(sys.B, Bd, rtol=0.0, atol=1e-13)
 
-    @settings(max_examples=300, deadline=None)
-    @given(n=st.integers(1, 6), kind=st.sampled_from(MATRIX_KINDS),
-           norm=st.floats(0.0, 60.0), seed=st.integers(0, 2**32 - 1))
-    def test_expm_matches_scipy(self, n, kind, norm, seed):
-        M = random_square(np.random.default_rng(seed), n, kind) * norm
-        want = scipy.linalg.expm(M)
-        got = lqr._expm(M)
-        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
-
-    @settings(max_examples=300, deadline=None)
-    @given(n=st.integers(1, 5), m=st.integers(1, 2),
-           kind=st.sampled_from(MATRIX_KINDS), norm=st.floats(0.0, 50.0),
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 5), kind=st.sampled_from(CASCADE_KINDS),
+           norm=st.floats(0.0, 50.0), log_gap=st.floats(-14.0, 0.0),
            log_h=st.floats(-3.0, 1.0), seed=st.integers(0, 2**32 - 1))
-    def test_c2d_matches_scipy(self, n, m, kind, norm, log_h, seed):
+    def test_cascade_matches_mpmath(self, n, kind, norm, log_gap, log_h, seed):
+        # scipy's expm loses digits on repeated and near-repeated diagonals,
+        # so the oracle is a 50-digit exponential.
         rng = np.random.default_rng(seed)
         h = 10.0 ** log_h
-        A = random_square(rng, n, kind) * (norm / h)  # ||A h||_1 = norm
-        B = rng.normal(size=(n, m))
+        d = random_cascade(rng, n, kind, 10.0 ** log_gap)
+        A = (np.diag(d) + np.diag(rng.normal(size=n - 1), 1)) * (norm / h)
+        B = np.zeros((n, 1))
+        B[-1, 0] = rng.normal()
         Ad, Bd = lqr.c2d_zoh(A, B, h)
-        Ad_ref, Bd_ref = zoh_reference(A, B, h)
+        Ad_ref, Bd_ref = cascade_reference(A, B, h)
         scale = max(np.abs(Ad_ref).max(), np.abs(Bd_ref).max())
         assert np.abs(Ad - Ad_ref).max() <= 1e-10 * scale
         assert np.abs(Bd - Bd_ref).max() <= 1e-10 * scale
@@ -735,8 +754,6 @@ class TestBoundarySearch:
         assert len(watch.points) == 3
 
     @settings(max_examples=8, deadline=None)
-    # servo_plant turns NaN for tau below about 1e-50, so tiny lags are
-    # left out.
     @given(tau=st.one_of(st.just(0.0), st.floats(1e-3, 0.3)),
            seed=st.integers(0, 2**32 - 1))
     def test_model_based_rows_match_bisection(self, tau, seed):

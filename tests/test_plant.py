@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from modru.errors import SimulationDivergence
 from modru.plant import (V_DIVERGED, V_EPS, CarParams, PlantState, PositionProfile,
-                         Trajectory, TruckParams, _car_rhs, _truck_rhs,
-                         constant_profile, simulate, step_efficiency)
+                         Trajectory, TruckParams, _car_rhs, _truck_rhs, simulate,
+                         step_efficiency)
 from modru.tables import read_csv
 
-FLAT = constant_profile(0.0)
+FLAT = PositionProfile([0.0], [0.0], "constant")
 
 
 def balance_torque(p: TruckParams, v: float) -> float:
