@@ -19,6 +19,21 @@ def make_schedule(kp=2.0, ti=5.0, h=0.1):
                             T_I=np.array([ti]), h=h)
 
 
+class TestDiscretizeNode:
+    # The schedule's scalar node dv/dt = a v + b u, discretized as
+    # build_gain_schedule does it.
+    def test_exact_scalar_zoh(self):
+        a, b, h = -0.5, 2.0, 0.1
+        A_d, B_d = c2d_zoh([[a]], [[b]], h)
+        assert A_d[0, 0] == pytest.approx(math.exp(a * h), rel=1e-13)
+        assert B_d[0, 0] == pytest.approx(b * (math.exp(a * h) - 1.0) / a, rel=1e-13)
+
+    def test_integrator_limit(self):
+        A_d, B_d = c2d_zoh([[0.0]], [[2.0]], 0.1)
+        assert A_d[0, 0] == 1.0
+        assert B_d[0, 0] == pytest.approx(0.2, rel=1e-13)
+
+
 class TestGainSchedule:
     def test_interpolation_and_endpoint_hold(self):
         sched = ctl.GainSchedule(v_grid=np.array([0.0, 10.0]),
