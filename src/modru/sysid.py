@@ -6,8 +6,11 @@ The central model is a six-parameter gray box
 
 fitted in output-error fashion: the model is simulated over the whole
 record from the measured initial velocity and the simulated velocity is
-matched to the measured one by damped Gauss-Newton steps.  A boolean
-mask freezes structurally absent terms at zero.
+matched to the measured one by damped Gauss-Newton steps.  The Jacobian
+of the simulated output is the exact derivative of the discrete RK4 map,
+carried along the record by the forward-sensitivity recurrence of the
+predictor (Ljung, *System Identification*, 2nd ed. 1999, ch. 10).  A
+boolean mask freezes structurally absent terms at zero.
 
 Also provided: a one-step state-space estimator and the two-coefficient
 drive-efficiency fit.
@@ -118,8 +121,8 @@ class GrayBoxModel:
 
 def _simulate_theta(theta, v0, u, alpha, h, v_cap=1e5):
     # RK4 on Python floats: arithmetic on np.float64 scalars costs several
-    # times more per operation, and the fit runs this loop about fifty times
-    # over thousands of samples.  Python floats round as np.float64 does and
+    # times more per operation, and the fit runs this loop for every trial
+    # step over thousands of samples.  Python floats round as np.float64 does and
     # the operations keep the order of the rhs, (t4 * x) * x included, so
     # the result equals the numpy-scalar loop's bit for bit.
     t1, t2, t3, t4, t5, t6 = (float(t) for t in theta)
@@ -141,6 +144,56 @@ def _simulate_theta(theta, v0, u, alpha, h, v_cap=1e5):
             return None
         out.append(v)
     return np.array(out[:len(us)])
+
+
+def _output_jacobian(theta, act, sim, u, alpha, h):
+    """Exact Jacobian of ``_simulate_theta``'s output over the columns ``act``.
+
+    th1, th2, th5 and th6 enter the step map Phi only through the per-step
+    constant c, so each step needs four partials of Phi, taken by the chain
+    rule through k1..k4 with f'(x) = th3 + 2 th4 x over the simulated
+    trajectory ``sim``.  Column j then follows the forward-sensitivity
+    recurrence s_k+1 = (dPhi/dv)_k s_k + b_j,k from s_0 = 0, where b_j,k
+    is dPhi/dth_j at step k.  Raises :class:`EstimationError` on a
+    non-finite entry.
+    """
+    t1, t2, t3, t4, t5, t6 = (float(t) for t in theta)
+    v, u, a = sim[:-1], u[:-1], alpha[:-1]
+    hh = 0.5 * h
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = t1 * u + t2 + t5 * a + t6 * a * a
+        k1 = c + t3 * v + t4 * v * v
+        x2 = v + hh * k1
+        k2 = c + t3 * x2 + t4 * x2 * x2
+        x3 = v + hh * k2
+        k3 = c + t3 * x3 + t4 * x3 * x3
+        x4 = v + h * k3
+        g1, g2, g3, g4 = (t3 + 2.0 * t4 * x for x in (v, x2, x3, x4))
+
+        def tangent(z, d1, d2, d3, d4):
+            # dPhi for dv = z and direct partials d_i of f at the stages x_i.
+            e1 = d1 + g1 * z
+            e2 = d2 + g2 * (z + hh * e1)
+            e3 = d3 + g3 * (z + hh * e2)
+            e4 = d4 + g4 * (z + h * e3)
+            return z + h / 6.0 * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+
+        dv = tangent(1.0, 0.0, 0.0, 0.0, 0.0)
+        dc = tangent(0.0, 1.0, 1.0, 1.0, 1.0)
+        b = (dc * u, dc, tangent(0.0, v, x2, x3, x4),
+             tangent(0.0, v * v, x2 * x2, x3 * x3, x4 * x4), dc * a, dc * a * a)
+    A = dv.tolist()
+    J = np.empty((sim.size, len(act)))
+    for j, idx in enumerate(act):
+        s = 0.0
+        col = [s]
+        for a_k, b_k in zip(A, b[idx].tolist()):
+            s = a_k * s + b_k
+            col.append(s)
+        J[:, j] = col
+    if not np.isfinite(J).all():
+        raise EstimationError("gray-box simulation diverged during fit")
+    return J
 
 
 @dataclass(frozen=True)
@@ -177,20 +230,16 @@ class GrayBoxFit:
 
 
 def estimate_ss(X: np.ndarray, U: np.ndarray,
-                X_next: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Estimate x+ = A x + B u by least squares over a sampled record.
+                X_next: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Estimate x+ = A x + B u by least squares over sampled transitions.
 
-    ``X`` and ``U`` are (N, n) and (N, m); ``X_next`` defaults to ``X``
-    shifted by one sample.  Raises :class:`EstimationError` on a rank
-    deficient regressor (insufficient excitation).
+    ``X``, ``U`` and ``X_next`` are (N, n), (N, m) and (N, n): row k of
+    ``X_next`` is the successor of row k of ``X`` under input row k of
+    ``U``.  Raises :class:`EstimationError` on a rank deficient regressor
+    (insufficient excitation).
     """
     X, U = _state_input(X, U)
-    if X_next is None:
-        X_next = X[1:]
-        X = X[:-1]
-        U = U[:-1]
-    else:
-        X_next = np.atleast_2d(np.asarray(X_next, dtype=float))
+    X_next = np.atleast_2d(np.asarray(X_next, dtype=float))
     n, m = X.shape[1], U.shape[1]
     phi = np.hstack([X, U])
     theta, _, rank, _ = np.linalg.lstsq(phi, X_next, rcond=None)
@@ -219,29 +268,26 @@ def equation_error_init(data: Dataset, mask: np.ndarray) -> np.ndarray:
     return theta
 
 
-def fit_graybox(data: Dataset, theta0: np.ndarray | None = None,
-                mask: np.ndarray | None = None, max_iter: int = 200,
-                cost_tol: float = 1e-10, step_tol: float = 1e-8,
-                fd_rel_step: float = 1e-6) -> tuple[GrayBoxModel, GrayBoxFit]:
+def fit_graybox(data: Dataset, mask: np.ndarray | None = None, max_iter: int = 200,
+                cost_tol: float = 1e-10, step_tol: float = 1e-8
+                ) -> tuple[GrayBoxModel, GrayBoxFit]:
     """Output-error gray-box fit by damped Gauss-Newton.
 
     Minimizes the squared output error between the measured velocities and
-    a full-record simulation of the model.  The Jacobian of the simulated
-    output with respect to the active parameters is taken by central
-    finite differences (relative step ``fd_rel_step``).  Steps are halved
-    until the cost decreases.  Convergence: relative cost decrease below
-    ``cost_tol`` or parameter change below ``step_tol``; after ``max_iter``
-    iterations the best iterate is returned with ``converged=False`` and
-    a warning.
+    a full-record simulation of the model, started from the equation-error
+    warm start.  The Jacobian of the simulated output with respect to the
+    active parameters is exact for the discrete RK4 map: the forward
+    sensitivities of the predictor (Ljung, *System Identification*, 2nd ed.
+    1999, ch. 10) follow one linear recurrence per column over the
+    trajectory already simulated.  Steps are halved until the cost
+    decreases.  Convergence: relative cost decrease below ``cost_tol`` or
+    parameter change below ``step_tol``; after ``max_iter`` iterations the
+    best iterate is returned with ``converged=False`` and a warning.
     """
     mask = np.ones(N_THETA, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if not mask[0]:
         raise ValueError("input coefficient th1 must stay active")
-    if theta0 is None:
-        theta = equation_error_init(data, mask)
-    else:
-        theta = np.asarray(theta0, dtype=float).copy()
-        theta[~mask] = 0.0
+    theta = equation_error_init(data, mask)
     act = np.flatnonzero(mask)
     h = data.h
     v_meas = data.v
@@ -251,43 +297,31 @@ def fit_graybox(data: Dataset, theta0: np.ndarray | None = None,
         if sim is None:
             return math.inf, None
         r = sim - v_meas
-        return float(r @ r), r
+        return float(r @ r), sim
 
-    cost, resid = cost_of(theta)
-    if not math.isfinite(cost) and theta0 is None:
+    cost, sim = cost_of(theta)
+    if not math.isfinite(cost):
         # Equation-error warm starts can flip a drag coefficient positive on
         # narrow-range data, which is unstable in full simulation.  Drag
         # terms oppose motion, so clamp them nonpositive and retry once.
         theta[2] = min(theta[2], 0.0)
         theta[3] = min(theta[3], 0.0)
-        cost, resid = cost_of(theta)
+        cost, sim = cost_of(theta)
     if not math.isfinite(cost):
         raise EstimationError("initial gray-box parameters diverge on the data")
     trace = [cost]
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        # Central-difference Jacobian over the active parameters.
-        J = np.empty((v_meas.size, act.size))
-        for j, idx in enumerate(act):
-            step = fd_rel_step * max(abs(theta[idx]), 1e-6)
-            tp = theta.copy()
-            tp[idx] += step
-            tm = theta.copy()
-            tm[idx] -= step
-            sp = _simulate_theta(tp, v_meas[0], data.u, data.alpha, h)
-            sm = _simulate_theta(tm, v_meas[0], data.u, data.alpha, h)
-            if sp is None or sm is None:
-                raise EstimationError("gray-box simulation diverged during fit")
-            J[:, j] = (sp - sm) / (2.0 * step)
-        delta, _, _, _ = np.linalg.lstsq(J.T @ J, -(J.T @ resid), rcond=None)
+        J = _output_jacobian(theta, act, sim, data.u, data.alpha, h)
+        delta, _, _, _ = np.linalg.lstsq(J.T @ J, -(J.T @ (sim - v_meas)), rcond=None)
 
         lam = 1.0
         improved = False
         while lam >= 1e-8:
             trial = theta.copy()
             trial[act] += lam * delta
-            c_trial, r_trial = cost_of(trial)
+            c_trial, s_trial = cost_of(trial)
             if c_trial < cost:
                 improved = True
                 break
@@ -297,7 +331,7 @@ def fit_graybox(data: Dataset, theta0: np.ndarray | None = None,
             break
         rel_step = np.max(np.abs(lam * delta) / np.maximum(np.abs(theta[act]), 1e-12))
         rel_drop = (cost - c_trial) / max(cost, 1e-300)
-        theta, cost, resid = trial, c_trial, r_trial
+        theta, cost, sim = trial, c_trial, s_trial
         trace.append(cost)
         if rel_drop < cost_tol or rel_step < step_tol:
             converged = True

@@ -5,8 +5,13 @@ fitted models, and gain schedules for the stock scenarios are built once
 per session and shared read-only.
 
 Property tests draw the same examples on every run (profile ``tier1``,
-derandomized), so two checkouts of the suite can be compared test by
-test.  ``--hypothesis-profile=explore`` draws fresh random examples.
+derandomized).  Those examples depend on the test's own source and also
+on the literals Hypothesis harvests from the package modules (floats,
+integers outside -100..100 and short strings, pooled over all of
+``src/modru``): a change that adds or deletes such a constant anywhere in
+the package shifts the examples of unrelated properties.  Two checkouts
+compare test by test only when neither changes.
+``--hypothesis-profile=explore`` draws fresh random examples.
 """
 
 import numpy as np

@@ -1,6 +1,7 @@
 """Estimation tests: state-space regression, gray box, efficiency."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,7 @@ class TestStateSpace:
         X = np.zeros((301, 2))
         for k in range(300):
             X[k + 1] = A @ X[k] + B[:, 0] * U[k, 0]
-        A_hat, B_hat = sysid.estimate_ss(X, np.vstack([U, [[0.0]]]))
+        A_hat, B_hat = sysid.estimate_ss(X[:-1], U, X[1:])
         np.testing.assert_allclose(A_hat, A, atol=1e-10)
         np.testing.assert_allclose(B_hat, B, atol=1e-10)
 
@@ -39,7 +40,7 @@ class TestStateSpace:
         X = np.ones((50, 2))
         U = np.ones((50, 1))
         with pytest.raises(EstimationError):
-            sysid.estimate_ss(X, U)
+            sysid.estimate_ss(X[:-1], U[:-1], X[1:])
 
 
 class TestGrayBox:
@@ -160,6 +161,169 @@ class TestSimulateTheta:
             assert sim.tobytes() == ref.tobytes()
 
 
+def complex_step_jacobian(theta, act, v0, u, alpha, h, eps=1e-200):
+    """Oracle: columns of d(sim)/d(theta) by the complex step.
+
+    The RK4 loop of ``_simulate_theta`` in complex arithmetic; perturbing
+    one parameter by i*eps gives its column as Im(sim)/eps with no
+    subtractive cancellation (Martins, Sturdza & Alonso, ACM TOMS 29, 2003).
+    """
+    cols = []
+    for idx in act:
+        th = np.asarray(theta, dtype=complex)
+        th[idx] += 1j * eps
+        t1, t2, t3, t4, t5, t6 = (complex(t) for t in th)
+        v = complex(v0)
+        out = [v]
+        for uk, ak in zip(u[:-1].tolist(), alpha[:-1].tolist()):
+            c = t1 * uk + t2 + t5 * ak + t6 * ak * ak
+            k1 = c + t3 * v + t4 * v * v
+            x = v + 0.5 * h * k1
+            k2 = c + t3 * x + t4 * x * x
+            x = v + 0.5 * h * k2
+            k3 = c + t3 * x + t4 * x * x
+            x = v + h * k3
+            k4 = c + t3 * x + t4 * x * x
+            v = v + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            out.append(v)
+        cols.append(np.array(out).imag / eps)
+    return np.stack(cols, axis=1)
+
+
+def central_difference_fit_graybox(data, theta0=None, mask=None, max_iter=200,
+                                   cost_tol=1e-10, step_tol=1e-8, fd_rel_step=1e-6):
+    """Oracle: the gray-box fit with its former central-difference Jacobian."""
+    mask = np.ones(sysid.N_THETA, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if not mask[0]:
+        raise ValueError("input coefficient th1 must stay active")
+    if theta0 is None:
+        theta = sysid.equation_error_init(data, mask)
+    else:
+        theta = np.asarray(theta0, dtype=float).copy()
+        theta[~mask] = 0.0
+    act = np.flatnonzero(mask)
+    h = data.h
+    v_meas = data.v
+
+    def cost_of(th):
+        sim = sysid._simulate_theta(th, v_meas[0], data.u, data.alpha, h)
+        if sim is None:
+            return math.inf, None
+        r = sim - v_meas
+        return float(r @ r), r
+
+    cost, resid = cost_of(theta)
+    if not math.isfinite(cost) and theta0 is None:
+        # Equation-error warm starts can flip a drag coefficient positive on
+        # narrow-range data, which is unstable in full simulation.  Drag
+        # terms oppose motion, so clamp them nonpositive and retry once.
+        theta[2] = min(theta[2], 0.0)
+        theta[3] = min(theta[3], 0.0)
+        cost, resid = cost_of(theta)
+    if not math.isfinite(cost):
+        raise EstimationError("initial gray-box parameters diverge on the data")
+    trace = [cost]
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        # Central-difference Jacobian over the active parameters.
+        J = np.empty((v_meas.size, act.size))
+        for j, idx in enumerate(act):
+            step = fd_rel_step * max(abs(theta[idx]), 1e-6)
+            tp = theta.copy()
+            tp[idx] += step
+            tm = theta.copy()
+            tm[idx] -= step
+            sp = sysid._simulate_theta(tp, v_meas[0], data.u, data.alpha, h)
+            sm = sysid._simulate_theta(tm, v_meas[0], data.u, data.alpha, h)
+            if sp is None or sm is None:
+                raise EstimationError("gray-box simulation diverged during fit")
+            J[:, j] = (sp - sm) / (2.0 * step)
+        delta, _, _, _ = np.linalg.lstsq(J.T @ J, -(J.T @ resid), rcond=None)
+
+        lam = 1.0
+        improved = False
+        while lam >= 1e-8:
+            trial = theta.copy()
+            trial[act] += lam * delta
+            c_trial, r_trial = cost_of(trial)
+            if c_trial < cost:
+                improved = True
+                break
+            lam *= 0.5
+        if not improved:
+            converged = True
+            break
+        rel_step = np.max(np.abs(lam * delta) / np.maximum(np.abs(theta[act]), 1e-12))
+        rel_drop = (cost - c_trial) / max(cost, 1e-300)
+        theta, cost, resid = trial, c_trial, r_trial
+        trace.append(cost)
+        if rel_drop < cost_tol or rel_step < step_tol:
+            converged = True
+            break
+    if not converged:
+        warnings.warn("gray-box fit stopped at iteration limit; returning best iterate")
+    model = sysid.GrayBoxModel(theta=theta, mask=mask)
+    rms = math.sqrt(cost / v_meas.size)
+    return model, sysid.GrayBoxFit(cost_trace=trace, converged=converged, n_iter=it, rms=rms)
+
+
+@pytest.fixture(scope="module")
+def truck_lag(truck_sc):
+    """(scenario, data) for the truck with a ten-fold actuator lag."""
+    sc = replace(truck_sc, plant_params=TruckParams(T_m=10.0))
+    return sc, harness.stage_dataset(sc)
+
+
+class TestOutputJacobian:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), blow_up=st.booleans(),
+           h=st.sampled_from([0.1, 0.5, 2.0]),
+           mask=st.lists(st.booleans(), min_size=5, max_size=5))
+    def test_matches_complex_step(self, seed, blow_up, h, mask):
+        # theta, inputs and v0 drawn as in TestSimulateTheta; th1 stays active.
+        rng = np.random.default_rng(seed)
+        theta = TRUCK_THETA * rng.uniform(0.5, 1.5, 6) * (50.0 if blow_up else 1.0)
+        u = rng.uniform(-3000.0, 6000.0, 300)
+        alpha = rng.uniform(-0.05, 0.05, 300)
+        v0 = rng.uniform(0.0, 30.0)
+        act = np.flatnonzero([True, *mask])
+        sim = sysid._simulate_theta(theta, v0, u, alpha, h)
+        if sim is None:
+            return
+        ref = complex_step_jacobian(theta, act, v0, u, alpha, h)
+        J = sysid._output_jacobian(theta, act, sim, u, alpha, h)
+        assert J.shape == (u.size, act.size)
+        assert (J[0] == 0.0).all()
+        err = np.abs(J - ref).max(axis=0)
+        assert (err <= 1e-12 * np.abs(ref).max(axis=0)).all(), err
+
+    @pytest.mark.parametrize("case", ["truck", "car", "truck_lag"])
+    def test_fit_matches_central_difference_fit(self, case, request, truck_sc, car_sc):
+        if case == "truck_lag":
+            sc, data = request.getfixturevalue("truck_lag")
+        else:
+            sc = truck_sc if case == "truck" else car_sc
+            data = request.getfixturevalue(f"{case}_fit")[0]
+        mask = np.array(sc.est_mask, bool)
+        model, fit = sysid.fit_graybox(data, mask=mask)
+        ref_model, ref_fit = central_difference_fit_graybox(data, mask=mask)
+        assert (fit.n_iter, fit.converged) == (ref_fit.n_iter, ref_fit.converged)
+        np.testing.assert_allclose(model.theta, ref_model.theta, rtol=1e-7, atol=0.0)
+
+    def test_overflowing_jacobian_raises(self, monkeypatch):
+        # dv/dt = 50 v stays at v = 0 from rest with no input, so the fit
+        # starts at zero cost, but every sensitivity grows by about 2e4 per
+        # step and overflows within 80 of the 200 steps.
+        n, h = 200, 0.5
+        zeros = np.zeros(n)
+        data = sysid.Dataset(t=h * np.arange(n), v=zeros, alpha=zeros, u=zeros)
+        theta = np.array([1.0, 0.0, 50.0, 0.0, 0.0, 0.0])
+        monkeypatch.setattr(sysid, "equation_error_init", lambda data, mask: theta.copy())
+        with pytest.raises(EstimationError, match="diverged during fit"):
+            sysid.fit_graybox(data)
+
+
 class TestEfficiency:
     def test_recovers_known_factors(self, rng):
         u = rng.uniform(-500.0, 500.0, 400)
@@ -209,10 +373,9 @@ class TestEfficiency:
 
 
 class TestLagBias:
-    def test_large_motor_lag_biases_the_fit(self, truck_sc):
+    def test_large_motor_lag_biases_the_fit(self, truck_lag):
         """A ten-fold actuator lag must show up as parameter bias."""
-        sc = replace(truck_sc, plant_params=TruckParams(T_m=10.0))
-        data = harness.stage_dataset(sc)
+        sc, data = truck_lag
         model, _, _ = harness.stage_estimate(sc, data)
         truth = harness.true_theta(sc)
         mask = np.array(sc.est_mask, bool)
