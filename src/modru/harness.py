@@ -311,26 +311,6 @@ def run_pipeline(sc: Scenario, out_dir=None, e_ref: float | None = None
     return report, artifacts
 
 
-def run_ladder(sc: Scenario, t_fs) -> list[RunReport]:
-    """Pipeline over a ladder of time budgets, sharing one estimation run.
-
-    E_hat in each report is normalized to the tightest budget's prediction.
-    """
-    data = stage_dataset(sc)
-    model, eff, fit = stage_estimate(sc, data)
-    schedule = stage_schedule(sc, model)
-    reports = []
-    e_ref = None
-    for t_f in sorted(t_fs):
-        sci = replace(sc, T_f=float(t_f))
-        problem, sol, ref = stage_plan(sci, model, eff)
-        traj, metrics = stage_track(sci, model, schedule, ref)
-        if e_ref is None:
-            e_ref = sol.E
-        reports.append(_run_report(sci, data, model, eff, sol, metrics, e_ref))
-    return reports
-
-
 def compare_slope_knowledge(sc: Scenario, out_dir=None) -> dict:
     """Run the pipeline with and without the slope term in the model.
 

@@ -478,21 +478,30 @@ def linear_rollouts(A: np.ndarray, B: np.ndarray, n_obs: int | None = None,
     return source
 
 
-def sensitivity_metrics(A: np.ndarray, B: np.ndarray, K: np.ndarray, h: float,
-                        n_freq: int = 2048) -> tuple[float, float]:
-    """Peak sensitivity and complementary sensitivity of the loop K(zI-A)^{-1}B.
+def loop_response(A: np.ndarray, B: np.ndarray, h: float,
+                  n_freq: int = 2048) -> np.ndarray:
+    """Frequency response X = (zI-A)^{-1}B of a plant, shape (n_freq, n, m).
 
-    The loop transfer is evaluated on ``n_freq`` log-spaced frequencies in
-    (0, pi/h] on the unit circle.  Returns (M_S, M_T); infinite values
-    indicate the loop passes through the critical point on the grid.
+    z runs over ``n_freq`` log-spaced frequencies in (0, pi/h] on the unit
+    circle.  X depends on the plant alone, so one response serves every
+    gain scored by :func:`sensitivity_metrics` on that plant.
     """
     A, B = _state_input(A, B)
-    K = np.atleast_2d(np.asarray(K, dtype=float))
     n = A.shape[0]
     w = np.logspace(math.log10(math.pi / h) - 5.0, math.log10(math.pi / h), n_freq)
     z = np.exp(1j * w * h)
     Ms = np.broadcast_to(np.eye(n), (n_freq, n, n)) * z[:, None, None] - A
-    X = np.linalg.solve(Ms, np.broadcast_to(B, (n_freq, n, B.shape[1])))
+    return np.linalg.solve(Ms, np.broadcast_to(B, (n_freq, n, B.shape[1])))
+
+
+def sensitivity_metrics(X: np.ndarray, K: np.ndarray) -> tuple[float, float]:
+    """Peak sensitivity and complementary sensitivity of the loop K X.
+
+    ``X`` is the plant's :func:`loop_response`.  Returns (M_S, M_T);
+    infinite values indicate the loop passes through the critical point on
+    the grid.
+    """
+    K = np.atleast_2d(np.asarray(K, dtype=float))
     L = (K[None, :, :] @ X)[:, 0, 0]
     denom = np.abs(1.0 + L)
     tiny = denom < 1e-14
@@ -679,9 +688,10 @@ def robustness_sweep(taus, methods=METHODS, h: float = 0.1,
     max(M_S - 1.7, M_T - 1.3), bisecting wherever a design has no margin
     (it failed or is unstable), until the bracket is narrower than
     ``BOUNDARY_TOL`` decades.  ``bisect_steps`` caps the evaluations of
-    that search.  The returned row holds the feasible design with the
-    smallest Q_u.  The learned/designed gain feeds back only the two
-    modeled states.
+    that search.  The true plant's frequency response is built once per
+    tau and shared by both routes' designs.  The returned row holds the
+    feasible design with the smallest Q_u.  The learned/designed gain
+    feeds back only the two modeled states.
     """
     from .sysid import estimate_ss
 
@@ -689,6 +699,7 @@ def robustness_sweep(taus, methods=METHODS, h: float = 0.1,
     root = np.random.SeedSequence(seed)
     for i_tau, tau in enumerate(taus):
         sys, C = servo_plant(tau, h)
+        resp = loop_response(sys.A, sys.B, h)
         n_full = sys.A.shape[0]
         n_obs = 2
         tau_seed = np.random.SeedSequence(entropy=root.entropy,
@@ -733,7 +744,7 @@ def robustness_sweep(taus, methods=METHODS, h: float = 0.1,
                     Kf = _pad_gain(K, n_full)
                     if spectral_radius(sys.A - sys.B @ Kf) >= 1.0:
                         raise NumericalError("unstable on true plant")
-                    m_s, m_t = sensitivity_metrics(sys.A, sys.B, Kf, h)
+                    m_s, m_t = sensitivity_metrics(resp, Kf)
                     ok = m_s <= MS_MAX and m_t <= MT_MAX
                 except (NumericalError, EstimationError):
                     ok, t_r, m_s, m_t = False, math.inf, math.inf, math.inf

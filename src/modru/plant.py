@@ -116,7 +116,7 @@ class PositionProfile:
             raise ValueError("breakpoints/values must be matching 1-D arrays")
         if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(vals))):
             raise ValueError("breakpoints and values must be finite")
-        if bp.size > 1 and not np.all(np.diff(bp) > 0):
+        if not np.all(bp[1:] > bp[:-1]):
             raise ValueError("breakpoints must be strictly increasing")
         if self.kind not in ("constant", "linear"):
             raise ValueError(f"unknown profile kind {self.kind!r}")

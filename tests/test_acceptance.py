@@ -64,17 +64,23 @@ def test_c02_model_based_servo_tuning_rows(servo_sweep):
         assert row.M_S <= lqr.MS_MAX + 1e-9
         assert row.M_T <= lqr.MT_MAX + 1e-9
         assert np.isfinite(row.t_r) and row.t_r > 0.0
-    misses = {}
+    misses = []
     for tau in TAUS:
-        ratio = by_tau[tau].t_r / T_R_TARGET[tau]
+        row = by_tau[tau]
+        ratio = row.t_r / T_R_TARGET[tau]
         if not 0.85 <= ratio <= 1.15:
-            misses[tau] = (by_tau[tau].t_r, ratio)
+            # The boundary design sits where the larger constraint margin
+            # is zero: that peak binds.
+            if row.M_S - lqr.MS_MAX >= row.M_T - lqr.MT_MAX:
+                peaks = f"M_S={row.M_S:.2f} binds, M_T={row.M_T:.2f}"
+            else:
+                peaks = f"M_T={row.M_T:.2f} binds, M_S={row.M_S:.2f}"
+            misses.append(f"tau={tau:g}: t_r={row.t_r:.3f} "
+                          f"({ratio:.2f}x target; {peaks})")
     if misses:
-        detail = ", ".join(
-            f"tau={tau:g}: t_r={t_r:.3f} ({ratio:.2f}x target)"
-            for tau, (t_r, ratio) in sorted(misses.items()))
-        pytest.xfail("margin-limited designs miss the target rise times "
-                     f"under the shipped bisection: {detail}")
+        pytest.xfail("the fastest design inside M_S <= 1.7 and M_T <= 1.3, "
+                     "located by Brent's search on the margin, misses the "
+                     "target rise time: " + ", ".join(misses))
 
 
 def test_c03_model_free_servo_tuning_rows(servo_sweep):
@@ -121,10 +127,31 @@ def test_c04_graybox_accuracy_and_lag_bias(truck_sc):
     assert elapsed < 60.0
 
 
+def _run_ladder(sc, t_fs):
+    """Pipeline over a ladder of time budgets, sharing one estimation run.
+
+    E_hat in each report is normalized to the tightest budget's prediction.
+    """
+    data = harness.stage_dataset(sc)
+    model, eff, fit = harness.stage_estimate(sc, data)
+    schedule = harness.stage_schedule(sc, model)
+    reports = []
+    e_ref = None
+    for t_f in sorted(t_fs):
+        sci = replace(sc, T_f=float(t_f))
+        problem, sol, ref = harness.stage_plan(sci, model, eff)
+        traj, metrics = harness.stage_track(sci, model, schedule, ref)
+        if e_ref is None:
+            e_ref = sol.E
+        reports.append(harness._run_report(sci, data, model, eff, sol, metrics,
+                                           e_ref))
+    return reports
+
+
 @pytest.fixture(scope="module")
 def truck_ladder(truck_sc):
     # Loosest budget is ~12.8% slower than the tightest rung.
-    return harness.run_ladder(truck_sc, [975.0, 1000.0, 1050.0, 1100.0])
+    return _run_ladder(truck_sc, [975.0, 1000.0, 1050.0, 1100.0])
 
 
 def _checked_ladder(reports):

@@ -262,6 +262,25 @@ class BracketWatch:
         return g
 
 
+def one_call_sensitivity_metrics(A, B, K, h, n_freq=2048):
+    """Reference loop-shape metric: the former one-call form, which built
+    the frequency grid and solved (zI-A)^{-1}B for every gain."""
+    A, B = lqr._state_input(A, B)
+    K = np.atleast_2d(np.asarray(K, dtype=float))
+    n = A.shape[0]
+    w = np.logspace(math.log10(math.pi / h) - 5.0, math.log10(math.pi / h), n_freq)
+    z = np.exp(1j * w * h)
+    Ms = np.broadcast_to(np.eye(n), (n_freq, n, n)) * z[:, None, None] - A
+    X = np.linalg.solve(Ms, np.broadcast_to(B, (n_freq, n, B.shape[1])))
+    L = (K[None, :, :] @ X)[:, 0, 0]
+    denom = np.abs(1.0 + L)
+    tiny = denom < 1e-14
+    with np.errstate(divide="ignore", invalid="ignore"):
+        S = np.where(tiny, np.inf, 1.0 / denom)
+        T = np.where(tiny, np.inf, np.abs(L) / denom)
+    return float(S.max()), float(T.max())
+
+
 def scaled_matrix(rng, n, radius):
     """Random n x n matrix scaled to the given spectral radius."""
     A = rng.normal(size=(n, n))
@@ -619,9 +638,35 @@ class TestLoopMetrics:
     def test_sensitivity_peaks_of_delay_loop(self):
         # A=0 gives L(z) = k/z: |S| and |T| peak at the Nyquist point,
         # where |1 + L| = 1 - k.
-        m_s, m_t = lqr.sensitivity_metrics([[0.0]], [[1.0]], [[0.5]], h=0.1)
+        resp = lqr.loop_response([[0.0]], [[1.0]], h=0.1)
+        m_s, m_t = lqr.sensitivity_metrics(resp, [[0.5]])
         assert m_s == pytest.approx(2.0, rel=1e-12)
         assert m_t == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 1.5, -3.0])
+    def test_delay_loop_equals_one_call_metric(self, k):
+        # k = 1 puts 1 + L within 1e-14 of zero at the Nyquist point, so
+        # both peaks are infinite there.
+        resp = lqr.loop_response([[0.0]], [[1.0]], h=0.1)
+        got = lqr.sensitivity_metrics(resp, [[k]])
+        want = one_call_sensitivity_metrics([[0.0]], [[1.0]], [[k]], 0.1)
+        assert got == want
+        assert (k == 1.0) == (got == (math.inf, math.inf))
+
+    @settings(max_examples=200, deadline=None)
+    @given(tau=st.one_of(st.just(0.0), st.floats(1e-3, 0.3)),
+           h=st.floats(0.01, 1.0), log_gain=st.floats(-3.0, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_servo_metrics_equal_one_call_metric(self, tau, h, log_gain, seed):
+        # Large random gains destabilise the loop; the peaks of both forms
+        # must still agree bit for bit.
+        sys, _ = lqr.servo_plant(tau, h)
+        rng = np.random.default_rng(seed)
+        K = rng.normal(size=(1, sys.A.shape[0])) * 10.0 ** log_gain
+        resp = lqr.loop_response(sys.A, sys.B, h)
+        got = lqr.sensitivity_metrics(resp, K)
+        want = one_call_sensitivity_metrics(sys.A, sys.B, K, h)
+        np.testing.assert_array_equal(got, want)
 
     def test_rise_time_first_order_lag(self):
         tau_d, h = 1.0, 0.001
@@ -697,6 +742,19 @@ class TestServoBenchmark:
         assert mb.feasible and mf.feasible
         for key in ("t_r", "M_S", "M_T", "Q_u"):
             assert getattr(mf, key) == pytest.approx(getattr(mb, key), rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_sweep_rows_equal_one_call_metric(self, seed):
+        # The reference sweep scores every design with the one-call metric:
+        # its "response" is the plant itself.
+        rows = lqr.robustness_sweep((0.2, 0.0), seed=seed)
+        with mock.patch.object(lqr, "loop_response", lambda A, B, h: (A, B, h)), \
+                mock.patch.object(lqr, "sensitivity_metrics",
+                                  lambda plant, K: one_call_sensitivity_metrics(
+                                      plant[0], plant[1], K, plant[2])):
+            ref = lqr.robustness_sweep((0.2, 0.0), seed=seed)
+        assert [row.method for row in rows] == ["model-based", "model-free"] * 2
+        assert rows == ref
 
 
 class TestBoundarySearch:
