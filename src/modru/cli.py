@@ -31,7 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
             ("simulate", "run the open-loop excitation experiment"),
             ("estimate", "generate data and fit the reduced model"),
             ("plan", "solve the timing problem and write the plan as the reference"),
-            ("control", "full pipeline, reporting closed-loop tracking"),
             ("pipeline", "full pipeline with all artifacts written"),
             ("compare-slope", "pipeline with and without slope knowledge"),
             ("robustness", "controller design sweep over plant parasitics")]:
@@ -115,7 +114,7 @@ def _run(args) -> int:
         print(f"E = {sol.E:.6g}, t_end = {sol.t[-1]:.3f} (budget {sc.T_f:g})")
         return 0
 
-    if args.command in ("control", "pipeline"):
+    if args.command == "pipeline":
         report, artifacts = harness.run_pipeline(sc, out_dir=out)
         for key, val in report.to_items().items():
             print(f"{key} = {val}")

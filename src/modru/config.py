@@ -1,15 +1,14 @@
-"""Scenario configuration: flat key-value files with env-var overrides.
+"""Scenario configuration from flat key-value files.
 
-Config files hold ``section.key = value`` lines (``#`` comments).  Any
-key can also be overridden through the environment as
-``MODRU_<key with dots replaced by underscores>`` (exact case, or all
-upper case).  Profile-valued keys use ``pos:val, pos:val, ...`` pairs.
+A run is configured in one place: the built-in truck or car scenario,
+changed by the ``section.key = value`` lines of one config file (``#``
+comments; later keys win), and the CLI's ``--seed``.  The environment
+is not read.  Profile-valued keys use ``pos:val, pos:val, ...`` pairs.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,8 +16,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .plant import CarParams, PositionProfile, TruckParams
-
-ENV_PREFIX = "MODRU_"
 
 
 def parse_pairs(text: str, kind: str) -> PositionProfile:
@@ -51,15 +48,6 @@ def _parse_mask(text: str) -> tuple[bool, ...]:
     return tuple(p == "1" for p in parts)
 
 
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected boolean, got {text!r}")
-
-
 def _parse_optional_float(text: str) -> float | None:
     t = text.strip().lower()
     if t in ("", "none", "auto"):
@@ -79,12 +67,10 @@ class Scenario:
     v_limit: PositionProfile = None
     T_f: float = 1000.0
     to_n: int = 100
-    to_mode: str = "full"
     vdot_lim: float = 0.7
     to_u_lim: float | None = 4000.0
     eff_gen: float = 1.1
     eff_regen: float = 0.9
-    fit_eff: bool = True
     est_duration: float = 1800.0
     est_h: float = 0.5
     est_noise: float = 0.0
@@ -148,12 +134,10 @@ _KEYS = {
     "path.length": ("path_length", float),
     "to.T_f": ("T_f", float),
     "to.N": ("to_n", int),
-    "to.mode": ("to_mode", str),
     "to.vdot_lim": ("vdot_lim", float),
     "to.u_lim": ("to_u_lim", _parse_optional_float),
     "eff.gen": ("eff_gen", float),
     "eff.regen": ("eff_regen", float),
-    "est.fit_efficiency": ("fit_eff", _parse_bool),
     "est.duration": ("est_duration", float),
     "est.h": ("est_h", float),
     "est.noise": ("est_noise", float),
@@ -187,28 +171,9 @@ def read_config_file(path) -> dict[str, str]:
     return out
 
 
-def env_overrides(environ=None) -> dict[str, str]:
-    """Collect MODRU_* environment overrides for known config keys."""
-    environ = os.environ if environ is None else environ
-    out: dict[str, str] = {}
-    keys = list(_KEYS) + ["plant.type", "slope.breakpoints", "slope.kind",
-                          "vlim.breakpoints", "vlim.kind"]
-    plant_fields = set(f.name for f in dataclasses.fields(TruckParams)) | \
-        set(f.name for f in dataclasses.fields(CarParams))
-    keys += [f"plant.{f}" for f in plant_fields]
-    for key in keys:
-        for candidate in (ENV_PREFIX + key.replace(".", "_"),
-                          (ENV_PREFIX + key.replace(".", "_")).upper()):
-            if candidate in environ:
-                out[key] = environ[candidate]
-                break
-    return out
-
-
-def scenario_from_config(cfg: dict[str, str], environ=None) -> Scenario:
+def scenario_from_config(cfg: dict[str, str]) -> Scenario:
     """Build a scenario from config entries on top of the built-in defaults."""
     cfg = dict(cfg)
-    cfg.update(env_overrides(environ))
     plant_type = cfg.pop("plant.type", "truck")
     if plant_type == "truck":
         sc = default_truck_scenario()
@@ -249,8 +214,6 @@ def scenario_from_config(cfg: dict[str, str], environ=None) -> Scenario:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    if sc.to_mode not in ("full", "pseudo"):
-        raise ConfigError(f"to.mode must be 'full' or 'pseudo', got {sc.to_mode!r}")
     for positive in ("path_length", "T_f", "vdot_lim", "est_duration", "est_h",
                      "sim_h", "rho_I", "rho_u", "ctrl_u_lim"):
         if not getattr(sc, positive) > 0:
@@ -273,9 +236,9 @@ def check_seed(seed: int) -> None:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
-def load_scenario(config_path=None, environ=None, seed: int | None = None) -> Scenario:
+def load_scenario(config_path=None, seed: int | None = None) -> Scenario:
     cfg = read_config_file(config_path) if config_path else {}
-    sc = scenario_from_config(cfg, environ)
+    sc = scenario_from_config(cfg)
     if seed is not None:
         check_seed(seed)
         sc.seed = seed

@@ -23,10 +23,6 @@ from .errors import EstimationError, InfeasibleError
 from .plant import PlantState, PositionProfile, input_mass, simulate
 from .tables import write_csv, write_keyvalues
 
-# RunReport.plan_boundary in pseudo mode: E_pred charges the boundary speeds
-# at unit mass in its own units, E_realized is not charged.
-PSEUDO_BOUNDARY = "E_pred_only"
-
 
 def true_theta(sc: Scenario) -> np.ndarray:
     """Reduced-model coefficients implied by the plant parameters.
@@ -103,11 +99,8 @@ def stage_estimate(sc: Scenario, data: sysid.Dataset
     """Fit the gray box (with the scenario's term mask) and the efficiency factors."""
     mask = np.asarray(sc.est_mask, dtype=bool)
     model, fit = sysid.fit_graybox(data, mask=mask)
-    if sc.fit_eff and data.P is not None:
-        eff = sysid.fit_efficiency(data.P, data.u, data.v,
-                                   defaults=(sc.eff_gen, sc.eff_regen))
-    else:
-        eff = sysid.EfficiencyParams(gen_factor=sc.eff_gen, regen_factor=sc.eff_regen)
+    eff = sysid.fit_efficiency(data.P, data.u, data.v,
+                               defaults=(sc.eff_gen, sc.eff_regen))
     return model, eff, fit
 
 
@@ -122,9 +115,8 @@ def stage_plan(sc: Scenario, model: sysid.GrayBoxModel, eff: sysid.EfficiencyPar
                ) -> tuple[tempo.TOProblem, tempo.TOSolution, tempo.ReferenceTrajectory]:
     """Solve the timing problem; its plan is the tracking reference."""
     problem = tempo.build_problem(
-        sc.path_length, sc.to_n, sc.T_f, sc.slope, sc.v_limit,
-        model if sc.to_mode == "full" else None, eff,
-        vdot_lim=sc.vdot_lim, mode=sc.to_mode, u_lim=sc.to_u_lim)
+        sc.path_length, sc.to_n, sc.T_f, sc.slope, sc.v_limit, model, eff,
+        vdot_lim=sc.vdot_lim, u_lim=sc.to_u_lim)
     sol = tempo.solve(problem)
     if not sol.feasible:
         raise InfeasibleError("timing optimization did not reach feasibility")
@@ -182,11 +174,10 @@ def stage_track(sc: Scenario, model: sysid.GrayBoxModel,
         t_cross = math.inf
         e_real = float(np.sum(traj.P[:-1] * h))
         v_end = float(traj.v[-1])
-    # The planner's boundary rule (tempo.BOUNDARY_RULE) where E_pred is in
-    # the same units, in full mode: the kinetic energy the plant starts with
-    # is charged, and the one it ends with credited, at par.
-    if sc.to_mode == "full":
-        e_real += 0.5 * input_mass(sc.plant_params) * (float(traj.v[0]) ** 2 - v_end ** 2)
+    # The planner's boundary rule (tempo.BOUNDARY_RULE): the kinetic energy
+    # the plant starts with is charged, and the one it ends with credited,
+    # at par.
+    e_real += 0.5 * input_mass(sc.plant_params) * (float(traj.v[0]) ** 2 - v_end ** 2)
 
     v_lim_at = sc.v_limit.value(traj.s[:k_end + 1])
     metrics = {
@@ -219,7 +210,6 @@ class RunReport:
     eff_regen_status: str
     E_pred: float
     E_realized: float
-    E_hat: float
     t_end_planned: float
     t_terminal: float
     tracking_rms: float
@@ -227,9 +217,7 @@ class RunReport:
     terminal_position_error: float
     limit_overshoot: float
     # Timing planner: relative duality gap, Newton steps, exit reason, and
-    # the boundary-speed rule: tempo.BOUNDARY_RULE when E_pred and
-    # E_realized both follow it (full mode), PSEUDO_BOUNDARY when only E_pred
-    # does, at unit mass in pseudo units.
+    # the boundary-speed rule that E_pred and E_realized both follow.
     plan_gap_rel: float = math.nan
     plan_newton_iters: int = 0
     plan_exit: str = ""
@@ -259,10 +247,9 @@ def _theta_errors(sc: Scenario, model: sysid.GrayBoxModel) -> np.ndarray:
 
 
 def _run_report(sc: Scenario, data: sysid.Dataset, model: sysid.GrayBoxModel,
-                eff: sysid.EfficiencyParams, sol: tempo.TOSolution, metrics: dict,
-                e_ref: float | None) -> RunReport:
-    """Report of one planned and tracked run; E_hat is E_pred / e_ref
-    (1 without a reference)."""
+                eff: sysid.EfficiencyParams, sol: tempo.TOSolution,
+                metrics: dict) -> RunReport:
+    """Report of one planned and tracked run."""
     return RunReport(
         name=sc.name, plant_type=sc.plant_type, seed=sc.seed, T_f=sc.T_f,
         theta_hat=tuple(float(x) for x in model.theta),
@@ -271,29 +258,22 @@ def _run_report(sc: Scenario, data: sysid.Dataset, model: sysid.GrayBoxModel,
         eff_gen_hat=eff.gen_factor, eff_regen_hat=eff.regen_factor,
         eff_gen_status=eff.gen_status, eff_regen_status=eff.regen_status,
         E_pred=sol.E, E_realized=metrics["E_realized"],
-        E_hat=sol.E / (e_ref if e_ref else sol.E),
         t_end_planned=float(sol.t[-1]), t_terminal=metrics["t_terminal"],
         tracking_rms=metrics["tracking_rms"], du_ratio=metrics["du_ratio"],
         terminal_position_error=metrics["terminal_position_error"],
         limit_overshoot=metrics["limit_overshoot"], plan_gap_rel=sol.gap_rel,
-        plan_newton_iters=sol.n_newton, plan_exit=sol.exit,
-        plan_boundary=tempo.BOUNDARY_RULE if sc.to_mode == "full" else PSEUDO_BOUNDARY)
+        plan_newton_iters=sol.n_newton, plan_exit=sol.exit)
 
 
-def run_pipeline(sc: Scenario, out_dir=None, e_ref: float | None = None
-                 ) -> tuple[RunReport, dict]:
-    """Full chain: excite, estimate, design, plan, track, report.
-
-    ``e_ref`` normalizes the predicted energy (defaults to this run's own,
-    i.e. E_hat = 1).
-    """
+def run_pipeline(sc: Scenario, out_dir=None) -> tuple[RunReport, dict]:
+    """Full chain: excite, estimate, design, plan, track, report."""
     data = stage_dataset(sc)
     model, eff, fit = stage_estimate(sc, data)
     schedule = stage_schedule(sc, model)
     problem, sol, ref = stage_plan(sc, model, eff)
     traj, metrics = stage_track(sc, model, schedule, ref)
 
-    report = _run_report(sc, data, model, eff, sol, metrics, e_ref)
+    report = _run_report(sc, data, model, eff, sol, metrics)
 
     artifacts = {"data": data, "model": model, "eff": eff, "fit": fit,
                  "schedule": schedule, "problem": problem, "solution": sol,

@@ -108,18 +108,18 @@ class GrayBoxModel:
         t1, t2, t3, t4, t5, t6 = self.theta
         return t1 * u + t2 + t3 * v + t4 * v * v + t5 * alpha + t6 * alpha * alpha
 
-    def simulate(self, v0: float, u: np.ndarray, alpha: np.ndarray, h: float,
-                 v_cap: float = 1e5) -> np.ndarray | None:
+    def simulate(self, v0: float, u: np.ndarray, alpha: np.ndarray,
+                 h: float) -> np.ndarray | None:
         """Integrate the model under zero-order-hold (u, alpha) sequences.
 
         One RK4 step per sample interval.  Returns the velocity sequence
-        (same length as ``u``) or None if the state leaves ``|v| < v_cap``.
+        (same length as ``u``) or None if the state leaves |v| < 1e5.
         """
         return _simulate_theta(self.theta, v0, np.asarray(u, float),
-                               np.asarray(alpha, float), h, v_cap)
+                               np.asarray(alpha, float), h)
 
 
-def _simulate_theta(theta, v0, u, alpha, h, v_cap=1e5):
+def _simulate_theta(theta, v0, u, alpha, h):
     # RK4 on Python floats: arithmetic on np.float64 scalars costs several
     # times more per operation, and the fit runs this loop for every trial
     # step over thousands of samples.  Python floats round as np.float64 does and
@@ -140,7 +140,7 @@ def _simulate_theta(theta, v0, u, alpha, h, v_cap=1e5):
         x = v + h * k3
         k4 = c + t3 * x + t4 * x * x
         v = v + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not math.isfinite(v) or abs(v) > v_cap:
+        if not math.isfinite(v) or abs(v) > 1e5:
             return None
         out.append(v)
     return np.array(out[:len(us)])
@@ -268,8 +268,7 @@ def equation_error_init(data: Dataset, mask: np.ndarray) -> np.ndarray:
     return theta
 
 
-def fit_graybox(data: Dataset, mask: np.ndarray | None = None, max_iter: int = 200,
-                cost_tol: float = 1e-10, step_tol: float = 1e-8
+def fit_graybox(data: Dataset, mask: np.ndarray | None = None
                 ) -> tuple[GrayBoxModel, GrayBoxFit]:
     """Output-error gray-box fit by damped Gauss-Newton.
 
@@ -280,10 +279,11 @@ def fit_graybox(data: Dataset, mask: np.ndarray | None = None, max_iter: int = 2
     sensitivities of the predictor (Ljung, *System Identification*, 2nd ed.
     1999, ch. 10) follow one linear recurrence per column over the
     trajectory already simulated.  Steps are halved until the cost
-    decreases.  Convergence: relative cost decrease below ``cost_tol`` or
-    parameter change below ``step_tol``; after ``max_iter`` iterations the
-    best iterate is returned with ``converged=False`` and a warning.
+    decreases.  Convergence: relative cost decrease below 1e-10 or
+    parameter change below 1e-8; after 200 iterations the best iterate is
+    returned with ``converged=False`` and a warning.
     """
+    max_iter, cost_tol, step_tol = 200, 1e-10, 1e-8
     mask = np.ones(N_THETA, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if not mask[0]:
         raise ValueError("input coefficient th1 must stay active")

@@ -123,13 +123,12 @@ class TOSolution:
     n_newton: int = 0          # Newton steps of all phases and convex steps
     exit: str = ""             # "gap", or "time_pinned" if only the fastest plan fits
 
-    def to_csv(self, path, problem: TOProblem | None = None) -> None:
-        n = self.h.size
-        x = problem.x[:-1] if problem is not None else np.full(n, np.nan)
+    def to_csv(self, path, problem: TOProblem) -> None:
         write_csv(path, ["k", "t", "x", "v_r", "a_r", "u_r", "eta", "h"],
-                  [np.arange(n), self.t[:-1], x, self.v_r, self.a_r, self.u_r, self.eta,
-                   self.h], meta={"E": self.E, "feasible": self.feasible,
-                                  "t_end": self.t[-1], "gap_rel": self.gap_rel})
+                  [np.arange(self.h.size), self.t[:-1], problem.x[:-1], self.v_r,
+                   self.a_r, self.u_r, self.eta, self.h],
+                  meta={"E": self.E, "feasible": self.feasible, "t_end": self.t[-1],
+                        "gap_rel": self.gap_rel})
 
 
 @dataclass(frozen=True)

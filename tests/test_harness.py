@@ -45,7 +45,7 @@ class TestConfigFiles:
     def test_scenario_overrides(self):
         sc = config.scenario_from_config(
             {"to.T_f": "950", "to.N": "80", "est.mask": "1,1,1,1,1,1",
-             "to.u_lim": "none", "plant.m": "38000"}, environ={})
+             "to.u_lim": "none", "plant.m": "38000"})
         assert sc.T_f == 950.0 and sc.to_n == 80
         assert sc.est_mask == (True,) * 6
         assert sc.to_u_lim is None
@@ -54,35 +54,33 @@ class TestConfigFiles:
     def test_car_profile_pairs(self):
         sc = config.scenario_from_config(
             {"plant.type": "car", "vlim.breakpoints": "0:10, 500:14",
-             "slope.breakpoints": "0:0, 1000:0.01"}, environ={})
+             "slope.breakpoints": "0:0, 1000:0.01"})
         assert sc.plant_type == "car"
         assert sc.v_limit.value(600.0) == 14.0
         assert sc.slope.value(500.0) == pytest.approx(0.005)
 
     def test_rejects_unknown_and_bad_values(self):
         with pytest.raises(ConfigError):
-            config.scenario_from_config({"nope.key": "1"}, environ={})
+            config.scenario_from_config({"nope.key": "1"})
         with pytest.raises(ConfigError):
-            config.scenario_from_config({"to.T_f": "abc"}, environ={})
+            config.scenario_from_config({"to.T_f": "abc"})
         with pytest.raises(ConfigError):
-            config.scenario_from_config({"to.T_f": "-5"}, environ={})
+            config.scenario_from_config({"to.T_f": "-5"})
         with pytest.raises(ConfigError):
-            config.scenario_from_config({"est.mask": "1,1"}, environ={})
+            config.scenario_from_config({"est.mask": "1,1"})
         with pytest.raises(ConfigError):
-            config.scenario_from_config({"plant.warp": "9"}, environ={})
+            config.scenario_from_config({"plant.warp": "9"})
         with pytest.raises(ConfigError):
-            config.scenario_from_config({"plant.type": "hovercraft"},
-                                        environ={})
+            config.scenario_from_config({"plant.type": "hovercraft"})
 
-    def test_env_overrides_both_cases(self):
-        sc = config.scenario_from_config(
-            {"to.T_f": "900"},
-            environ={"MODRU_to_T_f": "800", "MODRU_SEED": "42"})
-        assert sc.T_f == 800.0   # env wins over the file
-        assert sc.seed == 42
+    def test_environment_does_not_configure(self, monkeypatch):
+        monkeypatch.setenv("MODRU_SEED", "42")
+        monkeypatch.setenv("MODRU_to_T_f", "800")
+        sc = config.load_scenario(None)
+        assert sc.seed == 1234 and sc.T_f == 1000.0
 
     def test_load_scenario_seed_argument(self):
-        sc = config.load_scenario(None, environ={}, seed=99)
+        sc = config.load_scenario(None, seed=99)
         assert sc.seed == 99 and sc.name == "truck-default"
 
 
@@ -128,7 +126,7 @@ class TestReportIO:
             theta_err=(0.1, 0.2, float("nan"), 0.4, 0.5, float("nan")),
             fit_nrmse=0.017, eff_gen_hat=1.1, eff_regen_hat=0.9,
             eff_gen_status="fitted", eff_regen_status="default",
-            E_pred=1.5e6, E_realized=1.6e6, E_hat=1.0,
+            E_pred=1.5e6, E_realized=1.6e6,
             t_end_planned=899.4, t_terminal=899.5, tracking_rms=0.06,
             du_ratio=0.05, terminal_position_error=1.2, limit_overshoot=-2.0)
         path = tmp_path / "report.txt"
@@ -185,13 +183,6 @@ class TestTrackThePlan:
                                          harness.stage_schedule(car_sc, model), ref)
         assert metrics["limit_overshoot"] < 0.05
 
-    def test_pseudo_mode_truck_starts_at_its_feedforward(self, truck_sc, truck_fit):
-        _, model, eff, _ = truck_fit
-        sc = replace(truck_sc, to_mode="pseudo")
-        _, _, ref = harness.stage_plan(sc, model, eff)
-        traj, _ = harness.stage_track(sc, model, harness.stage_schedule(sc, model), ref)
-        assert np.abs(traj.du[:int(20.0 / sc.sim_h)]).max() < 1.0
-
 
 class TestRunPipeline:
     def test_artifacts_and_report(self, car_sc, tmp_path):
@@ -200,7 +191,6 @@ class TestRunPipeline:
                       "to_solution.csv", "reference.csv", "closed_loop.csv",
                       "report.txt"):
             assert (tmp_path / fname).exists(), fname
-        assert report.E_hat == 1.0
         assert report.plant_type == "car"
         back = read_keyvalues(tmp_path / "report.txt")
         assert float(back["E_pred"]) == report.E_pred
@@ -217,19 +207,17 @@ class TestRunPipeline:
                                   "metrics"}
 
     def test_only_full_mode_charges_realized_energy(self, car_sc, car_fit):
-        # Only a full-mode E_pred is in the units of E_realized, so only
-        # there does E_realized take the boundary rule's kinetic energy.
+        # E_realized takes the boundary rule's kinetic energy, as E_pred
+        # does; a zero mass gives the same run without that charge.
         _, model, eff, _ = car_fit
-        pseudo = replace(car_sc, to_mode="pseudo")
         schedule = harness.stage_schedule(car_sc, model)
         _, _, ref = harness.stage_plan(car_sc, model, eff)
         traj, full = harness.stage_track(car_sc, model, schedule, ref)
-        _, bare = harness.stage_track(pseudo, model, schedule, ref)
+        with mock.patch.object(harness, "input_mass", lambda p: 0.0):
+            _, bare = harness.stage_track(car_sc, model, schedule, ref)
         v_end = np.interp(car_sc.path_length, traj.s, traj.v)
         kinetic = 0.5 * input_mass(car_sc.plant_params) * (traj.v[0] ** 2 - v_end ** 2)
         assert full["E_realized"] - bare["E_realized"] == pytest.approx(kinetic, rel=1e-9)
-        report, _ = harness.run_pipeline(pseudo)
-        assert report.plan_boundary == harness.PSEUDO_BOUNDARY
 
 
 class TestRobustnessCsv:
@@ -286,13 +274,17 @@ class TestCli:
         ("plan", "to.T_f = nan", []),
         ("plan", "to.u_lim = -5", []),
         ("plan", "to.gamma = -1", []),
-        ("plan", "est.fit_efficiency = 0\neff.gen = 0.5", []),
+        ("plan", "eff.gen = 0.5", []),
         ("plan", "eff.regen = 1.2", []),
         ("plan", "eff.regen = 0", []),
         ("plan", "est.mask = 0,1,0,1,1,0", []),
         # resample.M is gone: both lines now fail as unknown keys.
         ("plan", "resample.M = 1", []),
         ("plan", "resample.M = -3", []),
+        # The pipeline always plans with the fitted model and fitted
+        # efficiency factors: these keys are gone too.
+        ("plan", "to.mode = pseudo", []),
+        ("plan", "est.fit_efficiency = 0", []),
         ("plan", "slope.breakpoints = 0:0, inf:0.01", []),
         ("plan", "vlim.breakpoints = 0:13.9, 300:nan", []),
         ("simulate", "est.noise = -1", []),
@@ -301,8 +293,8 @@ class TestCli:
         ("pipeline", "", ["--seed", "-1"]),
         ("robustness", "", ["--seed", "-1", "--taus", "0"]),
     ], ids=["T_f_nan", "u_lim", "gamma", "gen", "regen_high", "regen_zero", "mask", "M_one",
-            "M_negative", "slope_inf", "vlim_nan", "noise", "seed_key", "seed_flag_simulate",
-            "seed_flag_pipeline", "seed_flag_robustness"])
+            "M_negative", "mode_pseudo", "fit_efficiency", "slope_inf", "vlim_nan", "noise",
+            "seed_key", "seed_flag_simulate", "seed_flag_pipeline", "seed_flag_robustness"])
     def test_bad_config_values_fail_before_any_work(self, tmp_path, capsys,
                                                     command, lines, flags):
         cfg = tmp_path / "bad.conf"

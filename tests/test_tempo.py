@@ -469,7 +469,7 @@ class TestSolve:
 
     def test_full_estimation_mask_converges_or_raises(self):
         sc = config.scenario_from_config({"est.mask": "1,1,1,1,1,1", "est.duration": "600",
-                                          "to.N": "40"}, environ={})
+                                          "to.N": "40"})
         model, eff, _ = harness.stage_estimate(sc, harness.stage_dataset(sc))
         assert model.theta[2] != 0.0
         try:
