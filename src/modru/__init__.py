@@ -1,6 +1,6 @@
 """Reduced-model toolchain for longitudinal vehicle speed planning and control.
 
-Subpackages roughly follow the workflow order:
+Modules roughly follow the workflow order:
 
 - ``plant``: high-fidelity longitudinal vehicle simulators (data source
   and closed-loop testbed),

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
 from .plant import CarParams, PositionProfile, TruckParams
+from .tables import read_keyvalues
 
 
 def parse_pairs(text: str, kind: str) -> PositionProfile:
@@ -155,20 +155,14 @@ _KEYS = {
 
 
 def read_config_file(path) -> dict[str, str]:
-    """Read 'key = value' lines; later keys win."""
-    out: dict[str, str] = {}
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
-    for i, line in enumerate(p.read_text().splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"{path}:{i}: expected 'key = value', got {line!r}")
-        out[key.strip()] = value.strip()
-    return out
+    """Read 'key = value' lines (:func:`modru.tables.read_keyvalues`); a
+    missing file or a malformed line is a :class:`ConfigError`."""
+    try:
+        return read_keyvalues(path)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def scenario_from_config(cfg: dict[str, str]) -> Scenario:

@@ -70,13 +70,6 @@ class GainSchedule:
                   meta={"h": self.h, "rho_I": self.rho_I, "rho_u": self.rho_u})
 
 
-@dataclass(frozen=True)
-class ControllerState:
-    """Per-episode feedback state (reset at episode start)."""
-
-    aw_filter: float = 0.0   # anti-windup integral channel [input units]
-
-
 def feedforward(v_ref, a_ref, alpha, model: GrayBoxModel):
     """Invert the gray box for the input realizing (v_ref, a_ref) on slope alpha."""
     # Floats and arrays alike; alpha * alpha rounds as NumPy's square does.
@@ -116,14 +109,14 @@ def build_gain_schedule(model: GrayBoxModel, v_grid: np.ndarray, h: float,
                         rho_I=rho_I, rho_u=rho_u)
 
 
-def control_step(cs: ControllerState, v_ref: float, v: float, u_ff: float,
+def control_step(w: float, v_ref: float, v: float, u_ff: float,
                  schedule: GainSchedule, u_lim: float
-                 ) -> tuple[float, float, float, ControllerState]:
-    """One feedback update.
+                 ) -> tuple[float, float, float, float]:
+    """One feedback update on the anti-windup integral channel ``w``
+    [input units, 0 at episode start].
 
-    Returns (u, u_s, du, next_state): the unsaturated command, the
-    saturated command, the feedback share du = u_s - u_ff, and the
-    updated controller state.
+    Returns (u, u_s, du, w_next): the unsaturated command, the saturated
+    command, the feedback share du = u_s - u_ff, and the next ``w``.
     """
     for x in (v_ref, v, u_ff):
         if not math.isfinite(x):
@@ -132,8 +125,7 @@ def control_step(cs: ControllerState, v_ref: float, v: float, u_ff: float,
         raise ValueError("u_lim must be positive")
     kp, ti = schedule.gains(v_ref)
     e = v_ref - v
-    u = u_ff + kp * e + cs.aw_filter
+    u = u_ff + kp * e + w
     u_s = min(max(u, -u_lim), u_lim)
     du = u_s - u_ff
-    w_next = cs.aw_filter + (du - cs.aw_filter) / ti
-    return u, u_s, du, ControllerState(aw_filter=w_next)
+    return u, u_s, du, w + (du - w) / ti

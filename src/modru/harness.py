@@ -99,8 +99,7 @@ def stage_estimate(sc: Scenario, data: sysid.Dataset
     """Fit the gray box (with the scenario's term mask) and the efficiency factors."""
     mask = np.asarray(sc.est_mask, dtype=bool)
     model, fit = sysid.fit_graybox(data, mask=mask)
-    eff = sysid.fit_efficiency(data.P, data.u, data.v,
-                               defaults=(sc.eff_gen, sc.eff_regen))
+    eff = sysid.fit_efficiency(data.P, data.u, data.v)
     return model, eff, fit
 
 
@@ -133,15 +132,16 @@ def stage_track(sc: Scenario, model: sysid.GrayBoxModel,
     t_grid = np.arange(n + 1) * h
     v_ref, a_ref = ref.sample(t_grid)
 
-    state = [ctl.ControllerState()]
+    w = 0.0   # the controller's anti-windup channel
     v_refs, a_refs, slope_at = v_ref.tolist(), a_ref.tolist(), sc.slope.at
 
     def callback(k, t, s, v):
+        nonlocal w
         # Feedforward re-inverted on line: reference kinematics at the
         # current sample, grade at the measured position.
         u_ff = ctl.feedforward(v_refs[k], a_refs[k], slope_at(s), model)
-        u, u_s, du, state[0] = ctl.control_step(
-            state[0], v_refs[k], v, u_ff, schedule, sc.ctrl_u_lim)
+        u, u_s, du, w = ctl.control_step(
+            w, v_refs[k], v, u_ff, schedule, sc.ctrl_u_lim)
         return u, u_s, du
 
     # The truck's lagged motor starts at the first feedforward input, so

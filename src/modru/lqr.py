@@ -5,9 +5,9 @@ The model-free route estimates the quadratic Q-function of the current
 policy by least squares on one-step transition data and improves the
 policy from the Q-function blocks; no plant model is formed.  The
 model-based route fits a low-order state-space model to the same kind
-of data and solves the Riccati equation on it.  Both are scored on the
-true plant through the sensitivity peaks M_S, M_T and the step-response
-rise time.
+of data (:func:`estimate_ss`) and solves the Riccati equation on it.
+Both are scored on the true plant through the sensitivity peaks M_S,
+M_T and the step-response rise time.
 """
 
 from __future__ import annotations
@@ -38,24 +38,6 @@ def _state_input(A, B) -> tuple[np.ndarray, np.ndarray]:
     if B.ndim == 1:
         B = B[:, None]
     return A, B
-
-
-@dataclass(frozen=True)
-class StateSpaceD:
-    """Discrete-time linear system x+ = A x + B u with sample time h."""
-
-    A: np.ndarray
-    B: np.ndarray
-    h: float
-
-    def __post_init__(self):
-        A, B = _state_input(self.A, self.B)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        if A.shape[0] != A.shape[1] or B.shape[0] != A.shape[0]:
-            raise ValueError("A must be square and B row-compatible")
-        if self.h <= 0:
-            raise ValueError("sample time must be positive")
 
 
 @dataclass(frozen=True)
@@ -575,12 +557,12 @@ def rise_time(A: np.ndarray, B: np.ndarray, K: np.ndarray, C: np.ndarray,
     raise NumericalError("step response did not reach 90% (non-settling)")
 
 
-def servo_plant(tau: float, h: float = 0.1) -> tuple[StateSpaceD, np.ndarray]:
+def servo_plant(tau: float, h: float = 0.1) -> tuple[np.ndarray, ...]:
     """Discretized angular-servo benchmark 1/(s(1+s)(1+tau s)).
 
     States: angle, angular velocity, and (for tau > 0) the fast actuator
-    mode that designs below treat as unmodeled.  Returns the system and
-    the output row C selecting the angle.
+    mode that designs below treat as unmodeled.  Returns the sampled
+    system x+ = A x + B u and the output row C selecting the angle.
     """
     if tau < 0:
         raise ValueError("tau must be non-negative")
@@ -590,7 +572,7 @@ def servo_plant(tau: float, h: float = 0.1) -> tuple[StateSpaceD, np.ndarray]:
         Ac = [[0.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0 / tau]]
         Bc, C = [[0.0], [0.0], [1.0 / tau]], [[1.0, 0.0, 0.0]]
     Ad, Bd = c2d_zoh(Ac, Bc, h)
-    return StateSpaceD(Ad, Bd, h), np.array(C)
+    return Ad, Bd, np.array(C)
 
 
 def _pad_gain(K: np.ndarray, n_full: int) -> np.ndarray:
@@ -601,15 +583,34 @@ def _pad_gain(K: np.ndarray, n_full: int) -> np.ndarray:
     return Kf
 
 
-def _excitation_data(sys: StateSpaceD, n_obs: int, n_samples: int, seed: int):
+def _excitation_data(A, B, n_obs: int, n_samples: int, seed: int):
     """Open-loop random binary excitation of the true plant, observing n_obs states."""
     rng = np.random.default_rng(seed)
-    n = sys.A.shape[0]
+    n = A.shape[0]
     U = np.where(rng.random(n_samples) < 0.5, -1.0, 1.0)
     X = np.zeros((n_samples + 1, n))
     for k in range(n_samples):
-        X[k + 1] = sys.A @ X[k] + sys.B[:, 0] * U[k]
+        X[k + 1] = A @ X[k] + B[:, 0] * U[k]
     return X[:-1, :n_obs], U[:, None], X[1:, :n_obs]
+
+
+def estimate_ss(X: np.ndarray, U: np.ndarray,
+                X_next: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Estimate x+ = A x + B u by least squares over sampled transitions.
+
+    ``X``, ``U`` and ``X_next`` are (N, n), (N, m) and (N, n): row k of
+    ``X_next`` is the successor of row k of ``X`` under input row k of
+    ``U``.  Raises :class:`EstimationError` on a rank deficient regressor
+    (insufficient excitation).
+    """
+    X, U = _state_input(X, U)
+    X_next = np.atleast_2d(np.asarray(X_next, dtype=float))
+    n, m = X.shape[1], U.shape[1]
+    phi = np.hstack([X, U])
+    theta, _, rank, _ = np.linalg.lstsq(phi, X_next, rcond=None)
+    if rank < n + m:
+        raise EstimationError("state-space regression is rank deficient")
+    return theta[:n].T, theta[n:].T
 
 
 def _find_boundary(margin, lo: float, g_lo: float, hi: float, g_hi: float,
@@ -678,33 +679,35 @@ def robustness_sweep(taus, methods=METHODS,
                      log_qu_range: tuple[float, float] = (-6.0, 6.0),
                      bisect_steps: int = 60, seed: int = 0) -> list[RobustnessRow]:
     """Tune the servo benchmark (sampled at h = 0.1 s) for each tau by both
-    routes: a model fitted to 1500 excitation samples, or policy iteration
-    on 9600 samples per step.
+    routes: a model fitted to 1500 excitation samples (:func:`estimate_ss`),
+    or policy iteration on 9600 samples per step.
 
     For every ``tau`` the control penalty Q_u is searched on a log scale
     for the boundary where one of the constraints M_S <= 1.7, M_T <= 1.3
-    activates on the true plant.  From the large (robust) end the search
-    walks down in decades to the first feasible design, then runs Brent's
-    zero finder (:func:`_find_boundary`) on the constraint margin
-    max(M_S - 1.7, M_T - 1.3), bisecting wherever a design has no margin
-    (it failed or is unstable), until the bracket is narrower than
-    ``BOUNDARY_TOL`` decades.  ``bisect_steps`` caps the evaluations of
-    that search.  The true plant's frequency response is built once per
-    tau and shared by both routes' designs.  The returned row holds the
-    feasible design with the smallest Q_u.  The learned/designed gain
-    feeds back only the two modeled states.
+    activates on the true plant.  From the large (robust) end of
+    ``log_qu_range`` (lo < hi) the search walks down in decades to the
+    first feasible design, then runs Brent's zero finder
+    (:func:`_find_boundary`) on the margin max(M_S - 1.7, M_T - 1.3),
+    bisecting wherever a design has no margin (it failed or is unstable),
+    until the bracket is narrower than ``BOUNDARY_TOL`` decades, in at
+    most ``bisect_steps`` evaluations.  The true plant's frequency
+    response is built once per tau and shared by both routes' designs.
+    The row describes the feasible design with the smallest Q_u or, if
+    the walk-down finds none, the last one evaluated (``feasible=False``).
+    The learned/designed gain feeds back only the two modeled states.
     """
-    from .sysid import estimate_ss
-
+    lo, hi = log_qu_range
+    if not lo < hi:
+        raise ValueError(f"log_qu_range needs lo < hi, got {log_qu_range}")
     h = 0.1
     n_est_samples = 1500
     lqrl_samples = 9600
     rows: list[RobustnessRow] = []
     root = np.random.SeedSequence(seed)
     for i_tau, tau in enumerate(taus):
-        sys, C = servo_plant(tau, h)
-        resp = loop_response(sys.A, sys.B, h)
-        n_full = sys.A.shape[0]
+        A, B, C = servo_plant(tau, h)
+        resp = loop_response(A, B, h)
+        n_full = A.shape[0]
         n_obs = 2
         tau_seed = np.random.SeedSequence(entropy=root.entropy,
                                           spawn_key=(i_tau,))
@@ -712,7 +715,7 @@ def robustness_sweep(taus, methods=METHODS,
 
         for method in methods:
             if method == "model-based":
-                X, U, Xn = _excitation_data(sys, n_obs, n_est_samples,
+                X, U, Xn = _excitation_data(A, B, n_obs, n_est_samples,
                                             int(seeds[0]))
                 A2, B2 = estimate_ss(X, U, Xn)
 
@@ -720,8 +723,8 @@ def robustness_sweep(taus, methods=METHODS,
                     K, _ = dare_solve(A2, B2, np.diag([1.0, 0.0]), [[q_u]])
                     return K
             elif method == "model-free":
-                def make_gain(q_u, i_step, sys=sys, seeds=seeds):
-                    source = linear_rollouts(sys.A, sys.B, n_obs=n_obs,
+                def make_gain(q_u, i_step, A=A, B=B, seeds=seeds):
+                    source = linear_rollouts(A, B, n_obs=n_obs,
                                              episode_len=400,
                                              seed=int(seeds[i_step]))
                     # Policy iteration needs a stabilizing start; zero
@@ -745,7 +748,7 @@ def robustness_sweep(taus, methods=METHODS,
                     # The i-th evaluation of a row draws seeds[i].
                     K = make_gain(q_u, len(trace))
                     Kf = _pad_gain(K, n_full)
-                    if spectral_radius(sys.A - sys.B @ Kf) >= 1.0:
+                    if spectral_radius(A - B @ Kf) >= 1.0:
                         raise NumericalError("unstable on true plant")
                     m_s, m_t = sensitivity_metrics(resp, Kf)
                     ok = m_s <= MS_MAX and m_t <= MT_MAX
@@ -758,7 +761,7 @@ def robustness_sweep(taus, methods=METHODS,
                         # crawl; treat it as feasible with unmeasurable t_r
                         # so the search can still move toward smaller Q_u.
                         try:
-                            t_r = rise_time(sys.A, sys.B, Kf, C, h)
+                            t_r = rise_time(A, B, Kf, C, h)
                         except NumericalError:
                             pass
                 trace.append((q_u, t_r, ok))
@@ -769,30 +772,19 @@ def robustness_sweep(taus, methods=METHODS,
                 designs[log_qu] = (g, t_r, m_s, m_t)
                 return designs[log_qu]
 
-            lo, hi = log_qu_range
             # The extreme detuned end can defeat the learned arm (the
             # optimal gain tends to zero, leaving the integrator mode
             # marginal), so walk down in decades to the first design
             # that evaluates cleanly and anchor the search there.
-            g_hi = math.inf
-            while hi > lo + 1e-9:
-                g_hi, t_r_hi, ms_hi, mt_hi = evaluate(hi)
-                if g_hi <= 0.0:
-                    break
-                hi -= 1.0
-            if g_hi > 0.0:
-                rows.append(RobustnessRow(tau, method, math.inf, ms_hi, mt_hi,
-                                          10.0 ** hi, feasible=False,
-                                          trace=trace))
-                continue
-            g_lo, t_r_lo, ms_lo, mt_lo = evaluate(lo)
-            if g_lo <= 0.0:
-                rows.append(RobustnessRow(tau, method, t_r_lo, ms_lo, mt_lo,
-                                          10.0 ** lo, trace=trace))
-                continue
-            log_qu = _find_boundary(lambda x: evaluate(x)[0], lo, g_lo, hi, g_hi,
-                                    bisect_steps)
+            log_qu = hi
+            while evaluate(log_qu)[0] > 0.0 and log_qu - 1.0 > lo + 1e-9:
+                log_qu -= 1.0
+            g_hi = designs[log_qu][0]
+            if g_hi <= 0.0:
+                g_lo = evaluate(lo)[0]
+                log_qu = lo if g_lo <= 0.0 else _find_boundary(
+                    lambda x: evaluate(x)[0], lo, g_lo, log_qu, g_hi, bisect_steps)
             _, t_r, m_s, m_t = designs[log_qu]
-            rows.append(RobustnessRow(tau, method, t_r, m_s, m_t,
-                                      10.0 ** log_qu, trace=trace))
+            rows.append(RobustnessRow(tau, method, t_r, m_s, m_t, 10.0 ** log_qu,
+                                      feasible=g_hi <= 0.0, trace=trace))
     return rows

@@ -26,7 +26,6 @@ interval.
 
 from __future__ import annotations
 
-import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -35,8 +34,6 @@ import numpy as np
 
 from .errors import SimulationDivergence
 from .tables import write_csv
-
-log = logging.getLogger(__name__)
 
 # Velocity magnitude beyond which the integration is considered diverged.
 V_DIVERGED = 1.0e3
@@ -335,7 +332,5 @@ def simulate(params: TruckParams | CarParams, inputs, slope: PositionProfile,
     for col in (u_arr, us_arr, du_arr):
         col[n] = col[n - 1] if n > 0 else 0.0
     P = step_efficiency(us_arr, gen, regen) * us_arr * v
-    if clamps:
-        log.info("velocity clamped at zero %d times", clamps)
     return Trajectory(t=t, s=s, v=v, u=u_arr, u_s=us_arr, du=du_arr, P=P,
                       u_m=um_arr if is_truck else None, n_velocity_clamps=clamps)

@@ -12,8 +12,8 @@ carried along the record by the forward-sensitivity recurrence of the
 predictor (Ljung, *System Identification*, 2nd ed. 1999, ch. 10).  A
 boolean mask freezes structurally absent terms at zero.
 
-Also provided: a one-step state-space estimator and the two-coefficient
-drive-efficiency fit.
+Also provided: the two-coefficient drive-efficiency fit, with fixed
+priors for the regimes the data do not excite.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EstimationError
-from .lqr import _state_input
 from .tables import read_csv, write_csv, write_keyvalues, read_keyvalues
 
 N_THETA = 6
@@ -229,27 +228,6 @@ class GrayBoxFit:
     rms: float
 
 
-def estimate_ss(X: np.ndarray, U: np.ndarray,
-                X_next: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Estimate x+ = A x + B u by least squares over sampled transitions.
-
-    ``X``, ``U`` and ``X_next`` are (N, n), (N, m) and (N, n): row k of
-    ``X_next`` is the successor of row k of ``X`` under input row k of
-    ``U``.  Raises :class:`EstimationError` on a rank deficient regressor
-    (insufficient excitation).
-    """
-    X, U = _state_input(X, U)
-    X_next = np.atleast_2d(np.asarray(X_next, dtype=float))
-    n, m = X.shape[1], U.shape[1]
-    phi = np.hstack([X, U])
-    theta, _, rank, _ = np.linalg.lstsq(phi, X_next, rcond=None)
-    if rank < n + m:
-        raise EstimationError("state-space regression is rank deficient")
-    A = theta[:n].T
-    B = theta[n:].T
-    return A, B
-
-
 def equation_error_init(data: Dataset, mask: np.ndarray) -> np.ndarray:
     """Linear-regression warm start: fit finite-difference accelerations."""
     h = data.h
@@ -343,24 +321,25 @@ def fit_graybox(data: Dataset, mask: np.ndarray | None = None
     return model, GrayBoxFit(cost_trace=trace, converged=converged, n_iter=it, rms=rms)
 
 
-def fit_efficiency(P: np.ndarray, u: np.ndarray, v: np.ndarray,
-                   defaults: tuple[float, float] = (1.1, 0.9)) -> EfficiencyParams:
+def fit_efficiency(P: np.ndarray, u: np.ndarray, v: np.ndarray) -> EfficiencyParams:
     """Fit the drive/regen efficiency factors from power samples.
 
     Regresses P against u*v separately on the u >= 0 and u < 0 regimes.
-    A missing or unexcited regime falls back to the corresponding default
-    with a warning; estimates outside the admissible range
-    gen >= 1 >= regen > 0 are clipped to the bound, except that a
-    regeneration estimate <= 0 falls back to its default.  The result
-    records per factor whether it was fitted, defaulted or clipped.
+    A missing or unexcited regime falls back to the prior of
+    :class:`EfficiencyParams` (1.1 and 0.9) with a warning; estimates
+    outside the admissible range gen >= 1 >= regen > 0 are clipped to the
+    bound, except that a regeneration estimate <= 0 falls back to its
+    prior.  The result records per factor whether it was fitted,
+    defaulted or clipped.
     """
     P = np.asarray(P, dtype=float)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     x = u * v
+    prior = EfficiencyParams()
     out = []
-    for name, sel, default in (("generation", u >= 0.0, defaults[0]),
-                               ("regeneration", u < 0.0, defaults[1])):
+    for name, sel, default in (("generation", u >= 0.0, prior.gen_factor),
+                               ("regeneration", u < 0.0, prior.regen_factor)):
         xx = float(x[sel] @ x[sel])
         if sel.sum() == 0 or xx < 1e-12:
             warnings.warn(f"no informative {name} samples; using default {default}")
@@ -376,7 +355,7 @@ def fit_efficiency(P: np.ndarray, u: np.ndarray, v: np.ndarray,
         regen, regen_status = 1.0, "clipped"
     if regen <= 0.0:
         warnings.warn(f"regeneration factor estimate {regen:.4f} <= 0; using default")
-        regen, regen_status = defaults[1], "default"
+        regen, regen_status = prior.regen_factor, "default"
     return EfficiencyParams(gen_factor=gen, regen_factor=regen,
                             gen_status=gen_status, regen_status=regen_status)
 
@@ -398,24 +377,21 @@ def validate(model: GrayBoxModel, data: Dataset) -> float:
     return float(np.sqrt(np.mean(err ** 2)) / denom)
 
 
-def save_theta(path, model: GrayBoxModel, eff: EfficiencyParams | None = None) -> None:
+def save_theta(path, model: GrayBoxModel, eff: EfficiencyParams) -> None:
     """Write the fitted parameters as a flat key-value text file."""
     items = {f"theta{i + 1}": model.theta[i] for i in range(N_THETA)}
     items["mask"] = ",".join("1" if m else "0" for m in model.mask)
-    if eff is not None:
-        items["theta7"] = eff.gen_factor
-        items["theta8"] = eff.regen_factor
+    items["theta7"] = eff.gen_factor
+    items["theta8"] = eff.regen_factor
     write_keyvalues(path, items)
 
 
-def load_theta(path) -> tuple[GrayBoxModel, EfficiencyParams | None]:
+def load_theta(path) -> tuple[GrayBoxModel, EfficiencyParams]:
     """Read parameters written by :func:`save_theta`; a ``scale`` key that
     older files carry is ignored."""
     kv = read_keyvalues(path)
     theta = np.array([float(kv[f"theta{i + 1}"]) for i in range(N_THETA)])
     mask = np.array([c.strip() == "1" for c in kv["mask"].split(",")])
-    eff = None
-    if "theta7" in kv:
-        eff = EfficiencyParams(gen_factor=float(kv["theta7"]),
-                               regen_factor=float(kv["theta8"]))
+    eff = EfficiencyParams(gen_factor=float(kv["theta7"]),
+                           regen_factor=float(kv["theta8"]))
     return GrayBoxModel(theta=theta, mask=mask), eff

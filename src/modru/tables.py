@@ -80,14 +80,15 @@ def write_keyvalues(path, items: dict) -> None:
 
 
 def read_keyvalues(path) -> dict[str, str]:
-    """Read a flat 'key = value' text file (values returned as strings)."""
+    """Read a flat 'key = value' text file (values returned as strings);
+    '#' comments are skipped and a later key wins."""
     out: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
+    for i, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         k, sep, v = line.partition("=")
         if not sep:
-            raise ValueError(f"malformed line in {path!s}: {line!r}")
+            raise ValueError(f"{path!s}:{i}: expected 'key = value', got {line!r}")
         out[k.strip()] = v.strip()
     return out

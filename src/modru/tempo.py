@@ -116,12 +116,12 @@ class TOSolution:
     u_r: np.ndarray        # model inputs (full) or accelerations (pseudo)
     eta: np.ndarray        # efficiency weights
     E: float
-    feasible: bool = True
-    z: np.ndarray | None = None   # squared node speeds v_j^2, length N+1
-    gap: float = math.nan      # duality gap [model energy units]
-    gap_rel: float = math.nan  # gap / max(|E|, m/2 (L/T_f)^2)
-    n_newton: int = 0          # Newton steps of all phases and convex steps
-    exit: str = ""             # "gap", or "time_pinned" if only the fastest plan fits
+    feasible: bool
+    z: np.ndarray          # squared node speeds v_j^2, length N+1
+    gap: float             # duality gap [model energy units]
+    gap_rel: float         # gap / max(|E|, m/2 (L/T_f)^2)
+    n_newton: int          # Newton steps of all phases and convex steps
+    exit: str              # "gap", or "time_pinned" if only the fastest plan fits
 
     def to_csv(self, path, problem: TOProblem) -> None:
         write_csv(path, ["k", "t", "x", "v_r", "a_r", "u_r", "eta", "h"],
@@ -159,8 +159,6 @@ def build_problem(path_length: float, n_segments: int, T_f: float,
                   u_lim: float | None = None) -> TOProblem:
     """Sample the route onto an equidistant grid: slope at segment starts,
     and as cap the smaller limit at the two segment endpoints."""
-    if path_length <= 0 or n_segments < 2:
-        raise ValueError("need positive path length and at least 2 segments")
     x = np.linspace(0.0, path_length, n_segments + 1)
     v_lim = np.minimum(v_limit.value(x[:-1]), v_limit.value(x[1:]))
     return TOProblem(x=x, alpha=slope.value(x[:-1]), v_lim=v_lim, T_f=T_f,

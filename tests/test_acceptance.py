@@ -182,11 +182,11 @@ def test_c06_anti_windup_matches_direct_pi_and_recovers_fast():
     rng = np.random.default_rng(8141)
     err = rng.normal(size=1000)
     u_ff = rng.normal(scale=0.5, size=1000)
-    state = ctl.ControllerState()
+    w = 0.0
     acc = 0.0
     for k in range(1000):
-        u, u_s, _, state = ctl.control_step(state, err[k], 0.0, u_ff[k],
-                                            sched, u_lim=1e12)
+        u, u_s, _, w = ctl.control_step(w, err[k], 0.0, u_ff[k],
+                                        sched, u_lim=1e12)
         direct = u_ff[k] + 2.0 * err[k] + (2.0 / 5.0) * acc
         assert u == pytest.approx(direct, abs=1e-10)
         assert u_s == u
@@ -196,15 +196,13 @@ def test_c06_anti_windup_matches_direct_pi_and_recovers_fast():
     kp, ti, u_lim = 10.0, 8.0, 100.0
     stress = ctl.GainSchedule(v_grid=np.array([0.0]), K_P=np.array([kp]),
                               T_I=np.array([ti]), h=h)
-    state = ctl.ControllerState()
+    w = 0.0
     for _ in range(400):
-        _, u_s, _, state = ctl.control_step(state, 50.0, 0.0, 0.0, stress,
-                                            u_lim)
+        _, u_s, _, w = ctl.control_step(w, 50.0, 0.0, 0.0, stress, u_lim)
     assert u_s == u_lim
     recovery = None
     for k in range(1, 10 * int(ti)):
-        _, u_s, _, state = ctl.control_step(state, -5.0, 0.0, 0.0, stress,
-                                            u_lim)
+        _, u_s, _, w = ctl.control_step(w, -5.0, 0.0, 0.0, stress, u_lim)
         if u_s < u_lim:
             recovery = k
             break

@@ -108,11 +108,11 @@ class TestControlStep:
         kp, ti = 2.0, 5.0
         sched = make_schedule(kp, ti)
         e_seq = rng.standard_normal(200)
-        cs = ctl.ControllerState()
+        w = 0.0
         acc = 0.0
         for k, e in enumerate(e_seq):
-            u, u_s, du, cs = ctl.control_step(cs, v_ref=0.0, v=-e, u_ff=0.0,
-                                              schedule=sched, u_lim=1e12)
+            u, u_s, du, w = ctl.control_step(w, v_ref=0.0, v=-e, u_ff=0.0,
+                                             schedule=sched, u_lim=1e12)
             want = kp * e + (kp / ti) * acc
             assert du == pytest.approx(want, abs=1e-9)
             assert u == u_s
@@ -120,29 +120,27 @@ class TestControlStep:
 
     def test_saturation_and_bounded_windup(self):
         sched = make_schedule(kp=10.0, ti=4.0)
-        cs = ctl.ControllerState()
+        w = 0.0
         for _ in range(500):
-            u, u_s, du, cs = ctl.control_step(cs, v_ref=50.0, v=0.0, u_ff=0.0,
-                                              schedule=sched, u_lim=100.0)
+            u, u_s, du, w = ctl.control_step(w, v_ref=50.0, v=0.0, u_ff=0.0,
+                                             schedule=sched, u_lim=100.0)
         assert u_s == 100.0
         assert du == 100.0
         # the integral channel settles at the feedback share, not beyond
-        assert cs.aw_filter == pytest.approx(100.0, rel=1e-6)
+        assert w == pytest.approx(100.0, rel=1e-6)
 
     def test_feedback_share_excludes_feedforward(self):
         sched = make_schedule(kp=1.0, ti=10.0)
-        _, u_s, du, _ = ctl.control_step(ctl.ControllerState(), v_ref=10.0,
-                                         v=10.0, u_ff=340.0, schedule=sched,
-                                         u_lim=1e6)
+        _, u_s, du, _ = ctl.control_step(0.0, v_ref=10.0, v=10.0, u_ff=340.0,
+                                         schedule=sched, u_lim=1e6)
         assert u_s == 340.0 and du == 0.0
 
     def test_input_validation(self):
         sched = make_schedule()
         with pytest.raises(ValueError):
-            ctl.control_step(ctl.ControllerState(), math.nan, 0.0, 0.0,
-                             sched, 100.0)
+            ctl.control_step(0.0, math.nan, 0.0, 0.0, sched, 100.0)
         with pytest.raises(ValueError):
-            ctl.control_step(ctl.ControllerState(), 0.0, 0.0, 0.0, sched, 0.0)
+            ctl.control_step(0.0, 0.0, 0.0, 0.0, sched, 0.0)
 
 
 def bits(x) -> bytes:

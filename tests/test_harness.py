@@ -38,8 +38,8 @@ class TestConfigFiles:
 
     def test_malformed_line(self, tmp_path):
         p = tmp_path / "run.conf"
-        p.write_text("to.T_f 900\n")
-        with pytest.raises(ConfigError):
+        p.write_text("seed = 7\nto.T_f 900\n")
+        with pytest.raises(ConfigError, match=r"run\.conf:2: expected 'key = value'"):
             config.read_config_file(p)
 
     def test_scenario_overrides(self):
@@ -206,7 +206,7 @@ class TestRunPipeline:
                                   "solution", "reference", "trajectory",
                                   "metrics"}
 
-    def test_only_full_mode_charges_realized_energy(self, car_sc, car_fit):
+    def test_realized_energy_charges_the_boundary_kinetic_energy(self, car_sc, car_fit):
         # E_realized takes the boundary rule's kinetic energy, as E_pred
         # does; a zero mass gives the same run without that charge.
         _, model, eff, _ = car_fit
@@ -357,10 +357,12 @@ class TestCli:
         assert err.startswith("numerical failure:") and "h=0.1" in err
 
     def test_cli_import_loads_no_scipy(self):
+        # Nor logging: the run reports its counts in its results instead.
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, modru.cli, modru.harness, modru.lqr, modru.sysid; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('scipy', 'logging')))"],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
-"""Every top-level import in the package source is used."""
+"""Every top-level import in the package source is used, and no module
+imports a sibling module's private names."""
 
 import ast
 from pathlib import Path
@@ -30,6 +31,28 @@ def unused_imports(source: str) -> list[str]:
         if isinstance(node, ast.Name):
             used.add(node.id)
     return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
+
+
+def private_sibling_imports(source: str) -> list[str]:
+    """``_``-prefixed names that ``source`` imports, at any depth, from a
+    module of the package (a relative import or one from ``modru``)."""
+    return [f"{node.module}.{alias.name} (line {node.lineno})"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "modru")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_names_from_sibling_modules(path):
+    assert private_sibling_imports(path.read_text()) == []
+
+
+def test_guard_flags_a_private_sibling_import():
+    src = ("import numpy as np\nfrom .lqr import dare_solve\n"
+           "def f():\n    from .lqr import _state_input\n"
+           "from numpy import _globals\n")
+    assert private_sibling_imports(src) == ["lqr._state_input (line 4)"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

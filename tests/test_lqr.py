@@ -1,4 +1,4 @@
-"""LQ design and data-driven policy iteration tests."""
+"""LQ design, state-space estimation and data-driven policy iteration tests."""
 
 import functools
 import math
@@ -287,6 +287,35 @@ def scaled_matrix(rng, n, radius):
     return A * (radius / lqr.spectral_radius(A))
 
 
+class TestStateSpace:
+    def test_exact_recovery(self, rng):
+        A = np.array([[0.9, 0.1], [0.0, 0.8]])
+        B = np.array([[0.0], [0.5]])
+        U = rng.standard_normal((300, 1))
+        X = np.zeros((301, 2))
+        for k in range(300):
+            X[k + 1] = A @ X[k] + B[:, 0] * U[k, 0]
+        A_hat, B_hat = lqr.estimate_ss(X[:-1], U, X[1:])
+        np.testing.assert_allclose(A_hat, A, atol=1e-10)
+        np.testing.assert_allclose(B_hat, B, atol=1e-10)
+
+    def test_explicit_next_state_form(self, rng):
+        A = np.array([[0.7]])
+        B = np.array([[0.3]])
+        X = rng.standard_normal((100, 1))
+        U = rng.standard_normal((100, 1))
+        Xn = X @ A.T + U @ B.T
+        A_hat, B_hat = lqr.estimate_ss(X, U, Xn)
+        np.testing.assert_allclose(A_hat, A, atol=1e-12)
+        np.testing.assert_allclose(B_hat, B, atol=1e-12)
+
+    def test_rank_deficiency_raises(self):
+        X = np.ones((50, 2))
+        U = np.ones((50, 1))
+        with pytest.raises(EstimationError):
+            lqr.estimate_ss(X[:-1], U[:-1], X[1:])
+
+
 class TestC2d:
     def test_double_integrator(self):
         Ac = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -331,12 +360,12 @@ class TestC2d:
     def test_non_finite_exponential_raises(self, tau):
         # A lag far below h gives the instantaneous-actuator limit: the
         # modelled block is the tau = 0 plant, the actuator state is u.
-        sys, _ = lqr.servo_plant(tau, h=0.1)
-        ref, _ = lqr.servo_plant(0.0, h=0.1)
-        assert np.abs(sys.A[:2, :2] - ref.A).max() <= 1e-15
-        assert np.abs(sys.B[:2] - ref.B).max() <= 1e-15
-        assert np.abs(sys.A[:2, 2]).max() <= 1e-15
-        np.testing.assert_array_equal(np.hstack([sys.A[2], sys.B[2]]), [0.0, 0.0, 0.0, 1.0])
+        A, B, _ = lqr.servo_plant(tau, h=0.1)
+        A_ref, B_ref, _ = lqr.servo_plant(0.0, h=0.1)
+        assert np.abs(A[:2, :2] - A_ref).max() <= 1e-15
+        assert np.abs(B[:2] - B_ref).max() <= 1e-15
+        assert np.abs(A[:2, 2]).max() <= 1e-15
+        np.testing.assert_array_equal(np.hstack([A[2], B[2]]), [0.0, 0.0, 0.0, 1.0])
         # Once 1/tau overflows the exponential is not finite.
         with pytest.raises(NumericalError, match=r"h=0\.1"):
             lqr.servo_plant(5e-324, h=0.1)
@@ -349,15 +378,15 @@ class TestC2d:
     def test_servo_plant_matches_scipy(self, tau):
         # Every servo plant is a cascade; the actuator mode -1/tau reaches
         # -1e31 h at tau = 1e-30.
-        sys, _ = lqr.servo_plant(tau, h=0.1)
+        A, B, _ = lqr.servo_plant(tau, h=0.1)
         if tau == 0.0:
             Ac, Bc = np.array([[0.0, 1.0], [0.0, -1.0]]), np.array([[0.0], [1.0]])
         else:
             Ac = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0 / tau]])
             Bc = np.array([[0.0], [0.0], [1.0 / tau]])
         Ad, Bd = zoh_reference(Ac, Bc, 0.1)
-        np.testing.assert_allclose(sys.A, Ad, rtol=0.0, atol=1e-13)
-        np.testing.assert_allclose(sys.B, Bd, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(A, Ad, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(B, Bd, rtol=0.0, atol=1e-13)
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 5), kind=st.sampled_from(CASCADE_KINDS),
@@ -506,13 +535,13 @@ class TestPolicyIteration:
         (0.0, 1.0, 3, 1), (0.0, 1e-3, 5, 1), (0.0, 100.0, 8675, 1),
         (0.2, 100.0, 3, 0)])
     def test_converged_gain_skips_its_rollout(self, tau, q_u, seed, saved):
-        sys, _ = lqr.servo_plant(tau)
+        A, B, _ = lqr.servo_plant(tau)
         cost = lqr.QuadCost(np.diag([1.0, 0.0]), [[q_u]])
         runs = []
         for policy_iteration in (lqr.lqrl_policy_iteration,
                                  collect_then_check_policy_iteration):
             source = CountingSource(lqr.linear_rollouts(
-                sys.A, sys.B, n_obs=2, episode_len=400, seed=seed))
+                A, B, n_obs=2, episode_len=400, seed=seed))
             K, qf = policy_iteration(source, np.array([[1.0, 1.0]]), cost,
                                      n_samples=2400)
             runs.append((K, qf, source.calls))
@@ -525,12 +554,12 @@ class TestPolicyIteration:
         # The rollout under the converged gain would diverge: the reference
         # loop damps toward the previous gain eight times and raises, the
         # shipped loop never collects it.
-        sys, _ = lqr.servo_plant(0.0)
+        A, B, _ = lqr.servo_plant(0.0)
         cost = lqr.QuadCost(np.diag([1.0, 0.0]), [[1.0]])
 
         def run(policy_iteration, fail_at=None):
             source = CountingSource(lqr.linear_rollouts(
-                sys.A, sys.B, episode_len=400, seed=3), fail_at)
+                A, B, episode_len=400, seed=3), fail_at)
             return policy_iteration(source, np.array([[1.0, 1.0]]), cost,
                                     n_samples=2400), source.calls
 
@@ -660,12 +689,12 @@ class TestLoopMetrics:
     def test_servo_metrics_equal_one_call_metric(self, tau, h, log_gain, seed):
         # Large random gains destabilise the loop; the peaks of both forms
         # must still agree bit for bit.
-        sys, _ = lqr.servo_plant(tau, h)
+        A, B, _ = lqr.servo_plant(tau, h)
         rng = np.random.default_rng(seed)
-        K = rng.normal(size=(1, sys.A.shape[0])) * 10.0 ** log_gain
-        resp = lqr.loop_response(sys.A, sys.B, h)
+        K = rng.normal(size=(1, A.shape[0])) * 10.0 ** log_gain
+        resp = lqr.loop_response(A, B, h)
         got = lqr.sensitivity_metrics(resp, K)
-        want = one_call_sensitivity_metrics(sys.A, sys.B, K, h)
+        want = one_call_sensitivity_metrics(A, B, K, h)
         np.testing.assert_array_equal(got, want)
 
     def test_rise_time_first_order_lag(self):
@@ -707,15 +736,15 @@ class TestLoopMetrics:
 
 class TestServoBenchmark:
     def test_tau_zero_matches_closed_form(self):
-        sys, C = lqr.servo_plant(0.0, h=0.1)
+        A, B, C = lqr.servo_plant(0.0, h=0.1)
         e = math.exp(-0.1)
-        np.testing.assert_allclose(sys.A, [[1.0, 1.0 - e], [0.0, e]], atol=1e-12)
-        np.testing.assert_allclose(sys.B, [[0.1 - 1.0 + e], [1.0 - e]], atol=1e-12)
+        np.testing.assert_allclose(A, [[1.0, 1.0 - e], [0.0, e]], atol=1e-12)
+        np.testing.assert_allclose(B, [[0.1 - 1.0 + e], [1.0 - e]], atol=1e-12)
         np.testing.assert_allclose(C, [[1.0, 0.0]])
 
     def test_tau_positive_adds_actuator_state(self):
-        sys, C = lqr.servo_plant(0.2, h=0.1)
-        assert sys.A.shape == (3, 3) and C.shape == (1, 3)
+        A, B, C = lqr.servo_plant(0.2, h=0.1)
+        assert A.shape == (3, 3) and B.shape == (3, 1) and C.shape == (1, 3)
         with pytest.raises(ValueError):
             lqr.servo_plant(-0.1)
 
@@ -730,6 +759,22 @@ class TestServoBenchmark:
         assert 0.0 < row.t_r < math.inf
         assert 1e-6 <= row.Q_u <= 1e6
         assert len(row.trace) >= 2
+
+    def test_infeasible_row_reports_the_last_design_evaluated(self):
+        # At tau = 0.2 every Q_u below about 0.09 breaks a margin, so the
+        # walk-down evaluates 1e-3, 1e-4 and 1e-5 and finds no feasible design.
+        row, = lqr.robustness_sweep([0.2], methods=("model-based",),
+                                    log_qu_range=(-6.0, -3.0), seed=1)
+        assert [q for q, _, _ in row.trace] == pytest.approx([1e-3, 1e-4, 1e-5])
+        assert not row.feasible and row.t_r == math.inf
+        assert row.Q_u == row.trace[-1][0]
+        assert row.M_S > lqr.MS_MAX or row.M_T > lqr.MT_MAX
+
+    @pytest.mark.parametrize("log_qu_range", [(0.0, 0.0), (1.0, -1.0)])
+    def test_empty_log_qu_range_is_rejected(self, log_qu_range):
+        with pytest.raises(ValueError, match="lo < hi"):
+            lqr.robustness_sweep([0.0], methods=("model-based",),
+                                 log_qu_range=log_qu_range)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_tau_zero_rows_of_both_routes_agree(self, seed):

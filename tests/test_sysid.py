@@ -1,4 +1,4 @@
-"""Estimation tests: state-space regression, gray box, efficiency."""
+"""Estimation tests: gray box, efficiency."""
 
 import math
 import warnings
@@ -12,35 +12,6 @@ from hypothesis import strategies as st
 from modru import config, harness, sysid
 from modru.errors import EstimationError
 from modru.plant import TruckParams
-
-
-class TestStateSpace:
-    def test_exact_recovery(self, rng):
-        A = np.array([[0.9, 0.1], [0.0, 0.8]])
-        B = np.array([[0.0], [0.5]])
-        U = rng.standard_normal((300, 1))
-        X = np.zeros((301, 2))
-        for k in range(300):
-            X[k + 1] = A @ X[k] + B[:, 0] * U[k, 0]
-        A_hat, B_hat = sysid.estimate_ss(X[:-1], U, X[1:])
-        np.testing.assert_allclose(A_hat, A, atol=1e-10)
-        np.testing.assert_allclose(B_hat, B, atol=1e-10)
-
-    def test_explicit_next_state_form(self, rng):
-        A = np.array([[0.7]])
-        B = np.array([[0.3]])
-        X = rng.standard_normal((100, 1))
-        U = rng.standard_normal((100, 1))
-        Xn = X @ A.T + U @ B.T
-        A_hat, B_hat = sysid.estimate_ss(X, U, Xn)
-        np.testing.assert_allclose(A_hat, A, atol=1e-12)
-        np.testing.assert_allclose(B_hat, B, atol=1e-12)
-
-    def test_rank_deficiency_raises(self):
-        X = np.ones((50, 2))
-        U = np.ones((50, 1))
-        with pytest.raises(EstimationError):
-            sysid.estimate_ss(X[:-1], U[:-1], X[1:])
 
 
 class TestGrayBox:
@@ -339,11 +310,23 @@ class TestEfficiency:
         v = rng.uniform(5.0, 20.0, 200)
         P = 1.1 * u * v
         with pytest.warns(UserWarning, match="regeneration"):
-            eff = sysid.fit_efficiency(P, u, v, defaults=(1.1, 0.85))
-        assert eff.regen_factor == 0.85
+            eff = sysid.fit_efficiency(P, u, v)
+        assert eff.regen_factor == 0.9
         assert (eff.gen_status, eff.regen_status) == ("fitted", "default")
         # The status is a record of the fit, not part of the value.
-        assert eff == sysid.EfficiencyParams(eff.gen_factor, 0.85)
+        assert eff == sysid.EfficiencyParams(eff.gen_factor, 0.9)
+
+    def test_estimate_never_reads_the_plant_factors(self, car_sc, car_fit):
+        # The car's excitation never brakes: the estimated regen factor is
+        # the fixed prior, not the plant's 0.6, while gen is fitted.
+        sc = replace(car_sc, eff_gen=1.25, eff_regen=0.6)
+        data = harness.stage_dataset(sc)
+        assert not np.any(data.u < 0.0)
+        with pytest.warns(UserWarning, match="regeneration"):
+            _, eff, _ = harness.stage_estimate(sc, data)
+        assert eff.gen_factor == pytest.approx(1.25, rel=1e-12)
+        assert (eff.regen_factor, eff.gen_status, eff.regen_status) == \
+            (0.9, "fitted", "default")
 
     def test_inadmissible_estimates_clipped(self, rng):
         u = rng.uniform(10.0, 500.0, 200)
