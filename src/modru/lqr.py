@@ -27,7 +27,7 @@ MT_MAX = 1.3
 METHODS = ("model-based", "model-free")
 # Bracket width in log10 Q_u at which the sweep's boundary search stops.
 BOUNDARY_TOL = 1e-12
-# Steps per block in the closed-loop evaluation of linear_rollouts.
+# Steps per block in the closed-loop evaluation of _block_states.
 _ROLLOUT_BLOCK = 20
 
 
@@ -297,9 +297,21 @@ class _LstdWorkspace:
         # differently, so -(Xn K') is formed sample-major and copied in.
         Zn[n:] = -(Xn @ K.T).T
 
-    def regress(self, cost: QuadCost):
-        """``lstsq`` solution and rank of the temporal-difference system
-        of the loaded batch."""
+    def regress(self, cost: QuadCost) -> np.ndarray:
+        """Least-squares solution theta of the temporal-difference system
+        psi' theta = rho of the loaded batch, from its p x p normal equations.
+
+        G = psi psi' and psi rho are one BLAS product each.  G is
+        equilibrated to unit diagonal, Gs = S G S with S = diag(G)^(-1/2),
+        and solved by Cholesky; one refinement step with the residual
+        rho - psi' theta follows (corrected semi-normal equations: Bjorck,
+        Numerical Methods for Least Squares Problems, SIAM 1996, sections
+        2.5 and 6.6).  Raises :class:`EstimationError` when a regressor is
+        zero on every sample, or when Gs is singular to working precision:
+        its reciprocal condition number is at most eps, or its Cholesky
+        factorization breaks down.  While eps cond(Gs) is well below 1 the
+        refined solution is about as accurate as a QR least-squares one.
+        """
         Z, Zn, psi, row, n = self.Z, self.Zn, self.psi, self.row, self.n
         # psi_k = (z_i c_k) z_j - (zn_i c_k) zn_j: quadratic features
         # z_i^2 and 2 z_i z_j (i < j) of z = [x; u] minus those at the next
@@ -311,8 +323,28 @@ class _LstdWorkspace:
             row *= Zn[j]
             psi[k] -= row
         rho = cost.stage(Z[:n].T, Z[n:].T)
-        theta, _, rank, _ = np.linalg.lstsq(psi.T, rho, rcond=None)
-        return theta, rank
+        G = psi @ psi.T
+        g = np.diag(G)
+        if not (g > 0.0).all():
+            raise EstimationError("a Q-function regressor is zero on every sample: "
+                                  "more excitation required")
+        s = 1.0 / np.sqrt(g)
+        Gs = G * s * s[:, None]
+        w = np.linalg.eigvalsh(Gs)
+        try:
+            L = np.linalg.cholesky(Gs)
+        except np.linalg.LinAlgError:
+            L = None
+        if L is None or not w[0] > w[-1] * np.finfo(float).eps:
+            raise EstimationError(
+                f"Q-function regression is numerically singular (reciprocal "
+                f"condition {w[0] / w[-1]:.3g}): more excitation required")
+        # G^-1 = S Gs^-1 S with Gs^-1 = L^-T L^-1.
+        Li = np.linalg.inv(L)
+        G_inv = (Li.T @ Li) * s * s[:, None]
+        theta = G_inv @ (psi @ rho)
+        theta += G_inv @ (psi @ (rho - theta @ psi))
+        return theta
 
 
 def lqrl_policy_iteration(rollout_source, K0: np.ndarray, cost: QuadCost,
@@ -332,12 +364,13 @@ def lqrl_policy_iteration(rollout_source, K0: np.ndarray, cost: QuadCost,
     (:class:`_LstdWorkspace`): each of the p = d(d+1)/2 regressor rows
     (d = n + m) is formed over all N samples at once, in the same
     elementwise operations and order as a sample-major N x p feature
-    matrix, and ``lstsq`` is handed its transpose, so theta, the gains and
-    every Q-function are bit-identical to the sample-major construction.
-    An improvement step whose behavior policy makes the collected rollout
-    diverge is damped by halving back toward the last workable policy
-    (exact-data runs never trigger this, so the Hewer fixed point is
-    unchanged).  Stops when the gain change drops below 1e-6
+    matrix, and solved from its p x p normal equations with one
+    refinement step (:meth:`_LstdWorkspace.regress`).  Raises
+    :class:`EstimationError` when those equations are numerically
+    singular (too little excitation).  An improvement step whose
+    behavior policy makes the collected rollout diverge is damped by
+    halving back toward the last workable policy (exact-data runs never
+    trigger this, so the Hewer fixed point is unchanged).  Stops when the gain change drops below 1e-6
     (max-abs) or after ``max_iters`` iterations.  A converged gain is
     returned without collecting data under it, so it is returned even
     where that rollout would have diverged.
@@ -345,7 +378,6 @@ def lqrl_policy_iteration(rollout_source, K0: np.ndarray, cost: QuadCost,
     tol = 1e-6
     K = np.atleast_2d(np.asarray(K0, dtype=float)).copy()
     m, n = K.shape
-    p = (n + m) * (n + m + 1) // 2
     qf = None
     work = _LstdWorkspace(n, m)
 
@@ -356,11 +388,7 @@ def lqrl_policy_iteration(rollout_source, K0: np.ndarray, cost: QuadCost,
 
     collect(K)
     for _ in range(max_iters):
-        theta, rank = work.regress(cost)
-        if rank < p:
-            raise EstimationError(
-                f"Q-function regression rank {rank} < {p}: more excitation required")
-        qf = QTheta.from_parameters(theta, n, m)
+        qf = QTheta.from_parameters(work.regress(cost), n, m)
         K_new = qf.gain()
         for _ in range(8):
             if np.abs(K_new - K).max() < tol:
@@ -377,6 +405,52 @@ def lqrl_policy_iteration(rollout_source, K0: np.ndarray, cost: QuadCost,
     return K, qf
 
 
+def _block_states(F: np.ndarray, B: np.ndarray, x0: np.ndarray,
+                  E: np.ndarray) -> np.ndarray:
+    """States x_0 .. x_T of x+ = F x + B e for a batch of trajectories.
+
+    ``x0`` is (n_traj, n) and the inputs ``E`` are (T, n_traj, m); the
+    result is (T + 1, n_traj, n).  The steps are evaluated in blocks of
+    L = min(``_ROLLOUT_BLOCK``, T): every trajectory advances a block in
+    one product from the block-start state, x_{k0+j+1} = F^(j+1) x_{k0}
+    + sum_{i<=j} F^(j-i) B e_{k0+i}, with zero inputs past T.  States of a
+    diverging loop may overflow to inf or nan; the caller checks them.
+    """
+    T, n_traj, m = E.shape
+    n = F.shape[0]
+    L = min(_ROLLOUT_BLOCK, T)
+    n_blk = math.ceil(T / L)
+    if n_blk * L > T:
+        E = np.concatenate([E, np.zeros((n_blk * L - T, n_traj, m))])
+    # lag[i, j] = j - i + 1 for input step i and state step j >= i, else 0.
+    lag = np.maximum(np.arange(L)[None, :] - np.arange(L)[:, None] + 1, 0)
+    # Row-vector form x+ = x F' + e B'.  powers[j] stacks B'F'^(j-1) over
+    # F'^j (powers[0] is zero): to_block maps x_k0 to the F'^(j+1) part of
+    # [x_k0+1 .. x_k0+L], toeplitz maps [e_k0 .. e_k0+L-1] to the rest
+    # (lower block-triangular, block (i, j) = B'F'^(j-i)).
+    F_T = F.T
+    powers = np.empty((L + 1, m + n, n))
+    powers[0] = 0.0
+    powers[1, :m], powers[1, m:] = B.T, F_T
+    states = np.empty((n_blk * L + 1, n_traj, n))
+    states[0] = x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(2, L + 1):
+            np.matmul(powers[j - 1], F_T, out=powers[j])
+        toeplitz = powers[lag, :m].transpose(0, 2, 1, 3).reshape(L * m, L * n)
+        to_block = powers[1:, m:].transpose(1, 0, 2).reshape(n, L * n)
+        # ahead[b] holds each trajectory's states after the steps of block b.
+        ahead = E.reshape(n_blk, L, n_traj, m).transpose(0, 2, 1, 3)
+        ahead = ahead.reshape(n_blk, n_traj, L * m) @ toeplitz
+        x = states[0]
+        for b in range(n_blk):
+            ahead[b] += x @ to_block
+            x = ahead[b, :, -n:]
+        states[1:] = (ahead.reshape(n_blk, n_traj, L, n)
+                      .transpose(0, 2, 1, 3).reshape(n_blk * L, n_traj, n))
+    return states[:T + 1]
+
+
 def linear_rollouts(A: np.ndarray, B: np.ndarray, n_obs: int | None = None,
                     episode_len: int = 20, explore: float = 0.1, seed: int = 0):
     """Build a rollout source for :func:`lqrl_policy_iteration`.
@@ -390,10 +464,8 @@ def linear_rollouts(A: np.ndarray, B: np.ndarray, n_obs: int | None = None,
     Each call draws the initial states, then all exploration noise in one
     ``(episode_len, n_episodes, m)`` block, which is the stream of one
     ``(n_episodes, m)`` draw per step.  The closed loop x+ = F x + B e,
-    F = A - B K (K zero on hidden states), is evaluated in blocks of
-    ``_ROLLOUT_BLOCK`` steps: all episodes advance a block in one product
-    from the block-start state, x_{k0+j+1} = F^(j+1) x_{k0}
-    + sum_{i<=j} F^(j-i) B e_{k0+i}, and the inputs are e - K x.  A
+    F = A - B K (K zero on hidden states), is evaluated for all episodes
+    at once by :func:`_block_states`, and the inputs are e - K x.  A
     rollout whose state passes 1e6 raises :class:`PolicyIterationError`,
     leaving the generator where per-step draws would have stopped: after
     the noise of the first step past 1e6.
@@ -403,59 +475,28 @@ def linear_rollouts(A: np.ndarray, B: np.ndarray, n_obs: int | None = None,
     if n_obs is None:
         n_obs = n_full
     rng = np.random.default_rng(seed)
-    L = min(_ROLLOUT_BLOCK, episode_len)
-    n_blk = math.ceil(episode_len / L)
-    n_pad = n_blk * L
-    # lag[i, j] = j - i + 1 for input step i and state step j >= i, else 0.
-    lag = np.maximum(np.arange(L)[None, :] - np.arange(L)[:, None] + 1, 0)
 
     def source(K: np.ndarray, n_samples: int):
         K = np.atleast_2d(np.asarray(K, dtype=float))
         amp = explore * max(1.0, float(np.abs(K).max()))
         n_ep = max(1, math.ceil(n_samples / episode_len))
-        # states[k] holds the n_ep episode states before step k; steps past
-        # episode_len only fill the last block, with zero noise.
-        states = np.empty((n_pad + 1, n_ep, n_full))
-        states[0] = 0.0
-        states[0, :, :n_obs] = rng.normal(0.0, 1.0, size=(n_ep, n_obs))
+        x0 = np.zeros((n_ep, n_full))
+        x0[:, :n_obs] = rng.normal(0.0, 1.0, size=(n_ep, n_obs))
         noise_state = rng.bit_generator.state
-        E = np.zeros((n_pad, n_ep, m))
         # One draw gives the same stream as one (n_ep, m) draw per step.
-        E[:episode_len] = rng.uniform(-amp, amp, size=(episode_len, n_ep, m))
-        # Row-vector form x+ = x F' + e B'.  powers[j] stacks B'F'^(j-1)
-        # over F'^j (powers[0] is zero): to_block maps x_k0 to the F'^(j+1)
-        # part of [x_k0+1 .. x_k0+L], toeplitz maps [e_k0 .. e_k0+L-1] to
-        # the rest (lower block-triangular, block (i, j) = B'F'^(j-i)).
-        F_T = (A - B @ _pad_gain(K, n_full)).T
-        powers = np.empty((L + 1, m + n_full, n_full))
-        powers[0] = 0.0
-        powers[1, :m], powers[1, m:] = B.T, F_T
+        E = rng.uniform(-amp, amp, size=(episode_len, n_ep, m))
+        states = _block_states(A - B @ _pad_gain(K, n_full), B, x0, E)
         # A diverging rollout may overflow inside a block, but only after
         # its first step past 1e6, and that step is found first.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(2, L + 1):
-                np.matmul(powers[j - 1], F_T, out=powers[j])
-            toeplitz = powers[lag, :m].transpose(0, 2, 1, 3).reshape(L * m, L * n_full)
-            to_block = powers[1:, m:].transpose(1, 0, 2).reshape(n_full, L * n_full)
-            # ahead[b] holds each episode's states after the steps of block b.
-            ahead = E.reshape(n_blk, L, n_ep, m).transpose(0, 2, 1, 3)
-            ahead = ahead.reshape(n_blk, n_ep, L * m) @ toeplitz
-            x = states[0]
-            for b in range(n_blk):
-                ahead[b] += x @ to_block
-                x = ahead[b, :, -n_full:]
-            states[1:] = (ahead.reshape(n_blk, n_ep, L, n_full)
-                          .transpose(0, 2, 1, 3).reshape(n_pad, n_ep, n_full))
-            diverged = np.flatnonzero(
-                np.abs(states[1:episode_len + 1]).max(axis=(1, 2)) > 1e6)
+        diverged = np.flatnonzero(np.abs(states[1:]).max(axis=(1, 2)) > 1e6)
         if diverged.size:
             # Leave the generator where per-step draws would have left it.
             rng.bit_generator.state = noise_state
             rng.uniform(-amp, amp, size=(diverged[0] + 1, n_ep, m))
             raise PolicyIterationError("rollout diverged (unstable policy)")
-        Xc = states[:episode_len, :, :n_obs].reshape(-1, n_obs)[:n_samples]
+        Xc = states[:-1, :, :n_obs].reshape(-1, n_obs)[:n_samples]
         Uc = E.reshape(-1, m)[:n_samples] - Xc @ K.T
-        Xnc = states[1:episode_len + 1, :, :n_obs].reshape(-1, n_obs)[:n_samples]
+        Xnc = states[1:, :, :n_obs].reshape(-1, n_obs)[:n_samples]
         return Xc, Uc, Xnc
 
     return source
@@ -584,13 +625,14 @@ def _pad_gain(K: np.ndarray, n_full: int) -> np.ndarray:
 
 
 def _excitation_data(A, B, n_obs: int, n_samples: int, seed: int):
-    """Open-loop random binary excitation of the true plant, observing n_obs states."""
+    """Open-loop random binary excitation of the true plant, observing n_obs states.
+
+    The plant starts at rest and x+ = A x + B u is evaluated in blocks by
+    :func:`_block_states`, as one trajectory with inputs U.
+    """
     rng = np.random.default_rng(seed)
-    n = A.shape[0]
     U = np.where(rng.random(n_samples) < 0.5, -1.0, 1.0)
-    X = np.zeros((n_samples + 1, n))
-    for k in range(n_samples):
-        X[k + 1] = A @ X[k] + B[:, 0] * U[k]
+    X = _block_states(A, B, np.zeros((1, A.shape[0])), U[:, None, None])[:, 0]
     return X[:-1, :n_obs], U[:, None], X[1:, :n_obs]
 
 
@@ -685,16 +727,17 @@ def robustness_sweep(taus, methods=METHODS,
     For every ``tau`` the control penalty Q_u is searched on a log scale
     for the boundary where one of the constraints M_S <= 1.7, M_T <= 1.3
     activates on the true plant.  From the large (robust) end of
-    ``log_qu_range`` (lo < hi) the search walks down in decades to the
-    first feasible design, then runs Brent's zero finder
-    (:func:`_find_boundary`) on the margin max(M_S - 1.7, M_T - 1.3),
-    bisecting wherever a design has no margin (it failed or is unstable),
-    until the bracket is narrower than ``BOUNDARY_TOL`` decades, in at
-    most ``bisect_steps`` evaluations.  The true plant's frequency
-    response is built once per tau and shared by both routes' designs.
-    The row describes the feasible design with the smallest Q_u or, if
-    the walk-down finds none, the last one evaluated (``feasible=False``).
-    The learned/designed gain feeds back only the two modeled states.
+    ``log_qu_range`` (lo < hi) the search walks down in decades, the last
+    step shortened to end at lo, to the first feasible design, then runs
+    Brent's zero finder (:func:`_find_boundary`) on the margin
+    max(M_S - 1.7, M_T - 1.3), bisecting wherever a design has no margin
+    (it failed or is unstable), until the bracket is narrower than
+    ``BOUNDARY_TOL`` decades, in at most ``bisect_steps`` evaluations.
+    The true plant's frequency response is built once per tau and shared
+    by both routes' designs.  The row describes the feasible design with
+    the smallest Q_u or, if the walk-down finds none down to lo, the
+    design at lo (``feasible=False``).  The learned/designed gain feeds
+    back only the two modeled states.
     """
     lo, hi = log_qu_range
     if not lo < hi:
@@ -777,10 +820,10 @@ def robustness_sweep(taus, methods=METHODS,
             # marginal), so walk down in decades to the first design
             # that evaluates cleanly and anchor the search there.
             log_qu = hi
-            while evaluate(log_qu)[0] > 0.0 and log_qu - 1.0 > lo + 1e-9:
-                log_qu -= 1.0
+            while evaluate(log_qu)[0] > 0.0 and log_qu > lo:
+                log_qu = max(log_qu - 1.0, lo)
             g_hi = designs[log_qu][0]
-            if g_hi <= 0.0:
+            if g_hi <= 0.0 and log_qu > lo:
                 g_lo = evaluate(lo)[0]
                 log_qu = lo if g_lo <= 0.0 else _find_boundary(
                     lambda x: evaluate(x)[0], lo, g_lo, log_qu, g_hi, bisect_steps)

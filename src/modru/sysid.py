@@ -257,9 +257,11 @@ def fit_graybox(data: Dataset, mask: np.ndarray | None = None
     sensitivities of the predictor (Ljung, *System Identification*, 2nd ed.
     1999, ch. 10) follow one linear recurrence per column over the
     trajectory already simulated.  Steps are halved until the cost
-    decreases.  Convergence: relative cost decrease below 1e-10 or
-    parameter change below 1e-8; after 200 iterations the best iterate is
-    returned with ``converged=False`` and a warning.
+    decreases, except that a step predicted to lower the cost by less
+    than 1e-10 of it, |J delta|^2 < 1e-10 cost, is tried at full length
+    only.  Convergence: no step lowers the cost, relative cost decrease
+    below 1e-10 or parameter change below 1e-8; after 200 iterations the
+    best iterate is returned with ``converged=False`` and a warning.
     """
     max_iter, cost_tol, step_tol = 200, 1e-10, 1e-8
     mask = np.ones(N_THETA, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
@@ -293,10 +295,13 @@ def fit_graybox(data: Dataset, mask: np.ndarray | None = None
     for it in range(1, max_iter + 1):
         J = _output_jacobian(theta, act, sim, data.u, data.alpha, h)
         delta, _, _, _ = np.linalg.lstsq(J.T @ J, -(J.T @ (sim - v_meas)), rcond=None)
-
-        lam = 1.0
+        # The full step is predicted to lower the cost by |J delta|^2.  One
+        # predicted to gain less than cost_tol of the cost is tried at full
+        # length only: its halvings would compare costs at rounding level.
+        Jd = J @ delta
+        lam, lam_min = 1.0, 1.0 if Jd @ Jd < cost_tol * cost else 1e-8
         improved = False
-        while lam >= 1e-8:
+        while lam >= lam_min:
             trial = theta.copy()
             trial[act] += lam * delta
             c_trial, s_trial = cost_of(trial)

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 from unittest import mock
 
 import mpmath
@@ -77,6 +78,16 @@ def stepping_rollouts(A, B, n_obs, episode_len, explore, seed):
     return source
 
 
+def stepping_excitation(A, B, n_obs, n_samples, seed):
+    """Reference excitation: one plant step per loop iteration."""
+    rng = np.random.default_rng(seed)
+    U = np.where(rng.random(n_samples) < 0.5, -1.0, 1.0)
+    X = np.zeros((n_samples + 1, A.shape[0]))
+    for k in range(n_samples):
+        X[k + 1] = A @ X[k] + B[:, 0] * U[k]
+    return X[:-1, :n_obs], U[:, None], X[1:, :n_obs]
+
+
 def assert_rollouts_match(source, reference, calls, rel):
     """Both sources raise on the same (K, n_samples) calls, and otherwise
     agree within ``rel`` of the reference's largest entry (0: bit for bit)."""
@@ -111,6 +122,35 @@ def einsum_stage(cost, X, U):
             + np.einsum("ki,ij,kj->k", U, cost.Q_u, U))
 
 
+def refined_normal_equations(psi, rho):
+    """Reference least-squares solve of psi theta = rho for a sample-major
+    N x p matrix: the Gram matrix psi' psi, equilibrated to unit diagonal,
+    a Cholesky solve and one refinement step with the residual.  Raises
+    EstimationError for a zero column, or for an equilibrated Gram matrix
+    with reciprocal condition number at most eps or no Cholesky factor."""
+    G = psi.T @ psi
+    g = np.diag(G)
+    if not (g > 0.0).all():
+        raise EstimationError("zero regressor")
+    s = 1.0 / np.sqrt(g)
+    Gs = G * s * s[:, None]
+    w = np.linalg.eigvalsh(Gs)
+    try:
+        L = np.linalg.cholesky(Gs)
+    except np.linalg.LinAlgError:
+        L = None
+    if L is None or not w[0] > w[-1] * np.finfo(float).eps:
+        raise EstimationError("singular normal equations")
+    Li = np.linalg.inv(L)
+    G_inv = (Li.T @ Li) * s * s[:, None]
+    # A matrix-vector product rounds by memory layout (a Gram product
+    # does not), so these are taken on the feature-major copy of psi.
+    psi_t = np.ascontiguousarray(psi.T)
+    theta = G_inv @ (psi_t @ rho)
+    theta += G_inv @ (psi_t @ (rho - theta @ psi_t))
+    return theta
+
+
 def sample_major_q_function(data, K, cost):
     """Reference regression of one policy-iteration step: the N x p
     feature matrix built sample by sample, with the einsum stage cost."""
@@ -118,9 +158,7 @@ def sample_major_q_function(data, K, cost):
     m, n = K.shape
     Un = -(Xn @ K.T)
     psi = phi(np.hstack([X, U])) - phi(np.hstack([Xn, Un]))
-    theta, _, rank, _ = np.linalg.lstsq(psi, einsum_stage(cost, X, U), rcond=None)
-    if rank < psi.shape[1]:
-        raise EstimationError(f"Q-function regression rank {rank} < {psi.shape[1]}")
+    theta = refined_normal_equations(psi, einsum_stage(cost, X, U))
     return lqr.QTheta.from_parameters(theta, n, m)
 
 
@@ -607,6 +645,71 @@ class TestPolicyIteration:
         assert np.array_equal(K, K_ref)
         assert_same_q_function(qf, qf_ref)
 
+    @settings(max_examples=200, deadline=None)
+    @given(n_full=st.integers(1, 4), m=st.integers(1, 2), log_explore=st.floats(-9.0, 0.0),
+           log_scale=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_normal_equations_match_lstsq(self, n_full, m, log_explore, log_scale,
+                                          seed):
+        # Batches from well conditioned to singular: small exploration
+        # leaves u close to -K x, and the states are scaled by up to 1e3
+        # either way.  psi_s is psi with unit-norm rows and rcond the
+        # reciprocal condition number of its normal equations.  lstsq on
+        # psi_s and the refined normal equations differ by at most
+        # 4 sqrt(N) p eps / rcond relative, and only a batch with rcond
+        # below 8 p eps may raise.  Over 17,000 random batches (N up to
+        # 3,000) the largest difference was 0.48 sqrt(N) p eps / rcond and
+        # the largest rcond that raised 1.2 p eps.
+        rng = np.random.default_rng(seed)
+        n_obs = int(rng.integers(1, n_full + 1))
+        p = (n_obs + m) * (n_obs + m + 1) // 2
+        A = scaled_matrix(rng, n_full, rng.uniform(0.3, 0.95))
+        B = rng.normal(size=(n_full, m))
+        K = 0.3 * rng.normal(size=(m, n_obs))
+        assume(lqr.spectral_radius(A - B @ lqr._pad_gain(K, n_full)) < 1.0)
+        N = int(rng.integers(p, 3000))
+        source = lqr.linear_rollouts(A, B, n_obs=n_obs, episode_len=int(rng.integers(2, 40)),
+                                     explore=10.0 ** log_explore, seed=seed)
+        X, U, Xn = source(K, N)
+        # Scaled states, with the gain that gives the same inputs.
+        D = 10.0 ** rng.uniform(-log_scale, log_scale, size=n_obs)
+        cost = random_cost(rng, n_obs, m)
+        work = lqr._LstdWorkspace(n_obs, m)
+        work.load(X * D, U, Xn * D, K / D)
+        try:
+            theta = work.regress(cost)
+        except EstimationError:
+            theta = None
+        psi, rho = work.psi, cost.stage(X * D, U)
+        g = np.linalg.norm(psi, axis=1)
+        eps = np.finfo(float).eps
+        if not (g > 0.0).all():
+            assert theta is None
+            return
+        sv = np.linalg.svd(psi.T / g, compute_uv=False)
+        rcond = (sv[-1] / sv[0]) ** 2
+        if theta is None:
+            assert rcond <= 8 * p * eps
+            return
+        ref = np.linalg.lstsq(psi.T / g, rho, rcond=None)[0] / g
+        err = np.linalg.norm(g * (theta - ref))
+        assert err * rcond <= 4 * math.sqrt(N) * p * eps * np.linalg.norm(g * ref)
+
+    @pytest.mark.parametrize("n_samples, zero_state", [(1, False), (5, False), (50, True)])
+    def test_singular_regression_raises_without_warnings(self, n_samples, zero_state):
+        # n = 2 states and m = 1 input give p = 6 regressors: five samples
+        # are too few, and a state that is zero on every sample zeroes
+        # the regressors it enters.
+        rng = np.random.default_rng(11)
+        X, U, Xn = (rng.normal(size=(n_samples, k)) for k in (2, 1, 2))
+        if zero_state:
+            X[:, 1] = Xn[:, 1] = 0.0
+        cost = lqr.QuadCost(np.eye(2), [[1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError, match="more excitation required"):
+                lqr.lqrl_policy_iteration(lambda K, N: (X, U, Xn), np.zeros((1, 2)),
+                                          cost, n_samples=n_samples)
+
     def test_rollout_shapes_and_partial_observation(self):
         A = np.array([[0.9, 0.1], [0.0, 0.5]])
         B = np.array([[0.0], [1.0]])
@@ -748,6 +851,21 @@ class TestServoBenchmark:
         with pytest.raises(ValueError):
             lqr.servo_plant(-0.1)
 
+    @settings(max_examples=100, deadline=None)
+    @given(tau=st.one_of(st.just(0.0), st.floats(1e-3, 0.3)),
+           n_samples=st.integers(1, 1500), seed=st.integers(0, 2**32 - 1))
+    def test_excitation_equals_per_sample_steps(self, tau, n_samples, seed):
+        # The same inputs bit for bit; block evaluation rounds differently
+        # from stepping, so the states agree norm-wise.
+        A, B, _ = lqr.servo_plant(tau)
+        got = lqr._excitation_data(A, B, 2, n_samples, seed)
+        want = stepping_excitation(A, B, 2, n_samples, seed)
+        np.testing.assert_array_equal(got[1], want[1])
+        scale = max(np.abs(want[0]).max(), np.abs(want[2]).max())
+        for g, w in ((got[0], want[0]), (got[2], want[2])):
+            assert g.shape == w.shape
+            assert np.abs(g - w).max() <= 1e-12 * scale
+
     def test_sweep_single_tau_model_based(self):
         rows = lqr.robustness_sweep([0.05], methods=("model-based",), seed=5)
         assert len(rows) == 1
@@ -762,10 +880,12 @@ class TestServoBenchmark:
 
     def test_infeasible_row_reports_the_last_design_evaluated(self):
         # At tau = 0.2 every Q_u below about 0.09 breaks a margin, so the
-        # walk-down evaluates 1e-3, 1e-4 and 1e-5 and finds no feasible design.
+        # walk-down evaluates 1e-3 down to the range's end 1e-6 and finds
+        # no feasible design.
         row, = lqr.robustness_sweep([0.2], methods=("model-based",),
                                     log_qu_range=(-6.0, -3.0), seed=1)
-        assert [q for q, _, _ in row.trace] == pytest.approx([1e-3, 1e-4, 1e-5])
+        assert [q for q, _, _ in row.trace] == pytest.approx([1e-3, 1e-4, 1e-5, 1e-6])
+        assert row.Q_u == pytest.approx(1e-6)
         assert not row.feasible and row.t_r == math.inf
         assert row.Q_u == row.trace[-1][0]
         assert row.M_S > lqr.MS_MAX or row.M_T > lqr.MT_MAX
@@ -781,10 +901,12 @@ class TestServoBenchmark:
         # Without lag the data are exact, so both routes design the
         # Riccati gain.  Q_u is located only to BOUNDARY_TOL (2.3e-12
         # relative); 1e-9 leaves room for the routes' gains to differ in
-        # their last digits.
+        # their last digits.  Their margins agree closely enough that
+        # Brent's search takes the same steps on both.
         mb, mf = lqr.robustness_sweep((0.0,), methods=("model-based", "model-free"),
                                       seed=seed)
         assert mb.feasible and mf.feasible
+        assert len(mf.trace) == len(mb.trace)
         for key in ("t_r", "M_S", "M_T", "Q_u"):
             assert getattr(mf, key) == pytest.approx(getattr(mb, key), rel=1e-9)
 
