@@ -104,7 +104,14 @@ def test_c03_model_free_servo_tuning_rows(servo_sweep):
         seq = ", ".join(f"{t:.2f}" for t in t_sorted)
         problems.append(f"t_r not monotone over increasing tau: [{seq}]")
     if problems:
-        pytest.xfail("learned designs degrade non-ordinally with lag: "
+        # Six-tau ladders on seeds 77, 1, 2, 3 and 4, each model-free row
+        # drawing all its rollouts from one seed, measured the ratios below.
+        pytest.xfail("learned designs do not degrade 10x with lag on most seeds: "
+                     "over seeds 77 and 1-4 the learned/designed t_r ratio has "
+                     "median 1.4 (0.49 to 44, one row infeasible) at tau=0.2 and "
+                     "4.0 (1.1 to 4.9, one learned design never settling) at "
+                     "tau=0.1; at tau=0.05 three of five learned designs never "
+                     "settle, the others give 0.81 and 4.1; here: "
                      + "; ".join(problems))
 
 
