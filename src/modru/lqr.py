@@ -276,17 +276,17 @@ class _LstdWorkspace:
 
     Z and Zn hold the samples [x; u] and [x+; -K x+] as rows (d x N,
     d = n + m), psi the p regressor rows and row one scratch row; the
-    upper-triangle index maps and the factors (1 on the diagonal, 2 off
-    it) are fixed.  The buffers are reallocated only when the sample
-    count N changes, so one workspace serves a single call or, through a
-    :class:`_CachedStart`, every call of a sweep row.
+    upper-triangle index maps are fixed, and :meth:`factorize` doubles
+    each off-diagonal row once, after the difference.  The buffers are
+    reallocated only when the sample count N changes, so one workspace
+    serves a single call or, through a :class:`_CachedStart`, every call
+    of a sweep row.
     """
 
     def __init__(self, n: int, m: int):
         self.n = n
         self.d = n + m
         self.I, self.J = _triu_maps(self.d)
-        self.factor = np.where(self.I == self.J, 1.0, 2.0)
         self.N = None
 
     def collect(self, rollout_source, K: np.ndarray, n_samples: int):
@@ -337,15 +337,17 @@ class _LstdWorkspace:
         """Form the regressor rows psi and G^-1 of the loaded batch, or
         raise :class:`EstimationError` as :meth:`regress` describes."""
         Z, Zn, psi, row = self.Z, self.Zn, self.psi, self.row
-        # psi_k = (z_i c_k) z_j - (zn_i c_k) zn_j: quadratic features
-        # z_i^2 and 2 z_i z_j (i < j) of z = [x; u] minus those at the next
-        # state under the policy.
-        for k, (i, j, c) in enumerate(zip(self.I, self.J, self.factor)):
-            np.multiply(Z[i], c, out=psi[k])
-            psi[k] *= Z[j]
-            np.multiply(Zn[i], c, out=row)
-            row *= Zn[j]
+        # psi_k = z_i z_j - zn_i zn_j, doubled for i < j: quadratic features
+        # z_i^2 and 2 z_i z_j of z = [x; u] minus those at the next state
+        # under the policy.  Doubling is exact for normal-range values, so
+        # 2 (z_i z_j - zn_i zn_j) rounds as (2 z_i) z_j - (2 zn_i) zn_j;
+        # a row takes three passes over the samples, four off the diagonal.
+        for k, (i, j) in enumerate(zip(self.I, self.J)):
+            np.multiply(Z[i], Z[j], out=psi[k])
+            np.multiply(Zn[i], Zn[j], out=row)
             psi[k] -= row
+            if i != j:
+                psi[k] *= 2.0
         G = psi @ psi.T
         g = np.diag(G)
         if not (g > 0.0).all():
@@ -556,31 +558,45 @@ def linear_rollouts(A: np.ndarray, B: np.ndarray, n_obs: int | None = None,
     ``explore * max(1, |K|_inf)`` added to the policy input.
 
     The source is a pure function of the gain and the sample count: every
-    call starts a generator afresh from ``seed`` and draws the initial
-    states, then all exploration noise in one ``(episode_len, n_episodes,
-    m)`` block, which is the stream of one ``(n_episodes, m)`` draw per
-    step.  Calls with one sample count thus share their initial states
-    and base noise, each re-simulated under its own gain (common random
-    numbers: Glasserman & Yao, Mgmt. Sci. 38, 1992), and equal gains give
-    equal batches.  The closed loop x+ = F x + B e, F = A - B K (K zero on
+    call sees the stream of a generator fresh from ``seed``, which gives
+    the initial states and then all exploration noise in one
+    ``(episode_len, n_episodes, m)`` block, the stream of one
+    ``(n_episodes, m)`` draw per step.  Calls with one sample count thus
+    share their initial states and base noise, each re-simulated under
+    its own gain (common random numbers: Glasserman & Yao, Mgmt. Sci. 38,
+    1992), and equal gains give equal batches.  The stream is drawn once,
+    and again only when the sample count changes: the source keeps the
+    initial states and the standard uniforms U, and each call rescales U
+    into one reused buffer as E = (2 amp) U - amp.  With exact doubling
+    that rounds as -amp + (amp - -amp) U, the formula of
+    ``Generator.uniform`` (``random_uniform`` in NumPy's
+    ``distributions.c``), so E equals a fresh ``uniform(-amp, amp)`` draw
+    bit for bit.  The closed loop x+ = F x + B e, F = A - B K (K zero on
     hidden states), is evaluated for all episodes at once by
     :func:`_block_states`, and the inputs are e - K x.  A rollout whose
-    state passes 1e6 raises :class:`PolicyIterationError`.
+    state passes 1e6 raises :class:`PolicyIterationError`; the kept draws
+    stay as they were.
     """
     A, B = _state_input(A, B)
     n_full, m = B.shape
     if n_obs is None:
         n_obs = n_full
+    draws = None  # (n_samples, x0, U, E) of the last sample count drawn
 
     def source(K: np.ndarray, n_samples: int):
+        nonlocal draws
         K = np.atleast_2d(np.asarray(K, dtype=float))
         amp = explore * max(1.0, float(np.abs(K).max()))
-        n_ep = max(1, math.ceil(n_samples / episode_len))
-        rng = np.random.default_rng(seed)
-        x0 = np.zeros((n_ep, n_full))
-        x0[:, :n_obs] = rng.normal(0.0, 1.0, size=(n_ep, n_obs))
-        # One draw gives the same stream as one (n_ep, m) draw per step.
-        E = rng.uniform(-amp, amp, size=(episode_len, n_ep, m))
+        if draws is None or draws[0] != n_samples:
+            n_ep = max(1, math.ceil(n_samples / episode_len))
+            rng = np.random.default_rng(seed)
+            x0 = np.zeros((n_ep, n_full))
+            x0[:, :n_obs] = rng.normal(0.0, 1.0, size=(n_ep, n_obs))
+            U = rng.random((episode_len, n_ep, m))
+            draws = (n_samples, x0, U, np.empty_like(U))
+        _, x0, U, E = draws
+        np.multiply(U, 2.0 * amp, out=E)
+        E -= amp
         states = _block_states(A - B @ _pad_gain(K, n_full), B, x0, E)
         # A diverging rollout may overflow inside a block, but only after
         # its first step past 1e6, so the largest |x| is then above 1e6,
@@ -754,15 +770,21 @@ def _find_boundary(margin, lo: float, g_lo: float, hi: float, g_hi: float,
     """Brent's zero finder for the feasibility boundary of ``margin``.
 
     ``margin(x)`` is <= 0 exactly where x is feasible; ``lo`` is infeasible
-    (``g_lo`` > 0, possibly +inf) and ``hi`` feasible (``g_hi`` <= 0).  A
-    step is Brent's secant or inverse quadratic interpolation step with its
-    safeguards (R. P. Brent, Algorithms for Minimization without
+    (``g_lo`` > 0, possibly +inf) and ``hi`` feasible (``g_hi`` <= 0).  The
+    first step is the bisection point ``0.5 * (lo + hi)``.  Every later
+    step is Brent's secant or inverse quadratic interpolation step with
+    its safeguards (R. P. Brent, Algorithms for Minimization without
     Derivatives, 1973, ch. 4), taken only when every point it interpolates
-    has a finite margin; otherwise it is the bisection point
-    ``0.5 * (lo + hi)``.  Stops when the bracket is narrower than
-    ``BOUNDARY_TOL``, when a margin is exactly 0, or after ``max_evals``
-    evaluations, and returns the final ``hi``: the smallest feasible point
-    evaluated.
+    has a finite margin; otherwise it is the bisection point.  The sweep's
+    bracket spans up to 12 decades of log10 Q_u, over which the margin is
+    far from linear: a first secant through the bracket ends can land
+    next to one of them (for the model-free tau = 0 row, in the outermost
+    decade) and spend an evaluation that hardly shrinks the bracket,
+    where the midpoint halves it.  On a linear margin, where the secant
+    is exact, bisecting first costs one evaluation more.  Stops when the
+    bracket is narrower than ``BOUNDARY_TOL``, when a margin is exactly 0,
+    or after ``max_evals`` evaluations, and returns the final ``hi``: the
+    smallest feasible point evaluated.
     """
     delta = 0.5 * BOUNDARY_TOL
     # cur and blk are the bracket ends, cur the one with the smaller |g|;
@@ -771,7 +793,9 @@ def _find_boundary(margin, lo: float, g_lo: float, hi: float, g_hi: float,
     if abs(g_blk) < abs(g_cur):
         cur, g_cur, blk, g_blk = blk, g_blk, cur, g_cur
     pre, g_pre = blk, g_blk
-    s_pre = s_cur = cur - pre
+    # A zero last-but-one step fails the interpolation test: the first
+    # step bisects.
+    s_pre = s_cur = 0.0
     for _ in range(max_evals):
         if hi - lo < BOUNDARY_TOL or g_hi == 0.0:
             break
@@ -824,9 +848,10 @@ def robustness_sweep(taus, methods=METHODS,
     ``log_qu_range`` (lo < hi) the search walks down in decades, the last
     step shortened to end at lo, to the first feasible design, then runs
     Brent's zero finder (:func:`_find_boundary`) on the margin
-    max(M_S - 1.7, M_T - 1.3), bisecting wherever a design has no margin
-    (it failed or is unstable), until the bracket is narrower than
-    ``BOUNDARY_TOL`` decades, in at most ``bisect_steps`` evaluations.
+    max(M_S - 1.7, M_T - 1.3), bisecting on its first step and wherever a
+    design has no margin (it failed or is unstable), until the bracket is
+    narrower than ``BOUNDARY_TOL`` decades, in at most ``bisect_steps``
+    evaluations.
     The true plant's frequency response is built once per tau and shared
     by both routes' designs.  The row describes the feasible design with
     the smallest Q_u or, if the walk-down finds none down to lo, the
@@ -836,9 +861,11 @@ def robustness_sweep(taus, methods=METHODS,
     Each tau draws two seeds from ``seed``: the first drives the
     model-based excitation, the second one pure rollout source
     (:func:`linear_rollouts`) that every model-free evaluation and policy
-    iteration of the row draws from.  A model-free row is therefore a
-    fixed function of Q_u, and the batch under the start gain K0 = [1, 1]
-    is collected and regressed once per row (:class:`_CachedStart`).
+    iteration of the row draws from; the source draws its initial states
+    and noise once and re-simulates them under each gain.  A model-free
+    row is therefore a fixed function of Q_u, and the batch under the
+    start gain K0 = [1, 1] is collected and regressed once per row
+    (:class:`_CachedStart`).
     """
     lo, hi = log_qu_range
     if not lo < hi:

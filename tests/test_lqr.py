@@ -180,6 +180,113 @@ def former_rise_time(A, B, K, C, h, max_steps=500_000):
     raise NumericalError("step response did not reach 90% (non-settling)")
 
 
+def former_linear_rollouts(A, B, n_obs=None, episode_len=20, explore=0.1, seed=0):
+    """Reference rollout source: the block evaluation as it was before the
+    draws were kept, with a generator fresh from the seed and a
+    ``uniform`` noise draw on every call."""
+    A, B = lqr._state_input(A, B)
+    n_full, m = B.shape
+    n_obs = n_full if n_obs is None else n_obs
+
+    def source(K, n_samples):
+        K = np.atleast_2d(np.asarray(K, dtype=float))
+        amp = explore * max(1.0, float(np.abs(K).max()))
+        n_ep = max(1, math.ceil(n_samples / episode_len))
+        rng = np.random.default_rng(seed)
+        x0 = np.zeros((n_ep, n_full))
+        x0[:, :n_obs] = rng.normal(0.0, 1.0, size=(n_ep, n_obs))
+        E = rng.uniform(-amp, amp, size=(episode_len, n_ep, m))
+        states = lqr._block_states(A - B @ lqr._pad_gain(K, n_full), B, x0, E)
+        if not np.abs(states[1:]).max() <= 1e6:
+            step = np.flatnonzero(~(np.abs(states[1:]).max(axis=(1, 2)) <= 1e6))[0]
+            raise PolicyIterationError(
+                f"rollout diverged at step {step + 1} (unstable policy)")
+        Xc = states[:-1, :, :n_obs].reshape(-1, n_obs)[:n_samples]
+        Uc = E.reshape(-1, m)[:n_samples] - Xc @ K.T
+        Xnc = states[1:, :, :n_obs].reshape(-1, n_obs)[:n_samples]
+        return Xc, Uc, Xnc
+
+    return source
+
+
+def former_factorize(work):
+    """Reference :meth:`lqr._LstdWorkspace.factorize`: each regressor row
+    formed in five passes as (z_i c) z_j - (zn_i c) zn_j, with the factor
+    c = 1 on the diagonal and 2 off it, then G^-1 as shipped."""
+    Z, Zn, psi, row = work.Z, work.Zn, work.psi, work.row
+    factor = np.where(work.I == work.J, 1.0, 2.0)
+    for k, (i, j, c) in enumerate(zip(work.I, work.J, factor)):
+        np.multiply(Z[i], c, out=psi[k])
+        psi[k] *= Z[j]
+        np.multiply(Zn[i], c, out=row)
+        row *= Zn[j]
+        psi[k] -= row
+    G = psi @ psi.T
+    g = np.diag(G)
+    if not (g > 0.0).all():
+        raise EstimationError("a Q-function regressor is zero on every sample: "
+                              "more excitation required")
+    s = 1.0 / np.sqrt(g)
+    Gs = G * s * s[:, None]
+    w = np.linalg.eigvalsh(Gs)
+    try:
+        L = np.linalg.cholesky(Gs)
+    except np.linalg.LinAlgError:
+        L = None
+    if L is None or not w[0] > w[-1] * np.finfo(float).eps:
+        raise EstimationError(
+            f"Q-function regression is numerically singular (reciprocal "
+            f"condition {w[0] / w[-1]:.3g}): more excitation required")
+    Li = np.linalg.inv(L)
+    work.G_inv = (Li.T @ Li) * s * s[:, None]
+
+
+def former_find_boundary(margin, lo, g_lo, hi, g_hi, max_evals):
+    """Reference boundary search: Brent's zero finder as it was before
+    its first step bisected, interpolating from the first step on."""
+    delta = 0.5 * lqr.BOUNDARY_TOL
+    cur, g_cur, blk, g_blk = hi, g_hi, lo, g_lo
+    if abs(g_blk) < abs(g_cur):
+        cur, g_cur, blk, g_blk = blk, g_blk, cur, g_cur
+    pre, g_pre = blk, g_blk
+    s_pre = s_cur = cur - pre
+    for _ in range(max_evals):
+        if hi - lo < lqr.BOUNDARY_TOL or g_hi == 0.0:
+            break
+        s_bis = 0.5 * (blk - cur)
+        x = 0.5 * (lo + hi)
+        s_try = 0.0
+        if (abs(s_pre) > delta and abs(g_cur) < abs(g_pre)
+                and math.isfinite(g_pre) and math.isfinite(g_blk)):
+            if pre == blk:
+                s_try = -g_cur * (cur - pre) / (g_cur - g_pre)
+            else:
+                d_pre = (g_pre - g_cur) / (pre - cur)
+                d_blk = (g_blk - g_cur) / (blk - cur)
+                q = d_blk * d_pre * (g_blk - g_pre)
+                if q != 0.0:
+                    s_try = -g_cur * (g_blk * d_blk - g_pre * d_pre) / q
+        if s_try * s_bis > 0.0 and 2.0 * abs(s_try) < min(abs(s_pre),
+                                                          3.0 * abs(s_bis) - delta):
+            s_pre, s_cur = s_cur, s_try
+            x = cur + (s_try if abs(s_try) > delta else math.copysign(delta, s_bis))
+        else:
+            s_pre = s_cur = s_bis
+        g = margin(x)
+        if g <= 0.0:
+            hi, g_hi = x, g
+        else:
+            lo = x
+        pre, g_pre, cur, g_cur = cur, g_cur, x, g
+        if (g_pre <= 0.0) != (g <= 0.0):
+            blk, g_blk = pre, g_pre
+            s_pre = s_cur = cur - pre
+        if abs(g_blk) < abs(g_cur):
+            pre, g_pre = cur, g_cur
+            cur, g_cur, blk, g_blk = blk, g_blk, cur, g_cur
+    return hi
+
+
 def assert_rollouts_match(source, reference, calls, rel):
     """Both sources raise on the same (K, n_samples) calls, and otherwise
     agree within ``rel`` of the reference's largest entry (0: bit for bit)."""
@@ -1052,6 +1159,30 @@ class TestPolicyIteration:
         calls = [(K, int(rng.integers(1, 300))) for _ in range(4)]
         assert_rollouts_match(source, reference, calls, 0.0)
 
+    def test_source_draws_once_per_sample_count(self):
+        # Calls under several gains and two sample counts, one of them
+        # diverging, build one generator per sample count and return the
+        # former source's batches (a fresh generator and uniform draw per
+        # call) bit for bit, raising where it raises.
+        A, B, _ = lqr.servo_plant(0.2)
+        calls = [([[1.0, 1.0]], 2400), ([[0.5, 2.0]], 2400), ([[-30.0, 0.0]], 2400),
+                 ([[2.0, 0.3]], 2400), ([[1.0, 1.0]], 2400), ([[0.5, 2.0]], 1000),
+                 ([[3.0, 1.0]], 1000)]
+        former = former_linear_rollouts(A, B, n_obs=2, episode_len=400, seed=5)
+        want = [rollout_or_raised(former, np.array(K), n) for K, n in calls]
+        assert want[2] == "raised"
+        with mock.patch("numpy.random.default_rng",
+                        wraps=np.random.default_rng) as default_rng:
+            source = lqr.linear_rollouts(A, B, n_obs=2, episode_len=400, seed=5)
+            got = [rollout_or_raised(source, np.array(K), n) for K, n in calls]
+        assert default_rng.call_count == 2
+        for g, w in zip(got, want):
+            if isinstance(w, str):
+                assert g == w
+            else:
+                for g_part, w_part in zip(g, w):
+                    np.testing.assert_array_equal(g_part, w_part)
+
 
 class TestLoopMetrics:
     def test_sensitivity_peaks_of_delay_loop(self):
@@ -1268,6 +1399,22 @@ class TestBoundarySearch:
         assert n <= 44
         assert watch.hi - watch.lo < lqr.BOUNDARY_TOL or margin(x) == 0.0
 
+    @settings(max_examples=400, deadline=None)
+    @given(shape=st.sampled_from(["linear", "kinked", "exponential", "smooth"]),
+           root=st.floats(-5.99, 5.99), log_slope=st.floats(-2.0, 2.0),
+           bend=st.floats(0.0, 3.0))
+    def test_first_step_bisects_near_the_former_boundary(self, shape, root,
+                                                         log_slope, bend):
+        # The first point is the bracket midpoint; the boundary found lies
+        # within the tolerance of test_converges_on_monotone_margins of the
+        # one the former search (interpolating from its first step) finds.
+        f = monotone_margin(shape, root, 10.0 ** log_slope, bend)
+        watch = BracketWatch(f, -6.0, 6.0)
+        x = lqr._find_boundary(watch, -6.0, f(-6.0), 6.0, f(6.0), 60)
+        x_former = former_find_boundary(f, -6.0, f(-6.0), 6.0, f(6.0), 60)
+        assert watch.points[0] == 0.0
+        assert abs(x - x_former) <= 2e-12
+
     def test_evaluation_cap(self):
         def f(x):
             return math.expm1(0.3 - x)
@@ -1290,7 +1437,8 @@ class TestBoundarySearch:
 
 
 class TestFormerKernels:
-    """The Riccati solver and the rise time skip work without changing a bit."""
+    """The Riccati solver, the rise time, the rollout draws and the feature
+    formation skip work without changing a bit."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 11, 12, 13, 14, 15])
     def test_model_based_rows_equal_former_kernels(self, seed):
@@ -1298,6 +1446,50 @@ class TestFormerKernels:
         with mock.patch.object(lqr, "dare_solve", former_dare_solve), \
                 mock.patch.object(lqr, "rise_time", former_rise_time):
             ref = lqr.robustness_sweep((0.2, 0.0), methods=("model-based",), seed=seed)
+        assert rows == ref
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 2), log_scale=st.floats(-6.0, 6.0),
+           log_spread=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_features_equal_former_formation(self, n, m, log_scale, log_spread, seed):
+        # Random batches with entries from 1e-6 to 1e6 in size: the regressor
+        # rows and G^-1 equal the five-pass formation's bit for bit, or both
+        # raise.
+        rng = np.random.default_rng(seed)
+        p = (n + m) * (n + m + 1) // 2
+        N = int(rng.integers(1, 3 * p + 40))
+        D = 10.0 ** (log_scale + rng.uniform(-log_spread, log_spread, size=n + m))
+        D = np.clip(D, 1e-6, 1e6)
+        X, Xn = (rng.normal(size=(N, n)) * D[:n] for _ in range(2))
+        U = rng.normal(size=(N, m)) * D[n:]
+        K = rng.normal(size=(m, n)) * D[n:, None] / D[:n]
+        works = []
+        for factorize in (lqr._LstdWorkspace.factorize, former_factorize):
+            work = lqr._LstdWorkspace(n, m)
+            work.load(X, U, Xn, K)
+            try:
+                factorize(work)
+            except EstimationError as exc:
+                works.append((work, str(exc)))
+            else:
+                works.append((work, None))
+        (work, error), (ref, ref_error) = works
+        assert error == ref_error
+        np.testing.assert_array_equal(work.psi, ref.psi)
+        if error is None:
+            np.testing.assert_array_equal(work.G_inv, ref.G_inv)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sweep_rows_equal_former_draws_and_features(self, seed):
+        # With the former boundary search patched in on both sides, the
+        # kept draws and the fewer feature passes leave every row field and
+        # trace entry of both routes unchanged.
+        with mock.patch.object(lqr, "_find_boundary", former_find_boundary):
+            rows = lqr.robustness_sweep((0.2, 0.0), seed=seed)
+            with mock.patch.object(lqr, "linear_rollouts", former_linear_rollouts), \
+                    mock.patch.object(lqr._LstdWorkspace, "factorize", former_factorize):
+                ref = lqr.robustness_sweep((0.2, 0.0), seed=seed)
+        assert [row.method for row in rows] == ["model-based", "model-free"] * 2
         assert rows == ref
 
     @pytest.mark.parametrize("seed", [1234, 1, 2])
