@@ -15,18 +15,19 @@ squared caps of both adjacent segments, |a_k| <= vdot_lim, sum h_k <= T_f
 and, in full mode, optionally |u_k| <= u_lim.
 
 With t3 = 0 the problem is convex (Verscheure et al., *IEEE TAC* 54, 2009).
-A log-barrier method (Boyd & Vandenberghe, *Convex Optimization*, ch. 11)
-minimises each epigraph q_k >= max(g u_k, r u_k) out in closed form, so the
-Newton matrix in z is tridiagonal plus the time budget's rank-1 term: an
-LDL^T sweep and a Sherman-Morrison step solve it in O(N).  If no constant
-speed keeps |u_k| < u_lim, phase 0 minimises the input rows' common excess
-s (one more variable bordering that matrix) until s < 0.  Phase I then
-minimises travel time until the budget holds strictly; both raise
-InfeasibleError once their gap proves they cannot finish.  Phase II stops
-at a duality gap m_b / t (m_b barrier terms) below ``GAP_TOL`` max(|E|,
-m/2 (L/T_f)^2).  With t3 unmasked, sequential convex steps linearise
-sqrt(zbar_k) at the last plan until it settles, or raise NumericalError;
-the gap is then that of the last step.
+Each row but the budget bounds a node from above by an increasing affine
+function of its neighbour.  With each segment's contracting loops of rows
+capped at their fixed points, one pass each way finds the rows' greatest
+element z_max, the time-optimal profile (Bobrow, Dubowsky & Gibson, *IJRR* 4,
+1985), if any plan meets them; travel time falls in every z_j, so z_max
+decides feasibility exactly.  At T(z_max) >= T_f z_max is the plan; else a
+log barrier (Boyd & Vandenberghe, *Convex Optimization*, ch. 11) starts
+strictly inside and minimises each epigraph q_k >= max(g u_k, r u_k) out in
+closed form, so the Newton matrix in z is tridiagonal plus the budget's
+rank-1 term: an LDL^T sweep and a Sherman-Morrison step solve it in O(N).
+It stops at a duality gap m_b / t (m_b barrier terms) below ``GAP_TOL``
+max(|E|, m/2 (L/T_f)^2).  With t3 unmasked, sequential convex steps linearise
+sqrt(zbar_k) at the last plan until it settles, or raise NumericalError.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from .tables import write_csv
 VIOL_TOL = 1e-6   # relative feasibility tolerance on the reported solution
 BOUNDARY_RULE = "charge_kinetic"   # E includes m/2 (v_0^2 - v_N^2)
 MU = 10.0         # barrier weight growth per centring
-GAP_TOL = 1e-9    # phase II's relative duality gap
-INPUT_ROW = 6     # first barrier row of the input bound, after the speed and acceleration rows
+GAP_TOL = 1e-9    # the barrier's relative duality gap
+PIN_TOL = 1e-12   # budgets this close above the fastest plan's time pin it
 SCP_MAX = 30      # convex solves allowed for an unmasked t3
 
 
@@ -67,6 +68,9 @@ class TOProblem:
     def __post_init__(self):
         for name in ("x", "alpha", "v_lim"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if not all(np.isfinite(v).all() for v in (self.x, self.alpha, self.v_lim, self.T_f,
+                                                   self.vdot_lim, self.u_lim or 1.0)):
+            raise ValueError("x, alpha, v_lim, T_f, vdot_lim and u_lim must be finite")
         n = self.x.size - 1
         if n < 2 or not np.all(np.diff(self.x) > 0):
             raise ValueError("need at least two segments on strictly increasing positions")
@@ -120,7 +124,7 @@ class TOSolution:
     z: np.ndarray          # squared node speeds v_j^2, length N+1
     gap: float             # duality gap [model energy units]
     gap_rel: float         # gap / max(|E|, m/2 (L/T_f)^2)
-    n_newton: int          # Newton steps of all phases and convex steps
+    n_newton: int          # barrier Newton steps over all convex steps
     exit: str              # "gap", or "time_pinned" if only the fastest plan fits
 
     def to_csv(self, path, problem: TOProblem) -> None:
@@ -215,8 +219,7 @@ def _thomas(d, e, b1, b2):
 
 class _Barrier:
     """Log barrier of one convex problem, u affine in z (t3 linearised at
-    ``z_lin``), for phase 0 (the input rows' excess), I (travel time) or II
-    (energy)."""
+    ``z_lin``): the energy's epigraphs, the rows and the time budget."""
 
     def __init__(self, p: TOProblem, z_lin: np.ndarray):
         n, s, self.p, self.n_newton = p.n_segments, 0.5 / p.dx, p, 0
@@ -230,49 +233,76 @@ class _Barrier:
             self.ab = ((-s - 0.5 * slope) / t1, (s - 0.5 * slope) / t1, -c / t1)
         al, be, ga = self.ab
         # Rows lb - l0 z_k - l1 z_{k+1} > 0 per segment: both nodes positive
-        # and under the cap, the acceleration, then from row INPUT_ROW the
-        # input, whose rows phase 0 relaxes by its excess s.
-        rows = [(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (1.0, 0.0, p.v_lim ** 2),
-                (0.0, 1.0, p.v_lim ** 2), (-s, s, p.vdot_lim), (s, -s, p.vdot_lim)]
-        if p.mode == "full" and p.u_lim is not None:
-            rows += [(al, be, p.u_lim - ga), (-al, -be, p.u_lim + ga)]
-        self.l0, self.l1, self.lb = (np.array([np.broadcast_to(r[i], (n,)) for r in rows])
-                                     for i in range(3))
-        self.s = 0.0
-        # Products of the coefficients for the Hessian; phase II adds the
-        # epigraph's u as one more row.
-        prods = [np.array([l0 * l0, l0 * l1, l1 * l1]) for l0, l1 in
-                 ((self.l0, self.l1), (np.vstack([self.l0, al]), np.vstack([self.l1, be])))]
-        self.prods = (prods[0], prods[0], prods[1])
-        m1 = self.lb.size                   # barrier terms: the rows, and in
-        self.m = (m1, m1, m1 + 2 * n + 1)   # phase II epigraph pairs and budget
+        # and under the cap, the acceleration and, if bounded, the input; lim
+        # is the limit within lb that a margin tightens.
+        cap, vd, u = p.v_lim ** 2, p.vdot_lim, p.u_lim
+        rows = [(-1.0, 0.0, 0.0, 0.0), (0.0, -1.0, 0.0, 0.0), (1.0, 0.0, cap, cap),
+                (0.0, 1.0, cap, cap), (-s, s, vd, vd), (s, -s, vd, vd)]
+        if p.mode == "full" and u is not None:
+            rows += [(al, be, u - ga, u), (-al, -be, u + ga, u)]
+        self.l0, self.l1, self.lb, self.lim = (
+            np.array([np.broadcast_to(r[i], (n,)) for r in rows]) for i in range(4))
+        # Coefficient products for the Hessian, with the epigraph's u as one
+        # more row; barrier terms: the rows, the epigraph pairs and the budget.
+        l0, l1 = np.vstack([self.l0, al]), np.vstack([self.l1, be])
+        self.prods = np.array([l0 * l0, l0 * l1, l1 * l1])
+        self.m = self.lb.size + 2 * n + 1
 
     def slack(self, z):
-        lin = self.lb - self.l0 * z[:-1] - self.l1 * z[1:]
-        lin[INPUT_ROW:] += self.s
-        return lin
+        return self.lb - self.l0 * z[:-1] - self.l1 * z[1:]
 
     def time(self, z) -> float:
         return float((2.0 * self.p.dx / (np.sqrt(z[:-1]) + np.sqrt(z[1:]))).sum())
 
+    def greatest(self, margin=0.0) -> np.ndarray:
+        """A bound on every plan within the rows, each limit tightened by
+        ``margin`` of itself: their greatest element if it meets them, else
+        there is none.  Raises if a row bounds both its nodes from above."""
+        fu, bu, lb = self.l1 > 0.0, self.l0 > 0.0, self.lb - margin * self.lim
+        k = np.flatnonzero((fu & bu).any(axis=0))
+        if k.size:
+            raise NumericalError(f"segment {k[0]}'s input rows bound both its nodes from above")
+        # Per segment, rows z_{k+1} <= fc + fd z_k (fu) and z_k <= bc + bd z_{k+1} (bu).
+        safe = np.where(fu | bu, np.maximum(self.l0, self.l1), 1.0)
+        fc, fd = np.where(fu, lb / safe, 0.0), np.where(fu, -self.l0 / safe, 0.0)
+        bc, bd = np.where(bu, lb / safe, 0.0), np.where(bu, -self.l1 / safe, 0.0)
+        # Rows i, j close the loop z_{k+1} <= fc_i + fd_i (bc_j + bd_j z_{k+1});
+        # at a gain G < 1 its fixed point caps z_{k+1} (the maximum-velocity
+        # curve), so one pass each way breaks a row only where no plan fits.
+        G = np.where(fu[:, None] & bu, fd[:, None] * bd, 1.0)
+        top = np.divide(fc[:, None] + fd[:, None] * bc, 1.0 - G, out=np.full(G.shape, np.inf),
+                        where=G < 1.0).min(axis=(0, 1))
+        fc, bc = np.where(fu, fc, np.inf).T.tolist(), np.where(bu, bc, np.inf).T.tolist()
+        fd, bd, z = fd.T.tolist(), bd.T.tolist(), [float(self.p.v_lim[0]) ** 2] + top.tolist()
+        for k in range(self.p.n_segments):
+            z[k + 1] = min(z[k + 1], *[c + d * z[k] for c, d in zip(fc[k], fd[k])])
+        for k in range(self.p.n_segments - 1, -1, -1):
+            z[k] = min(z[k], *[c + d * z[k + 1] for c, d in zip(bc[k], bd[k])])
+        return np.array(z)
+
     def start(self) -> np.ndarray:
-        """A plan strictly inside every row: of the constant speeds that keep
-        |u| < u_lim, the one with the largest worst relative slack of the caps
-        and the time budget; if none does, phase 0's plan from the constant
-        speed with the least excess."""
+        """A plan strictly inside the rows and the budget: the constant speed
+        inside the rows with the largest worst relative slack of the caps and
+        the budget, if it fits; else the rows' greatest element under a
+        margin of 1e-2 of their limits, halved until it is inside."""
         p, top = self.p, self.p.v_lim.min() ** 2
         Z = top * np.linspace(0.01, 0.99, 99) ** 2
         worst = (self.lb - (self.l0 + self.l1) * Z[:, None, None]).min(axis=(1, 2))
-        if worst.max() <= 0.0:
-            return self.run(np.full(p.n_segments + 1, Z[np.argmax(worst)]), 0)
-        score = np.minimum(1.0 - Z / top, 1.0 - p.x[-1] / (np.sqrt(Z) * p.T_f))
-        return np.full(p.n_segments + 1, Z[worst > 0.0][np.argmax(score[worst > 0.0])])
+        if worst.max() > 0.0:
+            score = np.minimum(1.0 - Z / top, 1.0 - p.x[-1] / (np.sqrt(Z) * p.T_f))
+            z = np.full(p.n_segments + 1, Z[worst > 0.0][np.argmax(score[worst > 0.0])])
+            if self.time(z) < p.T_f:
+                return z
+        for margin in 1e-2 * 0.5 ** np.arange(50):
+            z = self.greatest(margin)
+            if self.slack(z).min() > 0.0 and self.time(z) < p.T_f:
+                return z
+        raise NumericalError("no strict start below the fastest plan")
 
-    def eval(self, z, t, phase, deriv=False):
+    def eval(self, z, t, deriv=False):
         """Barrier value at weight t (inf outside the domain); with ``deriv``
         also its gradient, the Hessian's diagonal and off-diagonal, and the
-        border (gs, d, c) that makes the Hessian [[T, c], [c^T, d]]: phase 0's
-        excess s, or the budget's rank-1 term c2 c c^T as d = -1/c2."""
+        border (d, c) of the budget's rank-1 term c2 c c^T, d = -1/c2."""
         p, dx, (al, be, ga) = self.p, self.p.dx, self.ab
         lin = self.slack(z)
         if lin.min() <= 0.0:
@@ -280,57 +310,40 @@ class _Barrier:
         a, b = np.sqrt(z[:-1]), np.sqrt(z[1:])
         S = a + b
         self.T = T = float((2.0 * dx / S).sum())   # travel time of the last z evaluated
-        if phase == 2 and T >= p.T_f:
+        if T >= p.T_f:
             return math.inf
-        f, wg = -np.log(lin).sum(), 1.0 / lin
-        if phase == 2:
-            g, r = p.eff.gen_factor, p.eff.regen_factor
-            phi, sg, sr = _epigraph(al * z[:-1] + be * z[1:] + ga, t * dx, g, r)
-            # Phase II curves the budget with its dual y, not the barrier's
-            # 1/s: primal-dual, as 1/s^2 stalls Newton off the centre near it.
-            c, y, kappa = 1.0 / (p.T_f - T), self.y, 0.5 * p.mass
-            f += phi.sum() + math.log(c) + t * kappa * (z[0] - z[-1])
-        else:   # c weighs the travel time and y its curvature
-            c = y = t if phase == 1 else 0.0
-            f += t * (T if phase == 1 else self.s)
+        g, r = p.eff.gen_factor, p.eff.regen_factor
+        phi, sg, sr = _epigraph(al * z[:-1] + be * z[1:] + ga, t * dx, g, r)
+        # The budget is curved with its dual y, not the barrier's 1/s:
+        # primal-dual, as 1/s^2 stalls Newton off the centre near it.
+        c, y, kappa = 1.0 / (p.T_f - T), self.y, 0.5 * p.mass
+        f = -np.log(lin).sum() + (phi.sum() + math.log(c) + t * kappa * (z[0] - z[-1]))
         if not deriv:
             return float(f)
-        g0, g1, wh = (self.l0 * wg).sum(0), (self.l1 * wg).sum(0), wg * wg
-        border = (0.0, -1.0, np.zeros_like(z))
-        if phase == 0:
-            k, wi = INPUT_ROW, wh[INPUT_ROW:]
-            border = (t - wg[k:].sum(), wi.sum(),
-                      -_nodes((self.l0[k:] * wi).sum(0), (self.l1[k:] * wi).sum(0)))
-        if phase == 2:   # the epigraph's first and second derivatives in u
-            d1 = g / sg + r / sr
-            g0, g1 = g0 + d1 * al, g1 + d1 * be
-            wh = np.vstack([wh, (g - r) ** 2 / (sg * sg + sr * sr)])
-        q00, q01, q11 = self.prods[phase]
+        wg, d1 = 1.0 / lin, g / sg + r / sr   # d1, wh[-1]: the epigraph's derivatives in u
+        g0, g1 = (self.l0 * wg).sum(0) + d1 * al, (self.l1 * wg).sum(0) + d1 * be
+        wh = np.vstack([wg * wg, (g - r) ** 2 / (sg * sg + sr * sr)])
+        q00, q01, q11 = self.prods
         # Travel time: first and second derivatives of h_k in (z_k, z_{k+1}).
         t0, t1, S3 = -dx / (a * S * S), -dx / (b * S * S), dx / S ** 3
         grad = _nodes(g0 + c * t0, g1 + c * t1)
         diag = _nodes((q00 * wh).sum(0) + y * (S3 / (a * a) - 0.5 * t0 / (a * a)),
                       (q11 * wh).sum(0) + y * (S3 / (b * b) - 0.5 * t1 / (b * b)))
         off = (q01 * wh).sum(0) + y * S3 / (a * b)
-        if phase == 2:
-            grad[0] += t * kappa
-            grad[-1] -= t * kappa
-            border = (0.0, -1.0 / (c * y), _nodes(t0, t1))
-        return f, grad, diag, off, border
+        grad[0] += t * kappa
+        grad[-1] -= t * kappa
+        return f, grad, diag, off, (-1.0 / (c * y), _nodes(t0, t1))
 
-    def center(self, z, t, phase, max_steps=200):
+    def center(self, z, t, max_steps=200):
         """Newton's method at weight t, backtracking from 0.99 of the step to
-        the nearest row; raises if it stalls off the centre.  Phase 0 stops
-        as soon as its excess s is negative."""
-        m, last = self.m[phase], math.inf
+        the nearest row; raises if it stalls off the centre."""
+        m, last = self.m, math.inf
         for _ in range(max_steps):
-            f, grad, diag, off, (gs, d, c) = self.eval(z, t, phase, deriv=True)
-            # The bordered system by its Schur complement: for the budget's
-            # rank-1 term this is the Sherman-Morrison step.
+            f, grad, diag, off, (d, c) = self.eval(z, t, deriv=True)
+            # The budget's rank-1 term by Sherman-Morrison.
             y, x = _thomas(diag, off, -grad, c)
-            nu = (-gs - c @ y) / (d - c @ x)
-            dz, ds = y - x * nu, (nu if phase == 0 else 0.0)
-            lam2 = -float(grad @ dz + gs * ds)
+            dz = y - x * (-(c @ y) / (d - c @ x))
+            lam2 = -float(grad @ dz)
             # Centred, or near the centre where rounding stops the decrement
             # from falling any further.
             if lam2 <= 1e-6 * m or (lam2 <= 1e-3 * m and lam2 > 0.5 * last):
@@ -338,66 +351,42 @@ class _Barrier:
             last = lam2
             self.n_newton += 1
             fall = self.l0 * dz[:-1] + self.l1 * dz[1:]
-            fall[INPUT_ROW:] -= ds
             with np.errstate(over="ignore"):
                 room = self.slack(z)[fall > 0] / fall[fall > 0]
-            step, s = min(1.0, 0.99 * np.min(room, initial=np.inf)), self.s
-            if phase == 2:   # the budget dual's Newton step
-                slack = self.p.T_f - self.T
-                dy = (1.0 - self.y * slack + self.y * (c @ dz)) / slack
+            step = min(1.0, 0.99 * np.min(room, initial=np.inf))
+            slack = self.p.T_f - self.T   # and the budget dual's Newton step
+            dy = (1.0 - self.y * slack + self.y * (c @ dz)) / slack
             while True:
-                self.s = s + step * ds
-                f_try = self.eval(z + step * dz, t, phase)
+                f_try = self.eval(z + step * dz, t)
                 # In the quadratic region a full step need only stay in the
                 # domain: an Armijo test on f would trip over its rounding.
                 # The budget's slack may not fall below half the dual's
                 # estimate 1/y of its centred value, nor half its present one.
                 if ((f_try <= f - 0.01 * step * lam2 or (lam2 < 0.25 and f_try < math.inf))
-                        and (phase < 2 or self.p.T_f - self.T >= 0.5 * min(slack, 1.0 / self.y))):
+                        and self.p.T_f - self.T >= 0.5 * min(slack, 1.0 / self.y)):
                     break
                 step *= 0.5
                 if step < 1e-14:
-                    self.s = s
                     if lam2 <= 1e-3 * m:
                         return z
                     raise NumericalError(f"barrier centring stalled at t={t:.3g}")
             z = z + step * dz
-            if phase == 0 and self.s < 0.0:
-                return z
-            if phase == 2:   # the dual's step, kept within 1e3 of the barrier's 1/s
-                slack = self.p.T_f - self.T
-                self.y = min(max(self.y + step * dy, 1e-3 / slack), 1e3 / slack)
+            # The dual's step, kept within 1e3 of the barrier's 1/s.
+            slack = self.p.T_f - self.T
+            self.y = min(max(self.y + step * dy, 1e-3 / slack), 1e3 / slack)
         raise NumericalError(f"barrier centring took over {max_steps} Newton steps")
 
-    def run(self, z, phase):
-        """Phase 0 until the input rows hold strictly, returning z; phase I
-        until the budget does, returning (z, pinned), pinned if only the
-        fastest plan meets it; or phase II until the gap is below ``GAP_TOL``
-        of the scale, returning (z, gap).  Phases 0 and I raise
-        InfeasibleError once their gap proves that they cannot finish."""
-        p, m = self.p, self.m[phase]
+    def run(self, z):
+        """Centre from the strict start z with a growing weight until the
+        gap is below ``GAP_TOL`` of the scale; returns (z, gap)."""
+        p, m = self.p, self.m
         scale = lambda z: max(abs(evaluate_objective(p, z)[0]), _kinetic(p))
-        t = m / (scale(z) if phase == 2 else p.T_f if phase == 1 else p.u_lim)
-        self.y = 1.0 / (p.T_f - self.time(z)) if phase == 2 else 0.0
-        if phase == 0:   # a start inside the input rows relaxed by s
-            self.s = 0.1 * p.u_lim - self.slack(z)[INPUT_ROW:].min()
-        while phase == 2 or (self.time(z) >= p.T_f if phase == 1 else self.s >= 0.0):
-            z = self.center(z, t, phase)
-            T, gap = self.time(z), m / t
-            if phase == 0 and self.s >= 0.0 and (self.s - gap > 0.0 or gap <= 1e-10 * p.u_lim):
-                raise InfeasibleError(
-                    f"no plan keeps |u| strictly below u_lim={p.u_lim:g}: its least "
-                    f"excess lies in [{self.s - gap:.6g}, {self.s:.6g}]")
-            if phase == 2 and gap <= GAP_TOL * scale(z):
-                return z, gap
-            if phase == 1 and (T - gap >= p.T_f or (gap <= 1e-10 * p.T_f and T >= p.T_f)):
-                if T - gap < p.T_f and T <= p.T_f * (1.0 + VIOL_TOL):
-                    return z, True
-                raise InfeasibleError(f"no plan meets T_f={p.T_f:g} s: the fastest one "
-                                      f"takes at least {T - gap:.6g} s")
+        t, self.y = m / scale(z), 1.0 / (p.T_f - self.time(z))
+        while True:
+            z = self.center(z, t)
+            if m / t <= GAP_TOL * scale(z):
+                return z, m / t
             t, self.y = t * MU, self.y * MU
-        self.s = 0.0
-        return z if phase == 0 else (z, False)
 
 
 def _nodes(d0, d1):
@@ -416,15 +405,24 @@ def _kinetic(p: TOProblem) -> float:
 def solve(p: TOProblem) -> TOSolution:
     """Minimise the drive energy over the squared node speeds.
 
-    Raises :class:`InfeasibleError` if the constraints leave no feasible
-    interior, and :class:`NumericalError` if centring fails or, for an
-    unmasked t3, the convex steps do not settle within ``SCP_MAX`` solves.
+    Raises :class:`InfeasibleError` if the fastest plan z_max breaks a row
+    (so no plan meets them) or takes over T_f (1 + ``VIOL_TOL``); returns
+    z_max (exit "time_pinned") if it takes T_f (1 - ``PIN_TOL``) or more,
+    else the barrier's plan (exit "gap").  Raises :class:`NumericalError` if
+    a row bounds both its nodes, if centring fails or if an unmasked t3's
+    convex steps do not settle within ``SCP_MAX`` solves.
     """
     z_lin, n_newton = np.full(p.n_segments + 1, (p.x[-1] / p.T_f) ** 2), 0
     for _ in range(SCP_MAX):
         bar = _Barrier(p, z_lin)
-        z, pinned = bar.run(bar.start(), 1)
-        z, gap = (z, 0.0) if pinned else bar.run(z, 2)
+        z = bar.greatest()
+        if (bar.slack(z) <= -1e-9 * bar.lim).any():   # a row broken past rounding
+            raise InfeasibleError(f"no plan keeps |u| strictly below u_lim={p.u_lim:g}")
+        T = bar.time(z)
+        if T > p.T_f * (1.0 + VIOL_TOL):
+            raise InfeasibleError(f"no plan meets T_f={p.T_f:g} s: the fastest one takes {T!r} s")
+        pinned = T >= p.T_f * (1.0 - PIN_TOL)
+        z, gap = (z, 0.0) if pinned else bar.run(bar.start())
         n_newton += bar.n_newton
         settled, z_lin = np.abs(z - z_lin).max() <= 1e-9 * z.max(), z
         if p.mode == "pseudo" or p.model.theta[2] == 0.0 or settled:

@@ -1,6 +1,7 @@
 """Timing-optimization tests: objective algebra, solver, oracle, reference."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,48 @@ def lp_oracle(p, cut_tol=1e-10, max_rounds=300):
     raise AssertionError(f"cutting planes did not reach {cut_tol:g} in {max_rounds} rounds")
 
 
+def fastest_plan(p):
+    """The greatest z of the linear rows by HiGHS, maximising sum(z): the
+    rows' greatest element maximises every increasing linear objective.
+    None if no z >= 0 meets them."""
+    from scipy.optimize import linprog
+
+    n, k = p.n_segments, np.arange(p.n_segments)
+    al, be, ga = affine_input(p)
+    s = 0.5 / p.dx
+
+    def seg_rows(c0, c1):
+        rows = np.zeros((n, n + 1))
+        rows[k, k], rows[k, k + 1] = c0, c1
+        return rows
+
+    A, b = [seg_rows(-s, s), seg_rows(s, -s)], [np.full(n, p.vdot_lim)] * 2
+    if p.mode == "full" and p.u_lim is not None:
+        A += [seg_rows(al, be), seg_rows(-al, -be)]
+        b += [p.u_lim - ga, p.u_lim + ga]
+    res = linprog(-np.ones(n + 1), A_ub=np.vstack(A), b_ub=np.concatenate(b),
+                  bounds=[(0.0, cap) for cap in node_caps(p)], method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    return res.x if res.status == 0 else None
+
+
+def assert_exact_verdict(p, T_lp):
+    """Just above the fastest time T_lp the barrier reaches the gap, at it (or
+    within rounding above it) the fastest plan is returned, and just below
+    solve raises with T_lp."""
+    sol = tempo.solve(dataclasses.replace(p, T_f=T_lp * (1.0 + 1e-4)))
+    assert sol.feasible and sol.exit == "gap" and sol.gap_rel <= 1e-8
+    for T_f in (T_lp, T_lp * (1.0 + 1e-15)):
+        sol = tempo.solve(dataclasses.replace(p, T_f=T_f))
+        assert sol.feasible and sol.exit == "time_pinned"
+        assert sol.h.sum() <= T_f * (1.0 + tempo.VIOL_TOL)
+    with pytest.raises(InfeasibleError, match="no plan meets") as exc:
+        tempo.solve(dataclasses.replace(p, T_f=T_lp * (1.0 - 1e-6)))
+    fastest = float(re.search(r"the fastest one takes (\S+) s", str(exc.value)).group(1))
+    assert fastest == pytest.approx(T_lp, rel=1e-9, abs=0.0)
+
+
 def random_route(rng, n, mode, bounded):
     """Random route: n segments of random length, cap and grade, with a
     budget that a constant speed below every cap meets strictly.  A bounded
@@ -162,11 +205,11 @@ def random_route(rng, n, mode, bounded):
         mode=mode, u_lim=u_lim)
 
 
-def climb_route(u_lim, start, length):
-    """2 km at N = 40 under a 22 m/s cap, flat but for a 5% climb: holding
-    any speed on it takes u = (0.55 + 8e-5 v^2) / 2.5e-4 > 2200."""
+def climb_route(u_lim, start, length, grade=0.05):
+    """2 km at N = 40 under a 22 m/s cap, flat but for one grade: holding any
+    speed on the default 5% climb takes u = (0.55 + 8e-5 v^2) / 2.5e-4 > 2200."""
     slope = PositionProfile(np.array([0.0, start, start + length]),
-                            np.array([0.0, 0.05, 0.0]), "constant")
+                            np.array([0.0, grade, 0.0]), "constant")
     return tempo.build_problem(2000.0, 40, 180.0, slope, flat_limit(22.0),
                                truck_like_model(), vdot_lim=0.7, u_lim=u_lim)
 
@@ -267,6 +310,17 @@ class TestBuildProblem:
         with pytest.raises(InfeasibleError):
             tempo.build_problem(1000.0, 5, 60.0, FLAT, flat_limit(15.0),
                                 None, mode="pseudo")
+
+    @pytest.mark.parametrize("field", ["T_f", "vdot_lim", "u_lim", "v_lim", "alpha"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_data(self, field, bad):
+        p = tempo.build_problem(2000.0, 20, 170.0, FLAT, flat_limit(25.0),
+                                truck_like_model(), vdot_lim=0.7, u_lim=3000.0)
+        value = np.full(p.n_segments, bad) if field in ("v_lim", "alpha") else bad
+        with pytest.raises(ValueError, match="must be finite"):
+            dataclasses.replace(p, **{field: value})
+        with pytest.raises(ValueError, match="must be finite"):
+            dataclasses.replace(p, mode="pseudo", model=None, **{field: value})
 
     def test_problem_is_frozen(self):
         p = tempo.build_problem(100.0, 2, 20.0, FLAT, flat_limit(15.0), None,
@@ -427,7 +481,7 @@ class TestSolve:
 
     def test_varying_plan_meets_an_input_bound_no_constant_speed_can(self):
         # u_lim = 2000 is below the climb's hold force at every speed, so
-        # phase 0 must find a plan that loses speed on the climb instead.
+        # the barrier must start from a plan that loses speed on the climb.
         p = climb_route(2000.0, 1000.0, 400.0)
         for v in np.linspace(0.5, 22.0, 44):
             _, parts = tempo.evaluate_objective(p, constant_speed(p, v))
@@ -447,6 +501,53 @@ class TestSolve:
         with pytest.raises(InfeasibleError, match="below u_lim=1000"):
             tempo.solve(p)
         assert lp_oracle(p) is None
+
+    def test_short_steep_climb_caps_the_full_throttle_loop(self):
+        # Full throttle at u_lim = 1050 loses speed on a 9% climb over one 50 m
+        # segment, z_21 <= c + g z_20 with g = (s - |t4|/2) / (s + |t4|/2)
+        # ~ 0.992, while vdot_lim bounds braking into it, z_20 <= z_21 + 70:
+        # the rows meet at z_20 = 283, far below the cap of 484.  Sweeping
+        # them alone would close in on that only by a factor g per pass.
+        p = climb_route(1050.0, 1000.0, 50.0, grade=0.09)
+        z_lp = fastest_plan(p)
+        assert z_lp[20] == pytest.approx(283.04, abs=0.01)
+        T_lp = segment_time(p, z_lp)[0].sum()
+        pinned = tempo.solve(dataclasses.replace(p, T_f=T_lp))
+        np.testing.assert_allclose(pinned.z, z_lp, rtol=1e-12)
+        assert_exact_verdict(p, T_lp)
+        sol = tempo.solve(p)
+        assert sol.feasible and sol.exit == "gap" and sol.gap_rel <= 1e-8
+        assert violation(p, sol.z) <= 1e-9
+        E_lp, _, price = lp_oracle(p)
+        tol = sol.gap + price + 1e-9 * energy_scale(p, sol.E)
+        assert E_lp - tol <= sol.E <= E_lp + tol
+
+    def test_steep_descent_past_the_brake_raises(self):
+        # Braking at u_lim = 300 on a 9% descent still speeds up by
+        # 0.748 - 8e-5 v^2 > vdot_lim = 0.7 below the 22 m/s cap: no plan
+        # fits, though the rows' upper bound keeps every node positive.
+        p = climb_route(300.0, 1000.0, 50.0, grade=-0.09)
+        with pytest.raises(InfeasibleError, match="below u_lim=300"):
+            tempo.solve(p)
+        assert lp_oracle(p) is None and fastest_plan(p) is None
+
+    def test_default_truck_verdict_is_exact(self, truck_sc, truck_fit):
+        _, model, eff, _ = truck_fit
+        problem, _, _ = harness.stage_plan(truck_sc, model, eff)
+        T_lp = segment_time(problem, fastest_plan(problem))[0].sum()
+        assert T_lp == pytest.approx(432.44180711702654, rel=1e-9)
+        assert_exact_verdict(problem, T_lp)
+
+    def test_input_row_bounding_both_nodes_raises(self):
+        # A 13 km segment has 1/dx < |t4| = 8e-5, so its input row bounds
+        # both of its nodes from above; without u_lim there is no such row.
+        p = tempo.TOProblem(x=np.array([0.0, 1000.0, 14_000.0]), alpha=np.zeros(2),
+                            v_lim=np.full(2, 25.0), T_f=1000.0, vdot_lim=0.7,
+                            model=truck_like_model(), eff=EfficiencyParams(), u_lim=3000.0)
+        with pytest.raises(NumericalError, match="segment 1's input rows"):
+            tempo.solve(p)
+        sol = tempo.solve(dataclasses.replace(p, u_lim=None))
+        assert sol.feasible and sol.exit == "gap"
 
     def test_unmasked_t3_runs_sequential_convex_steps(self, monkeypatch):
         # A linear drag term makes u concave in z; the convex steps either
@@ -538,6 +639,16 @@ class TestProperties:
                            options={"maxiter": 200, "ftol": 1e-12})
             if np.all(res.x > 0.0) and violation(p, res.x) <= 1e-12:
                 assert tempo.evaluate_objective(p, res.x)[0] >= floor
+
+    @settings(max_examples=20, deadline=None)
+    @given(p=routes)
+    def test_verdict_is_exact_at_the_fastest_plan(self, p):
+        z = fastest_plan(p)
+        if z is None or z.min() <= 0.0:
+            with pytest.raises(InfeasibleError, match="below u_lim="):
+                tempo.solve(p)
+            return
+        assert_exact_verdict(p, segment_time(p, z)[0].sum())
 
     @settings(max_examples=30, deadline=None)
     @given(p=routes)
