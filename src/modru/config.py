@@ -48,11 +48,18 @@ def _parse_mask(text: str) -> tuple[bool, ...]:
     return tuple(p == "1" for p in parts)
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _parse_optional_float(text: str) -> float | None:
     t = text.strip().lower()
     if t in ("", "none", "auto"):
         return None
-    return float(text)
+    return _parse_float(text)
 
 
 @dataclass
@@ -128,27 +135,27 @@ def default_car_scenario() -> Scenario:
     return sc
 
 
-# key -> (scenario field, parser); plant.* overrides are handled separately.
+# key -> (scenario field, parser); every plant.* override parses as a float.
 _KEYS = {
     "scenario.name": ("name", str),
-    "path.length": ("path_length", float),
-    "to.T_f": ("T_f", float),
+    "path.length": ("path_length", _parse_float),
+    "to.T_f": ("T_f", _parse_float),
     "to.N": ("to_n", int),
-    "to.vdot_lim": ("vdot_lim", float),
+    "to.vdot_lim": ("vdot_lim", _parse_float),
     "to.u_lim": ("to_u_lim", _parse_optional_float),
-    "eff.gen": ("eff_gen", float),
-    "eff.regen": ("eff_regen", float),
-    "est.duration": ("est_duration", float),
-    "est.h": ("est_h", float),
-    "est.noise": ("est_noise", float),
-    "est.hold": ("est_hold", float),
-    "est.slope_amp": ("est_slope_amp", float),
+    "eff.gen": ("eff_gen", _parse_float),
+    "eff.regen": ("eff_regen", _parse_float),
+    "est.duration": ("est_duration", _parse_float),
+    "est.h": ("est_h", _parse_float),
+    "est.noise": ("est_noise", _parse_float),
+    "est.hold": ("est_hold", _parse_float),
+    "est.slope_amp": ("est_slope_amp", _parse_float),
     "est.mask": ("est_mask", _parse_mask),
-    "ctrl.rho_I": ("rho_I", float),
-    "ctrl.rho_u": ("rho_u", float),
+    "ctrl.rho_I": ("rho_I", _parse_float),
+    "ctrl.rho_u": ("rho_u", _parse_float),
     "ctrl.grid_n": ("grid_n", int),
-    "ctrl.u_lim": ("ctrl_u_lim", float),
-    "sim.h": ("sim_h", float),
+    "ctrl.u_lim": ("ctrl_u_lim", _parse_float),
+    "sim.h": ("sim_h", _parse_float),
     "sim.substeps": ("sim_substeps", int),
     "seed": ("seed", int),
 }
@@ -186,16 +193,18 @@ def scenario_from_config(cfg: dict[str, str]) -> Scenario:
         if key == "vlim.breakpoints":
             sc.v_limit = parse_pairs(raw, vlim_kind)
             continue
-        if key.startswith("plant."):
-            plant_over[key.split(".", 1)[1]] = raw
-            continue
-        if key not in _KEYS:
+        plant = key.startswith("plant.")
+        if not plant and key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        name, parser = _KEYS[key]
+        name, parser = (key.split(".", 1)[1], _parse_float) if plant else _KEYS[key]
         try:
-            setattr(sc, name, parser(raw))
+            value = parser(raw)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+        if plant:
+            plant_over[name] = value
+        else:
+            setattr(sc, name, value)
 
     if plant_over:
         valid = {f.name for f in dataclasses.fields(type(sc.plant_params))}
@@ -203,8 +212,7 @@ def scenario_from_config(cfg: dict[str, str]) -> Scenario:
         if bad:
             raise ConfigError(f"unknown plant parameter(s): {sorted(bad)}")
         try:
-            sc.plant_params = dataclasses.replace(
-                sc.plant_params, **{k: float(v) for k, v in plant_over.items()})
+            sc.plant_params = dataclasses.replace(sc.plant_params, **plant_over)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

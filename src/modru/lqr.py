@@ -926,7 +926,7 @@ def robustness_sweep(taus, methods=METHODS,
                         raise NumericalError("unstable on true plant")
                     m_s, m_t = sensitivity_metrics(resp, Kf)
                     ok = m_s <= MS_MAX and m_t <= MT_MAX
-                except (NumericalError, EstimationError):
+                except NumericalError:
                     ok, t_r, m_s, m_t = False, math.inf, math.inf, math.inf
                 else:
                     t_r = math.inf

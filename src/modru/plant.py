@@ -190,14 +190,14 @@ def _truck_rhs(p: TruckParams, alpha_at):
     c_air, mg, c_r, m, R, T_m = 0.5 * p.rho_a * p.c_d * p.A_f, p.m * p.g, p.c_r, p.m, p.R, p.T_m
     sin, cos = math.sin, math.cos
 
-    def rhs(s, v, u_m, u):
+    def dynamics(s, v, u_m, u):
         # v clamped at zero for force evaluation; the simulator enforces v >= 0.
         v_eff = v if v > 0.0 else 0.0
         alpha = alpha_at(s)
         dv = (u_m / R - c_air * v_eff * v_eff - mg * (sin(alpha) + c_r * cos(alpha))) / m
         return v_eff, dv, (u - u_m) / T_m if T_m > 0.0 else 0.0
 
-    return rhs
+    return dynamics
 
 
 def _car_rhs(p: CarParams, alpha_at):
@@ -206,7 +206,7 @@ def _car_rhs(p: CarParams, alpha_at):
     m, u_min, u_max, a_lim = p.m, p.u_min, p.u_max, p.a_lim
     sin, cos = math.sin, math.cos
 
-    def rhs(s, v, u_m, u_power):
+    def dynamics(s, v, u_m, u_power):
         v_eff = v if v > 0.0 else 0.0
         alpha = alpha_at(s)
         power = min(max(u_power, u_min), u_max)
@@ -214,7 +214,7 @@ def _car_rhs(p: CarParams, alpha_at):
               - mg * sin(alpha)) / m
         return v_eff, min(max(dv, -a_lim), a_lim), 0.0
 
-    return rhs
+    return dynamics
 
 
 @dataclass

@@ -32,27 +32,23 @@ N_THETA = 6
 
 @dataclass(frozen=True)
 class Dataset:
-    """Uniformly sampled record of velocity, slope, input, optional power."""
+    """Uniformly sampled record of velocity, slope, input and power."""
 
     t: np.ndarray
     v: np.ndarray
     alpha: np.ndarray
     u: np.ndarray
-    P: np.ndarray | None = None
+    P: np.ndarray
 
     def __post_init__(self):
-        for name in ("t", "v", "alpha", "u"):
+        for name in ("t", "v", "alpha", "u", "P"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.P is not None:
-            object.__setattr__(self, "P", np.asarray(self.P, dtype=float))
         n = self.t.size
         if n < 10:
             raise ValueError("dataset needs at least 10 samples")
-        for name in ("v", "alpha", "u"):
+        for name in ("v", "alpha", "u", "P"):
             if getattr(self, name).size != n:
                 raise ValueError(f"column {name} length mismatch")
-        if self.P is not None and self.P.size != n:
-            raise ValueError("column P length mismatch")
         dt = np.diff(self.t)
         h = dt[0]
         if h <= 0 or np.abs(dt - h).max() > 1e-9 * max(1.0, h):
@@ -63,18 +59,13 @@ class Dataset:
         return float(self.t[1] - self.t[0])
 
     def to_csv(self, path) -> None:
-        header = ["t", "v", "alpha", "u"]
-        cols = [self.t, self.v, self.alpha, self.u]
-        if self.P is not None:
-            header.append("P")
-            cols.append(self.P)
-        write_csv(path, header, cols)
+        write_csv(path, ["t", "v", "alpha", "u", "P"],
+                  [self.t, self.v, self.alpha, self.u, self.P])
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
         _, cols, _ = read_csv(path)
-        return cls(t=cols["t"], v=cols["v"], alpha=cols["alpha"], u=cols["u"],
-                   P=cols.get("P"))
+        return cls(t=cols["t"], v=cols["v"], alpha=cols["alpha"], u=cols["u"], P=cols["P"])
 
 
 @dataclass(frozen=True)
@@ -101,11 +92,6 @@ class GrayBoxModel:
             raise ValueError("input coefficient th1 must be nonzero")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "mask", mask)
-
-    def rhs(self, v, u, alpha):
-        """Model acceleration dv/dt at the given operating point."""
-        t1, t2, t3, t4, t5, t6 = self.theta
-        return t1 * u + t2 + t3 * v + t4 * v * v + t5 * alpha + t6 * alpha * alpha
 
     def simulate(self, v0: float, u: np.ndarray, alpha: np.ndarray,
                  h: float) -> np.ndarray | None:
@@ -222,7 +208,6 @@ class EfficiencyParams:
 class GrayBoxFit:
     """Diagnostics from :func:`fit_graybox`."""
 
-    cost_trace: list
     converged: bool
     n_iter: int
     rms: float
@@ -289,7 +274,6 @@ def fit_graybox(data: Dataset, mask: np.ndarray | None = None
         cost, sim = cost_of(theta)
     if not math.isfinite(cost):
         raise EstimationError("initial gray-box parameters diverge on the data")
-    trace = [cost]
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
@@ -315,7 +299,6 @@ def fit_graybox(data: Dataset, mask: np.ndarray | None = None
         rel_step = np.max(np.abs(lam * delta) / np.maximum(np.abs(theta[act]), 1e-12))
         rel_drop = (cost - c_trial) / max(cost, 1e-300)
         theta, cost, sim = trial, c_trial, s_trial
-        trace.append(cost)
         if rel_drop < cost_tol or rel_step < step_tol:
             converged = True
             break
@@ -323,7 +306,7 @@ def fit_graybox(data: Dataset, mask: np.ndarray | None = None
         warnings.warn("gray-box fit stopped at iteration limit; returning best iterate")
     model = GrayBoxModel(theta=theta, mask=mask)
     rms = math.sqrt(cost / v_meas.size)
-    return model, GrayBoxFit(cost_trace=trace, converged=converged, n_iter=it, rms=rms)
+    return model, GrayBoxFit(converged=converged, n_iter=it, rms=rms)
 
 
 def fit_efficiency(P: np.ndarray, u: np.ndarray, v: np.ndarray) -> EfficiencyParams:

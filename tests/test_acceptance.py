@@ -23,6 +23,11 @@ T_R_TARGET = {0.2: 2.15, 0.1: 1.11, 0.05: 0.64,
               0.02: 0.46, 0.01: 0.31, 0.0: 0.22}
 
 
+def unit_model():
+    """The gray box u = a, of mass 1: it scores only the speed shape."""
+    return GrayBoxModel(theta=np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
+
+
 @pytest.fixture(scope="module")
 def servo_sweep():
     """Both tuning routes over the parasitic-lag ladder, model-based timed."""
@@ -239,8 +244,7 @@ def test_c08_solver_matches_grid_and_constant_speed_baseline(truck_fit):
     flat = PositionProfile(np.array([0.0, 10_000.0]), np.zeros(2), "linear")
     lim15 = PositionProfile(np.array([0.0, 100.0]), np.full(2, 15.0),
                             "constant")
-    p = tempo.build_problem(100.0, 2, 9.0, flat, lim15, None,
-                            mode="pseudo", vdot_lim=10.0)
+    p = tempo.build_problem(100.0, 2, 9.0, flat, lim15, unit_model(), vdot_lim=10.0)
     sol = tempo.solve(p)
     assert sol.feasible and sol.gap_rel <= 1e-8
 
@@ -278,8 +282,7 @@ def test_c08_solver_matches_grid_and_constant_speed_baseline(truck_fit):
     _, model, eff, _ = truck_fit
     lim22 = PositionProfile(np.array([0.0, 2000.0]), np.full(2, 22.0),
                             "constant")
-    p2 = tempo.build_problem(2000.0, 40, 130.0, flat, lim22, model, eff,
-                             vdot_lim=1.0, mode="full")
+    p2 = tempo.build_problem(2000.0, 40, 130.0, flat, lim22, model, eff, vdot_lim=1.0)
     sol2 = tempo.solve(p2)
     assert sol2.feasible and sol2.gap_rel <= 1e-8
     e_const, _ = tempo.evaluate_objective(p2, np.full(41, (2000.0 / 130.0) ** 2))
@@ -323,15 +326,15 @@ def test_c10_randomized_solutions_respect_all_constraints():
                                       rng.uniform(0.0, length, 5)]))
         slope = PositionProfile(bps, rng.uniform(-0.02, 0.02, 7), "linear")
         vdot_lim = float(rng.uniform(1.0, 2.5))
-        mode = "pseudo" if i % 2 == 0 else "full"
-        model = GrayBoxModel(theta=theta) if mode == "full" else None
+        kind = "unit" if i % 2 == 0 else "truck"
+        model = GrayBoxModel(theta=theta) if kind == "truck" else unit_model()
 
         x = np.linspace(0.0, length, n + 1)
         v_cap = np.minimum(v_limit.value(x[:-1]), v_limit.value(x[1:]))
         t_min = float(np.sum(np.diff(x) / v_cap))
         t_f = t_min * float(rng.uniform(1.15, 1.45))
         u_lim = None
-        if mode == "full" and i % 4 == 3:
+        if kind == "truck" and i % 4 == 3:
             need = max(abs(float(ctl.feedforward(v, a, al, model)))
                        for v in np.linspace(1.0, v_hi, 40)
                        for a in (-vdot_lim, vdot_lim)
@@ -339,8 +342,7 @@ def test_c10_randomized_solutions_respect_all_constraints():
             u_lim = 1.5 * need
 
         p = tempo.build_problem(length, n, t_f, slope, v_limit, model,
-                                EfficiencyParams(), vdot_lim=vdot_lim,
-                                mode=mode, u_lim=u_lim)
+                                EfficiencyParams(), vdot_lim=vdot_lim, u_lim=u_lim)
         sol = tempo.solve(p)
         v = np.sqrt(sol.z)
         vdot = np.diff(sol.z) / (2.0 * p.dx)
@@ -364,5 +366,5 @@ def test_c10_randomized_solutions_respect_all_constraints():
             if np.max(np.abs(sol.u_r)) > u_lim * (1.0 + 1e-6):
                 bad.append("input bound exceeded")
         if bad:
-            failures.append(f"scenario {i} ({mode}, N={n}): " + ", ".join(bad))
+            failures.append(f"scenario {i} ({kind}, N={n}): " + ", ".join(bad))
     assert not failures, "; ".join(failures[:5])

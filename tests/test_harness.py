@@ -2,7 +2,7 @@
 
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -10,7 +10,7 @@ import pytest
 
 from modru import cli, config, harness, lqr, tempo
 from modru.errors import ConfigError, EstimationError
-from modru.plant import PositionProfile, input_mass
+from modru.plant import CarParams, PositionProfile, TruckParams, input_mass
 from modru.tables import format_value, read_csv, read_keyvalues, write_csv
 
 
@@ -23,6 +23,15 @@ def nominal_scenario(sc):
                               np.array([0.0, 0.002]), "linear"),
         v_limit=PositionProfile(np.array([0.0, 3000.0]),
                                 np.array([12.5, 12.5]), "constant"))
+
+
+# (plant.type, key) of every float-valued config key and plant override.
+FLOAT_KEYS = [("truck", key) for key in (
+    "path.length", "to.T_f", "to.vdot_lim", "to.u_lim", "eff.gen", "eff.regen",
+    "est.duration", "est.h", "est.noise", "est.hold", "est.slope_amp", "ctrl.rho_I",
+    "ctrl.rho_u", "ctrl.u_lim", "sim.h")] + [
+    (kind, f"plant.{f.name}") for kind, params in (("truck", TruckParams), ("car", CarParams))
+    for f in fields(params)]
 
 
 class TestConfigFiles:
@@ -72,6 +81,12 @@ class TestConfigFiles:
             config.scenario_from_config({"plant.warp": "9"})
         with pytest.raises(ConfigError):
             config.scenario_from_config({"plant.type": "hovercraft"})
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("plant_type, key", FLOAT_KEYS)
+    def test_rejects_non_finite_floats(self, plant_type, key, bad):
+        with pytest.raises(ConfigError, match=f"bad value for {key}: '{bad}'"):
+            config.scenario_from_config({"plant.type": plant_type, key: bad})
 
     def test_environment_does_not_configure(self, monkeypatch):
         monkeypatch.setenv("MODRU_SEED", "42")
@@ -287,13 +302,16 @@ class TestCli:
         ("plan", "est.fit_efficiency = 0", []),
         ("plan", "slope.breakpoints = 0:0, inf:0.01", []),
         ("plan", "vlim.breakpoints = 0:13.9, 300:nan", []),
+        ("plan", "est.hold = nan", []),
+        ("plan", "plant.m = nan", []),
         ("simulate", "est.noise = -1", []),
         ("simulate", "seed = -1", []),
         ("simulate", "", ["--seed", "-1"]),
         ("pipeline", "", ["--seed", "-1"]),
         ("robustness", "", ["--seed", "-1", "--taus", "0"]),
     ], ids=["T_f_nan", "u_lim", "gamma", "gen", "regen_high", "regen_zero", "mask", "M_one",
-            "M_negative", "mode_pseudo", "fit_efficiency", "slope_inf", "vlim_nan", "noise",
+            "M_negative", "mode_pseudo", "fit_efficiency", "slope_inf", "vlim_nan",
+            "hold_nan", "plant_m_nan", "noise",
             "seed_key", "seed_flag_simulate", "seed_flag_pipeline", "seed_flag_robustness"])
     def test_bad_config_values_fail_before_any_work(self, tmp_path, capsys,
                                                     command, lines, flags):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from modru import config, harness, tempo
 from modru.errors import InfeasibleError, NumericalError
-from modru.plant import PositionProfile
+from modru.plant import PositionProfile, step_efficiency
 from modru.sysid import EfficiencyParams, GrayBoxModel
 from modru.tables import read_csv
 
@@ -24,6 +24,11 @@ def flat_limit(v):
 
 def hand_model(t1=0.5):
     return GrayBoxModel(theta=np.array([t1, 0.0, 0.0, 0.0, 0.0, 0.0]))
+
+
+def unit_model():
+    """The gray box u = a, of mass 1: it scores only the speed shape."""
+    return hand_model(1.0)
 
 
 def truck_like_model():
@@ -41,8 +46,6 @@ def constant_speed(p, v):
 def affine_input(p):
     """(al, be, ga) with u_k = al z_k + be z_{k+1} + ga (t3 = 0)."""
     s = 0.5 / p.dx
-    if p.mode == "pseudo":
-        return -s, s, np.zeros(p.n_segments)
     t1, t2, t3, t4, t5, t6 = p.model.theta
     assert t3 == 0.0
     return ((-s - 0.5 * t4) / t1, (s - 0.5 * t4) / t1,
@@ -68,7 +71,7 @@ def violation(p, z):
     worst = [parts["h"].sum() / p.T_f - 1.0,
              np.abs(parts["a_r"]).max() / p.vdot_lim - 1.0,
              (z / node_caps(p)).max() - 1.0]
-    if p.mode == "full" and p.u_lim is not None:
+    if p.u_lim is not None:
         worst.append(np.abs(parts["u_r"]).max() / p.u_lim - 1.0)
     return max(worst)
 
@@ -105,7 +108,7 @@ def lp_oracle(p, cut_tol=1e-10, max_rounds=300):
     b = [-p.eff.gen_factor * ga, -p.eff.regen_factor * ga]
     A += [seg_rows(-s, s), seg_rows(s, -s)]
     b += [np.full(n, p.vdot_lim)] * 2
-    if p.mode == "full" and p.u_lim is not None:
+    if p.u_lim is not None:
         A += [seg_rows(al, be), seg_rows(-al, -be)]
         b += [p.u_lim - ga, p.u_lim + ga]
     budget = sum(len(r) for r in b)
@@ -154,7 +157,7 @@ def fastest_plan(p):
         return rows
 
     A, b = [seg_rows(-s, s), seg_rows(s, -s)], [np.full(n, p.vdot_lim)] * 2
-    if p.mode == "full" and p.u_lim is not None:
+    if p.u_lim is not None:
         A += [seg_rows(al, be), seg_rows(-al, -be)]
         b += [p.u_lim - ga, p.u_lim + ga]
     res = linprog(-np.ones(n + 1), A_ub=np.vstack(A), b_ub=np.concatenate(b),
@@ -180,20 +183,21 @@ def assert_exact_verdict(p, T_lp):
     assert fastest == pytest.approx(T_lp, rel=1e-9, abs=0.0)
 
 
-def random_route(rng, n, mode, bounded):
+def random_route(rng, n, unit, bounded):
     """Random route: n segments of random length, cap and grade, with a
-    budget that a constant speed below every cap meets strictly.  A bounded
-    input may lie below what holding some constant speed on the steepest
-    grade takes, so the route may need a varying plan, or be infeasible."""
+    budget that a constant speed below every cap meets strictly, for the
+    unit gray box or a random truck-like one.  A bounded truck input may lie
+    below what holding some constant speed on the steepest grade takes, so
+    the route may need a varying plan, or be infeasible."""
     x = np.concatenate([[0.0], np.cumsum(rng.uniform(20.0, 150.0, n))])
     v_lim = rng.uniform(8.0, 25.0, n)
     alpha = rng.uniform(-0.03, 0.03, n)
-    model = None
-    if mode == "full":
+    model = unit_model()
+    if not unit:
         model = GrayBoxModel(theta=truck_like_model().theta * rng.uniform(0.5, 1.5, 6))
     v_c = float(rng.uniform(0.3, 0.95)) * v_lim.min()
     u_lim = None
-    if bounded and mode == "full":
+    if bounded and not unit:
         t1, t2, _, t4, t5, t6 = model.theta
         hold = [(-t2 - t4 * v * v - t5 * alpha - t6 * alpha ** 2) / t1
                 for v in (0.0, v_lim.min())]
@@ -202,7 +206,7 @@ def random_route(rng, n, mode, bounded):
         x=x, alpha=alpha, v_lim=v_lim, T_f=x[-1] / v_c * float(rng.uniform(1.001, 1.5)),
         vdot_lim=float(rng.uniform(0.3, 2.0)), model=model,
         eff=EfficiencyParams(float(rng.uniform(1.0, 1.3)), float(rng.uniform(0.6, 1.0))),
-        mode=mode, u_lim=u_lim)
+        u_lim=u_lim)
 
 
 def climb_route(u_lim, start, length, grade=0.05):
@@ -229,7 +233,7 @@ def solve_or_confirm_infeasible(p):
 
 routes = st.builds(
     random_route, st.integers(0, 2**32 - 1).map(np.random.default_rng),
-    st.integers(2, 40), st.sampled_from(["pseudo", "full"]), st.booleans())
+    st.integers(2, 40), st.booleans(), st.booleans())
 
 
 # -- tests ---------------------------------------------------------------------
@@ -261,10 +265,10 @@ class TestObjective:
         np.testing.assert_allclose(parts["eta"], [0.8, 0.8], rtol=1e-12)
 
     def test_pseudo_mode_constant_speed_costs_nothing(self):
+        # The unit gray box scores only speed changes.
         p = tempo.TOProblem(x=np.array([0.0, 50.0, 100.0]), alpha=np.zeros(2),
                             v_lim=np.array([15.0, 15.0]), T_f=30.0,
-                            vdot_lim=10.0, model=None,
-                            eff=EfficiencyParams(), mode="pseudo")
+                            vdot_lim=10.0, model=unit_model(), eff=EfficiencyParams())
         E, parts = tempo.evaluate_objective(p, constant_speed(p, 10.0))
         assert E == 0.0
         np.testing.assert_array_equal(parts["u_r"], [0.0, 0.0])
@@ -272,21 +276,20 @@ class TestObjective:
     def test_rejects_bad_durations(self):
         p = tempo.TOProblem(x=np.array([0.0, 50.0, 100.0]), alpha=np.zeros(2),
                             v_lim=np.array([15.0, 15.0]), T_f=30.0,
-                            vdot_lim=10.0, model=None,
-                            eff=EfficiencyParams(), mode="pseudo")
+                            vdot_lim=10.0, model=unit_model(), eff=EfficiencyParams())
         with pytest.raises(ValueError):
             tempo.evaluate_objective(p, np.array([25.0, 25.0]))
         with pytest.raises(ValueError):
             tempo.evaluate_objective(p, np.array([25.0, -1.0, 25.0]))
 
     def test_speed_up_and_brake_back_costs_the_efficiency_loss(self):
-        # Pseudo mode on a flat road: with the kinetic energy at the ends
-        # charged at par, accelerating by dz and braking back costs
+        # The unit gray box on a flat road: with the kinetic energy at the
+        # ends charged at par, accelerating by dz and braking back costs
         # (g - 1) dz / 2 + (1 - r) dz / 2.
         p = tempo.TOProblem(x=np.array([0.0, 50.0, 100.0]), alpha=np.zeros(2),
                             v_lim=np.array([15.0, 15.0]), T_f=30.0,
-                            vdot_lim=10.0, model=None,
-                            eff=EfficiencyParams(1.1, 0.9), mode="pseudo")
+                            vdot_lim=10.0, model=unit_model(),
+                            eff=EfficiencyParams(1.1, 0.9))
         E, _ = tempo.evaluate_objective(p, np.array([100.0, 200.0, 100.0]))
         assert E == pytest.approx(0.1 * 50.0 + 0.1 * 50.0, rel=1e-12)
 
@@ -298,7 +301,7 @@ class TestBuildProblem:
         slope = PositionProfile(np.array([0.0, 1000.0]),
                                 np.array([0.01, 0.03]), "linear")
         p = tempo.build_problem(1000.0, 10, 200.0, slope, v_limit,
-                                None, mode="pseudo", vdot_lim=1.0)
+                                unit_model(), vdot_lim=1.0)
         assert p.x.size == 11 and p.n_segments == 10
         np.testing.assert_allclose(p.x, np.linspace(0.0, 1000.0, 11))
         np.testing.assert_allclose(p.alpha, 0.01 + 0.02 * p.x[:-1] / 1000.0)
@@ -307,9 +310,10 @@ class TestBuildProblem:
         np.testing.assert_allclose(p.v_lim[4:], 10.0)
 
     def test_infeasible_budget_raises_upfront(self):
-        with pytest.raises(InfeasibleError):
-            tempo.build_problem(1000.0, 5, 60.0, FLAT, flat_limit(15.0),
-                                None, mode="pseudo")
+        # 1 km at the 15 m/s cap takes 66.7 s: the fastest plan misses 60 s.
+        p = tempo.build_problem(1000.0, 5, 60.0, FLAT, flat_limit(15.0), unit_model())
+        with pytest.raises(InfeasibleError, match="no plan meets"):
+            tempo.solve(p)
 
     @pytest.mark.parametrize("field", ["T_f", "vdot_lim", "u_lim", "v_lim", "alpha"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -320,37 +324,34 @@ class TestBuildProblem:
         with pytest.raises(ValueError, match="must be finite"):
             dataclasses.replace(p, **{field: value})
         with pytest.raises(ValueError, match="must be finite"):
-            dataclasses.replace(p, mode="pseudo", model=None, **{field: value})
+            dataclasses.replace(p, model=unit_model(), **{field: value})
+
+    def test_requires_a_model(self):
+        p = tempo.build_problem(100.0, 2, 20.0, FLAT, flat_limit(15.0), unit_model())
+        with pytest.raises(ValueError, match="model must be a GrayBoxModel"):
+            dataclasses.replace(p, model=None)
 
     def test_problem_is_frozen(self):
-        p = tempo.build_problem(100.0, 2, 20.0, FLAT, flat_limit(15.0), None,
-                                mode="pseudo")
+        p = tempo.build_problem(100.0, 2, 20.0, FLAT, flat_limit(15.0), unit_model())
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.T_f = 5.0
 
-    def test_h_min(self):
-        p = tempo.build_problem(100.0, 4, 20.0, FLAT, flat_limit(12.5), None,
-                                mode="pseudo")
-        np.testing.assert_allclose(p.h_min, 2.0)
-
     def test_dx_and_h_min_are_computed_once_and_read_only(self):
-        p = tempo.build_problem(100.0, 4, 20.0, FLAT, flat_limit(12.5), None,
-                                mode="pseudo")
-        assert p.dx is p.dx and p.h_min is p.h_min
+        p = tempo.build_problem(100.0, 4, 20.0, FLAT, flat_limit(12.5), unit_model())
+        assert p.dx is p.dx
         np.testing.assert_array_equal(p.dx, np.diff(p.x))
-        for arr in (p.dx, p.h_min):
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
+        with pytest.raises(ValueError):
+            p.dx[0] = 1.0
 
 
 class TestInit:
     def test_uniform_when_caps_are_loose(self):
         # The barrier starts from one constant speed strictly inside every
-        # row and the budget; pseudo mode on a flat road then keeps the
-        # durations uniform, as every constant speed costs nothing.
+        # row and the budget; the unit gray box on a flat road then keeps
+        # the durations uniform, as every constant speed costs nothing.
         p = tempo.TOProblem(x=np.linspace(0.0, 100.0, 5), alpha=np.zeros(4),
                             v_lim=np.full(4, 100.0), T_f=8.0, vdot_lim=10.0,
-                            model=None, eff=EfficiencyParams(), mode="pseudo")
+                            model=unit_model(), eff=EfficiencyParams())
         bar = tempo._Barrier(p, constant_speed(p, 12.5))
         z0 = bar.start()
         assert np.ptp(z0) == 0.0 and bar.slack(z0).min() > 0.0
@@ -390,10 +391,10 @@ class TestSolve:
                                    rtol=1e-12)
 
     def test_two_segment_optimum_keeps_constant_speed(self):
-        # Pseudo mode scores only speed changes, so every constant speed
-        # within the budget is optimal and costs nothing.
-        p = tempo.build_problem(100.0, 2, 9.0, FLAT, flat_limit(15.0), None,
-                                mode="pseudo", vdot_lim=10.0)
+        # The unit gray box scores only speed changes, so every constant
+        # speed within the budget is optimal and costs nothing.
+        p = tempo.build_problem(100.0, 2, 9.0, FLAT, flat_limit(15.0), unit_model(),
+                                vdot_lim=10.0)
         sol = tempo.solve(p)
         assert sol.feasible and sol.exit == "gap" and sol.gap_rel <= 1e-8
         assert 0.0 <= sol.E <= sol.gap
@@ -434,18 +435,17 @@ class TestSolve:
 
     def test_tight_budget_pins_the_caps(self):
         p = tempo.build_problem(500.0, 10, 500.0 / 12.5, FLAT,
-                                flat_limit(12.5), None, mode="pseudo",
-                                vdot_lim=5.0)
+                                flat_limit(12.5), unit_model(), vdot_lim=5.0)
         sol = tempo.solve(p)
         assert sol.feasible
-        np.testing.assert_allclose(sol.h, p.h_min, rtol=1e-6)
+        np.testing.assert_allclose(sol.h, p.dx / p.v_lim, rtol=1e-6)
 
     def test_unreachable_acceleration_bound_flags_infeasible(self):
         # cap drops mid-segment: 25 -> 2.5 needs |vdot| far above 0.5
         v_limit = PositionProfile(np.array([0.0, 75.0]),
                                   np.array([25.0, 2.5]), "constant")
-        p = tempo.build_problem(100.0, 2, 22.4, FLAT, v_limit, None,
-                                mode="pseudo", vdot_lim=0.5)
+        p = tempo.build_problem(100.0, 2, 22.4, FLAT, v_limit, unit_model(),
+                                vdot_lim=0.5)
         with pytest.raises(InfeasibleError, match="no plan meets"):
             tempo.solve(p)
 
@@ -594,10 +594,10 @@ class TestProperties:
         np.testing.assert_allclose(sol.h, segment_time(p, sol.z)[0], rtol=1e-12)
         assert sol.E == tempo.evaluate_objective(p, sol.z)[0]
 
-    # Pseudo mode is left out: any constant speed within the budget is
-    # optimal there, and Kelley's cuts crawl along that flat optimum.
+    # The unit gray box is left out: any constant speed within the budget
+    # is optimal there, and Kelley's cuts crawl along that flat optimum.
     @settings(max_examples=15, deadline=None)
-    @given(p=routes.filter(lambda p: p.n_segments <= 15 and p.mode == "full"))
+    @given(p=routes.filter(lambda p: p.n_segments <= 15 and p.model.theta[0] != 1.0))
     def test_energy_agrees_with_the_cutting_plane_oracle(self, p):
         sol = solve_or_confirm_infeasible(p)
         if sol is None:
@@ -619,7 +619,7 @@ class TestProperties:
         s = 0.5 / p.dx
         cons = [{"type": "ineq", "fun": lambda z: p.T_f - segment_time(p, z)[0].sum()},
                 {"type": "ineq", "fun": lambda z: p.vdot_lim - np.abs(s * np.diff(z))}]
-        if p.mode == "full" and p.u_lim is not None:
+        if p.u_lim is not None:
             cons.append({"type": "ineq",
                          "fun": lambda z: p.u_lim - np.abs(al * z[:-1] + be * z[1:] + ga)})
         caps = node_caps(p)
@@ -649,6 +649,23 @@ class TestProperties:
                 tempo.solve(p)
             return
         assert_exact_verdict(p, segment_time(p, z)[0].sum())
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40))
+    def test_unit_model_scores_the_acceleration(self, seed, n):
+        # The unit gray box plans the acceleration itself at mass 1: u = a
+        # bit for bit, at any z, and so the energy of the acceleration.
+        rng = np.random.default_rng(seed)
+        p = random_route(rng, n, True, False)
+        z = rng.uniform(0.01, 1.0, n + 1) * node_caps(p)
+        for k in np.flatnonzero(rng.random(n) < 0.3):
+            z[k + 1] = z[k]
+        E, parts = tempo.evaluate_objective(p, z)
+        a = np.diff(z) / (2.0 * p.dx)
+        assert p.mass == 1.0
+        assert parts["u_r"].tobytes() == parts["a_r"].tobytes() == a.tobytes()
+        eta = step_efficiency(a, p.eff.gen_factor, p.eff.regen_factor)
+        assert E == float(np.sum(p.dx * eta * a)) + 0.5 * float(z[0] - z[-1])
 
     @settings(max_examples=30, deadline=None)
     @given(p=routes)
@@ -680,8 +697,8 @@ class TestProperties:
 
 class TestSolutionIO:
     def test_csv_round_trip(self, tmp_path):
-        p = tempo.build_problem(100.0, 2, 9.0, FLAT, flat_limit(15.0), None,
-                                mode="pseudo", vdot_lim=10.0)
+        p = tempo.build_problem(100.0, 2, 9.0, FLAT, flat_limit(15.0), unit_model(),
+                                vdot_lim=10.0)
         sol = tempo.solve(p)
         path = tmp_path / "plan.csv"
         sol.to_csv(path, p)
@@ -695,8 +712,8 @@ class TestSolutionIO:
         assert float(meta["gap_rel"]) == sol.gap_rel
 
     def test_reference_csv_holds_the_node_rows(self, tmp_path):
-        p = tempo.build_problem(100.0, 2, 9.0, FLAT, flat_limit(15.0), None,
-                                mode="pseudo", vdot_lim=10.0)
+        p = tempo.build_problem(100.0, 2, 9.0, FLAT, flat_limit(15.0), unit_model(),
+                                vdot_lim=10.0)
         ref = tempo.reference(tempo.solve(p), p)
         path = tmp_path / "reference.csv"
         ref.to_csv(path)
