@@ -220,6 +220,8 @@ def scenario_from_config(cfg: dict[str, str]) -> Scenario:
                      "sim_h", "rho_I", "rho_u", "ctrl_u_lim"):
         if not getattr(sc, positive) > 0:
             raise ConfigError(f"{positive} must be positive")
+    if round(sc.est_duration / sc.est_h) < 9:
+        raise ConfigError("est.duration / est.h must give the 10 samples a fit needs")
     if sc.to_n < 2 or sc.grid_n < 2 or sc.sim_substeps < 1:
         raise ConfigError("to.N and ctrl.grid_n must be >= 2, sim.substeps >= 1")
     if sc.to_u_lim is not None and not sc.to_u_lim > 0:

@@ -6,7 +6,7 @@ dv/dt = a(v) dv + b du (a = th3 + 2 th4 v, b = th1) is discretized
 exactly (:func:`modru.lqr.c2d_zoh`), augmented with a summed-error state,
 and the Riccati equation solved for (K_P, K_I).  The stored integral time
 T_I = K_P / K_I is in samples.  Between nodes (K_P, T_I) interpolate
-linearly with endpoint hold.
+linearly with endpoint hold; the tracker reads them along its sampled reference.
 
 The PI is realized in anti-windup form: the integral channel is a
 first-order filter F_s(q) = 1 / (1 + (q - 1) T_I) driven by the
@@ -23,12 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lqr import c2d_zoh, dare_solve
-from .plant import PositionProfile
 from .sysid import GrayBoxModel
 from .tables import write_csv
-
-DEFAULT_RHO_I = 0.01
-DEFAULT_RHO_U = 10.0
 
 
 @dataclass(frozen=True)
@@ -39,8 +35,8 @@ class GainSchedule:
     K_P: np.ndarray
     T_I: np.ndarray
     h: float
-    rho_I: float = DEFAULT_RHO_I
-    rho_u: float = DEFAULT_RHO_U
+    rho_I: float
+    rho_u: float
 
     def __post_init__(self):
         v = np.asarray(self.v_grid, dtype=float)
@@ -57,13 +53,11 @@ class GainSchedule:
             raise ValueError("integral times must be positive")
         if self.h <= 0:
             raise ValueError("sample time must be positive")
-        # Scalar twins of np.interp over the grid (see plant.PositionProfile).
-        object.__setattr__(self, "_kp_at", PositionProfile(v, kp).at)
-        object.__setattr__(self, "_ti_at", PositionProfile(v, ti).at)
 
-    def gains(self, v_ref: float) -> tuple[float, float]:
-        """Interpolated (K_P, T_I) at the reference velocity (endpoints hold)."""
-        return self._kp_at(v_ref), self._ti_at(v_ref)
+    def gains(self, v_ref):
+        """Interpolated (K_P, T_I) at reference velocities (endpoints hold)."""
+        return (np.interp(v_ref, self.v_grid, self.K_P),
+                np.interp(v_ref, self.v_grid, self.T_I))
 
     def to_csv(self, path) -> None:
         write_csv(path, ["v_r", "K_P", "T_I"], [self.v_grid, self.K_P, self.T_I],
@@ -79,8 +73,7 @@ def feedforward(v_ref, a_ref, alpha, model: GrayBoxModel):
 
 
 def build_gain_schedule(model: GrayBoxModel, v_grid: np.ndarray, h: float,
-                        rho_I: float = DEFAULT_RHO_I,
-                        rho_u: float = DEFAULT_RHO_U) -> GainSchedule:
+                        rho_I: float, rho_u: float) -> GainSchedule:
     """LQ-design PI gains at each grid node of the linearized gray box.
 
     Stage cost: dv^2 + rho_I * dv_I^2 + rho_u * du^2, where dv_I sums the
@@ -110,10 +103,10 @@ def build_gain_schedule(model: GrayBoxModel, v_grid: np.ndarray, h: float,
 
 
 def control_step(w: float, v_ref: float, v: float, u_ff: float,
-                 schedule: GainSchedule, u_lim: float
+                 kp: float, ti: float, u_lim: float
                  ) -> tuple[float, float, float, float]:
-    """One feedback update on the anti-windup integral channel ``w``
-    [input units, 0 at episode start].
+    """One feedback update with gains (``kp``, ``ti``) = ``GainSchedule.gains(v_ref)``
+    on the anti-windup integral channel ``w`` [input units, 0 at episode start].
 
     Returns (u, u_s, du, w_next): the unsaturated command, the saturated
     command, the feedback share du = u_s - u_ff, and the next ``w``.
@@ -123,7 +116,6 @@ def control_step(w: float, v_ref: float, v: float, u_ff: float,
             raise ValueError("non-finite controller input")
     if u_lim <= 0:
         raise ValueError("u_lim must be positive")
-    kp, ti = schedule.gains(v_ref)
     e = v_ref - v
     u = u_ff + kp * e + w
     u_s = min(max(u, -u_lim), u_lim)

@@ -77,11 +77,12 @@ def stage_dataset(sc: Scenario) -> sysid.Dataset:
     bit = max(1, int(round(40.0 / sc.est_h)))
     n_bits = n // bit + 1
     prbs = np.where(rng.random(n_bits) < 0.5, -1.0, 1.0)
-    u = u + 0.05 * float(levels.mean()) * np.repeat(prbs, bit)[:n]
+    u = (u + 0.05 * float(levels.mean()) * np.repeat(prbs, bit)[:n]).tolist()
 
     slope = excitation_slope(sc)
     x0 = PlantState(s=0.0, v=0.5 * v_max, u_m=u[0])
-    traj = simulate(sc.plant_params, u, slope, x0, h=sc.est_h, substeps=2,
+    traj = simulate(sc.plant_params, lambda k, s, v: (u[k], u[k], 0.0),
+                    slope, x0, h=sc.est_h, n=n, substeps=2,
                     efficiency=(sc.eff_gen, sc.eff_regen))
     if traj.n_velocity_clamps > 0.1 * traj.v.size:
         raise EstimationError(
@@ -131,17 +132,18 @@ def stage_track(sc: Scenario, model: sysid.GrayBoxModel,
     n = int(math.ceil(t_end / h)) + max(20, int(0.05 * t_end / h))
     t_grid = np.arange(n + 1) * h
     v_ref, a_ref = ref.sample(t_grid)
+    kps, tis = (g.tolist() for g in schedule.gains(v_ref))
 
     w = 0.0   # the controller's anti-windup channel
     v_refs, a_refs, slope_at = v_ref.tolist(), a_ref.tolist(), sc.slope.at
 
-    def callback(k, t, s, v):
+    def callback(k, s, v):
         nonlocal w
         # Feedforward re-inverted on line: reference kinematics at the
         # current sample, grade at the measured position.
         u_ff = ctl.feedforward(v_refs[k], a_refs[k], slope_at(s), model)
         u, u_s, du, w = ctl.control_step(
-            w, v_refs[k], v, u_ff, schedule, sc.ctrl_u_lim)
+            w, v_refs[k], v, u_ff, kps[k], tis[k], sc.ctrl_u_lim)
         return u, u_s, du
 
     # The truck's lagged motor starts at the first feedforward input, so
@@ -159,17 +161,13 @@ def stage_track(sc: Scenario, model: sysid.GrayBoxModel,
 
     cross = np.nonzero(traj.s >= sc.path_length)[0]
     if cross.size:
+        # The run starts at s = 0 < path_length, so k_c >= 1.
         k_c = int(cross[0])
-        if k_c == 0:
-            t_cross = 0.0
-        else:
-            frac = (sc.path_length - traj.s[k_c - 1]) / (traj.s[k_c] - traj.s[k_c - 1])
-            t_cross = traj.t[k_c - 1] + frac * h
+        frac = (sc.path_length - traj.s[k_c - 1]) / (traj.s[k_c] - traj.s[k_c - 1])
+        t_cross = traj.t[k_c - 1] + frac * h
         # Energy up to the crossing: whole intervals plus the fraction.
-        e_real = float(np.sum(traj.P[:k_c - 1] * h)) + float(traj.P[k_c - 1]) * frac * h \
-            if k_c > 0 else 0.0
-        v_end = float(traj.v[k_c - 1] + frac * (traj.v[k_c] - traj.v[k_c - 1])) \
-            if k_c > 0 else float(traj.v[0])
+        e_real = float(np.sum(traj.P[:k_c - 1] * h)) + float(traj.P[k_c - 1]) * frac * h
+        v_end = float(traj.v[k_c - 1] + frac * (traj.v[k_c] - traj.v[k_c - 1]))
     else:
         t_cross = math.inf
         e_real = float(np.sum(traj.P[:-1] * h))

@@ -19,9 +19,9 @@ Two plants are provided:
   where the power is clamped to ``[u_min, u_max]`` and the acceleration
   to ``[-a_lim, a_lim]``.  The division uses ``max(v, v_eps)``.
 
-Inputs are held constant over each sampling interval (zero-order hold);
-the continuous dynamics are integrated with classical RK4 inside each
-interval.
+A controller callback issues one command per sampling interval, held
+constant over it (zero-order hold); the continuous dynamics are
+integrated with classical RK4 inside each interval.
 """
 
 from __future__ import annotations
@@ -263,17 +263,17 @@ def _rk4(rhs, s, v, um, u, dt, substeps):
     return s, v, um
 
 
-def simulate(params: TruckParams | CarParams, inputs, slope: PositionProfile,
-             x0: PlantState = PlantState(), h: float = 0.5, n: int | None = None,
+def simulate(params: TruckParams | CarParams, controller, slope: PositionProfile,
+             x0: PlantState = PlantState(), h: float = 0.5, *, n: int,
              substeps: int = 1, efficiency: tuple[float, float] = (1.1, 0.9)) -> Trajectory:
-    """Simulate the plant under zero-order-hold commands.
+    """Simulate ``n`` sampling intervals under zero-order-hold commands.
 
-    ``inputs`` is either an array of model-unit commands (truck: torque
-    [N m]; car: traction force [N]) applied open loop, or a callable
-    ``controller(k, t, s, v) -> (u_raw, u_sat, du)`` evaluated once per
-    sampling interval.  For the car the force command is converted to a
-    power command ``u_sat * max(v, V_EPS)`` at the start of each interval
-    and clamped to the plant's power bounds.
+    ``controller(k, s, v) -> (u_raw, u_sat, du)`` is evaluated once per
+    interval, at its start, and returns model-unit commands (truck: torque
+    [N m]; car: traction force [N]); an open-loop run returns a held
+    sequence with ``du = 0``.  For the car the force command is converted
+    to a power command ``u_sat * max(v, V_EPS)``, which the dynamics clamp
+    to the plant's power bounds.
 
     Integration uses ``substeps`` RK4 steps per sampling interval.
     Velocity is kept non-negative by clamping (counted on the returned
@@ -282,34 +282,19 @@ def simulate(params: TruckParams | CarParams, inputs, slope: PositionProfile,
     """
     if h <= 0 or substeps < 1:
         raise ValueError("h must be positive, substeps >= 1")
-    controller = inputs if callable(inputs) else None
-    if controller is None:
-        inputs = np.asarray(inputs, dtype=float)
-        if n is None:
-            n = inputs.size
-        if inputs.size < n:
-            raise ValueError("input sequence shorter than horizon")
-    elif n is None:
-        raise ValueError("n is required with a controller callback")
 
     is_truck = isinstance(params, TruckParams)
     rhs = (_truck_rhs if is_truck else _car_rhs)(params, slope.at)
     gen, regen = efficiency
     dt = h / substeps
     t = np.arange(n + 1) * h
-    t_list = t.tolist()
-    u_in = None if controller is not None else inputs[:n].tolist()
     s, v, u_arr, us_arr, du_arr, um_arr = (np.empty(n + 1) for _ in range(6))
     clamps = 0
 
     sk, vk, umk = float(x0.s), float(x0.v), float(x0.u_m)
     for k in range(n):
         s[k], v[k], um_arr[k] = sk, vk, umk
-        if controller is not None:
-            u_raw, u_sat, du = controller(k, t_list[k], sk, vk)
-        else:
-            u_raw = u_sat = u_in[k]
-            du = 0.0
+        u_raw, u_sat, du = controller(k, sk, vk)
         if not (math.isfinite(u_raw) and math.isfinite(u_sat)):
             raise SimulationDivergence(f"non-finite command at step {k}")
         u_arr[k], us_arr[k], du_arr[k] = u_raw, u_sat, du
@@ -319,14 +304,13 @@ def simulate(params: TruckParams | CarParams, inputs, slope: PositionProfile,
                 umk = u_sat
             sk, vk, umk = _rk4(rhs, sk, vk, umk, u_sat, dt, substeps)
         else:
-            u_power = min(max(u_sat * max(vk, V_EPS), params.u_min), params.u_max)
-            sk, vk, _ = _rk4(rhs, sk, vk, 0.0, u_power, dt, substeps)
+            sk, vk, _ = _rk4(rhs, sk, vk, 0.0, u_sat * max(vk, V_EPS), dt, substeps)
         if vk < 0.0:
             vk = 0.0
             clamps += 1
         # Negated <= so that a NaN velocity raises as well.
         if not abs(vk) <= V_DIVERGED or not math.isfinite(sk):
-            raise SimulationDivergence(f"velocity diverged at t={t_list[k + 1]:.3f}")
+            raise SimulationDivergence(f"velocity diverged at t={(k + 1) * h:.3f}")
     s[n], v[n], um_arr[n] = sk, vk, umk
     # Hold the last command in the terminal sample so columns stay aligned.
     for col in (u_arr, us_arr, du_arr):

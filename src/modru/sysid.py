@@ -216,13 +216,16 @@ class GrayBoxFit:
 def equation_error_init(data: Dataset, mask: np.ndarray) -> np.ndarray:
     """Linear-regression warm start: fit finite-difference accelerations."""
     h = data.h
-    dv = np.diff(data.v) / h
-    v = 0.5 * (data.v[:-1] + data.v[1:])
     u = data.u[:-1]
     a = data.alpha[:-1]
-    cols = [u, np.ones_like(u), v, v * v, a, a * a]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dv = np.diff(data.v) / h
+        v = 0.5 * (data.v[:-1] + data.v[1:])
+        cols = [u, np.ones_like(u), v, v * v, a, a * a]
     mask = np.asarray(mask, dtype=bool)
     phi = np.stack([c for c, m in zip(cols, mask) if m], axis=1)
+    if not (np.isfinite(phi).all() and np.isfinite(dv).all()):
+        raise EstimationError("gray-box warm-start regressors overflow")
     sol, _, rank, _ = np.linalg.lstsq(phi, dv, rcond=None)
     if rank < phi.shape[1]:
         raise EstimationError("gray-box warm-start regression is rank deficient")

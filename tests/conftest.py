@@ -14,6 +14,8 @@ compare test by test only when neither changes.
 ``--hypothesis-profile=explore`` draws fresh random examples.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -23,6 +25,18 @@ from modru import config, harness
 settings.register_profile("tier1", derandomize=True)
 settings.register_profile("explore")
 settings.load_profile("tier1")
+
+
+@pytest.hookimpl(hookwrapper=True, tryfirst=True)
+def pytest_runtest_makereport(item, call):
+    # On a failing property Hypothesis's pytest plugin imports libcst, where
+    # installed, to write a patch file.  libcst 1.0's import warns through
+    # mypy_extensions, and under -W error::DeprecationWarning that warning
+    # aborts the whole session instead of reporting the one failed test.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated",
+                                DeprecationWarning)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -305,13 +305,14 @@ class TestCli:
         ("plan", "est.hold = nan", []),
         ("plan", "plant.m = nan", []),
         ("simulate", "est.noise = -1", []),
+        ("simulate", "est.duration = 1", []),
         ("simulate", "seed = -1", []),
         ("simulate", "", ["--seed", "-1"]),
         ("pipeline", "", ["--seed", "-1"]),
         ("robustness", "", ["--seed", "-1", "--taus", "0"]),
     ], ids=["T_f_nan", "u_lim", "gamma", "gen", "regen_high", "regen_zero", "mask", "M_one",
             "M_negative", "mode_pseudo", "fit_efficiency", "slope_inf", "vlim_nan",
-            "hold_nan", "plant_m_nan", "noise",
+            "hold_nan", "plant_m_nan", "noise", "duration_short",
             "seed_key", "seed_flag_simulate", "seed_flag_pipeline", "seed_flag_robustness"])
     def test_bad_config_values_fail_before_any_work(self, tmp_path, capsys,
                                                     command, lines, flags):
@@ -335,6 +336,14 @@ class TestCli:
         _, cols, _ = read_csv(out / "dataset.csv")
         # 120 s at the car step of 0.2 s, grid inclusive of both ends
         assert cols["t"].size == 601
+
+    def test_overflowing_warm_start_is_a_numerical_failure(self, tmp_path, capsys):
+        # Noise this large overflows v * v in the warm-start regressors.
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("plant.type = car\nest.noise = 1e300\n")
+        rc = cli.main(["estimate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 3
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_infeasible_budget_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "run.conf"

@@ -17,6 +17,12 @@ from modru.tables import read_csv
 FLAT = PositionProfile([0.0], [0.0], "constant")
 
 
+def open_loop(u):
+    """Controller callback applying the commands ``u`` open loop."""
+    u = np.asarray(u, dtype=float).tolist()
+    return lambda k, s, v: (u[k], u[k], 0.0)
+
+
 def balance_torque(p: TruckParams, v: float) -> float:
     """Motor torque holding speed v on flat road."""
     force = p.c_r * p.m * p.g + 0.5 * p.rho_a * p.c_d * p.A_f * v * v
@@ -79,8 +85,8 @@ def test_step_efficiency_regimes():
 
 class TestTruck:
     def test_zero_input_flat_road_stays_at_rest(self):
-        traj = simulate(TruckParams(), np.zeros(50), FLAT,
-                        PlantState(s=0.0, v=0.0, u_m=0.0), h=0.5)
+        traj = simulate(TruckParams(), open_loop(np.zeros(50)), FLAT,
+                        PlantState(s=0.0, v=0.0, u_m=0.0), h=0.5, n=50)
         np.testing.assert_array_equal(traj.v, 0.0)
         np.testing.assert_array_equal(traj.s, 0.0)
 
@@ -88,24 +94,24 @@ class TestTruck:
         p = TruckParams()
         u_bal = balance_torque(p, 20.0)
         assert u_bal == pytest.approx(364.44)
-        traj = simulate(p, np.full(200, u_bal), FLAT,
-                        PlantState(s=0.0, v=20.0, u_m=u_bal), h=0.5, substeps=2)
+        traj = simulate(p, open_loop(np.full(200, u_bal)), FLAT,
+                        PlantState(s=0.0, v=20.0, u_m=u_bal), h=0.5, n=200, substeps=2)
         np.testing.assert_allclose(traj.v, 20.0, atol=1e-9)
 
     def test_motor_lag_first_order(self):
         # With v pinned by a balance torque step, u_m approaches the
         # command as 1 - exp(-t / T_m).
         p = TruckParams(T_m=2.0)
-        traj = simulate(p, np.full(100, 1000.0), FLAT,
-                        PlantState(s=0.0, v=5.0, u_m=0.0), h=0.05, substeps=4)
+        traj = simulate(p, open_loop(np.full(100, 1000.0)), FLAT,
+                        PlantState(s=0.0, v=5.0, u_m=0.0), h=0.05, n=100, substeps=4)
         expect = 1000.0 * (1.0 - math.exp(-traj.t[40] / p.T_m))
         assert traj.u_m[40] == pytest.approx(expect, rel=1e-6)
 
     def test_lag_free_limit_tracks_command(self):
         # u_m[0] logs the initial state; tracking starts one sample in
         p = TruckParams(T_m=0.0)
-        traj = simulate(p, np.full(10, 500.0), FLAT,
-                        PlantState(s=0.0, v=10.0, u_m=0.0), h=0.5)
+        traj = simulate(p, open_loop(np.full(10, 500.0)), FLAT,
+                        PlantState(s=0.0, v=10.0, u_m=0.0), h=0.5, n=10)
         np.testing.assert_allclose(traj.u_m[1:], 500.0)
 
     def test_gravity_decelerates_uphill(self):
@@ -120,7 +126,8 @@ class TestTruck:
         # v clamped at zero in the force balance leaves s frozen at 0 and v
         # NaN; the divergence guard must still see it.
         with pytest.raises(SimulationDivergence):
-            simulate(TruckParams(), np.zeros(5), FLAT, PlantState(v=math.nan))
+            simulate(TruckParams(), open_loop(np.zeros(5)), FLAT, PlantState(v=math.nan),
+                     n=5)
 
 
 class TestCar:
@@ -139,8 +146,8 @@ class TestCar:
     def test_force_command_drives_forward(self):
         # simulate() converts a traction-force command to power at the
         # interval-start velocity.
-        traj = simulate(CarParams(), np.full(50, 500.0), FLAT,
-                        PlantState(s=0.0, v=10.0), h=0.2)
+        traj = simulate(CarParams(), open_loop(np.full(50, 500.0)), FLAT,
+                        PlantState(s=0.0, v=10.0), h=0.2, n=50)
         assert traj.v[-1] > 10.0
         assert np.all(np.diff(traj.s) > 0)
 
@@ -148,61 +155,47 @@ class TestCar:
         # The velocity floor turns NaN into zero force velocity, so only the
         # divergence guard can catch it.
         with pytest.raises(SimulationDivergence):
-            simulate(CarParams(), np.zeros(5), FLAT, PlantState(v=math.nan))
+            simulate(CarParams(), open_loop(np.zeros(5)), FLAT, PlantState(v=math.nan), n=5)
 
 
 class TestSimulate:
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            simulate(TruckParams(), np.zeros(5), FLAT, h=0.0)
-        with pytest.raises(ValueError):
-            simulate(TruckParams(), lambda k, t, s, v: (0.0, 0.0, 0.0), FLAT)
-        with pytest.raises(ValueError):
-            simulate(TruckParams(), np.zeros(5), FLAT, n=10)
+            simulate(TruckParams(), open_loop(np.zeros(5)), FLAT, h=0.0, n=5)
 
     def test_divergence_guard(self):
         # a sustained drive force this large settles above the velocity
         # guard, so the integrator bails out within a few steps
         with pytest.raises(SimulationDivergence):
-            simulate(TruckParams(T_m=0.0), np.full(120, 1.3e6), FLAT,
-                     PlantState(v=1.0), h=0.5)
-
-    def test_callback_matches_open_loop(self):
-        u = np.linspace(100.0, 400.0, 30)
-        p = TruckParams()
-        x0 = PlantState(v=12.0, u_m=u[0])
-        a = simulate(p, u, FLAT, x0, h=0.5)
-        b = simulate(p, lambda k, t, s, v: (float(u[k]), float(u[k]), 0.0),
-                     FLAT, x0, h=0.5, n=30)
-        np.testing.assert_array_equal(a.v, b.v)
-        np.testing.assert_array_equal(a.s, b.s)
+            simulate(TruckParams(T_m=0.0), open_loop(np.full(120, 1.3e6)), FLAT,
+                     PlantState(v=1.0), h=0.5, n=120)
 
     def test_substep_refinement_converges(self):
         slope = PositionProfile(np.array([0.0, 500.0, 1000.0]),
                                 np.array([0.0, 0.03, -0.01]), "linear")
-        u = np.full(60, 900.0)
+        u = open_loop(np.full(60, 900.0))
         x0 = PlantState(v=15.0, u_m=900.0)
-        coarse = simulate(TruckParams(), u, slope, x0, h=0.5, substeps=1)
-        fine = simulate(TruckParams(), u, slope, x0, h=0.5, substeps=16)
+        coarse = simulate(TruckParams(), u, slope, x0, h=0.5, n=60, substeps=1)
+        fine = simulate(TruckParams(), u, slope, x0, h=0.5, n=60, substeps=16)
         assert np.max(np.abs(coarse.v - fine.v)) < 1e-5
 
     def test_velocity_clamp_counted(self):
-        traj = simulate(TruckParams(), np.zeros(40), FLAT,
-                        PlantState(v=0.5, u_m=0.0), h=1.0)
+        traj = simulate(TruckParams(), open_loop(np.zeros(40)), FLAT,
+                        PlantState(v=0.5, u_m=0.0), h=1.0, n=40)
         assert traj.n_velocity_clamps > 0
         assert traj.v.min() == 0.0
 
     def test_power_column_and_energy(self):
         p = TruckParams()
         u_bal = balance_torque(p, 20.0)
-        traj = simulate(p, np.full(20, u_bal), FLAT,
-                        PlantState(v=20.0, u_m=u_bal), h=0.5)
+        traj = simulate(p, open_loop(np.full(20, u_bal)), FLAT,
+                        PlantState(v=20.0, u_m=u_bal), h=0.5, n=20)
         # steady drive: P = gen * u * v
         np.testing.assert_allclose(traj.P[:-1], 1.1 * u_bal * 20.0, rtol=1e-9)
 
     def test_csv_round_trip_bit_exact(self, tmp_path):
-        traj = simulate(TruckParams(), np.linspace(200, 600, 25), FLAT,
-                        PlantState(v=17.3, u_m=200.0), h=0.5)
+        traj = simulate(TruckParams(), open_loop(np.linspace(200, 600, 25)), FLAT,
+                        PlantState(v=17.3, u_m=200.0), h=0.5, n=25)
         path = tmp_path / "traj.csv"
         traj.to_csv(path)
         header, cols, _ = read_csv(path)
@@ -260,10 +253,7 @@ def oracle_rk4(rhs, s, v, um, u, slope, p, dt, substeps):
     return s, v, um
 
 
-def oracle_simulate(params, inputs, slope, x0, h, n, substeps, efficiency):
-    controller = inputs if callable(inputs) else None
-    if controller is None:
-        inputs = np.asarray(inputs, dtype=float)
+def oracle_simulate(params, controller, slope, x0, h, n, substeps, efficiency):
     is_truck = isinstance(params, TruckParams)
     gen, regen = efficiency
     dt = h / substeps
@@ -283,11 +273,7 @@ def oracle_simulate(params, inputs, slope, x0, h, n, substeps, efficiency):
             um_arr[k] = umk
         if k == n:
             break
-        if controller is not None:
-            u_raw, u_sat, du = controller(k, t[k], sk, vk)
-        else:
-            u_raw = u_sat = float(inputs[k])
-            du = 0.0
+        u_raw, u_sat, du = controller(k, sk, vk)
         if not (math.isfinite(u_raw) and math.isfinite(u_sat)):
             raise SimulationDivergence(f"non-finite command at step {k}")
         u_arr[k], us_arr[k], du_arr[k] = u_raw, u_sat, du
@@ -383,21 +369,22 @@ class TestBitEquality:
         if closed_loop:
             u_lim = 1.2 * scale
 
-            def inputs(k, t, s, v):
+            def inputs(k, s, v):
                 # Proportional speed loop around a drifting target, saturated.
-                u = scale * (levels[k] + 0.5 * (10.0 + math.sin(0.1 * t) - v))
+                u = scale * (levels[k] + 0.5 * (10.0 + math.sin(0.1 * (k * h)) - v))
                 u_s = min(max(u, -u_lim), u_lim)
                 return u, u_s, u_s - scale * levels[k]
         else:
-            inputs = scale * np.array(levels)
-        args = (p, inputs, slope, x0, h, n, substeps, (1.1, 0.9))
+            inputs = open_loop(scale * np.array(levels))
+        args = (p, inputs, slope, x0, h)
+        kw = dict(n=n, substeps=substeps, efficiency=(1.1, 0.9))
         try:
-            want = oracle_simulate(*args)
+            want = oracle_simulate(*args, **kw)
         except SimulationDivergence:
             with pytest.raises(SimulationDivergence):
-                simulate(*args)
+                simulate(*args, **kw)
             return
-        got = simulate(*args)
+        got = simulate(*args, **kw)
         for name in ("t", "s", "v", "u", "u_s", "du", "P"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
                                           err_msg=name)
