@@ -3,7 +3,11 @@
 A run is configured in one place: the built-in truck or car scenario,
 changed by the ``section.key = value`` lines of one config file (``#``
 comments; later keys win), and the CLI's ``--seed``.  The environment
-is not read.  Profile-valued keys use ``pos:val, pos:val, ...`` pairs.
+is not read.  Profile-valued keys use ``pos:val, pos:val, ...`` pairs:
+``slope.breakpoints`` interpolates linearly between its pairs, and
+``vlim.breakpoints`` holds each speed limit, which must be positive, from
+its position to the next.  ``to.u_lim = none`` plans without an input
+bound.
 """
 
 from __future__ import annotations
@@ -56,10 +60,7 @@ def _parse_float(text: str) -> float:
 
 
 def _parse_optional_float(text: str) -> float | None:
-    t = text.strip().lower()
-    if t in ("", "none", "auto"):
-        return None
-    return _parse_float(text)
+    return None if text.strip().lower() == "none" else _parse_float(text)
 
 
 @dataclass
@@ -184,14 +185,12 @@ def scenario_from_config(cfg: dict[str, str]) -> Scenario:
         raise ConfigError(f"unknown plant.type {plant_type!r}")
 
     plant_over: dict[str, float] = {}
-    slope_kind = cfg.pop("slope.kind", "linear")
-    vlim_kind = cfg.pop("vlim.kind", "constant")
     for key, raw in cfg.items():
         if key == "slope.breakpoints":
-            sc.slope = parse_pairs(raw, slope_kind)
+            sc.slope = parse_pairs(raw, "linear")
             continue
         if key == "vlim.breakpoints":
-            sc.v_limit = parse_pairs(raw, vlim_kind)
+            sc.v_limit = parse_pairs(raw, "constant")
             continue
         plant = key.startswith("plant.")
         if not plant and key not in _KEYS:
@@ -220,8 +219,12 @@ def scenario_from_config(cfg: dict[str, str]) -> Scenario:
                      "sim_h", "rho_I", "rho_u", "ctrl_u_lim"):
         if not getattr(sc, positive) > 0:
             raise ConfigError(f"{positive} must be positive")
-    if round(sc.est_duration / sc.est_h) < 9:
-        raise ConfigError("est.duration / est.h must give the 10 samples a fit needs")
+    n_est = sc.est_duration / sc.est_h
+    if not (np.isfinite(n_est) and round(n_est) >= 9):
+        raise ConfigError("est.duration / est.h must be finite and give the 10 "
+                          "samples a fit needs")
+    if not np.all(sc.v_limit.values > 0):
+        raise ConfigError("every speed limit in vlim.breakpoints must be positive")
     if sc.to_n < 2 or sc.grid_n < 2 or sc.sim_substeps < 1:
         raise ConfigError("to.N and ctrl.grid_n must be >= 2, sim.substeps >= 1")
     if sc.to_u_lim is not None and not sc.to_u_lim > 0:

@@ -289,12 +289,6 @@ class _LstdWorkspace:
         self.I, self.J = _triu_maps(self.d)
         self.N = None
 
-    def collect(self, rollout_source, K: np.ndarray, n_samples: int):
-        """Load the batch ``rollout_source(K, n_samples)``."""
-        X, U, Xn = rollout_source(K, n_samples)
-        X, U = _state_input(X, U)
-        self.load(X, U, np.atleast_2d(np.asarray(Xn, dtype=float)), K)
-
     def load(self, X, U, Xn, K):
         """Copy in one batch of transitions collected under the gain K.
 
@@ -316,7 +310,7 @@ class _LstdWorkspace:
         Zn[n:] = -(Xn @ K.T).T
 
     def regress(self, cost: QuadCost) -> np.ndarray:
-        """Least-squares solution theta of the temporal-difference system
+        """Least-squares solution theta of the Bellman-residual system
         psi' theta = rho of the loaded batch, from its p x p normal equations.
 
         G = psi psi' and psi rho are one BLAS product each.  G is
@@ -382,7 +376,7 @@ class _CachedStart:
 
     The source must be a pure function of the gain (as
     :func:`linear_rollouts` is), so every call from K0 would collect the
-    same batch.  The batch is collected once, and its temporal-difference
+    same batch.  The batch is collected once, and its least-squares
     solution, linear in the stage cost, is split into theta_x (cost
     x' Q_x x) and theta_u (unit input weight, cost u'u): the first step of
     the cost with weight q is theta_x + q theta_u.  Only these two vectors
@@ -403,7 +397,7 @@ class _CachedStart:
         self.work = _LstdWorkspace(n, m)
         self.error = None
         try:
-            self.work.collect(rollout_source, self.K0, n_samples)
+            self.work.load(*rollout_source(self.K0, n_samples), self.K0)
             self.work.factorize()
         except NumericalError as exc:
             self.error = exc
@@ -434,16 +428,24 @@ def lqrl_policy_iteration(rollout_source, K0: np.ndarray, cost: QuadCost,
                           ) -> tuple[np.ndarray, QTheta]:
     """Model-free LQ policy iteration on one-step transition data.
 
-    ``rollout_source(K, n_samples)`` must return transition triples
-    (X, U, X_next) collected under the behavior u = -K x + exploration
-    noise; data are re-collected with the current policy each iteration.
-    Each iteration solves the least-squares temporal-difference system
+    ``rollout_source(K, n_samples)`` must return float arrays X (N, n),
+    U (N, m) and X_next (N, n), row k of X_next the successor of row k of
+    X under input row k of U, collected under the behavior u = -K x +
+    exploration noise; data are re-collected with the current policy each
+    iteration.  Each iteration solves the system
 
         stage(x_k, u_k) = phi(x_k, u_k)'theta - phi(x_k+1, -K x_k+1)'theta
 
-    for the quadratic Q-function and improves K from its blocks (LQ policy
+    for the quadratic Q-function by ordinary least squares on the
+    differences phi(z) - phi(z'), which minimises the Bellman residual
+    (Baird, ICML 1995), and improves K from its blocks (LQ policy
     iteration under persistent excitation: Bradtke, Ydstie & Barto, ACC
-    1994).  The regression is built feature-major on a workspace
+    1994).  Where z' is a function of z (every state observed, as at
+    tau = 0 in the servo sweep) the residual vanishes at the policy's
+    Q-function and the estimate equals LSTD-Q's; where a hidden lag makes
+    z' random given z, it is biased by the double-sampling problem
+    (Sutton & Barto, Reinforcement Learning, 2018, section 11.5).  The
+    regression is built feature-major on a workspace
     (:class:`_LstdWorkspace`): each of the p = d(d+1)/2 regressor rows
     (d = n + m) is formed over all N samples at once, in the same
     elementwise operations and order as a sample-major N x p feature
@@ -472,7 +474,7 @@ def lqrl_policy_iteration(rollout_source, K0: np.ndarray, cost: QuadCost,
     try:
         if start is None:
             work = _LstdWorkspace(n, m)
-            work.collect(rollout_source, K, n_samples)
+            work.load(*rollout_source(K, n_samples), K)
         else:
             work = start.work
             theta = start.parameters(K, cost, n_samples)
@@ -486,7 +488,7 @@ def lqrl_policy_iteration(rollout_source, K0: np.ndarray, cost: QuadCost,
                     outcome = "converged"
                     return K_new, qf
                 try:
-                    work.collect(rollout_source, K_new, n_samples)
+                    work.load(*rollout_source(K_new, n_samples), K_new)
                     break
                 except PolicyIterationError:
                     K_new = 0.5 * (K + K_new)
@@ -613,20 +615,19 @@ def linear_rollouts(A: np.ndarray, B: np.ndarray, n_obs: int | None = None,
     return source
 
 
-def loop_response(A: np.ndarray, B: np.ndarray, h: float,
-                  n_freq: int = 2048) -> np.ndarray:
-    """Frequency response X = (zI-A)^{-1}B of a plant, shape (n_freq, n, m).
+def loop_response(A: np.ndarray, B: np.ndarray, h: float) -> np.ndarray:
+    """Frequency response X = (zI-A)^{-1}B of a plant, shape (2048, n, m).
 
-    z runs over ``n_freq`` log-spaced frequencies in (0, pi/h] on the unit
-    circle.  X depends on the plant alone, so one response serves every
-    gain scored by :func:`sensitivity_metrics` on that plant.
+    z runs over 2048 log-spaced frequencies, five decades up to pi/h, on
+    the unit circle.  X depends on the plant alone, so one response serves
+    every gain scored by :func:`sensitivity_metrics` on that plant.
     """
     A, B = _state_input(A, B)
     n = A.shape[0]
-    w = np.logspace(math.log10(math.pi / h) - 5.0, math.log10(math.pi / h), n_freq)
+    w = np.logspace(math.log10(math.pi / h) - 5.0, math.log10(math.pi / h), 2048)
     z = np.exp(1j * w * h)
-    Ms = np.broadcast_to(np.eye(n), (n_freq, n, n)) * z[:, None, None] - A
-    return np.linalg.solve(Ms, np.broadcast_to(B, (n_freq, n, B.shape[1])))
+    Ms = np.eye(n) * z[:, None, None] - A
+    return np.linalg.solve(Ms, np.broadcast_to(B, (w.size, n, B.shape[1])))
 
 
 def sensitivity_metrics(X: np.ndarray, K: np.ndarray) -> tuple[float, float]:
@@ -875,15 +876,13 @@ def robustness_sweep(taus, methods=METHODS,
     lqrl_samples = 9600
     rows: list[RobustnessRow] = []
     root = np.random.SeedSequence(seed)
-    for i_tau, tau in enumerate(taus):
+    for tau in taus:
         A, B, C = servo_plant(tau, h)
         resp = loop_response(A, B, h)
         n_full = A.shape[0]
         n_obs = 2
-        tau_seed = np.random.SeedSequence(entropy=root.entropy,
-                                          spawn_key=(i_tau,))
         # seeds[0] drives the excitation, seeds[1] every rollout of the row.
-        seeds = tau_seed.generate_state(2)
+        seeds = root.spawn(1)[0].generate_state(2)
         Q_x = np.diag([1.0, 0.0])
 
         for method in methods:
@@ -892,7 +891,7 @@ def robustness_sweep(taus, methods=METHODS,
                                             int(seeds[0]))
                 A2, B2 = estimate_ss(X, U, Xn)
 
-                def make_gain(q_u, A2=A2, B2=B2):
+                def make_gain(q_u):
                     K, _ = dare_solve(A2, B2, Q_x, [[q_u]])
                     return K
             elif method == "model-free":
@@ -905,7 +904,7 @@ def robustness_sweep(taus, methods=METHODS,
                 K0 = np.array([[1.0, 1.0]])
                 start = _CachedStart(source, K0, Q_x, lqrl_samples)
 
-                def make_gain(q_u, source=source, K0=K0, start=start):
+                def make_gain(q_u):
                     K, _ = lqrl_policy_iteration(source, K0, QuadCost(Q_x, [[q_u]]),
                                                  n_samples=lqrl_samples, start=start)
                     return K
@@ -919,32 +918,24 @@ def robustness_sweep(taus, methods=METHODS,
                 """(margin, t_r, M_S, M_T) of the design at log10 Q_u; the
                 margin is +inf where the design failed or has no peaks."""
                 q_u = 10.0 ** log_qu
+                g = t_r = m_s = m_t = math.inf
                 try:
-                    K = make_gain(q_u)
-                    Kf = _pad_gain(K, n_full)
+                    Kf = _pad_gain(make_gain(q_u), n_full)
                     if spectral_radius(A - B @ Kf) >= 1.0:
                         raise NumericalError("unstable on true plant")
                     m_s, m_t = sensitivity_metrics(resp, Kf)
-                    ok = m_s <= MS_MAX and m_t <= MT_MAX
-                except NumericalError:
-                    ok, t_r, m_s, m_t = False, math.inf, math.inf, math.inf
-                else:
-                    t_r = math.inf
-                    if ok:
+                    if math.isfinite(m_s) and math.isfinite(m_t):
+                        g = max(m_s - MS_MAX, m_t - MT_MAX)
+                    if g <= 0.0:
                         # An over-detuned but margin-respecting design may
                         # crawl; treat it as feasible with unmeasurable t_r
                         # so the search can still move toward smaller Q_u.
-                        try:
-                            t_r = rise_time(A, B, Kf, C, h)
-                        except NumericalError:
-                            pass
+                        t_r = rise_time(A, B, Kf, C, h)
+                except NumericalError:
+                    pass
                 ended = ((start.outcome, start.iterations)
                          if method == "model-free" else (None, 0))
-                trace.append((q_u, t_r, ok) + ended)
-                # For finite peaks g <= 0 exactly when ok holds.
-                g = math.inf
-                if math.isfinite(m_s) and math.isfinite(m_t):
-                    g = max(m_s - MS_MAX, m_t - MT_MAX)
+                trace.append((q_u, t_r, g <= 0.0) + ended)
                 designs[log_qu] = (g, t_r, m_s, m_t)
                 return designs[log_qu]
 

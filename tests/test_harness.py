@@ -310,10 +310,20 @@ class TestCli:
         ("simulate", "", ["--seed", "-1"]),
         ("pipeline", "", ["--seed", "-1"]),
         ("robustness", "", ["--seed", "-1", "--taus", "0"]),
+        ("plan", "vlim.breakpoints = 0:-5", []),
+        ("plan", "vlim.breakpoints = 0:25, 100:0", []),
+        ("plan", "vlim.breakpoints = 0:0", []),
+        ("simulate", "est.duration = 1e300\nest.h = 1e-300", []),
+        # Profile kinds are fixed and to.u_lim spells "no bound" only as none.
+        ("plan", "slope.kind = constant", []),
+        ("plan", "vlim.kind = linear", []),
+        ("plan", "to.u_lim = auto", []),
     ], ids=["T_f_nan", "u_lim", "gamma", "gen", "regen_high", "regen_zero", "mask", "M_one",
             "M_negative", "mode_pseudo", "fit_efficiency", "slope_inf", "vlim_nan",
             "hold_nan", "plant_m_nan", "noise", "duration_short",
-            "seed_key", "seed_flag_simulate", "seed_flag_pipeline", "seed_flag_robustness"])
+            "seed_key", "seed_flag_simulate", "seed_flag_pipeline", "seed_flag_robustness",
+            "vlim_negative", "vlim_zero_end", "vlim_zero", "duration_overflow",
+            "slope_kind", "vlim_kind", "u_lim_auto"])
     def test_bad_config_values_fail_before_any_work(self, tmp_path, capsys,
                                                     command, lines, flags):
         cfg = tmp_path / "bad.conf"

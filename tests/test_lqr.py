@@ -986,7 +986,7 @@ class TestPolicyIteration:
         cost = lqr.QuadCost(random_cost(rng, n_obs, m).Q_x, q * np.eye(m))
         start = lqr._CachedStart(source, K0, cost.Q_x, N)
         work = lqr._LstdWorkspace(n_obs, m)
-        work.collect(source, K0, N)
+        work.load(*source(K0, N), K0)
         try:
             theta = work.regress(cost)
         except EstimationError:
