@@ -44,8 +44,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _out_dir(args) -> Path:
+    """The output directory, made if missing; an unusable path is a ConfigError."""
     out = Path(args.out) if args.out else Path("out")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {out}: {exc.strerror}") from None
     return out
 
 

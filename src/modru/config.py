@@ -68,7 +68,6 @@ class Scenario:
     """Complete description of one experiment run."""
 
     name: str = "truck-default"
-    plant_type: str = "truck"
     plant_params: TruckParams | CarParams = field(default_factory=TruckParams)
     path_length: float = 10_000.0
     slope: PositionProfile = None
@@ -111,7 +110,6 @@ def default_car_scenario() -> Scenario:
     """1 km urban stretch with rolling grade and a faster middle zone."""
     sc = Scenario(
         name="car-default",
-        plant_type="car",
         plant_params=CarParams(),
         path_length=1000.0,
         T_f=75.2,
@@ -139,6 +137,8 @@ def default_car_scenario() -> Scenario:
 # key -> (scenario field, parser); every plant.* override parses as a float.
 _KEYS = {
     "scenario.name": ("name", str),
+    "slope.breakpoints": ("slope", lambda text: parse_pairs(text, "linear")),
+    "vlim.breakpoints": ("v_limit", lambda text: parse_pairs(text, "constant")),
     "path.length": ("path_length", _parse_float),
     "to.T_f": ("T_f", _parse_float),
     "to.N": ("to_n", int),
@@ -164,11 +164,11 @@ _KEYS = {
 
 def read_config_file(path) -> dict[str, str]:
     """Read 'key = value' lines (:func:`modru.tables.read_keyvalues`); a
-    missing file or a malformed line is a :class:`ConfigError`."""
+    file that cannot be read or a malformed line is a :class:`ConfigError`."""
     try:
         return read_keyvalues(path)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -186,12 +186,6 @@ def scenario_from_config(cfg: dict[str, str]) -> Scenario:
 
     plant_over: dict[str, float] = {}
     for key, raw in cfg.items():
-        if key == "slope.breakpoints":
-            sc.slope = parse_pairs(raw, "linear")
-            continue
-        if key == "vlim.breakpoints":
-            sc.v_limit = parse_pairs(raw, "constant")
-            continue
         plant = key.startswith("plant.")
         if not plant and key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
@@ -216,7 +210,7 @@ def scenario_from_config(cfg: dict[str, str]) -> Scenario:
             raise ConfigError(str(exc)) from exc
 
     for positive in ("path_length", "T_f", "vdot_lim", "est_duration", "est_h",
-                     "sim_h", "rho_I", "rho_u", "ctrl_u_lim"):
+                     "est_hold", "sim_h", "rho_I", "rho_u", "ctrl_u_lim"):
         if not getattr(sc, positive) > 0:
             raise ConfigError(f"{positive} must be positive")
     n_est = sc.est_duration / sc.est_h

@@ -20,7 +20,7 @@ from . import controller as ctl
 from . import lqr, sysid, tempo
 from .config import Scenario
 from .errors import EstimationError, InfeasibleError
-from .plant import PlantState, PositionProfile, input_mass, simulate
+from .plant import PlantState, PositionProfile, TruckParams, input_mass, simulate
 from .tables import write_csv, write_keyvalues
 
 
@@ -45,7 +45,7 @@ def _balance_input(sc: Scenario, v: float) -> float:
     """Input holding velocity v on flat road (for excitation level design)."""
     p = sc.plant_params
     force = p.c_r * p.m * p.g + 0.5 * p.rho_a * p.c_d * p.A_f * v * v
-    return force * p.R if sc.plant_type == "truck" else force
+    return force * p.R if isinstance(p, TruckParams) else force
 
 
 def excitation_slope(sc: Scenario) -> PositionProfile:
@@ -147,9 +147,8 @@ def stage_track(sc: Scenario, model: sysid.GrayBoxModel,
         return u, u_s, du
 
     # The truck's lagged motor starts at the first feedforward input, so
-    # the plant starts on the plan.
-    u_m = ctl.feedforward(v_refs[0], a_refs[0], slope_at(0.0), model) \
-        if sc.plant_type == "truck" else 0.0
+    # the plant starts on the plan; the car has no motor state.
+    u_m = ctl.feedforward(v_refs[0], a_refs[0], slope_at(0.0), model)
     x0 = PlantState(s=0.0, v=v_refs[0], u_m=u_m)
     traj = simulate(sc.plant_params, callback, sc.slope, x0, h=h, n=n,
                     substeps=sc.sim_substeps,
@@ -231,9 +230,6 @@ class RunReport:
                 items[key] = val
         return items
 
-    def write(self, path) -> None:
-        write_keyvalues(path, self.to_items())
-
 
 def _theta_errors(sc: Scenario, model: sysid.GrayBoxModel) -> np.ndarray:
     truth = true_theta(sc)
@@ -249,7 +245,9 @@ def _run_report(sc: Scenario, data: sysid.Dataset, model: sysid.GrayBoxModel,
                 metrics: dict) -> RunReport:
     """Report of one planned and tracked run."""
     return RunReport(
-        name=sc.name, plant_type=sc.plant_type, seed=sc.seed, T_f=sc.T_f,
+        name=sc.name,
+        plant_type="truck" if isinstance(sc.plant_params, TruckParams) else "car",
+        seed=sc.seed, T_f=sc.T_f,
         theta_hat=tuple(float(x) for x in model.theta),
         theta_err=tuple(float(x) for x in _theta_errors(sc, model)),
         fit_nrmse=sysid.validate(model, data),
@@ -285,7 +283,7 @@ def run_pipeline(sc: Scenario, out_dir=None) -> tuple[RunReport, dict]:
         sol.to_csv(out / "to_solution.csv", problem)
         ref.to_csv(out / "reference.csv")
         traj.to_csv(out / "closed_loop.csv")
-        report.write(out / "report.txt")
+        write_keyvalues(out / "report.txt", report.to_items())
     return report, artifacts
 
 
@@ -304,14 +302,9 @@ def compare_slope_knowledge(sc: Scenario, out_dir=None) -> dict:
         sub = Path(out_dir) / tag if out_dir is not None else None
         report, artifacts = run_pipeline(sci, sub)
         results[tag] = {"report": report, "artifacts": artifacts}
-    summary = {
-        "du_ratio_aware": results["slope-aware"]["report"].du_ratio,
-        "du_ratio_blind": results["slope-blind"]["report"].du_ratio,
-        "tracking_rms_aware": results["slope-aware"]["report"].tracking_rms,
-        "tracking_rms_blind": results["slope-blind"]["report"].tracking_rms,
-        "E_realized_aware": results["slope-aware"]["report"].E_realized,
-        "E_realized_blind": results["slope-blind"]["report"].E_realized,
-    }
+    summary = {f"{metric}_{tag.split('-')[1]}": getattr(results[tag]["report"], metric)
+               for metric in ("du_ratio", "tracking_rms", "E_realized")
+               for tag in ("slope-aware", "slope-blind")}
     results["summary"] = summary
     if out_dir is not None:
         write_keyvalues(Path(out_dir) / "comparison.txt", summary)

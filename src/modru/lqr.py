@@ -387,17 +387,15 @@ class _CachedStart:
     ``outcome`` ("converged", "max_iters" or "raised") and ``iterations``.
     """
 
-    def __init__(self, rollout_source, K0: np.ndarray, Q_x: np.ndarray,
-                 n_samples: int):
+    def __init__(self, rollout_source, K0: np.ndarray, Q_x: np.ndarray):
         self.K0 = np.atleast_2d(np.asarray(K0, dtype=float))
         self.Q_x = np.atleast_2d(np.asarray(Q_x, dtype=float))
-        self.n_samples = n_samples
         self.outcome, self.iterations = None, 0
         m, n = self.K0.shape
         self.work = _LstdWorkspace(n, m)
         self.error = None
         try:
-            self.work.load(*rollout_source(self.K0, n_samples), self.K0)
+            self.work.load(*rollout_source(self.K0), self.K0)
             self.work.factorize()
         except NumericalError as exc:
             self.error = exc
@@ -406,33 +404,30 @@ class _CachedStart:
         self.theta_x = self.work.solve(_quadratic_form(Z[:n].T, self.Q_x))
         self.theta_u = self.work.solve(_quadratic_form(Z[n:].T, np.eye(m)))
 
-    def parameters(self, K0: np.ndarray, cost: QuadCost, n_samples: int) -> np.ndarray:
+    def parameters(self, K0: np.ndarray, cost: QuadCost) -> np.ndarray:
         """theta_x + q theta_u for ``cost``, or the batch's failure.
 
-        Raises ``ValueError`` unless K0, Q_x and the sample count are those
-        of the batch and Q_u is q times the identity.
+        Raises ``ValueError`` unless K0 and Q_x are those of the batch and
+        Q_u is q times the identity.
         """
         q = cost.Q_u[0, 0]
         if not (np.array_equal(K0, self.K0) and np.array_equal(cost.Q_x, self.Q_x)
-                and np.array_equal(cost.Q_u, q * np.eye(len(cost.Q_u)))
-                and n_samples == self.n_samples):
-            raise ValueError("the cached start holds another gain, cost or batch size")
+                and np.array_equal(cost.Q_u, q * np.eye(len(cost.Q_u)))):
+            raise ValueError("the cached start holds another gain or cost")
         if self.error is not None:
             raise self.error.with_traceback(None)
         return self.theta_x + q * self.theta_u
 
 
 def lqrl_policy_iteration(rollout_source, K0: np.ndarray, cost: QuadCost,
-                          n_samples: int = 600, max_iters: int = 50, *,
-                          start: _CachedStart | None = None
+                          max_iters: int = 50, *, start: _CachedStart | None = None
                           ) -> tuple[np.ndarray, QTheta]:
     """Model-free LQ policy iteration on one-step transition data.
 
-    ``rollout_source(K, n_samples)`` must return float arrays X (N, n),
-    U (N, m) and X_next (N, n), row k of X_next the successor of row k of
-    X under input row k of U, collected under the behavior u = -K x +
-    exploration noise; data are re-collected with the current policy each
-    iteration.  Each iteration solves the system
+    ``rollout_source(K)`` must return float arrays X (N, n), U (N, m) and
+    X_next (N, n), row k of X_next the successor of row k of X under input
+    row k of U, collected under the behavior u = -K x + exploration noise;
+    data are re-collected with the current policy each iteration.  Each iteration solves the system
 
         stage(x_k, u_k) = phi(x_k, u_k)'theta - phi(x_k+1, -K x_k+1)'theta
 
@@ -462,9 +457,9 @@ def lqrl_policy_iteration(rollout_source, K0: np.ndarray, cost: QuadCost,
     diverged.
 
     With ``start`` (a :class:`_CachedStart` built on the same source from
-    K0, Q_x and ``n_samples``) the first step is the cached start's
-    theta_x + Q_u theta_u, nothing is collected under K0, the start's
-    workspace is reused, and the start records how the call ended.
+    K0 and Q_x) the first step is the cached start's theta_x + Q_u
+    theta_u, nothing is collected under K0, the start's workspace is
+    reused, and the start records how the call ended.
     """
     tol = 1e-6
     K = np.atleast_2d(np.asarray(K0, dtype=float)).copy()
@@ -474,10 +469,10 @@ def lqrl_policy_iteration(rollout_source, K0: np.ndarray, cost: QuadCost,
     try:
         if start is None:
             work = _LstdWorkspace(n, m)
-            work.load(*rollout_source(K, n_samples), K)
+            work.load(*rollout_source(K), K)
         else:
             work = start.work
-            theta = start.parameters(K, cost, n_samples)
+            theta = start.parameters(K, cost)
         for i in range(1, max_iters + 1):
             if start is None or i > 1:
                 theta = work.regress(cost)
@@ -488,7 +483,7 @@ def lqrl_policy_iteration(rollout_source, K0: np.ndarray, cost: QuadCost,
                     outcome = "converged"
                     return K_new, qf
                 try:
-                    work.load(*rollout_source(K_new, n_samples), K_new)
+                    work.load(*rollout_source(K_new), K_new)
                     break
                 except PolicyIterationError:
                     K_new = 0.5 * (K + K_new)
@@ -549,29 +544,29 @@ def _block_states(F: np.ndarray, B: np.ndarray, x0: np.ndarray,
     return states[:T + 1]
 
 
-def linear_rollouts(A: np.ndarray, B: np.ndarray, n_obs: int | None = None,
-                    episode_len: int = 20, explore: float = 0.1, seed: int = 0):
-    """Build a rollout source for :func:`lqrl_policy_iteration`.
+def linear_rollouts(A: np.ndarray, B: np.ndarray, n_samples: int = 600,
+                    n_obs: int | None = None, episode_len: int = 20,
+                    explore: float = 0.1, seed: int = 0):
+    """Build a rollout source ``source(K)`` for :func:`lqrl_policy_iteration`.
 
-    Simulates the (possibly larger) true system ``A, B`` but exposes only
-    the first ``n_obs`` states, restarting episodes of ``episode_len``
-    steps from standard-normal observable initial states (unobserved states
-    start at zero).  Exploration noise is uniform with amplitude
-    ``explore * max(1, |K|_inf)`` added to the policy input.
+    Each call returns ``n_samples`` transitions of the (possibly larger)
+    true system ``A, B`` but exposes only the first ``n_obs`` states,
+    restarting episodes of ``episode_len`` steps from standard-normal
+    observable initial states (unobserved states start at zero).
+    Exploration noise is uniform with amplitude ``explore * max(1,
+    |K|_inf)`` added to the policy input.
 
-    The source is a pure function of the gain and the sample count: every
-    call sees the stream of a generator fresh from ``seed``, which gives
-    the initial states and then all exploration noise in one
-    ``(episode_len, n_episodes, m)`` block, the stream of one
-    ``(n_episodes, m)`` draw per step.  Calls with one sample count thus
-    share their initial states and base noise, each re-simulated under
-    its own gain (common random numbers: Glasserman & Yao, Mgmt. Sci. 38,
-    1992), and equal gains give equal batches.  The stream is drawn once,
-    and again only when the sample count changes: the source keeps the
-    initial states and the standard uniforms U, and each call rescales U
-    into one reused buffer as E = (2 amp) U - amp.  With exact doubling
-    that rounds as -amp + (amp - -amp) U, the formula of
-    ``Generator.uniform`` (``random_uniform`` in NumPy's
+    The source is a pure function of the gain.  Its noise is drawn once,
+    when it is built, from a generator fresh from ``seed``: the initial
+    states and then all exploration noise in one ``(episode_len,
+    n_episodes, m)`` block, the stream of one ``(n_episodes, m)`` draw
+    per step.  Every call thus shares the initial states and base noise,
+    re-simulated under its own gain (common random numbers: Glasserman &
+    Yao, Mgmt. Sci. 38, 1992), and equal gains give equal batches.  The
+    source keeps the initial states and the standard uniforms U, and
+    each call rescales U into one reused buffer as E = (2 amp) U - amp.
+    With exact doubling that rounds as -amp + (amp - -amp) U, the formula
+    of ``Generator.uniform`` (``random_uniform`` in NumPy's
     ``distributions.c``), so E equals a fresh ``uniform(-amp, amp)`` draw
     bit for bit.  The closed loop x+ = F x + B e, F = A - B K (K zero on
     hidden states), is evaluated for all episodes at once by
@@ -583,22 +578,18 @@ def linear_rollouts(A: np.ndarray, B: np.ndarray, n_obs: int | None = None,
     n_full, m = B.shape
     if n_obs is None:
         n_obs = n_full
-    draws = None  # (n_samples, x0, U, E) of the last sample count drawn
+    n_ep = max(1, math.ceil(n_samples / episode_len))
+    rng = np.random.default_rng(seed)
+    x0 = np.zeros((n_ep, n_full))
+    x0[:, :n_obs] = rng.normal(0.0, 1.0, size=(n_ep, n_obs))
+    U = rng.random((episode_len, n_ep, m))
+    E = np.empty_like(U)
 
-    def source(K: np.ndarray, n_samples: int):
-        nonlocal draws
+    def source(K: np.ndarray):
         K = np.atleast_2d(np.asarray(K, dtype=float))
         amp = explore * max(1.0, float(np.abs(K).max()))
-        if draws is None or draws[0] != n_samples:
-            n_ep = max(1, math.ceil(n_samples / episode_len))
-            rng = np.random.default_rng(seed)
-            x0 = np.zeros((n_ep, n_full))
-            x0[:, :n_obs] = rng.normal(0.0, 1.0, size=(n_ep, n_obs))
-            U = rng.random((episode_len, n_ep, m))
-            draws = (n_samples, x0, U, np.empty_like(U))
-        _, x0, U, E = draws
         np.multiply(U, 2.0 * amp, out=E)
-        E -= amp
+        np.subtract(E, amp, out=E)
         states = _block_states(A - B @ _pad_gain(K, n_full), B, x0, E)
         # A diverging rollout may overflow inside a block, but only after
         # its first step past 1e6, so the largest |x| is then above 1e6,
@@ -873,7 +864,6 @@ def robustness_sweep(taus, methods=METHODS,
         raise ValueError(f"log_qu_range needs lo < hi, got {log_qu_range}")
     h = 0.1
     n_est_samples = 1500
-    lqrl_samples = 9600
     rows: list[RobustnessRow] = []
     root = np.random.SeedSequence(seed)
     for tau in taus:
@@ -895,18 +885,18 @@ def robustness_sweep(taus, methods=METHODS,
                     K, _ = dare_solve(A2, B2, Q_x, [[q_u]])
                     return K
             elif method == "model-free":
-                source = linear_rollouts(A, B, n_obs=n_obs, episode_len=400,
-                                         seed=int(seeds[1]))
+                source = linear_rollouts(A, B, n_samples=9600, n_obs=n_obs,
+                                         episode_len=400, seed=int(seeds[1]))
                 # Policy iteration needs a stabilizing start; zero gain
                 # leaves the integrator mode marginal, so seed with a mild
                 # known-stable gain instead.  The source is pure, so every
                 # evaluation's first batch is the same and is regressed once.
                 K0 = np.array([[1.0, 1.0]])
-                start = _CachedStart(source, K0, Q_x, lqrl_samples)
+                start = _CachedStart(source, K0, Q_x)
 
                 def make_gain(q_u):
                     K, _ = lqrl_policy_iteration(source, K0, QuadCost(Q_x, [[q_u]]),
-                                                 n_samples=lqrl_samples, start=start)
+                                                 start=start)
                     return K
             else:
                 raise ValueError(f"unknown method {method!r}")

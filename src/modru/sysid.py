@@ -93,18 +93,14 @@ class GrayBoxModel:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "mask", mask)
 
-    def simulate(self, v0: float, u: np.ndarray, alpha: np.ndarray,
-                 h: float) -> np.ndarray | None:
-        """Integrate the model under zero-order-hold (u, alpha) sequences.
-
-        One RK4 step per sample interval.  Returns the velocity sequence
-        (same length as ``u``) or None if the state leaves |v| < 1e5.
-        """
-        return _simulate_theta(self.theta, v0, np.asarray(u, float),
-                               np.asarray(alpha, float), h)
-
 
 def _simulate_theta(theta, v0, u, alpha, h):
+    """Integrate the gray box ``theta`` from ``v0`` under zero-order-hold
+    float arrays ``u`` and ``alpha``, one RK4 step per sample interval.
+
+    Returns the velocity sequence (same length as ``u``), or None once a
+    step's velocity exceeds 1e5 in magnitude or is not finite.
+    """
     # RK4 on Python floats: arithmetic on np.float64 scalars costs several
     # times more per operation, and the fit runs this loop for every trial
     # step over thousands of samples.  Python floats round as np.float64 does and
@@ -359,7 +355,7 @@ def validate(model: GrayBoxModel, data: Dataset) -> float:
     normalized by the RMS deviation of the measurement from its mean.
     Returns ``inf`` when the simulation diverges.
     """
-    sim = model.simulate(data.v[0], data.u, data.alpha, data.h)
+    sim = _simulate_theta(model.theta, data.v[0], data.u, data.alpha, data.h)
     if sim is None:
         return math.inf
     err = sim - data.v

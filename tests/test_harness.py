@@ -11,7 +11,7 @@ import pytest
 from modru import cli, config, harness, lqr, tempo
 from modru.errors import ConfigError, EstimationError
 from modru.plant import CarParams, PositionProfile, TruckParams, input_mass
-from modru.tables import format_value, read_csv, read_keyvalues, write_csv
+from modru.tables import format_value, read_csv, read_keyvalues, write_csv, write_keyvalues
 
 
 def nominal_scenario(sc):
@@ -64,7 +64,7 @@ class TestConfigFiles:
         sc = config.scenario_from_config(
             {"plant.type": "car", "vlim.breakpoints": "0:10, 500:14",
              "slope.breakpoints": "0:0, 1000:0.01"})
-        assert sc.plant_type == "car"
+        assert isinstance(sc.plant_params, CarParams)
         assert sc.v_limit.value(600.0) == 14.0
         assert sc.slope.value(500.0) == pytest.approx(0.005)
 
@@ -127,6 +127,13 @@ class TestStaging:
         with pytest.raises(EstimationError, match="stall"):
             harness.stage_dataset(sc)
 
+    def test_balance_input_follows_the_plant_parameters(self, truck_sc, car_sc):
+        # The plant's kind is its parameter type: a truck scenario given
+        # car parameters balances as the car does.
+        sc = replace(truck_sc, plant_params=CarParams())
+        for v in (0.0, 5.0, 13.9, 25.0):
+            assert harness._balance_input(sc, v) == harness._balance_input(car_sc, v)
+
     def test_replace_scenario_copies(self, truck_sc):
         sc2 = replace(truck_sc, T_f=123.0)
         assert sc2.T_f == 123.0
@@ -145,7 +152,7 @@ class TestReportIO:
             t_end_planned=899.4, t_terminal=899.5, tracking_rms=0.06,
             du_ratio=0.05, terminal_position_error=1.2, limit_overshoot=-2.0)
         path = tmp_path / "report.txt"
-        rep.write(path)
+        write_keyvalues(path, rep.to_items())
         back = read_keyvalues(path)
         assert list(back) == list(rep.to_items())
         assert back["name"] == "x" and back["seed"] == "5"
@@ -318,12 +325,14 @@ class TestCli:
         ("plan", "slope.kind = constant", []),
         ("plan", "vlim.kind = linear", []),
         ("plan", "to.u_lim = auto", []),
+        ("estimate", "est.hold = 0", []),
+        ("estimate", "est.hold = -60", []),
     ], ids=["T_f_nan", "u_lim", "gamma", "gen", "regen_high", "regen_zero", "mask", "M_one",
             "M_negative", "mode_pseudo", "fit_efficiency", "slope_inf", "vlim_nan",
             "hold_nan", "plant_m_nan", "noise", "duration_short",
             "seed_key", "seed_flag_simulate", "seed_flag_pipeline", "seed_flag_robustness",
             "vlim_negative", "vlim_zero_end", "vlim_zero", "duration_overflow",
-            "slope_kind", "vlim_kind", "u_lim_auto"])
+            "slope_kind", "vlim_kind", "u_lim_auto", "hold_zero", "hold_negative"])
     def test_bad_config_values_fail_before_any_work(self, tmp_path, capsys,
                                                     command, lines, flags):
         cfg = tmp_path / "bad.conf"
@@ -336,6 +345,21 @@ class TestCli:
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--config", "--out"])
+    def test_unusable_path_fails_before_any_work(self, tmp_path, capsys, flag):
+        # A directory given as the config file, or a file as the output
+        # directory.
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        args = ["--config", str(tmp_path), "--out", str(tmp_path / "out")] \
+            if flag == "--config" else ["--out", str(taken)]
+        with mock.patch.object(harness, "stage_dataset",
+                               side_effect=AssertionError("work started")):
+            rc = cli.main(["simulate", *args])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_simulate_writes_dataset(self, tmp_path):
         cfg = tmp_path / "run.conf"

@@ -53,12 +53,12 @@ def stepping_rise_time(A, B, K, C, h, max_steps):
     raise NumericalError("step response did not reach 90% (non-settling)")
 
 
-def stepping_rollouts(A, B, n_obs, episode_len, explore, seed):
+def stepping_rollouts(A, B, n_samples, n_obs, episode_len, explore, seed):
     """Reference rollout source: a generator fresh from the seed on every
     call, one noise draw per step."""
     n_full, m = B.shape
 
-    def source(K, n_samples):
+    def source(K):
         amp = explore * max(1.0, float(np.abs(K).max()))
         n_ep = max(1, math.ceil(n_samples / episode_len))
         rng = np.random.default_rng(seed)
@@ -180,7 +180,8 @@ def former_rise_time(A, B, K, C, h, max_steps=500_000):
     raise NumericalError("step response did not reach 90% (non-settling)")
 
 
-def former_linear_rollouts(A, B, n_obs=None, episode_len=20, explore=0.1, seed=0):
+def former_linear_rollouts(A, B, n_samples=600, n_obs=None, episode_len=20,
+                           explore=0.1, seed=0):
     """Reference rollout source: the block evaluation as it was before the
     draws were kept, with a generator fresh from the seed and a
     ``uniform`` noise draw on every call."""
@@ -188,7 +189,7 @@ def former_linear_rollouts(A, B, n_obs=None, episode_len=20, explore=0.1, seed=0
     n_full, m = B.shape
     n_obs = n_full if n_obs is None else n_obs
 
-    def source(K, n_samples):
+    def source(K):
         K = np.atleast_2d(np.asarray(K, dtype=float))
         amp = explore * max(1.0, float(np.abs(K).max()))
         n_ep = max(1, math.ceil(n_samples / episode_len))
@@ -287,27 +288,27 @@ def former_find_boundary(margin, lo, g_lo, hi, g_hi, max_evals):
     return hi
 
 
-def assert_rollouts_match(source, reference, calls, rel):
-    """Both sources raise on the same (K, n_samples) calls, and otherwise
-    agree within ``rel`` of the reference's largest entry (0: bit for bit)."""
-    for K, n_samples in calls:
+def assert_rollouts_match(source, reference, gains, rel):
+    """Both sources raise under the same gains, and otherwise agree within
+    ``rel`` of the reference's largest entry (0: bit for bit)."""
+    for K in gains:
         try:
-            want = reference(K, n_samples)
+            want = reference(K)
         except PolicyIterationError:
             with pytest.raises(PolicyIterationError):
-                source(K, n_samples)
+                source(K)
             continue
-        got = source(K, n_samples)
+        got = source(K)
         scale = max(np.abs(w).max() for w in want)
         for g, w in zip(got, want):
             assert g.shape == w.shape
             assert np.abs(g - w).max() <= rel * scale
 
 
-def rollout_or_raised(source, K, n_samples):
+def rollout_or_raised(source, K):
     """The batch of one call, or "raised" for a diverging rollout."""
     try:
-        return source(K, n_samples)
+        return source(K)
     except PolicyIterationError:
         return "raised"
 
@@ -369,8 +370,8 @@ def sample_major_q_function(data, K, cost):
     return lqr.QTheta.from_parameters(theta, n, m)
 
 
-def sample_major_policy_iteration(rollout_source, K0, cost, n_samples=600,
-                                  max_iters=50, tol=1e-6, check_first=True):
+def sample_major_policy_iteration(rollout_source, K0, cost, max_iters=50, tol=1e-6,
+                                  check_first=True):
     """Reference policy iteration on the sample-major regression.  With
     ``check_first`` it has the shipped control flow: a converged gain is
     returned without its rollout.  Without it each improved gain's data
@@ -378,7 +379,7 @@ def sample_major_policy_iteration(rollout_source, K0, cost, n_samples=600,
     unused."""
     K = np.atleast_2d(np.asarray(K0, dtype=float)).copy()
     qf = None
-    data = rollout_source(K, n_samples)
+    data = rollout_source(K)
     for _ in range(max_iters):
         qf = sample_major_q_function(data, K, cost)
         K_new = qf.gain()
@@ -386,7 +387,7 @@ def sample_major_policy_iteration(rollout_source, K0, cost, n_samples=600,
             if check_first and np.abs(K_new - K).max() < tol:
                 return K_new, qf
             try:
-                data = rollout_source(K_new, n_samples)
+                data = rollout_source(K_new)
                 break
             except PolicyIterationError:
                 K_new = 0.5 * (K + K_new)
@@ -422,11 +423,11 @@ class CountingSource:
     def __init__(self, source, fail_at=None):
         self.source, self.fail_at, self.calls = source, fail_at, 0
 
-    def __call__(self, K, n_samples):
+    def __call__(self, K):
         self.calls += 1
         if self.fail_at is not None and self.calls >= self.fail_at:
             raise PolicyIterationError("rollout diverged (unstable policy)")
-        return self.source(K, n_samples)
+        return self.source(K)
 
 
 def zoh_reference(A, B, h):
@@ -791,9 +792,8 @@ class TestPolicyIteration:
         for policy_iteration in (lqr.lqrl_policy_iteration,
                                  collect_then_check_policy_iteration):
             source = CountingSource(lqr.linear_rollouts(
-                A, B, n_obs=2, episode_len=400, seed=seed))
-            K, qf = policy_iteration(source, np.array([[1.0, 1.0]]), cost,
-                                     n_samples=2400)
+                A, B, n_samples=2400, n_obs=2, episode_len=400, seed=seed))
+            K, qf = policy_iteration(source, np.array([[1.0, 1.0]]), cost)
             runs.append((K, qf, source.calls))
         (K, qf, calls), (K_ref, qf_ref, calls_ref) = runs
         assert np.array_equal(K, K_ref)
@@ -809,9 +809,8 @@ class TestPolicyIteration:
 
         def run(policy_iteration, fail_at=None):
             source = CountingSource(lqr.linear_rollouts(
-                A, B, episode_len=400, seed=3), fail_at)
-            return policy_iteration(source, np.array([[1.0, 1.0]]), cost,
-                                    n_samples=2400), source.calls
+                A, B, n_samples=2400, episode_len=400, seed=3), fail_at)
+            return policy_iteration(source, np.array([[1.0, 1.0]]), cost), source.calls
 
         (K, _), calls = run(lqr.lqrl_policy_iteration)
         (K_failing, _), _ = run(lqr.lqrl_policy_iteration, fail_at=calls + 1)
@@ -840,10 +839,10 @@ class TestPolicyIteration:
         for policy_iteration in (lqr.lqrl_policy_iteration,
                                  sample_major_policy_iteration):
             source = CountingSource(lqr.linear_rollouts(
-                A, B, episode_len=episode_len, seed=seed))
+                A, B, n_samples=n_samples, episode_len=episode_len, seed=seed))
             try:
                 K, qf = policy_iteration(source, np.zeros((m, n)), cost,
-                                         n_samples=n_samples, max_iters=max_iters)
+                                         max_iters=max_iters)
             except (EstimationError, PolicyIterationError) as exc:
                 runs.append((type(exc), None, source.calls))
             else:
@@ -879,9 +878,10 @@ class TestPolicyIteration:
         K = 0.3 * rng.normal(size=(m, n_obs))
         assume(lqr.spectral_radius(A - B @ lqr._pad_gain(K, n_full)) < 1.0)
         N = int(rng.integers(p, 3000))
-        source = lqr.linear_rollouts(A, B, n_obs=n_obs, episode_len=int(rng.integers(2, 40)),
+        source = lqr.linear_rollouts(A, B, n_samples=N, n_obs=n_obs,
+                                     episode_len=int(rng.integers(2, 40)),
                                      explore=10.0 ** log_explore, seed=seed)
-        X, U, Xn = source(K, N)
+        X, U, Xn = source(K)
         # Scaled states, with the gain that gives the same inputs.
         D = 10.0 ** rng.uniform(-log_scale, log_scale, size=n_obs)
         cost = random_cost(rng, n_obs, m)
@@ -932,9 +932,9 @@ class TestPolicyIteration:
         F = A - B @ K
         assume(lqr.spectral_radius(F) < 1.0)
         N = int(rng.integers(p, 3000))
-        source = lqr.linear_rollouts(A, B, episode_len=int(rng.integers(2, 40)),
+        source = lqr.linear_rollouts(A, B, n_samples=N, episode_len=int(rng.integers(2, 40)),
                                      explore=10.0 ** log_explore, seed=seed)
-        X, U, Xn = source(K, N)
+        X, U, Xn = source(K)
         D = 10.0 ** rng.uniform(-log_scale, log_scale, size=n)
         cost = random_cost(rng, n, m)
         work = lqr._LstdWorkspace(n, m)
@@ -980,20 +980,21 @@ class TestPolicyIteration:
         K0 = 0.3 * rng.normal(size=(m, n_obs))
         assume(lqr.spectral_radius(A - B @ lqr._pad_gain(K0, n_full)) < 1.0)
         N = int(rng.integers(p, 3000))
-        source = lqr.linear_rollouts(A, B, n_obs=n_obs, episode_len=int(rng.integers(2, 40)),
+        source = lqr.linear_rollouts(A, B, n_samples=N, n_obs=n_obs,
+                                     episode_len=int(rng.integers(2, 40)),
                                      explore=10.0 ** log_explore, seed=seed)
         q = 10.0 ** log_q
         cost = lqr.QuadCost(random_cost(rng, n_obs, m).Q_x, q * np.eye(m))
-        start = lqr._CachedStart(source, K0, cost.Q_x, N)
+        start = lqr._CachedStart(source, K0, cost.Q_x)
         work = lqr._LstdWorkspace(n_obs, m)
-        work.load(*source(K0, N), K0)
+        work.load(*source(K0), K0)
         try:
             theta = work.regress(cost)
         except EstimationError:
             with pytest.raises(EstimationError):
-                start.parameters(K0, cost, N)
+                start.parameters(K0, cost)
             return
-        cached = start.parameters(K0, cost, N)
+        cached = start.parameters(K0, cost)
         g = np.linalg.norm(work.psi, axis=1)
         w = np.linalg.eigvalsh((work.psi / g[:, None]) @ (work.psi / g[:, None]).T)
         scale = np.linalg.norm(g * start.theta_x) + q * np.linalg.norm(g * start.theta_u)
@@ -1011,15 +1012,16 @@ class TestPolicyIteration:
         A, B, _ = lqr.servo_plant(tau)
         cost = lqr.QuadCost(np.diag([1.0, 0.0]), [[q_u]])
         K0 = np.array([[1.0, 1.0]])
-        source = lqr.linear_rollouts(A, B, n_obs=2, episode_len=400, seed=seed)
-        start = lqr._CachedStart(source, K0, cost.Q_x, 2400)
+        source = lqr.linear_rollouts(A, B, n_samples=2400, n_obs=2, episode_len=400,
+                                     seed=seed)
+        start = lqr._CachedStart(source, K0, cost.Q_x)
         psi = start.work.psi
         g = np.linalg.norm(psi, axis=1)
         w = np.linalg.eigvalsh((psi / g[:, None]) @ (psi / g[:, None]).T)
         runs = []
         for kwargs in ({"start": start}, {}):
             counted = CountingSource(source)
-            K, _ = lqr.lqrl_policy_iteration(counted, K0, cost, n_samples=2400, **kwargs)
+            K, _ = lqr.lqrl_policy_iteration(counted, K0, cost, **kwargs)
             runs.append((K, counted.calls))
         (K, calls), (K_ref, calls_ref) = runs
         assert start.outcome == "converged"
@@ -1034,33 +1036,34 @@ class TestPolicyIteration:
         # A start gain whose rollout diverges, or a batch too small for the
         # p = 6 regressors, fails every cached call as it fails a plain one.
         A, B, _ = lqr.servo_plant(0.0)
-        source = lqr.linear_rollouts(A, B, n_obs=2, episode_len=400, seed=1)
-        start = lqr._CachedStart(source, K0, np.diag([1.0, 0.0]), n_samples)
+        source = lqr.linear_rollouts(A, B, n_samples=n_samples, n_obs=2, episode_len=400,
+                                     seed=1)
+        start = lqr._CachedStart(source, K0, np.diag([1.0, 0.0]))
         for q_u in (1e-3, 1.0, 1e3):
             cost = lqr.QuadCost(np.diag([1.0, 0.0]), [[q_u]])
             with pytest.raises(error):
-                lqr.lqrl_policy_iteration(source, K0, cost, n_samples=n_samples)
+                lqr.lqrl_policy_iteration(source, K0, cost)
             with pytest.raises(error):
-                lqr.lqrl_policy_iteration(source, K0, cost, n_samples=n_samples,
-                                          start=start)
+                lqr.lqrl_policy_iteration(source, K0, cost, start=start)
             assert (start.outcome, start.iterations) == ("raised", 0)
 
     def test_start_records_how_each_call_ended(self):
         A, B, _ = lqr.servo_plant(0.0)
         Q_x, K0 = np.diag([1.0, 0.0]), np.array([[1.0, 1.0]])
-        source = lqr.linear_rollouts(A, B, n_obs=2, episode_len=400, seed=3)
-        start = lqr._CachedStart(source, K0, Q_x, 2400)
+        source = lqr.linear_rollouts(A, B, n_samples=2400, n_obs=2, episode_len=400,
+                                     seed=3)
+        start = lqr._CachedStart(source, K0, Q_x)
 
         def run(q_u, **kwargs):
             lqr.lqrl_policy_iteration(source, K0, lqr.QuadCost(Q_x, [[q_u]]),
-                                      n_samples=2400, start=start, **kwargs)
+                                      start=start, **kwargs)
             return start.outcome, start.iterations
 
         assert run(1.0) == ("converged", 4)
         assert run(1.0, max_iters=2) == ("max_iters", 2)
-        with pytest.raises(ValueError, match="another gain, cost or batch size"):
+        with pytest.raises(ValueError, match="another gain or cost"):
             lqr.lqrl_policy_iteration(source, K0, lqr.QuadCost(np.eye(2), [[1.0]]),
-                                      n_samples=2400, start=start)
+                                      start=start)
         assert start.outcome == "raised"
 
     @pytest.mark.parametrize("n_samples, zero_state", [(1, False), (5, False), (50, True)])
@@ -1076,20 +1079,19 @@ class TestPolicyIteration:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(EstimationError, match="more excitation required"):
-                lqr.lqrl_policy_iteration(lambda K, N: (X, U, Xn), np.zeros((1, 2)),
-                                          cost, n_samples=n_samples)
+                lqr.lqrl_policy_iteration(lambda K: (X, U, Xn), np.zeros((1, 2)), cost)
 
     def test_rollout_shapes_and_partial_observation(self):
         A = np.array([[0.9, 0.1], [0.0, 0.5]])
         B = np.array([[0.0], [1.0]])
-        source = lqr.linear_rollouts(A, B, n_obs=1, seed=0)
-        X, U, Xn = source(np.array([[0.1]]), 55)
+        source = lqr.linear_rollouts(A, B, n_samples=55, n_obs=1, seed=0)
+        X, U, Xn = source(np.array([[0.1]]))
         assert X.shape == (55, 1) and U.shape == (55, 1) and Xn.shape == (55, 1)
 
     def test_unstable_policy_rollout_raises(self):
-        source = lqr.linear_rollouts([[3.0]], [[1.0]], seed=0)
+        source = lqr.linear_rollouts([[3.0]], [[1.0]], n_samples=200, seed=0)
         with pytest.raises(PolicyIterationError):
-            source(np.array([[0.0]]), 200)
+            source(np.array([[0.0]]))
 
     @settings(max_examples=200, deadline=None)
     @given(n_full=st.integers(1, 3), m=st.integers(1, 2),
@@ -1097,19 +1099,20 @@ class TestPolicyIteration:
            seed=st.integers(0, 2**32 - 1))
     def test_rollouts_equal_fresh_per_step_draws(self, n_full, m, episode_len,
                                                  explore, seed):
-        # Every call sees the stream of a generator fresh from the seed.
-        # Gains up to 3 make some calls diverge.  Block evaluation rounds
-        # differently from stepping, so values agree norm-wise.
+        # Every call, under each of four gains, sees the stream of a
+        # generator fresh from the seed.  Gains up to 3 make some calls
+        # diverge.  Block evaluation rounds differently from stepping, so
+        # values agree norm-wise.
         rng = np.random.default_rng(seed)
         n_obs = int(rng.integers(1, n_full + 1))
         A = scaled_matrix(rng, n_full, rng.uniform(0.3, 1.2))
         B = rng.normal(size=(n_full, m))
-        source = lqr.linear_rollouts(A, B, n_obs=n_obs, episode_len=episode_len,
-                                     explore=explore, seed=seed)
-        reference = stepping_rollouts(A, B, n_obs, episode_len, explore, seed)
-        calls = [(rng.normal(size=(m, n_obs)) * rng.uniform(0.0, 3.0),
-                  int(rng.integers(1, 300))) for _ in range(4)]
-        assert_rollouts_match(source, reference, calls, 1e-11)
+        n_samples = int(rng.integers(1, 300))
+        source = lqr.linear_rollouts(A, B, n_samples=n_samples, n_obs=n_obs,
+                                     episode_len=episode_len, explore=explore, seed=seed)
+        reference = stepping_rollouts(A, B, n_samples, n_obs, episode_len, explore, seed)
+        gains = [rng.normal(size=(m, n_obs)) * rng.uniform(0.0, 3.0) for _ in range(4)]
+        assert_rollouts_match(source, reference, gains, 1e-11)
 
     @settings(max_examples=100, deadline=None)
     @given(n_full=st.integers(1, 3), m=st.integers(1, 2),
@@ -1123,12 +1126,11 @@ class TestPolicyIteration:
         n_obs = int(rng.integers(1, n_full + 1))
         A = scaled_matrix(rng, n_full, rng.uniform(0.3, 1.2))
         B = rng.normal(size=(n_full, m))
-        source = lqr.linear_rollouts(A, B, n_obs=n_obs, episode_len=episode_len,
-                                     explore=explore, seed=seed)
-        calls = [(rng.normal(size=(m, n_obs)) * rng.uniform(0.0, 3.0),
-                  int(rng.integers(1, 300))) for _ in range(3)]
-        first = [rollout_or_raised(source, *call) for call in calls]
-        again = [rollout_or_raised(source, *call) for call in reversed(calls)][::-1]
+        source = lqr.linear_rollouts(A, B, n_samples=int(rng.integers(1, 300)), n_obs=n_obs,
+                                     episode_len=episode_len, explore=explore, seed=seed)
+        gains = [rng.normal(size=(m, n_obs)) * rng.uniform(0.0, 3.0) for _ in range(3)]
+        first = [rollout_or_raised(source, K) for K in gains]
+        again = [rollout_or_raised(source, K) for K in reversed(gains)][::-1]
         for got, want in zip(again, first):
             if isinstance(want, str):
                 assert got == want
@@ -1145,43 +1147,50 @@ class TestPolicyIteration:
         # With A = 0, K = 0 and one input every state is a single product
         # B e, which block and per-step evaluation round alike, so values
         # agree bit for bit.  B (up to 1e8) puts the largest |B e| at
-        # 1e6 (1 + 10^log_excess): some calls diverge and some that follow
-        # them do not, and those must see the stream of a fresh generator.
+        # 1e6 (1 + 10^log_excess): under K = 0 some sources diverge and
+        # some do not.  Calls under K = 0 alternate with calls under a
+        # gain of 1e12, whose rollouts diverge at their first step, and
+        # each must see the stream of a fresh generator.
         rng = np.random.default_rng(seed)
         n_obs = int(rng.integers(1, n_full + 1))
         A = np.zeros((n_full, n_full))
         B = rng.normal(size=(n_full, 1))
         B *= 1e6 * (1.0 + 10.0 ** log_excess) / (explore * np.abs(B).max())
-        K = np.zeros((1, n_obs))
-        source = lqr.linear_rollouts(A, B, n_obs=n_obs, episode_len=episode_len,
-                                     explore=explore, seed=seed)
-        reference = stepping_rollouts(A, B, n_obs, episode_len, explore, seed)
-        calls = [(K, int(rng.integers(1, 300))) for _ in range(4)]
-        assert_rollouts_match(source, reference, calls, 0.0)
+        K, K_diverging = np.zeros((1, n_obs)), np.full((1, n_obs), 1e12)
+        n_samples = int(rng.integers(1, 300))
+        source = lqr.linear_rollouts(A, B, n_samples=n_samples, n_obs=n_obs,
+                                     episode_len=episode_len, explore=explore, seed=seed)
+        reference = stepping_rollouts(A, B, n_samples, n_obs, episode_len, explore, seed)
+        assert_rollouts_match(source, reference, [K, K_diverging, K, K_diverging, K], 0.0)
 
-    def test_source_draws_once_per_sample_count(self):
-        # Calls under several gains and two sample counts, one of them
-        # diverging, build one generator per sample count and return the
-        # former source's batches (a fresh generator and uniform draw per
-        # call) bit for bit, raising where it raises.
+    def test_source_draws_once_when_built(self):
+        # A source builds one generator, when it is constructed, and its
+        # calls under several gains build none, a diverging gain
+        # included; they return the former source's batches (a fresh
+        # generator and uniform draw per call) bit for bit, raising where
+        # it raises.
         A, B, _ = lqr.servo_plant(0.2)
-        calls = [([[1.0, 1.0]], 2400), ([[0.5, 2.0]], 2400), ([[-30.0, 0.0]], 2400),
-                 ([[2.0, 0.3]], 2400), ([[1.0, 1.0]], 2400), ([[0.5, 2.0]], 1000),
-                 ([[3.0, 1.0]], 1000)]
-        former = former_linear_rollouts(A, B, n_obs=2, episode_len=400, seed=5)
-        want = [rollout_or_raised(former, np.array(K), n) for K, n in calls]
-        assert want[2] == "raised"
-        with mock.patch("numpy.random.default_rng",
-                        wraps=np.random.default_rng) as default_rng:
-            source = lqr.linear_rollouts(A, B, n_obs=2, episode_len=400, seed=5)
-            got = [rollout_or_raised(source, np.array(K), n) for K, n in calls]
-        assert default_rng.call_count == 2
-        for g, w in zip(got, want):
-            if isinstance(w, str):
-                assert g == w
-            else:
-                for g_part, w_part in zip(g, w):
-                    np.testing.assert_array_equal(g_part, w_part)
+        calls = {2400: [[[1.0, 1.0]], [[0.5, 2.0]], [[-30.0, 0.0]], [[2.0, 0.3]],
+                        [[1.0, 1.0]]],
+                 1000: [[[0.5, 2.0]], [[3.0, 1.0]]]}
+        for n_samples, gains in calls.items():
+            former = former_linear_rollouts(A, B, n_samples, n_obs=2, episode_len=400,
+                                            seed=5)
+            want = [rollout_or_raised(former, np.array(K)) for K in gains]
+            assert ("raised" in want) == (n_samples == 2400)
+            with mock.patch("numpy.random.default_rng",
+                            wraps=np.random.default_rng) as default_rng:
+                source = lqr.linear_rollouts(A, B, n_samples, n_obs=2, episode_len=400,
+                                             seed=5)
+                assert default_rng.call_count == 1
+                got = [rollout_or_raised(source, np.array(K)) for K in gains]
+            assert default_rng.call_count == 1
+            for g, w in zip(got, want):
+                if isinstance(w, str):
+                    assert g == w
+                else:
+                    for g_part, w_part in zip(g, w):
+                        np.testing.assert_array_equal(g_part, w_part)
 
 
 class TestLoopMetrics:
