@@ -16,12 +16,6 @@ from .config import check_seed, load_scenario
 from .errors import ConfigError, InfeasibleError, NumericalError
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None, help="key = value config file")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modru",
@@ -35,11 +29,14 @@ def build_parser() -> argparse.ArgumentParser:
             ("compare-slope", "pipeline with and without slope knowledge"),
             ("robustness", "controller design sweep over plant parasitics")]:
         p = sub.add_parser(name, help=descr)
-        _add_common(p)
+        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         if name == "robustness":
             p.add_argument("--taus", default="0.2,0.1,0.05,0.02,0.01,0",
                            help="comma separated parasitic time constants")
             p.add_argument("--methods", default="model-based,model-free")
+        else:
+            p.add_argument("--config", default=None, help="key = value config file")
     return parser
 
 

@@ -7,7 +7,8 @@ is not read.  Profile-valued keys use ``pos:val, pos:val, ...`` pairs:
 ``slope.breakpoints`` interpolates linearly between its pairs, and
 ``vlim.breakpoints`` holds each speed limit, which must be positive, from
 its position to the next.  ``to.u_lim = none`` plans without an input
-bound.
+bound.  ``est.mask`` fits th1 and not th3, without which the timing planner
+is convex; ``est.hold`` is at least one sample time ``est.h``.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ def parse_pairs(text: str, kind: str) -> PositionProfile:
 
 def _parse_mask(text: str) -> tuple[bool, ...]:
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 6 or any(p not in ("0", "1") for p in parts) or parts[0] != "1":
-        raise ConfigError(f"mask must be six 0/1 flags with th1 active, got {text!r}")
+    if (len(parts) != 6 or any(p not in ("0", "1") for p in parts)
+            or (parts[0], parts[2]) != ("1", "0")):
+        raise ConfigError(f"mask must be six 0/1 flags with th1 on and th3 off, got {text!r}")
     return tuple(p == "1" for p in parts)
 
 
@@ -210,13 +212,15 @@ def scenario_from_config(cfg: dict[str, str]) -> Scenario:
             raise ConfigError(str(exc)) from exc
 
     for positive in ("path_length", "T_f", "vdot_lim", "est_duration", "est_h",
-                     "est_hold", "sim_h", "rho_I", "rho_u", "ctrl_u_lim"):
+                     "sim_h", "rho_I", "rho_u", "ctrl_u_lim"):
         if not getattr(sc, positive) > 0:
             raise ConfigError(f"{positive} must be positive")
     n_est = sc.est_duration / sc.est_h
     if not (np.isfinite(n_est) and round(n_est) >= 9):
         raise ConfigError("est.duration / est.h must be finite and give the 10 "
                           "samples a fit needs")
+    if not (sc.est_hold >= sc.est_h and np.isfinite(sc.est_hold / sc.est_h)):
+        raise ConfigError("need est.hold >= est.h and a finite est.hold / est.h")
     if not np.all(sc.v_limit.values > 0):
         raise ConfigError("every speed limit in vlim.breakpoints must be positive")
     if sc.to_n < 2 or sc.grid_n < 2 or sc.sim_substeps < 1:

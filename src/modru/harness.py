@@ -69,7 +69,7 @@ def stage_dataset(sc: Scenario) -> sysid.Dataset:
     targets = v_max * np.array([0.5, 0.85, 0.35, 0.7, 0.95, 0.45])
     levels = np.array([_balance_input(sc, v) for v in targets])
     n = int(round(sc.est_duration / sc.est_h))
-    hold = max(1, int(round(sc.est_hold / sc.est_h)))
+    hold = int(round(sc.est_hold / sc.est_h))
     u = levels[(np.arange(n) // hold) % levels.size].astype(float)
     # Random binary perturbation.  Long bits keep the excitation slow
     # against a ~1 s actuator lag so the reduced (lag-free) model stays

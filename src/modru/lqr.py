@@ -94,32 +94,21 @@ def _quadratic_form(x: np.ndarray, Q: np.ndarray) -> np.ndarray:
 _triu_maps = functools.cache(np.triu_indices)
 
 
-@dataclass(frozen=True)
-class QTheta:
-    """Quadratic Q-function blocks: Q(x,u) = [x;u]' [[S_xx,S_xu],[S_xu',S_uu]] [x;u]."""
-
-    S_xx: np.ndarray
-    S_xu: np.ndarray
-    S_uu: np.ndarray
-
-    @classmethod
-    def from_parameters(cls, theta: np.ndarray, n: int, m: int) -> "QTheta":
-        """Build from the upper-triangle parameter vector of the regression."""
-        d = n + m
-        if theta.size != d * (d + 1) // 2:
-            raise ValueError("parameter vector length mismatch")
-        S = np.zeros((d, d))
-        I, J = _triu_maps(d)
-        S[I, J] = theta
-        S[J, I] = theta
-        return cls(S_xx=S[:n, :n], S_xu=S[:n, n:], S_uu=S[n:, n:])
-
-    def gain(self) -> np.ndarray:
-        """Greedy policy gain K = S_uu^{-1} S_xu' (u = -K x)."""
-        w = np.linalg.eigvalsh(self.S_uu)
-        if w.min() <= 1e-12 * max(1.0, abs(w).max()):
-            raise PolicyIterationError("S_uu block is not positive definite")
-        return np.linalg.solve(self.S_uu, self.S_xu.T)
+def _greedy_gain(theta: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Greedy policy gain K = S_uu^{-1} S_xu' (u = -K x) of the quadratic
+    Q-function Q(x,u) = [x;u]' [[S_xx,S_xu],[S_xu',S_uu]] [x;u] whose upper
+    triangle, row-major, is the regression's parameter vector ``theta``."""
+    d = n + m
+    if theta.size != d * (d + 1) // 2:
+        raise ValueError("parameter vector length mismatch")
+    S = np.zeros((d, d))
+    I, J = _triu_maps(d)
+    S[I, J] = theta
+    S[J, I] = theta
+    w = np.linalg.eigvalsh(S[n:, n:])
+    if w.min() <= 1e-12 * max(1.0, abs(w).max()):
+        raise PolicyIterationError("S_uu block is not positive definite")
+    return np.linalg.solve(S[n:, n:], S[:n, n:].T)
 
 
 @dataclass
@@ -421,7 +410,7 @@ class _CachedStart:
 
 def lqrl_policy_iteration(rollout_source, K0: np.ndarray, cost: QuadCost,
                           max_iters: int = 50, *, start: _CachedStart | None = None
-                          ) -> tuple[np.ndarray, QTheta]:
+                          ) -> np.ndarray:
     """Model-free LQ policy iteration on one-step transition data.
 
     ``rollout_source(K)`` must return float arrays X (N, n), U (N, m) and
@@ -464,7 +453,6 @@ def lqrl_policy_iteration(rollout_source, K0: np.ndarray, cost: QuadCost,
     tol = 1e-6
     K = np.atleast_2d(np.asarray(K0, dtype=float)).copy()
     m, n = K.shape
-    qf = None
     outcome, i = "raised", 0
     try:
         if start is None:
@@ -476,12 +464,11 @@ def lqrl_policy_iteration(rollout_source, K0: np.ndarray, cost: QuadCost,
         for i in range(1, max_iters + 1):
             if start is None or i > 1:
                 theta = work.regress(cost)
-            qf = QTheta.from_parameters(theta, n, m)
-            K_new = qf.gain()
+            K_new = _greedy_gain(theta, n, m)
             for _ in range(8):
                 if np.abs(K_new - K).max() < tol:
                     outcome = "converged"
-                    return K_new, qf
+                    return K_new
                 try:
                     work.load(*rollout_source(K_new), K_new)
                     break
@@ -492,7 +479,7 @@ def lqrl_policy_iteration(rollout_source, K0: np.ndarray, cost: QuadCost,
                     "improved policy diverges even after step damping")
             K = K_new
         outcome = "max_iters"
-        return K, qf
+        return K
     finally:
         if start is not None:
             start.outcome, start.iterations = outcome, i
@@ -895,9 +882,8 @@ def robustness_sweep(taus, methods=METHODS,
                 start = _CachedStart(source, K0, Q_x)
 
                 def make_gain(q_u):
-                    K, _ = lqrl_policy_iteration(source, K0, QuadCost(Q_x, [[q_u]]),
+                    return lqrl_policy_iteration(source, K0, QuadCost(Q_x, [[q_u]]),
                                                  start=start)
-                    return K
             else:
                 raise ValueError(f"unknown method {method!r}")
 

@@ -13,7 +13,8 @@ still undercuts traction at g > 1).  Constraints: 0 < z_j <= the
 squared caps of both adjacent segments, |a_k| <= vdot_lim, sum h_k <= T_f
 and optionally |u_k| <= u_lim.
 
-With t3 = 0 the problem is convex (Verscheure et al., *IEEE TAC* 54, 2009).
+With t3 = 0 the problem is convex (Verscheure et al., *IEEE TAC* 54, 2009):
+the planner requires it, and the config refuses a mask that would fit t3.
 Each row but the budget bounds a node from above by an increasing affine
 function of its neighbour.  With each segment's contracting loops of rows
 capped at their fixed points, one pass each way finds the rows' greatest
@@ -25,8 +26,7 @@ strictly inside and minimises each epigraph q_k >= max(g u_k, r u_k) out in
 closed form, so the Newton matrix in z is tridiagonal plus the budget's
 rank-1 term: an LDL^T sweep and a Sherman-Morrison step solve it in O(N).
 It stops at a duality gap m_b / t (m_b barrier terms) below ``GAP_TOL``
-max(|E|, m/2 (L/T_f)^2).  With t3 unmasked, sequential convex steps linearise
-sqrt(zbar_k) at the last plan until it settles, or raise NumericalError.
+max(|E|, m/2 (L/T_f)^2).
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ BOUNDARY_RULE = "charge_kinetic"   # E includes m/2 (v_0^2 - v_N^2)
 MU = 10.0         # barrier weight growth per centring
 GAP_TOL = 1e-9    # the barrier's relative duality gap
 PIN_TOL = 1e-12   # budgets this close above the fastest plan's time pin it
-SCP_MAX = 30      # convex solves allowed for an unmasked t3
 
 
 @dataclass(frozen=True)
@@ -79,6 +78,8 @@ class TOProblem:
             raise ValueError("T_f, vdot_lim and u_lim must be positive")
         if not isinstance(self.model, GrayBoxModel):
             raise ValueError("model must be a GrayBoxModel")
+        if self.model.theta[2] != 0.0:
+            raise ValueError("the planner is convex only without the velocity-linear term t3")
 
     @property
     def n_segments(self) -> int:
@@ -112,7 +113,7 @@ class TOSolution:
     z: np.ndarray          # squared node speeds v_j^2, length N+1
     gap: float             # duality gap [model energy units]
     gap_rel: float         # gap / max(|E|, m/2 (L/T_f)^2)
-    n_newton: int          # barrier Newton steps over all convex steps
+    n_newton: int          # barrier Newton steps
     exit: str              # "gap", or "time_pinned" if only the fastest plan fits
 
     def to_csv(self, path, problem: TOProblem) -> None:
@@ -163,8 +164,8 @@ def evaluate_objective(p: TOProblem, z) -> tuple[float, dict]:
     if z.shape != (p.n_segments + 1,) or not np.all(np.isfinite(z)) or np.any(z <= 0):
         raise ValueError("z must hold one positive squared speed per node")
     v, a, zbar = np.sqrt(z), np.diff(z) / (2.0 * p.dx), 0.5 * (z[:-1] + z[1:])
-    t1, t2, t3, t4, t5, t6 = p.model.theta
-    u = (a - t2 - t3 * np.sqrt(zbar) - t4 * zbar - t5 * p.alpha - t6 * p.alpha ** 2) / t1
+    t1, t2, _, t4, t5, t6 = p.model.theta
+    u = (a - t2 - t4 * zbar - t5 * p.alpha - t6 * p.alpha ** 2) / t1
     eta = step_efficiency(u, p.eff.gen_factor, p.eff.regen_factor)
     h = 2.0 * p.dx / (v[:-1] + v[1:])
     E = float(np.sum(p.dx * eta * u)) + 0.5 * p.mass * float(z[0] - z[-1])
@@ -203,18 +204,15 @@ def _thomas(d, e, b1, b2):
 
 
 class _Barrier:
-    """Log barrier of one convex problem, u affine in z (t3 linearised at
-    ``z_lin``): the energy's epigraphs, the rows and the time budget."""
+    """Log barrier of the convex problem, u affine in z: the energy's
+    epigraphs, the rows and the time budget."""
 
-    def __init__(self, p: TOProblem, z_lin: np.ndarray):
+    def __init__(self, p: TOProblem):
         n, s, self.p, self.n_newton = p.n_segments, 0.5 / p.dx, p, 0
-        t1, t2, t3, t4, t5, t6 = p.model.theta
-        c, slope = t2 + t5 * p.alpha + t6 * p.alpha ** 2, np.full(n, t4)
-        if t3 != 0.0:
-            w = np.sqrt(0.5 * (z_lin[:-1] + z_lin[1:]))
-            slope, c = slope + 0.5 * t3 / w, c + 0.5 * t3 * w
+        t1, t2, _, t4, t5, t6 = p.model.theta
+        c = t2 + t5 * p.alpha + t6 * p.alpha ** 2
         # u_k = al z_k + be z_{k+1} + ga
-        self.ab = al, be, ga = (-s - 0.5 * slope) / t1, (s - 0.5 * slope) / t1, -c / t1
+        self.ab = al, be, ga = (-s - 0.5 * t4) / t1, (s - 0.5 * t4) / t1, -c / t1
         # Rows lb - l0 z_k - l1 z_{k+1} > 0 per segment: both nodes positive
         # and under the cap, the acceleration and, if bounded, the input; lim
         # is the limit within lb that a margin tightens.
@@ -392,26 +390,17 @@ def solve(p: TOProblem) -> TOSolution:
     (so no plan meets them) or takes over T_f (1 + ``VIOL_TOL``); returns
     z_max (exit "time_pinned") if it takes T_f (1 - ``PIN_TOL``) or more,
     else the barrier's plan (exit "gap").  Raises :class:`NumericalError` if
-    a row bounds both its nodes, if centring fails or if an unmasked t3's
-    convex steps do not settle within ``SCP_MAX`` solves.
+    a row bounds both its nodes or if centring fails.
     """
-    z_lin, n_newton = np.full(p.n_segments + 1, (p.x[-1] / p.T_f) ** 2), 0
-    for _ in range(SCP_MAX):
-        bar = _Barrier(p, z_lin)
-        z = bar.greatest()
-        if (bar.slack(z) <= -1e-9 * bar.lim).any():   # a row broken past rounding
-            raise InfeasibleError(f"no plan keeps |u| strictly below u_lim={p.u_lim:g}")
-        T = bar.time(z)
-        if T > p.T_f * (1.0 + VIOL_TOL):
-            raise InfeasibleError(f"no plan meets T_f={p.T_f:g} s: the fastest one takes {T!r} s")
-        pinned = T >= p.T_f * (1.0 - PIN_TOL)
-        z, gap = (z, 0.0) if pinned else bar.run(bar.start())
-        n_newton += bar.n_newton
-        settled, z_lin = np.abs(z - z_lin).max() <= 1e-9 * z.max(), z
-        if p.model.theta[2] == 0.0 or settled:
-            break
-    else:
-        raise NumericalError(f"sequential convex steps did not settle in {SCP_MAX} solves")
+    bar = _Barrier(p)
+    z = bar.greatest()
+    if (bar.slack(z) <= -1e-9 * bar.lim).any():   # a row broken past rounding
+        raise InfeasibleError(f"no plan keeps |u| strictly below u_lim={p.u_lim:g}")
+    T = bar.time(z)
+    if T > p.T_f * (1.0 + VIOL_TOL):
+        raise InfeasibleError(f"no plan meets T_f={p.T_f:g} s: the fastest one takes {T!r} s")
+    pinned = T >= p.T_f * (1.0 - PIN_TOL)
+    z, gap = (z, 0.0) if pinned else bar.run(bar.start())
     E, parts = evaluate_objective(p, z)
     h = parts["h"]
     caps = np.maximum(z[:-1], z[1:]) / p.v_lim ** 2
@@ -421,7 +410,7 @@ def solve(p: TOProblem) -> TOSolution:
     return TOSolution(h=h, t=np.concatenate([[0.0], np.cumsum(h)]), v_r=parts["v_r"],
                       a_r=parts["a_r"], u_r=parts["u_r"], eta=parts["eta"], E=E,
                       feasible=bool(max(viol) <= 1.0 + VIOL_TOL), z=z, gap=gap,
-                      gap_rel=gap / max(abs(E), _kinetic(p)), n_newton=n_newton,
+                      gap_rel=gap / max(abs(E), _kinetic(p)), n_newton=bar.n_newton,
                       exit="time_pinned" if pinned else "gap")
 
 

@@ -1,5 +1,6 @@
 """Configuration, pipeline staging, reporting, and CLI tests."""
 
+import itertools
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -53,12 +54,24 @@ class TestConfigFiles:
 
     def test_scenario_overrides(self):
         sc = config.scenario_from_config(
-            {"to.T_f": "950", "to.N": "80", "est.mask": "1,1,1,1,1,1",
+            {"to.T_f": "950", "to.N": "80", "est.mask": "1,1,0,1,1,1",
              "to.u_lim": "none", "plant.m": "38000"})
         assert sc.T_f == 950.0 and sc.to_n == 80
-        assert sc.est_mask == (True,) * 6
+        assert sc.est_mask == (True, True, False, True, True, True)
         assert sc.to_u_lim is None
         assert sc.plant_params.m == 38000.0
+
+    def test_mask_needs_th1_and_refuses_th3(self):
+        accepted = []
+        for flags in itertools.product("01", repeat=6):
+            try:
+                mask = config._parse_mask(",".join(flags))
+            except ConfigError:
+                continue
+            assert mask == tuple(f == "1" for f in flags)
+            accepted.append(flags)
+        assert len(accepted) == 16
+        assert all(f[0] == "1" and f[2] == "0" for f in accepted)
 
     def test_car_profile_pairs(self):
         sc = config.scenario_from_config(
@@ -327,24 +340,44 @@ class TestCli:
         ("plan", "to.u_lim = auto", []),
         ("estimate", "est.hold = 0", []),
         ("estimate", "est.hold = -60", []),
+        # est.h is 0.2 s on the car.
+        ("estimate", "est.hold = 0.1", []),
+        ("simulate", "est.duration = 1e-9\nest.h = 1e-10\nest.hold = 1e300", []),
+        # The planner is convex only without the velocity-linear term.
+        ("pipeline", "est.mask = 1,1,1,1,1,1", []),
     ], ids=["T_f_nan", "u_lim", "gamma", "gen", "regen_high", "regen_zero", "mask", "M_one",
             "M_negative", "mode_pseudo", "fit_efficiency", "slope_inf", "vlim_nan",
             "hold_nan", "plant_m_nan", "noise", "duration_short",
             "seed_key", "seed_flag_simulate", "seed_flag_pipeline", "seed_flag_robustness",
             "vlim_negative", "vlim_zero_end", "vlim_zero", "duration_overflow",
-            "slope_kind", "vlim_kind", "u_lim_auto", "hold_zero", "hold_negative"])
+            "slope_kind", "vlim_kind", "u_lim_auto", "hold_zero", "hold_negative",
+            "hold_below_sample", "hold_overflow", "mask_th3"])
     def test_bad_config_values_fail_before_any_work(self, tmp_path, capsys,
                                                     command, lines, flags):
         cfg = tmp_path / "bad.conf"
         cfg.write_text("plant.type = car\n" + lines + "\n")
+        # robustness reads no config file and takes no --config.
+        config_args = [] if command == "robustness" else ["--config", str(cfg)]
         out = tmp_path / "out"
         started = AssertionError("work started")
         with mock.patch.object(harness, "stage_dataset", side_effect=started), \
                 mock.patch.object(lqr, "robustness_sweep", side_effect=started):
-            rc = cli.main([command, "--config", str(cfg), *flags, "--out", str(out)])
+            rc = cli.main([command, *config_args, *flags, "--out", str(out)])
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_robustness_refuses_a_config_file(self, tmp_path, capsys):
+        # The sweep reads no scenario, so a config file is a bad argument.
+        cfg = tmp_path / "bad.conf"
+        cfg.write_text("to.T_f = nonsense\n")
+        with mock.patch.object(lqr, "robustness_sweep",
+                               side_effect=AssertionError("work started")), \
+                pytest.raises(SystemExit) as exc:
+            cli.main(["robustness", "--config", str(cfg), "--taus", "0",
+                      "--methods", "model-based", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--config", "--out"])
     def test_unusable_path_fails_before_any_work(self, tmp_path, capsys, flag):

@@ -359,15 +359,16 @@ def refined_normal_equations(psi, rho):
     return theta
 
 
-def sample_major_q_function(data, K, cost):
+def sample_major_gain(data, K, cost):
     """Reference regression of one policy-iteration step: the N x p
-    feature matrix built sample by sample, with the einsum stage cost."""
+    feature matrix built sample by sample, with the einsum stage cost,
+    and its greedy gain."""
     X, U, Xn = data
     m, n = K.shape
     Un = -(Xn @ K.T)
     psi = phi(np.hstack([X, U])) - phi(np.hstack([Xn, Un]))
     theta = refined_normal_equations(psi, einsum_stage(cost, X, U))
-    return lqr.QTheta.from_parameters(theta, n, m)
+    return lqr._greedy_gain(theta, n, m)
 
 
 def sample_major_policy_iteration(rollout_source, K0, cost, max_iters=50, tol=1e-6,
@@ -378,14 +379,12 @@ def sample_major_policy_iteration(rollout_source, K0, cost, max_iters=50, tol=1e
     are collected before the convergence check, so the last batch goes
     unused."""
     K = np.atleast_2d(np.asarray(K0, dtype=float)).copy()
-    qf = None
     data = rollout_source(K)
     for _ in range(max_iters):
-        qf = sample_major_q_function(data, K, cost)
-        K_new = qf.gain()
+        K_new = sample_major_gain(data, K, cost)
         for _ in range(8):
             if check_first and np.abs(K_new - K).max() < tol:
-                return K_new, qf
+                return K_new
             try:
                 data = rollout_source(K_new)
                 break
@@ -397,16 +396,11 @@ def sample_major_policy_iteration(rollout_source, K0, cost, max_iters=50, tol=1e
         K = K_new
         if step < tol:
             break
-    return K, qf
+    return K
 
 
 collect_then_check_policy_iteration = functools.partial(sample_major_policy_iteration,
                                                         check_first=False)
-
-
-def assert_same_q_function(qf, qf_ref):
-    for block in ("S_xx", "S_xu", "S_uu"):
-        assert np.array_equal(getattr(qf, block), getattr(qf_ref, block))
 
 
 def random_cost(rng, n, m):
@@ -748,24 +742,22 @@ class TestCostAndQTheta:
             else:
                 assert np.all(np.abs(got - want) <= bound)
 
-    def test_qtheta_round_trip(self):
-        # n=2, m=1: upper triangle row-major [S00 S01 S02 S11 S12 S22]
-        theta = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        qf = lqr.QTheta.from_parameters(theta, 2, 1)
-        np.testing.assert_array_equal(qf.S_xx, [[1.0, 2.0], [2.0, 4.0]])
-        np.testing.assert_array_equal(qf.S_xu, [[3.0], [5.0]])
-        np.testing.assert_array_equal(qf.S_uu, [[6.0]])
+    def test_greedy_gain_reads_the_upper_triangle(self):
+        # n=2, m=1: upper triangle row-major [S00 S01 S02 S11 S12 S22], so
+        # S_xu = [[3], [5]] and S_uu = [[2]] give K = [[1.5, 2.5]]; S_xx
+        # does not enter the gain.
+        theta = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 2.0])
+        np.testing.assert_array_equal(lqr._greedy_gain(theta, 2, 1), [[1.5, 2.5]])
         with pytest.raises(ValueError):
-            lqr.QTheta.from_parameters(theta[:-1], 2, 1)
+            lqr._greedy_gain(theta[:-1], 2, 1)
 
-    def test_qtheta_gain(self):
-        qf = lqr.QTheta(S_xx=np.eye(2), S_xu=np.array([[4.0], [6.0]]),
-                        S_uu=np.array([[2.0]]))
-        np.testing.assert_allclose(qf.gain(), [[2.0, 3.0]])
-        bad = lqr.QTheta(S_xx=np.eye(2), S_xu=np.zeros((2, 1)),
-                         S_uu=np.array([[-1.0]]))
-        with pytest.raises(PolicyIterationError):
-            bad.gain()
+    def test_greedy_gain_needs_a_positive_definite_input_block(self):
+        # n=1, m=2: [S00 S01 S02 S11 S12 S22] with S_uu = [[4, 2], [2, 4]].
+        theta = np.array([1.0, 4.0, 6.0, 4.0, 2.0, 4.0])
+        np.testing.assert_allclose(lqr._greedy_gain(theta, 1, 2), [[1 / 3], [4 / 3]])
+        for S_uu in ([-1.0, 0.0, 1.0], [1.0, 1.0, 1.0]):   # indefinite, singular
+            with pytest.raises(PolicyIterationError):
+                lqr._greedy_gain(np.array([1.0, 4.0, 6.0, *S_uu]), 1, 2)
 
 
 class TestPolicyIteration:
@@ -775,9 +767,8 @@ class TestPolicyIteration:
         cost = lqr.QuadCost(np.eye(2), [[1.0]])
         K_star, _ = lqr.dare_solve(A, B, cost.Q_x, cost.Q_u)
         source = lqr.linear_rollouts(A, B, seed=3)
-        K, qf = lqr.lqrl_policy_iteration(source, np.zeros((1, 2)), cost)
+        K = lqr.lqrl_policy_iteration(source, np.zeros((1, 2)), cost)
         assert np.abs(K - K_star).max() < 1e-6
-        assert np.linalg.eigvalsh(qf.S_uu).min() > 0
 
     # Every call converges and saves the rollout under its converged gain;
     # at tau = 0.2 the hidden actuator state slows the iteration to 12
@@ -793,11 +784,10 @@ class TestPolicyIteration:
                                  collect_then_check_policy_iteration):
             source = CountingSource(lqr.linear_rollouts(
                 A, B, n_samples=2400, n_obs=2, episode_len=400, seed=seed))
-            K, qf = policy_iteration(source, np.array([[1.0, 1.0]]), cost)
-            runs.append((K, qf, source.calls))
-        (K, qf, calls), (K_ref, qf_ref, calls_ref) = runs
+            K = policy_iteration(source, np.array([[1.0, 1.0]]), cost)
+            runs.append((K, source.calls))
+        (K, calls), (K_ref, calls_ref) = runs
         assert np.array_equal(K, K_ref)
-        assert_same_q_function(qf, qf_ref)
         assert calls == calls_ref - saved
 
     def test_converged_gain_is_returned_without_its_rollout(self):
@@ -812,8 +802,8 @@ class TestPolicyIteration:
                 A, B, n_samples=2400, episode_len=400, seed=3), fail_at)
             return policy_iteration(source, np.array([[1.0, 1.0]]), cost), source.calls
 
-        (K, _), calls = run(lqr.lqrl_policy_iteration)
-        (K_failing, _), _ = run(lqr.lqrl_policy_iteration, fail_at=calls + 1)
+        K, calls = run(lqr.lqrl_policy_iteration)
+        K_failing, _ = run(lqr.lqrl_policy_iteration, fail_at=calls + 1)
         assert np.array_equal(K_failing, K)
         with pytest.raises(PolicyIterationError, match="damping"):
             run(collect_then_check_policy_iteration, fail_at=calls + 1)
@@ -824,7 +814,7 @@ class TestPolicyIteration:
            seed=st.integers(0, 2**32 - 1))
     def test_equals_sample_major_oracle(self, n, m, episode_len, whole_episodes,
                                         max_iters, seed):
-        # Equal gains, Q blocks and rollout calls, or the same error, for
+        # Equal gains and rollout calls, or the same error, for
         # sample counts from below the p regressors (rank failure) up, as
         # whole episodes or with a partial last one.
         rng = np.random.default_rng(seed)
@@ -841,20 +831,18 @@ class TestPolicyIteration:
             source = CountingSource(lqr.linear_rollouts(
                 A, B, n_samples=n_samples, episode_len=episode_len, seed=seed))
             try:
-                K, qf = policy_iteration(source, np.zeros((m, n)), cost,
-                                         max_iters=max_iters)
+                K = policy_iteration(source, np.zeros((m, n)), cost, max_iters=max_iters)
             except (EstimationError, PolicyIterationError) as exc:
-                runs.append((type(exc), None, source.calls))
+                runs.append((type(exc), source.calls))
             else:
-                runs.append((K, qf, source.calls))
-        (K, qf, calls), (K_ref, qf_ref, calls_ref) = runs
+                runs.append((K, source.calls))
+        (K, calls), (K_ref, calls_ref) = runs
         assert calls == calls_ref
-        if qf_ref is None:
+        if isinstance(K_ref, type):
             assert K is K_ref
             assert n_samples >= p or K_ref is EstimationError
             return
         assert np.array_equal(K, K_ref)
-        assert_same_q_function(qf, qf_ref)
 
     @settings(max_examples=200, deadline=None)
     @given(n_full=st.integers(1, 4), m=st.integers(1, 2), log_explore=st.floats(-9.0, 0.0),
@@ -1021,7 +1009,7 @@ class TestPolicyIteration:
         runs = []
         for kwargs in ({"start": start}, {}):
             counted = CountingSource(source)
-            K, _ = lqr.lqrl_policy_iteration(counted, K0, cost, **kwargs)
+            K = lqr.lqrl_policy_iteration(counted, K0, cost, **kwargs)
             runs.append((K, counted.calls))
         (K, calls), (K_ref, calls_ref) = runs
         assert start.outcome == "converged"
