@@ -213,8 +213,8 @@ class RunReport:
     du_ratio: float
     terminal_position_error: float
     limit_overshoot: float
-    # Timing planner: relative duality gap, Newton steps, exit reason, and
-    # the boundary-speed rule that E_pred and E_realized both follow.
+    # Timing planner: relative duality gap, interior-point iterations, exit
+    # reason, and the boundary-speed rule that E_pred and E_realized both follow.
     plan_gap_rel: float = math.nan
     plan_newton_iters: int = 0
     plan_exit: str = ""

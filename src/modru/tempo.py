@@ -20,18 +20,24 @@ function of its neighbour.  With each segment's contracting loops of rows
 capped at their fixed points, one pass each way finds the rows' greatest
 element z_max, the time-optimal profile (Bobrow, Dubowsky & Gibson, *IJRR* 4,
 1985), if any plan meets them; travel time falls in every z_j, so z_max
-decides feasibility exactly.  At T(z_max) >= T_f z_max is the plan; else a
-log barrier (Boyd & Vandenberghe, *Convex Optimization*, ch. 11) starts
-strictly inside and minimises each epigraph q_k >= max(g u_k, r u_k) out in
-closed form, so the Newton matrix in z is tridiagonal plus the budget's
-rank-1 term: an LDL^T sweep and a Sherman-Morrison step solve it in O(N).
-It stops at a duality gap m_b / t (m_b barrier terms) below ``GAP_TOL``
-max(|E|, m/2 (L/T_f)^2).
+decides feasibility exactly.  At T(z_max) >= T_f z_max is the plan; else
+Mehrotra's predictor-corrector (*SIAM J. Optim.* 2, 1992; Wright,
+*Primal-Dual Interior-Point Methods*, SIAM 1997, ch. 10) gives every row,
+the budget and the energy's epigraph rows q_k >= g u_k, r u_k a slack and a
+dual.  It starts at the constant speed L/T_f, rows broken or not, with the
+epigraph duals at dx_k / 2, which meet the dual equation in q_k for good.
+With each q_k and its duals eliminated the Newton matrix in z is tridiagonal
+plus the budget's rank-1 term: an LDL^T sweep and a Sherman-Morrison step
+solve it in O(N).  It stops once the rows hold to a tenth of ``GAP_TOL`` of
+their limits, the Lagrangian's gradient in z is below ``GAP_TOL`` of its
+terms and the gap, the duals times the rows' slacks, is below ``GAP_TOL``
+max(|E|, m/2 (L/T_f)^2).  By weak duality the gap bounds E - E*: at a zero
+gradient the Lagrangian's minimum, at most E*, is the epigraph objective,
+at least E, less the gap.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,8 +50,7 @@ from .tables import write_csv
 
 VIOL_TOL = 1e-6   # relative feasibility tolerance on the reported solution
 BOUNDARY_RULE = "charge_kinetic"   # E includes m/2 (v_0^2 - v_N^2)
-MU = 10.0         # barrier weight growth per centring
-GAP_TOL = 1e-9    # the barrier's relative duality gap
+GAP_TOL = 1e-9    # relative duality gap and dual residual at the stop
 PIN_TOL = 1e-12   # budgets this close above the fastest plan's time pin it
 
 
@@ -113,7 +118,7 @@ class TOSolution:
     z: np.ndarray          # squared node speeds v_j^2, length N+1
     gap: float             # duality gap [model energy units]
     gap_rel: float         # gap / max(|E|, m/2 (L/T_f)^2)
-    n_newton: int          # barrier Newton steps
+    n_newton: int          # interior-point iterations
     exit: str              # "gap", or "time_pinned" if only the fastest plan fits
 
     def to_csv(self, path, problem: TOProblem) -> None:
@@ -172,50 +177,42 @@ def evaluate_objective(p: TOProblem, z) -> tuple[float, dict]:
     return E, {"h": h, "v_r": p.dx / h, "a_r": a, "u_r": u, "eta": eta}
 
 
-def _epigraph(u, c, g, r):
-    """min over q of c q - log(q - g u) - log(q - r u), from the closed form
-    of the optimal slacks, and those slacks q - g u and q - r u."""
-    d = (g - r) * np.abs(u)
-    b, root = c * d - 2.0, np.hypot(c * d, 2.0)
-    small = np.where(b > 0.0, 2.0 * d / np.maximum(b + root, 1e-300), (root - b) / (2.0 * c))
-    big = small + d
-    val = c * (np.maximum(g * u, r * u) + small) - np.log(small) - np.log(big)
-    return val, np.where(u >= 0.0, small, big), np.where(u >= 0.0, big, small)
-
-
-def _thomas(d, e, b1, b2):
-    """Solve T x = b1 and T x = b2, T symmetric tridiagonal with diagonal d and
-    off-diagonal e, by one LDL^T factorisation.  A pivot lost to cancellation
+def _thomas(d, e):
+    """Factorise the symmetric tridiagonal T with diagonal d and off-diagonal
+    e as LDL^T; returns the solve of T x = b.  A pivot lost to cancellation
     carries next to no curvature, so the step leaves its direction alone."""
-    piv, p1, p2 = [float(d[0])], [float(b1[0])], [float(b2[0])]
-    mult = []
-    for di, ei, c1, c2 in zip(d[1:].tolist(), e.tolist(), b1[1:].tolist(), b2[1:].tolist()):
+    piv, mult = [float(d[0])], []
+    for di, ei in zip(d[1:].tolist(), e.tolist()):
         mi = ei / piv[-1]
         dd = di - mi * ei
         piv.append(dd if dd > 1e-15 * di else 1e300)
         mult.append(mi)
-        p1.append(c1 - mi * p1[-1])
-        p2.append(c2 - mi * p2[-1])
-    x1, x2 = [p1[-1] / piv[-1]], [p2[-1] / piv[-1]]
-    for di, mi, c1, c2 in zip(piv[-2::-1], mult[::-1], p1[-2::-1], p2[-2::-1]):
-        x1.append(c1 / di - mi * x1[-1])
-        x2.append(c2 / di - mi * x2[-1])
-    return np.array(x1[::-1]), np.array(x2[::-1])
+
+    def solve(b):
+        x = [float(b[0])]
+        for mi, bi in zip(mult, b[1:].tolist()):
+            x.append(bi - mi * x[-1])
+        x[-1] /= piv[-1]
+        for k in range(len(mult) - 1, -1, -1):
+            x[k] = x[k] / piv[k] - mult[k] * x[k + 1]
+        return np.array(x)
+
+    return solve
 
 
-class _Barrier:
-    """Log barrier of the convex problem, u affine in z: the energy's
-    epigraphs, the rows and the time budget."""
+class _Program:
+    """The convex program, u affine in z: its rows, the energy's epigraphs
+    and the time budget."""
 
     def __init__(self, p: TOProblem):
-        n, s, self.p, self.n_newton = p.n_segments, 0.5 / p.dx, p, 0
+        n, s, self.p = p.n_segments, 0.5 / p.dx, p
         t1, t2, _, t4, t5, t6 = p.model.theta
         c = t2 + t5 * p.alpha + t6 * p.alpha ** 2
         # u_k = al z_k + be z_{k+1} + ga
         self.ab = al, be, ga = (-s - 0.5 * t4) / t1, (s - 0.5 * t4) / t1, -c / t1
-        # Rows lb - l0 z_k - l1 z_{k+1} > 0 per segment: both nodes positive
+        # Rows lb - l0 z_k - l1 z_{k+1} >= 0 per segment: both nodes positive
         # and under the cap, the acceleration and, if bounded, the input; lim
-        # is the limit within lb that a margin tightens.
+        # is the limit within lb.
         cap, vd, u = p.v_lim ** 2, p.vdot_lim, p.u_lim
         rows = [(-1.0, 0.0, 0.0, 0.0), (0.0, -1.0, 0.0, 0.0), (1.0, 0.0, cap, cap),
                 (0.0, 1.0, cap, cap), (-s, s, vd, vd), (s, -s, vd, vd)]
@@ -223,11 +220,6 @@ class _Barrier:
             rows += [(al, be, u - ga, u), (-al, -be, u + ga, u)]
         self.l0, self.l1, self.lb, self.lim = (
             np.array([np.broadcast_to(r[i], (n,)) for r in rows]) for i in range(4))
-        # Coefficient products for the Hessian, with the epigraph's u as one
-        # more row; barrier terms: the rows, the epigraph pairs and the budget.
-        l0, l1 = np.vstack([self.l0, al]), np.vstack([self.l1, be])
-        self.prods = np.array([l0 * l0, l0 * l1, l1 * l1])
-        self.m = self.lb.size + 2 * n + 1
 
     def slack(self, z):
         return self.lb - self.l0 * z[:-1] - self.l1 * z[1:]
@@ -235,18 +227,18 @@ class _Barrier:
     def time(self, z) -> float:
         return float((2.0 * self.p.dx / (np.sqrt(z[:-1]) + np.sqrt(z[1:]))).sum())
 
-    def greatest(self, margin=0.0) -> np.ndarray:
-        """A bound on every plan within the rows, each limit tightened by
-        ``margin`` of itself: their greatest element if it meets them, else
-        there is none.  Raises if a row bounds both its nodes from above."""
-        fu, bu, lb = self.l1 > 0.0, self.l0 > 0.0, self.lb - margin * self.lim
+    def greatest(self) -> np.ndarray:
+        """A bound on every plan within the rows: their greatest element if
+        it meets them, else there is none.  Raises if a row bounds both its
+        nodes from above."""
+        fu, bu = self.l1 > 0.0, self.l0 > 0.0
         k = np.flatnonzero((fu & bu).any(axis=0))
         if k.size:
             raise NumericalError(f"segment {k[0]}'s input rows bound both its nodes from above")
         # Per segment, rows z_{k+1} <= fc + fd z_k (fu) and z_k <= bc + bd z_{k+1} (bu).
         safe = np.where(fu | bu, np.maximum(self.l0, self.l1), 1.0)
-        fc, fd = np.where(fu, lb / safe, 0.0), np.where(fu, -self.l0 / safe, 0.0)
-        bc, bd = np.where(bu, lb / safe, 0.0), np.where(bu, -self.l1 / safe, 0.0)
+        fc, fd = np.where(fu, self.lb / safe, 0.0), np.where(fu, -self.l0 / safe, 0.0)
+        bc, bd = np.where(bu, self.lb / safe, 0.0), np.where(bu, -self.l1 / safe, 0.0)
         # Rows i, j close the loop z_{k+1} <= fc_i + fd_i (bc_j + bd_j z_{k+1});
         # at a gain G < 1 its fixed point caps z_{k+1} (the maximum-velocity
         # curve), so one pass each way breaks a row only where no plan fits.
@@ -261,113 +253,116 @@ class _Barrier:
             z[k] = min(z[k], *[c + d * z[k + 1] for c, d in zip(bc[k], bd[k])])
         return np.array(z)
 
-    def start(self) -> np.ndarray:
-        """A plan strictly inside the rows and the budget: the constant speed
-        inside the rows with the largest worst relative slack of the caps and
-        the budget, if it fits; else the rows' greatest element under a
-        margin of 1e-2 of their limits, halved until it is inside."""
-        p, top = self.p, self.p.v_lim.min() ** 2
-        Z = top * np.linspace(0.01, 0.99, 99) ** 2
-        worst = (self.lb - (self.l0 + self.l1) * Z[:, None, None]).min(axis=(1, 2))
-        if worst.max() > 0.0:
-            score = np.minimum(1.0 - Z / top, 1.0 - p.x[-1] / (np.sqrt(Z) * p.T_f))
-            z = np.full(p.n_segments + 1, Z[worst > 0.0][np.argmax(score[worst > 0.0])])
-            if self.time(z) < p.T_f:
-                return z
-        for margin in 1e-2 * 0.5 ** np.arange(50):
-            z = self.greatest(margin)
-            if self.slack(z).min() > 0.0 and self.time(z) < p.T_f:
-                return z
-        raise NumericalError("no strict start below the fastest plan")
-
-    def eval(self, z, t, deriv=False):
-        """Barrier value at weight t (inf outside the domain); with ``deriv``
-        also its gradient, the Hessian's diagonal and off-diagonal, and the
-        border (d, c) of the budget's rank-1 term c2 c c^T, d = -1/c2."""
+    def run(self):
+        """Mehrotra's predictor-corrector; returns (z, gap, iterations).
+        The centring target stays above a tenth of the stopping gap, so the
+        last steps clear the residuals."""
         p, dx, (al, be, ga) = self.p, self.p.dx, self.ab
-        lin = self.slack(z)
-        if lin.min() <= 0.0:
-            return math.inf
-        a, b = np.sqrt(z[:-1]), np.sqrt(z[1:])
-        S = a + b
-        self.T = T = float((2.0 * dx / S).sum())   # travel time of the last z evaluated
-        if T >= p.T_f:
-            return math.inf
+        n, nl = p.n_segments, self.lb.size
         g, r = p.eff.gen_factor, p.eff.regen_factor
-        phi, sg, sr = _epigraph(al * z[:-1] + be * z[1:] + ga, t * dx, g, r)
-        # The budget is curved with its dual y, not the barrier's 1/s:
-        # primal-dual, as 1/s^2 stalls Newton off the centre near it.
-        c, y, kappa = 1.0 / (p.T_f - T), self.y, 0.5 * p.mass
-        f = -np.log(lin).sum() + (phi.sum() + math.log(c) + t * kappa * (z[0] - z[-1]))
-        if not deriv:
-            return float(f)
-        wg, d1 = 1.0 / lin, g / sg + r / sr   # d1, wh[-1]: the epigraph's derivatives in u
-        g0, g1 = (self.l0 * wg).sum(0) + d1 * al, (self.l1 * wg).sum(0) + d1 * be
-        wh = np.vstack([wg * wg, (g - r) ** 2 / (sg * sg + sr * sr)])
-        q00, q01, q11 = self.prods
-        # Travel time: first and second derivatives of h_k in (z_k, z_{k+1}).
-        t0, t1, S3 = -dx / (a * S * S), -dx / (b * S * S), dx / S ** 3
-        grad = _nodes(g0 + c * t0, g1 + c * t1)
-        diag = _nodes((q00 * wh).sum(0) + y * (S3 / (a * a) - 0.5 * t0 / (a * a)),
-                      (q11 * wh).sum(0) + y * (S3 / (b * b) - 0.5 * t1 / (b * b)))
-        off = (q01 * wh).sum(0) + y * S3 / (a * b)
-        grad[0] += t * kappa
-        grad[-1] -= t * kappa
-        return f, grad, diag, off, (-1.0 / (c * y), _nodes(t0, t1))
+        w = np.array([[g], [r]])
+        tight = 0.1 * GAP_TOL   # the rows' tolerance and the centring floor
+        kin = np.zeros(n + 1)
+        kin[0], kin[-1] = 0.5 * p.mass, -0.5 * p.mass
 
-    def center(self, z, t, max_steps=200):
-        """Newton's method at weight t, backtracking from 0.99 of the step to
-        the nearest row; raises if it stalls off the centre."""
-        m, last = self.m, math.inf
-        for _ in range(max_steps):
-            f, grad, diag, off, (d, c) = self.eval(z, t, deriv=True)
-            # The budget's rank-1 term by Sherman-Morrison.
-            y, x = _thomas(diag, off, -grad, c)
-            dz = y - x * (-(c @ y) / (d - c @ x))
-            lam2 = -float(grad @ dz)
-            # Centred, or near the centre where rounding stops the decrement
-            # from falling any further.
-            if lam2 <= 1e-6 * m or (lam2 <= 1e-3 * m and lam2 > 0.5 * last):
-                return z
-            last = lam2
-            self.n_newton += 1
-            fall = self.l0 * dz[:-1] + self.l1 * dz[1:]
-            with np.errstate(over="ignore"):
-                room = self.slack(z)[fall > 0] / fall[fall > 0]
-            step = min(1.0, 0.99 * np.min(room, initial=np.inf))
-            slack = self.p.T_f - self.T   # and the budget dual's Newton step
-            dy = (1.0 - self.y * slack + self.y * (c @ dz)) / slack
-            while True:
-                f_try = self.eval(z + step * dz, t)
-                # In the quadratic region a full step need only stay in the
-                # domain: an Armijo test on f would trip over its rounding.
-                # The budget's slack may not fall below half the dual's
-                # estimate 1/y of its centred value, nor half its present one.
-                if ((f_try <= f - 0.01 * step * lam2 or (lam2 < 0.25 and f_try < math.inf))
-                        and self.p.T_f - self.T >= 0.5 * min(slack, 1.0 / self.y)):
-                    break
-                step *= 0.5
-                if step < 1e-14:
-                    if lam2 <= 1e-3 * m:
-                        return z
-                    raise NumericalError(f"barrier centring stalled at t={t:.3g}")
-            z = z + step * dz
-            # The dual's step, kept within 1e3 of the barrier's 1/s.
-            slack = self.p.T_f - self.T
-            self.y = min(max(self.y + step * dy, 1e-3 / slack), 1e3 / slack)
-        raise NumericalError(f"barrier centring took over {max_steps} Newton steps")
+        def split(v):
+            return v[:nl].reshape(self.lb.shape), v[nl:-1].reshape(2, n), v[-1]
 
-    def run(self, z):
-        """Centre from the strict start z with a growing weight until the
-        gap is below ``GAP_TOL`` of the scale; returns (z, gap)."""
-        p, m = self.p, self.m
-        scale = lambda z: max(abs(evaluate_objective(p, z)[0]), _kinetic(p))
-        t, self.y = m / scale(z), 1.0 / (p.T_f - self.time(z))
-        while True:
-            z = self.center(z, t)
-            if m / t <= GAP_TOL * scale(z):
-                return z, m / t
-            t, self.y = t * MU, self.y * MU
+        def rows(z, q):
+            """Every row's slack, flat: the rows, the epigraphs q - w u, the budget."""
+            u = al * z[:-1] + be * z[1:] + ga
+            return np.concatenate([self.slack(z).ravel(), (q - w * u).ravel(),
+                                   [p.T_f - self.time(z)]])
+
+        # The start: mu of the scale per slack-dual pair, the epigraph duals
+        # at dx / 2, the other duals at mu / s.
+        z = np.full(n + 1, (p.x[-1] / p.T_f) ** 2)
+        m = nl + 2 * n + 1
+        mu = max(abs(evaluate_objective(p, z)[0]), _kinetic(p)) / m
+        q = (w * (al * z[:-1] + be * z[1:] + ga)).max(0) + 2.0 * mu / dx
+        s = np.maximum(rows(z, q), np.concatenate([self.lim.ravel(), np.zeros(2 * n), [p.T_f]]))
+        lam = mu / s
+        lam[nl:-1] = np.tile(0.5 * dx, 2)
+        for it in range(100):
+            a, b = np.sqrt(z[:-1]), np.sqrt(z[1:])
+            S = a + b
+            t0, t1, S3 = -dx / (a * S * S), -dx / (b * S * S), dx / S ** 3
+            c = _nodes(t0, t1)
+            slack = rows(z, q)
+            rp = s - slack
+            ll, le, y = split(lam)
+            lw = (w * le).sum(0)
+            # The Lagrangian's gradient in z, and the size of its terms.
+            rd = kin + _nodes((self.l0 * ll).sum(0) + lw * al + y * t0,
+                              (self.l1 * ll).sum(0) + lw * be + y * t1)
+            terms = np.abs(kin) + _nodes((np.abs(self.l0) * ll).sum(0) + np.abs(lw * al) - y * t0,
+                                         (np.abs(self.l1) * ll).sum(0) + np.abs(lw * be) - y * t1)
+            comp, gap = float(s @ lam), float(lam @ slack)
+            scale = max(abs(evaluate_objective(p, z)[0]), _kinetic(p))
+            lin, _, spare = split(slack)
+            if (gap <= GAP_TOL * scale and (np.abs(rd) <= GAP_TOL * terms).all()
+                    and (lin >= -tight * self.lim).all() and spare >= -tight * p.T_f):
+                return z, gap, it
+            # Newton matrix in z: the rows' W l l^T, each epigraph pair with
+            # q_k eliminated as one row in u of weight wq, the budget's y T'';
+            # its gradient c adds the rank-1 wb c c^T.
+            W = lam / s
+            wl, we, wb = split(W)
+            A = we.sum(0)
+            wq = we[0] * we[1] * (g - r) ** 2 / A
+            diag = _nodes((self.l0 ** 2 * wl).sum(0) + wq * al * al + y * (S3 - 0.5 * t0) / (a * a),
+                          (self.l1 ** 2 * wl).sum(0) + wq * be * be + y * (S3 - 0.5 * t1) / (b * b))
+            off = (self.l0 * self.l1 * wl).sum(0) + wq * al * be + y * S3 / (a * b)
+            tri = _thomas(diag, off)
+            x1 = tri(c)
+
+            def solve(rhs):
+                y1 = tri(rhs)
+                return y1 - x1 * (c @ y1) / (1.0 / wb + c @ x1)
+
+            def direction(rc):
+                # Steps of (z, q, s, lam) for complementarities s lam + rc; one
+                # refinement clears what rounding leaves of the dual residual.
+                rho = (rc + lam * rp) / s
+                rl, re, rb = split(rho)
+                ke = (g - r) * (we[1] * re[0] - we[0] * re[1]) / A
+                rhs = -rd - _nodes((self.l0 * rl).sum(0) + ke * al,
+                                   (self.l1 * rl).sum(0) + ke * be) - rb * c
+                dz = solve(rhs)
+                Mdz = diag * dz + wb * c * (c @ dz)
+                Mdz[:-1] += off * dz[1:]
+                Mdz[1:] += off * dz[:-1]
+                dz = dz + solve(rhs - Mdz)
+                du = al * dz[:-1] + be * dz[1:]
+                # dq - w du per epigraph row, free of cancellation between weights
+                je = (re.sum(0) + (g - r) * du * np.array([-we[1], we[0]])) / A
+                J = np.concatenate([-(self.l0 * dz[:-1] + self.l1 * dz[1:]).ravel(),
+                                    je.ravel(), [-(c @ dz)]])
+                return dz, je[0] + g * du, J - rp, rho - W * J
+
+            T = p.T_f - spare
+
+            def longest(dz, ds, dl):
+                # 0.99 of the way to the nearest zero slack or dual, halved while
+                # the budget's linearisation error, priced at its dual, exceeds
+                # half the complementarity.
+                step = 0.99 / max(0.99, float(np.max(-ds / s)), float(np.max(-dl / lam)))
+                cdz = float(c @ dz)
+                while ((lam[-1] + step * dl[-1]) * (self.time(z + step * dz) - T - step * cdz)
+                       > 0.5 * float((s + step * ds) @ (lam + step * dl))):
+                    step *= 0.5
+                return step
+
+            # The affine step predicts the centring sigma = (mu_aff / mu)^3;
+            # the corrector adds its second-order term.
+            dz, dq, ds, dl = direction(-s * lam)
+            step = longest(dz, ds, dl)
+            sig = ((s + step * ds) @ (lam + step * dl) / comp) ** 3
+            target = max(sig * comp, tight * scale) / m
+            dz, dq, ds, dl = direction(target - s * lam - ds * dl)
+            step = longest(dz, ds, dl)
+            z, q, s, lam = z + step * dz, q + step * dq, s + step * ds, lam + step * dl
+        raise NumericalError("the interior-point method did not stop within 100 iterations")
 
 
 def _nodes(d0, d1):
@@ -389,18 +384,18 @@ def solve(p: TOProblem) -> TOSolution:
     Raises :class:`InfeasibleError` if the fastest plan z_max breaks a row
     (so no plan meets them) or takes over T_f (1 + ``VIOL_TOL``); returns
     z_max (exit "time_pinned") if it takes T_f (1 - ``PIN_TOL``) or more,
-    else the barrier's plan (exit "gap").  Raises :class:`NumericalError` if
-    a row bounds both its nodes or if centring fails.
+    else the interior-point plan (exit "gap").  Raises :class:`NumericalError`
+    if a row bounds both its nodes or if the iterations run out.
     """
-    bar = _Barrier(p)
-    z = bar.greatest()
-    if (bar.slack(z) <= -1e-9 * bar.lim).any():   # a row broken past rounding
+    prog = _Program(p)
+    z = prog.greatest()
+    if (prog.slack(z) <= -1e-9 * prog.lim).any():   # a row broken past rounding
         raise InfeasibleError(f"no plan keeps |u| strictly below u_lim={p.u_lim:g}")
-    T = bar.time(z)
+    T = prog.time(z)
     if T > p.T_f * (1.0 + VIOL_TOL):
         raise InfeasibleError(f"no plan meets T_f={p.T_f:g} s: the fastest one takes {T!r} s")
     pinned = T >= p.T_f * (1.0 - PIN_TOL)
-    z, gap = (z, 0.0) if pinned else bar.run(bar.start())
+    z, gap, n_it = (z, 0.0, 0) if pinned else prog.run()
     E, parts = evaluate_objective(p, z)
     h = parts["h"]
     caps = np.maximum(z[:-1], z[1:]) / p.v_lim ** 2
@@ -410,7 +405,7 @@ def solve(p: TOProblem) -> TOSolution:
     return TOSolution(h=h, t=np.concatenate([[0.0], np.cumsum(h)]), v_r=parts["v_r"],
                       a_r=parts["a_r"], u_r=parts["u_r"], eta=parts["eta"], E=E,
                       feasible=bool(max(viol) <= 1.0 + VIOL_TOL), z=z, gap=gap,
-                      gap_rel=gap / max(abs(E), _kinetic(p)), n_newton=bar.n_newton,
+                      gap_rel=gap / max(abs(E), _kinetic(p)), n_newton=n_it,
                       exit="time_pinned" if pinned else "gap")
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modru import harness, tempo
+from modru import config, harness, tempo
 from modru.errors import InfeasibleError, NumericalError
 from modru.plant import PositionProfile, step_efficiency
 from modru.sysid import EfficiencyParams, GrayBoxModel
@@ -168,7 +168,7 @@ def fastest_plan(p):
 
 
 def assert_exact_verdict(p, T_lp):
-    """Just above the fastest time T_lp the barrier reaches the gap, at it (or
+    """Just above the fastest time T_lp the solver reaches the gap, at it (or
     within rounding above it) the fastest plan is returned, and just below
     solve raises with T_lp."""
     sol = tempo.solve(dataclasses.replace(p, T_f=T_lp * (1.0 + 1e-4)))
@@ -264,7 +264,7 @@ class TestObjective:
         assert E == pytest.approx(160.0, rel=1e-12)
         np.testing.assert_allclose(parts["eta"], [0.8, 0.8], rtol=1e-12)
 
-    def test_pseudo_mode_constant_speed_costs_nothing(self):
+    def test_unit_model_constant_speed_costs_nothing(self):
         # The unit gray box scores only speed changes.
         p = tempo.TOProblem(x=np.array([0.0, 50.0, 100.0]), alpha=np.zeros(2),
                             v_lim=np.array([15.0, 15.0]), T_f=30.0,
@@ -336,7 +336,7 @@ class TestBuildProblem:
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.T_f = 5.0
 
-    def test_dx_and_h_min_are_computed_once_and_read_only(self):
+    def test_dx_is_computed_once_and_read_only(self):
         p = tempo.build_problem(100.0, 4, 20.0, FLAT, flat_limit(12.5), unit_model())
         assert p.dx is p.dx
         np.testing.assert_array_equal(p.dx, np.diff(p.x))
@@ -346,16 +346,11 @@ class TestBuildProblem:
 
 class TestInit:
     def test_uniform_when_caps_are_loose(self):
-        # The barrier starts from one constant speed strictly inside every
-        # row and the budget; the unit gray box on a flat road then keeps
-        # the durations uniform, as every constant speed costs nothing.
+        # The unit gray box on a flat road keeps the durations uniform, as
+        # every constant speed costs nothing.
         p = tempo.TOProblem(x=np.linspace(0.0, 100.0, 5), alpha=np.zeros(4),
                             v_lim=np.full(4, 100.0), T_f=8.0, vdot_lim=10.0,
                             model=unit_model(), eff=EfficiencyParams())
-        bar = tempo._Barrier(p)
-        z0 = bar.start()
-        assert np.ptp(z0) == 0.0 and bar.slack(z0).min() > 0.0
-        assert bar.time(z0) < p.T_f
         sol = tempo.solve(p)
         np.testing.assert_allclose(sol.h, sol.h.mean(), rtol=1e-6)
         assert sol.h.sum() <= p.T_f
@@ -481,7 +476,7 @@ class TestSolve:
 
     def test_varying_plan_meets_an_input_bound_no_constant_speed_can(self):
         # u_lim = 2000 is below the climb's hold force at every speed, so
-        # the barrier must start from a plan that loses speed on the climb.
+        # the plan must lose speed on the climb.
         p = climb_route(2000.0, 1000.0, 400.0)
         for v in np.linspace(0.5, 22.0, 44):
             _, parts = tempo.evaluate_objective(p, constant_speed(p, v))
@@ -537,6 +532,19 @@ class TestSolve:
         T_lp = segment_time(problem, fastest_plan(problem))[0].sum()
         assert T_lp == pytest.approx(432.44180711702654, rel=1e-9)
         assert_exact_verdict(problem, T_lp)
+
+    @pytest.mark.parametrize("scenario, n", [(config.default_truck_scenario, 1600),
+                                             (config.default_car_scenario, 800)],
+                             ids=["truck-1600", "car-800"])
+    def test_fine_grids_reach_the_gap_with_the_true_model(self, scenario, n):
+        sc = scenario()
+        p = tempo.build_problem(sc.path_length, n, sc.T_f, sc.slope, sc.v_limit,
+                                GrayBoxModel(theta=harness.true_theta(sc)),
+                                EfficiencyParams(sc.eff_gen, sc.eff_regen),
+                                vdot_lim=sc.vdot_lim, u_lim=sc.to_u_lim)
+        sol = tempo.solve(p)
+        assert sol.feasible and sol.exit == "gap" and sol.gap_rel <= tempo.GAP_TOL
+        assert violation(p, sol.z) <= 1e-9
 
     def test_input_row_bounding_both_nodes_raises(self):
         # A 13 km segment has 1/dx < |t4| = 8e-5, so its input row bounds
@@ -632,6 +640,15 @@ class TestProperties:
                 tempo.solve(p)
             return
         assert_exact_verdict(p, segment_time(p, z)[0].sum())
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(50, 3200), unit=st.booleans())
+    def test_grids_from_50_to_3200_segments_reach_the_gap(self, seed, n, unit):
+        # Without an input bound a random route is feasible and not pinned.
+        p = random_route(np.random.default_rng(seed), n, unit, False)
+        sol = tempo.solve(p)
+        assert sol.feasible and sol.exit == "gap" and sol.gap_rel <= tempo.GAP_TOL
+        assert violation(p, sol.z) <= 1e-9
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40))
