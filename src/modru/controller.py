@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .lqr import c2d_zoh, dare_solve
 from .sysid import GrayBoxModel
 from .tables import write_csv
@@ -77,8 +78,8 @@ def build_gain_schedule(model: GrayBoxModel, v_grid: np.ndarray, h: float,
     """LQ-design PI gains at each grid node of the linearized gray box.
 
     Stage cost: dv^2 + rho_I * dv_I^2 + rho_u * du^2, where dv_I sums the
-    velocity error.  Raises when a node yields a non-positive integral
-    gain (no useful integral action at that design point).
+    velocity error.  Raises :class:`NumericalError` when a node yields a
+    non-positive gain (no useful PI action at that design point).
     """
     v_grid = np.asarray(v_grid, dtype=float)
     t = model.theta
@@ -95,7 +96,7 @@ def build_gain_schedule(model: GrayBoxModel, v_grid: np.ndarray, h: float,
         K, _ = dare_solve(A, B, Qx, Qu)
         kp, ki = float(K[0, 0]), float(K[0, 1])
         if kp <= 0 or ki <= 0:
-            raise ValueError(f"non-positive PI gains at node v={v:g}")
+            raise NumericalError(f"non-positive PI gains at node v={v:g}")
         kps[i] = kp
         tis[i] = kp / ki
     return GainSchedule(v_grid=v_grid, K_P=kps, T_I=tis, h=h,

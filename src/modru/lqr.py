@@ -3,11 +3,13 @@ robustness benchmark comparing model-based and model-free tuning.
 
 The model-free route estimates the quadratic Q-function of the current
 policy by least squares on one-step transition data and improves the
-policy from the Q-function blocks; no plant model is formed.  The
-model-based route fits a low-order state-space model to the same kind
-of data (:func:`estimate_ss`) and solves the Riccati equation on it.
-Both are scored on the true plant through the sensitivity peaks M_S,
-M_T and the step-response rise time.
+policy from the Q-function blocks; no plant model is formed.  It runs
+from a :class:`_CachedStart`, which regresses the batch under the start
+gain once for every input weight.  The model-based route fits a
+low-order state-space model to the same kind of data
+(:func:`estimate_ss`) and solves the Riccati equation on it.  Both are
+scored on the true plant through the sensitivity peaks M_S, M_T and the
+step-response rise time.
 """
 
 from __future__ import annotations
@@ -40,44 +42,17 @@ def _state_input(A, B) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
-@dataclass(frozen=True)
-class QuadCost:
-    """Quadratic stage cost x' Q_x x + u' Q_u u."""
-
-    Q_x: np.ndarray
-    Q_u: np.ndarray
-
-    def __post_init__(self):
-        Qx = np.atleast_2d(np.asarray(self.Q_x, dtype=float))
-        Qu = np.atleast_2d(np.asarray(self.Q_u, dtype=float))
-        object.__setattr__(self, "Q_x", Qx)
-        object.__setattr__(self, "Q_u", Qu)
-        for M in (Qx, Qu):
-            if not np.allclose(M, M.T):
-                raise ValueError("cost matrices must be symmetric")
-        if np.any(np.linalg.eigvalsh(Qx) < -1e-12):
-            raise ValueError("Q_x must be positive semidefinite")
-        if np.any(np.linalg.eigvalsh(Qu) <= 0):
-            raise ValueError("Q_u must be positive definite")
-
-    def stage(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Stage cost for batches of states (N,n) and inputs (N,m).
-
-        Each part is summed from zeros over (i, j) in row-major order as
-        (x[:, i] Q_ij) x[:, j], and the input part is added to the state
-        part last: the sum and rounding of ``einsum("ki,ij,kj->k")`` on a
-        C-ordered batch of N >= 3 samples, bit for bit.  Every operand is
-        a column, so a feature-major (transposed) batch works on
-        contiguous rows and gives the same values.
-        """
-        return _quadratic_form(x, self.Q_x) + _quadratic_form(u, self.Q_u)
-
-
 def _quadratic_form(x: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Row-wise x_k' Q x_k, summed as :meth:`QuadCost.stage` describes.
+    """Row-wise x_k' Q x_k for a batch of rows x (N, n).
 
-    Zero weights are skipped: for finite x their terms are zeros, and
-    adding a zero never changes a sum that starts from +0.
+    The sum starts from zeros and adds (x[:, i] Q_ij) x[:, j] over (i, j)
+    in row-major order: the sum and rounding of ``einsum("ki,ij,kj->k")``
+    on a C-ordered batch of N >= 3 samples, bit for bit.  The stage cost
+    x' Q_x x + u' Q_u u adds its input part to its state part last, as the
+    sum of the two einsums does.  Every operand is a column, so a
+    feature-major (transposed) batch works on contiguous rows and gives
+    the same values.  Zero weights are skipped: for finite x their terms
+    are zeros, and adding a zero never changes a sum that starts from +0.
     """
     out = np.zeros(x.shape[0])
     term = np.empty_like(out)
@@ -267,9 +242,9 @@ class _LstdWorkspace:
     d = n + m), psi the p regressor rows and row one scratch row; the
     upper-triangle index maps are fixed, and :meth:`factorize` doubles
     each off-diagonal row once, after the difference.  The buffers are
-    reallocated only when the sample count N changes, so one workspace
-    serves a single call or, through a :class:`_CachedStart`, every call
-    of a sweep row.
+    reallocated only when the sample count N changes, so the one
+    workspace of a :class:`_CachedStart` serves every policy-iteration
+    call from that start.
     """
 
     def __init__(self, n: int, m: int):
@@ -298,9 +273,11 @@ class _LstdWorkspace:
         # differently, so -(Xn K') is formed sample-major and copied in.
         Zn[n:] = -(Xn @ K.T).T
 
-    def regress(self, cost: QuadCost) -> np.ndarray:
+    def regress(self, Q_x: np.ndarray, Q_u: np.ndarray) -> np.ndarray:
         """Least-squares solution theta of the Bellman-residual system
-        psi' theta = rho of the loaded batch, from its p x p normal equations.
+        psi' theta = rho of the loaded batch, rho the stage cost
+        x' Q_x x + u' Q_u u (:func:`_quadratic_form`), from its p x p
+        normal equations.
 
         G = psi psi' and psi rho are one BLAS product each.  G is
         equilibrated to unit diagonal, Gs = S G S with S = diag(G)^(-1/2),
@@ -314,7 +291,8 @@ class _LstdWorkspace:
         refined solution is about as accurate as a QR least-squares one.
         """
         self.factorize()
-        return self.solve(cost.stage(self.Z[:self.n].T, self.Z[self.n:].T))
+        Z, n = self.Z, self.n
+        return self.solve(_quadratic_form(Z[:n].T, Q_x) + _quadratic_form(Z[n:].T, Q_u))
 
     def factorize(self):
         """Form the regressor rows psi and G^-1 of the loaded batch, or
@@ -360,23 +338,24 @@ class _LstdWorkspace:
 
 
 class _CachedStart:
-    """The first policy-iteration step from K0 on one rollout source,
-    regressed once for every cost x' Q_x x + q u'u of a sweep row.
+    """The start of model-free policy iteration from the gain K0 on one
+    rollout source, for every cost x' Q_x x + q u'u.
 
     The source must be a pure function of the gain (as
     :func:`linear_rollouts` is), so every call from K0 would collect the
     same batch.  The batch is collected once, and its least-squares
     solution, linear in the stage cost, is split into theta_x (cost
     x' Q_x x) and theta_u (unit input weight, cost u'u): the first step of
-    the cost with weight q is theta_x + q theta_u.  Only these two vectors
-    and the workspace outlive the batch; the workspace serves every later
-    :func:`lqrl_policy_iteration` call given ``start=self``.  A failure of
-    the batch (a diverging rollout or singular normal equations) is kept
-    and raised by every such call.  Each call records how it ended in
+    the cost with weight q is theta_x + q theta_u.  These two vectors, the
+    source and the workspace outlive the batch; the workspace serves every
+    :func:`lqrl_policy_iteration` call from this start.  A failure of the
+    batch (a diverging rollout or singular normal equations) is kept and
+    raised by every such call.  Each call records how it ended in
     ``outcome`` ("converged", "max_iters" or "raised") and ``iterations``.
     """
 
     def __init__(self, rollout_source, K0: np.ndarray, Q_x: np.ndarray):
+        self.source = rollout_source
         self.K0 = np.atleast_2d(np.asarray(K0, dtype=float))
         self.Q_x = np.atleast_2d(np.asarray(Q_x, dtype=float))
         self.outcome, self.iterations = None, 0
@@ -393,30 +372,17 @@ class _CachedStart:
         self.theta_x = self.work.solve(_quadratic_form(Z[:n].T, self.Q_x))
         self.theta_u = self.work.solve(_quadratic_form(Z[n:].T, np.eye(m)))
 
-    def parameters(self, K0: np.ndarray, cost: QuadCost) -> np.ndarray:
-        """theta_x + q theta_u for ``cost``, or the batch's failure.
 
-        Raises ``ValueError`` unless K0 and Q_x are those of the batch and
-        Q_u is q times the identity.
-        """
-        q = cost.Q_u[0, 0]
-        if not (np.array_equal(K0, self.K0) and np.array_equal(cost.Q_x, self.Q_x)
-                and np.array_equal(cost.Q_u, q * np.eye(len(cost.Q_u)))):
-            raise ValueError("the cached start holds another gain or cost")
-        if self.error is not None:
-            raise self.error.with_traceback(None)
-        return self.theta_x + q * self.theta_u
+def lqrl_policy_iteration(start: _CachedStart, q_u: float,
+                          max_iters: int = 50) -> np.ndarray:
+    """Model-free LQ policy iteration on one-step transition data from
+    ``start`` for the cost x' Q_x x + q_u u'u, Q_x the start's.
 
-
-def lqrl_policy_iteration(rollout_source, K0: np.ndarray, cost: QuadCost,
-                          max_iters: int = 50, *, start: _CachedStart | None = None
-                          ) -> np.ndarray:
-    """Model-free LQ policy iteration on one-step transition data.
-
-    ``rollout_source(K)`` must return float arrays X (N, n), U (N, m) and
+    ``start.source(K)`` must return float arrays X (N, n), U (N, m) and
     X_next (N, n), row k of X_next the successor of row k of X under input
     row k of U, collected under the behavior u = -K x + exploration noise;
-    data are re-collected with the current policy each iteration.  Each iteration solves the system
+    data are re-collected with the current policy each iteration.  Each
+    iteration solves the system
 
         stage(x_k, u_k) = phi(x_k, u_k)'theta - phi(x_k+1, -K x_k+1)'theta
 
@@ -429,48 +395,43 @@ def lqrl_policy_iteration(rollout_source, K0: np.ndarray, cost: QuadCost,
     Q-function and the estimate equals LSTD-Q's; where a hidden lag makes
     z' random given z, it is biased by the double-sampling problem
     (Sutton & Barto, Reinforcement Learning, 2018, section 11.5).  The
-    regression is built feature-major on a workspace
-    (:class:`_LstdWorkspace`): each of the p = d(d+1)/2 regressor rows
-    (d = n + m) is formed over all N samples at once, in the same
-    elementwise operations and order as a sample-major N x p feature
-    matrix, and solved from its p x p normal equations with one
-    refinement step (:meth:`_LstdWorkspace.regress`).  Raises
-    :class:`EstimationError` when those equations are numerically
-    singular (too little excitation).  An improvement step whose
-    behavior policy makes the collected rollout diverge is damped by
-    halving back toward the last workable policy (exact-data runs never
-    trigger this, so the Hewer fixed point is unchanged).  Stops when the
-    gain change drops below 1e-6 (max-abs) or after ``max_iters``
-    iterations.  A converged gain is returned without collecting data
-    under it, so it is returned even where that rollout would have
-    diverged.
-
-    With ``start`` (a :class:`_CachedStart` built on the same source from
-    K0 and Q_x) the first step is the cached start's theta_x + Q_u
-    theta_u, nothing is collected under K0, the start's workspace is
-    reused, and the start records how the call ended.
+    first step is the start's theta_x + q_u theta_u, so nothing is
+    collected under K0.  Every later step is regressed feature-major on
+    the start's workspace (:class:`_LstdWorkspace`): each of the
+    p = d(d+1)/2 regressor rows (d = n + m) is formed over all N samples
+    at once, in the same elementwise operations and order as a
+    sample-major N x p feature matrix, and solved from its p x p normal
+    equations with one refinement step (:meth:`_LstdWorkspace.regress`).
+    Raises :class:`EstimationError` when those equations are numerically
+    singular (too little excitation), and the start's own failure, if it
+    has one.  An improvement step whose behavior policy makes the
+    collected rollout diverge is damped by halving back toward the last
+    workable policy (exact-data runs never trigger this, so the Hewer
+    fixed point is unchanged).  Stops when the gain change drops below
+    1e-6 (max-abs) or after ``max_iters`` iterations.  A converged gain is
+    returned without collecting data under it, so it is returned even
+    where that rollout would have diverged.  The start records how the
+    call ended.
     """
     tol = 1e-6
-    K = np.atleast_2d(np.asarray(K0, dtype=float)).copy()
+    K, work = start.K0, start.work
     m, n = K.shape
+    Q_u = q_u * np.eye(m)
     outcome, i = "raised", 0
     try:
-        if start is None:
-            work = _LstdWorkspace(n, m)
-            work.load(*rollout_source(K), K)
-        else:
-            work = start.work
-            theta = start.parameters(K, cost)
+        if start.error is not None:
+            raise start.error.with_traceback(None)
+        theta = start.theta_x + q_u * start.theta_u
         for i in range(1, max_iters + 1):
-            if start is None or i > 1:
-                theta = work.regress(cost)
+            if i > 1:
+                theta = work.regress(start.Q_x, Q_u)
             K_new = _greedy_gain(theta, n, m)
             for _ in range(8):
                 if np.abs(K_new - K).max() < tol:
                     outcome = "converged"
                     return K_new
                 try:
-                    work.load(*rollout_source(K_new), K_new)
+                    work.load(*start.source(K_new), K_new)
                     break
                 except PolicyIterationError:
                     K_new = 0.5 * (K + K_new)
@@ -481,8 +442,7 @@ def lqrl_policy_iteration(rollout_source, K0: np.ndarray, cost: QuadCost,
         outcome = "max_iters"
         return K
     finally:
-        if start is not None:
-            start.outcome, start.iterations = outcome, i
+        start.outcome, start.iterations = outcome, i
 
 
 def _block_states(F: np.ndarray, B: np.ndarray, x0: np.ndarray,
@@ -534,7 +494,7 @@ def _block_states(F: np.ndarray, B: np.ndarray, x0: np.ndarray,
 def linear_rollouts(A: np.ndarray, B: np.ndarray, n_samples: int = 600,
                     n_obs: int | None = None, episode_len: int = 20,
                     explore: float = 0.1, seed: int = 0):
-    """Build a rollout source ``source(K)`` for :func:`lqrl_policy_iteration`.
+    """Build a rollout source ``source(K)`` for a :class:`_CachedStart`.
 
     Each call returns ``n_samples`` transitions of the (possibly larger)
     true system ``A, B`` but exposes only the first ``n_obs`` states,
@@ -842,9 +802,10 @@ def robustness_sweep(taus, methods=METHODS,
     (:func:`linear_rollouts`) that every model-free evaluation and policy
     iteration of the row draws from; the source draws its initial states
     and noise once and re-simulates them under each gain.  A model-free
-    row is therefore a fixed function of Q_u, and the batch under the
-    start gain K0 = [1, 1] is collected and regressed once per row
-    (:class:`_CachedStart`).
+    row is therefore a fixed function of Q_u: its one
+    :class:`_CachedStart` collects and regresses the batch under the start
+    gain K0 = [1, 1] once, and every design is a
+    :func:`lqrl_policy_iteration` call from it.
     """
     lo, hi = log_qu_range
     if not lo < hi:
@@ -878,12 +839,10 @@ def robustness_sweep(taus, methods=METHODS,
                 # leaves the integrator mode marginal, so seed with a mild
                 # known-stable gain instead.  The source is pure, so every
                 # evaluation's first batch is the same and is regressed once.
-                K0 = np.array([[1.0, 1.0]])
-                start = _CachedStart(source, K0, Q_x)
+                start = _CachedStart(source, np.array([[1.0, 1.0]]), Q_x)
 
                 def make_gain(q_u):
-                    return lqrl_policy_iteration(source, K0, QuadCost(Q_x, [[q_u]]),
-                                                 start=start)
+                    return lqrl_policy_iteration(start, q_u)
             else:
                 raise ValueError(f"unknown method {method!r}")
 

@@ -196,8 +196,8 @@ class EfficiencyParams:
     regen_status: str = field(default="default", compare=False)
 
     def __post_init__(self):
-        if not (self.gen_factor >= 1.0 >= self.regen_factor > 0.0):
-            raise ValueError("need gen_factor >= 1 >= regen_factor > 0")
+        if not (math.inf > self.gen_factor >= 1.0 >= self.regen_factor > 0.0):
+            raise ValueError("need a finite gen_factor >= 1 >= regen_factor > 0")
 
 
 @dataclass
@@ -317,7 +317,8 @@ def fit_efficiency(P: np.ndarray, u: np.ndarray, v: np.ndarray) -> EfficiencyPar
     outside the admissible range gen >= 1 >= regen > 0 are clipped to the
     bound, except that a regeneration estimate <= 0 falls back to its
     prior.  The result records per factor whether it was fitted,
-    defaulted or clipped.
+    defaulted or clipped.  Raises :class:`EstimationError` when an
+    estimate is not finite.
     """
     P = np.asarray(P, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -332,7 +333,11 @@ def fit_efficiency(P: np.ndarray, u: np.ndarray, v: np.ndarray) -> EfficiencyPar
             warnings.warn(f"no informative {name} samples; using default {default}")
             out.append((default, "default"))
         else:
-            out.append((float(x[sel] @ P[sel] / xx), "fitted"))
+            with np.errstate(over="ignore", invalid="ignore"):
+                est = float(x[sel] @ P[sel] / xx)
+            if not math.isfinite(est):
+                raise EstimationError(f"{name} factor estimate {est} is not finite")
+            out.append((est, "fitted"))
     (gen, gen_status), (regen, regen_status) = out
     if gen < 1.0:
         warnings.warn(f"generation factor estimate {gen:.4f} < 1; clipping")

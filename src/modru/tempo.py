@@ -261,6 +261,7 @@ class _Program:
         n, nl = p.n_segments, self.lb.size
         g, r = p.eff.gen_factor, p.eff.regen_factor
         w = np.array([[g], [r]])
+        gr2 = (g - r) * (g - r)   # inf, not OverflowError, for a huge g
         tight = 0.1 * GAP_TOL   # the rows' tolerance and the centring floor
         kin = np.zeros(n + 1)
         kin[0], kin[-1] = 0.5 * p.mass, -0.5 * p.mass
@@ -284,6 +285,8 @@ class _Program:
         lam = mu / s
         lam[nl:-1] = np.tile(0.5 * dx, 2)
         for it in range(100):
+            if not all(np.isfinite(v).all() for v in (z, q, s, lam)):
+                raise NumericalError("an interior-point iterate is not finite")
             a, b = np.sqrt(z[:-1]), np.sqrt(z[1:])
             S = a + b
             t0, t1, S3 = -dx / (a * S * S), -dx / (b * S * S), dx / S ** 3
@@ -309,10 +312,12 @@ class _Program:
             W = lam / s
             wl, we, wb = split(W)
             A = we.sum(0)
-            wq = we[0] * we[1] * (g - r) ** 2 / A
+            wq = we[0] * we[1] * gr2 / A
             diag = _nodes((self.l0 ** 2 * wl).sum(0) + wq * al * al + y * (S3 - 0.5 * t0) / (a * a),
                           (self.l1 ** 2 * wl).sum(0) + wq * be * be + y * (S3 - 0.5 * t1) / (b * b))
             off = (self.l0 * self.l1 * wl).sum(0) + wq * al * be + y * S3 / (a * b)
+            if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+                raise NumericalError("an interior-point Newton term is not finite")
             tri = _thomas(diag, off)
             x1 = tri(c)
 
@@ -385,7 +390,8 @@ def solve(p: TOProblem) -> TOSolution:
     (so no plan meets them) or takes over T_f (1 + ``VIOL_TOL``); returns
     z_max (exit "time_pinned") if it takes T_f (1 - ``PIN_TOL``) or more,
     else the interior-point plan (exit "gap").  Raises :class:`NumericalError`
-    if a row bounds both its nodes or if the iterations run out.
+    if a row bounds both its nodes, if an iterate or a Newton term is not
+    finite, or if the iterations run out.
     """
     prog = _Program(p)
     z = prog.greatest()

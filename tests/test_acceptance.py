@@ -47,11 +47,11 @@ def test_c01_policy_iteration_matches_riccati_on_random_systems():
         A = rng.normal(size=(n, n))
         A *= rng.uniform(0.3, 0.95) / max(lqr.spectral_radius(A), 1e-9)
         B = rng.normal(size=(n, 1))
-        cost = lqr.QuadCost(np.eye(n), [[1.0]])
         K_star, _ = lqr.dare_solve(A, B, np.eye(n), [[1.0]])
         source = lqr.linear_rollouts(A, B, n_samples=600, n_obs=n,
                                      seed=int(rng.integers(2 ** 32)))
-        K = lqr.lqrl_policy_iteration(source, np.zeros((1, n)), cost)
+        K = lqr.lqrl_policy_iteration(lqr._CachedStart(source, np.zeros((1, n)), np.eye(n)),
+                                      1.0)
         worst = max(worst, float(np.linalg.norm(K - K_star, np.inf)))
     elapsed = time.monotonic() - t0
     assert worst < 1e-3

@@ -412,6 +412,18 @@ class TestCli:
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, text", [
+        ("pipeline", "plant.T_m = 1e5\n"),   # the PI design at v = 0 has a gain <= 0
+        ("plan", "eff.gen = 1e160\n"),       # the planner's Newton weight overflows
+        ("plan", "eff.gen = 1e300\n"),       # the fitted generation factor is inf
+    ], ids=["T_m", "gen_overflow", "gen_inf"])
+    def test_failed_design_is_a_numerical_failure(self, tmp_path, capsys, command, text):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(text)
+        rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 3
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_infeasible_budget_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "run.conf"
         cfg.write_text("plant.type = car\nest.duration = 240\nto.T_f = 30\n")

@@ -324,10 +324,15 @@ def phi(Z):
     return features
 
 
-def einsum_stage(cost, X, U):
+def einsum_stage(Q_x, Q_u, X, U):
     """Reference stage cost of sample-major batches (N, n) and (N, m)."""
-    return (np.einsum("ki,ij,kj->k", X, cost.Q_x, X)
-            + np.einsum("ki,ij,kj->k", U, cost.Q_u, U))
+    return (np.einsum("ki,ij,kj->k", X, Q_x, X)
+            + np.einsum("ki,ij,kj->k", U, Q_u, U))
+
+
+def stage(Q_x, Q_u, X, U):
+    """The shipped stage cost x' Q_x x + u' Q_u u of batches (N, n) and (N, m)."""
+    return lqr._quadratic_form(X, Q_x) + lqr._quadratic_form(U, Q_u)
 
 
 def refined_normal_equations(psi, rho):
@@ -359,29 +364,30 @@ def refined_normal_equations(psi, rho):
     return theta
 
 
-def sample_major_gain(data, K, cost):
-    """Reference regression of one policy-iteration step: the N x p
-    feature matrix built sample by sample, with the einsum stage cost,
-    and its greedy gain."""
-    X, U, Xn = data
-    m, n = K.shape
-    Un = -(Xn @ K.T)
-    psi = phi(np.hstack([X, U])) - phi(np.hstack([Xn, Un]))
-    theta = refined_normal_equations(psi, einsum_stage(cost, X, U))
-    return lqr._greedy_gain(theta, n, m)
-
-
-def sample_major_policy_iteration(rollout_source, K0, cost, max_iters=50, tol=1e-6,
-                                  check_first=True):
-    """Reference policy iteration on the sample-major regression.  With
+def sample_major_policy_iteration(rollout_source, K0, Q_x, q_u, max_iters=50, tol=1e-6,
+                                  check_first=True, split_first=True):
+    """Reference policy iteration on the sample-major regression, with the
+    einsum stage cost for Q_u = q_u I.  With ``split_first`` the first step
+    is the shipped theta_x + q_u theta_u of the batch under K0, else the
+    direct regression of that batch for the whole cost.  With
     ``check_first`` it has the shipped control flow: a converged gain is
     returned without its rollout.  Without it each improved gain's data
     are collected before the convergence check, so the last batch goes
     unused."""
     K = np.atleast_2d(np.asarray(K0, dtype=float)).copy()
+    m, n = K.shape
+    Q_u = q_u * np.eye(m)
     data = rollout_source(K)
-    for _ in range(max_iters):
-        K_new = sample_major_gain(data, K, cost)
+    for i in range(max_iters):
+        X, U, Xn = data
+        psi = phi(np.hstack([X, U])) - phi(np.hstack([Xn, -(Xn @ K.T)]))
+        if i == 0 and split_first:
+            theta_x = refined_normal_equations(psi, np.einsum("ki,ij,kj->k", X, Q_x, X))
+            theta_u = refined_normal_equations(psi, np.einsum("ki,ij,kj->k", U, np.eye(m), U))
+            theta = theta_x + q_u * theta_u
+        else:
+            theta = refined_normal_equations(psi, einsum_stage(Q_x, Q_u, X, U))
+        K_new = lqr._greedy_gain(theta, n, m)
         for _ in range(8):
             if check_first and np.abs(K_new - K).max() < tol:
                 return K_new
@@ -404,10 +410,16 @@ collect_then_check_policy_iteration = functools.partial(sample_major_policy_iter
 
 
 def random_cost(rng, n, m):
-    """Quadratic cost with a dense PSD Q_x of random rank and a dense PD Q_u."""
+    """(Q_x, Q_u): a dense PSD Q_x of random rank and a dense PD Q_u."""
     G = rng.normal(size=(n, int(rng.integers(1, n + 1))))
     H = rng.normal(size=(m, m))
-    return lqr.QuadCost(G @ G.T, H @ H.T + 0.1 * np.eye(m))
+    return G @ G.T, H @ H.T + 0.1 * np.eye(m)
+
+
+def policy_iteration_from(rollout_source, K0, Q_x, q_u, max_iters=50):
+    """The shipped policy iteration from a start built on the source."""
+    start = lqr._CachedStart(rollout_source, K0, Q_x)
+    return lqr.lqrl_policy_iteration(start, q_u, max_iters=max_iters)
 
 
 class CountingSource:
@@ -698,20 +710,12 @@ class TestDare:
 
 
 class TestCostAndQTheta:
-    def test_cost_validation(self):
-        with pytest.raises(ValueError):
-            lqr.QuadCost(np.array([[1.0, 0.5], [0.0, 1.0]]), [[1.0]])
-        with pytest.raises(ValueError):
-            lqr.QuadCost(np.diag([1.0, -0.1]), [[1.0]])
-        with pytest.raises(ValueError):
-            lqr.QuadCost(np.eye(2), [[0.0]])
-
     def test_stage_batches(self, rng):
-        cost = lqr.QuadCost(np.diag([1.0, 2.0]), [[0.5]])
+        Q_x, Q_u = np.diag([1.0, 2.0]), np.array([[0.5]])
         X = rng.standard_normal((7, 2))
         U = rng.standard_normal((7, 1))
-        want = [x @ cost.Q_x @ x + u @ cost.Q_u @ u for x, u in zip(X, U)]
-        np.testing.assert_allclose(cost.stage(X, U), want, rtol=1e-12)
+        want = [x @ Q_x @ x + u @ Q_u @ u for x, u in zip(X, U)]
+        np.testing.assert_allclose(stage(Q_x, Q_u, X, U), want, rtol=1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(1, 4), m=st.integers(1, 2), N=st.integers(1, 80),
@@ -725,18 +729,18 @@ class TestCostAndQTheta:
         # zero_states some states carry zero weights, as in the sweep's
         # Q_x = diag(1, 0), and the stage cost skips their terms.
         rng = np.random.default_rng(seed)
-        cost = random_cost(rng, n, m)
+        Q_x, Q_u = random_cost(rng, n, m)
         if zero_states:
             keep = rng.random(n) < 0.5
-            cost = lqr.QuadCost(cost.Q_x * keep * keep[:, None], cost.Q_u)
+            Q_x = Q_x * keep * keep[:, None]
         X = rng.normal(size=(N, n)) * 10.0 ** rng.uniform(-4.0, 4.0, size=n)
         U = rng.normal(size=(N, m)) * 10.0 ** rng.uniform(-4.0, 4.0, size=m)
         Z = np.vstack([X.T, U.T])
-        want = einsum_stage(cost, X, U)
-        magnitude = (np.einsum("ki,ij,kj->k", abs(X), abs(cost.Q_x), abs(X))
-                     + np.einsum("ki,ij,kj->k", abs(U), abs(cost.Q_u), abs(U)))
+        want = einsum_stage(Q_x, Q_u, X, U)
+        magnitude = (np.einsum("ki,ij,kj->k", abs(X), abs(Q_x), abs(X))
+                     + np.einsum("ki,ij,kj->k", abs(U), abs(Q_u), abs(U)))
         bound = 8 * np.finfo(float).eps * magnitude
-        for got in (cost.stage(X, U), cost.stage(Z[:n].T, Z[n:].T)):
+        for got in (stage(Q_x, Q_u, X, U), stage(Q_x, Q_u, Z[:n].T, Z[n:].T)):
             if N >= 3:
                 assert np.array_equal(got, want)
             else:
@@ -764,10 +768,10 @@ class TestPolicyIteration:
     def test_exact_data_reaches_riccati_gain(self):
         A = np.array([[0.9, 0.2], [0.0, 0.8]])
         B = np.array([[0.0], [1.0]])
-        cost = lqr.QuadCost(np.eye(2), [[1.0]])
-        K_star, _ = lqr.dare_solve(A, B, cost.Q_x, cost.Q_u)
-        source = lqr.linear_rollouts(A, B, seed=3)
-        K = lqr.lqrl_policy_iteration(source, np.zeros((1, 2)), cost)
+        K_star, _ = lqr.dare_solve(A, B, np.eye(2), [[1.0]])
+        start = lqr._CachedStart(lqr.linear_rollouts(A, B, seed=3), np.zeros((1, 2)),
+                                 np.eye(2))
+        K = lqr.lqrl_policy_iteration(start, 1.0)
         assert np.abs(K - K_star).max() < 1e-6
 
     # Every call converges and saves the rollout under its converged gain;
@@ -778,13 +782,12 @@ class TestPolicyIteration:
         (0.2, 100.0, 3, 1)])
     def test_converged_gain_skips_its_rollout(self, tau, q_u, seed, saved):
         A, B, _ = lqr.servo_plant(tau)
-        cost = lqr.QuadCost(np.diag([1.0, 0.0]), [[q_u]])
         runs = []
-        for policy_iteration in (lqr.lqrl_policy_iteration,
+        for policy_iteration in (policy_iteration_from,
                                  collect_then_check_policy_iteration):
             source = CountingSource(lqr.linear_rollouts(
                 A, B, n_samples=2400, n_obs=2, episode_len=400, seed=seed))
-            K = policy_iteration(source, np.array([[1.0, 1.0]]), cost)
+            K = policy_iteration(source, np.array([[1.0, 1.0]]), np.diag([1.0, 0.0]), q_u)
             runs.append((K, source.calls))
         (K, calls), (K_ref, calls_ref) = runs
         assert np.array_equal(K, K_ref)
@@ -795,15 +798,15 @@ class TestPolicyIteration:
         # loop damps toward the previous gain eight times and raises, the
         # shipped loop never collects it.
         A, B, _ = lqr.servo_plant(0.0)
-        cost = lqr.QuadCost(np.diag([1.0, 0.0]), [[1.0]])
 
         def run(policy_iteration, fail_at=None):
             source = CountingSource(lqr.linear_rollouts(
                 A, B, n_samples=2400, episode_len=400, seed=3), fail_at)
-            return policy_iteration(source, np.array([[1.0, 1.0]]), cost), source.calls
+            K = policy_iteration(source, np.array([[1.0, 1.0]]), np.diag([1.0, 0.0]), 1.0)
+            return K, source.calls
 
-        K, calls = run(lqr.lqrl_policy_iteration)
-        K_failing, _ = run(lqr.lqrl_policy_iteration, fail_at=calls + 1)
+        K, calls = run(policy_iteration_from)
+        K_failing, _ = run(policy_iteration_from, fail_at=calls + 1)
         assert np.array_equal(K_failing, K)
         with pytest.raises(PolicyIterationError, match="damping"):
             run(collect_then_check_policy_iteration, fail_at=calls + 1)
@@ -816,22 +819,23 @@ class TestPolicyIteration:
                                         max_iters, seed):
         # Equal gains and rollout calls, or the same error, for
         # sample counts from below the p regressors (rank failure) up, as
-        # whole episodes or with a partial last one.
+        # whole episodes or with a partial last one; the costs have a
+        # dense Q_x and Q_u = q I.
         rng = np.random.default_rng(seed)
         A = scaled_matrix(rng, n, rng.uniform(0.3, 0.95))
         B = rng.normal(size=(n, m))
-        cost = random_cost(rng, n, m)
+        Q_x, _ = random_cost(rng, n, m)
+        q = 10.0 ** rng.uniform(-1.0, 1.0)
         p = (n + m) * (n + m + 1) // 2
         n_samples = episode_len * int(rng.integers(1, 240 // episode_len + 2))
         if not whole_episodes:
             n_samples -= int(rng.integers(1, episode_len))
         runs = []
-        for policy_iteration in (lqr.lqrl_policy_iteration,
-                                 sample_major_policy_iteration):
+        for policy_iteration in (policy_iteration_from, sample_major_policy_iteration):
             source = CountingSource(lqr.linear_rollouts(
                 A, B, n_samples=n_samples, episode_len=episode_len, seed=seed))
             try:
-                K = policy_iteration(source, np.zeros((m, n)), cost, max_iters=max_iters)
+                K = policy_iteration(source, np.zeros((m, n)), Q_x, q, max_iters=max_iters)
             except (EstimationError, PolicyIterationError) as exc:
                 runs.append((type(exc), source.calls))
             else:
@@ -872,14 +876,14 @@ class TestPolicyIteration:
         X, U, Xn = source(K)
         # Scaled states, with the gain that gives the same inputs.
         D = 10.0 ** rng.uniform(-log_scale, log_scale, size=n_obs)
-        cost = random_cost(rng, n_obs, m)
+        Q_x, Q_u = random_cost(rng, n_obs, m)
         work = lqr._LstdWorkspace(n_obs, m)
         work.load(X * D, U, Xn * D, K / D)
         try:
-            theta = work.regress(cost)
+            theta = work.regress(Q_x, Q_u)
         except EstimationError:
             theta = None
-        psi, rho = work.psi, cost.stage(X * D, U)
+        psi, rho = work.psi, stage(Q_x, Q_u, X * D, U)
         g = np.linalg.norm(psi, axis=1)
         eps = np.finfo(float).eps
         if not (g > 0.0).all():
@@ -924,18 +928,18 @@ class TestPolicyIteration:
                                      explore=10.0 ** log_explore, seed=seed)
         X, U, Xn = source(K)
         D = 10.0 ** rng.uniform(-log_scale, log_scale, size=n)
-        cost = random_cost(rng, n, m)
+        Q_x, Q_u = random_cost(rng, n, m)
         work = lqr._LstdWorkspace(n, m)
         work.load(X * D, U, Xn * D, K / D)
         try:
             work.factorize()
         except EstimationError:
             return
-        theta = work.solve(cost.stage(X, U))
-        M = cost.Q_x + K.T @ cost.Q_u @ K
+        theta = work.solve(stage(Q_x, Q_u, X, U))
+        M = Q_x + K.T @ Q_u @ K
         P = np.linalg.solve(np.eye(n * n) - np.kron(F.T, F.T), M.ravel()).reshape(n, n)
-        S = np.block([[cost.Q_x + A.T @ P @ A, A.T @ P @ B],
-                      [B.T @ P @ A, cost.Q_u + B.T @ P @ B]])
+        S = np.block([[Q_x + A.T @ P @ A, A.T @ P @ B],
+                      [B.T @ P @ A, Q_u + B.T @ P @ B]])
         T = np.concatenate([1.0 / D, np.ones(m)])
         exact = (S * T * T[:, None])[np.triu_indices(n + m)]
         g = np.linalg.norm(work.psi, axis=1)
@@ -959,7 +963,7 @@ class TestPolicyIteration:
         # cond(Gs) the condition number of the equilibrated normal
         # equations.  Over 5,100 random batches the largest difference was
         # 1.6 p eps cond(Gs).  A batch whose direct regression raises
-        # makes the cached start raise the same error.
+        # makes every call from the start raise the same error.
         rng = np.random.default_rng(seed)
         n_obs = int(rng.integers(1, n_full + 1))
         p = (n_obs + m) * (n_obs + m + 1) // 2
@@ -972,17 +976,18 @@ class TestPolicyIteration:
                                      episode_len=int(rng.integers(2, 40)),
                                      explore=10.0 ** log_explore, seed=seed)
         q = 10.0 ** log_q
-        cost = lqr.QuadCost(random_cost(rng, n_obs, m).Q_x, q * np.eye(m))
-        start = lqr._CachedStart(source, K0, cost.Q_x)
+        Q_x, _ = random_cost(rng, n_obs, m)
+        start = lqr._CachedStart(source, K0, Q_x)
         work = lqr._LstdWorkspace(n_obs, m)
         work.load(*source(K0), K0)
         try:
-            theta = work.regress(cost)
+            theta = work.regress(Q_x, q * np.eye(m))
         except EstimationError:
             with pytest.raises(EstimationError):
-                start.parameters(K0, cost)
+                lqr.lqrl_policy_iteration(start, q)
             return
-        cached = start.parameters(K0, cost)
+        # The first step of every call from the start.
+        cached = start.theta_x + q * start.theta_u
         g = np.linalg.norm(work.psi, axis=1)
         w = np.linalg.eigvalsh((work.psi / g[:, None]) @ (work.psi / g[:, None]).T)
         scale = np.linalg.norm(g * start.theta_x) + q * np.linalg.norm(g * start.theta_u)
@@ -992,26 +997,27 @@ class TestPolicyIteration:
     @pytest.mark.parametrize("tau, q_u, seed", [
         (0.0, 1.0, 3), (0.0, 1e-3, 5), (0.0, 100.0, 8675), (0.2, 100.0, 3)])
     def test_cached_start_call_reaches_the_plain_gain(self, tau, q_u, seed):
-        # On one pure source the two calls differ only in the rounding of
-        # their first step, so their converged gains agree within the
-        # bound of test_cached_start_splits_the_first_regression (measured:
-        # at most 0.004 p eps cond(Gs) on these cases), and the cached call
-        # collects one batch fewer: the one under K0.
+        # On one pure source a call from the start and the oracle whose
+        # first step is the direct regression of the K0 batch differ only
+        # in the rounding of that step, so their converged gains agree
+        # within the bound of test_cached_start_splits_the_first_regression
+        # (measured: at most 0.004 p eps cond(Gs) on these cases), and the
+        # call collects one batch fewer: the one under K0, which the start
+        # collected.
         A, B, _ = lqr.servo_plant(tau)
-        cost = lqr.QuadCost(np.diag([1.0, 0.0]), [[q_u]])
-        K0 = np.array([[1.0, 1.0]])
+        Q_x, K0 = np.diag([1.0, 0.0]), np.array([[1.0, 1.0]])
         source = lqr.linear_rollouts(A, B, n_samples=2400, n_obs=2, episode_len=400,
                                      seed=seed)
-        start = lqr._CachedStart(source, K0, cost.Q_x)
+        counted = CountingSource(source)
+        start = lqr._CachedStart(counted, K0, Q_x)
         psi = start.work.psi
         g = np.linalg.norm(psi, axis=1)
         w = np.linalg.eigvalsh((psi / g[:, None]) @ (psi / g[:, None]).T)
-        runs = []
-        for kwargs in ({"start": start}, {}):
-            counted = CountingSource(source)
-            K = lqr.lqrl_policy_iteration(counted, K0, cost, **kwargs)
-            runs.append((K, counted.calls))
-        (K, calls), (K_ref, calls_ref) = runs
+        K = lqr.lqrl_policy_iteration(start, q_u)
+        calls = counted.calls - 1
+        reference = CountingSource(source)
+        K_ref = sample_major_policy_iteration(reference, K0, Q_x, q_u, split_first=False)
+        calls_ref = reference.calls
         assert start.outcome == "converged"
         assert calls == calls_ref - 1
         p = 6
@@ -1022,17 +1028,18 @@ class TestPolicyIteration:
         ([[-30.0, 0.0]], 2400, PolicyIterationError), ([[1.0, 1.0]], 5, EstimationError)])
     def test_failed_start_fails_every_call(self, K0, n_samples, error):
         # A start gain whose rollout diverges, or a batch too small for the
-        # p = 6 regressors, fails every cached call as it fails a plain one.
+        # p = 6 regressors, fails every call from the start as it fails the
+        # oracle.
         A, B, _ = lqr.servo_plant(0.0)
+        Q_x = np.diag([1.0, 0.0])
         source = lqr.linear_rollouts(A, B, n_samples=n_samples, n_obs=2, episode_len=400,
                                      seed=1)
-        start = lqr._CachedStart(source, K0, np.diag([1.0, 0.0]))
+        start = lqr._CachedStart(source, K0, Q_x)
         for q_u in (1e-3, 1.0, 1e3):
-            cost = lqr.QuadCost(np.diag([1.0, 0.0]), [[q_u]])
             with pytest.raises(error):
-                lqr.lqrl_policy_iteration(source, K0, cost)
+                sample_major_policy_iteration(source, K0, Q_x, q_u)
             with pytest.raises(error):
-                lqr.lqrl_policy_iteration(source, K0, cost, start=start)
+                lqr.lqrl_policy_iteration(start, q_u)
             assert (start.outcome, start.iterations) == ("raised", 0)
 
     def test_start_records_how_each_call_ended(self):
@@ -1043,16 +1050,17 @@ class TestPolicyIteration:
         start = lqr._CachedStart(source, K0, Q_x)
 
         def run(q_u, **kwargs):
-            lqr.lqrl_policy_iteration(source, K0, lqr.QuadCost(Q_x, [[q_u]]),
-                                      start=start, **kwargs)
+            lqr.lqrl_policy_iteration(start, q_u, **kwargs)
             return start.outcome, start.iterations
 
         assert run(1.0) == ("converged", 4)
         assert run(1.0, max_iters=2) == ("max_iters", 2)
-        with pytest.raises(ValueError, match="another gain or cost"):
-            lqr.lqrl_policy_iteration(source, K0, lqr.QuadCost(np.eye(2), [[1.0]]),
-                                      start=start)
-        assert start.outcome == "raised"
+        # Every rollout after the start's diverges: the first improved
+        # policy is damped eight times, and the call raises.
+        failing = lqr._CachedStart(CountingSource(source, fail_at=2), K0, Q_x)
+        with pytest.raises(PolicyIterationError, match="damping"):
+            lqr.lqrl_policy_iteration(failing, 1.0)
+        assert (failing.outcome, failing.iterations) == ("raised", 1)
 
     @pytest.mark.parametrize("n_samples, zero_state", [(1, False), (5, False), (50, True)])
     def test_singular_regression_raises_without_warnings(self, n_samples, zero_state):
@@ -1063,11 +1071,11 @@ class TestPolicyIteration:
         X, U, Xn = (rng.normal(size=(n_samples, k)) for k in (2, 1, 2))
         if zero_state:
             X[:, 1] = Xn[:, 1] = 0.0
-        cost = lqr.QuadCost(np.eye(2), [[1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            start = lqr._CachedStart(lambda K: (X, U, Xn), np.zeros((1, 2)), np.eye(2))
             with pytest.raises(EstimationError, match="more excitation required"):
-                lqr.lqrl_policy_iteration(lambda K: (X, U, Xn), np.zeros((1, 2)), cost)
+                lqr.lqrl_policy_iteration(start, 1.0)
 
     def test_rollout_shapes_and_partial_observation(self):
         A = np.array([[0.9, 0.1], [0.0, 0.5]])

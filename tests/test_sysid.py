@@ -352,6 +352,9 @@ class TestEfficiency:
             sysid.EfficiencyParams(gen_factor=0.95, regen_factor=0.9)
         with pytest.raises(ValueError):
             sysid.EfficiencyParams(gen_factor=1.1, regen_factor=1.05)
+        for gen in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                sysid.EfficiencyParams(gen_factor=gen, regen_factor=0.9)
 
 
 class TestLagBias:
