@@ -240,17 +240,17 @@ def _theta_errors(sc: Scenario, model: sysid.GrayBoxModel) -> np.ndarray:
     return err
 
 
-def _run_report(sc: Scenario, data: sysid.Dataset, model: sysid.GrayBoxModel,
+def _run_report(sc: Scenario, fit: sysid.GrayBoxFit, model: sysid.GrayBoxModel,
                 eff: sysid.EfficiencyParams, sol: tempo.TOSolution,
                 metrics: dict) -> RunReport:
-    """Report of one planned and tracked run."""
+    """Report of one planned and tracked run; ``fit_nrmse`` is the fit's own."""
     return RunReport(
         name=sc.name,
         plant_type="truck" if isinstance(sc.plant_params, TruckParams) else "car",
         seed=sc.seed, T_f=sc.T_f,
         theta_hat=tuple(float(x) for x in model.theta),
         theta_err=tuple(float(x) for x in _theta_errors(sc, model)),
-        fit_nrmse=sysid.validate(model, data),
+        fit_nrmse=fit.nrmse,
         eff_gen_hat=eff.gen_factor, eff_regen_hat=eff.regen_factor,
         eff_gen_status=eff.gen_status, eff_regen_status=eff.regen_status,
         E_pred=sol.E, E_realized=metrics["E_realized"],
@@ -269,7 +269,7 @@ def run_pipeline(sc: Scenario, out_dir=None) -> tuple[RunReport, dict]:
     problem, sol, ref = stage_plan(sc, model, eff)
     traj, metrics = stage_track(sc, model, schedule, ref)
 
-    report = _run_report(sc, data, model, eff, sol, metrics)
+    report = _run_report(sc, fit, model, eff, sol, metrics)
 
     artifacts = {"data": data, "model": model, "eff": eff, "fit": fit,
                  "schedule": schedule, "problem": problem, "solution": sol,

@@ -94,6 +94,15 @@ class GrayBoxModel:
         object.__setattr__(self, "mask", mask)
 
 
+def _input_term(theta, u, alpha):
+    """Per-sample constant c = th1*u + th2 + th5*alpha + th6*alpha^2 of the
+    gray box's rhs, for float arrays ``u`` and ``alpha`` (inf or nan where
+    it overflows)."""
+    t1, t2, _, _, t5, t6 = (float(t) for t in theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return t1 * u + t2 + t5 * alpha + t6 * alpha * alpha
+
+
 def _simulate_theta(theta, v0, u, alpha, h):
     """Integrate the gray box ``theta`` from ``v0`` under zero-order-hold
     float arrays ``u`` and ``alpha``, one RK4 step per sample interval.
@@ -101,30 +110,31 @@ def _simulate_theta(theta, v0, u, alpha, h):
     Returns the velocity sequence (same length as ``u``), or None once a
     step's velocity exceeds 1e5 in magnitude or is not finite.
     """
-    # RK4 on Python floats: arithmetic on np.float64 scalars costs several
-    # times more per operation, and the fit runs this loop for every trial
-    # step over thousands of samples.  Python floats round as np.float64 does and
-    # the operations keep the order of the rhs, (t4 * x) * x included, so
-    # the result equals the numpy-scalar loop's bit for bit.
-    t1, t2, t3, t4, t5, t6 = (float(t) for t in theta)
+    # The input term c is one NumPy expression over the record; the
+    # velocity-dependent RK4 stages run on Python floats, because np.float64
+    # scalar arithmetic costs several times more per operation and the fit
+    # runs this loop for every trial step.  Bit equality with the
+    # numpy-scalar loop: float64 ufuncs and Python floats round each
+    # operation alike, separate ufunc calls are not fused, every expression
+    # keeps the rhs's order ((t4 * x) * x included), and 0.5 * h and h / 6.0
+    # were already the left operands of their products.
+    t3, t4 = float(theta[2]), float(theta[3])
     h, v = float(h), float(v0)
-    us, alphas = u.tolist(), alpha.tolist()
+    hh, h6 = 0.5 * h, h / 6.0
     out = [v]
-    for k in range(len(us) - 1):
-        uk, ak = us[k], alphas[k]
-        c = t1 * uk + t2 + t5 * ak + t6 * ak * ak
+    for c in _input_term(theta, u[:-1], alpha[:-1]).tolist():
         k1 = c + t3 * v + t4 * v * v
-        x = v + 0.5 * h * k1
+        x = v + hh * k1
         k2 = c + t3 * x + t4 * x * x
-        x = v + 0.5 * h * k2
+        x = v + hh * k2
         k3 = c + t3 * x + t4 * x * x
         x = v + h * k3
         k4 = c + t3 * x + t4 * x * x
-        v = v + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        v = v + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not math.isfinite(v) or abs(v) > 1e5:
             return None
         out.append(v)
-    return np.array(out[:len(us)])
+    return np.array(out[:len(u)])
 
 
 def _output_jacobian(theta, act, sim, u, alpha, h):
@@ -138,11 +148,11 @@ def _output_jacobian(theta, act, sim, u, alpha, h):
     is dPhi/dth_j at step k.  Raises :class:`EstimationError` on a
     non-finite entry.
     """
-    t1, t2, t3, t4, t5, t6 = (float(t) for t in theta)
+    t3, t4 = float(theta[2]), float(theta[3])
     v, u, a = sim[:-1], u[:-1], alpha[:-1]
     hh = 0.5 * h
     with np.errstate(over="ignore", invalid="ignore"):
-        c = t1 * u + t2 + t5 * a + t6 * a * a
+        c = _input_term(theta, u, a)
         k1 = c + t3 * v + t4 * v * v
         x2 = v + hh * k1
         k2 = c + t3 * x2 + t4 * x2 * x2
@@ -202,11 +212,17 @@ class EfficiencyParams:
 
 @dataclass
 class GrayBoxFit:
-    """Diagnostics from :func:`fit_graybox`."""
+    """Diagnostics from :func:`fit_graybox`.
+
+    ``rms`` is the RMS output error of the returned model and ``nrmse`` the
+    same error normalized as :func:`validate` does, computed from the
+    fit's own last simulation; it equals ``validate(model, data)``.
+    """
 
     converged: bool
     n_iter: int
     rms: float
+    nrmse: float
 
 
 def equation_error_init(data: Dataset, mask: np.ndarray) -> np.ndarray:
@@ -245,7 +261,9 @@ def fit_graybox(data: Dataset, mask: np.ndarray | None = None
     than 1e-10 of it, |J delta|^2 < 1e-10 cost, is tried at full length
     only.  Convergence: no step lowers the cost, relative cost decrease
     below 1e-10 or parameter change below 1e-8; after 200 iterations the
-    best iterate is returned with ``converged=False`` and a warning.
+    best iterate is returned with ``converged=False`` and a warning.  The
+    returned fit's ``nrmse`` is the :func:`validate` error of the model,
+    taken from the simulation the fit already holds.
     """
     max_iter, cost_tol, step_tol = 200, 1e-10, 1e-8
     mask = np.ones(N_THETA, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
@@ -305,7 +323,8 @@ def fit_graybox(data: Dataset, mask: np.ndarray | None = None
         warnings.warn("gray-box fit stopped at iteration limit; returning best iterate")
     model = GrayBoxModel(theta=theta, mask=mask)
     rms = math.sqrt(cost / v_meas.size)
-    return model, GrayBoxFit(converged=converged, n_iter=it, rms=rms)
+    return model, GrayBoxFit(converged=converged, n_iter=it, rms=rms,
+                             nrmse=_nrmse(sim, v_meas))
 
 
 def fit_efficiency(P: np.ndarray, u: np.ndarray, v: np.ndarray) -> EfficiencyParams:
@@ -352,21 +371,26 @@ def fit_efficiency(P: np.ndarray, u: np.ndarray, v: np.ndarray) -> EfficiencyPar
                             gen_status=gen_status, regen_status=regen_status)
 
 
+def _nrmse(sim, v) -> float:
+    """RMS of ``sim - v`` over the RMS deviation of ``v`` from its mean (at
+    least 1e-12); ``inf`` when ``sim`` is None."""
+    if sim is None:
+        return math.inf
+    denom = max(float(np.sqrt(np.mean((v - v.mean()) ** 2))), 1e-12)
+    return float(np.sqrt(np.mean((sim - v) ** 2)) / denom)
+
+
 def validate(model: GrayBoxModel, data: Dataset) -> float:
     """Normalized RMS error of a full-record model simulation.
 
     The simulated velocity (from the measured initial state under the
     recorded inputs) is compared with the measurement; the RMS error is
     normalized by the RMS deviation of the measurement from its mean.
-    Returns ``inf`` when the simulation diverges.
+    Returns ``inf`` when the simulation diverges.  For a model and fit
+    from :func:`fit_graybox` on ``data`` it equals ``fit.nrmse``.
     """
-    sim = _simulate_theta(model.theta, data.v[0], data.u, data.alpha, data.h)
-    if sim is None:
-        return math.inf
-    err = sim - data.v
-    denom = float(np.sqrt(np.mean((data.v - data.v.mean()) ** 2)))
-    denom = max(denom, 1e-12)
-    return float(np.sqrt(np.mean(err ** 2)) / denom)
+    return _nrmse(_simulate_theta(model.theta, data.v[0], data.u, data.alpha, data.h),
+                  data.v)
 
 
 def save_theta(path, model: GrayBoxModel, eff: EfficiencyParams) -> None:

@@ -148,7 +148,7 @@ def _run_ladder(sc, t_fs):
         sci = replace(sc, T_f=float(t_f))
         problem, sol, ref = harness.stage_plan(sci, model, eff)
         traj, metrics = harness.stage_track(sci, model, schedule, ref)
-        reports.append(harness._run_report(sci, data, model, eff, sol, metrics))
+        reports.append(harness._run_report(sci, fit, model, eff, sol, metrics))
     return reports
 
 

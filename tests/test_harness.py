@@ -1,6 +1,7 @@
 """Configuration, pipeline staging, reporting, and CLI tests."""
 
 import itertools
+import math
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -9,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from modru import cli, config, harness, lqr, tempo
+from modru import cli, config, harness, lqr, sysid, tempo
 from modru.errors import ConfigError, EstimationError
 from modru.plant import CarParams, PositionProfile, TruckParams, input_mass
 from modru.tables import format_value, read_csv, read_keyvalues, write_csv, write_keyvalues
@@ -253,6 +254,83 @@ class TestRunPipeline:
         v_end = np.interp(car_sc.path_length, traj.s, traj.v)
         kinetic = 0.5 * input_mass(car_sc.plant_params) * (traj.v[0] ** 2 - v_end ** 2)
         assert full["E_realized"] - bare["E_realized"] == pytest.approx(kinetic, rel=1e-9)
+
+
+def former_simulate_theta(theta, v0, u, alpha, h):
+    """The gray-box RK4 as it was: the input term formed in every step."""
+    t1, t2, t3, t4, t5, t6 = (float(t) for t in theta)
+    h, v = float(h), float(v0)
+    us, alphas = u.tolist(), alpha.tolist()
+    out = [v]
+    for k in range(len(us) - 1):
+        uk, ak = us[k], alphas[k]
+        c = t1 * uk + t2 + t5 * ak + t6 * ak * ak
+        k1 = c + t3 * v + t4 * v * v
+        x = v + 0.5 * h * k1
+        k2 = c + t3 * x + t4 * x * x
+        x = v + 0.5 * h * k2
+        k3 = c + t3 * x + t4 * x * x
+        x = v + h * k3
+        k4 = c + t3 * x + t4 * x * x
+        v = v + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not math.isfinite(v) or abs(v) > 1e5:
+            return None
+        out.append(v)
+    return np.array(out[:len(us)])
+
+
+def stock_scenario(kind, seed):
+    base = {"truck": config.default_truck_scenario, "car": config.default_car_scenario}[kind]
+    return replace(base(), seed=seed)
+
+
+class TestGrayBoxSimulatedOnce:
+    @pytest.mark.parametrize("kind", ["truck", "car"])
+    def test_no_simulation_after_the_fit(self, kind, tmp_path, monkeypatch):
+        calls, simulate, estimate = [], sysid._simulate_theta, harness.stage_estimate
+        at_fit = []
+
+        def counted(*args):
+            calls.append(args)
+            return simulate(*args)
+
+        def counted_estimate(sc, data):
+            out = estimate(sc, data)
+            at_fit.append(len(calls))
+            return out
+
+        monkeypatch.setattr(sysid, "_simulate_theta", counted)
+        monkeypatch.setattr(harness, "stage_estimate", counted_estimate)
+        harness.run_pipeline(stock_scenario(kind, 1234), out_dir=tmp_path)
+        assert at_fit[0] > 0
+        assert len(calls) == at_fit[0]
+
+    @pytest.mark.parametrize("kind", ["truck", "car"])
+    @pytest.mark.parametrize("seed", [1234, 1, 2])
+    def test_artifacts_equal_former_simulation_and_report(self, kind, seed, tmp_path):
+        # The former code formed the input term in the RK4 loop and
+        # simulated the fitted model once more for the report's fit_nrmse.
+        sc = stock_scenario(kind, seed)
+        harness.run_pipeline(sc, out_dir=tmp_path / "now")
+        datasets, stage_dataset, run_report = [], harness.stage_dataset, harness._run_report
+
+        def kept_dataset(sc):
+            datasets.append(stage_dataset(sc))
+            return datasets[-1]
+
+        def former_run_report(sc, fit, model, eff, sol, metrics):
+            return replace(run_report(sc, fit, model, eff, sol, metrics),
+                           fit_nrmse=sysid.validate(model, datasets[-1]))
+
+        with mock.patch.object(sysid, "_simulate_theta", former_simulate_theta), \
+                mock.patch.object(harness, "stage_dataset", kept_dataset), \
+                mock.patch.object(harness, "_run_report", former_run_report):
+            harness.run_pipeline(sc, out_dir=tmp_path / "former")
+        names = sorted(f.name for f in (tmp_path / "now").iterdir())
+        assert names == sorted(f.name for f in (tmp_path / "former").iterdir())
+        for name in names:
+            assert ((tmp_path / "now" / name).read_bytes()
+                    == (tmp_path / "former" / name).read_bytes()), name
 
 
 class TestRobustnessCsv:

@@ -120,17 +120,54 @@ class TestSimulateTheta:
     def test_python_float_loop_equals_numpy_scalar_loop(self, seed, blow_up, h):
         # Scaled coefficients; the x50 ones make some runs diverge.
         rng = np.random.default_rng(seed)
-        theta = TRUCK_THETA * rng.uniform(0.5, 1.5, 6) * (50.0 if blow_up else 1.0)
+        theta = random_theta(rng, blow_up)
         u = rng.uniform(-3000.0, 6000.0, 300)
         alpha = rng.uniform(-0.05, 0.05, 300)
         v0 = rng.uniform(0.0, 30.0)
-        sim = sysid._simulate_theta(theta, v0, u, alpha, h)
+        draw_th3(rng, theta, blow_up)
+        assert_same_simulation(theta, v0, u, alpha, h)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 6), h=st.floats(0.01, 5.0))
+    def test_short_and_overflowing_records_equal_numpy_scalar_loop(self, seed, n, h):
+        # Records of 0-6 samples at any step size.  About half the inputs
+        # lie near the largest float, so th1*u overflows once th1 >= 1, and
+        # about a quarter of the slopes are 1e200, so th6*alpha^2 overflows.
+        rng = np.random.default_rng(seed)
+        theta = random_theta(rng, False)
+        theta[0] *= 10.0 ** rng.uniform(0.0, 5.0)
+        draw_th3(rng, theta, False)
+        u = rng.uniform(-3000.0, 6000.0, n)
+        alpha = rng.uniform(-0.05, 0.05, n)
+        big_u, big_alpha = rng.random(n) < 0.5, rng.random(n) < 0.25
+        k = big_u.sum()
+        u[big_u] = rng.choice([-1.0, 1.0], k) * rng.uniform(0.5, 1.0, k) * np.finfo(float).max
+        alpha[big_alpha] = rng.choice([-1e200, 1e200], big_alpha.sum())
+        assert_same_simulation(theta, rng.uniform(0.0, 30.0), u, alpha, h)
+
+
+def random_theta(rng, blow_up):
+    """The truck's coefficients scaled by U(0.5, 1.5), and by 50 on a blow-up."""
+    return TRUCK_THETA * rng.uniform(0.5, 1.5, 6) * (50.0 if blow_up else 1.0)
+
+
+def draw_th3(rng, theta, blow_up):
+    """Set the velocity-linear th3, which the truck lacks, from U(-0.01, 0.01)
+    (x50 on a blow-up); drawn after the other values so they stay the same."""
+    theta[2] = rng.uniform(-0.01, 0.01) * (50.0 if blow_up else 1.0)
+
+
+def assert_same_simulation(theta, v0, u, alpha, h):
+    """Assert that ``_simulate_theta`` equals the numpy-scalar loop bit for
+    bit, or that both return None."""
+    sim = sysid._simulate_theta(theta, v0, u, alpha, h)
+    with np.errstate(over="ignore", invalid="ignore"):
         ref = numpy_scalar_simulate(theta, v0, u, alpha, h)
-        if ref is None:
-            assert sim is None
-        else:
-            assert sim.dtype == ref.dtype and sim.shape == ref.shape
-            assert sim.tobytes() == ref.tobytes()
+    if ref is None:
+        assert sim is None
+    else:
+        assert sim.dtype == ref.dtype and sim.shape == ref.shape
+        assert sim.tobytes() == ref.tobytes()
 
 
 def complex_step_jacobian(theta, act, v0, u, alpha, h, eps=1e-200):
@@ -235,7 +272,8 @@ def central_difference_fit_graybox(data, theta0=None, mask=None, max_iter=200,
         warnings.warn("gray-box fit stopped at iteration limit; returning best iterate")
     model = sysid.GrayBoxModel(theta=theta, mask=mask)
     rms = math.sqrt(cost / v_meas.size)
-    return model, sysid.GrayBoxFit(converged=converged, n_iter=it, rms=rms)
+    return model, sysid.GrayBoxFit(converged=converged, n_iter=it, rms=rms,
+                                   nrmse=sysid.validate(model, data))
 
 
 @pytest.fixture(scope="module")
@@ -253,10 +291,11 @@ class TestOutputJacobian:
     def test_matches_complex_step(self, seed, blow_up, h, mask):
         # theta, inputs and v0 drawn as in TestSimulateTheta; th1 stays active.
         rng = np.random.default_rng(seed)
-        theta = TRUCK_THETA * rng.uniform(0.5, 1.5, 6) * (50.0 if blow_up else 1.0)
+        theta = random_theta(rng, blow_up)
         u = rng.uniform(-3000.0, 6000.0, 300)
         alpha = rng.uniform(-0.05, 0.05, 300)
         v0 = rng.uniform(0.0, 30.0)
+        draw_th3(rng, theta, blow_up)
         act = np.flatnonzero([True, *mask])
         sim = sysid._simulate_theta(theta, v0, u, alpha, h)
         if sim is None:
@@ -292,6 +331,54 @@ class TestOutputJacobian:
         monkeypatch.setattr(sysid, "equation_error_init", lambda data, mask: theta.copy())
         with pytest.raises(EstimationError, match="diverged during fit"):
             sysid.fit_graybox(data)
+
+
+class TestFitNrmse:
+    """The fit's own NRMSE is bit for bit what ``validate`` computes."""
+
+    @pytest.mark.parametrize("case", ["truck", "car"])
+    def test_equals_validate_on_the_stock_records(self, case, request):
+        data, model, _, fit = request.getfixturevalue(f"{case}_fit")
+        assert fit.nrmse.hex() == sysid.validate(model, data).hex()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(["truck", "car"]),
+           duration=st.integers(10, 300), noise=st.sampled_from([0.0, 0.01, 0.1]),
+           mask=st.lists(st.booleans(), min_size=5, max_size=5))
+    def test_equals_validate_on_random_records(self, seed, case, duration, noise, mask):
+        base = (config.default_truck_scenario() if case == "truck"
+                else config.default_car_scenario())
+        sc = replace(base, seed=seed, est_duration=float(duration), est_noise=noise)
+        try:
+            data = harness.stage_dataset(sc)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                model, fit = sysid.fit_graybox(data, mask=np.array([True, *mask]))
+        except EstimationError:
+            return
+        assert fit.nrmse.hex() == sysid.validate(model, data).hex()
+
+    def test_equals_validate_after_the_drag_clamp_retry(self, truck_sc, truck_fit,
+                                                        monkeypatch):
+        # A warm start with a positive quadratic drag diverges on the
+        # record; the fit clamps that drag to zero and retries.  Inactive
+        # terms start at zero, as the equation-error start leaves them.
+        data = truck_fit[0]
+        mask = np.array(truck_sc.est_mask, bool)
+        start = np.where(mask, harness.true_theta(truck_sc), 0.0)
+        start[3] = 0.05
+        monkeypatch.setattr(sysid, "equation_error_init", lambda data, mask: start.copy())
+        sims, simulate = [], sysid._simulate_theta
+
+        def spy(*args):
+            sims.append(simulate(*args))
+            return sims[-1]
+
+        monkeypatch.setattr(sysid, "_simulate_theta", spy)
+        model, fit = sysid.fit_graybox(data, mask=mask)
+        assert sims[0] is None and sims[1] is not None
+        assert fit.converged
+        assert fit.nrmse.hex() == sysid.validate(model, data).hex()
 
 
 class TestEfficiency:
