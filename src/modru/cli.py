@@ -24,7 +24,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, descr in [
             ("simulate", "run the open-loop excitation experiment"),
             ("estimate", "generate data and fit the reduced model"),
-            ("plan", "solve the timing problem and write the plan as the reference"),
+            ("plan", "solve the timing problem; write the plan and its node reference"),
             ("pipeline", "full pipeline with all artifacts written"),
             ("compare-slope", "pipeline with and without slope knowledge"),
             ("robustness", "controller design sweep over plant parasitics")]:
@@ -109,9 +109,8 @@ def _run(args) -> int:
     if args.command == "plan":
         data = harness.stage_dataset(sc)
         model, eff, _ = harness.stage_estimate(sc, data)
-        problem, sol, ref = harness.stage_plan(sc, model, eff)
-        sol.to_csv(out / "to_solution.csv", problem)
-        ref.to_csv(out / "reference.csv")
+        _, sol = harness.stage_plan(sc, model, eff)
+        sol.write(out)
         print(f"E = {sol.E:.6g}, t_end = {sol.t[-1]:.3f} (budget {sc.T_f:g})")
         return 0
 

@@ -2,10 +2,10 @@
 
 Composable stages: excitation-data generation, gray-box + efficiency
 estimation, gain-schedule design, timing optimization, and closed-loop
-tracking of the plan on the simulated plant.  The plan itself is the
-reference: its speed is linear in time between nodes, and the plant starts
-on it, at the plan's first speed and its feedforward input.  Each stage can
-run standalone (CLI subcommands) or composed (``run_pipeline``).
+tracking of the plan on the simulated plant.  The plan (tempo.TOSolution)
+is the reference: it samples its speed, linear in time between nodes, and
+writes its files; the plant starts on it, at its first speed and feedforward
+input.  Stages run standalone (CLI subcommands) or composed (``run_pipeline``).
 """
 
 from __future__ import annotations
@@ -112,26 +112,26 @@ def stage_schedule(sc: Scenario, model: sysid.GrayBoxModel) -> ctl.GainSchedule:
 
 
 def stage_plan(sc: Scenario, model: sysid.GrayBoxModel, eff: sysid.EfficiencyParams
-               ) -> tuple[tempo.TOProblem, tempo.TOSolution, tempo.ReferenceTrajectory]:
-    """Solve the timing problem; its plan is the tracking reference."""
+               ) -> tuple[tempo.TOProblem, tempo.TOSolution]:
+    """Solve the timing problem; returns (problem, plan), the tracking reference."""
     problem = tempo.build_problem(
         sc.path_length, sc.to_n, sc.T_f, sc.slope, sc.v_limit, model, eff,
         vdot_lim=sc.vdot_lim, u_lim=sc.to_u_lim)
     sol = tempo.solve(problem)
     if not sol.feasible:
         raise InfeasibleError("timing optimization did not reach feasibility")
-    return problem, sol, tempo.reference(sol, problem)
+    return problem, sol
 
 
 def stage_track(sc: Scenario, model: sysid.GrayBoxModel,
                 schedule: ctl.GainSchedule,
-                ref: tempo.ReferenceTrajectory) -> tuple:
-    """Track the reference on the true plant; returns (trajectory, metrics)."""
+                plan: tempo.TOSolution) -> tuple:
+    """Track the plan, sampled every sim.h, on the true plant; returns (trajectory, metrics)."""
     h = sc.sim_h
-    t_end = float(ref.t[-1])
+    t_end = float(plan.t[-1])
     n = int(math.ceil(t_end / h)) + max(20, int(0.05 * t_end / h))
     t_grid = np.arange(n + 1) * h
-    v_ref, a_ref = ref.sample(t_grid)
+    v_ref, a_ref = plan.sample(t_grid)
     kps, tis = (g.tolist() for g in schedule.gains(v_ref))
 
     w = 0.0   # the controller's anti-windup channel
@@ -266,22 +266,21 @@ def run_pipeline(sc: Scenario, out_dir=None) -> tuple[RunReport, dict]:
     data = stage_dataset(sc)
     model, eff, fit = stage_estimate(sc, data)
     schedule = stage_schedule(sc, model)
-    problem, sol, ref = stage_plan(sc, model, eff)
-    traj, metrics = stage_track(sc, model, schedule, ref)
+    problem, sol = stage_plan(sc, model, eff)
+    traj, metrics = stage_track(sc, model, schedule, sol)
 
     report = _run_report(sc, fit, model, eff, sol, metrics)
 
     artifacts = {"data": data, "model": model, "eff": eff, "fit": fit,
                  "schedule": schedule, "problem": problem, "solution": sol,
-                 "reference": ref, "trajectory": traj, "metrics": metrics}
+                 "trajectory": traj, "metrics": metrics}
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         data.to_csv(out / "dataset.csv")
         sysid.save_theta(out / "theta.txt", model, eff)
         schedule.to_csv(out / "schedule.csv")
-        sol.to_csv(out / "to_solution.csv", problem)
-        ref.to_csv(out / "reference.csv")
+        sol.write(out)
         traj.to_csv(out / "closed_loop.csv")
         write_keyvalues(out / "report.txt", report.to_items())
     return report, artifacts

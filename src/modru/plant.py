@@ -42,6 +42,12 @@ V_DIVERGED = 1.0e3
 V_EPS = 0.1
 
 
+def _check_road_loads(p) -> None:
+    # Negated, so that NaN fails too: a negative load would pay for driving.
+    if not (p.rho_a >= 0 and p.c_d >= 0 and p.A_f >= 0 and p.c_r >= 0 and p.g > 0):
+        raise ValueError("rho_a, c_d, A_f and c_r must be non-negative and g positive")
+
+
 @dataclass(frozen=True)
 class TruckParams:
     """Heavy-duty truck parameters (40 t tractor-trailer defaults)."""
@@ -58,6 +64,7 @@ class TruckParams:
     def __post_init__(self):
         if self.m <= 0 or self.R <= 0 or self.T_m < 0:
             raise ValueError("m, R must be positive and T_m non-negative")
+        _check_road_loads(self)
 
 
 @dataclass(frozen=True)
@@ -79,6 +86,9 @@ class CarParams:
             raise ValueError("m must be positive")
         if self.u_min >= self.u_max:
             raise ValueError("u_min must be below u_max")
+        if not self.a_lim > 0:
+            raise ValueError("a_lim must be positive")
+        _check_road_loads(self)
 
 
 @dataclass(frozen=True)

@@ -105,10 +105,14 @@ class TOProblem:
 
 @dataclass(frozen=True)
 class TOSolution:
-    """Per-segment timing result and the solver's certificate."""
+    """The plan, which is also the tracking reference, and the solver's
+    certificate.  Per node: time ``t``, position ``x`` and speed sqrt(z);
+    per segment: duration, mean speed dx/h, the constant acceleration and
+    the model input.  The speed is linear in time between nodes."""
 
     h: np.ndarray          # durations, length N
-    t: np.ndarray          # timestamps, length N+1, t[0] = 0
+    t: np.ndarray          # node timestamps, length N+1, t[0] = 0
+    x: np.ndarray          # node positions, length N+1
     v_r: np.ndarray        # segment mean speeds dx/h
     a_r: np.ndarray        # segment accelerations (constant per segment)
     u_r: np.ndarray        # model inputs
@@ -121,33 +125,23 @@ class TOSolution:
     n_newton: int          # interior-point iterations
     exit: str              # "gap", or "time_pinned" if only the fastest plan fits
 
-    def to_csv(self, path, problem: TOProblem) -> None:
-        write_csv(path, ["k", "t", "x", "v_r", "a_r", "u_r", "eta", "h"],
-                  [np.arange(self.h.size), self.t[:-1], problem.x[:-1], self.v_r,
-                   self.a_r, self.u_r, self.eta, self.h],
-                  meta={"E": self.E, "feasible": self.feasible, "t_end": self.t[-1],
-                        "gap_rel": self.gap_rel})
-
-
-@dataclass(frozen=True)
-class ReferenceTrajectory:
-    """The plan as the tracking reference, one row per node: time, position,
-    speed, and the acceleration held to the next node (0 at the last).  The
-    speed is linear in time between nodes."""
-
-    t: np.ndarray
-    x: np.ndarray
-    v_r: np.ndarray
-    a_r: np.ndarray
-
     def sample(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Speed and acceleration at times ``t``; past the end the final
         speed holds and the acceleration is 0."""
         k = np.clip(np.searchsorted(self.t, t, side="right") - 1, 0, self.t.size - 1)
-        return np.interp(t, self.t, self.v_r), self.a_r[k]
+        return np.interp(t, self.t, np.sqrt(self.z)), np.append(self.a_r, 0.0)[k]
 
-    def to_csv(self, path) -> None:
-        write_csv(path, ["t", "x", "v_r", "a_r"], [self.t, self.x, self.v_r, self.a_r])
+    def write(self, out) -> None:
+        """Write ``to_solution.csv`` (one row per segment, with the
+        certificate) and ``reference.csv`` (one row per node) into the
+        directory ``out``, a :class:`pathlib.Path`."""
+        write_csv(out / "to_solution.csv", ["k", "t", "x", "v_r", "a_r", "u_r", "eta", "h"],
+                  [np.arange(self.h.size), self.t[:-1], self.x[:-1], self.v_r,
+                   self.a_r, self.u_r, self.eta, self.h],
+                  meta={"E": self.E, "feasible": self.feasible, "t_end": self.t[-1],
+                        "gap_rel": self.gap_rel})
+        write_csv(out / "reference.csv", ["t", "x", "v_r", "a_r"],
+                  [self.t, self.x, np.sqrt(self.z), np.append(self.a_r, 0.0)])
 
 
 def build_problem(path_length: float, n_segments: int, T_f: float,
@@ -408,15 +402,9 @@ def solve(p: TOProblem) -> TOSolution:
     viol = [h.sum() / p.T_f, np.abs(parts["a_r"]).max() / p.vdot_lim, caps.max()]
     if p.u_lim is not None:
         viol.append(np.abs(parts["u_r"]).max() / p.u_lim)
-    return TOSolution(h=h, t=np.concatenate([[0.0], np.cumsum(h)]), v_r=parts["v_r"],
+    return TOSolution(h=h, t=np.concatenate([[0.0], np.cumsum(h)]), x=p.x, v_r=parts["v_r"],
                       a_r=parts["a_r"], u_r=parts["u_r"], eta=parts["eta"], E=E,
                       feasible=bool(max(viol) <= 1.0 + VIOL_TOL), z=z, gap=gap,
                       gap_rel=gap / max(abs(E), _kinetic(p)), n_newton=n_it,
                       exit="time_pinned" if pinned else "gap")
 
-
-def reference(sol: TOSolution, p: TOProblem) -> ReferenceTrajectory:
-    """The plan's nodes as the tracking reference: each segment runs at
-    constant acceleration, so its speed is linear in time between nodes."""
-    return ReferenceTrajectory(t=sol.t, x=p.x, v_r=np.sqrt(sol.z),
-                               a_r=np.append(sol.a_r, 0.0))

@@ -146,8 +146,8 @@ def _run_ladder(sc, t_fs):
     reports = []
     for t_f in sorted(t_fs):
         sci = replace(sc, T_f=float(t_f))
-        problem, sol, ref = harness.stage_plan(sci, model, eff)
-        traj, metrics = harness.stage_track(sci, model, schedule, ref)
+        _, sol = harness.stage_plan(sci, model, eff)
+        _, metrics = harness.stage_track(sci, model, schedule, sol)
         reports.append(harness._run_report(sci, fit, model, eff, sol, metrics))
     return reports
 
@@ -286,15 +286,15 @@ def test_c08_solver_matches_grid_and_constant_speed_baseline(truck_fit):
 def test_c09_planned_car_run_beats_constant_speed(car_sc, car_fit):
     _, model, eff, _ = car_fit
     schedule = harness.stage_schedule(car_sc, model)
-    _, _, ref = harness.stage_plan(car_sc, model, eff)
-    _, metrics = harness.stage_track(car_sc, model, schedule, ref)
+    _, sol = harness.stage_plan(car_sc, model, eff)
+    _, metrics = harness.stage_track(car_sc, model, schedule, sol)
 
+    # The constant-speed baseline: the plan's nodes, evenly timed at v_bar.
     v_bar = car_sc.path_length / car_sc.T_f
-    t = np.linspace(0.0, car_sc.T_f, ref.t.size)
-    base_ref = tempo.ReferenceTrajectory(t=t, x=v_bar * t,
-                                         v_r=np.full(t.size, v_bar),
-                                         a_r=np.zeros(t.size))
-    _, base = harness.stage_track(car_sc, model, schedule, base_ref)
+    n = sol.h.size
+    base_plan = replace(sol, t=np.linspace(0.0, car_sc.T_f, n + 1),
+                        z=np.full(n + 1, v_bar ** 2), a_r=np.zeros(n))
+    _, base = harness.stage_track(car_sc, model, schedule, base_plan)
 
     assert metrics["t_terminal"] <= car_sc.T_f * 1.005
     assert base["t_terminal"] <= car_sc.T_f * 1.005
@@ -366,13 +366,13 @@ def test_c10_randomized_solutions_respect_all_constraints():
 
 @pytest.fixture(scope="module")
 def default_plans(truck_sc, truck_fit, car_sc, car_fit):
-    """(scenario, model, schedule, solution, reference) per plant, each
-    identified, designed and planned on the default plant."""
+    """(scenario, model, schedule, plan) per plant, each identified,
+    designed and planned on the default plant."""
     plans = {}
     for kind, sc, (_, model, eff, _) in (("truck", truck_sc, truck_fit),
                                          ("car", car_sc, car_fit)):
-        _, sol, ref = harness.stage_plan(sc, model, eff)
-        plans[kind] = sc, model, harness.stage_schedule(sc, model), sol, ref
+        _, sol = harness.stage_plan(sc, model, eff)
+        plans[kind] = sc, model, harness.stage_schedule(sc, model), sol
     return plans
 
 
@@ -393,11 +393,11 @@ def test_c12_feedback_absorbs_plant_model_error(default_plans, record_property,
     energy forecast is made on the identified plant and cannot see a
     mass error, so realized energy grows with the mass.
     """
-    sc, model, schedule, sol, ref = default_plans[kind]
+    sc, model, schedule, sol = default_plans[kind]
     p = sc.plant_params
     params = replace(p, m=value * p.m) if field == "m" else replace(p, T_m=value)
     _, metrics = harness.stage_track(replace(sc, plant_params=params), model,
-                                     schedule, ref)
+                                     schedule, sol)
     record_property("tracking_rms", metrics["tracking_rms"])
     record_property("E_realized_over_E_pred", metrics["E_realized"] / sol.E)
     assert metrics["t_terminal"] <= sc.T_f * 1.005

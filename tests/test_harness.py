@@ -102,6 +102,20 @@ class TestConfigFiles:
         with pytest.raises(ConfigError, match=f"bad value for {key}: '{bad}'"):
             config.scenario_from_config({"plant.type": plant_type, key: bad})
 
+    # Each would let the vehicle earn energy by driving, or (a_lim) stop the
+    # car from moving; NaN fails too when the parameters are built directly.
+    @pytest.mark.parametrize("plant_type, key, bad", [
+        (kind, f"plant.{key}", "-0.01") for kind in ("truck", "car")
+        for key in ("rho_a", "c_d", "A_f", "c_r")] + [
+        ("truck", "plant.g", "0"), ("car", "plant.g", "0"), ("car", "plant.a_lim", "0")])
+    def test_rejects_impossible_plants(self, plant_type, key, bad):
+        name = key.removeprefix("plant.")
+        with pytest.raises(ConfigError, match=rf"\b{name}\b"):
+            config.scenario_from_config({"plant.type": plant_type, key: bad})
+        params = {"truck": TruckParams, "car": CarParams}[plant_type]
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            params(**{name: math.nan})
+
     def test_environment_does_not_configure(self, monkeypatch):
         monkeypatch.setenv("MODRU_SEED", "42")
         monkeypatch.setenv("MODRU_to_T_f", "800")
@@ -183,30 +197,30 @@ def nominal_run(truck_sc, truck_fit):
     _, model, eff, _ = truck_fit
     nom = nominal_scenario(truck_sc)
     schedule = harness.stage_schedule(nom, model)
-    problem, sol, ref = harness.stage_plan(nom, model, eff)
-    traj, metrics = harness.stage_track(nom, model, schedule, ref)
-    return nom, sol, ref, metrics
+    _, sol = harness.stage_plan(nom, model, eff)
+    _, metrics = harness.stage_track(nom, model, schedule, sol)
+    return nom, sol, metrics
 
 
 class TestNominalPipeline:
     """On a gentle route, the realized energy must track the forecast."""
 
     def test_energy_forecast_holds(self, nominal_run):
-        _, sol, _, metrics = nominal_run
+        _, sol, metrics = nominal_run
         ratio = metrics["E_realized"] / sol.E
         assert 0.95 < ratio < 1.05
 
     def test_timing_and_tracking(self, nominal_run):
-        nom, sol, ref, metrics = nominal_run
+        nom, sol, metrics = nominal_run
         assert sol.t[-1] <= nom.T_f * (1.0 + 1e-6)
         assert metrics["t_terminal"] <= nom.T_f * 1.01
         assert metrics["tracking_rms"] < 0.2
         assert metrics["limit_overshoot"] < 0.5
 
     def test_default_reference_density(self, nominal_run):
-        nom, _, ref, _ = nominal_run
+        nom, sol, _ = nominal_run
         # The reference is the plan's nodes, one row each.
-        assert ref.t.size == nom.to_n + 1
+        assert sol.t.size == sol.x.size == sol.z.size == nom.to_n + 1
 
 
 class TestTrackThePlan:
@@ -214,10 +228,27 @@ class TestTrackThePlan:
 
     def test_car_stays_under_the_speed_cap(self, car_sc, car_fit):
         _, model, eff, _ = car_fit
-        _, _, ref = harness.stage_plan(car_sc, model, eff)
+        _, sol = harness.stage_plan(car_sc, model, eff)
         _, metrics = harness.stage_track(car_sc, model,
-                                         harness.stage_schedule(car_sc, model), ref)
+                                         harness.stage_schedule(car_sc, model), sol)
         assert metrics["limit_overshoot"] < 0.05
+
+    # The car plans at seeds 1 and 2 end 1.8e-11 s before T_f = 75.2 s, on a
+    # sim.h sample, and past the plan's end the acceleration feedforward is 0.
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "E_realized jumps when the plan's end crosses a simulation sample: scaling "
+        "the plan's times by 1 + 1e-12 moves it by -3.0e-7 (seed 1) and -3.2e-7 "
+        "(seed 2) relative; see the FOUND line on E_realized in CHANGES.md"))
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_realized_energy_ignores_a_rounding_of_the_plan_times(self, seed):
+        sc = stock_scenario("car", seed)
+        model, eff, _ = harness.stage_estimate(sc, harness.stage_dataset(sc))
+        schedule = harness.stage_schedule(sc, model)
+        _, sol = harness.stage_plan(sc, model, eff)
+        _, metrics = harness.stage_track(sc, model, schedule, sol)
+        for scale in (1.0 - 1e-12, 1.0 + 1e-12):
+            _, moved = harness.stage_track(sc, model, schedule, replace(sol, t=sol.t * scale))
+            assert moved["E_realized"] == pytest.approx(metrics["E_realized"], rel=1e-9, abs=0)
 
 
 class TestRunPipeline:
@@ -239,18 +270,18 @@ class TestRunPipeline:
         assert int(back["plan_newton_iters"]) == sol.n_newton > 0
         assert back["plan_boundary"] == tempo.BOUNDARY_RULE
         assert set(artifacts) >= {"data", "model", "eff", "schedule",
-                                  "solution", "reference", "trajectory",
-                                  "metrics"}
+                                  "solution", "trajectory", "metrics"}
+        assert "reference" not in artifacts
 
     def test_realized_energy_charges_the_boundary_kinetic_energy(self, car_sc, car_fit):
         # E_realized takes the boundary rule's kinetic energy, as E_pred
         # does; a zero mass gives the same run without that charge.
         _, model, eff, _ = car_fit
         schedule = harness.stage_schedule(car_sc, model)
-        _, _, ref = harness.stage_plan(car_sc, model, eff)
-        traj, full = harness.stage_track(car_sc, model, schedule, ref)
+        _, sol = harness.stage_plan(car_sc, model, eff)
+        traj, full = harness.stage_track(car_sc, model, schedule, sol)
         with mock.patch.object(harness, "input_mass", lambda p: 0.0):
-            _, bare = harness.stage_track(car_sc, model, schedule, ref)
+            _, bare = harness.stage_track(car_sc, model, schedule, sol)
         v_end = np.interp(car_sc.path_length, traj.s, traj.v)
         kinetic = 0.5 * input_mass(car_sc.plant_params) * (traj.v[0] ** 2 - v_end ** 2)
         assert full["E_realized"] - bare["E_realized"] == pytest.approx(kinetic, rel=1e-9)
@@ -441,6 +472,19 @@ class TestCli:
         with mock.patch.object(harness, "stage_dataset", side_effect=started), \
                 mock.patch.object(lqr, "robustness_sweep", side_effect=started):
             rc = cli.main([command, *config_args, *flags, "--out", str(out)])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_energy_earning_plant_fails_before_any_work(self, tmp_path, capsys):
+        # A negative rolling resistance used to run to exit 0 with the truck
+        # earning 3.1 MJ by driving.
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("plant.c_r = -0.01\n")
+        out = tmp_path / "out"
+        with mock.patch.object(harness, "stage_dataset",
+                               side_effect=AssertionError("work started")):
+            rc = cli.main(["pipeline", "--config", str(cfg), "--out", str(out)])
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()

@@ -1,4 +1,4 @@
-"""Timing-optimization tests: objective algebra, solver, oracle, reference."""
+"""Timing-optimization tests: objective algebra, solver, oracle, the plan as reference."""
 
 import dataclasses
 import re
@@ -12,7 +12,7 @@ from modru import config, harness, tempo
 from modru.errors import InfeasibleError, NumericalError
 from modru.plant import PositionProfile, step_efficiency
 from modru.sysid import EfficiencyParams, GrayBoxModel
-from modru.tables import read_csv
+from modru.tables import read_csv, write_csv
 
 FLAT = PositionProfile(np.array([0.0, 10_000.0]), np.zeros(2), "linear")
 
@@ -234,6 +234,40 @@ def solve_or_confirm_infeasible(p):
 routes = st.builds(
     random_route, st.integers(0, 2**32 - 1).map(np.random.default_rng),
     st.integers(2, 40), st.booleans(), st.booleans())
+
+
+# -- the former second record of the plan, kept as an oracle ------------------
+
+@dataclasses.dataclass(frozen=True)
+class FormerReference:
+    """tempo.ReferenceTrajectory as it was: the plan's nodes copied out, with
+    the acceleration held to the next node (0 at the last)."""
+
+    t: np.ndarray
+    x: np.ndarray
+    v_r: np.ndarray
+    a_r: np.ndarray
+
+    def sample(self, t):
+        k = np.clip(np.searchsorted(self.t, t, side="right") - 1, 0, self.t.size - 1)
+        return np.interp(t, self.t, self.v_r), self.a_r[k]
+
+    def to_csv(self, path):
+        write_csv(path, ["t", "x", "v_r", "a_r"], [self.t, self.x, self.v_r, self.a_r])
+
+
+def former_reference(sol, p):
+    """tempo.reference(sol, p) as it was."""
+    return FormerReference(t=sol.t, x=p.x, v_r=np.sqrt(sol.z), a_r=np.append(sol.a_r, 0.0))
+
+
+def former_solution_csv(sol, path, p):
+    """TOSolution.to_csv(path, p) as it was."""
+    write_csv(path, ["k", "t", "x", "v_r", "a_r", "u_r", "eta", "h"],
+              [np.arange(sol.h.size), sol.t[:-1], p.x[:-1], sol.v_r,
+               sol.a_r, sol.u_r, sol.eta, sol.h],
+              meta={"E": sol.E, "feasible": sol.feasible, "t_end": sol.t[-1],
+                    "gap_rel": sol.gap_rel})
 
 
 # -- tests ---------------------------------------------------------------------
@@ -466,7 +500,7 @@ class TestSolve:
     def test_stock_routes_reach_the_gap(self, truck_sc, truck_fit, car_sc, car_fit):
         for sc, fit in ((truck_sc, truck_fit), (car_sc, car_fit)):
             _, model, eff, _ = fit
-            problem, sol, _ = harness.stage_plan(sc, model, eff)
+            problem, sol = harness.stage_plan(sc, model, eff)
             assert sol.feasible and sol.exit == "gap"
             assert sol.gap_rel <= 1e-8
             assert violation(problem, sol.z) <= 1e-9
@@ -528,7 +562,7 @@ class TestSolve:
 
     def test_default_truck_verdict_is_exact(self, truck_sc, truck_fit):
         _, model, eff, _ = truck_fit
-        problem, _, _ = harness.stage_plan(truck_sc, model, eff)
+        problem, _ = harness.stage_plan(truck_sc, model, eff)
         T_lp = segment_time(problem, fastest_plan(problem))[0].sum()
         assert T_lp == pytest.approx(432.44180711702654, rel=1e-9)
         assert_exact_verdict(problem, T_lp)
@@ -673,12 +707,12 @@ class TestProperties:
         sol = solve_or_confirm_infeasible(p)
         if sol is None:
             return
-        ref = tempo.reference(sol, p)
-        v, a = ref.sample(sol.t)
+        v, a = sol.sample(sol.t)
         np.testing.assert_array_equal(v, np.sqrt(sol.z))
         np.testing.assert_array_equal(a, np.append(sol.a_r, 0.0))
+        assert sol.x is p.x
         # Speed linear in time between nodes: the trapezoid rule is exact.
-        x = np.concatenate([[0.0], np.cumsum(0.5 * (v[:-1] + v[1:]) * np.diff(ref.t))])
+        x = np.concatenate([[0.0], np.cumsum(0.5 * (v[:-1] + v[1:]) * np.diff(sol.t))])
         np.testing.assert_allclose(x, p.x, rtol=1e-12, atol=0.0)
 
     @settings(max_examples=30, deadline=None)
@@ -687,22 +721,38 @@ class TestProperties:
         sol = solve_or_confirm_infeasible(p)
         if sol is None:
             return
-        ref = tempo.reference(sol, p)
-        t = np.linspace(0.0, ref.t[-1], 20 * p.n_segments + 1)
-        k = np.minimum(np.searchsorted(ref.t, t, side="right") - 1, p.n_segments - 1)
-        assert np.all(ref.sample(t)[0] <= p.v_lim[k] * (1.0 + 2e-6))
-        v, a = ref.sample(ref.t[-1] + np.array([0.0, 0.5, 1e3]))
-        assert np.all(v == ref.v_r[-1]) and np.all(a == 0.0)
+        t = np.linspace(0.0, sol.t[-1], 20 * p.n_segments + 1)
+        k = np.minimum(np.searchsorted(sol.t, t, side="right") - 1, p.n_segments - 1)
+        assert np.all(sol.sample(t)[0] <= p.v_lim[k] * (1.0 + 2e-6))
+        v, a = sol.sample(sol.t[-1] + np.array([0.0, 0.5, 1e3]))
+        assert np.all(v == np.sqrt(sol.z[-1])) and np.all(a == 0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(p=routes, frac=st.floats(0.0, 1.0))
+    def test_sampling_equals_the_former_reference(self, p, frac):
+        # Before the start, on every node, between nodes and past the end,
+        # bit for bit.
+        sol = solve_or_confirm_infeasible(p)
+        if sol is None:
+            return
+        t = np.concatenate([[-1e3, -1.0, -1e-12], sol.t, sol.t[:-1] + frac * sol.h,
+                            0.5 * (sol.t[:-1] + sol.t[1:]),
+                            sol.t[-1] + np.array([1e-12, 0.5, 1e3])])
+        (v, a), (v_was, a_was) = sol.sample(t), former_reference(sol, p).sample(t)
+        assert v.tobytes() == v_was.tobytes() and a.tobytes() == a_was.tobytes()
+
+
+def small_plan():
+    p = tempo.build_problem(100.0, 2, 9.0, FLAT, flat_limit(15.0), unit_model(),
+                            vdot_lim=10.0)
+    return p, tempo.solve(p)
 
 
 class TestSolutionIO:
     def test_csv_round_trip(self, tmp_path):
-        p = tempo.build_problem(100.0, 2, 9.0, FLAT, flat_limit(15.0), unit_model(),
-                                vdot_lim=10.0)
-        sol = tempo.solve(p)
-        path = tmp_path / "plan.csv"
-        sol.to_csv(path, p)
-        header, cols, meta = read_csv(path)
+        p, sol = small_plan()
+        sol.write(tmp_path)
+        header, cols, meta = read_csv(tmp_path / "to_solution.csv")
         assert header == ["k", "t", "x", "v_r", "a_r", "u_r", "eta", "h"]
         for name in header[1:]:
             want = p.x[:-1] if name == "x" else getattr(sol, name)[:sol.h.size]
@@ -712,12 +762,23 @@ class TestSolutionIO:
         assert float(meta["gap_rel"]) == sol.gap_rel
 
     def test_reference_csv_holds_the_node_rows(self, tmp_path):
-        p = tempo.build_problem(100.0, 2, 9.0, FLAT, flat_limit(15.0), unit_model(),
-                                vdot_lim=10.0)
-        ref = tempo.reference(tempo.solve(p), p)
-        path = tmp_path / "reference.csv"
-        ref.to_csv(path)
-        header, cols, _ = read_csv(path)
+        p, sol = small_plan()
+        sol.write(tmp_path)
+        header, cols, _ = read_csv(tmp_path / "reference.csv")
         assert header == ["t", "x", "v_r", "a_r"]
-        for name in header:
-            np.testing.assert_array_equal(getattr(ref, name), cols[name], err_msg=name)
+        for name, want in zip(header, (sol.t, p.x, np.sqrt(sol.z), np.append(sol.a_r, 0.0))):
+            np.testing.assert_array_equal(want, cols[name], err_msg=name)
+
+    def test_files_equal_the_former_writers(self, tmp_path, truck_sc, truck_fit):
+        _, model, eff, _ = truck_fit
+        for tag, (p, sol) in (("small", small_plan()),
+                              ("truck", harness.stage_plan(truck_sc, model, eff))):
+            now, was = tmp_path / tag / "now", tmp_path / tag / "was"
+            now.mkdir(parents=True)
+            was.mkdir()
+            sol.write(now)
+            former_solution_csv(sol, was / "to_solution.csv", p)
+            former_reference(sol, p).to_csv(was / "reference.csv")
+            for name in ("to_solution.csv", "reference.csv"):
+                assert (now / name).read_bytes() == (was / name).read_bytes(), (tag, name)
+            assert sorted(f.name for f in now.iterdir()) == ["reference.csv", "to_solution.csv"]
