@@ -5,10 +5,11 @@ changed by the ``section.key = value`` lines of one config file (``#``
 comments; later keys win), and the CLI's ``--seed``.  The environment
 is not read.  Profile-valued keys use ``pos:val, pos:val, ...`` pairs:
 ``slope.breakpoints`` interpolates linearly between its pairs, and
-``vlim.breakpoints`` holds each speed limit, which must be positive, from
-its position to the next.  ``to.u_lim = none`` plans without an input
-bound.  ``est.mask`` fits th1 and not th3, without which the timing planner
-is convex; ``est.hold`` is at least one sample time ``est.h``.
+``vlim.breakpoints`` holds each speed limit, which must be positive and
+at most ``plant.V_DIVERGED``, from its position to the next.
+``to.u_lim = none`` plans without an input bound.  ``est.mask`` fits th1
+and not th3, without which the timing planner is convex; ``est.hold`` is
+at least one sample time ``est.h``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .plant import CarParams, PositionProfile, TruckParams
+from .plant import V_DIVERGED, CarParams, PositionProfile, TruckParams
 from .tables import read_keyvalues
 
 
@@ -221,8 +222,11 @@ def scenario_from_config(cfg: dict[str, str]) -> Scenario:
                           "samples a fit needs")
     if not (sc.est_hold >= sc.est_h and np.isfinite(sc.est_hold / sc.est_h)):
         raise ConfigError("need est.hold >= est.h and a finite est.hold / est.h")
-    if not np.all(sc.v_limit.values > 0):
-        raise ConfigError("every speed limit in vlim.breakpoints must be positive")
+    # Above V_DIVERGED the simulator aborts; the excitation route, whose
+    # length grows with the top limit, would be built first.
+    if not np.all((sc.v_limit.values > 0) & (sc.v_limit.values <= V_DIVERGED)):
+        raise ConfigError("every speed limit in vlim.breakpoints must be positive "
+                          f"and at most {V_DIVERGED:g} m/s")
     if sc.to_n < 2 or sc.grid_n < 2 or sc.sim_substeps < 1:
         raise ConfigError("to.N and ctrl.grid_n must be >= 2, sim.substeps >= 1")
     if sc.to_u_lim is not None and not sc.to_u_lim > 0:

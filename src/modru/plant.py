@@ -107,7 +107,9 @@ class PositionProfile:
     ``kind`` selects piecewise-constant (value holds from each breakpoint
     to the next) or piecewise-linear interpolation.  Outside the breakpoint
     range the nearest endpoint value holds.  ``at`` evaluates one Python
-    float, ``float -> float``, bit for bit as ``value`` does.
+    float, ``float -> float``, bit for bit as ``value`` does.  It keeps the
+    last segment it found, so a walk along the route bisects only when it
+    leaves a segment; no result depends on the calls before it.
     """
 
     breakpoints: np.ndarray
@@ -143,7 +145,13 @@ def _scalar_lookup(xp: list, fp: list, kind: str):
     """``PositionProfile.value`` for one float.  "linear" repeats np.interp's
     C loop case by case (endpoint hold, NaN passed through, ``fp[j]`` on a
     breakpoint, ``slope*(x - xp[j]) + fp[j]`` and its NaN retry); with one
-    breakpoint both kinds return ``fp[0]`` for any ``x``, as NumPy does."""
+    breakpoint both kinds return ``fp[0]`` for any ``x``, as NumPy does.
+
+    "linear" caches the last segment ``(lo, hi, slope, f0)`` it found.  For
+    ``lo < x < hi`` bisection would find that segment again and compute the
+    same ``y`` from the same operands, so the cache returns it; NaN, +-inf,
+    breakpoints and a NaN ``y`` take the full path.  No result depends on
+    earlier calls."""
     if len(xp) == 1:
         f0 = fp[0]
         return lambda x: f0
@@ -152,13 +160,21 @@ def _scalar_lookup(xp: list, fp: list, kind: str):
         return lambda x: fp[max(bisect_right(xp, x) - 1, 0)]
     last = len(xp) - 1
     slopes = [(fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) for j in range(last)]
+    seg = (xp[0], xp[1], slopes[0], fp[0])
 
     def at(x):
+        nonlocal seg
+        lo, hi, slope, f0 = seg
+        if lo < x < hi:
+            y = slope * (x - lo) + f0
+            if y == y:
+                return y
         j = bisect_right(xp, x) - 1
         if j < 0:
             return fp[0]
         if j == last:
             return x if x != x else fp[last]
+        seg = (xp[j], xp[j + 1], slopes[j], fp[j])
         if xp[j] == x:
             return fp[j]
         y = slopes[j] * (x - xp[j]) + fp[j]
@@ -193,8 +209,10 @@ def input_mass(params: TruckParams | CarParams) -> float:
 # The plant loop runs on Python floats, as sysid._simulate_theta does: each
 # np.float64 scalar operation costs several times more, and an RK4 step takes
 # four right-hand sides with a profile lookup each.  Python floats round as
-# np.float64 does, PositionProfile.at repeats np.interp, and the hoisted
-# products keep their left-to-right order, so the bits equal NumPy's.
+# np.float64 does, PositionProfile.at repeats np.interp (bisecting only when
+# the position leaves the segment it cached, with the same result either
+# way), and the hoisted products keep their left-to-right order, so the bits
+# equal NumPy's.
 def _truck_rhs(p: TruckParams, alpha_at):
     """Truck dynamics ``(s, v, u_m, u) -> (ds, dv, du_m)`` on grade ``alpha_at(s)``."""
     c_air, mg, c_r, m, R, T_m = 0.5 * p.rho_a * p.c_d * p.A_f, p.m * p.g, p.c_r, p.m, p.R, p.T_m

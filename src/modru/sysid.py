@@ -117,7 +117,8 @@ def _simulate_theta(theta, v0, u, alpha, h):
     # numpy-scalar loop: float64 ufuncs and Python floats round each
     # operation alike, separate ufunc calls are not fused, every expression
     # keeps the rhs's order ((t4 * x) * x included), and 0.5 * h and h / 6.0
-    # were already the left operands of their products.
+    # were already the left operands of their products.  The chained divergence
+    # test fails NaN and +-inf too.
     t3, t4 = float(theta[2]), float(theta[3])
     h, v = float(h), float(v0)
     hh, h6 = 0.5 * h, h / 6.0
@@ -131,7 +132,7 @@ def _simulate_theta(theta, v0, u, alpha, h):
         x = v + h * k3
         k4 = c + t3 * x + t4 * x * x
         v = v + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not math.isfinite(v) or abs(v) > 1e5:
+        if not -1e5 <= v <= 1e5:
             return None
         out.append(v)
     return np.array(out[:len(u)])

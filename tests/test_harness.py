@@ -4,13 +4,14 @@ import itertools
 import math
 import subprocess
 import sys
+from bisect import bisect_right
 from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from modru import cli, config, harness, lqr, sysid, tempo
+from modru import cli, config, harness, lqr, plant, sysid, tempo
 from modru.errors import ConfigError, EstimationError
 from modru.plant import CarParams, PositionProfile, TruckParams, input_mass
 from modru.tables import format_value, read_csv, read_keyvalues, write_csv, write_keyvalues
@@ -95,6 +96,15 @@ class TestConfigFiles:
             config.scenario_from_config({"plant.warp": "9"})
         with pytest.raises(ConfigError):
             config.scenario_from_config({"plant.type": "hovercraft"})
+
+    @pytest.mark.parametrize("limit", ["1e300", "1001"])
+    def test_refuses_speed_limits_beyond_divergence(self, limit):
+        # The simulator aborts above V_DIVERGED, and the excitation route
+        # grows with the top limit.
+        with pytest.raises(ConfigError, match="at most 1000 m/s"):
+            config.scenario_from_config({"vlim.breakpoints": f"0:25, 100:{limit}"})
+        sc = config.scenario_from_config({"vlim.breakpoints": "0:25, 100:1000"})
+        assert sc.v_limit.values[-1] == plant.V_DIVERGED
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     @pytest.mark.parametrize("plant_type, key", FLOAT_KEYS)
@@ -364,6 +374,52 @@ class TestGrayBoxSimulatedOnce:
                     == (tmp_path / "former" / name).read_bytes()), name
 
 
+def former_scalar_lookup(xp, fp, kind):
+    """PositionProfile.at as it was: every linear lookup bisects."""
+    if len(xp) == 1:
+        f0 = fp[0]
+        return lambda x: f0
+    if kind == "constant":
+        return lambda x: fp[max(bisect_right(xp, x) - 1, 0)]
+    last = len(xp) - 1
+    slopes = [(fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) for j in range(last)]
+
+    def at(x):
+        j = bisect_right(xp, x) - 1
+        if j < 0:
+            return fp[0]
+        if j == last:
+            return x if x != x else fp[last]
+        if xp[j] == x:
+            return fp[j]
+        y = slopes[j] * (x - xp[j]) + fp[j]
+        if y != y:
+            y = slopes[j] * (x - xp[j + 1]) + fp[j + 1]
+            if y != y and fp[j] == fp[j + 1]:
+                y = fp[j]
+        return y
+
+    return at
+
+
+class TestCachedLookup:
+    @pytest.mark.parametrize("kind", ["truck", "car"])
+    @pytest.mark.parametrize("seed", [1234, 1, 2])
+    def test_artifacts_equal_former_lookup(self, kind, seed, tmp_path):
+        # Every profile is built under the patch, so the excitation run and
+        # the closed loop both bisect at each RK4 stage.
+        harness.run_pipeline(stock_scenario(kind, seed), out_dir=tmp_path / "now")
+        with mock.patch.object(plant, "_scalar_lookup", former_scalar_lookup):
+            sc = stock_scenario(kind, seed)
+            assert sc.slope.at.__qualname__.startswith("former_scalar_lookup")
+            harness.run_pipeline(sc, out_dir=tmp_path / "former")
+        names = sorted(f.name for f in (tmp_path / "now").iterdir())
+        assert names == sorted(f.name for f in (tmp_path / "former").iterdir())
+        for name in names:
+            assert ((tmp_path / "now" / name).read_bytes()
+                    == (tmp_path / "former" / name).read_bytes()), name
+
+
 class TestRobustnessCsv:
     def test_write_and_read(self, tmp_path):
         from modru.lqr import RobustnessRow
@@ -442,6 +498,7 @@ class TestCli:
         ("plan", "vlim.breakpoints = 0:-5", []),
         ("plan", "vlim.breakpoints = 0:25, 100:0", []),
         ("plan", "vlim.breakpoints = 0:0", []),
+        ("pipeline", "vlim.breakpoints = 0:1e300", []),
         ("simulate", "est.duration = 1e300\nest.h = 1e-300", []),
         # Profile kinds are fixed and to.u_lim spells "no bound" only as none.
         ("plan", "slope.kind = constant", []),
@@ -458,7 +515,7 @@ class TestCli:
             "M_negative", "mode_pseudo", "fit_efficiency", "slope_inf", "vlim_nan",
             "hold_nan", "plant_m_nan", "noise", "duration_short",
             "seed_key", "seed_flag_simulate", "seed_flag_pipeline", "seed_flag_robustness",
-            "vlim_negative", "vlim_zero_end", "vlim_zero", "duration_overflow",
+            "vlim_negative", "vlim_zero_end", "vlim_zero", "vlim_huge", "duration_overflow",
             "slope_kind", "vlim_kind", "u_lim_auto", "hold_zero", "hold_negative",
             "hold_below_sample", "hold_overflow", "mask_th3"])
     def test_bad_config_values_fail_before_any_work(self, tmp_path, capsys,

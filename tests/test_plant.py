@@ -1,5 +1,6 @@
 """Vehicle simulator tests: profiles, force balances, RK4/ZOH integration."""
 
+import itertools
 import math
 import struct
 
@@ -316,6 +317,29 @@ EDGE_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1.7e308, -1.7e308]),
                         st.floats(allow_nan=False, allow_infinity=False))
 
 
+@st.composite
+def profile_and_queries(draw):
+    """A linear profile's breakpoints and values from EDGE_FLOATS, and
+    positions that walk, jump back and stop on its breakpoints."""
+    bp = sorted(draw(st.lists(EDGE_FLOATS, min_size=1, max_size=6, unique=True)))
+    fp = draw(st.lists(EDGE_FLOATS, min_size=len(bp), max_size=len(bp)))
+    mids = [0.5 * a + 0.5 * b for a, b in zip(bp, bp[1:])]
+    points = st.one_of(st.sampled_from(bp + mids), st.floats(),
+                       st.sampled_from([math.nan, math.inf, -math.inf, 1.7e308, -1.7e308]))
+    # A straight walk from a to b in n steps, forward or back; between a
+    # breakpoint and a midpoint every step stays in one segment.
+    walks = st.tuples(points, points, st.integers(1, 12)).map(
+        lambda w: [w[0] * (1.0 - i / w[2]) + w[1] * (i / w[2]) for i in range(w[2] + 1)])
+    chunks = draw(st.lists(st.one_of(points.map(lambda x: [x]), walks), max_size=8))
+    return bp, fp, [x for chunk in chunks for x in chunk]
+
+
+def assert_lookups_equal_value(prof, xs):
+    with np.errstate(all="ignore"):
+        for x in xs:
+            assert bits(prof.at(x)) == bits(prof.value(x)), x
+
+
 class TestBitEquality:
     """The Python-float loop against NumPy and the oracle, bit for bit."""
 
@@ -330,9 +354,35 @@ class TestBitEquality:
               + [0.5 * a + 0.5 * b for a, b in zip(bp, bp[1:])]
               + data.draw(st.lists(st.floats(lo, hi), max_size=4))
               + data.draw(st.lists(st.floats(), max_size=4)))
-        with np.errstate(all="ignore"):
-            for x in xs:
-                assert bits(prof.at(x)) == bits(prof.value(x)), x
+        assert_lookups_equal_value(prof, xs)
+
+    # PositionProfile.at caches the last segment it found; each query must
+    # equal np.interp whatever the queries before it.
+    @settings(max_examples=300, deadline=None)
+    @given(case=profile_and_queries())
+    # Warm on the segment, then x - lo overflows and slope 0 times inf is NaN.
+    @example(case=([-1.7e308, 1.7e308], [1.0, 1.0], [0.0, 1.0e308]))
+    # Warm, then the left breakpoint: 1.0 * 0.0 + -0.0 is +0.0, not fp[0].
+    @example(case=([0.0, 1.0], [-0.0, 1.0], [0.5, 0.0]))
+    # Warm, then the right breakpoint: the interpolant rounds to 0.09999...
+    @example(case=([0.1, 0.2], [0.7, 0.1], [0.15, 0.2]))
+    # Past the last breakpoint there is no segment to keep.
+    @example(case=([0.0, 1.0], [1.0, -0.0], [2.0, 3.0]))
+    def test_cached_lookup_sequence_equals_value(self, case):
+        bp, fp, xs = case
+        assert_lookups_equal_value(PositionProfile(np.array(bp), np.array(fp)), xs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(first=profile_and_queries(), second=profile_and_queries())
+    def test_alternating_lookups_equal_value(self, first, second):
+        # stage_track looks the grade up from its callback and from the
+        # plant's dynamics in turn; each profile keeps its own cache.
+        (bp_a, fp_a, xs), (bp_b, fp_b, ys) = first, second
+        a = PositionProfile(np.array(bp_a), np.array(fp_a))
+        b = PositionProfile(np.array(bp_b), np.array(fp_b))
+        for x, y in itertools.zip_longest(xs, ys, fillvalue=0.0):
+            for prof, q in ((a, x), (b, y), (a, y), (b, x)):
+                assert_lookups_equal_value(prof, [q])
 
     @settings(max_examples=300, deadline=None)
     @given(p=PLANTS, kind=st.sampled_from(["linear", "constant"]),

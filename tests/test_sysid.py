@@ -145,6 +145,23 @@ class TestSimulateTheta:
         alpha[big_alpha] = rng.choice([-1e200, 1e200], big_alpha.sum())
         assert_same_simulation(theta, rng.uniform(0.0, 30.0), u, alpha, h)
 
+    @pytest.mark.parametrize("v0, kept", [
+        (1e5, True), (-1e5, True), (np.nextafter(1e5, np.inf), False),
+        (-np.nextafter(1e5, np.inf), False), (math.nan, False), (math.inf, False),
+        (-math.inf, False)],
+        ids=["at_bound", "at_minus_bound", "above", "below", "nan", "inf", "minus_inf"])
+    def test_divergence_bound(self, v0, kept):
+        # th1 = 1 and zero input and slope: every stage derivative is 0, so a
+        # finite velocity stays at v0; |v| = 1e5 is kept and beyond it, or
+        # not finite, the run is rejected.
+        theta = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        zeros = np.zeros(5)
+        sim = sysid._simulate_theta(theta, v0, zeros, zeros, 0.5)
+        if kept:
+            assert sim.tolist() == [v0] * 5
+        else:
+            assert sim is None
+
 
 def random_theta(rng, blow_up):
     """The truck's coefficients scaled by U(0.5, 1.5), and by 50 on a blow-up."""
