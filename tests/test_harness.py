@@ -10,6 +10,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modru import cli, config, harness, lqr, plant, sysid, tempo
 from modru.errors import ConfigError, EstimationError
@@ -165,6 +167,15 @@ class TestStaging:
         with pytest.raises(EstimationError, match="stall"):
             harness.stage_dataset(sc)
 
+    def test_forward_pushing_drag_is_refused(self, truck_sc, truck_fit):
+        data, model, _, fit = truck_fit
+        theta = model.theta.copy()
+        theta[3] = 4.19e-5
+        pushed = sysid.GrayBoxModel(theta=theta, mask=model.mask)
+        with mock.patch.object(sysid, "fit_graybox", return_value=(pushed, fit)), \
+                pytest.raises(EstimationError, match="theta4 = 4.19e-05"):
+            harness.stage_estimate(truck_sc, data)
+
     def test_balance_input_follows_the_plant_parameters(self, truck_sc, car_sc):
         # The plant's kind is its parameter type: a truck scenario given
         # car parameters balances as the car does.
@@ -176,6 +187,94 @@ class TestStaging:
         sc2 = replace(truck_sc, T_f=123.0)
         assert sc2.T_f == 123.0
         assert truck_sc.T_f != 123.0
+
+
+def numpy_prbs_signs(seed, n):
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    return np.where(rng.random(n) < 0.5, -1.0, 1.0)
+
+
+class TestPrbsSigns:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 300), n=st.integers(0, 300))
+    @example(seed=0, n=300)
+    @example(seed=2 ** 32 - 1, n=300)
+    @example(seed=2 ** 32, n=300)
+    @example(seed=2 ** 64 - 1, n=300)
+    @example(seed=2 ** 128, n=300)
+    @example(seed=2 ** 200 + 1, n=300)
+    @example(seed=np.int64(2 ** 63 - 1), n=300)
+    @example(seed=np.uint64(2 ** 64 - 1), n=300)
+    def test_equals_numpy_random(self, seed, n):
+        np.testing.assert_array_equal(harness._prbs_signs(seed, n),
+                                      numpy_prbs_signs(seed, n), strict=True)
+
+    def test_refuses_a_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            harness._prbs_signs(-1, 5)
+
+
+def former_stage_dataset(sc):
+    """harness.stage_dataset as it was: numpy.random draws the PRBS signs
+    and, on the same generator, the measurement noise."""
+    rng = np.random.default_rng(np.random.SeedSequence(sc.seed).spawn(1)[0])
+    v_max = float(np.max(sc.v_limit.values))
+    targets = v_max * np.array([0.5, 0.85, 0.35, 0.7, 0.95, 0.45])
+    levels = np.array([harness._balance_input(sc, v) for v in targets])
+    n = int(round(sc.est_duration / sc.est_h))
+    hold = int(round(sc.est_hold / sc.est_h))
+    u = levels[(np.arange(n) // hold) % levels.size].astype(float)
+    bit = max(1, int(round(40.0 / sc.est_h)))
+    n_bits = n // bit + 1
+    prbs = np.where(rng.random(n_bits) < 0.5, -1.0, 1.0)
+    u = (u + 0.05 * float(levels.mean()) * np.repeat(prbs, bit)[:n]).tolist()
+
+    slope = harness.excitation_slope(sc)
+    x0 = plant.PlantState(s=0.0, v=0.5 * v_max, u_m=u[0])
+    traj = plant.simulate(sc.plant_params, lambda k, s, v: (u[k], u[k], 0.0),
+                          slope, x0, h=sc.est_h, n=n, substeps=2,
+                          efficiency=(sc.eff_gen, sc.eff_regen))
+    if traj.n_velocity_clamps > 0.1 * traj.v.size:
+        raise EstimationError("excitation run stalls on the test route")
+    v_meas = traj.v.copy()
+    if sc.est_noise > 0:
+        v_meas += rng.normal(0.0, sc.est_noise, v_meas.size)
+    return sysid.Dataset(t=traj.t, v=v_meas, alpha=slope.value(traj.s),
+                         u=traj.u_s, P=traj.P)
+
+
+class TestPrbsWithoutNumpyRandom:
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    @pytest.mark.parametrize("kind", ["truck", "car"])
+    @pytest.mark.parametrize("seed", [1234, 1, 2])
+    def test_artifacts_equal_former_draw(self, kind, seed, noise, tmp_path):
+        sc = replace(stock_scenario(kind, seed), est_noise=noise)
+        harness.run_pipeline(sc, out_dir=tmp_path / "now")
+        with mock.patch.object(harness, "stage_dataset", former_stage_dataset):
+            harness.run_pipeline(sc, out_dir=tmp_path / "former")
+        names = sorted(f.name for f in (tmp_path / "now").iterdir())
+        assert names == sorted(f.name for f in (tmp_path / "former").iterdir())
+        for name in names:
+            assert ((tmp_path / "now" / name).read_bytes()
+                    == (tmp_path / "former" / name).read_bytes()), name
+
+    def test_noise_free_runs_import_nothing(self, tmp_path):
+        # numpy does not load numpy.random; only measurement noise does.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, warnings; from dataclasses import replace\n"
+             "from modru import config, harness\n"
+             "warnings.simplefilter('ignore')\n"
+             "before = set(sys.modules)\n"
+             "harness.run_pipeline(config.default_truck_scenario(), out_dir=sys.argv[1] + '/t')\n"
+             "harness.run_pipeline(config.default_car_scenario(), out_dir=sys.argv[1] + '/c')\n"
+             "print(sorted(set(sys.modules) - before))\n"
+             "harness.run_pipeline(replace(config.default_car_scenario(), est_noise=0.05))\n"
+             "print('numpy.random' in sys.modules)\n",
+             str(tmp_path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[:2] == ["[]", "True"]
 
 
 class TestReportIO:
@@ -590,6 +689,16 @@ class TestCli:
         rc = cli.main(["estimate", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_forward_pushing_drag_is_a_numerical_failure(self, tmp_path, capsys):
+        # Noise this large fits theta4 = +4.19e-5; the run used to plan a
+        # 457 s trip of T_f = 1000 s and realize 1.54 times its forecast.
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("est.noise = 100\n")
+        rc = cli.main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert "drag term theta4" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.txt").exists()
 
     @pytest.mark.parametrize("command, text", [
         ("pipeline", "plant.T_m = 1e5\n"),   # the PI design at v = 0 has a gain <= 0
