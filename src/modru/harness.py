@@ -124,7 +124,7 @@ def stage_dataset(sc: Scenario) -> sysid.Dataset:
     targets = v_max * np.array([0.5, 0.85, 0.35, 0.7, 0.95, 0.45])
     levels = np.array([_balance_input(sc, v) for v in targets])
     n = int(round(sc.est_duration / sc.est_h))
-    hold = int(round(sc.est_hold / sc.est_h))
+    hold = min(int(round(sc.est_hold / sc.est_h)), n)
     u = levels[(np.arange(n) // hold) % levels.size].astype(float)
     # Random binary perturbation.  Long bits keep the excitation slow
     # against a ~1 s actuator lag so the reduced (lag-free) model stays
@@ -189,12 +189,14 @@ def stage_plan(sc: Scenario, model: sysid.GrayBoxModel, eff: sysid.EfficiencyPar
 def stage_track(sc: Scenario, model: sysid.GrayBoxModel,
                 schedule: ctl.GainSchedule,
                 plan: tempo.TOSolution) -> tuple:
-    """Track the plan, sampled every sim.h, on the true plant; returns (trajectory, metrics)."""
+    """Track the plan's speed, sampled every sim.h, on the true plant;
+    returns (trajectory, metrics).  The feedforward takes the speed's mean
+    acceleration over each hold, which is 0 past the end, where it holds."""
     h = sc.sim_h
     t_end = float(plan.t[-1])
     n = int(math.ceil(t_end / h)) + max(20, int(0.05 * t_end / h))
-    t_grid = np.arange(n + 1) * h
-    v_ref, a_ref = plan.sample(t_grid)
+    v_ref = plan.sample(np.arange(n + 2) * h)
+    a_ref = np.diff(v_ref) / h
     kps, tis = (g.tolist() for g in schedule.gains(v_ref))
 
     w = 0.0   # the controller's anti-windup channel
@@ -202,8 +204,8 @@ def stage_track(sc: Scenario, model: sysid.GrayBoxModel,
 
     def callback(k, s, v):
         nonlocal w
-        # Feedforward re-inverted on line: reference kinematics at the
-        # current sample, grade at the measured position.
+        # Feedforward re-inverted on line: reference speed now, its mean
+        # acceleration to the next sample, grade at the measured position.
         u_ff = ctl.feedforward(v_refs[k], a_refs[k], slope_at(s), model)
         u, u_s, du, w = ctl.control_step(
             w, v_refs[k], v, u_ff, kps[k], tis[k], sc.ctrl_u_lim)

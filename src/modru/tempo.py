@@ -106,9 +106,9 @@ class TOProblem:
 @dataclass(frozen=True)
 class TOSolution:
     """The plan, which is also the tracking reference, and the solver's
-    certificate.  Per node: time ``t``, position ``x`` and speed sqrt(z);
-    per segment: duration, mean speed dx/h, the constant acceleration and
-    the model input.  The speed is linear in time between nodes."""
+    certificate.  Per node: time ``t``, position ``x`` and speed sqrt(z),
+    which the tracker samples linear in time; per segment: duration, mean
+    speed dx/h, the constant acceleration and the model input."""
 
     h: np.ndarray          # durations, length N
     t: np.ndarray          # node timestamps, length N+1, t[0] = 0
@@ -125,23 +125,20 @@ class TOSolution:
     n_newton: int          # interior-point iterations
     exit: str              # "gap", or "time_pinned" if only the fastest plan fits
 
-    def sample(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """Speed and acceleration at times ``t``; past the end the final
-        speed holds and the acceleration is 0."""
-        k = np.clip(np.searchsorted(self.t, t, side="right") - 1, 0, self.t.size - 1)
-        return np.interp(t, self.t, np.sqrt(self.z)), np.append(self.a_r, 0.0)[k]
+    def sample(self, t) -> np.ndarray:
+        """Speed at times ``t``; outside the plan its end speeds hold."""
+        return np.interp(t, self.t, np.sqrt(self.z))
 
     def write(self, out) -> None:
         """Write ``to_solution.csv`` (one row per segment, with the
-        certificate) and ``reference.csv`` (one row per node) into the
-        directory ``out``, a :class:`pathlib.Path`."""
+        certificate) and ``reference.csv`` (time, position and speed per
+        node) into the directory ``out``, a :class:`pathlib.Path`."""
         write_csv(out / "to_solution.csv", ["k", "t", "x", "v_r", "a_r", "u_r", "eta", "h"],
                   [np.arange(self.h.size), self.t[:-1], self.x[:-1], self.v_r,
                    self.a_r, self.u_r, self.eta, self.h],
                   meta={"E": self.E, "feasible": self.feasible, "t_end": self.t[-1],
                         "gap_rel": self.gap_rel})
-        write_csv(out / "reference.csv", ["t", "x", "v_r", "a_r"],
-                  [self.t, self.x, np.sqrt(self.z), np.append(self.a_r, 0.0)])
+        write_csv(out / "reference.csv", ["t", "x", "v_r"], [self.t, self.x, np.sqrt(self.z)])
 
 
 def build_problem(path_length: float, n_segments: int, T_f: float,

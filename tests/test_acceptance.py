@@ -293,7 +293,7 @@ def test_c09_planned_car_run_beats_constant_speed(car_sc, car_fit):
     v_bar = car_sc.path_length / car_sc.T_f
     n = sol.h.size
     base_plan = replace(sol, t=np.linspace(0.0, car_sc.T_f, n + 1),
-                        z=np.full(n + 1, v_bar ** 2), a_r=np.zeros(n))
+                        z=np.full(n + 1, v_bar ** 2))
     _, base = harness.stage_track(car_sc, model, schedule, base_plan)
 
     assert metrics["t_terminal"] <= car_sc.T_f * 1.005

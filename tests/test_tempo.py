@@ -240,25 +240,23 @@ routes = st.builds(
 
 @dataclasses.dataclass(frozen=True)
 class FormerReference:
-    """tempo.ReferenceTrajectory as it was: the plan's nodes copied out, with
-    the acceleration held to the next node (0 at the last)."""
+    """tempo.ReferenceTrajectory as it was, without its acceleration column:
+    the plan's nodes copied out."""
 
     t: np.ndarray
     x: np.ndarray
     v_r: np.ndarray
-    a_r: np.ndarray
 
     def sample(self, t):
-        k = np.clip(np.searchsorted(self.t, t, side="right") - 1, 0, self.t.size - 1)
-        return np.interp(t, self.t, self.v_r), self.a_r[k]
+        return np.interp(t, self.t, self.v_r)
 
     def to_csv(self, path):
-        write_csv(path, ["t", "x", "v_r", "a_r"], [self.t, self.x, self.v_r, self.a_r])
+        write_csv(path, ["t", "x", "v_r"], [self.t, self.x, self.v_r])
 
 
 def former_reference(sol, p):
-    """tempo.reference(sol, p) as it was."""
-    return FormerReference(t=sol.t, x=p.x, v_r=np.sqrt(sol.z), a_r=np.append(sol.a_r, 0.0))
+    """tempo.reference(sol, p) as it was, without the acceleration."""
+    return FormerReference(t=sol.t, x=p.x, v_r=np.sqrt(sol.z))
 
 
 def former_solution_csv(sol, path, p):
@@ -707,9 +705,8 @@ class TestProperties:
         sol = solve_or_confirm_infeasible(p)
         if sol is None:
             return
-        v, a = sol.sample(sol.t)
+        v = sol.sample(sol.t)
         np.testing.assert_array_equal(v, np.sqrt(sol.z))
-        np.testing.assert_array_equal(a, np.append(sol.a_r, 0.0))
         assert sol.x is p.x
         # Speed linear in time between nodes: the trapezoid rule is exact.
         x = np.concatenate([[0.0], np.cumsum(0.5 * (v[:-1] + v[1:]) * np.diff(sol.t))])
@@ -723,9 +720,9 @@ class TestProperties:
             return
         t = np.linspace(0.0, sol.t[-1], 20 * p.n_segments + 1)
         k = np.minimum(np.searchsorted(sol.t, t, side="right") - 1, p.n_segments - 1)
-        assert np.all(sol.sample(t)[0] <= p.v_lim[k] * (1.0 + 2e-6))
-        v, a = sol.sample(sol.t[-1] + np.array([0.0, 0.5, 1e3]))
-        assert np.all(v == np.sqrt(sol.z[-1])) and np.all(a == 0.0)
+        assert np.all(sol.sample(t) <= p.v_lim[k] * (1.0 + 2e-6))
+        v = sol.sample(sol.t[-1] + np.array([0.0, 0.5, 1e3]))
+        assert np.all(v == np.sqrt(sol.z[-1]))
 
     @settings(max_examples=30, deadline=None)
     @given(p=routes, frac=st.floats(0.0, 1.0))
@@ -738,8 +735,29 @@ class TestProperties:
         t = np.concatenate([[-1e3, -1.0, -1e-12], sol.t, sol.t[:-1] + frac * sol.h,
                             0.5 * (sol.t[:-1] + sol.t[1:]),
                             sol.t[-1] + np.array([1e-12, 0.5, 1e3])])
-        (v, a), (v_was, a_was) = sol.sample(t), former_reference(sol, p).sample(t)
-        assert v.tobytes() == v_was.tobytes() and a.tobytes() == a_was.tobytes()
+        assert sol.sample(t).tobytes() == former_reference(sol, p).sample(t).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(p=routes, frac=st.floats(-0.2, 1.2), span=st.floats(1e-6, 1.5))
+    def test_mean_acceleration_over_a_hold_is_the_planned_one(self, p, frac, span):
+        # The tracker's feedforward (sample(t + h) - sample(t)) / h is the
+        # mean over [t, t + h] of the plan's acceleration: a_r[k] on
+        # [t_k, t_{k+1}), as (v_{k+1} - v_k) / h_k = (z_{k+1} - z_k) / (2 dx_k),
+        # and 0 outside [0, t_N], where the end speeds hold.
+        sol = solve_or_confirm_infeasible(p)
+        if sol is None:
+            return
+        t = sol.t[-1] * np.concatenate([[frac], np.linspace(-0.1, 1.1, 61)])
+        h = span * sol.t[-1]
+        overlap = np.clip(np.minimum(t[:, None] + h, sol.t[1:])
+                          - np.maximum(t[:, None], sol.t[:-1]), 0.0, None)
+        # A few ulps of the speeds, and of the speed that the largest
+        # acceleration gains over the plan: the node times carry the
+        # rounding of their cumulative sum.
+        tol = 4.0 * np.finfo(float).eps * (np.sqrt(sol.z).max()
+                                           + np.abs(sol.a_r).max() * sol.t[-1])
+        np.testing.assert_allclose((sol.sample(t + h) - sol.sample(t)) / h,
+                                   overlap @ sol.a_r / h, rtol=0.0, atol=tol / h)
 
 
 def small_plan():
@@ -765,8 +783,8 @@ class TestSolutionIO:
         p, sol = small_plan()
         sol.write(tmp_path)
         header, cols, _ = read_csv(tmp_path / "reference.csv")
-        assert header == ["t", "x", "v_r", "a_r"]
-        for name, want in zip(header, (sol.t, p.x, np.sqrt(sol.z), np.append(sol.a_r, 0.0))):
+        assert header == ["t", "x", "v_r"]
+        for name, want in zip(header, (sol.t, p.x, np.sqrt(sol.z))):
             np.testing.assert_array_equal(want, cols[name], err_msg=name)
 
     def test_files_equal_the_former_writers(self, tmp_path, truck_sc, truck_fit):
