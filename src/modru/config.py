@@ -216,6 +216,9 @@ def scenario_from_config(cfg: dict[str, str]) -> Scenario:
                      "sim_h", "rho_I", "rho_u", "ctrl_u_lim"):
         if not getattr(sc, positive) > 0:
             raise ConfigError(f"{positive} must be positive")
+    if not sc.path_length / sc.T_f * (sc.path_length / sc.T_f) > 0:
+        raise ConfigError("the timing planner starts at the squared speed "
+                          "(path.length / to.T_f)**2, which must not round to 0")
     n_est = sc.est_duration / sc.est_h
     if not (np.isfinite(n_est) and round(n_est) >= 9):
         raise ConfigError("est.duration / est.h must be finite and give the 10 "

@@ -21,7 +21,7 @@ import numpy as np
 from . import controller as ctl
 from . import lqr, sysid, tempo
 from .config import Scenario
-from .errors import EstimationError, InfeasibleError
+from .errors import EstimationError, InfeasibleError, NumericalError
 from .plant import PlantState, PositionProfile, TruckParams, input_mass, simulate
 from .tables import write_csv, write_keyvalues
 
@@ -191,7 +191,9 @@ def stage_track(sc: Scenario, model: sysid.GrayBoxModel,
                 plan: tempo.TOSolution) -> tuple:
     """Track the plan's speed, sampled every sim.h, on the true plant;
     returns (trajectory, metrics).  The feedforward takes the speed's mean
-    acceleration over each hold, which is 0 past the end, where it holds."""
+    acceleration over each hold, which is 0 past the end, where it holds.
+    The run's deadline is the plan's end plus max(20 samples, 5%); a run
+    that has not reached the route's end by then raises NumericalError."""
     h = sc.sim_h
     t_end = float(plan.t[-1])
     n = int(math.ceil(t_end / h)) + max(20, int(0.05 * t_end / h))
@@ -219,26 +221,22 @@ def stage_track(sc: Scenario, model: sysid.GrayBoxModel,
                     substeps=sc.sim_substeps,
                     efficiency=(sc.eff_gen, sc.eff_regen))
 
-    k_end = min(int(round(t_end / h)), n)
+    k_end = int(round(t_end / h))
     track_err = traj.v[:k_end + 1] - v_ref[:k_end + 1]
     rms = lambda x: float(np.sqrt(np.mean(np.square(x)))) if len(x) else math.nan
 
     cross = np.nonzero(traj.s >= sc.path_length)[0]
-    if cross.size:
-        # The run starts at s = 0 < path_length, so k_c >= 1.
-        k_c = int(cross[0])
-        frac = (sc.path_length - traj.s[k_c - 1]) / (traj.s[k_c] - traj.s[k_c - 1])
-        t_cross = traj.t[k_c - 1] + frac * h
-        # Energy up to the crossing: whole intervals plus the fraction.
-        e_real = float(np.sum(traj.P[:k_c - 1] * h)) + float(traj.P[k_c - 1]) * frac * h
-        v_end = float(traj.v[k_c - 1] + frac * (traj.v[k_c] - traj.v[k_c - 1]))
-    else:
-        t_cross = math.inf
-        e_real = float(np.sum(traj.P[:-1] * h))
-        v_end = float(traj.v[-1])
-    # The planner's boundary rule (tempo.BOUNDARY_RULE): the kinetic energy
-    # the plant starts with is charged, and the one it ends with credited,
-    # at par.
+    if not cross.size:
+        raise NumericalError(f"the closed loop reached {traj.s[-1]:.2f} of {sc.path_length:g}"
+                             f" m in {traj.t[-1]:g} s; the plan ends at {t_end:g} s")
+    k_c = int(cross[0])   # >= 1: the run starts at s = 0 < path_length
+    frac = (sc.path_length - traj.s[k_c - 1]) / (traj.s[k_c] - traj.s[k_c - 1])
+    t_cross = traj.t[k_c - 1] + frac * h
+    # Energy up to the crossing: whole intervals plus the fraction.
+    e_real = float(np.sum(traj.P[:k_c - 1] * h)) + float(traj.P[k_c - 1]) * frac * h
+    v_end = float(traj.v[k_c - 1] + frac * (traj.v[k_c] - traj.v[k_c - 1]))
+    # The planner's boundary rule (tempo.BOUNDARY_RULE): the kinetic energy the
+    # plant starts with is charged, and the one it ends with credited, at par.
     e_real += 0.5 * input_mass(sc.plant_params) * (float(traj.v[0]) ** 2 - v_end ** 2)
 
     v_lim_at = sc.v_limit.value(traj.s[:k_end + 1])

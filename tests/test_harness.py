@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import subprocess
 import sys
 from bisect import bisect_right
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modru import cli, config, harness, lqr, plant, sysid, tempo
-from modru.errors import ConfigError, EstimationError
+from modru.errors import ConfigError, EstimationError, NumericalError
 from modru.plant import CarParams, PositionProfile, TruckParams, input_mass
 from modru.tables import format_value, read_csv, read_keyvalues, write_csv, write_keyvalues
 
@@ -127,6 +128,17 @@ class TestConfigFiles:
         params = {"truck": TruckParams, "car": CarParams}[plant_type]
         with pytest.raises(ValueError, match=rf"\b{name}\b"):
             params(**{name: math.nan})
+
+    # The timing planner starts at the constant squared speed (L/T_f)^2; where
+    # it rounds to 0 the pipeline used to die in the planner with a ValueError.
+    @pytest.mark.parametrize("plant_type", ["truck", "car"])
+    @pytest.mark.parametrize("key, bad", [("to.T_f", "1e300"), ("path.length", "1e-300")])
+    def test_refuses_a_planner_start_that_squares_to_zero(self, plant_type, key, bad):
+        with pytest.raises(ConfigError, match="timing planner starts"):
+            config.scenario_from_config({"plant.type": plant_type, key: bad})
+
+    def test_accepts_a_long_budget_whose_start_speed_squares_above_zero(self):
+        assert config.scenario_from_config({"to.T_f": "1e150"}).T_f == 1e150
 
     def test_environment_does_not_configure(self, monkeypatch):
         monkeypatch.setenv("MODRU_SEED", "42")
@@ -372,6 +384,15 @@ class TestTrackThePlan:
         for scale in (1.0 - 1e-12, 1.0 + 1e-12):
             _, moved = harness.stage_track(sc, model, schedule, replace(sol, t=sol.t * scale))
             assert moved["E_realized"] == pytest.approx(metrics["E_realized"], rel=1e-9, abs=0)
+
+    def test_a_run_short_of_the_route_end_raises(self, truck_sc, truck_fit, truck_schedule):
+        # With no control authority the truck coasts to a stop short of the
+        # end; the run used to report energy over the whole horizon.
+        _, model, eff, _ = truck_fit
+        _, sol = harness.stage_plan(truck_sc, model, eff)
+        stalled = replace(truck_sc, ctrl_u_lim=1e-300)
+        with pytest.raises(NumericalError, match=r"reached [\d.]+ of 10000 m in [\d.]+ s"):
+            harness.stage_track(stalled, model, truck_schedule, sol)
 
 
 class TestRunPipeline:
@@ -624,13 +645,16 @@ class TestCli:
         ("simulate", "est.duration = 1e-9\nest.h = 1e-10\nest.hold = 1e300", []),
         # The planner is convex only without the velocity-linear term.
         ("pipeline", "est.mask = 1,1,1,1,1,1", []),
+        # The planner's start speed L/T_f would square to 0.
+        ("pipeline", "to.T_f = 1e300", []),
+        ("pipeline", "path.length = 1e-300", []),
     ], ids=["T_f_nan", "u_lim", "gamma", "gen", "regen_high", "regen_zero", "mask", "M_one",
             "M_negative", "mode_pseudo", "fit_efficiency", "slope_inf", "vlim_nan",
             "hold_nan", "plant_m_nan", "noise", "duration_short",
             "seed_key", "seed_flag_simulate", "seed_flag_pipeline", "seed_flag_robustness",
             "vlim_negative", "vlim_zero_end", "vlim_zero", "vlim_huge", "duration_overflow",
             "slope_kind", "vlim_kind", "u_lim_auto", "hold_zero", "hold_negative",
-            "hold_below_sample", "hold_overflow", "mask_th3"])
+            "hold_below_sample", "hold_overflow", "mask_th3", "T_f_huge", "length_tiny"])
     def test_bad_config_values_fail_before_any_work(self, tmp_path, capsys,
                                                     command, lines, flags):
         cfg = tmp_path / "bad.conf"
@@ -721,6 +745,18 @@ class TestCli:
         assert rc == 3
         assert "drag term theta4" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.txt").exists()
+
+    def test_run_short_of_the_route_end_is_a_numerical_failure(self, tmp_path, capsys):
+        # The truck stops at about 1.8 of 10 km; the run used to exit 0 with
+        # E_realized a sixth of E_pred, t_terminal = inf and a report.
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("ctrl.u_lim = 1e-300\n")
+        out = tmp_path / "out"
+        rc = cli.main(["pipeline", "--config", str(cfg), "--out", str(out)])
+        assert rc == 3
+        assert re.match(r"numerical failure: the closed loop reached [\d.]+ of 10000 m in ",
+                        capsys.readouterr().err)
+        assert not (out / "report.txt").exists()
 
     @pytest.mark.parametrize("command, text", [
         ("pipeline", "plant.T_m = 1e5\n"),   # the PI design at v = 0 has a gain <= 0
