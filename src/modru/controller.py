@@ -3,10 +3,11 @@
 The feedback gains come from LQ designs on the gray-box model linearized
 at a grid of reference velocities: at each node the scalar model
 dv/dt = a(v) dv + b du (a = th3 + 2 th4 v, b = th1) is discretized
-exactly (:func:`modru.lqr.c2d_zoh`), augmented with a summed-error state,
-and the Riccati equation solved for (K_P, K_I).  The stored integral time
-T_I = K_P / K_I is in samples.  Between nodes (K_P, T_I) interpolate
-linearly with endpoint hold; the tracker reads them along its sampled reference.
+exactly (:func:`modru.lqr.c2d_zoh`) and augmented with a summed-error
+state, and one Riccati solve over the stack of nodes gives each node's
+(K_P, K_I).  The stored integral time T_I = K_P / K_I is in samples.
+Between nodes (K_P, T_I) interpolate linearly with endpoint hold; the
+tracker reads them along its sampled reference.
 
 The PI is realized in anti-windup form: the integral channel is a
 first-order filter F_s(q) = 1 / (1 + (q - 1) T_I) driven by the
@@ -84,22 +85,20 @@ def build_gain_schedule(model: GrayBoxModel, v_grid: np.ndarray, h: float,
     v_grid = np.asarray(v_grid, dtype=float)
     t = model.theta
     b = t[0]
-    kps = np.empty(v_grid.size)
-    tis = np.empty(v_grid.size)
-    Qx = np.diag([1.0, rho_I])
-    Qu = np.array([[rho_u]])
+    # Node i's system: A = [[A_d, 0], [1, 1]], B = [[B_d], [0]].
+    A = np.zeros((v_grid.size, 2, 2))
+    A[:, 1] = 1.0
+    B = np.zeros((v_grid.size, 2, 1))
     for i, v in enumerate(v_grid):
         a = t[2] + 2.0 * t[3] * v
         A_d, B_d = c2d_zoh([[a]], [[b]], h)
-        A = np.array([[A_d[0, 0], 0.0], [1.0, 1.0]])
-        B = np.array([[B_d[0, 0]], [0.0]])
-        K, _ = dare_solve(A, B, Qx, Qu)
-        kp, ki = float(K[0, 0]), float(K[0, 1])
-        if kp <= 0 or ki <= 0:
-            raise NumericalError(f"non-positive PI gains at node v={v:g}")
-        kps[i] = kp
-        tis[i] = kp / ki
-    return GainSchedule(v_grid=v_grid, K_P=kps, T_I=tis, h=h,
+        A[i, 0, 0], B[i, 0, 0] = A_d[0, 0], B_d[0, 0]
+    K, _ = dare_solve(A, B, np.diag([1.0, rho_I]), np.array([[rho_u]]))
+    kps, kis = K[:, 0, 0], K[:, 0, 1]
+    bad = (kps <= 0) | (kis <= 0)
+    if bad.any():
+        raise NumericalError(f"non-positive PI gains at node v={v_grid[bad.argmax()]:g}")
+    return GainSchedule(v_grid=v_grid, K_P=kps, T_I=kps / kis, h=h,
                         rho_I=rho_I, rho_u=rho_u)
 
 

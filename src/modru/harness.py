@@ -326,7 +326,11 @@ def _run_report(sc: Scenario, fit: sysid.GrayBoxFit, model: sysid.GrayBoxModel,
 
 def run_pipeline(sc: Scenario, out_dir=None) -> tuple[RunReport, dict]:
     """Full chain: excite, estimate, design, plan, track, report."""
-    data = stage_dataset(sc)
+    return _run_on_record(sc, stage_dataset(sc), out_dir)
+
+
+def _run_on_record(sc: Scenario, data: sysid.Dataset, out_dir) -> tuple[RunReport, dict]:
+    """The chain after excitation, on the record ``data`` of ``sc``."""
     model, eff, fit = stage_estimate(sc, data)
     schedule = stage_schedule(sc, model)
     problem, sol = stage_plan(sc, model, eff)
@@ -354,15 +358,17 @@ def compare_slope_knowledge(sc: Scenario, out_dir=None) -> dict:
 
     With the slope term masked out, both the feedforward and the planned
     reference are blind to the grade, so the feedback loop has to carry
-    the grade disturbance.
+    the grade disturbance.  The two runs differ only in the mask and the
+    name, which the excitation run does not read, so they share one record.
     """
+    data = stage_dataset(sc)
     mask_with = tuple(bool(b) for b in sc.est_mask[:4]) + (True, sc.est_mask[5])
     mask_without = tuple(bool(b) for b in sc.est_mask[:4]) + (False, False)
     results = {}
     for tag, mask in (("slope-aware", mask_with), ("slope-blind", mask_without)):
         sci = replace(sc, est_mask=mask, name=f"{sc.name}-{tag}")
         sub = Path(out_dir) / tag if out_dir is not None else None
-        report, artifacts = run_pipeline(sci, sub)
+        report, artifacts = _run_on_record(sci, data, sub)
         results[tag] = {"report": report, "artifacts": artifacts}
     summary = {f"{metric}_{tag.split('-')[1]}": getattr(results[tag]["report"], metric)
                for metric in ("du_ratio", "tracking_rms", "E_realized")

@@ -163,6 +163,8 @@ def c2d_zoh(A: np.ndarray, B: np.ndarray, h: float) -> tuple[np.ndarray, np.ndar
 
 
 def spectral_radius(A: np.ndarray) -> float:
+    """Largest eigenvalue modulus of a matrix, or of every matrix in a
+    stack A of shape (k, n, n)."""
     return float(np.abs(np.linalg.eigvals(A)).max())
 
 
@@ -184,52 +186,76 @@ def dare_solve(A: np.ndarray, B: np.ndarray, Q_x: np.ndarray,
     Raises :class:`NumericalError` when the iteration diverges or does not
     converge in 64 doublings (2^64 fixed-point steps), or when the implied
     closed loop is not asymptotically stable.
+
+    A may also be a stack of k systems, A (k, n, n) and B (k, n, m), that
+    share Q_x and Q_u; K and P then carry the same leading axis.  Every
+    system runs the steps of its own single call, stops at its own test
+    and leaves the doubling there, so each result equals that call's bit
+    for bit.  The stack raises when any of its systems fails, and
+    ``ValueError`` when A and B are not both stacks of one size.
     """
     A, B = _state_input(A, B)
+    if A.ndim > 3 or B.ndim != A.ndim or B.shape[:-2] != A.shape[:-2]:
+        raise ValueError(f"need stacks of one size, got A {A.shape} and B {B.shape}")
     Q_x = np.atleast_2d(np.asarray(Q_x, dtype=float))
     Q_u = np.atleast_2d(np.asarray(Q_u, dtype=float))
-    n = A.shape[0]
-    eye = np.eye(n)
-    tol = 1e-12
-    Ak = A
-    G = B @ np.linalg.solve(Q_u, B.T)
-    G = 0.5 * (G + G.T)
-    H = Q_x.copy()
+    n, k = A.shape[-1], len(A) if A.ndim == 3 else 1
+    eye, Ak = np.eye(n), A
+    G = B @ np.linalg.solve(Q_u, B.mT)
+    G = 0.5 * (G + G.mT)
+    H = Q_x * np.ones(A.shape)  # Q_x for every system
+    # Converged systems of a stack leave the doubling: H_out keeps their H,
+    # live the rest.  One system leaves all at once, so 2-D arrays never do.
+    H_out, live = np.empty_like(H), np.arange(k)
     # A system with an uncontrollable unstable mode makes A_k and H_k grow
     # doubly exponentially; report that as divergence, not as overflow.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(64):
             try:
-                Wi = np.linalg.solve(eye + G @ H, np.concatenate([Ak, G], axis=1))
+                Wi = np.linalg.solve(eye + G @ H, np.concatenate([Ak, G], axis=-1))
             except np.linalg.LinAlgError:
                 raise NumericalError("Riccati iteration diverged") from None
-            WiA, WiG = Wi[:, :n], Wi[:, n:]
-            H_next = H + Ak.T @ H @ WiA
-            H_next = 0.5 * (H_next + H_next.T)
-            G = G + Ak @ WiG @ Ak.T
-            G = 0.5 * (G + G.T)
+            WiA, WiG = Wi[..., :n], Wi[..., n:]
+            H_next = H + Ak.mT @ H @ WiA
+            H_next = 0.5 * (H_next + H_next.mT)
+            G = G + Ak @ WiG @ Ak.mT
+            G = 0.5 * (G + G.mT)
             Ak = Ak @ WiA
-            delta = np.abs(H_next - H).max()
+            delta = np.abs(H_next - H).max(axis=(-2, -1))
             H = H_next
-            H_max = np.abs(H).max()
-            if not np.isfinite(delta) or H_max > 1e18:
-                raise NumericalError("Riccati iteration diverged")
-            if delta <= tol * max(1.0, H_max):
+            H_max = np.abs(H).max(axis=(-2, -1))
+            # The tests run on Python floats, cheaper than NumPy scalars.
+            done = []
+            for d, h_max in zip(delta.reshape(-1).tolist(), H_max.reshape(-1).tolist()):
+                if not math.isfinite(d) or h_max > 1e18:
+                    raise NumericalError("Riccati iteration diverged")
+                done.append(d <= 1e-12 * max(1.0, h_max))
+            if all(done):
                 break
+            if any(done):
+                done = np.array(done)
+                H_out[live[done]] = H[done]
+                live, Ak, G, H = live[~done], Ak[~done], G[~done], H[~done]
         else:
             raise NumericalError("Riccati iteration did not converge")
-    K = np.linalg.solve(Q_u + B.T @ H @ B, B.T @ H @ A)
+    if live.size < k:
+        H_out[live] = H
+        H = H_out
+    K = np.linalg.solve(Q_u + B.mT @ H @ B, B.mT @ H @ A)
     F = A - B @ K
     if spectral_radius(F) >= 1.0:
         raise NumericalError("Riccati gain does not stabilize the model")
     # With cheap control G is large and W ill-conditioned, and the doubling
     # can lose half its digits (gains off by 1e-6 at Q_u = 1e-6).  One
     # Newton (Hewer) step restores them: solve the Stein equation
-    # P = F'PF + Q_x + K'Q_u K of that gain in Kronecker form.
-    M = Q_x + K.T @ Q_u @ K
-    P = np.linalg.solve(np.eye(n * n) - np.kron(F.T, F.T), M.ravel()).reshape(n, n)
-    P = 0.5 * (P + P.T)
-    K = np.linalg.solve(Q_u + B.T @ P @ B, B.T @ P @ A)
+    # P = F'PF + Q_x + K'Q_u K of that gain in Kronecker form, the outer
+    # product below being kron(F', F') of each system.
+    M = Q_x + K.mT @ Q_u @ K
+    Ft, stack = F.mT, A.shape[:-2]
+    kron = (Ft[..., :, None, :, None] * Ft[..., None, :, None, :]).reshape(*stack, n * n, n * n)
+    P = np.linalg.solve(np.eye(n * n) - kron, M.reshape(*stack, n * n, 1)).reshape(A.shape)
+    P = 0.5 * (P + P.mT)
+    K = np.linalg.solve(Q_u + B.mT @ P @ B, B.mT @ P @ A)
     if spectral_radius(A - B @ K) >= 1.0:
         raise NumericalError("Riccati gain does not stabilize the model")
     return K, P

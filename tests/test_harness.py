@@ -431,6 +431,27 @@ class TestRunPipeline:
         assert full["E_realized"] - bare["E_realized"] == pytest.approx(kinetic, rel=1e-9)
 
 
+class TestCompareSlope:
+    def test_both_runs_share_one_excitation_record(self, truck_sc, tmp_path):
+        # The former compare-slope ran the whole pipeline once per mask,
+        # excitation run included; the files of each run are unchanged.
+        sc = replace(truck_sc, seed=1234)
+        with mock.patch.object(harness, "stage_dataset",
+                               wraps=harness.stage_dataset) as stage_dataset:
+            results = harness.compare_slope_knowledge(sc, out_dir=tmp_path / "now")
+        assert stage_dataset.call_count == 1
+        for tag in ("slope-aware", "slope-blind"):
+            report, model = results[tag]["report"], results[tag]["artifacts"]["model"]
+            former = replace(sc, est_mask=tuple(bool(b) for b in model.mask),
+                             name=report.name)
+            harness.run_pipeline(former, out_dir=tmp_path / "former" / tag)
+            names = sorted(f.name for f in (tmp_path / "now" / tag).iterdir())
+            assert names == sorted(f.name for f in (tmp_path / "former" / tag).iterdir())
+            for name in names:
+                assert ((tmp_path / "now" / tag / name).read_bytes()
+                        == (tmp_path / "former" / tag / name).read_bytes()), (tag, name)
+
+
 def former_simulate_theta(theta, v0, u, alpha, h):
     """The gray-box RK4 as it was: the input term formed in every step."""
     t1, t2, t3, t4, t5, t6 = (float(t) for t in theta)

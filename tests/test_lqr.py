@@ -708,6 +708,41 @@ class TestDare:
         with pytest.raises(NumericalError):
             lqr.dare_solve(A, B, np.eye(2), [[1.0]])
 
+    def test_one_system_in_gives_one_system_out(self):
+        A = np.array([[1.01, 0.1], [0.0, 0.98]])
+        K, P = lqr.dare_solve(A, [0.0, 1.0], np.eye(2), [[0.1]])
+        assert (K.shape, P.shape) == ((1, 2), (2, 2))
+        K_s, P_s = lqr.dare_solve(A[None], np.array([[[0.0], [1.0]]]), np.eye(2), [[0.1]])
+        assert (K_s.shape, P_s.shape) == ((1, 1, 2), (1, 2, 2))
+        np.testing.assert_array_equal(K_s[0], K)
+        np.testing.assert_array_equal(P_s[0], P)
+
+    def test_converged_systems_leave_the_doubling(self):
+        # A fast and a slow system: the stack's doubling solves shrink to
+        # the slow one after the fast one's own number of doublings, and
+        # the gain, Stein and refined-gain solves run on both again.
+        A, B = np.array([[[0.5]], [[1.0]]]), np.array([[[1.0]], [[1e-3]]])
+
+        def solves(A, B):
+            """Shapes of the left-hand sides that dare_solve solves with."""
+            with mock.patch.object(lqr.np.linalg, "solve", wraps=np.linalg.solve) as spy:
+                lqr.dare_solve(A, B, [[1.0]], [[1.0]])
+            return [c.args[0].shape for c in spy.call_args_list]
+
+        # A call solves once to start, once per doubling and three times after.
+        fast, slow = (len(solves(A[i], B[i])) - 4 for i in (0, 1))
+        assert fast < slow
+        stacked = [shape[0] for shape in solves(A, B)[1:]]
+        assert stacked == [2] * fast + [1] * (slow - fast) + [2] * 3
+
+    @pytest.mark.parametrize("A_shape, B_shape", [((3, 2, 2), (2, 2, 1)),
+                                                  ((3, 2, 2), (2, 1)),
+                                                  ((2, 2), (3, 2, 1))])
+    def test_stacks_of_different_sizes_are_refused(self, A_shape, B_shape):
+        A = np.broadcast_to(0.5 * np.eye(2), A_shape)
+        with pytest.raises(ValueError, match="stacks of one size"):
+            lqr.dare_solve(A, np.ones(B_shape), np.eye(2), [[1.0]])
+
 
 class TestCostAndQTheta:
     def test_stage_batches(self, rng):
@@ -1441,9 +1476,49 @@ class TestBoundarySearch:
         assert len(row.trace) < len(ref.trace)
 
 
+def stacked_former_dare_solve(A, B, Q_x, Q_u):
+    """former_dare_solve applied to each system of a stack, results stacked."""
+    K, P = zip(*(former_dare_solve(A_i, B_i, Q_x, Q_u) for A_i, B_i in zip(A, B)))
+    return np.array(K), np.array(P)
+
+
 class TestFormerKernels:
     """The Riccati solver, the rise time, the rollout draws and the feature
     formation skip work without changing a bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 3), log_qu=st.floats(-6.0, 6.0),
+           radii=st.lists(st.one_of(st.floats(0.2, 0.97), st.floats(1.03, 1.5)),
+                          min_size=1, max_size=12),
+           no_input=st.sets(st.integers(0, 11), max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stacked_riccati_equals_former_solver(self, n, log_qu, radii, no_input,
+                                                  seed):
+        # A stack of stable and unstable open loops, cheap to expensive
+        # control; the systems in no_input get B = 0, which makes an
+        # unstable one diverge.  Each system's K and P equal its former
+        # one-system solve bit for bit, and the stack raises exactly when
+        # one of those solves raises.
+        rng = np.random.default_rng(seed)
+        A = np.array([scaled_matrix(rng, n, r) for r in radii])
+        B = rng.normal(size=(len(radii), n, 1))
+        B[[i for i in no_input if i < len(radii)]] = 0.0
+        Q_x, Q_u = np.eye(n), np.array([[10.0 ** log_qu]])
+        refs = []
+        for A_i, B_i in zip(A, B):
+            try:
+                refs.append(former_dare_solve(A_i, B_i, Q_x, Q_u))
+            except NumericalError:
+                refs.append(None)
+        if None in refs:
+            with pytest.raises(NumericalError):
+                lqr.dare_solve(A, B, Q_x, Q_u)
+            return
+        K, P = lqr.dare_solve(A, B, Q_x, Q_u)
+        assert (K.shape, P.shape) == ((len(radii), 1, n), (len(radii), n, n))
+        for i, (K_ref, P_ref) in enumerate(refs):
+            np.testing.assert_array_equal(K[i], K_ref)
+            np.testing.assert_array_equal(P[i], P_ref)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 11, 12, 13, 14, 15])
     def test_model_based_rows_equal_former_kernels(self, seed):
@@ -1500,10 +1575,10 @@ class TestFormerKernels:
     @pytest.mark.parametrize("seed", [1234, 1, 2])
     def test_truck_artifacts_equal_former_riccati_solver(self, seed, tmp_path):
         # The truck pipeline runs only the Riccati solver of lqr, in its
-        # gain schedule.
+        # gain schedule, which solves all nodes in one stacked call.
         sc = replace(config.default_truck_scenario(), seed=seed)
         harness.run_pipeline(sc, out_dir=tmp_path / "now")
-        with mock.patch.object(ctl, "dare_solve", former_dare_solve):
+        with mock.patch.object(ctl, "dare_solve", stacked_former_dare_solve):
             harness.run_pipeline(sc, out_dir=tmp_path / "former")
         names = sorted(f.name for f in (tmp_path / "now").iterdir())
         assert names == sorted(f.name for f in (tmp_path / "former").iterdir())

@@ -350,6 +350,27 @@ class TestOutputJacobian:
             sysid.fit_graybox(data)
 
 
+class TestIterationLimit:
+    def test_returns_the_best_iterate_with_a_warning(self, car_sc, car_fit, monkeypatch):
+        # A Jacobian 1e3 times too large makes every Gauss-Newton step a
+        # thousandth of the full one: each lowers the cost, but by too
+        # little to end the fit before its 200 iterations.
+        data = car_fit[0]
+        mask = np.array(car_sc.est_mask, bool)
+        jacobian = sysid._output_jacobian
+        monkeypatch.setattr(sysid, "_output_jacobian", lambda *args: 1e3 * jacobian(*args))
+
+        def cost(theta):
+            r = sysid._simulate_theta(theta, data.v[0], data.u, data.alpha, data.h) - data.v
+            return float(r @ r)
+
+        with pytest.warns(UserWarning, match="stopped at iteration limit"):
+            model, fit = sysid.fit_graybox(data, mask=mask)
+        assert fit.converged is False and fit.n_iter == 200
+        assert cost(model.theta) < cost(sysid.equation_error_init(data, mask))
+        assert fit.nrmse.hex() == sysid.validate(model, data).hex()
+
+
 class TestFitNrmse:
     """The fit's own NRMSE is bit for bit what ``validate`` computes."""
 
