@@ -10,9 +10,9 @@ input.  Stages run standalone (CLI subcommands) or composed (``run_pipeline``).
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
+import random
 from dataclasses import dataclass, replace, asdict
 from pathlib import Path
 
@@ -64,62 +64,16 @@ def excitation_slope(sc: Scenario) -> PositionProfile:
                            "linear")
 
 
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
-
-
-def _prbs_signs(seed, n: int) -> list[float]:
-    """Signs ``np.where(rng.random(n) < 0.5, -1.0, 1.0)`` of ``rng =
-    default_rng(SeedSequence(seed).spawn(1)[0])``, drawn without numpy.random.
-
-    PCG64 with XSL-RR output (O'Neill, HMC-CS-2014-0905, 2014), seeded by
-    NumPy's ``SeedSequence`` hash; ``random()`` is ``(x >> 11) * 2**-53`` of
-    a 64-bit output x.  Tests check the signs bit for bit against numpy.random.
-    """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
-    # The seed's 32-bit words, zero-padded to four, then the spawn key 0.
-    words = [seed >> k & _M32 for k in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words)) + [0]
-    hc = 0x43b0d7e5
-
-    def hashmix(v, mult=0x931e8875):
-        nonlocal hc
-        v, hc = v ^ hc, hc * mult & _M32
-        v = v * hc & _M32
-        return v ^ v >> 16
-
-    def mix(x, y):
-        r = (0xca01f9dd * x - 0x4973f715 * y) & _M32
-        return r ^ r >> 16
-
-    pool = [hashmix(w) for w in words[:4]]
-    for src, dst in itertools.permutations(range(4), 2):
-        pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w, dst in itertools.product(words[4:], range(4)):
-        pool[dst] = mix(pool[dst], hashmix(w))
-    hc = 0x8b51f9dd
-    o = [hashmix(pool[i % 4], 0x58f38ded) for i in range(8)]
-    w0, w1, w2, w3 = (o[j] | o[j + 1] << 32 for j in range(0, 8, 2))
-    inc = ((w2 << 64 | w3) << 1 | 1) & _M128
-    state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _M128
-    signs = []
-    for _ in range(n):
-        state = (state * _PCG64_MULT + inc) & _M128
-        x, rot = ((state >> 64) ^ state) & _M64, state >> 122
-        x = (x >> rot | x << (64 - rot)) & _M64
-        # random() < 0.5 exactly when x < 2**63.
-        signs.append(-1.0 if x >> 63 == 0 else 1.0)
-    return signs
-
-
 def stage_dataset(sc: Scenario) -> sysid.Dataset:
     """Drive a staircase-plus-PRBS excitation run and record it.
 
-    The PRBS signs come from :func:`_prbs_signs`; only measurement noise
-    loads ``numpy.random``, whose normals continue the signs' stream.
-    """
+    One ``random.Random(seed)`` draws the PRBS signs and then any
+    measurement noise; ``numpy.random`` is never loaded."""
+    seed = operator.index(sc.seed)
+    if seed < 0:
+        # random.Random seeds with |seed|, so -s would draw what s draws.
+        raise ValueError("seed must be >= 0")
+    rng = random.Random(seed)
     v_max = float(np.max(sc.v_limit.values))
     targets = v_max * np.array([0.5, 0.85, 0.35, 0.7, 0.95, 0.45])
     levels = np.array([_balance_input(sc, v) for v in targets])
@@ -131,7 +85,7 @@ def stage_dataset(sc: Scenario) -> sysid.Dataset:
     # identifiable without bias; 5% of the mean level keeps it gentle.
     bit = max(1, int(round(40.0 / sc.est_h)))
     n_bits = n // bit + 1
-    prbs = _prbs_signs(sc.seed, n_bits)
+    prbs = [-1.0 if rng.random() < 0.5 else 1.0 for _ in range(n_bits)]
     u = (u + 0.05 * float(levels.mean()) * np.repeat(prbs, bit)[:n]).tolist()
 
     slope = excitation_slope(sc)
@@ -145,9 +99,7 @@ def stage_dataset(sc: Scenario) -> sysid.Dataset:
             f"v_max={v_max:g} m/s cannot hold the grades (raise speed limits)")
     v_meas = traj.v.copy()
     if sc.est_noise > 0:
-        rng = np.random.default_rng(np.random.SeedSequence(sc.seed).spawn(1)[0])
-        rng.bit_generator.advance(n_bits)
-        v_meas += rng.normal(0.0, sc.est_noise, v_meas.size)
+        v_meas += [rng.gauss(0.0, sc.est_noise) for _ in range(v_meas.size)]
     return sysid.Dataset(t=traj.t, v=v_meas, alpha=slope.value(traj.s),
                          u=traj.u_s, P=traj.P)
 

@@ -209,6 +209,15 @@ def random_route(rng, n, unit, bounded):
         u_lim=u_lim)
 
 
+def true_model_problem(sc, length, n):
+    """``sc``'s timing problem over its first ``length`` metres, with the
+    plant's true coefficients as the model."""
+    return tempo.build_problem(length, n, sc.T_f, sc.slope, sc.v_limit,
+                               GrayBoxModel(theta=harness.true_theta(sc)),
+                               EfficiencyParams(sc.eff_gen, sc.eff_regen),
+                               vdot_lim=sc.vdot_lim, u_lim=sc.to_u_lim)
+
+
 def climb_route(u_lim, start, length, grade=0.05):
     """2 km at N = 40 under a 22 m/s cap, flat but for one grade: holding any
     speed on the default 5% climb takes u = (0.55 + 8e-5 v^2) / 2.5e-4 > 2200."""
@@ -570,13 +579,20 @@ class TestSolve:
                              ids=["truck-1600", "car-800"])
     def test_fine_grids_reach_the_gap_with_the_true_model(self, scenario, n):
         sc = scenario()
-        p = tempo.build_problem(sc.path_length, n, sc.T_f, sc.slope, sc.v_limit,
-                                GrayBoxModel(theta=harness.true_theta(sc)),
-                                EfficiencyParams(sc.eff_gen, sc.eff_regen),
-                                vdot_lim=sc.vdot_lim, u_lim=sc.to_u_lim)
+        p = true_model_problem(sc, sc.path_length, n)
         sol = tempo.solve(p)
         assert sol.feasible and sol.exit == "gap" and sol.gap_rel <= tempo.GAP_TOL
         assert violation(p, sol.z) <= 1e-9
+
+    @pytest.mark.xfail(strict=True, raises=NumericalError, reason=(
+        "CHANGES.md FOUND 183: a budget far above L / v_lim makes the optimum end "
+        "at rest on the positivity row, and the iterations grow as L shrinks "
+        "(11 at 10 km, 93 at 10 m); at 5 m the method does not stop within 100"))
+    def test_a_plan_that_ends_at_rest_reaches_the_gap(self):
+        sc = config.default_truck_scenario()
+        p = true_model_problem(sc, 5.0, sc.to_n)
+        sol = tempo.solve(p)
+        assert sol.feasible and sol.exit == "gap" and sol.gap_rel <= tempo.GAP_TOL
 
     def test_input_row_bounding_both_nodes_raises(self):
         # A 13 km segment has 1/dx < |t4| = 8e-5, so its input row bounds
