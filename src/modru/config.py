@@ -243,7 +243,8 @@ def scenario_from_config(cfg: dict[str, str]) -> Scenario:
 
 
 def check_seed(seed: int) -> None:
-    """Raise :class:`ConfigError` unless ``seed`` is a valid numpy seed."""
+    """Raise :class:`ConfigError` unless ``seed`` >= 0: ``random.Random``
+    seeds with |seed|, so -s would draw what s draws."""
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 

@@ -11,8 +11,6 @@ input.  Stages run standalone (CLI subcommands) or composed (``run_pipeline``).
 from __future__ import annotations
 
 import math
-import operator
-import random
 from dataclasses import dataclass, replace, asdict
 from pathlib import Path
 
@@ -67,13 +65,10 @@ def excitation_slope(sc: Scenario) -> PositionProfile:
 def stage_dataset(sc: Scenario) -> sysid.Dataset:
     """Drive a staircase-plus-PRBS excitation run and record it.
 
-    One ``random.Random(seed)`` draws the PRBS signs and then any
-    measurement noise; ``numpy.random`` is never loaded."""
-    seed = operator.index(sc.seed)
-    if seed < 0:
-        # random.Random seeds with |seed|, so -s would draw what s draws.
-        raise ValueError("seed must be >= 0")
-    rng = random.Random(seed)
+    One ``random.Random(seed)`` (:func:`lqr.seeded_random`, which refuses
+    a negative seed) draws the PRBS signs and then any measurement noise;
+    ``numpy.random`` is never loaded."""
+    rng = lqr.seeded_random(sc.seed)
     v_max = float(np.max(sc.v_limit.values))
     targets = v_max * np.array([0.5, 0.85, 0.35, 0.7, 0.95, 0.45])
     levels = np.array([_balance_input(sc, v) for v in targets])

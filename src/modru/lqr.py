@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +33,16 @@ METHODS = ("model-based", "model-free")
 BOUNDARY_TOL = 1e-12
 # Steps per block in the closed-loop evaluation of _block_states.
 _ROLLOUT_BLOCK = 20
+
+
+def seeded_random(seed) -> random.Random:
+    """``random.Random(seed)``, which draws the servo sweep's and the vehicle
+    excitation's noise; a negative seed, which it would alias with |seed|,
+    raises ``ValueError`` and a non-integer one ``TypeError``."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return random.Random(seed)
 
 
 def _state_input(A, B) -> tuple[np.ndarray, np.ndarray]:
@@ -530,19 +542,15 @@ def linear_rollouts(A: np.ndarray, B: np.ndarray, n_samples: int = 600,
     |K|_inf)`` added to the policy input.
 
     The source is a pure function of the gain.  Its noise is drawn once,
-    when it is built, from a generator fresh from ``seed``: the initial
-    states and then all exploration noise in one ``(episode_len,
-    n_episodes, m)`` block, the stream of one ``(n_episodes, m)`` draw
-    per step.  Every call thus shares the initial states and base noise,
-    re-simulated under its own gain (common random numbers: Glasserman &
-    Yao, Mgmt. Sci. 38, 1992), and equal gains give equal batches.  The
-    source keeps the initial states and the standard uniforms U, and
-    each call rescales U into one reused buffer as E = (2 amp) U - amp.
-    With exact doubling that rounds as -amp + (amp - -amp) U, the formula
-    of ``Generator.uniform`` (``random_uniform`` in NumPy's
-    ``distributions.c``), so E equals a fresh ``uniform(-amp, amp)`` draw
-    bit for bit.  The closed loop x+ = F x + B e, F = A - B K (K zero on
-    hidden states), is evaluated for all episodes at once by
+    when it is built, from one ``random.Random(seed)``: the initial states
+    by ``gauss(0, 1)`` in the C order of ``(n_episodes, n_obs)``, then the
+    standard uniforms U by ``random()`` in the C order of ``(episode_len,
+    n_episodes, m)``, step by step.  Every call thus shares the initial
+    states and base noise, re-simulated under its own gain (common random
+    numbers: Glasserman & Yao, Mgmt. Sci. 38, 1992), and equal gains give
+    equal batches; each call rescales U into one reused buffer as
+    E = (2 amp) U - amp.  The closed loop x+ = F x + B e, F = A - B K (K
+    zero on hidden states), is evaluated for all episodes at once by
     :func:`_block_states`, and the inputs are e - K x.  A rollout whose
     state passes 1e6 raises :class:`PolicyIterationError`; the kept draws
     stay as they were.
@@ -552,10 +560,10 @@ def linear_rollouts(A: np.ndarray, B: np.ndarray, n_samples: int = 600,
     if n_obs is None:
         n_obs = n_full
     n_ep = max(1, math.ceil(n_samples / episode_len))
-    rng = np.random.default_rng(seed)
+    rng = seeded_random(seed)
     x0 = np.zeros((n_ep, n_full))
-    x0[:, :n_obs] = rng.normal(0.0, 1.0, size=(n_ep, n_obs))
-    U = rng.random((episode_len, n_ep, m))
+    x0[:, :n_obs] = np.reshape([rng.gauss(0.0, 1.0) for _ in range(n_ep * n_obs)], (n_ep, n_obs))
+    U = np.reshape([rng.random() for _ in range(episode_len * n_ep * m)], (episode_len, n_ep, m))
     E = np.empty_like(U)
 
     def source(K: np.ndarray):
@@ -702,11 +710,13 @@ def _pad_gain(K: np.ndarray, n_full: int) -> np.ndarray:
 def _excitation_data(A, B, n_obs: int, n_samples: int, seed: int):
     """Open-loop random binary excitation of the true plant, observing n_obs states.
 
-    The plant starts at rest and x+ = A x + B u is evaluated in blocks by
+    The signs come from one ``random.Random(seed)``, drawn as the vehicle
+    excitation's are: -1 where ``random()`` < 0.5, else +1.  The plant
+    starts at rest and x+ = A x + B u is evaluated in blocks by
     :func:`_block_states`, as one trajectory with inputs U.
     """
-    rng = np.random.default_rng(seed)
-    U = np.where(rng.random(n_samples) < 0.5, -1.0, 1.0)
+    rng = seeded_random(seed)
+    U = np.array([-1.0 if rng.random() < 0.5 else 1.0 for _ in range(n_samples)])
     X = _block_states(A, B, np.zeros((1, A.shape[0])), U[:, None, None])[:, 0]
     return X[:-1, :n_obs], U[:, None], X[1:, :n_obs]
 
@@ -823,8 +833,9 @@ def robustness_sweep(taus, methods=METHODS,
     design at lo (``feasible=False``).  The learned/designed gain feeds
     back only the two modeled states.
 
-    Each tau draws two seeds from ``seed``: the first drives the
-    model-based excitation, the second one pure rollout source
+    One ``random.Random(seed)`` draws two seeds per tau, each by
+    ``getrandbits(32)``: the first drives the model-based excitation
+    (:func:`_excitation_data`), the second one pure rollout source
     (:func:`linear_rollouts`) that every model-free evaluation and policy
     iteration of the row draws from; the source draws its initial states
     and noise once and re-simulates them under each gain.  A model-free
@@ -839,20 +850,19 @@ def robustness_sweep(taus, methods=METHODS,
     h = 0.1
     n_est_samples = 1500
     rows: list[RobustnessRow] = []
-    root = np.random.SeedSequence(seed)
+    root = seeded_random(seed)
     for tau in taus:
         A, B, C = servo_plant(tau, h)
         resp = loop_response(A, B, h)
         n_full = A.shape[0]
         n_obs = 2
         # seeds[0] drives the excitation, seeds[1] every rollout of the row.
-        seeds = root.spawn(1)[0].generate_state(2)
+        seeds = root.getrandbits(32), root.getrandbits(32)
         Q_x = np.diag([1.0, 0.0])
 
         for method in methods:
             if method == "model-based":
-                X, U, Xn = _excitation_data(A, B, n_obs, n_est_samples,
-                                            int(seeds[0]))
+                X, U, Xn = _excitation_data(A, B, n_obs, n_est_samples, seeds[0])
                 A2, B2 = estimate_ss(X, U, Xn)
 
                 def make_gain(q_u):
@@ -860,7 +870,7 @@ def robustness_sweep(taus, methods=METHODS,
                     return K
             elif method == "model-free":
                 source = linear_rollouts(A, B, n_samples=9600, n_obs=n_obs,
-                                         episode_len=400, seed=int(seeds[1]))
+                                         episode_len=400, seed=seeds[1])
                 # Policy iteration needs a stabilizing start; zero gain
                 # leaves the integrator mode marginal, so seed with a mild
                 # known-stable gain instead.  The source is pure, so every

@@ -2,6 +2,9 @@
 
 import functools
 import math
+import random
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -53,20 +56,30 @@ def stepping_rise_time(A, B, K, C, h, max_steps):
     raise NumericalError("step response did not reach 90% (non-settling)")
 
 
+def random_draws(rng, draw, shape):
+    """``draw(rng)`` repeated in the C order of ``shape``, as an array."""
+    return np.reshape([draw(rng) for _ in range(math.prod(shape))], shape)
+
+
+def start_states(rng, n_ep, n_obs):
+    """Standard-normal start states of ``n_ep`` episodes, by ``gauss``."""
+    return random_draws(rng, lambda r: r.gauss(0.0, 1.0), (n_ep, n_obs))
+
+
 def stepping_rollouts(A, B, n_samples, n_obs, episode_len, explore, seed):
-    """Reference rollout source: a generator fresh from the seed on every
-    call, one noise draw per step."""
+    """Reference rollout source: a ``random.Random`` fresh from the seed on
+    every call, one ``uniform`` noise draw per step."""
     n_full, m = B.shape
 
     def source(K):
         amp = explore * max(1.0, float(np.abs(K).max()))
         n_ep = max(1, math.ceil(n_samples / episode_len))
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         X = np.zeros((n_ep, n_full))
-        X[:, :n_obs] = rng.normal(0.0, 1.0, size=(n_ep, n_obs))
+        X[:, :n_obs] = start_states(rng, n_ep, n_obs)
         xs, us, xns = [], [], []
         for _ in range(episode_len):
-            E = rng.uniform(-amp, amp, size=(n_ep, m))
+            E = random_draws(rng, lambda r: r.uniform(-amp, amp), (n_ep, m))
             U = -(X[:, :n_obs] @ K.T) + E
             Xn = X @ A.T + U @ B.T
             if np.abs(Xn).max() > 1e6:
@@ -81,10 +94,15 @@ def stepping_rollouts(A, B, n_samples, n_obs, episode_len, explore, seed):
     return source
 
 
+def excitation_signs(seed, n_samples):
+    """The vehicle excitation's sign rule on ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    return np.array([-1.0 if rng.random() < 0.5 else 1.0 for _ in range(n_samples)])
+
+
 def stepping_excitation(A, B, n_obs, n_samples, seed):
     """Reference excitation: one plant step per loop iteration."""
-    rng = np.random.default_rng(seed)
-    U = np.where(rng.random(n_samples) < 0.5, -1.0, 1.0)
+    U = excitation_signs(seed, n_samples)
     X = np.zeros((n_samples + 1, A.shape[0]))
     for k in range(n_samples):
         X[k + 1] = A @ X[k] + B[:, 0] * U[k]
@@ -183,7 +201,7 @@ def former_rise_time(A, B, K, C, h, max_steps=500_000):
 def former_linear_rollouts(A, B, n_samples=600, n_obs=None, episode_len=20,
                            explore=0.1, seed=0):
     """Reference rollout source: the block evaluation as it was before the
-    draws were kept, with a generator fresh from the seed and a
+    draws were kept, with a ``random.Random`` fresh from the seed and a
     ``uniform`` noise draw on every call."""
     A, B = lqr._state_input(A, B)
     n_full, m = B.shape
@@ -193,10 +211,10 @@ def former_linear_rollouts(A, B, n_samples=600, n_obs=None, episode_len=20,
         K = np.atleast_2d(np.asarray(K, dtype=float))
         amp = explore * max(1.0, float(np.abs(K).max()))
         n_ep = max(1, math.ceil(n_samples / episode_len))
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         x0 = np.zeros((n_ep, n_full))
-        x0[:, :n_obs] = rng.normal(0.0, 1.0, size=(n_ep, n_obs))
-        E = rng.uniform(-amp, amp, size=(episode_len, n_ep, m))
+        x0[:, :n_obs] = start_states(rng, n_ep, n_obs)
+        E = random_draws(rng, lambda r: r.uniform(-amp, amp), (episode_len, n_ep, m))
         states = lqr._block_states(A - B @ lqr._pad_gain(K, n_full), B, x0, E)
         if not np.abs(states[1:]).max() <= 1e6:
             step = np.flatnonzero(~(np.abs(states[1:]).max(axis=(1, 2)) <= 1e6))[0]
@@ -1198,8 +1216,8 @@ class TestPolicyIteration:
         # A source builds one generator, when it is constructed, and its
         # calls under several gains build none, a diverging gain
         # included; they return the former source's batches (a fresh
-        # generator and uniform draw per call) bit for bit, raising where
-        # it raises.
+        # random.Random and uniform draw per call) bit for bit, raising
+        # where it raises.
         A, B, _ = lqr.servo_plant(0.2)
         calls = {2400: [[[1.0, 1.0]], [[0.5, 2.0]], [[-30.0, 0.0]], [[2.0, 0.3]],
                         [[1.0, 1.0]]],
@@ -1209,13 +1227,12 @@ class TestPolicyIteration:
                                             seed=5)
             want = [rollout_or_raised(former, np.array(K)) for K in gains]
             assert ("raised" in want) == (n_samples == 2400)
-            with mock.patch("numpy.random.default_rng",
-                            wraps=np.random.default_rng) as default_rng:
+            with mock.patch("random.Random", wraps=random.Random) as generator:
                 source = lqr.linear_rollouts(A, B, n_samples, n_obs=2, episode_len=400,
                                              seed=5)
-                assert default_rng.call_count == 1
+                assert generator.call_count == 1
                 got = [rollout_or_raised(source, np.array(K)) for K in gains]
-            assert default_rng.call_count == 1
+            assert generator.call_count == 1
             for g, w in zip(got, want):
                 if isinstance(w, str):
                     assert g == w
@@ -1369,15 +1386,19 @@ class TestServoBenchmark:
             assert getattr(mf, key) == pytest.approx(getattr(mb, key), rel=1e-9)
 
     def test_trace_records_how_each_policy_iteration_ended(self):
-        # Exact data at tau = 0 converge within a few iterations; at
-        # tau = 0.2 every design from Q_u = 0.1 down runs out its 50
-        # iterations.  Model-based entries run no policy iteration.
+        # Exact data at tau = 0 converge within a few iterations.  At
+        # tau = 0.2 the hidden lag leaves the regression noisy: on seed 1's
+        # draws every design from Q_u = 0.1 down raises within a few
+        # iterations, when the estimated S_uu block loses definiteness,
+        # and the entry records the iteration that raised.  Model-based
+        # entries run no policy iteration.
         mb, mf = lqr.robustness_sweep((0.0,), seed=1)
         assert {e[3:] for e in mb.trace} == {(None, 0)}
         assert all(e[3] == "converged" and 1 <= e[4] < 50 for e in mf.trace)
         row, = lqr.robustness_sweep((0.2,), methods=("model-free",), seed=1,
                                     log_qu_range=(-4.0, -1.0))
-        assert [e[3:] for e in row.trace] == [("max_iters", 50)] * 4
+        assert [e[3:] for e in row.trace] == [("raised", 11), ("raised", 5),
+                                              ("raised", 7), ("raised", 6)]
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_sweep_rows_equal_one_call_metric(self, seed):
@@ -1391,6 +1412,84 @@ class TestServoBenchmark:
             ref = lqr.robustness_sweep((0.2, 0.0), seed=seed)
         assert [row.method for row in rows] == ["model-based", "model-free"] * 2
         assert rows == ref
+
+
+class TestRandomDraws:
+    """The servo sweep draws from one ``random.Random`` per seed, with the
+    vehicle excitation's rules, and never loads ``numpy.random``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_full=st.integers(1, 3), m=st.integers(1, 2), episode_len=st.integers(1, 60),
+           n_samples=st.integers(1, 300), explore=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rollout_draws_are_those_of_random_random(self, n_full, m, episode_len,
+                                                      n_samples, explore, seed):
+        # With A = 0 and K = 0 the first step's observed states are the
+        # start states, and the inputs are the noise (2 amp) U - amp with
+        # amp = explore: the gauss draws, then the uniforms, bit for bit.
+        n_obs = 1 + seed % n_full
+        source = lqr.linear_rollouts(np.zeros((n_full, n_full)), np.ones((n_full, m)),
+                                     n_samples=n_samples, n_obs=n_obs,
+                                     episode_len=episode_len, explore=explore, seed=seed)
+        X, U, _ = source(np.zeros((m, n_obs)))
+        n_ep = max(1, math.ceil(n_samples / episode_len))
+        rng = random.Random(seed)
+        x0 = start_states(rng, n_ep, n_obs)
+        E = random_draws(rng, lambda r: 2.0 * explore * r.random() - explore,
+                         (episode_len, n_ep, m))
+        np.testing.assert_array_equal(X[:n_ep], x0[:n_samples])
+        np.testing.assert_array_equal(U, E.reshape(-1, m)[:n_samples])
+
+    @settings(max_examples=100, deadline=None)
+    @given(tau=st.one_of(st.just(0.0), st.floats(1e-3, 0.3)),
+           n_samples=st.integers(1, 1500), seed=st.integers(0, 2**32 - 1))
+    def test_excitation_signs_are_those_of_random_random(self, tau, n_samples, seed):
+        A, B, _ = lqr.servo_plant(tau)
+        _, U, _ = lqr._excitation_data(A, B, 2, n_samples, seed)
+        np.testing.assert_array_equal(U[:, 0], excitation_signs(seed, n_samples))
+
+    @settings(max_examples=5, deadline=None)
+    @given(n_taus=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_sweep_seeds_are_two_getrandbits_draws_per_tau(self, n_taus, seed):
+        # Each tau's excitation seed, then its rollout seed.  The short
+        # Q_u range keeps each row to two evaluations.
+        with mock.patch.object(lqr, "_excitation_data",
+                               wraps=lqr._excitation_data) as excitation, \
+                mock.patch.object(lqr, "linear_rollouts",
+                                  wraps=lqr.linear_rollouts) as rollouts:
+            lqr.robustness_sweep((0.0,) * n_taus, log_qu_range=(5.0, 6.0), seed=seed)
+        got = [(e.args[4], r.kwargs["seed"])
+               for e, r in zip(excitation.call_args_list, rollouts.call_args_list)]
+        rng = random.Random(seed)
+        assert got == [(rng.getrandbits(32), rng.getrandbits(32)) for _ in range(n_taus)]
+
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (-2**32, ValueError),
+                                             (1.0, TypeError), (1.5, TypeError)])
+    def test_a_seed_other_than_a_natural_number_is_refused(self, seed, error):
+        # random.Random(-s) would draw what random.Random(s) draws.
+        A, B, _ = lqr.servo_plant(0.0)
+        with pytest.raises(error):
+            lqr.robustness_sweep((0.0,), seed=seed)
+        with pytest.raises(error):
+            lqr.linear_rollouts(A, B, seed=seed)
+        with pytest.raises(error):
+            lqr._excitation_data(A, B, 2, 10, seed)
+
+    def test_sweeps_import_no_numpy_random(self, tmp_path):
+        # numpy does not load numpy.random, and neither the sweep nor the
+        # robustness command does.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, warnings\n"
+             "from modru import cli, lqr\n"
+             "warnings.simplefilter('ignore')\n"
+             "lqr.robustness_sweep((0.2, 0.0), methods=('model-based', 'model-free'), seed=1)\n"
+             "assert cli.main(['robustness', '--taus', '0.2,0', '--out', sys.argv[1]]) == 0\n"
+             "print('numpy.random' in sys.modules)\n",
+             str(tmp_path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[-2] == "False"
 
 
 class TestBoundarySearch:
