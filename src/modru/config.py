@@ -3,7 +3,9 @@
 A run is configured in one place: the built-in truck or car scenario,
 changed by the ``section.key = value`` lines of one config file (``#``
 comments; later keys win), and the CLI's ``--seed``.  The environment
-is not read.  Profile-valued keys use ``pos:val, pos:val, ...`` pairs:
+is not read.  It is checked in one place too, :class:`Scenario`, so a
+scenario built with ``dataclasses.replace`` is refused as a config file
+would be.  Profile-valued keys use ``pos:val, pos:val, ...`` pairs:
 ``slope.breakpoints`` interpolates linearly between its pairs, and
 ``vlim.breakpoints`` holds each speed limit, which must be positive and
 at most ``plant.V_DIVERGED``, from its position to the next.
@@ -48,11 +50,10 @@ def parse_pairs(text: str, kind: str) -> PositionProfile:
 
 
 def _parse_mask(text: str) -> tuple[bool, ...]:
-    parts = [p.strip() for p in text.split(",")]
-    if (len(parts) != 6 or any(p not in ("0", "1") for p in parts)
-            or (parts[0], parts[2]) != ("1", "0")):
-        raise ConfigError(f"mask must be six 0/1 flags with th1 on and th3 off, got {text!r}")
-    return tuple(p == "1" for p in parts)
+    flags = [p.strip() for p in text.split(",")]
+    if not set(flags) <= {"0", "1"}:
+        raise ValueError("mask flags must be 0 or 1")
+    return tuple(f == "1" for f in flags)
 
 
 def _parse_float(text: str) -> float:
@@ -66,15 +67,17 @@ def _parse_optional_float(text: str) -> float | None:
     return None if text.strip().lower() == "none" else _parse_float(text)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Scenario:
-    """Complete description of one experiment run."""
+    """Complete description of one experiment run; the defaults are the
+    truck's, apart from the route.  Every check of a run's configuration
+    is made here, and a refused one raises :class:`ConfigError`."""
 
     name: str = "truck-default"
     plant_params: TruckParams | CarParams = field(default_factory=TruckParams)
     path_length: float = 10_000.0
-    slope: PositionProfile = None
-    v_limit: PositionProfile = None
+    slope: PositionProfile
+    v_limit: PositionProfile
     T_f: float = 1000.0
     to_n: int = 100
     vdot_lim: float = 0.7
@@ -95,26 +98,66 @@ class Scenario:
     sim_substeps: int = 2
     seed: int = 1234
 
+    def __post_init__(self):
+        if not isinstance(self.plant_params, (TruckParams, CarParams)):
+            raise ConfigError("plant_params must be TruckParams or CarParams, "
+                              f"got {type(self.plant_params).__name__}")
+        for positive in ("path_length", "T_f", "vdot_lim", "est_duration", "est_h",
+                         "sim_h", "rho_I", "rho_u", "ctrl_u_lim"):
+            if not getattr(self, positive) > 0:
+                raise ConfigError(f"{positive} must be positive")
+        if not self.path_length / self.T_f * (self.path_length / self.T_f) > 0:
+            raise ConfigError("the timing planner starts at the squared speed "
+                              "(path.length / to.T_f)**2, which must not round to 0")
+        n_est = self.est_duration / self.est_h
+        if not (np.isfinite(n_est) and round(n_est) >= 9):
+            raise ConfigError("est.duration / est.h must be finite and give the 10 "
+                              "samples a fit needs")
+        if not (self.est_hold >= self.est_h and np.isfinite(self.est_hold / self.est_h)):
+            raise ConfigError("need est.hold >= est.h and a finite est.hold / est.h")
+        # Above V_DIVERGED the simulator aborts; the excitation route, whose
+        # length grows with the top limit, would be built first.
+        if not np.all((self.v_limit.values > 0) & (self.v_limit.values <= V_DIVERGED)):
+            raise ConfigError("every speed limit in vlim.breakpoints must be positive "
+                              f"and at most {V_DIVERGED:g} m/s")
+        if not (self.to_n >= 2 and self.grid_n >= 2 and self.sim_substeps >= 1):
+            raise ConfigError("to.N and ctrl.grid_n must be >= 2, sim.substeps >= 1")
+        if self.to_u_lim is not None and not self.to_u_lim > 0:
+            raise ConfigError(f"to.u_lim must be 'none' or positive, got {self.to_u_lim:g}")
+        if not self.eff_gen >= 1.0 >= self.eff_regen > 0.0:
+            raise ConfigError("need eff.gen >= 1 >= eff.regen > 0")
+        if not self.est_noise >= 0:
+            raise ConfigError("est.noise must be >= 0")
+        mask = self.est_mask
+        if not (len(mask) == 6 and mask[0] and not mask[2]):
+            raise ConfigError(f"mask must be six 0/1 flags with th1 on and th3 off, got {mask!r}")
+        check_seed(self.seed)
+
 
 def default_truck_scenario() -> Scenario:
     """10 km haul: +-4% grade features and a reduced-limit mid-zone."""
-    sc = Scenario()
-    sc.slope = PositionProfile(
-        np.array([0.0, 2000.0, 2300.0, 3100.0, 3400.0, 5600.0,
-                  5900.0, 6700.0, 7000.0, 10_000.0]),
-        np.array([0.0, 0.0, 0.04, 0.04, 0.0, 0.0, -0.04, -0.04, 0.0, 0.0]),
-        "linear")
-    sc.v_limit = PositionProfile(np.array([0.0, 4700.0, 5600.0]),
-                                 np.array([25.0, 15.0, 25.0]), "constant")
-    return sc
+    return Scenario(
+        slope=PositionProfile(
+            np.array([0.0, 2000.0, 2300.0, 3100.0, 3400.0, 5600.0,
+                      5900.0, 6700.0, 7000.0, 10_000.0]),
+            np.array([0.0, 0.0, 0.04, 0.04, 0.0, 0.0, -0.04, -0.04, 0.0, 0.0]),
+            "linear"),
+        v_limit=PositionProfile(np.array([0.0, 4700.0, 5600.0]),
+                                np.array([25.0, 15.0, 25.0]), "constant"))
 
 
 def default_car_scenario() -> Scenario:
     """1 km urban stretch with rolling grade and a faster middle zone."""
-    sc = Scenario(
+    return Scenario(
         name="car-default",
         plant_params=CarParams(),
         path_length=1000.0,
+        slope=PositionProfile(
+            np.array([0.0, 100.0, 200.0, 350.0, 450.0, 550.0, 700.0, 800.0, 1000.0]),
+            np.array([0.0, 0.0, 0.04, 0.04, 0.0, -0.04, -0.04, 0.0, 0.0]),
+            "linear"),
+        v_limit=PositionProfile(np.array([0.0, 300.0, 700.0]),
+                                np.array([13.9, 16.7, 13.9]), "constant"),
         T_f=75.2,
         to_n=50,
         vdot_lim=2.0,
@@ -128,13 +171,6 @@ def default_car_scenario() -> Scenario:
         sim_h=0.2,
         sim_substeps=1,
     )
-    sc.slope = PositionProfile(
-        np.array([0.0, 100.0, 200.0, 350.0, 450.0, 550.0, 700.0, 800.0, 1000.0]),
-        np.array([0.0, 0.0, 0.04, 0.04, 0.0, -0.04, -0.04, 0.0, 0.0]),
-        "linear")
-    sc.v_limit = PositionProfile(np.array([0.0, 300.0, 700.0]),
-                                 np.array([13.9, 16.7, 13.9]), "constant")
-    return sc
 
 
 # key -> (scenario field, parser); every plant.* override parses as a float.
@@ -180,13 +216,11 @@ def scenario_from_config(cfg: dict[str, str]) -> Scenario:
     """Build a scenario from config entries on top of the built-in defaults."""
     cfg = dict(cfg)
     plant_type = cfg.pop("plant.type", "truck")
-    if plant_type == "truck":
-        sc = default_truck_scenario()
-    elif plant_type == "car":
-        sc = default_car_scenario()
-    else:
+    if plant_type not in ("truck", "car"):
         raise ConfigError(f"unknown plant.type {plant_type!r}")
+    sc = default_truck_scenario() if plant_type == "truck" else default_car_scenario()
 
+    changes: dict[str, object] = {}
     plant_over: dict[str, float] = {}
     for key, raw in cfg.items():
         plant = key.startswith("plant.")
@@ -197,10 +231,7 @@ def scenario_from_config(cfg: dict[str, str]) -> Scenario:
             value = parser(raw)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-        if plant:
-            plant_over[name] = value
-        else:
-            setattr(sc, name, value)
+        (plant_over if plant else changes)[name] = value
 
     if plant_over:
         valid = {f.name for f in dataclasses.fields(type(sc.plant_params))}
@@ -208,51 +239,19 @@ def scenario_from_config(cfg: dict[str, str]) -> Scenario:
         if bad:
             raise ConfigError(f"unknown plant parameter(s): {sorted(bad)}")
         try:
-            sc.plant_params = dataclasses.replace(sc.plant_params, **plant_over)
+            changes["plant_params"] = dataclasses.replace(sc.plant_params, **plant_over)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-
-    for positive in ("path_length", "T_f", "vdot_lim", "est_duration", "est_h",
-                     "sim_h", "rho_I", "rho_u", "ctrl_u_lim"):
-        if not getattr(sc, positive) > 0:
-            raise ConfigError(f"{positive} must be positive")
-    if not sc.path_length / sc.T_f * (sc.path_length / sc.T_f) > 0:
-        raise ConfigError("the timing planner starts at the squared speed "
-                          "(path.length / to.T_f)**2, which must not round to 0")
-    n_est = sc.est_duration / sc.est_h
-    if not (np.isfinite(n_est) and round(n_est) >= 9):
-        raise ConfigError("est.duration / est.h must be finite and give the 10 "
-                          "samples a fit needs")
-    if not (sc.est_hold >= sc.est_h and np.isfinite(sc.est_hold / sc.est_h)):
-        raise ConfigError("need est.hold >= est.h and a finite est.hold / est.h")
-    # Above V_DIVERGED the simulator aborts; the excitation route, whose
-    # length grows with the top limit, would be built first.
-    if not np.all((sc.v_limit.values > 0) & (sc.v_limit.values <= V_DIVERGED)):
-        raise ConfigError("every speed limit in vlim.breakpoints must be positive "
-                          f"and at most {V_DIVERGED:g} m/s")
-    if sc.to_n < 2 or sc.grid_n < 2 or sc.sim_substeps < 1:
-        raise ConfigError("to.N and ctrl.grid_n must be >= 2, sim.substeps >= 1")
-    if sc.to_u_lim is not None and not sc.to_u_lim > 0:
-        raise ConfigError(f"to.u_lim must be 'none' or positive, got {sc.to_u_lim:g}")
-    if not sc.eff_gen >= 1.0 >= sc.eff_regen > 0.0:
-        raise ConfigError("need eff.gen >= 1 >= eff.regen > 0")
-    if not sc.est_noise >= 0:
-        raise ConfigError("est.noise must be >= 0")
-    check_seed(sc.seed)
-    return sc
+    return dataclasses.replace(sc, **changes)
 
 
 def check_seed(seed: int) -> None:
     """Raise :class:`ConfigError` unless ``seed`` >= 0: ``random.Random``
     seeds with |seed|, so -s would draw what s draws."""
-    if seed < 0:
+    if not seed >= 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 def load_scenario(config_path=None, seed: int | None = None) -> Scenario:
-    cfg = read_config_file(config_path) if config_path else {}
-    sc = scenario_from_config(cfg)
-    if seed is not None:
-        check_seed(seed)
-        sc.seed = seed
-    return sc
+    sc = scenario_from_config(read_config_file(config_path) if config_path else {})
+    return sc if seed is None else dataclasses.replace(sc, seed=seed)

@@ -51,9 +51,9 @@ class GainSchedule:
             raise ValueError("grid/gain sizes mismatch")
         if v.size > 1 and not np.all(np.diff(v) > 0):
             raise ValueError("velocity grid must be strictly increasing")
-        if np.any(ti <= 0):
+        if not np.all(ti > 0):
             raise ValueError("integral times must be positive")
-        if self.h <= 0:
+        if not self.h > 0:
             raise ValueError("sample time must be positive")
 
     def gains(self, v_ref):
@@ -111,10 +111,9 @@ def control_step(w: float, v_ref: float, v: float, u_ff: float,
     Returns (u, u_s, du, w_next): the unsaturated command, the saturated
     command, the feedback share du = u_s - u_ff, and the next ``w``.
     """
-    for x in (v_ref, v, u_ff):
-        if not math.isfinite(x):
-            raise ValueError("non-finite controller input")
-    if u_lim <= 0:
+    if not (math.isfinite(v_ref) and math.isfinite(v) and math.isfinite(u_ff)):
+        raise ValueError("non-finite controller input")
+    if not u_lim > 0:
         raise ValueError("u_lim must be positive")
     e = v_ref - v
     u = u_ff + kp * e + w

@@ -62,7 +62,7 @@ class TruckParams:
     T_m: float = 1.0       # motor torque time constant [s]
 
     def __post_init__(self):
-        if self.m <= 0 or self.R <= 0 or self.T_m < 0:
+        if not (self.m > 0 and self.R > 0 and self.T_m >= 0):
             raise ValueError("m, R must be positive and T_m non-negative")
         _check_road_loads(self)
 
@@ -82,7 +82,7 @@ class CarParams:
     a_lim: float = 3.0         # acceleration magnitude bound [m/s^2]
 
     def __post_init__(self):
-        if self.m <= 0:
+        if not self.m > 0:
             raise ValueError("m must be positive")
         if self.u_min >= self.u_max:
             raise ValueError("u_min must be below u_max")

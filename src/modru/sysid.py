@@ -51,7 +51,7 @@ class Dataset:
                 raise ValueError(f"column {name} length mismatch")
         dt = np.diff(self.t)
         h = dt[0]
-        if h <= 0 or np.abs(dt - h).max() > 1e-9 * max(1.0, h):
+        if not (h > 0 and np.abs(dt - h).max() <= 1e-9 * max(1.0, h)):
             raise ValueError("time grid must be uniform and increasing")
 
     @property

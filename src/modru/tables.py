@@ -6,6 +6,7 @@ exact same binary values (shortest round-trip representation).
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -27,16 +28,16 @@ def write_csv(path, header: list[str], columns: list, meta: dict | None = None) 
         raise ValueError("header/column count mismatch")
     if len({len(c) for c in columns}) > 1:
         raise ValueError("ragged columns")
-    lines = []
-    if meta:
-        for k, v in meta.items():
-            lines.append(f"# {k} = {format_value(v)}")
-    lines.append(",".join(header))
     # repr of a float column's Python floats is format_value's text, but fast.
     cells = [map(repr, c.tolist()) if isinstance(c, np.ndarray) and c.dtype.kind == "f"
              else map(format_value, c) for c in columns]
-    lines.extend(map(",".join, zip(*cells)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = map(",".join, zip(*cells))
+    with open(path, "w") as f:
+        f.writelines(f"# {k} = {format_value(v)}\n" for k, v in (meta or {}).items())
+        f.write(",".join(header) + "\n")
+        # Rows go out in chunks, so a write's memory does not grow with the record.
+        while chunk := list(itertools.islice(rows, 512)):
+            f.write("\n".join(chunk) + "\n")
 
 
 def read_csv(path) -> tuple[list[str], dict[str, np.ndarray], dict[str, str]]:

@@ -59,6 +59,11 @@ class TestGainSchedule:
                              np.array([0.0]), h=0.5, **RHO)
         with pytest.raises(ValueError):
             make_schedule(h=0.0)
+        # NaN fails too.
+        with pytest.raises(ValueError, match="sample time"):
+            make_schedule(h=math.nan)
+        with pytest.raises(ValueError, match="integral times"):
+            make_schedule(ti=math.nan)
 
     def test_csv_round_trip(self, tmp_path):
         sched = ctl.GainSchedule(v_grid=np.array([0.0, 7.5, 20.0]),
@@ -143,6 +148,9 @@ class TestControlStep:
             ctl.control_step(0.0, math.nan, 0.0, 0.0, 2.0, 5.0, 100.0)
         with pytest.raises(ValueError):
             ctl.control_step(0.0, 0.0, 0.0, 0.0, 2.0, 5.0, 0.0)
+        # NaN fails too.
+        with pytest.raises(ValueError, match="u_lim"):
+            ctl.control_step(0.0, 10.0, 0.0, 0.0, 1e6, 5.0, math.nan)
 
 
 def bits(x) -> bytes:

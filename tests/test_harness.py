@@ -12,6 +12,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modru import cli, config, harness, lqr, plant, sysid, tempo
 from modru.errors import ConfigError, EstimationError, NumericalError
@@ -30,13 +32,14 @@ def nominal_scenario(sc):
                                 np.array([12.5, 12.5]), "constant"))
 
 
-# (plant.type, key) of every float-valued config key and plant override.
+# (plant.type, key) of every plant override, and of every float-valued config key.
+PLANT_KEYS = [(kind, f"plant.{f.name}") for kind, params in (("truck", TruckParams),
+                                                             ("car", CarParams))
+              for f in fields(params)]
 FLOAT_KEYS = [("truck", key) for key in (
     "path.length", "to.T_f", "to.vdot_lim", "to.u_lim", "eff.gen", "eff.regen",
     "est.duration", "est.h", "est.noise", "est.hold", "est.slope_amp", "ctrl.rho_I",
-    "ctrl.rho_u", "ctrl.u_lim", "sim.h")] + [
-    (kind, f"plant.{f.name}") for kind, params in (("truck", TruckParams), ("car", CarParams))
-    for f in fields(params)]
+    "ctrl.rho_u", "ctrl.u_lim", "sim.h")] + PLANT_KEYS
 
 
 class TestConfigFiles:
@@ -68,11 +71,14 @@ class TestConfigFiles:
     def test_mask_needs_th1_and_refuses_th3(self):
         accepted = []
         for flags in itertools.product("01", repeat=6):
+            mask = tuple(f == "1" for f in flags)
             try:
-                mask = config._parse_mask(",".join(flags))
+                sc = config.scenario_from_config({"est.mask": ",".join(flags)})
             except ConfigError:
+                with pytest.raises(ConfigError, match="th1 on and th3 off"):
+                    replace(config.default_truck_scenario(), est_mask=mask)
                 continue
-            assert mask == tuple(f == "1" for f in flags)
+            assert sc.est_mask == mask
             accepted.append(flags)
         assert len(accepted) == 16
         assert all(f[0] == "1" and f[2] == "0" for f in accepted)
@@ -115,11 +121,14 @@ class TestConfigFiles:
             config.scenario_from_config({"plant.type": plant_type, key: bad})
 
     # Each would let the vehicle earn energy by driving, or (a_lim) stop the
-    # car from moving; NaN fails too when the parameters are built directly.
+    # car from moving, or has no physical meaning (m, R, T_m); NaN fails too
+    # when the parameters are built directly.
     @pytest.mark.parametrize("plant_type, key, bad", [
         (kind, f"plant.{key}", "-0.01") for kind in ("truck", "car")
         for key in ("rho_a", "c_d", "A_f", "c_r")] + [
-        ("truck", "plant.g", "0"), ("car", "plant.g", "0"), ("car", "plant.a_lim", "0")])
+        ("truck", "plant.g", "0"), ("car", "plant.g", "0"), ("car", "plant.a_lim", "0"),
+        ("truck", "plant.m", "0"), ("truck", "plant.R", "0"), ("truck", "plant.T_m", "-0.01"),
+        ("car", "plant.m", "0")])
     def test_rejects_impossible_plants(self, plant_type, key, bad):
         name = key.removeprefix("plant.")
         with pytest.raises(ConfigError, match=rf"\b{name}\b"):
@@ -148,6 +157,72 @@ class TestConfigFiles:
     def test_load_scenario_seed_argument(self):
         sc = config.load_scenario(None, seed=99)
         assert sc.seed == 99 and sc.name == "truck-default"
+
+
+DEFAULTS = {"truck": config.default_truck_scenario, "car": config.default_car_scenario}
+# (plant.type, key) of every config key and plant override.
+CONFIG_KEYS = [(kind, key) for kind in DEFAULTS for key in config._KEYS] + PLANT_KEYS
+# Edge values; 1e19 is written as an integer, so that the count keys parse it.
+EDGE_TEXTS = ["0", "1e-300", "-1e-300", "1e300", "-1e300", "-1", str(10 ** 19), "nan"]
+
+
+def config_text(sc, key):
+    """The text of ``key``'s value in ``sc``, as a config file spells it."""
+    if key.startswith("plant."):
+        return format_value(getattr(sc.plant_params, key.removeprefix("plant.")))
+    value = getattr(sc, config._KEYS[key][0])
+    if isinstance(value, PositionProfile):
+        return ", ".join(f"{b!r}:{v!r}" for b, v in zip(value.breakpoints.tolist(),
+                                                         value.values.tolist()))
+    if isinstance(value, tuple):
+        return ",".join("1" if flag else "0" for flag in value)
+    return "none" if value is None else format_value(value)
+
+
+def assert_same_scenario(a, b):
+    for f in fields(config.Scenario):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, PositionProfile):
+            assert x.kind == y.kind, f.name
+            np.testing.assert_array_equal(x.breakpoints, y.breakpoints)
+            np.testing.assert_array_equal(x.values, y.values)
+        else:
+            assert x == y and type(x) is type(y), f.name
+
+
+class TestOneValidatedScenario:
+    """A config file and ``dataclasses.replace`` are checked in one place.
+
+    Scenarios are built only: an accepted edge value such as
+    est.duration = 1e300 would allocate if a stage ran on it."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(case=st.sampled_from(CONFIG_KEYS), text=st.sampled_from(EDGE_TEXTS + [None]))
+    def test_config_refuses_what_replace_refuses(self, case, text):
+        kind, key = case
+        default = DEFAULTS[kind]()
+        text = config_text(default, key) if text is None else text
+        try:
+            from_config = config.scenario_from_config({"plant.type": kind, key: text})
+        except ConfigError:
+            from_config = None
+        plant = key.startswith("plant.")
+        name, parser = (key.removeprefix("plant."), config._parse_float) if plant \
+            else config._KEYS[key]
+        try:
+            value = parser(text)
+        except (ValueError, TypeError, ConfigError):
+            assert from_config is None
+            return
+        try:
+            if plant:   # the plant's parameters keep their own check, a ValueError
+                name, value = "plant_params", replace(default.plant_params, **{name: value})
+            replaced = replace(default, **{name: value})
+        except (ConfigError, ValueError):
+            replaced = None
+        assert (from_config is None) == (replaced is None), (kind, key, text)
+        if replaced is not None:
+            assert_same_scenario(from_config, replaced)
 
 
 class TestStaging:
@@ -232,8 +307,13 @@ class TestPrbsSigns:
 
     def test_refuses_a_negative_seed(self, truck_sc):
         # random.Random(-1) would draw what random.Random(1) draws.
+        with pytest.raises(ConfigError, match="seed"):
+            replace(truck_sc, seed=-1)
+        # A scenario is not frozen: the excitation run keeps its own guard.
+        sc = replace(truck_sc)
+        sc.seed = -1
         with pytest.raises(ValueError, match="seed"):
-            harness.stage_dataset(replace(truck_sc, seed=-1))
+            harness.stage_dataset(sc)
 
 
 class TestPrbsWithoutNumpyRandom:

@@ -24,6 +24,12 @@ class TestGrayBox:
             sysid.GrayBoxModel(theta=np.ones(6),
                                mask=np.array([0, 1, 1, 1, 1, 1], bool))
 
+    def test_dataset_refuses_a_nan_time_sample(self):
+        t = 0.5 * np.arange(20)
+        t[7] = math.nan
+        with pytest.raises(ValueError, match="time grid"):
+            sysid.Dataset(t=t, v=t, alpha=t, u=t, P=t)
+
     def test_mask_zeroes_inactive_terms(self):
         m = sysid.GrayBoxModel(theta=np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
                                mask=np.array([1, 1, 0, 1, 1, 0], bool))
