@@ -17,6 +17,7 @@ at least one sample time ``est.h``.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,6 +103,16 @@ class Scenario:
         if not isinstance(self.plant_params, (TruckParams, CarParams)):
             raise ConfigError("plant_params must be TruckParams or CarParams, "
                               f"got {type(self.plant_params).__name__}")
+        for profile in ("slope", "v_limit"):
+            if not isinstance(getattr(self, profile), PositionProfile):
+                raise ConfigError(f"{profile} must be a PositionProfile, "
+                                  f"got {type(getattr(self, profile)).__name__}")
+        for count in ("to_n", "grid_n", "sim_substeps", "seed"):
+            try:
+                operator.index(getattr(self, count))
+            except TypeError:
+                raise ConfigError(f"{count} must be an integer, "
+                                  f"got {getattr(self, count)!r}") from None
         for positive in ("path_length", "T_f", "vdot_lim", "est_duration", "est_h",
                          "sim_h", "rho_I", "rho_u", "ctrl_u_lim"):
             if not getattr(self, positive) > 0:

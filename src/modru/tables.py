@@ -1,12 +1,13 @@
 """Tiny CSV helpers shared by the data types that serialize to disk.
 
 Floats are written with ``repr`` so a write/read cycle reproduces the
-exact same binary values (shortest round-trip representation).
+exact same binary values (shortest round-trip representation).  A CSV
+write formats and writes 512 rows at a time, so its memory is one chunk's
+cells, whatever the record's length.
 """
 
 from __future__ import annotations
 
-import itertools
 from pathlib import Path
 
 import numpy as np
@@ -28,16 +29,17 @@ def write_csv(path, header: list[str], columns: list, meta: dict | None = None) 
         raise ValueError("header/column count mismatch")
     if len({len(c) for c in columns}) > 1:
         raise ValueError("ragged columns")
-    # repr of a float column's Python floats is format_value's text, but fast.
-    cells = [map(repr, c.tolist()) if isinstance(c, np.ndarray) and c.dtype.kind == "f"
-             else map(format_value, c) for c in columns]
-    rows = map(",".join, zip(*cells))
     with open(path, "w") as f:
         f.writelines(f"# {k} = {format_value(v)}\n" for k, v in (meta or {}).items())
         f.write(",".join(header) + "\n")
-        # Rows go out in chunks, so a write's memory does not grow with the record.
-        while chunk := list(itertools.islice(rows, 512)):
-            f.write("\n".join(chunk) + "\n")
+        # Each 512-row chunk is sliced from every column, formatted and
+        # written on its own, so a write's memory is one chunk, not the record.
+        # repr of a float column's Python floats is format_value's text, but fast.
+        for i in range(0, len(columns[0]) if columns else 0, 512):
+            cells = [map(repr, c[i:i + 512].tolist())
+                     if isinstance(c, np.ndarray) and c.dtype.kind == "f"
+                     else map(format_value, c[i:i + 512]) for c in columns]
+            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def read_csv(path) -> tuple[list[str], dict[str, np.ndarray], dict[str, str]]:
