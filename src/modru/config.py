@@ -17,8 +17,10 @@ at least one sample time ``est.h``.
 from __future__ import annotations
 
 import dataclasses
+import math
 import operator
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -57,22 +59,16 @@ def _parse_mask(text: str) -> tuple[bool, ...]:
     return tuple(f == "1" for f in flags)
 
 
-def _parse_float(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
-        raise ValueError("not a finite number")
-    return value
-
-
 def _parse_optional_float(text: str) -> float | None:
-    return None if text.strip().lower() == "none" else _parse_float(text)
+    return None if text.strip().lower() == "none" else float(text)
 
 
 @dataclass(kw_only=True)
 class Scenario:
     """Complete description of one experiment run; the defaults are the
     truck's, apart from the route.  Every check of a run's configuration
-    is made here, and a refused one raises :class:`ConfigError`."""
+    is made here, a float field's finiteness too (``to_u_lim`` may be
+    None), and a refused one raises :class:`ConfigError`."""
 
     name: str = "truck-default"
     plant_params: TruckParams | CarParams = field(default_factory=TruckParams)
@@ -100,6 +96,14 @@ class Scenario:
     seed: int = 1234
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ConfigError(f"name must be a str, got {self.name!r}")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type.startswith("float") and not (
+                    isinstance(value, Real) and math.isfinite(value)
+                    or value is None and f.name == "to_u_lim"):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
         if not isinstance(self.plant_params, (TruckParams, CarParams)):
             raise ConfigError("plant_params must be TruckParams or CarParams, "
                               f"got {type(self.plant_params).__name__}")
@@ -140,7 +144,8 @@ class Scenario:
         if not self.est_noise >= 0:
             raise ConfigError("est.noise must be >= 0")
         mask = self.est_mask
-        if not (len(mask) == 6 and mask[0] and not mask[2]):
+        if not (isinstance(mask, tuple) and len(mask) == 6
+                and all(isinstance(flag, bool) for flag in mask) and mask[0] and not mask[2]):
             raise ConfigError(f"mask must be six 0/1 flags with th1 on and th3 off, got {mask!r}")
         check_seed(self.seed)
 
@@ -189,24 +194,24 @@ _KEYS = {
     "scenario.name": ("name", str),
     "slope.breakpoints": ("slope", lambda text: parse_pairs(text, "linear")),
     "vlim.breakpoints": ("v_limit", lambda text: parse_pairs(text, "constant")),
-    "path.length": ("path_length", _parse_float),
-    "to.T_f": ("T_f", _parse_float),
+    "path.length": ("path_length", float),
+    "to.T_f": ("T_f", float),
     "to.N": ("to_n", int),
-    "to.vdot_lim": ("vdot_lim", _parse_float),
+    "to.vdot_lim": ("vdot_lim", float),
     "to.u_lim": ("to_u_lim", _parse_optional_float),
-    "eff.gen": ("eff_gen", _parse_float),
-    "eff.regen": ("eff_regen", _parse_float),
-    "est.duration": ("est_duration", _parse_float),
-    "est.h": ("est_h", _parse_float),
-    "est.noise": ("est_noise", _parse_float),
-    "est.hold": ("est_hold", _parse_float),
-    "est.slope_amp": ("est_slope_amp", _parse_float),
+    "eff.gen": ("eff_gen", float),
+    "eff.regen": ("eff_regen", float),
+    "est.duration": ("est_duration", float),
+    "est.h": ("est_h", float),
+    "est.noise": ("est_noise", float),
+    "est.hold": ("est_hold", float),
+    "est.slope_amp": ("est_slope_amp", float),
     "est.mask": ("est_mask", _parse_mask),
-    "ctrl.rho_I": ("rho_I", _parse_float),
-    "ctrl.rho_u": ("rho_u", _parse_float),
+    "ctrl.rho_I": ("rho_I", float),
+    "ctrl.rho_u": ("rho_u", float),
     "ctrl.grid_n": ("grid_n", int),
-    "ctrl.u_lim": ("ctrl_u_lim", _parse_float),
-    "sim.h": ("sim_h", _parse_float),
+    "ctrl.u_lim": ("ctrl_u_lim", float),
+    "sim.h": ("sim_h", float),
     "sim.substeps": ("sim_substeps", int),
     "seed": ("seed", int),
 }
@@ -237,7 +242,7 @@ def scenario_from_config(cfg: dict[str, str]) -> Scenario:
         plant = key.startswith("plant.")
         if not plant and key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        name, parser = (key.split(".", 1)[1], _parse_float) if plant else _KEYS[key]
+        name, parser = (key.split(".", 1)[1], float) if plant else _KEYS[key]
         try:
             value = parser(raw)
         except (ValueError, TypeError) as exc:

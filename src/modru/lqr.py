@@ -5,11 +5,11 @@ The model-free route estimates the quadratic Q-function of the current
 policy by least squares on one-step transition data and improves the
 policy from the Q-function blocks; no plant model is formed.  It runs
 from a :class:`_CachedStart`, which regresses the batch under the start
-gain once for every input weight.  The model-based route fits a
-low-order state-space model to the same kind of data
-(:func:`estimate_ss`) and solves the Riccati equation on it.  Both are
-scored on the true plant through the sensitivity peaks M_S, M_T and the
-step-response rise time.
+gain once for every input weight, and every later batch in its own
+buffers.  The model-based route fits a low-order state-space model to
+the same kind of data (:func:`estimate_ss`) and solves the Riccati
+equation on it.  Both are scored on the true plant through the
+sensitivity peaks M_S, M_T and the step-response rise time.
 """
 
 from __future__ import annotations
@@ -273,37 +273,53 @@ def dare_solve(A: np.ndarray, B: np.ndarray, Q_x: np.ndarray,
     return K, P
 
 
-class _LstdWorkspace:
-    """Feature-major buffers of the policy-iteration calls on one batch size.
+class _CachedStart:
+    """The start of model-free policy iteration from the gain K0 on one
+    rollout source, for every cost x' Q_x x + q u'u.
 
-    Z and Zn hold the samples [x; u] and [x+; -K x+] as rows (d x N,
-    d = n + m), psi the p regressor rows and row one scratch row; the
-    upper-triangle index maps are fixed, and :meth:`factorize` doubles
-    each off-diagonal row once, after the difference.  The buffers are
-    reallocated only when the sample count N changes, so the one
-    workspace of a :class:`_CachedStart` serves every policy-iteration
-    call from that start.
+    The source must be a pure function of the gain (as
+    :func:`linear_rollouts` is), so every call from K0 would collect the
+    same batch.  The batch is collected once, and its least-squares
+    solution, linear in the stage cost, is split into theta_x (cost
+    x' Q_x x) and theta_u (unit input weight, cost u'u): the first step of
+    the cost with weight q is theta_x + q theta_u.  Every batch of the
+    source has the N rows of this one, so the feature-major buffers of
+    every :func:`lqrl_policy_iteration` call from this start are sized
+    from it once: Z and Zn hold the samples [x; u] and [x+; -K x+] as rows
+    (d x N, d = n + m), psi the p regressor rows and row a scratch row.
+    A failure of the batch (a diverging rollout or singular normal
+    equations) is kept and raised by every such call.  Each call records
+    how it ended in ``outcome`` ("converged", "max_iters" or "raised")
+    and ``iterations``.
     """
 
-    def __init__(self, n: int, m: int):
-        self.n = n
-        self.d = n + m
-        self.I, self.J = _triu_maps(self.d)
-        self.N = None
+    def __init__(self, rollout_source, K0: np.ndarray, Q_x: np.ndarray):
+        self.source = rollout_source
+        self.K0 = np.atleast_2d(np.asarray(K0, dtype=float))
+        self.Q_x = np.atleast_2d(np.asarray(Q_x, dtype=float))
+        self.outcome, self.iterations = None, 0
+        m, n = self.K0.shape
+        self.I, self.J = _triu_maps(n + m)
+        self.error = None
+        try:
+            X, U, Xn = rollout_source(self.K0)
+            self.Z, self.Zn = np.empty((n + m, len(X))), np.empty((n + m, len(X)))
+            self.psi, self.row = np.empty((self.I.size, len(X))), np.empty(len(X))
+            self.load(X, U, Xn, self.K0)
+            self.factorize()
+        except NumericalError as exc:
+            self.error = exc
+            return
+        Z = self.Z
+        self.theta_x = self.solve(_quadratic_form(Z[:n].T, self.Q_x))
+        self.theta_u = self.solve(_quadratic_form(Z[n:].T, np.eye(m)))
 
     def load(self, X, U, Xn, K):
         """Copy in one batch of transitions collected under the gain K.
 
         Raises :class:`PolicyIterationError` when a state is not finite.
         """
-        N, n = X.shape[0], self.n
-        if N != self.N:
-            self.N = N
-            self.Z = np.empty((self.d, N))
-            self.Zn = np.empty((self.d, N))
-            self.psi = np.empty((self.I.size, N))
-            self.row = np.empty(N)
-        Z, Zn = self.Z, self.Zn
+        n, Z, Zn = X.shape[1], self.Z, self.Zn
         Z[:n], Z[n:], Zn[:n] = X.T, U.T, Xn.T
         if not (np.isfinite(Z[:n]).all() and np.isfinite(Zn[:n]).all()):
             raise PolicyIterationError("rollout data diverged")
@@ -311,30 +327,21 @@ class _LstdWorkspace:
         # differently, so -(Xn K') is formed sample-major and copied in.
         Zn[n:] = -(Xn @ K.T).T
 
-    def regress(self, Q_x: np.ndarray, Q_u: np.ndarray) -> np.ndarray:
-        """Least-squares solution theta of the Bellman-residual system
-        psi' theta = rho of the loaded batch, rho the stage cost
-        x' Q_x x + u' Q_u u (:func:`_quadratic_form`), from its p x p
-        normal equations.
-
-        G = psi psi' and psi rho are one BLAS product each.  G is
-        equilibrated to unit diagonal, Gs = S G S with S = diag(G)^(-1/2),
-        and solved by Cholesky; one refinement step with the residual
-        rho - psi' theta follows (corrected semi-normal equations: Bjorck,
-        Numerical Methods for Least Squares Problems, SIAM 1996, sections
-        2.5 and 6.6).  Raises :class:`EstimationError` when a regressor is
-        zero on every sample, or when Gs is singular to working precision:
-        its reciprocal condition number is at most eps, or its Cholesky
-        factorization breaks down.  While eps cond(Gs) is well below 1 the
-        refined solution is about as accurate as a QR least-squares one.
-        """
-        self.factorize()
-        Z, n = self.Z, self.n
-        return self.solve(_quadratic_form(Z[:n].T, Q_x) + _quadratic_form(Z[n:].T, Q_u))
-
     def factorize(self):
-        """Form the regressor rows psi and G^-1 of the loaded batch, or
-        raise :class:`EstimationError` as :meth:`regress` describes."""
+        """Form the regressor rows psi of the loaded batch and the inverse
+        G^-1 of its p x p normal equations, G = psi psi'.
+
+        G is equilibrated to unit diagonal, Gs = S G S with S =
+        diag(G)^(-1/2), and inverted through its Cholesky factor; each
+        :meth:`solve` adds one refinement step (corrected semi-normal
+        equations: Bjorck, Numerical Methods for Least Squares Problems,
+        SIAM 1996, sections 2.5 and 6.6).  Raises :class:`EstimationError`
+        when a regressor is zero on every sample, or when Gs is singular to
+        working precision: its reciprocal condition number is at most eps,
+        or its Cholesky factorization breaks down.  While eps cond(Gs) is
+        well below 1 the refined solution is about as accurate as a QR
+        least-squares one.
+        """
         Z, Zn, psi, row = self.Z, self.Zn, self.psi, self.row
         # psi_k = z_i z_j - zn_i zn_j, doubled for i < j: quadratic features
         # z_i^2 and 2 z_i z_j of z = [x; u] minus those at the next state
@@ -375,42 +382,6 @@ class _LstdWorkspace:
         return theta
 
 
-class _CachedStart:
-    """The start of model-free policy iteration from the gain K0 on one
-    rollout source, for every cost x' Q_x x + q u'u.
-
-    The source must be a pure function of the gain (as
-    :func:`linear_rollouts` is), so every call from K0 would collect the
-    same batch.  The batch is collected once, and its least-squares
-    solution, linear in the stage cost, is split into theta_x (cost
-    x' Q_x x) and theta_u (unit input weight, cost u'u): the first step of
-    the cost with weight q is theta_x + q theta_u.  These two vectors, the
-    source and the workspace outlive the batch; the workspace serves every
-    :func:`lqrl_policy_iteration` call from this start.  A failure of the
-    batch (a diverging rollout or singular normal equations) is kept and
-    raised by every such call.  Each call records how it ended in
-    ``outcome`` ("converged", "max_iters" or "raised") and ``iterations``.
-    """
-
-    def __init__(self, rollout_source, K0: np.ndarray, Q_x: np.ndarray):
-        self.source = rollout_source
-        self.K0 = np.atleast_2d(np.asarray(K0, dtype=float))
-        self.Q_x = np.atleast_2d(np.asarray(Q_x, dtype=float))
-        self.outcome, self.iterations = None, 0
-        m, n = self.K0.shape
-        self.work = _LstdWorkspace(n, m)
-        self.error = None
-        try:
-            self.work.load(*rollout_source(self.K0), self.K0)
-            self.work.factorize()
-        except NumericalError as exc:
-            self.error = exc
-            return
-        Z = self.work.Z
-        self.theta_x = self.work.solve(_quadratic_form(Z[:n].T, self.Q_x))
-        self.theta_u = self.work.solve(_quadratic_form(Z[n:].T, np.eye(m)))
-
-
 def lqrl_policy_iteration(start: _CachedStart, q_u: float,
                           max_iters: int = 50) -> np.ndarray:
     """Model-free LQ policy iteration on one-step transition data from
@@ -434,12 +405,13 @@ def lqrl_policy_iteration(start: _CachedStart, q_u: float,
     z' random given z, it is biased by the double-sampling problem
     (Sutton & Barto, Reinforcement Learning, 2018, section 11.5).  The
     first step is the start's theta_x + q_u theta_u, so nothing is
-    collected under K0.  Every later step is regressed feature-major on
-    the start's workspace (:class:`_LstdWorkspace`): each of the
+    collected under K0.  Every later step is regressed feature-major in
+    the start's buffers (:meth:`_CachedStart.factorize`): each of the
     p = d(d+1)/2 regressor rows (d = n + m) is formed over all N samples
     at once, in the same elementwise operations and order as a
-    sample-major N x p feature matrix, and solved from its p x p normal
-    equations with one refinement step (:meth:`_LstdWorkspace.regress`).
+    sample-major N x p feature matrix, and the stage cost
+    (:func:`_quadratic_form`) is solved from the p x p normal equations
+    with one refinement step (:meth:`_CachedStart.solve`).
     Raises :class:`EstimationError` when those equations are numerically
     singular (too little excitation), and the start's own failure, if it
     has one.  An improvement step whose behavior policy makes the
@@ -452,7 +424,7 @@ def lqrl_policy_iteration(start: _CachedStart, q_u: float,
     call ended.
     """
     tol = 1e-6
-    K, work = start.K0, start.work
+    K = start.K0
     m, n = K.shape
     Q_u = q_u * np.eye(m)
     outcome, i = "raised", 0
@@ -462,14 +434,16 @@ def lqrl_policy_iteration(start: _CachedStart, q_u: float,
         theta = start.theta_x + q_u * start.theta_u
         for i in range(1, max_iters + 1):
             if i > 1:
-                theta = work.regress(start.Q_x, Q_u)
+                start.factorize()
+                theta = start.solve(_quadratic_form(start.Z[:n].T, start.Q_x)
+                                    + _quadratic_form(start.Z[n:].T, Q_u))
             K_new = _greedy_gain(theta, n, m)
             for _ in range(8):
                 if np.abs(K_new - K).max() < tol:
                     outcome = "converged"
                     return K_new
                 try:
-                    work.load(*start.source(K_new), K_new)
+                    start.load(*start.source(K_new), K_new)
                     break
                 except PolicyIterationError:
                     K_new = 0.5 * (K + K_new)

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Real
 
 import numpy as np
 
@@ -42,8 +43,14 @@ V_DIVERGED = 1.0e3
 V_EPS = 0.1
 
 
-def _check_road_loads(p) -> None:
-    # Negated, so that NaN fails too: a negative load would pay for driving.
+def _check_params(p) -> None:
+    """Raise ``ValueError`` unless every parameter is a finite real and the
+    road loads are physical."""
+    for f in fields(p):
+        value = getattr(p, f.name)
+        if not (isinstance(value, Real) and math.isfinite(value)):
+            raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+    # A negative load would pay for driving.
     if not (p.rho_a >= 0 and p.c_d >= 0 and p.A_f >= 0 and p.c_r >= 0 and p.g > 0):
         raise ValueError("rho_a, c_d, A_f and c_r must be non-negative and g positive")
 
@@ -62,9 +69,9 @@ class TruckParams:
     T_m: float = 1.0       # motor torque time constant [s]
 
     def __post_init__(self):
+        _check_params(self)
         if not (self.m > 0 and self.R > 0 and self.T_m >= 0):
             raise ValueError("m, R must be positive and T_m non-negative")
-        _check_road_loads(self)
 
 
 @dataclass(frozen=True)
@@ -82,13 +89,13 @@ class CarParams:
     a_lim: float = 3.0         # acceleration magnitude bound [m/s^2]
 
     def __post_init__(self):
+        _check_params(self)
         if not self.m > 0:
             raise ValueError("m must be positive")
         if self.u_min >= self.u_max:
             raise ValueError("u_min must be below u_max")
         if not self.a_lim > 0:
             raise ValueError("a_lim must be positive")
-        _check_road_loads(self)
 
 
 @dataclass(frozen=True)
@@ -263,7 +270,6 @@ class Trajectory:
     u_s: np.ndarray
     du: np.ndarray
     P: np.ndarray
-    u_m: np.ndarray | None = None   # realized motor torque (truck), not serialized
     n_velocity_clamps: int = 0
 
     def __post_init__(self):
@@ -316,12 +322,12 @@ def simulate(params: TruckParams | CarParams, controller, slope: PositionProfile
     gen, regen = efficiency
     dt = h / substeps
     t = np.arange(n + 1) * h
-    s, v, u_arr, us_arr, du_arr, um_arr = (np.empty(n + 1) for _ in range(6))
+    s, v, u_arr, us_arr, du_arr = (np.empty(n + 1) for _ in range(5))
     clamps = 0
 
     sk, vk, umk = float(x0.s), float(x0.v), float(x0.u_m)
     for k in range(n):
-        s[k], v[k], um_arr[k] = sk, vk, umk
+        s[k], v[k] = sk, vk
         u_raw, u_sat, du = controller(k, sk, vk)
         if not (math.isfinite(u_raw) and math.isfinite(u_sat)):
             raise SimulationDivergence(f"non-finite command at step {k}")
@@ -339,10 +345,10 @@ def simulate(params: TruckParams | CarParams, controller, slope: PositionProfile
         # Negated <= so that a NaN velocity raises as well.
         if not abs(vk) <= V_DIVERGED or not math.isfinite(sk):
             raise SimulationDivergence(f"velocity diverged at t={(k + 1) * h:.3f}")
-    s[n], v[n], um_arr[n] = sk, vk, umk
+    s[n], v[n] = sk, vk
     # Hold the last command in the terminal sample so columns stay aligned.
     for col in (u_arr, us_arr, du_arr):
         col[n] = col[n - 1] if n > 0 else 0.0
     P = step_efficiency(us_arr, gen, regen) * us_arr * v
     return Trajectory(t=t, s=s, v=v, u=u_arr, u_s=us_arr, du=du_arr, P=P,
-                      u_m=um_arr if is_truck else None, n_velocity_clamps=clamps)
+                      n_velocity_clamps=clamps)

@@ -115,11 +115,22 @@ class TestConfigFiles:
         sc = config.scenario_from_config({"vlim.breakpoints": "0:25, 100:1000"})
         assert sc.v_limit.values[-1] == plant.V_DIVERGED
 
-    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("plant_type, key", FLOAT_KEYS)
     def test_rejects_non_finite_floats(self, plant_type, key, bad):
-        with pytest.raises(ConfigError, match=f"bad value for {key}: '{bad}'"):
+        # The text parses; the scenario or the plant type refuses the value,
+        # as each does when it is built directly.
+        plant = key.startswith("plant.")
+        name = key.removeprefix("plant.") if plant else config._KEYS[key][0]
+        message = f"^{name} must be a finite number, got {bad}$"
+        with pytest.raises(ConfigError, match=message):
             config.scenario_from_config({"plant.type": plant_type, key: bad})
+        if plant:
+            with pytest.raises(ValueError, match=message):
+                {"truck": TruckParams, "car": CarParams}[plant_type](**{name: float(bad)})
+        else:
+            with pytest.raises(ConfigError, match=message):
+                replace(DEFAULTS[plant_type](), **{name: float(bad)})
 
     # Each would let the vehicle earn energy by driving, or (a_lim) stop the
     # car from moving, or has no physical meaning (m, R, T_m); NaN fails too
@@ -164,7 +175,8 @@ DEFAULTS = {"truck": config.default_truck_scenario, "car": config.default_car_sc
 # (plant.type, key) of every config key and plant override.
 CONFIG_KEYS = [(kind, key) for kind in DEFAULTS for key in config._KEYS] + PLANT_KEYS
 # Edge values; 1e19 is written as an integer, so that the count keys parse it.
-EDGE_TEXTS = ["0", "1e-300", "-1e-300", "1e300", "-1e300", "-1", str(10 ** 19), "nan"]
+EDGE_TEXTS = ["0", "1e-300", "-1e-300", "1e300", "-1e300", "-1", str(10 ** 19), "nan", "inf",
+              "-inf"]
 
 
 def config_text(sc, key):
@@ -208,8 +220,7 @@ class TestOneValidatedScenario:
         except ConfigError:
             from_config = None
         plant = key.startswith("plant.")
-        name, parser = (key.removeprefix("plant."), config._parse_float) if plant \
-            else config._KEYS[key]
+        name, parser = (key.removeprefix("plant."), float) if plant else config._KEYS[key]
         try:
             value = parser(text)
         except (ValueError, TypeError, ConfigError):
@@ -228,11 +239,13 @@ class TestOneValidatedScenario:
     @pytest.mark.parametrize("kind", DEFAULTS)
     @pytest.mark.parametrize("name, value", [
         ("to_n", 50.0), ("grid_n", 11.0), ("sim_substeps", 2.0), ("seed", 1.5),
-        ("slope", None), ("v_limit", None)])
+        ("slope", None), ("v_limit", None), ("est_mask", None), ("T_f", "1000"),
+        ("to_u_lim", "none"), ("name", None), ("est_mask", (1, 1, 0, 1, 1, 0))])
     def test_replace_refuses_a_wrong_type(self, kind, name, value):
-        # A config file parses counts with int and profiles with parse_pairs,
-        # so only replace can hand these over; a stage would die on them.
-        with pytest.raises(ConfigError, match=name):
+        # A config file parses counts with int, floats with float, masks to
+        # six bools and profiles with parse_pairs, so only replace can hand
+        # these over; a stage or the report would die on them.
+        with pytest.raises(ConfigError, match=name.removeprefix("est_")):
             replace(DEFAULTS[kind](), **{name: value})
 
 

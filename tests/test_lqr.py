@@ -228,13 +228,13 @@ def former_linear_rollouts(A, B, n_samples=600, n_obs=None, episode_len=20,
     return source
 
 
-def former_factorize(work):
-    """Reference :meth:`lqr._LstdWorkspace.factorize`: each regressor row
+def former_factorize(start):
+    """Reference :meth:`lqr._CachedStart.factorize`: each regressor row
     formed in five passes as (z_i c) z_j - (zn_i c) zn_j, with the factor
     c = 1 on the diagonal and 2 off it, then G^-1 as shipped."""
-    Z, Zn, psi, row = work.Z, work.Zn, work.psi, work.row
-    factor = np.where(work.I == work.J, 1.0, 2.0)
-    for k, (i, j, c) in enumerate(zip(work.I, work.J, factor)):
+    Z, Zn, psi, row = start.Z, start.Zn, start.psi, start.row
+    factor = np.where(start.I == start.J, 1.0, 2.0)
+    for k, (i, j, c) in enumerate(zip(start.I, start.J, factor)):
         np.multiply(Z[i], c, out=psi[k])
         psi[k] *= Z[j]
         np.multiply(Zn[i], c, out=row)
@@ -257,7 +257,7 @@ def former_factorize(work):
             f"Q-function regression is numerically singular (reciprocal "
             f"condition {w[0] / w[-1]:.3g}): more excitation required")
     Li = np.linalg.inv(L)
-    work.G_inv = (Li.T @ Li) * s * s[:, None]
+    start.G_inv = (Li.T @ Li) * s * s[:, None]
 
 
 def former_find_boundary(margin, lo, g_lo, hi, g_hi, max_evals):
@@ -432,6 +432,16 @@ def random_cost(rng, n, m):
     G = rng.normal(size=(n, int(rng.integers(1, n + 1))))
     H = rng.normal(size=(m, m))
     return G @ G.T, H @ H.T + 0.1 * np.eye(m)
+
+
+def fixed_start(X, U, Xn, K0, Q_x):
+    """A start on one fixed batch, collected under K0.  Singular normal
+    equations stay in its ``error``, as every start keeps them; any other
+    failure of the batch raises."""
+    start = lqr._CachedStart(lambda K: (X, U, Xn), K0, Q_x)
+    if start.error is not None and not isinstance(start.error, EstimationError):
+        raise start.error
+    return start
 
 
 def policy_iteration_from(rollout_source, K0, Q_x, q_u, max_iters=50):
@@ -930,13 +940,9 @@ class TestPolicyIteration:
         # Scaled states, with the gain that gives the same inputs.
         D = 10.0 ** rng.uniform(-log_scale, log_scale, size=n_obs)
         Q_x, Q_u = random_cost(rng, n_obs, m)
-        work = lqr._LstdWorkspace(n_obs, m)
-        work.load(X * D, U, Xn * D, K / D)
-        try:
-            theta = work.regress(Q_x, Q_u)
-        except EstimationError:
-            theta = None
-        psi, rho = work.psi, stage(Q_x, Q_u, X * D, U)
+        start = fixed_start(X * D, U, Xn * D, K / D, Q_x)
+        psi, rho = start.psi, stage(Q_x, Q_u, X * D, U)
+        theta = None if start.error is not None else start.solve(rho)
         g = np.linalg.norm(psi, axis=1)
         eps = np.finfo(float).eps
         if not (g > 0.0).all():
@@ -982,21 +988,18 @@ class TestPolicyIteration:
         X, U, Xn = source(K)
         D = 10.0 ** rng.uniform(-log_scale, log_scale, size=n)
         Q_x, Q_u = random_cost(rng, n, m)
-        work = lqr._LstdWorkspace(n, m)
-        work.load(X * D, U, Xn * D, K / D)
-        try:
-            work.factorize()
-        except EstimationError:
+        start = fixed_start(X * D, U, Xn * D, K / D, Q_x)
+        if start.error is not None:
             return
-        theta = work.solve(stage(Q_x, Q_u, X, U))
+        theta = start.solve(stage(Q_x, Q_u, X, U))
         M = Q_x + K.T @ Q_u @ K
         P = np.linalg.solve(np.eye(n * n) - np.kron(F.T, F.T), M.ravel()).reshape(n, n)
         S = np.block([[Q_x + A.T @ P @ A, A.T @ P @ B],
                       [B.T @ P @ A, Q_u + B.T @ P @ B]])
         T = np.concatenate([1.0 / D, np.ones(m)])
         exact = (S * T * T[:, None])[np.triu_indices(n + m)]
-        g = np.linalg.norm(work.psi, axis=1)
-        sv = np.linalg.svd(work.psi.T / g, compute_uv=False)
+        g = np.linalg.norm(start.psi, axis=1)
+        sv = np.linalg.svd(start.psi.T / g, compute_uv=False)
         rcond = (sv[-1] / sv[0]) ** 2
         eps = np.finfo(float).eps
         assume(rcond >= eps ** (2.0 / 3.0))
@@ -1031,18 +1034,17 @@ class TestPolicyIteration:
         q = 10.0 ** log_q
         Q_x, _ = random_cost(rng, n_obs, m)
         start = lqr._CachedStart(source, K0, Q_x)
-        work = lqr._LstdWorkspace(n_obs, m)
-        work.load(*source(K0), K0)
-        try:
-            theta = work.regress(Q_x, q * np.eye(m))
-        except EstimationError:
+        X, U, Xn = source(K0)
+        direct = fixed_start(X, U, Xn, K0, Q_x)
+        if direct.error is not None:
             with pytest.raises(EstimationError):
                 lqr.lqrl_policy_iteration(start, q)
             return
+        theta = direct.solve(stage(Q_x, q * np.eye(m), X, U))
         # The first step of every call from the start.
         cached = start.theta_x + q * start.theta_u
-        g = np.linalg.norm(work.psi, axis=1)
-        w = np.linalg.eigvalsh((work.psi / g[:, None]) @ (work.psi / g[:, None]).T)
+        g = np.linalg.norm(direct.psi, axis=1)
+        w = np.linalg.eigvalsh((direct.psi / g[:, None]) @ (direct.psi / g[:, None]).T)
         scale = np.linalg.norm(g * start.theta_x) + q * np.linalg.norm(g * start.theta_u)
         err = np.linalg.norm(g * (cached - theta))
         assert err * w[0] <= 4 * p * np.finfo(float).eps * w[-1] * scale
@@ -1063,7 +1065,7 @@ class TestPolicyIteration:
                                      seed=seed)
         counted = CountingSource(source)
         start = lqr._CachedStart(counted, K0, Q_x)
-        psi = start.work.psi
+        psi = start.psi
         g = np.linalg.norm(psi, axis=1)
         w = np.linalg.eigvalsh((psi / g[:, None]) @ (psi / g[:, None]).T)
         K = lqr.lqrl_policy_iteration(start, q_u)
@@ -1114,6 +1116,21 @@ class TestPolicyIteration:
         with pytest.raises(PolicyIterationError, match="damping"):
             lqr.lqrl_policy_iteration(failing, 1.0)
         assert (failing.outcome, failing.iterations) == ("raised", 1)
+
+    def test_calls_from_a_start_reuse_its_buffers(self):
+        # The buffers are sized once from the K0 batch: every call from the
+        # start loads, factorizes and solves its later batches in them.
+        A, B, _ = lqr.servo_plant(0.0)
+        source = lqr.linear_rollouts(A, B, n_samples=2400, n_obs=2, episode_len=400,
+                                     seed=3)
+        start = lqr._CachedStart(source, np.array([[1.0, 1.0]]), np.diag([1.0, 0.0]))
+        buffers = start.Z, start.Zn, start.psi, start.row
+        assert [b.shape for b in buffers] == [(3, 2400), (3, 2400), (6, 2400), (2400,)]
+        for q_u in (1.0, 1e-3, 100.0, 1.0):
+            lqr.lqrl_policy_iteration(start, q_u)
+            assert start.outcome == "converged" and start.iterations > 1
+            assert all(a is b for a, b in zip((start.Z, start.Zn, start.psi, start.row),
+                                               buffers))
 
     @pytest.mark.parametrize("n_samples, zero_state", [(1, False), (5, False), (50, True)])
     def test_singular_regression_raises_without_warnings(self, n_samples, zero_state):
@@ -1642,21 +1659,15 @@ class TestFormerKernels:
         X, Xn = (rng.normal(size=(N, n)) * D[:n] for _ in range(2))
         U = rng.normal(size=(N, m)) * D[n:]
         K = rng.normal(size=(m, n)) * D[n:, None] / D[:n]
-        works = []
-        for factorize in (lqr._LstdWorkspace.factorize, former_factorize):
-            work = lqr._LstdWorkspace(n, m)
-            work.load(X, U, Xn, K)
-            try:
-                factorize(work)
-            except EstimationError as exc:
-                works.append((work, str(exc)))
-            else:
-                works.append((work, None))
-        (work, error), (ref, ref_error) = works
-        assert error == ref_error
-        np.testing.assert_array_equal(work.psi, ref.psi)
-        if error is None:
-            np.testing.assert_array_equal(work.G_inv, ref.G_inv)
+        starts = []
+        for factorize in (lqr._CachedStart.factorize, former_factorize):
+            with mock.patch.object(lqr._CachedStart, "factorize", factorize):
+                starts.append(fixed_start(X, U, Xn, K, np.eye(n)))
+        start, ref = starts
+        assert str(start.error) == str(ref.error)
+        np.testing.assert_array_equal(start.psi, ref.psi)
+        if start.error is None:
+            np.testing.assert_array_equal(start.G_inv, ref.G_inv)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_sweep_rows_equal_former_draws_and_features(self, seed):
@@ -1666,7 +1677,7 @@ class TestFormerKernels:
         with mock.patch.object(lqr, "_find_boundary", former_find_boundary):
             rows = lqr.robustness_sweep((0.2, 0.0), seed=seed)
             with mock.patch.object(lqr, "linear_rollouts", former_linear_rollouts), \
-                    mock.patch.object(lqr._LstdWorkspace, "factorize", former_factorize):
+                    mock.patch.object(lqr._CachedStart, "factorize", former_factorize):
                 ref = lqr.robustness_sweep((0.2, 0.0), seed=seed)
         assert [row.method for row in rows] == ["model-based", "model-free"] * 2
         assert rows == ref

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from modru.errors import SimulationDivergence
 from modru.plant import (V_DIVERGED, V_EPS, CarParams, PlantState, PositionProfile,
-                         Trajectory, TruckParams, _car_rhs, _truck_rhs, simulate,
-                         step_efficiency)
+                         Trajectory, TruckParams, _car_rhs, _rk4, _truck_rhs,
+                         simulate, step_efficiency)
 from modru.tables import read_csv
 
 FLAT = PositionProfile([0.0], [0.0], "constant")
@@ -100,20 +100,23 @@ class TestTruck:
         np.testing.assert_allclose(traj.v, 20.0, atol=1e-9)
 
     def test_motor_lag_first_order(self):
-        # With v pinned by a balance torque step, u_m approaches the
-        # command as 1 - exp(-t / T_m).
+        # A torque step of 1000 N m from u_m = 0: u_m approaches the
+        # command as 1 - exp(-t / T_m), over 40 intervals of h = 0.05 s with
+        # four RK4 substeps each.
         p = TruckParams(T_m=2.0)
-        traj = simulate(p, open_loop(np.full(100, 1000.0)), FLAT,
-                        PlantState(s=0.0, v=5.0, u_m=0.0), h=0.05, n=100, substeps=4)
-        expect = 1000.0 * (1.0 - math.exp(-traj.t[40] / p.T_m))
-        assert traj.u_m[40] == pytest.approx(expect, rel=1e-6)
+        _, _, u_m = _rk4(_truck_rhs(p, FLAT.at), 0.0, 5.0, 0.0, 1000.0, 0.0125, 160)
+        assert u_m == pytest.approx(1000.0 * (1.0 - math.exp(-2.0 / p.T_m)), rel=1e-6)
 
     def test_lag_free_limit_tracks_command(self):
-        # u_m[0] logs the initial state; tracking starts one sample in
+        # Without a lag the motor torque is the command from the first
+        # interval on, whatever u_m the run starts from.
         p = TruckParams(T_m=0.0)
         traj = simulate(p, open_loop(np.full(10, 500.0)), FLAT,
                         PlantState(s=0.0, v=10.0, u_m=0.0), h=0.5, n=10)
-        np.testing.assert_allclose(traj.u_m[1:], 500.0)
+        rhs = _truck_rhs(p, FLAT.at)
+        for k in range(10):
+            s, v, u_m = _rk4(rhs, float(traj.s[k]), float(traj.v[k]), 500.0, 500.0, 0.5, 1)
+            assert (s, v, u_m) == (traj.s[k + 1], traj.v[k + 1], 500.0)
 
     def test_gravity_decelerates_uphill(self):
         p = TruckParams()
@@ -264,14 +267,11 @@ def oracle_simulate(params, controller, slope, x0, h, n, substeps, efficiency):
     u_arr = np.zeros(n + 1)
     us_arr = np.zeros(n + 1)
     du_arr = np.zeros(n + 1)
-    um_arr = np.zeros(n + 1) if is_truck else None
     clamps = 0
 
     sk, vk, umk = float(x0.s), float(x0.v), float(x0.u_m)
     for k in range(n + 1):
         s[k], v[k] = sk, vk
-        if is_truck:
-            um_arr[k] = umk
         if k == n:
             break
         u_raw, u_sat, du = controller(k, sk, vk)
@@ -299,7 +299,7 @@ def oracle_simulate(params, controller, slope, x0, h, n, substeps, efficiency):
         u_arr[n], us_arr[n], du_arr[n] = u_arr[n - 1], us_arr[n - 1], du_arr[n - 1]
     P = step_efficiency(us_arr, gen, regen) * us_arr * v
     return Trajectory(t=t, s=s, v=v, u=u_arr, u_s=us_arr, du=du_arr, P=P,
-                      u_m=um_arr, n_velocity_clamps=clamps)
+                      n_velocity_clamps=clamps)
 
 
 PLANTS = st.one_of(st.sampled_from([0.0, 0.3, 1.0, 4.0]).map(lambda T_m: TruckParams(T_m=T_m)),
@@ -438,8 +438,4 @@ class TestBitEquality:
         for name in ("t", "s", "v", "u", "u_s", "du", "P"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
                                           err_msg=name)
-        if want.u_m is None:
-            assert got.u_m is None
-        else:
-            np.testing.assert_array_equal(got.u_m, want.u_m)
         assert got.n_velocity_clamps == want.n_velocity_clamps
