@@ -34,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "robustness":
             p.add_argument("--taus", default="0.2,0.1,0.05,0.02,0.01,0",
                            help="comma separated parasitic time constants")
-            p.add_argument("--methods", default="model-based,model-free")
+            p.add_argument("--methods", default=",".join(lqr.METHODS))
         else:
             p.add_argument("--config", default=None, help="key = value config file")
     return parser

@@ -1,14 +1,14 @@
 """Discrete-time LQ design, data-driven policy iteration, and a
 robustness benchmark comparing model-based and model-free tuning.
 
-The model-free route estimates the quadratic Q-function of the current
-policy by least squares on one-step transition data and improves the
-policy from the Q-function blocks; no plant model is formed.  It runs
-from a :class:`_CachedStart`, which regresses the batch under the start
-gain once for every input weight, and every later batch in its own
-buffers.  The model-based route fits a low-order state-space model to
-the same kind of data (:func:`estimate_ss`) and solves the Riccati
-equation on it.  Both are scored on the true plant through the
+A tuning route (:data:`ROUTES`) maps an input weight to a gain and how
+its design ended.  The model-free route estimates the quadratic
+Q-function of the current policy by least squares on one-step transition
+data and improves the policy from its blocks, from a :class:`_CachedStart`
+that regresses the batch under the start gain once for every weight.
+The model-based route fits a state-space model to the same kind of data
+(:func:`estimate_ss`) and solves the Riccati equation on it.  One search
+(:func:`_search`) scores either route on the true plant through the
 sensitivity peaks M_S, M_T and the step-response rise time.
 """
 
@@ -27,8 +27,6 @@ from .errors import EstimationError, NumericalError, PolicyIterationError
 # Robustness constraints used by the benchmark sweep.
 MS_MAX = 1.7
 MT_MAX = 1.3
-# Tuning routes of the sweep.
-METHODS = ("model-based", "model-free")
 # Bracket width in log10 Q_u at which the sweep's boundary search stops.
 BOUNDARY_TOL = 1e-12
 # Steps per block in the closed-loop evaluation of _block_states.
@@ -111,9 +109,9 @@ class RobustnessRow:
     feasible: bool = True
     # (Q_u, t_r, feasible, outcome, iterations) evaluations recorded during
     # the walk-down and the boundary search, in evaluation order.  outcome
-    # is how the design's policy iteration ended ("converged", "max_iters"
-    # or "raised") after that many iterations; None and 0 on the
-    # model-based route, which runs none.
+    # and iterations are the route's own account of how the design ended:
+    # its policy iteration's "converged", "max_iters" or "raised" after that
+    # many iterations, or None and 0 on the model-based route.
     trace: list = field(default_factory=list, repr=False)
 
 
@@ -288,16 +286,13 @@ class _CachedStart:
     from it once: Z and Zn hold the samples [x; u] and [x+; -K x+] as rows
     (d x N, d = n + m), psi the p regressor rows and row a scratch row.
     A failure of the batch (a diverging rollout or singular normal
-    equations) is kept and raised by every such call.  Each call records
-    how it ended in ``outcome`` ("converged", "max_iters" or "raised")
-    and ``iterations``.
+    equations) is kept and raised by every such call.
     """
 
     def __init__(self, rollout_source, K0: np.ndarray, Q_x: np.ndarray):
         self.source = rollout_source
         self.K0 = np.atleast_2d(np.asarray(K0, dtype=float))
         self.Q_x = np.atleast_2d(np.asarray(Q_x, dtype=float))
-        self.outcome, self.iterations = None, 0
         m, n = self.K0.shape
         self.I, self.J = _triu_maps(n + m)
         self.error = None
@@ -383,7 +378,7 @@ class _CachedStart:
 
 
 def lqrl_policy_iteration(start: _CachedStart, q_u: float,
-                          max_iters: int = 50) -> np.ndarray:
+                          max_iters: int = 50) -> tuple[np.ndarray, str, int]:
     """Model-free LQ policy iteration on one-step transition data from
     ``start`` for the cost x' Q_x x + q_u u'u, Q_x the start's.
 
@@ -420,14 +415,16 @@ def lqrl_policy_iteration(start: _CachedStart, q_u: float,
     fixed point is unchanged).  Stops when the gain change drops below
     1e-6 (max-abs) or after ``max_iters`` iterations.  A converged gain is
     returned without collecting data under it, so it is returned even
-    where that rollout would have diverged.  The start records how the
-    call ended.
+    where that rollout would have diverged.  Returns (K, "converged", i)
+    or (K, "max_iters", i) after i iterations; a raised
+    :class:`NumericalError` carries ``ended = ("raised", i)``, i the
+    iteration that raised (0 for the start's failure).
     """
     tol = 1e-6
     K = start.K0
     m, n = K.shape
     Q_u = q_u * np.eye(m)
-    outcome, i = "raised", 0
+    i = 0
     try:
         if start.error is not None:
             raise start.error.with_traceback(None)
@@ -440,8 +437,7 @@ def lqrl_policy_iteration(start: _CachedStart, q_u: float,
             K_new = _greedy_gain(theta, n, m)
             for _ in range(8):
                 if np.abs(K_new - K).max() < tol:
-                    outcome = "converged"
-                    return K_new
+                    return K_new, "converged", i
                 try:
                     start.load(*start.source(K_new), K_new)
                     break
@@ -451,10 +447,10 @@ def lqrl_policy_iteration(start: _CachedStart, q_u: float,
                 raise PolicyIterationError(
                     "improved policy diverges even after step damping")
             K = K_new
-        outcome = "max_iters"
-        return K
-    finally:
-        start.outcome, start.iterations = outcome, i
+        return K, "max_iters", i
+    except NumericalError as exc:
+        exc.ended = ("raised", i)
+        raise
 
 
 def _block_states(F: np.ndarray, B: np.ndarray, x0: np.ndarray,
@@ -784,119 +780,123 @@ def _find_boundary(margin, lo: float, g_lo: float, hi: float, g_hi: float,
     return hi
 
 
+def _model_based_route(A, B, Q_x, seeds):
+    """The model-based route on the true plant A, B: a model of the states
+    that Q_x weights, fitted once (:func:`estimate_ss`) to 1500 samples of
+    excitation from ``seeds[0]`` (:func:`_excitation_data`).  A design is
+    the model's Riccati gain (:func:`dare_solve`): (K, None, 0)."""
+    X, U, Xn = _excitation_data(A, B, len(Q_x), 1500, seeds[0])
+    A2, B2 = estimate_ss(X, U, Xn)
+    return lambda q_u: (dare_solve(A2, B2, Q_x, [[q_u]])[0], None, 0)
+
+
+def _model_free_route(A, B, Q_x, seeds):
+    """The model-free route on the true plant A, B: policy iteration on
+    9600 samples per step of the states that Q_x weights, all from one pure
+    rollout source (:func:`linear_rollouts`) on ``seeds[1]``, which draws
+    its initial states and noise once and re-simulates them under each
+    gain.  The route is thus a fixed function of Q_u: its one
+    :class:`_CachedStart` regresses the batch under the start gain K0 =
+    [1, 1] once, and a design is a :func:`lqrl_policy_iteration` call.
+    K0 is mild and known to stabilize; zero gain would leave the
+    integrator mode marginal."""
+    source = linear_rollouts(A, B, n_samples=9600, n_obs=len(Q_x), episode_len=400,
+                             seed=seeds[1])
+    start = _CachedStart(source, np.array([[1.0, 1.0]]), Q_x)
+    return lambda q_u: lqrl_policy_iteration(start, q_u)
+
+
+# Route builders of the sweep, from the true plant A, B, the state weight
+# Q_x and the tau's seed pair to a route: q_u -> (K, outcome, iterations).
+ROUTES = {"model-based": _model_based_route, "model-free": _model_free_route}
+METHODS = tuple(ROUTES)
+
+
+def _search(route, plant, resp, h: float, lo: float, hi: float, bisect_steps: int):
+    """Search a route's control penalty Q_u on a log scale for the boundary
+    where one of M_S <= 1.7, M_T <= 1.3 activates on the true plant
+    ``plant`` = (A, B, C), sampled at h, of :func:`loop_response` ``resp``.
+    From the large (robust) end hi (lo < hi, in log10 Q_u) the search walks
+    down in decades, the last step shortened to end at lo, to the first
+    feasible design, then runs Brent's zero finder (:func:`_find_boundary`)
+    on the margin max(M_S - 1.7, M_T - 1.3), bisecting on its first step
+    and wherever a design has no margin (it failed or is unstable), until
+    the bracket is narrower than ``BOUNDARY_TOL`` decades, in at most
+    ``bisect_steps`` evaluations.  Returns (log_qu, (margin, t_r, M_S,
+    M_T), feasible, trace) of the feasible design with the smallest Q_u
+    or, if the walk-down finds none down to lo, of the design at lo.
+    """
+    A, B, C = plant
+    trace, designs = [], {}
+
+    def evaluate(log_qu):
+        """(margin, t_r, M_S, M_T) of the design at log10 Q_u; the margin is
+        +inf where the design failed or has no peaks."""
+        q_u = 10.0 ** log_qu
+        g = t_r = m_s = m_t = math.inf
+        ended = (None, 0)
+        try:
+            K, *ended = route(q_u)
+            Kf = _pad_gain(K, A.shape[0])
+            if spectral_radius(A - B @ Kf) >= 1.0:
+                raise NumericalError("unstable on true plant")
+            m_s, m_t = sensitivity_metrics(resp, Kf)
+            if math.isfinite(m_s) and math.isfinite(m_t):
+                g = max(m_s - MS_MAX, m_t - MT_MAX)
+            if g <= 0.0:
+                # An over-detuned but margin-respecting design may crawl;
+                # treat it as feasible with unmeasurable t_r so the search
+                # can still move toward smaller Q_u.
+                t_r = rise_time(A, B, Kf, C, h)
+        except NumericalError as exc:
+            ended = getattr(exc, "ended", ended)
+        trace.append((q_u, t_r, g <= 0.0, *ended))
+        designs[log_qu] = (g, t_r, m_s, m_t)
+        return designs[log_qu]
+
+    # The extreme detuned end can defeat the learned route (the optimal gain
+    # tends to zero, leaving the integrator mode marginal), so walk down in
+    # decades to the first design that evaluates cleanly, and anchor there.
+    log_qu = hi
+    while evaluate(log_qu)[0] > 0.0 and log_qu > lo:
+        log_qu = max(log_qu - 1.0, lo)
+    g_hi = designs[log_qu][0]
+    if g_hi <= 0.0 and log_qu > lo:
+        g_lo = evaluate(lo)[0]
+        log_qu = lo if g_lo <= 0.0 else _find_boundary(
+            lambda x: evaluate(x)[0], lo, g_lo, log_qu, g_hi, bisect_steps)
+    return log_qu, designs[log_qu], g_hi <= 0.0, trace
+
+
 def robustness_sweep(taus, methods=METHODS,
                      log_qu_range: tuple[float, float] = (-6.0, 6.0),
                      bisect_steps: int = 60, seed: int = 0) -> list[RobustnessRow]:
-    """Tune the servo benchmark (sampled at h = 0.1 s) for each tau by both
-    routes: a model fitted to 1500 excitation samples (:func:`estimate_ss`),
-    or policy iteration on 9600 samples per step.
-
-    For every ``tau`` the control penalty Q_u is searched on a log scale
-    for the boundary where one of the constraints M_S <= 1.7, M_T <= 1.3
-    activates on the true plant.  From the large (robust) end of
-    ``log_qu_range`` (lo < hi) the search walks down in decades, the last
-    step shortened to end at lo, to the first feasible design, then runs
-    Brent's zero finder (:func:`_find_boundary`) on the margin
-    max(M_S - 1.7, M_T - 1.3), bisecting on its first step and wherever a
-    design has no margin (it failed or is unstable), until the bracket is
-    narrower than ``BOUNDARY_TOL`` decades, in at most ``bisect_steps``
-    evaluations.
-    The true plant's frequency response is built once per tau and shared
-    by both routes' designs.  The row describes the feasible design with
-    the smallest Q_u or, if the walk-down finds none down to lo, the
-    design at lo (``feasible=False``).  The learned/designed gain feeds
-    back only the two modeled states.
-
-    One ``random.Random(seed)`` draws two seeds per tau, each by
-    ``getrandbits(32)``: the first drives the model-based excitation
-    (:func:`_excitation_data`), the second one pure rollout source
-    (:func:`linear_rollouts`) that every model-free evaluation and policy
-    iteration of the row draws from; the source draws its initial states
-    and noise once and re-simulates them under each gain.  A model-free
-    row is therefore a fixed function of Q_u: its one
-    :class:`_CachedStart` collects and regresses the batch under the start
-    gain K0 = [1, 1] once, and every design is a
-    :func:`lqrl_policy_iteration` call from it.
+    """One row per tau and method: the servo benchmark (sampled at h = 0.1
+    s) tuned by each route of ``methods`` (:data:`ROUTES`) and searched
+    over ``log_qu_range`` (:func:`_search`).  The true plant's frequency
+    response is built once per tau and shared by every route.  One
+    ``random.Random(seed)`` draws two seeds per tau, each by
+    ``getrandbits(32)``: the model-based route's, then the model-free
+    route's.  An unknown method raises ``ValueError`` before any route is
+    built.
     """
     lo, hi = log_qu_range
     if not lo < hi:
         raise ValueError(f"log_qu_range needs lo < hi, got {log_qu_range}")
+    for method in methods:
+        if method not in ROUTES:
+            raise ValueError(f"unknown method {method!r}")
     h = 0.1
-    n_est_samples = 1500
     rows: list[RobustnessRow] = []
     root = seeded_random(seed)
     for tau in taus:
-        A, B, C = servo_plant(tau, h)
+        A, B, _ = plant = servo_plant(tau, h)
         resp = loop_response(A, B, h)
-        n_full = A.shape[0]
-        n_obs = 2
-        # seeds[0] drives the excitation, seeds[1] every rollout of the row.
         seeds = root.getrandbits(32), root.getrandbits(32)
-        Q_x = np.diag([1.0, 0.0])
-
+        Q_x = np.diag([1.0, 0.0])  # designs feed back the two modeled states
         for method in methods:
-            if method == "model-based":
-                X, U, Xn = _excitation_data(A, B, n_obs, n_est_samples, seeds[0])
-                A2, B2 = estimate_ss(X, U, Xn)
-
-                def make_gain(q_u):
-                    K, _ = dare_solve(A2, B2, Q_x, [[q_u]])
-                    return K
-            elif method == "model-free":
-                source = linear_rollouts(A, B, n_samples=9600, n_obs=n_obs,
-                                         episode_len=400, seed=seeds[1])
-                # Policy iteration needs a stabilizing start; zero gain
-                # leaves the integrator mode marginal, so seed with a mild
-                # known-stable gain instead.  The source is pure, so every
-                # evaluation's first batch is the same and is regressed once.
-                start = _CachedStart(source, np.array([[1.0, 1.0]]), Q_x)
-
-                def make_gain(q_u):
-                    return lqrl_policy_iteration(start, q_u)
-            else:
-                raise ValueError(f"unknown method {method!r}")
-
-            trace = []
-            designs = {}
-
-            def evaluate(log_qu):
-                """(margin, t_r, M_S, M_T) of the design at log10 Q_u; the
-                margin is +inf where the design failed or has no peaks."""
-                q_u = 10.0 ** log_qu
-                g = t_r = m_s = m_t = math.inf
-                try:
-                    Kf = _pad_gain(make_gain(q_u), n_full)
-                    if spectral_radius(A - B @ Kf) >= 1.0:
-                        raise NumericalError("unstable on true plant")
-                    m_s, m_t = sensitivity_metrics(resp, Kf)
-                    if math.isfinite(m_s) and math.isfinite(m_t):
-                        g = max(m_s - MS_MAX, m_t - MT_MAX)
-                    if g <= 0.0:
-                        # An over-detuned but margin-respecting design may
-                        # crawl; treat it as feasible with unmeasurable t_r
-                        # so the search can still move toward smaller Q_u.
-                        t_r = rise_time(A, B, Kf, C, h)
-                except NumericalError:
-                    pass
-                ended = ((start.outcome, start.iterations)
-                         if method == "model-free" else (None, 0))
-                trace.append((q_u, t_r, g <= 0.0) + ended)
-                designs[log_qu] = (g, t_r, m_s, m_t)
-                return designs[log_qu]
-
-            # The extreme detuned end can defeat the learned arm (the
-            # optimal gain tends to zero, leaving the integrator mode
-            # marginal), so walk down in decades to the first design
-            # that evaluates cleanly and anchor the search there.
-            log_qu = hi
-            while evaluate(log_qu)[0] > 0.0 and log_qu > lo:
-                log_qu = max(log_qu - 1.0, lo)
-            g_hi = designs[log_qu][0]
-            if g_hi <= 0.0 and log_qu > lo:
-                g_lo = evaluate(lo)[0]
-                log_qu = lo if g_lo <= 0.0 else _find_boundary(
-                    lambda x: evaluate(x)[0], lo, g_lo, log_qu, g_hi, bisect_steps)
-            _, t_r, m_s, m_t = designs[log_qu]
+            log_qu, (_, t_r, m_s, m_t), feasible, trace = _search(
+                ROUTES[method](A, B, Q_x, seeds), plant, resp, h, lo, hi, bisect_steps)
             rows.append(RobustnessRow(tau, method, t_r, m_s, m_t, 10.0 ** log_qu,
-                                      feasible=g_hi <= 0.0, trace=trace))
+                                      feasible=feasible, trace=trace))
     return rows

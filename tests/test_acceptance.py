@@ -50,8 +50,8 @@ def test_c01_policy_iteration_matches_riccati_on_random_systems():
         K_star, _ = lqr.dare_solve(A, B, np.eye(n), [[1.0]])
         source = lqr.linear_rollouts(A, B, n_samples=600, n_obs=n,
                                      seed=int(rng.integers(2 ** 32)))
-        K = lqr.lqrl_policy_iteration(lqr._CachedStart(source, np.zeros((1, n)), np.eye(n)),
-                                      1.0)
+        K, *_ = lqr.lqrl_policy_iteration(
+            lqr._CachedStart(source, np.zeros((1, n)), np.eye(n)), 1.0)
         worst = max(worst, float(np.linalg.norm(K - K_star, np.inf)))
     elapsed = time.monotonic() - t0
     assert worst < 1e-3

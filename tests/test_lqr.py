@@ -445,9 +445,11 @@ def fixed_start(X, U, Xn, K0, Q_x):
 
 
 def policy_iteration_from(rollout_source, K0, Q_x, q_u, max_iters=50):
-    """The shipped policy iteration from a start built on the source."""
+    """The gain of the shipped policy iteration from a start built on the
+    source."""
     start = lqr._CachedStart(rollout_source, K0, Q_x)
-    return lqr.lqrl_policy_iteration(start, q_u, max_iters=max_iters)
+    K, *_ = lqr.lqrl_policy_iteration(start, q_u, max_iters=max_iters)
+    return K
 
 
 class CountingSource:
@@ -559,6 +561,23 @@ def one_call_sensitivity_metrics(A, B, K, h, n_freq=2048):
         S = np.where(tiny, np.inf, 1.0 / denom)
         T = np.where(tiny, np.inf, np.abs(L) / denom)
     return float(S.max()), float(T.max())
+
+
+# The tau order of the acceptance suite's six-tau ladder (c02 and c03).
+LADDER = (0.2, 0.1, 0.05, 0.02, 0.01, 0.0)
+
+
+def ladder_route(method, seed, tau):
+    """(route, plant, response) of ``method`` at ``tau`` as the ladder sweep
+    of ``seed`` builds them: the tau's seeds are the k-th getrandbits(32)
+    pair of random.Random(seed), k its place in LADDER."""
+    rng = random.Random(seed)
+    for _ in range(LADDER.index(tau) + 1):
+        seeds = rng.getrandbits(32), rng.getrandbits(32)
+    plant = lqr.servo_plant(tau)
+    A, B, _ = plant
+    route = lqr.ROUTES[method](A, B, np.diag([1.0, 0.0]), seeds)
+    return route, plant, lqr.loop_response(A, B, 0.1)
 
 
 def scaled_matrix(rng, n, radius):
@@ -834,7 +853,7 @@ class TestPolicyIteration:
         K_star, _ = lqr.dare_solve(A, B, np.eye(2), [[1.0]])
         start = lqr._CachedStart(lqr.linear_rollouts(A, B, seed=3), np.zeros((1, 2)),
                                  np.eye(2))
-        K = lqr.lqrl_policy_iteration(start, 1.0)
+        K, *_ = lqr.lqrl_policy_iteration(start, 1.0)
         assert np.abs(K - K_star).max() < 1e-6
 
     # Every call converges and saves the rollout under its converged gain;
@@ -1068,12 +1087,12 @@ class TestPolicyIteration:
         psi = start.psi
         g = np.linalg.norm(psi, axis=1)
         w = np.linalg.eigvalsh((psi / g[:, None]) @ (psi / g[:, None]).T)
-        K = lqr.lqrl_policy_iteration(start, q_u)
+        K, outcome, _ = lqr.lqrl_policy_iteration(start, q_u)
         calls = counted.calls - 1
         reference = CountingSource(source)
         K_ref = sample_major_policy_iteration(reference, K0, Q_x, q_u, split_first=False)
         calls_ref = reference.calls
-        assert start.outcome == "converged"
+        assert outcome == "converged"
         assert calls == calls_ref - 1
         p = 6
         assert (np.abs(K - K_ref).max() * w[0]
@@ -1093,29 +1112,31 @@ class TestPolicyIteration:
         for q_u in (1e-3, 1.0, 1e3):
             with pytest.raises(error):
                 sample_major_policy_iteration(source, K0, Q_x, q_u)
-            with pytest.raises(error):
+            with pytest.raises(error) as raised:
                 lqr.lqrl_policy_iteration(start, q_u)
-            assert (start.outcome, start.iterations) == ("raised", 0)
+            assert raised.value.ended == ("raised", 0)
 
-    def test_start_records_how_each_call_ended(self):
+    def test_each_call_returns_how_it_ended(self):
         A, B, _ = lqr.servo_plant(0.0)
         Q_x, K0 = np.diag([1.0, 0.0]), np.array([[1.0, 1.0]])
         source = lqr.linear_rollouts(A, B, n_samples=2400, n_obs=2, episode_len=400,
                                      seed=3)
         start = lqr._CachedStart(source, K0, Q_x)
-
-        def run(q_u, **kwargs):
-            lqr.lqrl_policy_iteration(start, q_u, **kwargs)
-            return start.outcome, start.iterations
-
-        assert run(1.0) == ("converged", 4)
-        assert run(1.0, max_iters=2) == ("max_iters", 2)
+        K, *ended = lqr.lqrl_policy_iteration(start, 1.0)
+        assert ended == ["converged", 4]
+        _, *ended = lqr.lqrl_policy_iteration(start, 1.0, max_iters=2)
+        assert ended == ["max_iters", 2]
+        # The start holds no state of its calls: the first call, repeated,
+        # returns the same gain and ending.
+        assert not hasattr(start, "outcome") and not hasattr(start, "iterations")
+        K_again, *ended = lqr.lqrl_policy_iteration(start, 1.0)
+        assert np.array_equal(K_again, K) and ended == ["converged", 4]
         # Every rollout after the start's diverges: the first improved
         # policy is damped eight times, and the call raises.
         failing = lqr._CachedStart(CountingSource(source, fail_at=2), K0, Q_x)
-        with pytest.raises(PolicyIterationError, match="damping"):
+        with pytest.raises(PolicyIterationError, match="damping") as raised:
             lqr.lqrl_policy_iteration(failing, 1.0)
-        assert (failing.outcome, failing.iterations) == ("raised", 1)
+        assert raised.value.ended == ("raised", 1)
 
     def test_calls_from_a_start_reuse_its_buffers(self):
         # The buffers are sized once from the K0 batch: every call from the
@@ -1127,8 +1148,8 @@ class TestPolicyIteration:
         buffers = start.Z, start.Zn, start.psi, start.row
         assert [b.shape for b in buffers] == [(3, 2400), (3, 2400), (6, 2400), (2400,)]
         for q_u in (1.0, 1e-3, 100.0, 1.0):
-            lqr.lqrl_policy_iteration(start, q_u)
-            assert start.outcome == "converged" and start.iterations > 1
+            _, outcome, iterations = lqr.lqrl_policy_iteration(start, q_u)
+            assert outcome == "converged" and iterations > 1
             assert all(a is b for a, b in zip((start.Z, start.Zn, start.psi, start.row),
                                                buffers))
 
@@ -1430,6 +1451,59 @@ class TestServoBenchmark:
         assert [row.method for row in rows] == ["model-based", "model-free"] * 2
         assert rows == ref
 
+    def test_unknown_method_is_refused_before_any_route_is_built(self):
+        with mock.patch.object(lqr, "_excitation_data",
+                               wraps=lqr._excitation_data) as excitation, \
+                pytest.raises(ValueError, match="'bogus'"):
+            lqr.robustness_sweep((0.0,), methods=("model-based", "bogus"))
+        assert excitation.call_count == 0
+
+    def test_a_test_side_route_plugs_into_the_search(self):
+        # The true tau = 0 plant's own Riccati gain as a route: the
+        # model-based row, whose model is fitted to exact data, designs
+        # the same gain but for rounding and finds the same boundary.
+        plant = lqr.servo_plant(0.0)
+        A, B, _ = plant
+
+        def oracle(q_u):
+            return lqr.dare_solve(A, B, np.diag([1.0, 0.0]), [[q_u]])[0], None, 0
+
+        log_qu, (_, t_r, M_S, M_T), feasible, trace = lqr._search(
+            oracle, plant, lqr.loop_response(A, B, 0.1), 0.1, -6.0, 6.0, 60)
+        row, = lqr.robustness_sweep((0.0,), methods=("model-based",), seed=1)
+        assert feasible and row.feasible
+        assert {e[3:] for e in trace} == {(None, 0)}
+        assert (t_r, M_S, M_T, 10.0 ** log_qu) == pytest.approx(
+            (row.t_r, row.M_S, row.M_T, row.Q_u), rel=1e-9)
+
+    # A model-free row's Q_u agrees to 9 digits at either tolerance, but the
+    # designs there come from policy iteration stopped at max_iters, and
+    # Q_u that agree to 10 digits give very different t_r or none: the
+    # search has found a jump in the margin, not its zero.
+    @pytest.mark.parametrize("seed, tau, method", [
+        (77, 0.02, "model-based"), (1, 0.2, "model-based"),
+        pytest.param(77, 0.02, "model-free", marks=pytest.mark.xfail(
+            strict=True, reason="t_r 6,938.9 s at BOUNDARY_TOL 1e-12 against 5.28 s at "
+            "1e-9 from max_iters designs; the fix is a stopping rule that the data can "
+            "meet (ROADMAP item 4)")),
+        pytest.param(4, 0.02, "model-free", marks=pytest.mark.xfail(
+            strict=True, reason="t_r 4.158 s at BOUNDARY_TOL 1e-12 against 1.549 s at "
+            "1e-9 from max_iters designs; the fix is a stopping rule that the data can "
+            "meet (ROADMAP item 4)"))])
+    def test_rows_hold_when_the_search_tolerance_widens(self, seed, tau, method,
+                                                        monkeypatch):
+        # Model-based rows move at most 3.8e-7 relative over seeds 77 and
+        # 1-4 and all six taus.
+        route, plant, resp = ladder_route(method, seed, tau)
+        found = []
+        for tol in (1e-12, 1e-9):
+            monkeypatch.setattr(lqr, "BOUNDARY_TOL", tol)
+            _, design, feasible, _ = lqr._search(route, plant, resp, 0.1, -6.0, 6.0, 60)
+            found.append((feasible, design[1:]))
+        (feasible, now), (feasible_wide, wide) = found
+        assert feasible == feasible_wide
+        assert wide == pytest.approx(now, rel=1e-6)
+
 
 class TestRandomDraws:
     """The servo sweep draws from one ``random.Random`` per seed, with the
@@ -1668,19 +1742,6 @@ class TestFormerKernels:
         np.testing.assert_array_equal(start.psi, ref.psi)
         if start.error is None:
             np.testing.assert_array_equal(start.G_inv, ref.G_inv)
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_sweep_rows_equal_former_draws_and_features(self, seed):
-        # With the former boundary search patched in on both sides, the
-        # kept draws and the fewer feature passes leave every row field and
-        # trace entry of both routes unchanged.
-        with mock.patch.object(lqr, "_find_boundary", former_find_boundary):
-            rows = lqr.robustness_sweep((0.2, 0.0), seed=seed)
-            with mock.patch.object(lqr, "linear_rollouts", former_linear_rollouts), \
-                    mock.patch.object(lqr._CachedStart, "factorize", former_factorize):
-                ref = lqr.robustness_sweep((0.2, 0.0), seed=seed)
-        assert [row.method for row in rows] == ["model-based", "model-free"] * 2
-        assert rows == ref
 
     @pytest.mark.parametrize("seed", [1234, 1, 2])
     def test_truck_artifacts_equal_former_riccati_solver(self, seed, tmp_path):
