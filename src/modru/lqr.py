@@ -172,10 +172,38 @@ def c2d_zoh(A: np.ndarray, B: np.ndarray, h: float) -> tuple[np.ndarray, np.ndar
     return E[:, :n], E[:, n:]
 
 
-def spectral_radius(A: np.ndarray) -> float:
-    """Largest eigenvalue modulus of a matrix, or of every matrix in a
-    stack A of shape (k, n, n)."""
-    return float(np.abs(np.linalg.eigvals(A)).max())
+def _stein_matrix(F: np.ndarray) -> np.ndarray:
+    """I - kron(F', F') of F, or of every matrix in a stack F of shape (k,
+    n, n): the Stein equation X = F'XF + M reads (I - kron(F', F')) vec(X)
+    = vec(M), the outer product below being kron(F', F')."""
+    n, Ft = F.shape[-1], F.mT
+    kron = (Ft[..., :, None, :, None] * Ft[..., None, :, None, :]).reshape(
+        *F.shape[:-2], n * n, n * n)
+    return np.eye(n * n) - kron
+
+
+def schur_stable(F: np.ndarray) -> bool:
+    """Whether every eigenvalue of F, or of every matrix in a stack F of
+    shape (k, n, n), lies strictly inside the unit circle.
+
+    F is Schur stable iff the Stein equation X = F'XF + I has a positive
+    definite solution (Kailath, *Linear Systems*, 1980).  X is solved for
+    in Kronecker form and its symmetric part Cholesky-factored; a singular
+    Kronecker matrix (eigenvalues with lambda_i lambda_j = 1), a failed
+    factorization or a non-finite X means "not stable".  The verdict is as
+    good as that solve: for a strongly non-normal F near the unit circle,
+    whose X is too large for working precision, it can be wrong either way.
+    """
+    F = np.asarray(F, dtype=float)
+    n = F.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            X = np.linalg.solve(_stein_matrix(F), np.eye(n).reshape(n * n, 1))
+            X = X.reshape(F.shape)
+            np.linalg.cholesky(X + X.mT)
+        except np.linalg.LinAlgError:
+            return False
+    return bool(np.isfinite(X).all())
 
 
 def dare_solve(A: np.ndarray, B: np.ndarray, Q_x: np.ndarray,
@@ -191,11 +219,13 @@ def dare_solve(A: np.ndarray, B: np.ndarray, Q_x: np.ndarray,
     so that H_k equals the iterate P_{2^k} of the fixed point
     P <- Q_x + A'PA - A'PB (Q_u + B'PB)^{-1} B'PA started from P_0 = 0;
     the convergence is quadratic.  Stops when the relative change of H drops
-    below 1e-12, then refines H by one Newton (Hewer) step.  Returns the
+    below 1e-12, then refines H by one Newton (Hewer) step: the Stein
+    equation of the doubling's gain, solved in Kronecker form.  Returns the
     gain K = (Q_u + B'PB)^{-1} B'PA and the stabilizing solution P.
     Raises :class:`NumericalError` when the iteration diverges or does not
-    converge in 64 doublings (2^64 fixed-point steps), or when the implied
-    closed loop is not asymptotically stable.
+    converge in 64 doublings (2^64 fixed-point steps), or when the closed
+    loop A - BK of the doubling's gain or of the refined one is not
+    certified asymptotically stable by :func:`schur_stable`'s Stein test.
 
     A may also be a stack of k systems, A (k, n, n) and B (k, n, m), that
     share Q_x and Q_u; K and P then carry the same leading axis.  Every
@@ -253,20 +283,17 @@ def dare_solve(A: np.ndarray, B: np.ndarray, Q_x: np.ndarray,
         H = H_out
     K = np.linalg.solve(Q_u + B.mT @ H @ B, B.mT @ H @ A)
     F = A - B @ K
-    if spectral_radius(F) >= 1.0:
+    if not schur_stable(F):
         raise NumericalError("Riccati gain does not stabilize the model")
     # With cheap control G is large and W ill-conditioned, and the doubling
     # can lose half its digits (gains off by 1e-6 at Q_u = 1e-6).  One
     # Newton (Hewer) step restores them: solve the Stein equation
-    # P = F'PF + Q_x + K'Q_u K of that gain in Kronecker form, the outer
-    # product below being kron(F', F') of each system.
+    # P = F'PF + Q_x + K'Q_u K of that gain in Kronecker form.
     M = Q_x + K.mT @ Q_u @ K
-    Ft, stack = F.mT, A.shape[:-2]
-    kron = (Ft[..., :, None, :, None] * Ft[..., None, :, None, :]).reshape(*stack, n * n, n * n)
-    P = np.linalg.solve(np.eye(n * n) - kron, M.reshape(*stack, n * n, 1)).reshape(A.shape)
+    P = np.linalg.solve(_stein_matrix(F), M.reshape(*A.shape[:-2], n * n, 1)).reshape(A.shape)
     P = 0.5 * (P + P.mT)
     K = np.linalg.solve(Q_u + B.mT @ P @ B, B.mT @ P @ A)
-    if spectral_radius(A - B @ K) >= 1.0:
+    if not schur_stable(A - B @ K):
         raise NumericalError("Riccati gain does not stabilize the model")
     return K, P
 
@@ -606,7 +633,7 @@ def rise_time(A: np.ndarray, B: np.ndarray, K: np.ndarray, C: np.ndarray,
     C = np.atleast_2d(np.asarray(C, dtype=float))
     n = A.shape[0]
     A_cl = A - B @ K
-    if spectral_radius(A_cl) >= 1.0:
+    if not schur_stable(A_cl):
         raise NumericalError("closed loop is not asymptotically stable")
     g0 = (C @ np.linalg.solve(np.eye(n) - A_cl, B)).item()
     if abs(g0) < 1e-12:
@@ -838,7 +865,7 @@ def _search(route, plant, resp, h: float, lo: float, hi: float, bisect_steps: in
         try:
             K, *ended = route(q_u)
             Kf = _pad_gain(K, A.shape[0])
-            if spectral_radius(A - B @ Kf) >= 1.0:
+            if not schur_stable(A - B @ Kf):
                 raise NumericalError("unstable on true plant")
             m_s, m_t = sensitivity_metrics(resp, Kf)
             if math.isfinite(m_s) and math.isfinite(m_t):

@@ -226,6 +226,43 @@ class GrayBoxFit:
     nrmse: float
 
 
+def _least_squares(X: np.ndarray, y: np.ndarray, what: str) -> np.ndarray:
+    """Least-squares solution b of X b = y for X of full column rank.
+
+    Corrected semi-normal equations (Bjorck, *Numerical Methods for Least
+    Squares Problems*, SIAM 1996, sections 2.5 and 6.6): the normal
+    equations are equilibrated to unit diagonal, Gs = S X'X S with S =
+    diag(X'X)^(-1/2), solved through the Cholesky factor L of Gs, and the
+    solution is refined by one step on the residual y - X b.  Raises
+    :class:`EstimationError` "<what> is rank deficient" when a column of X
+    is zero, the factorization breaks down, or the lower bound
+    1 / (p |L^-1|_F^2) on the reciprocal condition number of Gs (trace(Gs)
+    = p bounds its largest eigenvalue) is at most n p eps for X of shape
+    (n, p): forming Gs rounds by up to that much, which can leave the Gram
+    matrix of a rank-deficient X positive definite.  Raises "<what>
+    overflows" when X'X does.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = X.T @ X
+    if not np.isfinite(G).all():
+        raise EstimationError(f"{what} overflows")
+    g = np.diag(G)
+    Li = None
+    if (g > 0.0).all():
+        s = 1.0 / np.sqrt(g)
+        try:
+            Li = np.linalg.inv(np.linalg.cholesky(G * s * s[:, None]))
+        except np.linalg.LinAlgError:
+            pass
+    if Li is None or not X.size * g.size * float(np.sum(Li * Li)) * np.finfo(float).eps < 1.0:
+        raise EstimationError(f"{what} is rank deficient")
+    # G^-1 = S Gs^-1 S with Gs^-1 = L^-T L^-1.
+    G_inv = (Li.T @ Li) * s * s[:, None]
+    b = G_inv @ (X.T @ y)
+    b += G_inv @ (X.T @ (y - X @ b))
+    return b
+
+
 def equation_error_init(data: Dataset, mask: np.ndarray) -> np.ndarray:
     """Linear-regression warm start: fit finite-difference accelerations."""
     h = data.h
@@ -239,11 +276,8 @@ def equation_error_init(data: Dataset, mask: np.ndarray) -> np.ndarray:
     phi = np.stack([c for c, m in zip(cols, mask) if m], axis=1)
     if not (np.isfinite(phi).all() and np.isfinite(dv).all()):
         raise EstimationError("gray-box warm-start regressors overflow")
-    sol, _, rank, _ = np.linalg.lstsq(phi, dv, rcond=None)
-    if rank < phi.shape[1]:
-        raise EstimationError("gray-box warm-start regression is rank deficient")
     theta = np.zeros(N_THETA)
-    theta[mask] = sol
+    theta[mask] = _least_squares(phi, dv, "gray-box warm-start regression")
     return theta
 
 
@@ -257,14 +291,17 @@ def fit_graybox(data: Dataset, mask: np.ndarray | None = None
     active parameters is exact for the discrete RK4 map: the forward
     sensitivities of the predictor (Ljung, *System Identification*, 2nd ed.
     1999, ch. 10) follow one linear recurrence per column over the
-    trajectory already simulated.  Steps are halved until the cost
-    decreases, except that a step predicted to lower the cost by less
-    than 1e-10 of it, |J delta|^2 < 1e-10 cost, is tried at full length
-    only.  Convergence: no step lowers the cost, relative cost decrease
-    below 1e-10 or parameter change below 1e-8; after 200 iterations the
-    best iterate is returned with ``converged=False`` and a warning.  The
-    returned fit's ``nrmse`` is the :func:`validate` error of the model,
-    taken from the simulation the fit already holds.
+    trajectory already simulated.  Each step delta solves the linearized
+    problem min |J delta - (v_meas - sim)| by corrected semi-normal
+    equations (:func:`_least_squares`, as the warm start does), so a
+    rank-deficient Jacobian raises :class:`EstimationError`.  Steps are
+    halved until the cost decreases, except that a step predicted to lower
+    the cost by less than 1e-10 of it, |J delta|^2 < 1e-10 cost, is tried
+    at full length only.  Convergence: no step lowers the cost, relative
+    cost decrease below 1e-10 or parameter change below 1e-8; after 200
+    iterations the best iterate is returned with ``converged=False`` and a
+    warning.  The returned fit's ``nrmse`` is the :func:`validate` error of
+    the model, taken from the simulation the fit already holds.
     """
     max_iter, cost_tol, step_tol = 200, 1e-10, 1e-8
     mask = np.ones(N_THETA, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
@@ -296,7 +333,7 @@ def fit_graybox(data: Dataset, mask: np.ndarray | None = None
     it = 0
     for it in range(1, max_iter + 1):
         J = _output_jacobian(theta, act, sim, data.u, data.alpha, h)
-        delta, _, _, _ = np.linalg.lstsq(J.T @ J, -(J.T @ (sim - v_meas)), rcond=None)
+        delta = _least_squares(J, v_meas - sim, "gray-box output Jacobian")
         # The full step is predicted to lower the cost by |J delta|^2.  One
         # predicted to gain less than cost_tol of the cost is tried at full
         # length only: its halvings would compare costs at rounding level.

@@ -27,6 +27,13 @@ settings.register_profile("explore")
 settings.load_profile("tier1")
 
 
+def spectral_radius(A):
+    """Largest eigenvalue modulus of a matrix, or of every matrix in a
+    stack A of shape (k, n, n): the eigenvalue oracle of the stability
+    verdicts."""
+    return float(np.abs(np.linalg.eigvals(A)).max())
+
+
 @pytest.hookimpl(hookwrapper=True, tryfirst=True)
 def pytest_runtest_makereport(item, call):
     # On a failing property Hypothesis's pytest plugin imports libcst, where

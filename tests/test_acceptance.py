@@ -18,6 +18,8 @@ from modru import harness, lqr, tempo
 from modru.plant import PositionProfile, TruckParams
 from modru.sysid import EfficiencyParams, GrayBoxModel
 
+from conftest import spectral_radius
+
 TAUS = (0.2, 0.1, 0.05, 0.02, 0.01, 0.0)
 T_R_TARGET = {0.2: 2.15, 0.1: 1.11, 0.05: 0.64,
               0.02: 0.46, 0.01: 0.31, 0.0: 0.22}
@@ -45,7 +47,7 @@ def test_c01_policy_iteration_matches_riccati_on_random_systems():
     for _ in range(20):
         n = int(rng.integers(1, 5))
         A = rng.normal(size=(n, n))
-        A *= rng.uniform(0.3, 0.95) / max(lqr.spectral_radius(A), 1e-9)
+        A *= rng.uniform(0.3, 0.95) / max(spectral_radius(A), 1e-9)
         B = rng.normal(size=(n, 1))
         K_star, _ = lqr.dare_solve(A, B, np.eye(n), [[1.0]])
         source = lqr.linear_rollouts(A, B, n_samples=600, n_obs=n,

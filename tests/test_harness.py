@@ -1,5 +1,6 @@
 """Configuration, pipeline staging, reporting, and CLI tests."""
 
+import contextlib
 import itertools
 import math
 import random
@@ -373,6 +374,20 @@ class TestPrbsWithoutNumpyRandom:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split("\n")[:2] == ["[]", "False"]
+
+
+class TestNoDecompositionDriver:
+    def test_pipelines_call_no_svd_or_eigenvalue_driver(self, truck_sc, car_sc):
+        # The fit and the gain schedule solve 4 x 4 and 2 x 2 problems by
+        # Cholesky factorizations and LU solves; a run that called an SVD
+        # or eigenvalue driver would page in about 1 MB more of LAPACK.
+        with contextlib.ExitStack() as stack:
+            for name in ("lstsq", "svd", "pinv", "eig", "eigvals", "eigh", "eigvalsh"):
+                stack.enter_context(mock.patch.object(
+                    np.linalg, name, side_effect=AssertionError(f"np.linalg.{name} called")))
+            for sc in (truck_sc, car_sc):
+                report, _ = harness.run_pipeline(sc)
+                assert math.isfinite(report.E_realized)
 
 
 class TestExcitationHold:
@@ -894,6 +909,18 @@ class TestCli:
         rc = cli.main(["estimate", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_flat_excitation_route_is_a_numerical_failure(self, tmp_path, capsys):
+        # No slope on the excitation route leaves the active slope term
+        # without a regressor.
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("est.slope_amp = 0\n")
+        out = tmp_path / "out"
+        rc = cli.main(["pipeline", "--config", str(cfg), "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: gray-box warm-start regression is rank deficient\n")
+        assert not (out / "report.txt").exists()
 
     def test_forward_pushing_drag_is_a_numerical_failure(self, tmp_path, capsys):
         # theta4 = +4.19e-5 is what est.noise = 100 fitted on one excitation

@@ -20,6 +20,8 @@ from modru import config, harness, lqr
 from modru import controller as ctl
 from modru.errors import EstimationError, NumericalError, PolicyIterationError
 
+from conftest import spectral_radius
+
 
 def fixed_point_dare_gain(A, B, Q_x, Q_u, tol=1e-12, max_iter=2_000_000):
     """Reference DARE gain: P <- Q_x + A'PA - A'PB (Q_u + B'PB)^{-1} B'PA
@@ -142,13 +144,13 @@ def former_dare_solve(A, B, Q_x, Q_u):
             raise NumericalError("Riccati iteration did not converge")
     K = np.linalg.solve(Q_u + B.T @ H @ B, B.T @ H @ A)
     F = A - B @ K
-    if lqr.spectral_radius(F) >= 1.0:
+    if spectral_radius(F) >= 1.0:
         raise NumericalError("Riccati gain does not stabilize the model")
     M = Q_x + K.T @ Q_u @ K
     P = np.linalg.solve(np.eye(n * n) - np.kron(F.T, F.T), M.ravel()).reshape(n, n)
     P = 0.5 * (P + P.T)
     K = np.linalg.solve(Q_u + B.T @ P @ B, B.T @ P @ A)
-    if lqr.spectral_radius(A - B @ K) >= 1.0:
+    if spectral_radius(A - B @ K) >= 1.0:
         raise NumericalError("Riccati gain does not stabilize the model")
     return K, P
 
@@ -161,7 +163,7 @@ def former_rise_time(A, B, K, C, h, max_steps=500_000):
     C = np.atleast_2d(np.asarray(C, dtype=float))
     n = A.shape[0]
     A_cl = A - B @ K
-    if lqr.spectral_radius(A_cl) >= 1.0:
+    if spectral_radius(A_cl) >= 1.0:
         raise NumericalError("closed loop is not asymptotically stable")
     g0 = (C @ np.linalg.solve(np.eye(n) - A_cl, B)).item()
     if abs(g0) < 1e-12:
@@ -583,7 +585,7 @@ def ladder_route(method, seed, tau):
 def scaled_matrix(rng, n, radius):
     """Random n x n matrix scaled to the given spectral radius."""
     A = rng.normal(size=(n, n))
-    return A * (radius / lqr.spectral_radius(A))
+    return A * (radius / spectral_radius(A))
 
 
 class TestStateSpace:
@@ -725,7 +727,7 @@ class TestDare:
         resid = Qx + A.T @ P @ A - (A.T @ P @ B) @ np.linalg.solve(G, B.T @ P @ A) - P
         assert np.abs(resid).max() < 1e-8
         np.testing.assert_allclose(K, np.linalg.solve(G, B.T @ P @ A), atol=1e-10)
-        assert lqr.spectral_radius(A - B @ K) < 1.0
+        assert spectral_radius(A - B @ K) < 1.0
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(2, 3), log_qu=st.floats(-6.0, 6.0),
@@ -767,7 +769,8 @@ class TestDare:
     def test_converged_systems_leave_the_doubling(self):
         # A fast and a slow system: the stack's doubling solves shrink to
         # the slow one after the fast one's own number of doublings, and
-        # the gain, Stein and refined-gain solves run on both again.
+        # the gain, stability, Stein, refined-gain and stability solves run
+        # on both again.
         A, B = np.array([[[0.5]], [[1.0]]]), np.array([[[1.0]], [[1e-3]]])
 
         def solves(A, B):
@@ -776,11 +779,11 @@ class TestDare:
                 lqr.dare_solve(A, B, [[1.0]], [[1.0]])
             return [c.args[0].shape for c in spy.call_args_list]
 
-        # A call solves once to start, once per doubling and three times after.
-        fast, slow = (len(solves(A[i], B[i])) - 4 for i in (0, 1))
+        # A call solves once to start, once per doubling and five times after.
+        fast, slow = (len(solves(A[i], B[i])) - 6 for i in (0, 1))
         assert fast < slow
         stacked = [shape[0] for shape in solves(A, B)[1:]]
-        assert stacked == [2] * fast + [1] * (slow - fast) + [2] * 3
+        assert stacked == [2] * fast + [1] * (slow - fast) + [2] * 5
 
     @pytest.mark.parametrize("A_shape, B_shape", [((3, 2, 2), (2, 2, 1)),
                                                   ((3, 2, 2), (2, 1)),
@@ -789,6 +792,45 @@ class TestDare:
         A = np.broadcast_to(0.5 * np.eye(2), A_shape)
         with pytest.raises(ValueError, match="stacks of one size"):
             lqr.dare_solve(A, np.ones(B_shape), np.eye(2), [[1.0]])
+
+
+def near_unit_circle(rng, n, superdiag, k, sign):
+    """A random n x n matrix plus ``superdiag`` on its superdiagonal, scaled
+    to spectral radius 1 + sign 10^-k."""
+    F = rng.normal(size=(n, n)) + np.diag(np.full(n - 1, superdiag), 1)
+    return F * ((1.0 + sign * 10.0 ** -k) / spectral_radius(F))
+
+
+class TestSchurStable:
+    """``lqr.schur_stable`` against the eigenvalue verdict spectral_radius < 1."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(n=st.integers(1, 3), stack=st.integers(0, 3),
+           log_superdiag=st.one_of(st.none(), st.floats(0.0, 3.0)), k=st.integers(2, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_eigenvalue_verdict(self, n, stack, log_superdiag, k, seed):
+        # Normal-range matrices and strongly non-normal ones (superdiagonal
+        # up to 1e3), each member of a stack 10^-k inside or outside the
+        # unit circle; a stack is stable when every member is.
+        rng = np.random.default_rng(seed)
+        superdiag = 0.0 if log_superdiag is None else 10.0 ** log_superdiag
+        mats = [near_unit_circle(rng, n, superdiag, k, rng.choice((-1.0, 1.0)))
+                for _ in range(max(stack, 1))]
+        F = np.array(mats) if stack else mats[0]
+        assert lqr.schur_stable(F) is all(spectral_radius(M) < 1.0 for M in mats)
+
+    @pytest.mark.parametrize("F, stable", [
+        ([[0.5]], True),
+        ([[1.0]], False),                      # lambda^2 = 1: singular Kronecker matrix
+        ([[0.0, -1.0], [1.0, 0.0]], False),    # eigenvalues +-i
+        ([[0.9, 1e3], [0.0, 0.9]], True),      # large transient, stable
+        ([[np.nan]], False),
+        ([[np.inf, 0.0], [0.0, 0.5]], False),
+        ([[[0.5]], [[1.5]]], False),           # one unstable member of a stack
+        ([[[0.5]], [[-0.99]]], True),
+    ])
+    def test_cases(self, F, stable):
+        assert lqr.schur_stable(np.array(F)) is stable
 
 
 class TestCostAndQTheta:
@@ -950,7 +992,7 @@ class TestPolicyIteration:
         A = scaled_matrix(rng, n_full, rng.uniform(0.3, 0.95))
         B = rng.normal(size=(n_full, m))
         K = 0.3 * rng.normal(size=(m, n_obs))
-        assume(lqr.spectral_radius(A - B @ lqr._pad_gain(K, n_full)) < 1.0)
+        assume(spectral_radius(A - B @ lqr._pad_gain(K, n_full)) < 1.0)
         N = int(rng.integers(p, 3000))
         source = lqr.linear_rollouts(A, B, n_samples=N, n_obs=n_obs,
                                      episode_len=int(rng.integers(2, 40)),
@@ -1000,7 +1042,7 @@ class TestPolicyIteration:
         B = rng.normal(size=(n, m))
         K = 0.3 * rng.normal(size=(m, n))
         F = A - B @ K
-        assume(lqr.spectral_radius(F) < 1.0)
+        assume(spectral_radius(F) < 1.0)
         N = int(rng.integers(p, 3000))
         source = lqr.linear_rollouts(A, B, n_samples=N, episode_len=int(rng.integers(2, 40)),
                                      explore=10.0 ** log_explore, seed=seed)
@@ -1045,7 +1087,7 @@ class TestPolicyIteration:
         A = scaled_matrix(rng, n_full, rng.uniform(0.3, 0.95))
         B = rng.normal(size=(n_full, m))
         K0 = 0.3 * rng.normal(size=(m, n_obs))
-        assume(lqr.spectral_radius(A - B @ lqr._pad_gain(K0, n_full)) < 1.0)
+        assume(spectral_radius(A - B @ lqr._pad_gain(K0, n_full)) < 1.0)
         N = int(rng.integers(p, 3000))
         source = lqr.linear_rollouts(A, B, n_samples=N, n_obs=n_obs,
                                      episode_len=int(rng.integers(2, 40)),

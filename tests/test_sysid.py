@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modru import config, harness, sysid
@@ -354,6 +354,90 @@ class TestOutputJacobian:
         monkeypatch.setattr(sysid, "equation_error_init", lambda data, mask: theta.copy())
         with pytest.raises(EstimationError, match="diverged during fit"):
             sysid.fit_graybox(data)
+
+
+def conditioned_columns(rng, n, p, log_cond):
+    """An n x p matrix whose singular values span 10^-log_cond..1 before its
+    columns are scaled by up to 10^3 either way."""
+    U = np.linalg.qr(rng.normal(size=(n, p)))[0]
+    V = np.linalg.qr(rng.normal(size=(p, p)))[0]
+    return (U * np.logspace(0.0, -log_cond, p)) @ V.T * 10.0 ** rng.uniform(-3.0, 3.0, p)
+
+
+class TestLeastSquares:
+    """``sysid._least_squares`` against ``np.linalg.lstsq``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.integers(1, 6), extra=st.integers(0, 60), log_cond=st.floats(0.0, 3.0),
+           log_noise=st.floats(-12.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_lstsq(self, p, extra, log_cond, log_noise, seed):
+        # Full rank, with the normal matrix of the equilibrated columns Xs
+        # conditioned up to 1e6.  The reference is lstsq on Xs, so that the
+        # column scales do not cost it digits; the bound is eps cond(Xs'Xs)
+        # times the size of the solution and the residual, in Xs's units.
+        rng = np.random.default_rng(seed)
+        X = conditioned_columns(rng, p + extra, p, log_cond)
+        scale = np.linalg.norm(X, axis=0)
+        kappa = np.linalg.cond(X / scale) ** 2
+        assume(kappa <= 1e6)
+        fit = X @ rng.normal(size=p)
+        y = fit + 10.0 ** log_noise * np.linalg.norm(fit) * rng.normal(size=p + extra)
+        ref = np.linalg.lstsq(X / scale, y, rcond=None)[0] / scale
+        b = sysid._least_squares(X, y, "test regression")
+        bound = np.linalg.norm(scale * ref) + np.linalg.norm(y - X @ ref)
+        assert np.linalg.norm(scale * (b - ref)) <= 100 * p * np.finfo(float).eps * kappa * bound
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.integers(1, 6), extra=st.integers(0, 60),
+           kind=st.sampled_from(["zero column", "scaled copy", "rank p - 1"]),
+           seed=st.integers(0, 2**32 - 1))
+    # Rounding leaves this Gram matrix positive definite with a reciprocal
+    # condition above eps; its rounding error, up to n p eps, is larger.
+    @example(p=2, extra=40, kind="rank p - 1", seed=126)
+    def test_refuses_a_deficient_rank(self, p, extra, kind, seed):
+        rng = np.random.default_rng(seed)
+        n = p + extra
+        X = conditioned_columns(rng, n, p, 0.0)
+        i, j = rng.permutation(p)[:2] if p > 1 else (0, 0)
+        if kind == "zero column" or p == 1:
+            X[:, j] = 0.0
+        elif kind == "scaled copy":
+            X[:, j] = X[:, i] * 2.0 ** int(rng.integers(-8, 9))
+        else:
+            X = rng.normal(size=(n, p - 1)) @ rng.normal(size=(p - 1, p))
+        with pytest.raises(EstimationError, match="^test regression is rank deficient$"):
+            sysid._least_squares(X, rng.normal(size=n), "test regression")
+
+    def test_refuses_an_overflowing_gram_matrix(self):
+        X = np.array([[1e200, 1.0], [2e200, 3.0], [1.0, 1.0]])
+        with pytest.raises(EstimationError, match="^test regression overflows$"):
+            sysid._least_squares(X, np.ones(3), "test regression")
+
+    def test_singular_gauss_newton_step_is_an_estimation_error(self, truck_sc, truck_fit,
+                                                                monkeypatch):
+        # A Jacobian with two equal columns has a singular normal matrix;
+        # it is refused as an estimation failure, not a LinAlgError.
+        jacobian = sysid._output_jacobian
+
+        def repeated_column(*args):
+            J = jacobian(*args)
+            J[:, -1] = J[:, 0]
+            return J
+
+        monkeypatch.setattr(sysid, "_output_jacobian", repeated_column)
+        with pytest.raises(EstimationError, match="gray-box output Jacobian is rank deficient"):
+            sysid.fit_graybox(truck_fit[0], mask=np.array(truck_sc.est_mask, bool))
+
+    @pytest.mark.parametrize("kind", ["truck", "car"])
+    def test_flat_route_refuses_the_slope_term(self, kind, request):
+        # With no slope on the excitation route the active slope term's
+        # regressor is zero on every sample.
+        sc = replace(request.getfixturevalue(f"{kind}_sc"), est_slope_amp=0.0)
+        assert sc.est_mask[4]
+        data = harness.stage_dataset(sc)
+        assert not data.alpha.any()
+        with pytest.raises(EstimationError, match="rank deficient"):
+            harness.stage_estimate(sc, data)
 
 
 class TestIterationLimit:
