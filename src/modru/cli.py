@@ -14,6 +14,7 @@ from pathlib import Path
 from . import harness, lqr, sysid
 from .config import check_seed, load_scenario
 from .errors import ConfigError, InfeasibleError, NumericalError
+from .tables import format_value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,7 +118,7 @@ def _run(args) -> int:
     if args.command == "pipeline":
         report, artifacts = harness.run_pipeline(sc, out_dir=out)
         for key, val in report.to_items().items():
-            print(f"{key} = {val}")
+            print(f"{key} = {format_value(val)}")
         return 0
 
     # compare-slope: argparse admits no other command.

@@ -210,6 +210,8 @@ class RunReport:
     theta_hat: tuple
     theta_err: tuple
     fit_nrmse: float
+    # False when the gray-box fit stopped at its iteration limit.
+    fit_converged: bool
     eff_gen_hat: float
     eff_regen_hat: float
     # "fitted", "default" or "clipped" (see sysid.EfficiencyParams).
@@ -223,6 +225,7 @@ class RunReport:
     du_ratio: float
     terminal_position_error: float
     limit_overshoot: float
+    n_velocity_clamps: int
     # Timing planner: relative duality gap, interior-point iterations, exit
     # reason, and the boundary-speed rule that E_pred and E_realized both follow.
     plan_gap_rel: float = math.nan
@@ -260,14 +263,15 @@ def _run_report(sc: Scenario, fit: sysid.GrayBoxFit, model: sysid.GrayBoxModel,
         seed=sc.seed, T_f=sc.T_f,
         theta_hat=tuple(float(x) for x in model.theta),
         theta_err=tuple(float(x) for x in _theta_errors(sc, model)),
-        fit_nrmse=fit.nrmse,
+        fit_nrmse=fit.nrmse, fit_converged=fit.converged,
         eff_gen_hat=eff.gen_factor, eff_regen_hat=eff.regen_factor,
         eff_gen_status=eff.gen_status, eff_regen_status=eff.regen_status,
         E_pred=sol.E, E_realized=metrics["E_realized"],
         t_end_planned=float(sol.t[-1]), t_terminal=metrics["t_terminal"],
         tracking_rms=metrics["tracking_rms"], du_ratio=metrics["du_ratio"],
         terminal_position_error=metrics["terminal_position_error"],
-        limit_overshoot=metrics["limit_overshoot"], plan_gap_rel=sol.gap_rel,
+        limit_overshoot=metrics["limit_overshoot"],
+        n_velocity_clamps=metrics["n_velocity_clamps"], plan_gap_rel=sol.gap_rel,
         plan_newton_iters=sol.n_newton, plan_exit=sol.exit)
 
 

@@ -19,7 +19,6 @@ priors for the regimes the data do not excite.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,8 +196,8 @@ class EfficiencyParams:
     :func:`modru.plant.step_efficiency`.  ``gen_status`` and
     ``regen_status`` say how :func:`fit_efficiency` obtained each factor,
     "fitted", "default" or "clipped"; factors given directly are
-    "default".  They take no part in equality and are not written to
-    ``theta.txt``.
+    "default".  They take no part in equality; ``report.txt`` writes them
+    and ``theta.txt`` does not.
     """
 
     gen_factor: float = 1.1
@@ -299,9 +298,9 @@ def fit_graybox(data: Dataset, mask: np.ndarray | None = None
     the cost by less than 1e-10 of it, |J delta|^2 < 1e-10 cost, is tried
     at full length only.  Convergence: no step lowers the cost, relative
     cost decrease below 1e-10 or parameter change below 1e-8; after 200
-    iterations the best iterate is returned with ``converged=False`` and a
-    warning.  The returned fit's ``nrmse`` is the :func:`validate` error of
-    the model, taken from the simulation the fit already holds.
+    iterations the best iterate is returned with ``converged=False``.  The
+    returned fit's ``nrmse`` is the :func:`validate` error of the model,
+    taken from the simulation the fit already holds.
     """
     max_iter, cost_tol, step_tol = 200, 1e-10, 1e-8
     mask = np.ones(N_THETA, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
@@ -357,8 +356,6 @@ def fit_graybox(data: Dataset, mask: np.ndarray | None = None
         if rel_drop < cost_tol or rel_step < step_tol:
             converged = True
             break
-    if not converged:
-        warnings.warn("gray-box fit stopped at iteration limit; returning best iterate")
     model = GrayBoxModel(theta=theta, mask=mask)
     rms = math.sqrt(cost / v_meas.size)
     return model, GrayBoxFit(converged=converged, n_iter=it, rms=rms,
@@ -370,12 +367,11 @@ def fit_efficiency(P: np.ndarray, u: np.ndarray, v: np.ndarray) -> EfficiencyPar
 
     Regresses P against u*v separately on the u >= 0 and u < 0 regimes.
     A missing or unexcited regime falls back to the prior of
-    :class:`EfficiencyParams` (1.1 and 0.9) with a warning; estimates
-    outside the admissible range gen >= 1 >= regen > 0 are clipped to the
-    bound, except that a regeneration estimate <= 0 falls back to its
-    prior.  The result records per factor whether it was fitted,
-    defaulted or clipped.  Raises :class:`EstimationError` when an
-    estimate is not finite.
+    :class:`EfficiencyParams` (1.1 and 0.9); estimates outside the
+    admissible range gen >= 1 >= regen > 0 are clipped to the bound, except
+    that a regeneration estimate <= 0 falls back to its prior.  The result
+    records per factor whether it was fitted, defaulted or clipped.  Raises
+    :class:`EstimationError` when an estimate is not finite.
     """
     P = np.asarray(P, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -387,7 +383,6 @@ def fit_efficiency(P: np.ndarray, u: np.ndarray, v: np.ndarray) -> EfficiencyPar
                                ("regeneration", u < 0.0, prior.regen_factor)):
         xx = float(x[sel] @ x[sel])
         if sel.sum() == 0 or xx < 1e-12:
-            warnings.warn(f"no informative {name} samples; using default {default}")
             out.append((default, "default"))
         else:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -397,13 +392,10 @@ def fit_efficiency(P: np.ndarray, u: np.ndarray, v: np.ndarray) -> EfficiencyPar
             out.append((est, "fitted"))
     (gen, gen_status), (regen, regen_status) = out
     if gen < 1.0:
-        warnings.warn(f"generation factor estimate {gen:.4f} < 1; clipping")
         gen, gen_status = 1.0, "clipped"
     if regen > 1.0:
-        warnings.warn(f"regeneration factor estimate {regen:.4f} > 1; clipping")
         regen, regen_status = 1.0, "clipped"
     if regen <= 0.0:
-        warnings.warn(f"regeneration factor estimate {regen:.4f} <= 0; using default")
         regen, regen_status = prior.regen_factor, "default"
     return EfficiencyParams(gen_factor=gen, regen_factor=regen,
                             gen_status=gen_status, regen_status=regen_status)

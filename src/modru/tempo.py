@@ -392,7 +392,9 @@ def solve(p: TOProblem) -> TOSolution:
     if T > p.T_f * (1.0 + VIOL_TOL):
         raise InfeasibleError(f"no plan meets T_f={p.T_f:g} s: the fastest one takes {T!r} s")
     pinned = T >= p.T_f * (1.0 - PIN_TOL)
-    z, gap, n_it = (z, 0.0, 0) if pinned else prog.run()
+    # Overflow raises NumericalError at the loop's finiteness checks, not a RuntimeWarning.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z, gap, n_it = (z, 0.0, 0) if pinned else prog.run()
     E, parts = evaluate_objective(p, z)
     h = parts["h"]
     caps = np.maximum(z[:-1], z[1:]) / p.v_lim ** 2

@@ -361,9 +361,8 @@ class TestPrbsWithoutNumpyRandom:
         # standard library's random, with or without measurement noise.
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, warnings; from dataclasses import replace\n"
+             "import sys; from dataclasses import replace\n"
              "from modru import config, harness\n"
-             "warnings.simplefilter('ignore')\n"
              "before = set(sys.modules)\n"
              "harness.run_pipeline(config.default_truck_scenario(), out_dir=sys.argv[1] + '/t')\n"
              "harness.run_pipeline(config.default_car_scenario(), out_dir=sys.argv[1] + '/c')\n"
@@ -407,11 +406,12 @@ class TestReportIO:
             name="x", plant_type="truck", seed=5, T_f=900.0,
             theta_hat=tuple(float(i) for i in range(1, 7)),
             theta_err=(0.1, 0.2, float("nan"), 0.4, 0.5, float("nan")),
-            fit_nrmse=0.017, eff_gen_hat=1.1, eff_regen_hat=0.9,
+            fit_nrmse=0.017, fit_converged=False, eff_gen_hat=1.1, eff_regen_hat=0.9,
             eff_gen_status="fitted", eff_regen_status="default",
             E_pred=1.5e6, E_realized=1.6e6,
             t_end_planned=899.4, t_terminal=899.5, tracking_rms=0.06,
-            du_ratio=0.05, terminal_position_error=1.2, limit_overshoot=-2.0)
+            du_ratio=0.05, terminal_position_error=1.2, limit_overshoot=-2.0,
+            n_velocity_clamps=3)
         path = tmp_path / "report.txt"
         write_keyvalues(path, rep.to_items())
         back = read_keyvalues(path)
@@ -421,6 +421,7 @@ class TestReportIO:
         assert float(back["E_pred"]) == rep.E_pred
         assert float(back["du_ratio"]) == rep.du_ratio
         assert (back["eff_gen_status"], back["eff_regen_status"]) == ("fitted", "default")
+        assert (back["fit_converged"], back["n_velocity_clamps"]) == ("0", "3")
         assert np.isnan(float(back["theta_err3"]))
         assert float(back["theta_err4"]) == 0.4
 
@@ -509,6 +510,8 @@ class TestRunPipeline:
         eff = artifacts["eff"]
         assert (back["eff_gen_status"], back["eff_regen_status"]) \
             == (eff.gen_status, eff.regen_status)
+        assert back["fit_converged"] == "1" and artifacts["fit"].converged
+        assert int(back["n_velocity_clamps"]) == artifacts["metrics"]["n_velocity_clamps"]
         sol = artifacts["solution"]
         assert back["plan_exit"] == sol.exit == "gap"
         assert float(back["plan_gap_rel"]) == sol.gap_rel <= 1e-8
@@ -959,6 +962,31 @@ class TestCli:
             rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_overflowing_budget_fails_without_runtime_warnings(self, tmp_path, capsys):
+        # A budget of 1e150 s overflows the planner's Newton terms; the
+        # loop's finiteness check reports that, and nothing else reaches stderr.
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("to.T_f = 1e150\n")
+        rc = cli.main(["pipeline", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: an interior-point Newton term is not finite\n")
+
+    @pytest.mark.parametrize("command, text", [("pipeline", ""),
+                                               ("pipeline", "plant.type = car\n"),
+                                               ("estimate", "")],
+                             ids=["truck", "car", "estimate"])
+    def test_default_runs_write_nothing_to_stderr(self, tmp_path, command, text):
+        # The report carries the fit's and the efficiency factors' statuses;
+        # in a fresh process warnings would reach stderr.
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "modru", command, "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
     def test_infeasible_budget_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "run.conf"

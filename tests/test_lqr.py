@@ -1613,9 +1613,8 @@ class TestRandomDraws:
         # robustness command does.
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, warnings\n"
+             "import sys\n"
              "from modru import cli, lqr\n"
-             "warnings.simplefilter('ignore')\n"
              "lqr.robustness_sweep((0.2, 0.0), methods=('model-based', 'model-free'), seed=1)\n"
              "assert cli.main(['robustness', '--taus', '0.2,0', '--out', sys.argv[1]]) == 0\n"
              "print('numpy.random' in sys.modules)\n",
