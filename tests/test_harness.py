@@ -605,6 +605,27 @@ class TestGrayBoxSimulatedOnce:
         assert at_fit[0] > 0
         assert len(calls) == at_fit[0]
 
+    @pytest.mark.parametrize("kind, iters, sims", [("truck", 4, 4), ("car", 3, 3)])
+    @pytest.mark.parametrize("seed", [1234, 1, 2])
+    def test_fit_work(self, kind, iters, sims, seed, monkeypatch):
+        # The midpoint-grade warm start saves the truck one Gauss-Newton
+        # iteration, and a step predicted to gain less than the cost
+        # tolerance ends the fit untried: one simulation for the warm start
+        # and one per accepted step.  Formerly the truck took 5 iterations
+        # and 6 simulations, the car 3 and 4.
+        sc = stock_scenario(kind, seed)
+        data = harness.stage_dataset(sc)
+        calls, simulate = [], sysid._simulate_theta
+
+        def counted(*args):
+            calls.append(args)
+            return simulate(*args)
+
+        monkeypatch.setattr(sysid, "_simulate_theta", counted)
+        _, fit = sysid.fit_graybox(data, mask=np.array(sc.est_mask, bool))
+        assert fit.converged
+        assert (fit.n_iter, len(calls)) == (iters, sims)
+
     @pytest.mark.parametrize("kind", ["truck", "car"])
     @pytest.mark.parametrize("seed", [1234, 1, 2])
     def test_artifacts_equal_former_simulation_and_report(self, kind, seed, tmp_path):

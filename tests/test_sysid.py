@@ -300,6 +300,52 @@ def central_difference_fit_graybox(data, theta0=None, mask=None, max_iter=200,
                                    nrmse=sysid.validate(model, data))
 
 
+def loop_output_jacobian(theta, act, sim, u, alpha, h):
+    """Reference: the Jacobian by one Python loop over the samples per column.
+
+    ``_output_jacobian`` as it was before the doubling sweep, returning J
+    however it ends, and also the same recurrence run on |A_k| and |b_j,k|,
+    which bounds the rounding error of either order of summation.
+    """
+    t3, t4 = float(theta[2]), float(theta[3])
+    v, u, a = sim[:-1], u[:-1], alpha[:-1]
+    hh = 0.5 * h
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = sysid._input_term(theta, u, a)
+        k1 = c + t3 * v + t4 * v * v
+        x2 = v + hh * k1
+        k2 = c + t3 * x2 + t4 * x2 * x2
+        x3 = v + hh * k2
+        k3 = c + t3 * x3 + t4 * x3 * x3
+        x4 = v + h * k3
+        g1, g2, g3, g4 = (t3 + 2.0 * t4 * x for x in (v, x2, x3, x4))
+
+        def tangent(z, d1, d2, d3, d4):
+            e1 = d1 + g1 * z
+            e2 = d2 + g2 * (z + hh * e1)
+            e3 = d3 + g3 * (z + hh * e2)
+            e4 = d4 + g4 * (z + h * e3)
+            return z + h / 6.0 * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+
+        dv = tangent(1.0, 0.0, 0.0, 0.0, 0.0)
+        dc = tangent(0.0, 1.0, 1.0, 1.0, 1.0)
+        b = (dc * u, dc, tangent(0.0, v, x2, x3, x4),
+             tangent(0.0, v * v, x2 * x2, x3 * x3, x4 * x4), dc * a, dc * a * a)
+    out = []
+    for A, cols in ((dv, b), (np.abs(dv), [np.abs(col) for col in b])):
+        A = A.tolist()
+        J = np.empty((sim.size, len(act)))
+        for j, idx in enumerate(act):
+            s = 0.0
+            col = [s]
+            for a_k, b_k in zip(A, cols[idx].tolist()):
+                s = a_k * s + b_k
+                col.append(s)
+            J[:, j] = col
+        out.append(J)
+    return out
+
+
 @pytest.fixture(scope="module")
 def truck_lag(truck_sc):
     """(scenario, data) for the truck with a ten-fold actuator lag."""
@@ -330,6 +376,48 @@ class TestOutputJacobian:
         assert (J[0] == 0.0).all()
         err = np.abs(J - ref).max(axis=0)
         assert (err <= 1e-12 * np.abs(ref).max(axis=0)).all(), err
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5000),
+           h=st.sampled_from([0.1, 0.5, 2.0]),
+           mask=st.lists(st.booleans(), min_size=5, max_size=5), at_rest=st.booleans())
+    # A product of 5,000 step factors above 2.7 overflows: inf times the
+    # sensitivities of 0 would be NaN where the recurrence gives 0.
+    @example(seed=0, n=5000, h=0.5, mask=[True] * 5, at_rest=True)
+    def test_sweep_equals_the_recurrence(self, seed, n, h, mask, at_rest):
+        # The truck's coefficients with th3 in [0, 0.01], so that along a
+        # speed record in [0, 30] m/s the step factor 1 + h f'(v) + ... lies
+        # above 1 at low speed and below it at high speed.  At rest the
+        # record, input and slope are 0, th2 is masked out and h th3 in
+        # [1, 25] makes every step factor the same, 2.7 to 1.9e4: their
+        # product overflows within 715 steps while every sensitivity is 0.
+        rng = np.random.default_rng(seed)
+        theta = random_theta(rng, False)
+        if at_rest:
+            mask = [False, *mask[1:]]
+            theta[1] = 0.0
+            theta[2] = 10.0 ** rng.uniform(0.0, np.log10(25.0)) / h
+            sim = u = alpha = np.zeros(n)
+        else:
+            theta[2] = rng.uniform(0.0, 0.01)
+            sim = rng.uniform(0.0, 30.0, n)
+            u = rng.uniform(-3000.0, 6000.0, n)
+            alpha = rng.uniform(-0.05, 0.05, n)
+        act = np.flatnonzero([True, *mask])
+        ref, ref_abs = loop_output_jacobian(theta, act, sim, u, alpha, h)
+        if not np.isfinite(ref).all():
+            with pytest.raises(EstimationError, match="diverged during fit"):
+                sysid._output_jacobian(theta, act, sim, u, alpha, h)
+            return
+        J = sysid._output_jacobian(theta, act, sim, u, alpha, h)
+        assert J.shape == ref.shape and (J[0] == 0.0).all()
+        if at_rest:
+            assert (ref == 0.0).all() and (J == 0.0).all()
+        # Either order of summation of s_k = sum_i (A_k-1 ... A_i+1) b_i
+        # rounds each term in at most 2 n operations, so the two differ
+        # by at most 2 gamma_2n (under 4 n eps) times the same sum taken
+        # over |A| and |b|.
+        assert (np.abs(J - ref) <= 4.0 * n * np.finfo(float).eps * ref_abs).all()
 
     @pytest.mark.parametrize("case", ["truck", "car", "truck_lag"])
     def test_fit_matches_central_difference_fit(self, case, request, truck_sc, car_sc):
@@ -439,6 +527,39 @@ class TestLeastSquares:
         assert not data.alpha.any()
         with pytest.raises(EstimationError, match="rank deficient"):
             harness.stage_estimate(sc, data)
+
+
+def left_point_init(data, mask):
+    """Reference: the equation-error warm start with the grade read at each
+    step's start, as it was, solved by ``np.linalg.lstsq``."""
+    u, a = data.u[:-1], data.alpha[:-1]
+    v = 0.5 * (data.v[:-1] + data.v[1:])
+    cols = [u, np.ones_like(u), v, v * v, a, a * a]
+    phi = np.stack([c for c, m in zip(cols, mask) if m], axis=1)
+    theta = np.zeros(sysid.N_THETA)
+    theta[mask] = np.linalg.lstsq(phi, np.diff(data.v) / data.h, rcond=None)[0]
+    return theta
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("kind", ["truck", "car"])
+    @pytest.mark.parametrize("seed", [1234, 1, 2])
+    def test_midpoint_grade_halves_the_start_error(self, kind, seed):
+        # Largest relative error on the active terms against the fitted
+        # theta: 0.026-0.034 against 0.43-0.49 on the truck, 0.0005-0.0022
+        # against 0.013-0.018 on the car.
+        base = (config.default_truck_scenario() if kind == "truck"
+                else config.default_car_scenario())
+        sc = replace(base, seed=seed)
+        data = harness.stage_dataset(sc)
+        mask = np.array(sc.est_mask, bool)
+        fitted = sysid.fit_graybox(data, mask=mask)[0].theta[mask]
+
+        def error(theta):
+            return np.max(np.abs(theta[mask] - fitted) / np.abs(fitted))
+
+        assert error(sysid.equation_error_init(data, mask)) <= 0.5 * error(
+            left_point_init(data, mask))
 
 
 class TestIterationLimit:
