@@ -7,9 +7,10 @@ Q-function of the current policy by least squares on one-step transition
 data and improves the policy from its blocks, from a :class:`_CachedStart`
 that regresses the batch under the start gain once for every weight.
 The model-based route fits a state-space model to the same kind of data
-(:func:`estimate_ss`) and solves the Riccati equation on it.  One search
-(:func:`_search`) scores either route on the true plant through the
-sensitivity peaks M_S, M_T and the step-response rise time.
+(:func:`estimate_ss`, by :func:`sysid.least_squares`, which refuses a
+regressor rank deficient to rounding) and solves the Riccati equation on
+it.  One search (:func:`_search`) scores either route on the true plant
+through the sensitivity peaks M_S, M_T and the step-response rise time.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EstimationError, NumericalError, PolicyIterationError
+from .sysid import least_squares
 
 # Robustness constraints used by the benchmark sweep.
 MS_MAX = 1.7
@@ -722,18 +724,13 @@ def estimate_ss(X: np.ndarray, U: np.ndarray,
                 X_next: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Estimate x+ = A x + B u by least squares over sampled transitions.
 
-    ``X``, ``U`` and ``X_next`` are (N, n), (N, m) and (N, n): row k of
-    ``X_next`` is the successor of row k of ``X`` under input row k of
-    ``U``.  Raises :class:`EstimationError` on a rank deficient regressor
-    (insufficient excitation).
+    ``X``, ``U`` and ``X_next`` are float arrays (N, n), (N, m) and (N, n):
+    row k of ``X_next`` follows row k of ``X`` under input row k of ``U``.
+    :func:`sysid.least_squares` solves it and raises
+    :class:`EstimationError` on a regressor rank deficient to rounding.
     """
-    X, U = _state_input(X, U)
-    X_next = np.atleast_2d(np.asarray(X_next, dtype=float))
-    n, m = X.shape[1], U.shape[1]
-    phi = np.hstack([X, U])
-    theta, _, rank, _ = np.linalg.lstsq(phi, X_next, rcond=None)
-    if rank < n + m:
-        raise EstimationError("state-space regression is rank deficient")
+    theta = least_squares(np.hstack([X, U]), X_next, "state-space regression")
+    n = X.shape[1]
     return theta[:n].T, theta[n:].T
 
 

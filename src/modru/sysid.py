@@ -267,8 +267,8 @@ class GrayBoxFit:
     nrmse: float
 
 
-def _least_squares(X: np.ndarray, y: np.ndarray, what: str) -> np.ndarray:
-    """Least-squares solution b of X b = y for X of full column rank.
+def least_squares(X: np.ndarray, y: np.ndarray, what: str) -> np.ndarray:
+    """Least-squares solution b of X b = y, y a vector or matrix, for X of full column rank.
 
     Corrected semi-normal equations (Bjorck, *Numerical Methods for Least
     Squares Problems*, SIAM 1996, sections 2.5 and 6.6): the normal
@@ -328,7 +328,7 @@ def equation_error_init(data: Dataset, mask: np.ndarray) -> np.ndarray:
     if not (np.isfinite(phi).all() and np.isfinite(dv).all()):
         raise EstimationError("gray-box warm-start regressors overflow")
     theta = np.zeros(N_THETA)
-    theta[mask] = _least_squares(phi, dv, "gray-box warm-start regression")
+    theta[mask] = least_squares(phi, dv, "gray-box warm-start regression")
     return theta
 
 
@@ -344,7 +344,7 @@ def fit_graybox(data: Dataset, mask: np.ndarray | None = None
     1999, ch. 10) follow one linear recurrence per column over the
     trajectory already simulated.  Each step delta solves the linearized
     problem min |J delta - (v_meas - sim)| by corrected semi-normal
-    equations (:func:`_least_squares`, as the warm start does), so a
+    equations (:func:`least_squares`, as the warm start does), so a
     rank-deficient Jacobian raises :class:`EstimationError`.  A step
     predicted to lower the cost by less than 1e-10 of it, |J delta|^2 <
     1e-10 cost, ends the fit as converged without a trial simulation: its
@@ -386,7 +386,7 @@ def fit_graybox(data: Dataset, mask: np.ndarray | None = None
     it = 0
     for it in range(1, max_iter + 1):
         J = _output_jacobian(theta, act, sim, data.u, data.alpha, h)
-        delta = _least_squares(J, v_meas - sim, "gray-box output Jacobian")
+        delta = least_squares(J, v_meas - sim, "gray-box output Jacobian")
         # The full step is predicted to lower the cost by |J delta|^2.
         Jd = J @ delta
         if Jd @ Jd < cost_tol * cost:

@@ -387,6 +387,10 @@ class TestNoDecompositionDriver:
             for sc in (truck_sc, car_sc):
                 report, _ = harness.run_pipeline(sc)
                 assert math.isfinite(report.E_realized)
+            # The model-based route fits its servo model by the same least
+            # squares; the model-free route still calls eigvalsh.
+            rows = lqr.robustness_sweep((0.2, 0.0), methods=("model-based",), seed=1)
+            assert [(r.tau, r.feasible) for r in rows] == [(0.2, True), (0.0, True)]
 
 
 class TestExcitationHold:

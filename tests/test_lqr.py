@@ -613,7 +613,7 @@ class TestStateSpace:
     def test_rank_deficiency_raises(self):
         X = np.ones((50, 2))
         U = np.ones((50, 1))
-        with pytest.raises(EstimationError):
+        with pytest.raises(EstimationError, match="^state-space regression is rank deficient$"):
             lqr.estimate_ss(X[:-1], U[:-1], X[1:])
 
 
@@ -1479,19 +1479,6 @@ class TestServoBenchmark:
                                     log_qu_range=(-4.0, -1.0))
         assert [e[3:] for e in row.trace] == [("raised", 11), ("raised", 5),
                                               ("raised", 7), ("raised", 6)]
-
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_sweep_rows_equal_one_call_metric(self, seed):
-        # The reference sweep scores every design with the one-call metric:
-        # its "response" is the plant itself.
-        rows = lqr.robustness_sweep((0.2, 0.0), seed=seed)
-        with mock.patch.object(lqr, "loop_response", lambda A, B, h: (A, B, h)), \
-                mock.patch.object(lqr, "sensitivity_metrics",
-                                  lambda plant, K: one_call_sensitivity_metrics(
-                                      plant[0], plant[1], K, plant[2])):
-            ref = lqr.robustness_sweep((0.2, 0.0), seed=seed)
-        assert [row.method for row in rows] == ["model-based", "model-free"] * 2
-        assert rows == ref
 
     def test_unknown_method_is_refused_before_any_route_is_built(self):
         with mock.patch.object(lqr, "_excitation_data",

@@ -454,27 +454,34 @@ def conditioned_columns(rng, n, p, log_cond):
 
 
 class TestLeastSquares:
-    """``sysid._least_squares`` against ``np.linalg.lstsq``."""
+    """``sysid.least_squares`` against ``np.linalg.lstsq``."""
 
     @settings(max_examples=300, deadline=None)
-    @given(p=st.integers(1, 6), extra=st.integers(0, 60), log_cond=st.floats(0.0, 3.0),
-           log_noise=st.floats(-12.0, 1.0), seed=st.integers(0, 2**32 - 1))
-    def test_matches_lstsq(self, p, extra, log_cond, log_noise, seed):
+    @given(p=st.integers(1, 6), extra=st.integers(0, 60), cols=st.sampled_from([None, 1, 2, 3]),
+           log_cond=st.floats(0.0, 3.0), log_noise=st.floats(-12.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_lstsq(self, p, extra, cols, log_cond, log_noise, seed):
         # Full rank, with the normal matrix of the equilibrated columns Xs
         # conditioned up to 1e6.  The reference is lstsq on Xs, so that the
         # column scales do not cost it digits; the bound is eps cond(Xs'Xs)
         # times the size of the solution and the residual, in Xs's units.
+        # The right-hand side is a vector (cols None) or has 1-3 columns,
+        # as estimate_ss's successor states do; each column is checked.
         rng = np.random.default_rng(seed)
         X = conditioned_columns(rng, p + extra, p, log_cond)
         scale = np.linalg.norm(X, axis=0)
         kappa = np.linalg.cond(X / scale) ** 2
         assume(kappa <= 1e6)
-        fit = X @ rng.normal(size=p)
-        y = fit + 10.0 ** log_noise * np.linalg.norm(fit) * rng.normal(size=p + extra)
-        ref = np.linalg.lstsq(X / scale, y, rcond=None)[0] / scale
-        b = sysid._least_squares(X, y, "test regression")
-        bound = np.linalg.norm(scale * ref) + np.linalg.norm(y - X @ ref)
-        assert np.linalg.norm(scale * (b - ref)) <= 100 * p * np.finfo(float).eps * kappa * bound
+        k = cols or 1
+        fit = X @ rng.normal(size=(p, k))
+        Y = fit + 10.0 ** log_noise * np.linalg.norm(fit, axis=0) * rng.normal(size=(p + extra, k))
+        b = sysid.least_squares(X, Y if cols else Y[:, 0], "test regression")
+        assert b.shape == ((p, cols) if cols else (p,))
+        for y, b_y in zip(Y.T, b.reshape(p, k).T):
+            ref = np.linalg.lstsq(X / scale, y, rcond=None)[0] / scale
+            bound = np.linalg.norm(scale * ref) + np.linalg.norm(y - X @ ref)
+            err = np.linalg.norm(scale * (b_y - ref))
+            assert err <= 100 * p * np.finfo(float).eps * kappa * bound
 
     @settings(max_examples=300, deadline=None)
     @given(p=st.integers(1, 6), extra=st.integers(0, 60),
@@ -495,12 +502,12 @@ class TestLeastSquares:
         else:
             X = rng.normal(size=(n, p - 1)) @ rng.normal(size=(p - 1, p))
         with pytest.raises(EstimationError, match="^test regression is rank deficient$"):
-            sysid._least_squares(X, rng.normal(size=n), "test regression")
+            sysid.least_squares(X, rng.normal(size=n), "test regression")
 
     def test_refuses_an_overflowing_gram_matrix(self):
         X = np.array([[1e200, 1.0], [2e200, 3.0], [1.0, 1.0]])
         with pytest.raises(EstimationError, match="^test regression overflows$"):
-            sysid._least_squares(X, np.ones(3), "test regression")
+            sysid.least_squares(X, np.ones(3), "test regression")
 
     def test_singular_gauss_newton_step_is_an_estimation_error(self, truck_sc, truck_fit,
                                                                 monkeypatch):
