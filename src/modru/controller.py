@@ -18,7 +18,6 @@ integrator from winding up at the input limit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +81,6 @@ def build_gain_schedule(model: GrayBoxModel, v_grid: np.ndarray, h: float,
     velocity error.  Raises :class:`NumericalError` when a node yields a
     non-positive gain (no useful PI action at that design point).
     """
-    v_grid = np.asarray(v_grid, dtype=float)
     t = model.theta
     b = t[0]
     # Node i's system: A = [[A_d, 0], [1, 1]], B = [[B_d], [0]].
@@ -91,7 +89,7 @@ def build_gain_schedule(model: GrayBoxModel, v_grid: np.ndarray, h: float,
     B = np.zeros((v_grid.size, 2, 1))
     for i, v in enumerate(v_grid):
         a = t[2] + 2.0 * t[3] * v
-        A_d, B_d = c2d_zoh([[a]], [[b]], h)
+        A_d, B_d = c2d_zoh(np.array([[a]]), np.array([[b]]), h)
         A[i, 0, 0], B[i, 0, 0] = A_d[0, 0], B_d[0, 0]
     K, _ = dare_solve(A, B, np.diag([1.0, rho_I]), np.array([[rho_u]]))
     kps, kis = K[:, 0, 0], K[:, 0, 1]
@@ -109,12 +107,11 @@ def control_step(w: float, v_ref: float, v: float, u_ff: float,
     on the anti-windup integral channel ``w`` [input units, 0 at episode start].
 
     Returns (u, u_s, du, w_next): the unsaturated command, the saturated
-    command, the feedback share du = u_s - u_ff, and the next ``w``.
+    command, the feedback share du = u_s - u_ff, and the next ``w``.  The
+    inputs must be finite and ``u_lim`` > 0; nothing here checks them (a
+    non-finite reference or feedforward gives a non-finite command, which
+    :func:`modru.plant.simulate` refuses).
     """
-    if not (math.isfinite(v_ref) and math.isfinite(v) and math.isfinite(u_ff)):
-        raise ValueError("non-finite controller input")
-    if not u_lim > 0:
-        raise ValueError("u_lim must be positive")
     e = v_ref - v
     u = u_ff + kp * e + w
     u_s = min(max(u, -u_lim), u_lim)

@@ -102,8 +102,7 @@ def stage_dataset(sc: Scenario) -> sysid.Dataset:
 def stage_estimate(sc: Scenario, data: sysid.Dataset
                    ) -> tuple[sysid.GrayBoxModel, sysid.EfficiencyParams, sysid.GrayBoxFit]:
     """Fit the gray box (with the scenario's term mask) and the efficiency factors."""
-    mask = np.asarray(sc.est_mask, dtype=bool)
-    model, fit = sysid.fit_graybox(data, mask=mask)
+    model, fit = sysid.fit_graybox(data, mask=sc.est_mask)
     for i in (2, 3):
         # A positive drag term pushes the vehicle forward; the planner and
         # the feedforward would spend it as free thrust.
@@ -313,8 +312,8 @@ def compare_slope_knowledge(sc: Scenario, out_dir=None) -> dict:
     name, which the excitation run does not read, so they share one record.
     """
     data = stage_dataset(sc)
-    mask_with = tuple(bool(b) for b in sc.est_mask[:4]) + (True, sc.est_mask[5])
-    mask_without = tuple(bool(b) for b in sc.est_mask[:4]) + (False, False)
+    mask_with = sc.est_mask[:4] + (True, sc.est_mask[5])
+    mask_without = sc.est_mask[:4] + (False, False)
     results = {}
     for tag, mask in (("slope-aware", mask_with), ("slope-blind", mask_without)):
         sci = replace(sc, est_mask=mask, name=f"{sc.name}-{tag}")

@@ -11,6 +11,7 @@ The model-based route fits a state-space model to the same kind of data
 regressor rank deficient to rounding) and solves the Riccati equation on
 it.  One search (:func:`_search`) scores either route on the true plant
 through the sensitivity peaks M_S, M_T and the step-response rise time.
+The kernels take float arrays, matrices 2-D, and convert no argument.
 """
 
 from __future__ import annotations
@@ -43,15 +44,6 @@ def seeded_random(seed) -> random.Random:
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return random.Random(seed)
-
-
-def _state_input(A, B) -> tuple[np.ndarray, np.ndarray]:
-    """States (matrix or samples) as a 2-D float array, inputs with one column each."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
-    return A, B
 
 
 def _quadratic_form(x: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -152,7 +144,6 @@ def c2d_zoh(A: np.ndarray, B: np.ndarray, h: float) -> tuple[np.ndarray, np.ndar
     Raises ``ValueError`` for h <= 0 or a system outside that contract and
     :class:`NumericalError` when E has a non-finite entry.
     """
-    A, B = _state_input(A, B)
     if h <= 0:
         raise ValueError("sample time must be positive")
     n = A.shape[0]
@@ -196,7 +187,6 @@ def schur_stable(F: np.ndarray) -> bool:
     good as that solve: for a strongly non-normal F near the unit circle,
     whose X is too large for working precision, it can be wrong either way.
     """
-    F = np.asarray(F, dtype=float)
     n = F.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -236,11 +226,8 @@ def dare_solve(A: np.ndarray, B: np.ndarray, Q_x: np.ndarray,
     for bit.  The stack raises when any of its systems fails, and
     ``ValueError`` when A and B are not both stacks of one size.
     """
-    A, B = _state_input(A, B)
     if A.ndim > 3 or B.ndim != A.ndim or B.shape[:-2] != A.shape[:-2]:
         raise ValueError(f"need stacks of one size, got A {A.shape} and B {B.shape}")
-    Q_x = np.atleast_2d(np.asarray(Q_x, dtype=float))
-    Q_u = np.atleast_2d(np.asarray(Q_u, dtype=float))
     n, k = A.shape[-1], len(A) if A.ndim == 3 else 1
     eye, Ak = np.eye(n), A
     G = B @ np.linalg.solve(Q_u, B.mT)
@@ -320,8 +307,7 @@ class _CachedStart:
 
     def __init__(self, rollout_source, K0: np.ndarray, Q_x: np.ndarray):
         self.source = rollout_source
-        self.K0 = np.atleast_2d(np.asarray(K0, dtype=float))
-        self.Q_x = np.atleast_2d(np.asarray(Q_x, dtype=float))
+        self.K0, self.Q_x = K0, Q_x
         m, n = self.K0.shape
         self.I, self.J = _triu_maps(n + m)
         self.error = None
@@ -554,7 +540,6 @@ def linear_rollouts(A: np.ndarray, B: np.ndarray, n_samples: int = 600,
     state passes 1e6 raises :class:`PolicyIterationError`; the kept draws
     stay as they were.
     """
-    A, B = _state_input(A, B)
     n_full, m = B.shape
     if n_obs is None:
         n_obs = n_full
@@ -566,7 +551,6 @@ def linear_rollouts(A: np.ndarray, B: np.ndarray, n_samples: int = 600,
     E = np.empty_like(U)
 
     def source(K: np.ndarray):
-        K = np.atleast_2d(np.asarray(K, dtype=float))
         amp = explore * max(1.0, float(np.abs(K).max()))
         np.multiply(U, 2.0 * amp, out=E)
         np.subtract(E, amp, out=E)
@@ -593,7 +577,6 @@ def loop_response(A: np.ndarray, B: np.ndarray, h: float) -> np.ndarray:
     the unit circle.  X depends on the plant alone, so one response serves
     every gain scored by :func:`sensitivity_metrics` on that plant.
     """
-    A, B = _state_input(A, B)
     n = A.shape[0]
     w = np.logspace(math.log10(math.pi / h) - 5.0, math.log10(math.pi / h), 2048)
     z = np.exp(1j * w * h)
@@ -608,7 +591,6 @@ def sensitivity_metrics(X: np.ndarray, K: np.ndarray) -> tuple[float, float]:
     infinite values indicate the loop passes through the critical point on
     the grid.
     """
-    K = np.atleast_2d(np.asarray(K, dtype=float))
     L = (K[None, :, :] @ X)[:, 0, 0]
     denom = np.abs(1.0 + L)
     tiny = denom < 1e-14
@@ -618,25 +600,20 @@ def sensitivity_metrics(X: np.ndarray, K: np.ndarray) -> tuple[float, float]:
     return float(S.max()), float(T.max())
 
 
-def rise_time(A: np.ndarray, B: np.ndarray, K: np.ndarray, C: np.ndarray,
-              h: float, max_steps: int = 500_000) -> float:
+def rise_time(A_cl: np.ndarray, B: np.ndarray, C: np.ndarray, h: float,
+              max_steps: int = 500_000) -> float:
     """10-90% rise time of the closed-loop unit step response.
 
-    The loop is closed as u = -K x + K_r r with K_r chosen for unit DC
-    gain from r to y = C x.  The response is evaluated in vectorised
-    blocks of 1024 samples, each from the state at the block start and
-    powers of the closed-loop matrix, and crossing times of 10% and 90%
-    are linearly interpolated between samples.  Raises
-    :class:`NumericalError` when the closed loop is unstable, its DC gain
-    is (near) zero, or y stays below 90% for ``max_steps`` samples.
+    ``A_cl`` = A - B K is the loop closed by u = -K x + K_r r, K_r chosen
+    for unit DC gain from r to y = C x.  The caller certifies ``A_cl`` as
+    Schur stable (:func:`schur_stable`); the result of an unstable one is
+    meaningless.  The response is evaluated in vectorised blocks of 1024
+    samples, each from the state at the block start and powers of the
+    closed-loop matrix, and crossing times of 10% and 90% are linearly
+    interpolated between samples.  Raises :class:`NumericalError` when the
+    DC gain is (near) zero or y stays below 90% for ``max_steps`` samples.
     """
-    A, B = _state_input(A, B)
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    n = A.shape[0]
-    A_cl = A - B @ K
-    if not schur_stable(A_cl):
-        raise NumericalError("closed loop is not asymptotically stable")
+    n = A_cl.shape[0]
     g0 = (C @ np.linalg.solve(np.eye(n) - A_cl, B)).item()
     if abs(g0) < 1e-12:
         raise NumericalError("closed loop has (near) zero DC gain")
@@ -694,13 +671,12 @@ def servo_plant(tau: float, h: float = 0.1) -> tuple[np.ndarray, ...]:
     else:
         Ac = [[0.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0 / tau]]
         Bc, C = [[0.0], [0.0], [1.0 / tau]], [[1.0, 0.0, 0.0]]
-    Ad, Bd = c2d_zoh(Ac, Bc, h)
+    Ad, Bd = c2d_zoh(np.array(Ac), np.array(Bc), h)
     return Ad, Bd, np.array(C)
 
 
 def _pad_gain(K: np.ndarray, n_full: int) -> np.ndarray:
     """Extend a gain on the observed states with zeros for hidden states."""
-    K = np.atleast_2d(K)
     Kf = np.zeros((K.shape[0], n_full))
     Kf[:, :K.shape[1]] = K
     return Kf
@@ -811,7 +787,7 @@ def _model_based_route(A, B, Q_x, seeds):
     the model's Riccati gain (:func:`dare_solve`): (K, None, 0)."""
     X, U, Xn = _excitation_data(A, B, len(Q_x), 1500, seeds[0])
     A2, B2 = estimate_ss(X, U, Xn)
-    return lambda q_u: (dare_solve(A2, B2, Q_x, [[q_u]])[0], None, 0)
+    return lambda q_u: (dare_solve(A2, B2, Q_x, np.array([[q_u]]))[0], None, 0)
 
 
 def _model_free_route(A, B, Q_x, seeds):
@@ -855,14 +831,17 @@ def _search(route, plant, resp, h: float, lo: float, hi: float, bisect_steps: in
 
     def evaluate(log_qu):
         """(margin, t_r, M_S, M_T) of the design at log10 Q_u; the margin is
-        +inf where the design failed or has no peaks."""
+        +inf where the design failed, is not certified stable on the true
+        plant (:func:`schur_stable`, the one test of its closed loop) or
+        has no peaks."""
         q_u = 10.0 ** log_qu
         g = t_r = m_s = m_t = math.inf
         ended = (None, 0)
         try:
             K, *ended = route(q_u)
             Kf = _pad_gain(K, A.shape[0])
-            if not schur_stable(A - B @ Kf):
+            A_cl = A - B @ Kf
+            if not schur_stable(A_cl):
                 raise NumericalError("unstable on true plant")
             m_s, m_t = sensitivity_metrics(resp, Kf)
             if math.isfinite(m_s) and math.isfinite(m_t):
@@ -871,7 +850,7 @@ def _search(route, plant, resp, h: float, lo: float, hi: float, bisect_steps: in
                 # An over-detuned but margin-respecting design may crawl;
                 # treat it as feasible with unmeasurable t_r so the search
                 # can still move toward smaller Q_u.
-                t_r = rise_time(A, B, Kf, C, h)
+                t_r = rise_time(A_cl, B, C, h)
         except NumericalError as exc:
             ended = getattr(exc, "ended", ended)
         trace.append((q_u, t_r, g <= 0.0, *ended))

@@ -305,7 +305,8 @@ def least_squares(X: np.ndarray, y: np.ndarray, what: str) -> np.ndarray:
 
 
 def equation_error_init(data: Dataset, mask: np.ndarray) -> np.ndarray:
-    """Linear-regression warm start: fit finite-difference accelerations.
+    """Linear-regression warm start: fit finite-difference accelerations of
+    the terms that the boolean array ``mask`` keeps.
 
     The difference quotient (v_k+1 - v_k) / h is the acceleration at the
     step's midpoint, so the regressors that move along the step, speed and
@@ -323,7 +324,6 @@ def equation_error_init(data: Dataset, mask: np.ndarray) -> np.ndarray:
         v = 0.5 * (data.v[:-1] + data.v[1:])
         a = 0.5 * (data.alpha[:-1] + data.alpha[1:])
         cols = [u, np.ones_like(u), v, v * v, a, a * a]
-    mask = np.asarray(mask, dtype=bool)
     phi = np.stack([c for c, m in zip(cols, mask) if m], axis=1)
     if not (np.isfinite(phi).all() and np.isfinite(dv).all()):
         raise EstimationError("gray-box warm-start regressors overflow")
@@ -427,9 +427,6 @@ def fit_efficiency(P: np.ndarray, u: np.ndarray, v: np.ndarray) -> EfficiencyPar
     records per factor whether it was fitted, defaulted or clipped.  Raises
     :class:`EstimationError` when an estimate is not finite.
     """
-    P = np.asarray(P, dtype=float)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
     x = u * v
     prior = EfficiencyParams()
     out = []

@@ -49,7 +49,7 @@ def test_c01_policy_iteration_matches_riccati_on_random_systems():
         A = rng.normal(size=(n, n))
         A *= rng.uniform(0.3, 0.95) / max(spectral_radius(A), 1e-9)
         B = rng.normal(size=(n, 1))
-        K_star, _ = lqr.dare_solve(A, B, np.eye(n), [[1.0]])
+        K_star, _ = lqr.dare_solve(A, B, np.eye(n), np.array([[1.0]]))
         source = lqr.linear_rollouts(A, B, n_samples=600, n_obs=n,
                                      seed=int(rng.integers(2 ** 32)))
         K, *_ = lqr.lqrl_policy_iteration(

@@ -28,12 +28,12 @@ class TestDiscretizeNode:
     # build_gain_schedule does it.
     def test_exact_scalar_zoh(self):
         a, b, h = -0.5, 2.0, 0.1
-        A_d, B_d = c2d_zoh([[a]], [[b]], h)
+        A_d, B_d = c2d_zoh(np.array([[a]]), np.array([[b]]), h)
         assert A_d[0, 0] == pytest.approx(math.exp(a * h), rel=1e-13)
         assert B_d[0, 0] == pytest.approx(b * (math.exp(a * h) - 1.0) / a, rel=1e-13)
 
     def test_integrator_limit(self):
-        A_d, B_d = c2d_zoh([[0.0]], [[2.0]], 0.1)
+        A_d, B_d = c2d_zoh(np.array([[0.0]]), np.array([[2.0]]), 0.1)
         assert A_d[0, 0] == 1.0
         assert B_d[0, 0] == pytest.approx(0.2, rel=1e-13)
 
@@ -89,7 +89,7 @@ class TestGainSchedule:
         assert np.ptp(sched.K_P) > 0
         for v in sched.v_grid:
             a = -0.1 + 2.0 * (-0.002) * v
-            A_d, B_d = c2d_zoh([[a]], [[1.0]], 0.5)
+            A_d, B_d = c2d_zoh(np.array([[a]]), np.array([[1.0]]), 0.5)
             A = np.array([[A_d[0, 0], 0.0], [1.0, 1.0]])
             B = np.array([[B_d[0, 0]], [0.0]])
             kp, ti = sched.gains(v)
@@ -143,14 +143,10 @@ class TestControlStep:
                                          kp=1.0, ti=10.0, u_lim=1e6)
         assert u_s == 340.0 and du == 0.0
 
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            ctl.control_step(0.0, math.nan, 0.0, 0.0, 2.0, 5.0, 100.0)
-        with pytest.raises(ValueError):
-            ctl.control_step(0.0, 0.0, 0.0, 0.0, 2.0, 5.0, 0.0)
-        # NaN fails too.
-        with pytest.raises(ValueError, match="u_lim"):
-            ctl.control_step(0.0, 10.0, 0.0, 0.0, 1e6, 5.0, math.nan)
+    def test_non_finite_reference_gives_a_non_finite_command(self):
+        # Nothing here checks the inputs: simulate refuses the command.
+        u, u_s, _, _ = ctl.control_step(0.0, math.nan, 0.0, 0.0, 2.0, 5.0, 100.0)
+        assert math.isnan(u) and math.isnan(u_s)
 
 
 def bits(x) -> bytes:

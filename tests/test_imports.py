@@ -50,9 +50,9 @@ def test_no_private_names_from_sibling_modules(path):
 
 def test_guard_flags_a_private_sibling_import():
     src = ("import numpy as np\nfrom .lqr import dare_solve\n"
-           "def f():\n    from .lqr import _state_input\n"
+           "def f():\n    from .lqr import _pad_gain\n"
            "from numpy import _globals\n")
-    assert private_sibling_imports(src) == ["lqr._state_input (line 4)"]
+    assert private_sibling_imports(src) == ["lqr._pad_gain (line 4)"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

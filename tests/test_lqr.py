@@ -115,9 +115,6 @@ def former_dare_solve(A, B, Q_x, Q_u):
     """Reference Riccati solver: the doubling loop as it was before the
     identity was hoisted and the solve's right-hand side joined by
     ``concatenate`` (``hstack``/``hsplit`` and two ``|H|`` maxima)."""
-    A, B = lqr._state_input(A, B)
-    Q_x = np.atleast_2d(np.asarray(Q_x, dtype=float))
-    Q_u = np.atleast_2d(np.asarray(Q_u, dtype=float))
     n = A.shape[0]
     Ak, H = A, Q_x.copy()
     G = B @ np.linalg.solve(Q_u, B.T)
@@ -158,9 +155,6 @@ def former_dare_solve(A, B, Q_x, Q_u):
 def former_rise_time(A, B, K, C, h, max_steps=500_000):
     """Reference rise time: the block evaluation as it was before each
     crossing search tested the block maximum first."""
-    A, B = lqr._state_input(A, B)
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
     n = A.shape[0]
     A_cl = A - B @ K
     if spectral_radius(A_cl) >= 1.0:
@@ -205,12 +199,10 @@ def former_linear_rollouts(A, B, n_samples=600, n_obs=None, episode_len=20,
     """Reference rollout source: the block evaluation as it was before the
     draws were kept, with a ``random.Random`` fresh from the seed and a
     ``uniform`` noise draw on every call."""
-    A, B = lqr._state_input(A, B)
     n_full, m = B.shape
     n_obs = n_full if n_obs is None else n_obs
 
     def source(K):
-        K = np.atleast_2d(np.asarray(K, dtype=float))
         amp = explore * max(1.0, float(np.abs(K).max()))
         n_ep = max(1, math.ceil(n_samples / episode_len))
         rng = random.Random(seed)
@@ -549,8 +541,6 @@ class BracketWatch:
 def one_call_sensitivity_metrics(A, B, K, h, n_freq=2048):
     """Reference loop-shape metric: the former one-call form, which built
     the frequency grid and solved (zI-A)^{-1}B for every gain."""
-    A, B = lqr._state_input(A, B)
-    K = np.atleast_2d(np.asarray(K, dtype=float))
     n = A.shape[0]
     w = np.logspace(math.log10(math.pi / h) - 5.0, math.log10(math.pi / h), n_freq)
     z = np.exp(1j * w * h)
@@ -632,7 +622,7 @@ class TestC2d:
     @example(a=5e-13, b=2.0, h=0.1)
     def test_scalar_exponential(self, a, b, h):
         # The gain-schedule node dv/dt = a v + b u, down to the integrator.
-        Ad, Bd = lqr.c2d_zoh([[a]], [[b]], h)
+        Ad, Bd = lqr.c2d_zoh(np.array([[a]]), np.array([[b]]), h)
         assert Ad[0, 0] == math.exp(a * h)
         if a == 0.0:
             assert Bd[0, 0] == b * h
@@ -644,7 +634,7 @@ class TestC2d:
 
     def test_bad_sample_time(self):
         with pytest.raises(ValueError):
-            lqr.c2d_zoh([[0.0]], [[1.0]], 0.0)
+            lqr.c2d_zoh(np.array([[0.0]]), np.array([[1.0]]), 0.0)
 
     @pytest.mark.parametrize("A, B", [
         ([[-1.0, 0.0], [1.0, -2.0]], [[0.0], [1.0]]),           # below the diagonal
@@ -655,7 +645,7 @@ class TestC2d:
     ])
     def test_rejects_non_cascades(self, A, B):
         with pytest.raises(ValueError, match="bidiagonal"):
-            lqr.c2d_zoh(A, B, 0.1)
+            lqr.c2d_zoh(np.array(A), np.array(B), 0.1)
 
     @pytest.mark.parametrize("tau", [1e-40, 1e-60, 1e-300])
     def test_non_finite_exponential_raises(self, tau):
@@ -712,7 +702,8 @@ class TestC2d:
 class TestDare:
     def test_scalar_golden_ratio(self):
         # P = 1 + P - P^2/(1+P) has the golden ratio as its fixed point.
-        K, P = lqr.dare_solve([[1.0]], [[1.0]], [[1.0]], [[1.0]])
+        one = np.array([[1.0]])
+        K, P = lqr.dare_solve(one, one, one, one)
         phi = 0.5 * (1.0 + math.sqrt(5.0))
         assert P[0, 0] == pytest.approx(phi, rel=1e-9)
         assert K[0, 0] == pytest.approx(phi / (1.0 + phi), rel=1e-9)
@@ -755,13 +746,14 @@ class TestDare:
         A = np.diag([2.0, 0.5])
         B = np.array([[0.0], [1.0]])
         with pytest.raises(NumericalError):
-            lqr.dare_solve(A, B, np.eye(2), [[1.0]])
+            lqr.dare_solve(A, B, np.eye(2), np.array([[1.0]]))
 
     def test_one_system_in_gives_one_system_out(self):
         A = np.array([[1.01, 0.1], [0.0, 0.98]])
-        K, P = lqr.dare_solve(A, [0.0, 1.0], np.eye(2), [[0.1]])
+        B, Q_u = np.array([[0.0], [1.0]]), np.array([[0.1]])
+        K, P = lqr.dare_solve(A, B, np.eye(2), Q_u)
         assert (K.shape, P.shape) == ((1, 2), (2, 2))
-        K_s, P_s = lqr.dare_solve(A[None], np.array([[[0.0], [1.0]]]), np.eye(2), [[0.1]])
+        K_s, P_s = lqr.dare_solve(A[None], B[None], np.eye(2), Q_u)
         assert (K_s.shape, P_s.shape) == ((1, 1, 2), (1, 2, 2))
         np.testing.assert_array_equal(K_s[0], K)
         np.testing.assert_array_equal(P_s[0], P)
@@ -776,7 +768,7 @@ class TestDare:
         def solves(A, B):
             """Shapes of the left-hand sides that dare_solve solves with."""
             with mock.patch.object(lqr.np.linalg, "solve", wraps=np.linalg.solve) as spy:
-                lqr.dare_solve(A, B, [[1.0]], [[1.0]])
+                lqr.dare_solve(A, B, np.array([[1.0]]), np.array([[1.0]]))
             return [c.args[0].shape for c in spy.call_args_list]
 
         # A call solves once to start, once per doubling and five times after.
@@ -791,7 +783,7 @@ class TestDare:
     def test_stacks_of_different_sizes_are_refused(self, A_shape, B_shape):
         A = np.broadcast_to(0.5 * np.eye(2), A_shape)
         with pytest.raises(ValueError, match="stacks of one size"):
-            lqr.dare_solve(A, np.ones(B_shape), np.eye(2), [[1.0]])
+            lqr.dare_solve(A, np.ones(B_shape), np.eye(2), np.array([[1.0]]))
 
 
 def near_unit_circle(rng, n, superdiag, k, sign):
@@ -1141,7 +1133,8 @@ class TestPolicyIteration:
                 <= 4 * p * np.finfo(float).eps * w[-1] * np.abs(K_ref).max())
 
     @pytest.mark.parametrize("K0, n_samples, error", [
-        ([[-30.0, 0.0]], 2400, PolicyIterationError), ([[1.0, 1.0]], 5, EstimationError)])
+        (np.array([[-30.0, 0.0]]), 2400, PolicyIterationError),
+        (np.array([[1.0, 1.0]]), 5, EstimationError)])
     def test_failed_start_fails_every_call(self, K0, n_samples, error):
         # A start gain whose rollout diverges, or a batch too small for the
         # p = 6 regressors, fails every call from the start as it fails the
@@ -1218,7 +1211,8 @@ class TestPolicyIteration:
         assert X.shape == (55, 1) and U.shape == (55, 1) and Xn.shape == (55, 1)
 
     def test_unstable_policy_rollout_raises(self):
-        source = lqr.linear_rollouts([[3.0]], [[1.0]], n_samples=200, seed=0)
+        source = lqr.linear_rollouts(np.array([[3.0]]), np.array([[1.0]]), n_samples=200,
+                                     seed=0)
         with pytest.raises(PolicyIterationError):
             source(np.array([[0.0]]))
 
@@ -1325,8 +1319,8 @@ class TestLoopMetrics:
     def test_sensitivity_peaks_of_delay_loop(self):
         # A=0 gives L(z) = k/z: |S| and |T| peak at the Nyquist point,
         # where |1 + L| = 1 - k.
-        resp = lqr.loop_response([[0.0]], [[1.0]], h=0.1)
-        m_s, m_t = lqr.sensitivity_metrics(resp, [[0.5]])
+        resp = lqr.loop_response(np.array([[0.0]]), np.array([[1.0]]), h=0.1)
+        m_s, m_t = lqr.sensitivity_metrics(resp, np.array([[0.5]]))
         assert m_s == pytest.approx(2.0, rel=1e-12)
         assert m_t == pytest.approx(1.0, rel=1e-12)
 
@@ -1334,9 +1328,10 @@ class TestLoopMetrics:
     def test_delay_loop_equals_one_call_metric(self, k):
         # k = 1 puts 1 + L within 1e-14 of zero at the Nyquist point, so
         # both peaks are infinite there.
-        resp = lqr.loop_response([[0.0]], [[1.0]], h=0.1)
-        got = lqr.sensitivity_metrics(resp, [[k]])
-        want = one_call_sensitivity_metrics([[0.0]], [[1.0]], [[k]], 0.1)
+        A, B, K = np.array([[0.0]]), np.array([[1.0]]), np.array([[k]])
+        resp = lqr.loop_response(A, B, h=0.1)
+        got = lqr.sensitivity_metrics(resp, K)
+        want = one_call_sensitivity_metrics(A, B, K, 0.1)
         assert got == want
         assert (k == 1.0) == (got == (math.inf, math.inf))
 
@@ -1358,14 +1353,12 @@ class TestLoopMetrics:
     def test_rise_time_first_order_lag(self):
         tau_d, h = 1.0, 0.001
         a = math.exp(-h / tau_d)
-        t_r = lqr.rise_time([[a]], [[1.0 - a]], [[0.0]], [[1.0]], h)
+        t_r = lqr.rise_time(np.array([[a]]), np.array([[1.0 - a]]), np.array([[1.0]]), h)
         assert t_r == pytest.approx(math.log(9.0) * tau_d, rel=1e-5)
 
     def test_rise_time_guards(self):
-        with pytest.raises(NumericalError):
-            lqr.rise_time([[1.1]], [[1.0]], [[0.0]], [[1.0]], 0.1)
-        with pytest.raises(NumericalError):
-            lqr.rise_time([[0.5]], [[1.0]], [[0.0]], [[0.0]], 0.1)
+        with pytest.raises(NumericalError, match="DC gain"):
+            lqr.rise_time(np.array([[0.5]]), np.array([[1.0]]), np.array([[0.0]]), 0.1)
 
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(1, 3), gap_decades=st.floats(0.05, 3.3),
@@ -1385,9 +1378,9 @@ class TestLoopMetrics:
             want = stepping_rise_time(A, B, K, C, h, max_steps)
         except NumericalError:
             with pytest.raises(NumericalError, match="non-settling"):
-                lqr.rise_time(A, B, K, C, h, max_steps=max_steps)
+                lqr.rise_time(A - B @ K, B, C, h, max_steps=max_steps)
             return
-        got = lqr.rise_time(A, B, K, C, h, max_steps=max_steps)
+        got = lqr.rise_time(A - B @ K, B, C, h, max_steps=max_steps)
         assert type(got) is float
         assert got == pytest.approx(want, rel=1e-9)
 
@@ -1495,7 +1488,7 @@ class TestServoBenchmark:
         A, B, _ = plant
 
         def oracle(q_u):
-            return lqr.dare_solve(A, B, np.diag([1.0, 0.0]), [[q_u]])[0], None, 0
+            return lqr.dare_solve(A, B, np.diag([1.0, 0.0]), np.array([[q_u]]))[0], None, 0
 
         log_qu, (_, t_r, M_S, M_T), feasible, trace = lqr._search(
             oracle, plant, lqr.loop_response(A, B, 0.1), 0.1, -6.0, 6.0, 60)
@@ -1504,6 +1497,41 @@ class TestServoBenchmark:
         assert {e[3:] for e in trace} == {(None, 0)}
         assert (t_r, M_S, M_T, 10.0 ** log_qu) == pytest.approx(
             (row.t_r, row.M_S, row.M_T, row.Q_u), rel=1e-9)
+
+    def test_designs_unstable_on_the_true_plant_get_no_rise_time(self):
+        # Below Q_u = 1e-2 the route designs positive feedback, whose peaks
+        # (M_S 0.95, M_T 1.0) pass both margins while the loop is unstable
+        # (spectral radius 1.1).  The search's stability test alone makes
+        # those designs infeasible, and rise_time never sees them.
+        plant = lqr.servo_plant(0.0)
+        A, B, _ = plant
+        K_bad = np.array([[-1.0, -1.0]])
+
+        def route(q_u):
+            if q_u < 1e-2:
+                return K_bad, None, 0
+            return lqr.dare_solve(A, B, np.diag([1.0, 0.0]), np.array([[q_u]]))[0], None, 0
+
+        resp = lqr.loop_response(A, B, 0.1)
+        m_s, m_t = lqr.sensitivity_metrics(resp, K_bad)
+        assert m_s <= lqr.MS_MAX and m_t <= lqr.MT_MAX
+        with mock.patch.object(lqr, "rise_time", wraps=lqr.rise_time) as spy:
+            log_qu, _, feasible, trace = lqr._search(route, plant, resp, 0.1, -6.0, 6.0, 60)
+        assert feasible and log_qu == pytest.approx(-2.0, abs=1e-9)
+        unstable = [e for e in trace if e[0] < 1e-2]
+        assert unstable and all(e[1] == math.inf and not e[2] for e in unstable)
+        assert spy.call_count == sum(e[2] for e in trace) == len(trace) - len(unstable)
+        assert all(spectral_radius(c.args[0]) < 1.0 for c in spy.call_args_list)
+
+    def test_each_design_is_certified_stable_once(self):
+        # The true tau = 0.2 plant has three states and the model-based
+        # route's model two, so the 3 x 3 tests are the search's own: one
+        # per design, feasible ones included, none repeated by rise_time.
+        route, plant, resp = ladder_route("model-based", 77, 0.2)
+        with mock.patch.object(lqr, "schur_stable", wraps=lqr.schur_stable) as spy:
+            _, _, feasible, trace = lqr._search(route, plant, resp, 0.1, -6.0, 6.0, 60)
+        assert feasible and sum(e[2] for e in trace) > 1
+        assert sum(c.args[0].shape == (3, 3) for c in spy.call_args_list) == len(trace)
 
     # A model-free row's Q_u agrees to 9 digits at either tolerance, but the
     # designs there come from policy iteration stopped at max_iters, and
@@ -1742,7 +1770,8 @@ class TestFormerKernels:
     def test_model_based_rows_equal_former_kernels(self, seed):
         rows = lqr.robustness_sweep((0.2, 0.0), methods=("model-based",), seed=seed)
         with mock.patch.object(lqr, "dare_solve", former_dare_solve), \
-                mock.patch.object(lqr, "rise_time", former_rise_time):
+                mock.patch.object(lqr, "rise_time", lambda A_cl, B, C, h: former_rise_time(
+                    A_cl, B, np.zeros((1, len(B))), C, h)):
             ref = lqr.robustness_sweep((0.2, 0.0), methods=("model-based",), seed=seed)
         assert rows == ref
 

@@ -174,6 +174,14 @@ class TestSimulate:
             simulate(TruckParams(T_m=0.0), open_loop(np.full(120, 1.3e6)), FLAT,
                      PlantState(v=1.0), h=0.5, n=120)
 
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+    def test_non_finite_command_raises(self, u):
+        # The tracker's control_step checks none of its inputs; a
+        # non-finite command it passes on stops the run here.
+        with pytest.raises(SimulationDivergence, match="non-finite command at step 2"):
+            simulate(TruckParams(), open_loop([0.0, 0.0, u, 0.0, 0.0]), FLAT,
+                     PlantState(v=10.0), n=5)
+
     def test_substep_refinement_converges(self):
         slope = PositionProfile(np.array([0.0, 500.0, 1000.0]),
                                 np.array([0.0, 0.03, -0.01]), "linear")
