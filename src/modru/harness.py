@@ -136,10 +136,11 @@ def stage_track(sc: Scenario, model: sysid.GrayBoxModel,
                 schedule: ctl.GainSchedule,
                 plan: tempo.TOSolution) -> tuple:
     """Track the plan's speed, sampled every sim.h, on the true plant;
-    returns (trajectory, metrics).  The feedforward takes the speed's mean
-    acceleration over each hold, which is 0 past the end, where it holds.
-    The run's deadline is the plan's end plus max(20 samples, 5%); a run
-    that has not reached the route's end by then raises NumericalError."""
+    returns (trajectory, metrics), the metrics keyed by their RunReport
+    fields.  The feedforward takes the speed's mean acceleration over each
+    hold, which is 0 past the end, where it holds.  The run's deadline is
+    the plan's end plus max(20 samples, 5%); a run that has not reached
+    the route's end by then raises NumericalError."""
     h = sc.sim_h
     t_end = float(plan.t[-1])
     n = int(math.ceil(t_end / h)) + max(20, int(0.05 * t_end / h))
@@ -265,13 +266,8 @@ def _run_report(sc: Scenario, fit: sysid.GrayBoxFit, model: sysid.GrayBoxModel,
         fit_nrmse=fit.nrmse, fit_converged=fit.converged,
         eff_gen_hat=eff.gen_factor, eff_regen_hat=eff.regen_factor,
         eff_gen_status=eff.gen_status, eff_regen_status=eff.regen_status,
-        E_pred=sol.E, E_realized=metrics["E_realized"],
-        t_end_planned=float(sol.t[-1]), t_terminal=metrics["t_terminal"],
-        tracking_rms=metrics["tracking_rms"], du_ratio=metrics["du_ratio"],
-        terminal_position_error=metrics["terminal_position_error"],
-        limit_overshoot=metrics["limit_overshoot"],
-        n_velocity_clamps=metrics["n_velocity_clamps"], plan_gap_rel=sol.gap_rel,
-        plan_newton_iters=sol.n_newton, plan_exit=sol.exit)
+        E_pred=sol.E, t_end_planned=float(sol.t[-1]), **metrics,
+        plan_gap_rel=sol.gap_rel, plan_newton_iters=sol.n_newton, plan_exit=sol.exit)
 
 
 def run_pipeline(sc: Scenario, out_dir=None) -> tuple[RunReport, dict]:

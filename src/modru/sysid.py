@@ -144,16 +144,15 @@ def _simulate_theta(theta, v0, u, alpha, h):
 
 def _step_partials(theta, act, sim, u, alpha, h, A, S):
     """Write the step factors A_k = (dPhi/dv)_k of the RK4 step map Phi into
-    ``A`` and dPhi/dth_j at step k, b_j,k, of each column j of ``act`` into
-    row j of ``S``, over the simulated trajectory ``sim``.
+    ``A``, and dPhi/dth_j at step k, b_j,k, into row j of ``S`` for each
+    column j of ``act`` only, over the simulated trajectory ``sim``.
 
     th1, th2, th5 and th6 enter Phi only through the per-step constant c, so
     each step needs four partials of Phi, taken by the chain rule through
     k1..k4 with f'(x) = th3 + 2 th4 x.
     """
-    t3, t4 = float(theta[2]), float(theta[3])
+    t3, t4, hh = float(theta[2]), float(theta[3]), 0.5 * h
     v, u, a = sim[:-1], u[:-1], alpha[:-1]
-    hh = 0.5 * h
     with np.errstate(over="ignore", invalid="ignore"):
         c = _input_term(theta, u, a)
         k1 = c + t3 * v + t4 * v * v
@@ -174,10 +173,11 @@ def _step_partials(theta, act, sim, u, alpha, h, A, S):
 
         A[:] = tangent(1.0, 0.0, 0.0, 0.0, 0.0)
         dc = tangent(0.0, 1.0, 1.0, 1.0, 1.0)
-        b = (dc * u, dc, tangent(0.0, v, x2, x3, x4),
-             tangent(0.0, v * v, x2 * x2, x3 * x3, x4 * x4), dc * a, dc * a * a)
+        b = (lambda: dc * u, lambda: dc, lambda: tangent(0.0, v, x2, x3, x4),
+             lambda: tangent(0.0, v * v, x2 * x2, x3 * x3, x4 * x4),
+             lambda: dc * a, lambda: dc * a * a)
         for j, idx in enumerate(act):
-            S[j] = b[idx]
+            S[j] = b[idx]()
 
 
 def _output_jacobian(theta, act, sim, u, alpha, h):

@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from bisect import bisect_right
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -560,29 +559,6 @@ class TestCompareSlope:
                         == (tmp_path / "former" / tag / name).read_bytes()), (tag, name)
 
 
-def former_simulate_theta(theta, v0, u, alpha, h):
-    """The gray-box RK4 as it was: the input term formed in every step."""
-    t1, t2, t3, t4, t5, t6 = (float(t) for t in theta)
-    h, v = float(h), float(v0)
-    us, alphas = u.tolist(), alpha.tolist()
-    out = [v]
-    for k in range(len(us) - 1):
-        uk, ak = us[k], alphas[k]
-        c = t1 * uk + t2 + t5 * ak + t6 * ak * ak
-        k1 = c + t3 * v + t4 * v * v
-        x = v + 0.5 * h * k1
-        k2 = c + t3 * x + t4 * x * x
-        x = v + 0.5 * h * k2
-        k3 = c + t3 * x + t4 * x * x
-        x = v + h * k3
-        k4 = c + t3 * x + t4 * x * x
-        v = v + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not math.isfinite(v) or abs(v) > 1e5:
-            return None
-        out.append(v)
-    return np.array(out[:len(us)])
-
-
 def stock_scenario(kind, seed):
     base = {"truck": config.default_truck_scenario, "car": config.default_car_scenario}[kind]
     return replace(base(), seed=seed)
@@ -629,79 +605,6 @@ class TestGrayBoxSimulatedOnce:
         _, fit = sysid.fit_graybox(data, mask=np.array(sc.est_mask, bool))
         assert fit.converged
         assert (fit.n_iter, len(calls)) == (iters, sims)
-
-    @pytest.mark.parametrize("kind", ["truck", "car"])
-    @pytest.mark.parametrize("seed", [1234, 1, 2])
-    def test_artifacts_equal_former_simulation_and_report(self, kind, seed, tmp_path):
-        # The former code formed the input term in the RK4 loop and
-        # simulated the fitted model once more for the report's fit_nrmse.
-        sc = stock_scenario(kind, seed)
-        harness.run_pipeline(sc, out_dir=tmp_path / "now")
-        datasets, stage_dataset, run_report = [], harness.stage_dataset, harness._run_report
-
-        def kept_dataset(sc):
-            datasets.append(stage_dataset(sc))
-            return datasets[-1]
-
-        def former_run_report(sc, fit, model, eff, sol, metrics):
-            return replace(run_report(sc, fit, model, eff, sol, metrics),
-                           fit_nrmse=sysid.validate(model, datasets[-1]))
-
-        with mock.patch.object(sysid, "_simulate_theta", former_simulate_theta), \
-                mock.patch.object(harness, "stage_dataset", kept_dataset), \
-                mock.patch.object(harness, "_run_report", former_run_report):
-            harness.run_pipeline(sc, out_dir=tmp_path / "former")
-        names = sorted(f.name for f in (tmp_path / "now").iterdir())
-        assert names == sorted(f.name for f in (tmp_path / "former").iterdir())
-        for name in names:
-            assert ((tmp_path / "now" / name).read_bytes()
-                    == (tmp_path / "former" / name).read_bytes()), name
-
-
-def former_scalar_lookup(xp, fp, kind):
-    """PositionProfile.at as it was: every linear lookup bisects."""
-    if len(xp) == 1:
-        f0 = fp[0]
-        return lambda x: f0
-    if kind == "constant":
-        return lambda x: fp[max(bisect_right(xp, x) - 1, 0)]
-    last = len(xp) - 1
-    slopes = [(fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) for j in range(last)]
-
-    def at(x):
-        j = bisect_right(xp, x) - 1
-        if j < 0:
-            return fp[0]
-        if j == last:
-            return x if x != x else fp[last]
-        if xp[j] == x:
-            return fp[j]
-        y = slopes[j] * (x - xp[j]) + fp[j]
-        if y != y:
-            y = slopes[j] * (x - xp[j + 1]) + fp[j + 1]
-            if y != y and fp[j] == fp[j + 1]:
-                y = fp[j]
-        return y
-
-    return at
-
-
-class TestCachedLookup:
-    @pytest.mark.parametrize("kind", ["truck", "car"])
-    @pytest.mark.parametrize("seed", [1234, 1, 2])
-    def test_artifacts_equal_former_lookup(self, kind, seed, tmp_path):
-        # Every profile is built under the patch, so the excitation run and
-        # the closed loop both bisect at each RK4 stage.
-        harness.run_pipeline(stock_scenario(kind, seed), out_dir=tmp_path / "now")
-        with mock.patch.object(plant, "_scalar_lookup", former_scalar_lookup):
-            sc = stock_scenario(kind, seed)
-            assert sc.slope.at.__qualname__.startswith("former_scalar_lookup")
-            harness.run_pipeline(sc, out_dir=tmp_path / "former")
-        names = sorted(f.name for f in (tmp_path / "now").iterdir())
-        assert names == sorted(f.name for f in (tmp_path / "former").iterdir())
-        for name in names:
-            assert ((tmp_path / "now" / name).read_bytes()
-                    == (tmp_path / "former" / name).read_bytes()), name
 
 
 class TestRobustnessCsv:

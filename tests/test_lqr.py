@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from unittest import mock
 
 import mpmath
@@ -16,8 +15,7 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from modru import config, harness, lqr
-from modru import controller as ctl
+from modru import lqr
 from modru.errors import EstimationError, NumericalError, PolicyIterationError
 
 from conftest import spectral_radius
@@ -824,6 +822,22 @@ class TestSchurStable:
     def test_cases(self, F, stable):
         assert lqr.schur_stable(np.array(F)) is stable
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "CHANGES.md FOUND 227: on a strongly non-normal matrix near the unit "
+        "circle the Kronecker solve loses X, and this stable one reads unstable"))
+    def test_a_non_normal_matrix_inside_the_circle(self):
+        # A 60-digit eigenvalue solve puts its spectral radius at
+        # 0.999316299096, a margin of 6.8e-4; scaled by 0.99 it reads stable.
+        F = np.array([[196.18671486, 358.87834764, 280.69111689],
+                      [-28.92523422, 152.50642491, 476.3410477],
+                      [-17.5194466, -160.60865865, -349.08340873]])
+        with mpmath.workdps(60):
+            radius = max(abs(z) for z in mpmath.eig(mpmath.matrix(F.tolist()),
+                                                     left=False, right=False))
+        assert 1.0 - 7e-4 < radius < 1.0 - 6e-4
+        assert lqr.schur_stable(0.99 * F)
+        assert lqr.schur_stable(F)
+
 
 class TestCostAndQTheta:
     def test_stage_batches(self, rng):
@@ -1383,6 +1397,7 @@ class TestLoopMetrics:
         got = lqr.rise_time(A - B @ K, B, C, h, max_steps=max_steps)
         assert type(got) is float
         assert got == pytest.approx(want, rel=1e-9)
+        assert got == former_rise_time(A - B @ K, B, np.zeros_like(K), C, h, max_steps)
 
 
 class TestServoBenchmark:
@@ -1624,13 +1639,12 @@ class TestRandomDraws:
             lqr._excitation_data(A, B, 2, 10, seed)
 
     def test_sweeps_import_no_numpy_random(self, tmp_path):
-        # numpy does not load numpy.random, and neither the sweep nor the
-        # robustness command does.
+        # numpy does not load numpy.random, and neither does the robustness
+        # command, whose sweep runs both methods.
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys\n"
-             "from modru import cli, lqr\n"
-             "lqr.robustness_sweep((0.2, 0.0), methods=('model-based', 'model-free'), seed=1)\n"
+             "from modru import cli\n"
              "assert cli.main(['robustness', '--taus', '0.2,0', '--out', sys.argv[1]]) == 0\n"
              "print('numpy.random' in sys.modules)\n",
              str(tmp_path)],
@@ -1722,15 +1736,9 @@ class TestBoundarySearch:
         assert len(row.trace) < len(ref.trace)
 
 
-def stacked_former_dare_solve(A, B, Q_x, Q_u):
-    """former_dare_solve applied to each system of a stack, results stacked."""
-    K, P = zip(*(former_dare_solve(A_i, B_i, Q_x, Q_u) for A_i, B_i in zip(A, B)))
-    return np.array(K), np.array(P)
-
-
 class TestFormerKernels:
-    """The Riccati solver, the rise time, the rollout draws and the feature
-    formation skip work without changing a bit."""
+    """The Riccati solver and the feature formation skip work without
+    changing a bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 3), log_qu=st.floats(-6.0, 6.0),
@@ -1766,15 +1774,6 @@ class TestFormerKernels:
             np.testing.assert_array_equal(K[i], K_ref)
             np.testing.assert_array_equal(P[i], P_ref)
 
-    @pytest.mark.parametrize("seed", [1, 2, 3, 11, 12, 13, 14, 15])
-    def test_model_based_rows_equal_former_kernels(self, seed):
-        rows = lqr.robustness_sweep((0.2, 0.0), methods=("model-based",), seed=seed)
-        with mock.patch.object(lqr, "dare_solve", former_dare_solve), \
-                mock.patch.object(lqr, "rise_time", lambda A_cl, B, C, h: former_rise_time(
-                    A_cl, B, np.zeros((1, len(B))), C, h)):
-            ref = lqr.robustness_sweep((0.2, 0.0), methods=("model-based",), seed=seed)
-        assert rows == ref
-
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 4), m=st.integers(1, 2), log_scale=st.floats(-6.0, 6.0),
            log_spread=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
@@ -1799,17 +1798,3 @@ class TestFormerKernels:
         np.testing.assert_array_equal(start.psi, ref.psi)
         if start.error is None:
             np.testing.assert_array_equal(start.G_inv, ref.G_inv)
-
-    @pytest.mark.parametrize("seed", [1234, 1, 2])
-    def test_truck_artifacts_equal_former_riccati_solver(self, seed, tmp_path):
-        # The truck pipeline runs only the Riccati solver of lqr, in its
-        # gain schedule, which solves all nodes in one stacked call.
-        sc = replace(config.default_truck_scenario(), seed=seed)
-        harness.run_pipeline(sc, out_dir=tmp_path / "now")
-        with mock.patch.object(ctl, "dare_solve", stacked_former_dare_solve):
-            harness.run_pipeline(sc, out_dir=tmp_path / "former")
-        names = sorted(f.name for f in (tmp_path / "now").iterdir())
-        assert names == sorted(f.name for f in (tmp_path / "former").iterdir())
-        for name in names:
-            assert ((tmp_path / "now" / name).read_bytes()
-                    == (tmp_path / "former" / name).read_bytes()), name

@@ -12,7 +12,7 @@ from modru import config, harness, tempo
 from modru.errors import InfeasibleError, NumericalError
 from modru.plant import PositionProfile, step_efficiency
 from modru.sysid import EfficiencyParams, GrayBoxModel
-from modru.tables import read_csv, write_csv
+from modru.tables import read_csv
 
 FLAT = PositionProfile(np.array([0.0, 10_000.0]), np.zeros(2), "linear")
 
@@ -265,22 +265,10 @@ class FormerReference:
     def sample(self, t):
         return np.interp(t, self.t, self.v_r)
 
-    def to_csv(self, path):
-        write_csv(path, ["t", "x", "v_r"], [self.t, self.x, self.v_r])
-
 
 def former_reference(sol, p):
     """tempo.reference(sol, p) as it was, without the acceleration."""
     return FormerReference(t=sol.t, x=p.x, v_r=np.sqrt(sol.z))
-
-
-def former_solution_csv(sol, path, p):
-    """TOSolution.to_csv(path, p) as it was."""
-    write_csv(path, ["k", "t", "x", "v_r", "a_r", "u_r", "eta", "h"],
-              [np.arange(sol.h.size), sol.t[:-1], p.x[:-1], sol.v_r,
-               sol.a_r, sol.u_r, sol.eta, sol.h],
-              meta={"E": sol.E, "feasible": sol.feasible, "t_end": sol.t[-1],
-                    "gap_rel": sol.gap_rel})
 
 
 # -- tests ---------------------------------------------------------------------
@@ -788,7 +776,8 @@ class TestProperties:
 
 
 def small_plan():
-    p = tempo.build_problem(100.0, 2, 9.0, FLAT, flat_limit(15.0), unit_model(),
+    # A truck-like model, whose plan has a nonzero E to write.
+    p = tempo.build_problem(100.0, 2, 9.0, FLAT, flat_limit(15.0), truck_like_model(),
                             vdot_lim=10.0)
     return p, tempo.solve(p)
 
@@ -797,6 +786,7 @@ class TestSolutionIO:
     def test_csv_round_trip(self, tmp_path):
         p, sol = small_plan()
         sol.write(tmp_path)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["reference.csv", "to_solution.csv"]
         header, cols, meta = read_csv(tmp_path / "to_solution.csv")
         assert header == ["k", "t", "x", "v_r", "a_r", "u_r", "eta", "h"]
         for name in header[1:]:
@@ -813,17 +803,3 @@ class TestSolutionIO:
         assert header == ["t", "x", "v_r"]
         for name, want in zip(header, (sol.t, p.x, np.sqrt(sol.z))):
             np.testing.assert_array_equal(want, cols[name], err_msg=name)
-
-    def test_files_equal_the_former_writers(self, tmp_path, truck_sc, truck_fit):
-        _, model, eff, _ = truck_fit
-        for tag, (p, sol) in (("small", small_plan()),
-                              ("truck", harness.stage_plan(truck_sc, model, eff))):
-            now, was = tmp_path / tag / "now", tmp_path / tag / "was"
-            now.mkdir(parents=True)
-            was.mkdir()
-            sol.write(now)
-            former_solution_csv(sol, was / "to_solution.csv", p)
-            former_reference(sol, p).to_csv(was / "reference.csv")
-            for name in ("to_solution.csv", "reference.csv"):
-                assert (now / name).read_bytes() == (was / name).read_bytes(), (tag, name)
-            assert sorted(f.name for f in now.iterdir()) == ["reference.csv", "to_solution.csv"]
